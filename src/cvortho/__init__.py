@@ -42,6 +42,7 @@ from .homodyne import (
     DataError,
     MaxLikTomography,
     QuadratureSample,
+    QuadratureSamples,
     ReconstructionResult,
     SamplingPlan,
     maxlik_reconstruct,

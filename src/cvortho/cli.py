@@ -425,6 +425,7 @@ def _run_tomography(cfg: dict, writer: _ArtifactWriter) -> dict:
     target = project_density(rho_true, Truncation(recon["dim"]))
     report = {
         "iterations_used": result.iterations_used,
+        "stop_reason": result.stop_reason,
         "eta": plan.eta,
         "fidelity_vs_true": fidelity(result.rho_hat, target),
         "final_log_likelihood": float(result.log_likelihood_trace[-1]),

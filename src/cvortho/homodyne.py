@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -13,11 +14,13 @@ from .phasespace import LossChannel, apply_loss, hermite_functions, marginal
 
 __all__ = [
     "QuadratureSample",
+    "QuadratureSamples",
     "SamplingPlan",
     "ReconstructionResult",
     "DataError",
     "uniform_phases",
     "sample_quadratures",
+    "product_coefficients",
     "maxlik_reconstruct",
     "MaxLikTomography",
     "write_samples_csv",
@@ -32,6 +35,8 @@ SAMPLING_POINTS = 4001
 
 _MAX_RECON_DIM = 30
 
+STOP_REASONS = ("tol", "max_iter")
+
 
 class DataError(ValueError):
     """A quadrature sample falls outside the numerical support of the model."""
@@ -40,6 +45,73 @@ class DataError(ValueError):
 class QuadratureSample(NamedTuple):
     phase: float
     x: float
+
+
+@dataclass(frozen=True, eq=False)
+class QuadratureSamples:
+    """Quadrature samples stored by column, in the caller's order.
+
+    ``phases`` is the table of distinct phases, ``phase_index[j]`` the table
+    row of sample j and ``x[j]`` its quadrature value.  Iterating yields
+    :class:`QuadratureSample` tuples; ``==`` compares the samples in order.
+    """
+
+    phases: np.ndarray
+    phase_index: np.ndarray
+    x: np.ndarray
+
+    def __post_init__(self):
+        phases = np.array(self.phases, dtype=np.float64).reshape(-1)
+        index = np.array(self.phase_index, dtype=np.intp).reshape(-1)
+        x = np.array(self.x, dtype=np.float64).reshape(-1)
+        if index.shape != x.shape:
+            raise ValueError("phase_index and x must have the same length")
+        if index.size and (index.min() < 0 or index.max() >= phases.size):
+            raise ValueError("phase_index entries must be rows of the phase table")
+        for name, arr in (("phases", phases), ("phase_index", index), ("x", x)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def from_columns(cls, phase, x) -> QuadratureSamples:
+        """Samples from per-sample phase and x columns.
+
+        Phases are told apart bit for bit, so iterating gives back exactly
+        the values passed in; the table keeps their order of first use.
+        """
+        phase = np.ascontiguousarray(phase, dtype=np.float64).reshape(-1)
+        _, first, inverse = np.unique(phase.view(np.int64), return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        return cls(phase[first[order]], rank[inverse.reshape(-1)], x)
+
+    @classmethod
+    def of(cls, samples) -> QuadratureSamples:
+        """``samples`` itself if already columnar, else the columns of its (phase, x) pairs."""
+        if isinstance(samples, cls):
+            return samples
+        pairs = np.array(list(samples), dtype=np.float64)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("samples must be (phase, x) pairs")
+        return cls.from_columns(pairs[:, 0], pairs[:, 1])
+
+    def __len__(self) -> int:
+        return self.x.size
+
+    def __iter__(self):
+        phases = self.phases.tolist()
+        for i, x in zip(self.phase_index.tolist(), self.x.tolist()):
+            yield QuadratureSample(phases[i], x)
+
+    def __eq__(self, other):
+        if not isinstance(other, QuadratureSamples):
+            return NotImplemented
+        return (len(self) == len(other)
+                and np.array_equal(self.phases[self.phase_index], other.phases[other.phase_index])
+                and np.array_equal(self.x, other.x))
 
 
 @dataclass(frozen=True)
@@ -75,21 +147,33 @@ def uniform_phases(count: int) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class ReconstructionResult:
-    """Estimate plus its likelihood history; the trace never decreases."""
+    """Estimate plus its likelihood history; the trace never decreases.
+
+    ``stop_reason`` is ``"tol"`` when the last log-likelihood gain fell
+    below the tolerance and ``"max_iter"`` when the iteration cap ended
+    the run.
+    """
 
     rho_hat: DensityMatrix
     log_likelihood_trace: np.ndarray
     iterations_used: int
+    stop_reason: str
 
     def __post_init__(self):
+        if self.stop_reason not in STOP_REASONS:
+            raise ValueError(f"stop_reason must be one of {STOP_REASONS}, got {self.stop_reason!r}")
         trace = np.asarray(self.log_likelihood_trace, dtype=np.float64)
         if trace.size and np.any(np.diff(trace) < -1e-9):
             raise ValueError("log-likelihood trace decreased beyond numerical slack")
         trace.flags.writeable = False
         object.__setattr__(self, "log_likelihood_trace", trace)
 
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "tol"
 
-def sample_quadratures(rho: DensityMatrix, plan: SamplingPlan) -> list:
+
+def sample_quadratures(rho: DensityMatrix, plan: SamplingPlan) -> QuadratureSamples:
     """Draw quadrature samples phase by phase, deterministically per seed.
 
     Detection efficiency acts on the state before sampling (via the loss
@@ -100,30 +184,32 @@ def sample_quadratures(rho: DensityMatrix, plan: SamplingPlan) -> list:
     if plan.eta < 1.0:
         rho = apply_loss(rho, LossChannel(plan.eta))
     xs = np.linspace(SAMPLING_X_MIN, SAMPLING_X_MAX, SAMPLING_POINTS)
-    samples = []
+    draws = []
     for i, phase in enumerate(plan.phases):
         dens = marginal(rho, phase, xs).density
         cdf = np.concatenate(([0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(xs))))
         cdf /= cdf[-1]
         rng = np.random.default_rng(plan.seed + i)
-        draws = np.interp(rng.random(plan.samples_per_phase), cdf, xs)
-        samples.extend(QuadratureSample(phase, float(x)) for x in draws)
-    return samples
+        draws.append(np.interp(rng.random(plan.samples_per_phase), cdf, xs))
+    index = np.repeat(np.arange(len(plan.phases)), plan.samples_per_phase)
+    return QuadratureSamples(plan.phases, index, np.concatenate(draws))
 
 
-def _group_by_phase(samples, dim):
-    """Per-phase Hermite kernels and sample indices for the iteration."""
-    buckets = {}
-    for idx, s in enumerate(samples):
-        buckets.setdefault(float(s.phase), []).append((idx, float(s.x)))
-    groups = []
-    for phase, pairs in buckets.items():
-        indices = np.array([p[0] for p in pairs])
-        xs = np.array([p[1] for p in pairs])
-        psi = hermite_functions(xs, dim).T  # (K_i, dim), real
-        mode_phase = np.exp(1j * phase * np.arange(dim))
-        groups.append((phase, indices, xs, psi, mode_phase))
-    return groups
+def product_coefficients(dim: int) -> np.ndarray:
+    """Exact expansion psi_a(x) psi_b(x) = sum_m L[a, b, m] psi_m(sqrt2 x), m < 2 dim - 1.
+
+    A product of two oscillator eigenfunctions is exp(-x^2) times a
+    polynomial of degree a + b, and the psi_m(sqrt2 x) span exactly those
+    functions.  Their norm is 2^(-1/4), so with t = sqrt2 x,
+    L[a, b, m] = int psi_a(t/sqrt2) psi_b(t/sqrt2) psi_m(t) dt, an integral
+    of exp(-t^2) times a polynomial of degree below 4 dim that a 4 dim-node
+    Gauss-Hermite rule evaluates exactly.
+    """
+    nodes, weights = np.polynomial.hermite.hermgauss(4 * dim)
+    half = hermite_functions(nodes / math.sqrt(2.0), dim)
+    full = hermite_functions(nodes, 2 * dim - 1)
+    pairs = half[:, None, :] * half[None, :, :] * (weights * np.exp(nodes**2))
+    return pairs @ full.T
 
 
 def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-10) -> ReconstructionResult:
@@ -132,11 +218,21 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
     Iterates rho <- normalize(R rho R) with R = (1/K) sum_j Pi_j / Tr(rho Pi_j),
     where Pi_j is the rank-one projector onto the quadrature eigenvector of
     sample j (same Hermite-function kernel as the marginal formula).  Stops
-    at ``max_iter`` or when the total log-likelihood gain drops below ``tol``.
-    No efficiency correction is applied: sampling through a loss channel
-    makes the estimate converge to the lossy state.
+    at ``max_iter`` or when the total log-likelihood gain drops below ``tol``;
+    ``stop_reason`` on the result says which.  No efficiency correction is
+    applied: sampling through a loss channel makes the estimate converge to
+    the lossy state.
+
+    ``samples`` is a :class:`QuadratureSamples` or any iterable of
+    (phase, x) pairs.  Every kernel entry psi_a(x) psi_b(x) is expanded over
+    the 2 dim - 1 features f_m(x) = psi_m(sqrt2 x) (see
+    :func:`product_coefficients`), so at phase theta the likelihood is
+    p_j = sum_m c_m f_m(x_j) with c_m = sum_ab L[a, b, m] Re(rho_ab
+    e^{i(b-a)theta}), and R needs only the feature sums of 1/p_j.  Each
+    iteration is one sweep of two matrix-vector products over each phase's
+    feature matrix, which holds 8 K (2 dim - 1) bytes in all.
     """
-    samples = list(samples)
+    samples = QuadratureSamples.of(samples)
     if len(samples) == 0:
         raise ValueError("at least one sample is required")
     if not 2 <= dim <= _MAX_RECON_DIM:
@@ -144,46 +240,54 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
 
-    groups = _group_by_phase(samples, dim)
+    coeffs = product_coefficients(dim)
+    flat = coeffs.reshape(dim * dim, -1)
+    levels = np.arange(dim)
+    order = np.argsort(samples.phase_index, kind="stable")
+    ends = np.cumsum(np.bincount(samples.phase_index, minlength=samples.phases.size))
+    groups = []  # per phase: phase, caller positions, x, features f_m(x_j), e^{i(a-b)phase}
+    for phase, start, stop in zip(samples.phases.tolist(), np.concatenate(([0], ends[:-1])), ends):
+        if stop > start:
+            positions = order[start:stop]
+            xs = samples.x[positions]
+            m = np.exp(1j * phase * levels)
+            groups.append((phase, positions, xs, hermite_functions(math.sqrt(2.0) * xs, 2 * dim - 1),
+                           np.outer(m, m.conj())))
     k_total = len(samples)
-    rho = np.eye(dim, dtype=np.complex128) / dim
 
-    def probabilities():
-        # per-phase: p_j = psi_j^T Re(M^dag rho M) psi_j with M = diag(e^{i n phase})
-        out = []
-        for phase, indices, xs, psi, m in groups:
-            rho_rot = np.real(np.conj(m)[:, None] * rho * m[None, :])
-            p = np.einsum("kd,kd->k", psi @ rho_rot, psi)
+    def sweep(rho):
+        """Log-likelihood of rho and its R operator, from one pass over the features."""
+        loglik = 0.0
+        r_op = np.zeros((dim, dim), dtype=np.complex128)
+        for phase, positions, xs, feats, rot in groups:
+            p = (flat.T @ np.real(rho * rot.conj()).ravel()) @ feats
             bad = ~np.isfinite(p) | (p <= 0.0)
             if np.any(bad):
                 j = int(np.argmax(bad))
                 raise DataError(
-                    f"sample {int(indices[j])} (phase={phase:.10f}, x={xs[j]:.6g}) "
+                    f"sample {int(positions[j])} (phase={phase:.10f}, x={xs[j]:.6g}) "
                     "has non-positive likelihood under the current state"
                 )
-            out.append(p)
-        return out
+            loglik += float(np.sum(np.log(p)))
+            r_op += rot * (coeffs @ (feats @ (1.0 / p)))
+        return loglik, r_op / k_total
 
-    probs = probabilities()
-    loglik = [float(sum(np.sum(np.log(p)) for p in probs))]
-    iterations = 0
+    rho = np.eye(dim, dtype=np.complex128) / dim
+    loglik, r_op = sweep(rho)
+    trace = [loglik]
+    stop_reason = "max_iter"
     for _ in range(max_iter):
-        r_op = np.zeros((dim, dim), dtype=np.complex128)
-        for (phase, _idx, _xs, psi, m), p in zip(groups, probs):
-            s = psi.T @ (psi / p[:, None])
-            r_op += (m[:, None] * np.conj(m)[None, :]) * s
-        r_op /= k_total
         rho = r_op @ rho @ r_op
         rho = (rho + rho.conj().T) / 2.0
         rho /= np.trace(rho).real
-        iterations += 1
-        probs = probabilities()
-        loglik.append(float(sum(np.sum(np.log(p)) for p in probs)))
-        if loglik[-1] - loglik[-2] < tol:
+        loglik, r_op = sweep(rho)
+        trace.append(loglik)
+        if trace[-1] - trace[-2] < tol:
+            stop_reason = "tol"
             break
 
     result = DensityMatrix(rho, Truncation(dim))
-    return ReconstructionResult(result, np.asarray(loglik), iterations)
+    return ReconstructionResult(result, np.asarray(trace), len(trace) - 1, stop_reason)
 
 
 class MaxLikTomography:
@@ -191,7 +295,9 @@ class MaxLikTomography:
 
     Follows the scikit-learn protocol (``fit`` plus ``get_params`` /
     ``set_params``), so it can be cloned and composed with that ecosystem.
-    Fitted attributes: ``rho_``, ``log_likelihood_trace_``, ``n_iter_``.
+    ``fit`` takes a :class:`QuadratureSamples` or any iterable of
+    (phase, x) pairs.  Fitted attributes: ``rho_``,
+    ``log_likelihood_trace_``, ``n_iter_``, ``stop_reason_``.
     """
 
     def __init__(self, dim: int = 15, max_iter: int = 2000, tol: float = 1e-10):
@@ -204,6 +310,7 @@ class MaxLikTomography:
         self.rho_ = res.rho_hat
         self.log_likelihood_trace_ = res.log_likelihood_trace
         self.n_iter_ = res.iterations_used
+        self.stop_reason_ = res.stop_reason
         return self
 
     def get_params(self, deep: bool = True) -> dict:
@@ -222,27 +329,35 @@ class MaxLikTomography:
 
 
 def write_samples_csv(samples, path) -> None:
-    """CSV with header phase,x; phases in radians to 10 decimals."""
-    lines = ["phase,x"]
-    for s in samples:
-        lines.append(f"{s.phase:.10f},{s.x:.17g}")
+    """CSV with header phase,x; phases in radians to 10 decimals, x to 17 digits.
+
+    Each distinct phase is formatted once, and x is written run by run of
+    samples that share a phase.
+    """
+    samples = QuadratureSamples.of(samples)
+    labels = [f"{phase:.10f}," for phase in samples.phases.tolist()]
+    index = samples.phase_index
+    starts = np.flatnonzero(np.diff(index, prepend=-1)).tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("phase,x\n")
+        for start, stop in zip(starts, starts[1:] + [len(index)]):
+            label = labels[index[start]]
+            fh.write("".join([f"{label}{x:.17g}\n" for x in samples.x[start:stop].tolist()]))
 
 
-def read_samples_csv(path) -> list:
-    samples = []
+def read_samples_csv(path) -> QuadratureSamples:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "phase,x":
             raise ValueError(f"unexpected sample-file header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            phase, x = line.split(",")
-            samples.append(QuadratureSample(float(phase), float(x)))
-    return samples
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a header-only file has no rows
+            rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    if rows.size == 0:
+        rows = rows.reshape(0, 2)
+    if rows.shape[1] != 2:
+        raise ValueError(f"sample rows must have the two fields phase,x, got {rows.shape[1]}")
+    return QuadratureSamples.from_columns(rows[:, 0], rows[:, 1])
 
 
 def write_likelihood_csv(trace, path) -> None:

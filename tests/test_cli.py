@@ -121,6 +121,18 @@ class TestRunTomography:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["fidelity_vs_true"] >= 0.99
 
+    def test_report_states_stop_reason(self, tmp_path):
+        config = {
+            "experiment": "tomography",
+            "trunc": 16,
+            "sampling": {"phases": 2, "samples_per_phase": 300, "seed": 3},
+            "reconstruction": {"dim": 5, "max_iter": 4, "tol": 1e-9},
+        }
+        run(config, output_dir=tmp_path)
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["iterations_used"] == 4
+        assert report["stop_reason"] == "max_iter"
+
 
 class TestDeterminism:
     def test_identical_manifests(self, tmp_path):

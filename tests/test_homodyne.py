@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 from scipy.stats import kstest
 
@@ -9,6 +11,8 @@ from cvortho import (
     DataError,
     MaxLikTomography,
     QuadratureSample,
+    QuadratureSamples,
+    ReconstructionResult,
     SamplingPlan,
     Truncation,
     coherent_state,
@@ -19,7 +23,56 @@ from cvortho import (
     sample_quadratures,
     uniform_phases,
 )
-from cvortho.homodyne import read_samples_csv, write_likelihood_csv, write_samples_csv
+from cvortho.homodyne import (
+    _MAX_RECON_DIM,
+    product_coefficients,
+    read_samples_csv,
+    write_likelihood_csv,
+    write_samples_csv,
+)
+from cvortho.phasespace import hermite_functions
+
+from conftest import random_state
+
+
+def dense_maxlik(samples, dim, max_iter, tol):
+    """Reference RrhoR iteration on the dense per-sample d x d kernel.
+
+    Builds psi_a(x_j) psi_b(x_j) for every sample, phase by phase in order
+    of first appearance; returns the estimate and the log-likelihood trace.
+    """
+    buckets = {}
+    for s in samples:
+        buckets.setdefault(float(s.phase), []).append(float(s.x))
+    groups = []
+    for phase, xs in buckets.items():
+        m = np.exp(1j * phase * np.arange(dim))
+        groups.append((hermite_functions(np.array(xs), dim).T, m))
+    k_total = sum(psi.shape[0] for psi, _ in groups)
+
+    def probabilities(rho):
+        out = []
+        for psi, m in groups:
+            rho_rot = np.real(np.conj(m)[:, None] * rho * m[None, :])
+            out.append(np.einsum("kd,kd->k", psi @ rho_rot, psi))
+        return out
+
+    rho = np.eye(dim, dtype=np.complex128) / dim
+    probs = probabilities(rho)
+    loglik = [float(sum(np.sum(np.log(p)) for p in probs))]
+    for _ in range(max_iter):
+        r_op = np.zeros((dim, dim), dtype=np.complex128)
+        for (psi, m), p in zip(groups, probs):
+            r_op += (m[:, None] * np.conj(m)[None, :]) * (psi.T @ (psi / p[:, None]))
+        r_op /= k_total
+        rho = r_op @ rho @ r_op
+        rho = (rho + rho.conj().T) / 2.0
+        rho /= np.trace(rho).real
+        probs = probabilities(rho)
+        loglik.append(float(sum(np.sum(np.log(p)) for p in probs)))
+        if loglik[-1] - loglik[-2] < tol:
+            break
+    return rho, np.asarray(loglik)
 
 
 def single_photon_cdf(x):
@@ -126,6 +179,96 @@ class TestMaxLikReconstruct:
         with pytest.raises(DataError, match="sample 1"):
             maxlik_reconstruct(samples, dim=5, max_iter=5)
 
+    def test_data_error_names_caller_position_across_phases(self):
+        # phases interleave; the bad sample is the third of the second phase
+        xs = [0.1, -0.2, 0.3, 0.4, -0.5, 1e6, 0.7]
+        phases = [0.0, 0.5, 0.0, 0.5, 0.0, 0.5, 0.0]
+        samples = [QuadratureSample(p, x) for p, x in zip(phases, xs)]
+        with pytest.raises(DataError, match=r"sample 5 \(phase=0\.5000000000, x=1e\+06\)"):
+            maxlik_reconstruct(samples, dim=5, max_iter=5)
+
+    def test_stop_reason_tol(self):
+        rho = fock_state(0, Truncation(8)).to_density()
+        plan = SamplingPlan(phases=uniform_phases(4), samples_per_phase=1000, seed=5)
+        res = maxlik_reconstruct(sample_quadratures(rho, plan), dim=6, max_iter=2000, tol=1e-2)
+        assert res.stop_reason == "tol"
+        assert res.converged
+
+    def test_stop_reason_max_iter(self):
+        rho = coherent_state(0.7, Truncation(15)).to_density()
+        plan = SamplingPlan(phases=uniform_phases(5), samples_per_phase=2000, seed=4)
+        res = maxlik_reconstruct(sample_quadratures(rho, plan), dim=8, max_iter=7, tol=1e-12)
+        assert res.iterations_used == 7
+        assert res.stop_reason == "max_iter"
+        assert not res.converged
+
+    def test_unknown_stop_reason_rejected(self):
+        rho = fock_state(0, Truncation(4)).to_density()
+        with pytest.raises(ValueError, match="stop_reason"):
+            ReconstructionResult(rho, np.zeros(1), 0, "gave_up")
+
+
+class TestMomentKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(2, _MAX_RECON_DIM), x=st.floats(-9.0, 9.0))
+    def test_product_expansion_is_exact(self, dim, x):
+        psi = hermite_functions([x], dim)[:, 0]
+        feats = hermite_functions([math.sqrt(2.0) * x], 2 * dim - 1)[:, 0]
+        expanded = product_coefficients(dim) @ feats
+        assert np.max(np.abs(expanded - np.outer(psi, psi))) <= 1e-13
+
+    @pytest.mark.parametrize("dim, phases, per_phase, seed", [(4, 3, 300, 1), (9, 5, 400, 2), (15, 7, 250, 3)])
+    def test_matches_dense_oracle(self, dim, phases, per_phase, seed):
+        rng = np.random.default_rng(seed)
+        rho = random_state(Truncation(20), rng, support=dim).to_density()
+        plan = SamplingPlan(phases=uniform_phases(phases), samples_per_phase=per_phase, seed=seed, eta=0.7)
+        samples = list(sample_quadratures(rho, plan))
+        samples = [samples[i] for i in rng.permutation(len(samples))]  # interleave the phases
+        rho_ref, trace_ref = dense_maxlik(samples, dim, max_iter=40, tol=-np.inf)
+        res = maxlik_reconstruct(samples, dim=dim, max_iter=40, tol=-np.inf)
+        assert res.iterations_used == 40
+        assert np.max(np.abs(res.rho_hat.elems - rho_ref)) <= 1e-12
+        assert np.max(np.abs(res.log_likelihood_trace - trace_ref) / np.abs(trace_ref)) <= 1e-12
+
+
+class TestQuadratureSamples:
+    def test_columns_and_iteration(self):
+        rho = coherent_state(0.5, Truncation(15)).to_density()
+        plan = SamplingPlan(phases=uniform_phases(3), samples_per_phase=4, seed=8)
+        samples = sample_quadratures(rho, plan)
+        assert isinstance(samples, QuadratureSamples)
+        assert len(samples) == 12
+        assert samples.phases.tolist() == list(plan.phases)
+        assert samples.phase_index.tolist() == [0] * 4 + [1] * 4 + [2] * 4
+        items = list(samples)
+        assert all(isinstance(s, QuadratureSample) for s in items)
+        assert [s.phase for s in items] == [p for p in plan.phases for _ in range(4)]
+        assert [s.x for s in items] == samples.x.tolist()
+
+    def test_of_pairs_keeps_order_and_values(self):
+        pairs = [(0.5, 1.0), (0.0, -2.0), (0.5, 3.0), (-0.0, 4.0)]
+        samples = QuadratureSamples.of(iter(pairs))
+        # phases are told apart bit for bit, in order of first use
+        assert [math.copysign(1.0, p) for p in samples.phases.tolist()] == [1.0, 1.0, -1.0]
+        assert samples.phase_index.tolist() == [0, 1, 0, 2]
+        assert [tuple(s) for s in samples] == pairs
+        assert QuadratureSamples.of(samples) is samples
+
+    def test_equality_compares_samples_in_order(self):
+        a = QuadratureSamples.of([(0.0, 1.0), (1.0, 2.0)])
+        b = QuadratureSamples((1.0, 0.0), (1, 0), (1.0, 2.0))
+        assert a == b
+        assert a != QuadratureSamples.of([(1.0, 2.0), (0.0, 1.0)])
+        assert a != QuadratureSamples.of([(0.0, 1.0)])
+
+    def test_invalid_columns_rejected(self):
+        with pytest.raises(ValueError):
+            QuadratureSamples((0.0,), (0, 1), (1.0, 2.0))
+        with pytest.raises(ValueError):
+            QuadratureSamples((0.0,), (0,), (1.0, 2.0))
+        with pytest.raises(ValueError):
+            QuadratureSamples.of([(0.0, 1.0, 2.0)])
+
 
 class TestEstimatorApi:
     def test_fit_sets_attributes(self):
@@ -136,6 +279,15 @@ class TestEstimatorApi:
         assert est.rho_.trunc.dim == 6
         assert est.n_iter_ <= 100
         assert est.log_likelihood_trace_.shape == (est.n_iter_ + 1,)
+
+    def test_fit_accepts_plain_pairs(self):
+        rho = fock_state(0, Truncation(8)).to_density()
+        plan = SamplingPlan(phases=uniform_phases(4), samples_per_phase=500, seed=6)
+        samples = sample_quadratures(rho, plan)
+        est = MaxLikTomography(dim=5, max_iter=3, tol=1e-9).fit((s.phase, s.x) for s in samples)
+        ref = maxlik_reconstruct(samples, dim=5, max_iter=3, tol=1e-9)
+        assert np.array_equal(est.rho_.elems, ref.rho_hat.elems)
+        assert est.stop_reason_ == ref.stop_reason == "max_iter"
 
     def test_get_set_params(self):
         est = MaxLikTomography(dim=8)
@@ -162,6 +314,25 @@ class TestSampleFiles:
         assert lines[1].startswith("0.3141592653,")
         back = read_samples_csv(path)
         assert [s.x for s in back] == [-1.25, 0.5]
+
+    def test_rewrite_is_byte_identical(self, tmp_path):
+        rho = coherent_state(0.8, Truncation(15)).to_density()
+        plan = SamplingPlan(phases=uniform_phases(3), samples_per_phase=50, seed=12)
+        drawn = list(sample_quadratures(rho, plan))
+        # interleaved phases give many short runs of a shared phase
+        mixed = [drawn[i] for i in np.random.default_rng(0).permutation(len(drawn))]
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_samples_csv(mixed, first)
+        back = read_samples_csv(first)
+        assert [s.x for s in back] == [s.x for s in mixed]
+        write_samples_csv(back, second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_header_only_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_samples_csv([], path)
+        assert path.read_text() == "phase,x\n"
+        assert len(read_samples_csv(path)) == 0
 
     def test_likelihood_csv(self, tmp_path):
         path = tmp_path / "lik.csv"
