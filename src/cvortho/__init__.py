@@ -1,6 +1,6 @@
 """Truncated-Fock-space simulator for state orthogonalization and CV qubits.
 
-Core layers: ``fock`` (states, operators, heralded projections), ``schemes``
+Core layers: ``fock`` (states, operators, the sector beam splitter), ``schemes``
 (orthogonalizers, qubit generator, conditional beam-splitter models),
 ``phasespace`` (Wigner maps, quadrature marginals, detection loss),
 ``homodyne`` (sampling and maximum-likelihood tomography), ``cli``
@@ -12,12 +12,10 @@ __version__ = "0.1.0"
 from .fock import (
     DensityMatrix,
     HeraldImpossibleError,
-    JointState,
     ModeOperator,
     StateVector,
     Truncation,
     TruncationError,
-    TwoModeOperator,
     beam_splitter_op,
     coherent_state,
     density_from_json,
@@ -26,7 +24,6 @@ from .fock import (
     expectation,
     fidelity,
     fock_state,
-    herald_project,
     identity_op,
     inner_product,
     ladder_operators,
@@ -35,7 +32,6 @@ from .fock import (
     project_state,
     state_from_json,
     state_to_json,
-    tensor,
     unitarity_defect,
 )
 from .homodyne import (

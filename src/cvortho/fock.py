@@ -1,9 +1,8 @@
-"""Truncated-Fock-space linear algebra: states, operators, heralded projections.
+"""Truncated-Fock-space linear algebra: states, operators, the beam splitter.
 
 A single bosonic mode is represented on the number basis |0>, ..., |N-1>.
-Multi-mode amplitudes are flattened mode-1-major, i.e. the flat index of
-(n1, n2, ..., nk) is (...((n1 * N2 + n2) * N3 + n3)...) * Nk + nk, which is
-exactly the ordering produced by ``numpy.kron``.
+The two-mode beam splitter conserves the total photon number, so it is
+given one photon-number sector at a time; no truncation enters there.
 
 All containers are immutable: arrays are copied on construction and marked
 read-only, so values can be shared freely across threads.
@@ -23,8 +22,6 @@ __all__ = [
     "StateVector",
     "DensityMatrix",
     "ModeOperator",
-    "TwoModeOperator",
-    "JointState",
     "TruncationError",
     "HeraldImpossibleError",
     "fock_state",
@@ -34,8 +31,6 @@ __all__ = [
     "identity_op",
     "displacement_op",
     "beam_splitter_op",
-    "tensor",
-    "herald_project",
     "inner_product",
     "expectation",
     "fidelity",
@@ -228,66 +223,6 @@ class ModeOperator:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True, eq=False)
-class JointState:
-    """Multi-mode pure state, flattened mode-1-major."""
-
-    amps: np.ndarray
-    truncs: tuple
-
-    def __post_init__(self):
-        truncs = tuple(self.truncs)
-        if len(truncs) < 2:
-            raise ValueError("joint states need at least two modes")
-        amps = np.array(self.amps, dtype=np.complex128).reshape(-1)
-        total = math.prod(t.dim for t in truncs)
-        if amps.shape[0] != total:
-            raise ValueError(f"amplitude count {amps.shape[0]} does not match joint dim {total}")
-        object.__setattr__(self, "truncs", truncs)
-        _freeze(self, "amps", amps)
-
-    @property
-    def dims(self) -> tuple:
-        return tuple(t.dim for t in self.truncs)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def normalized(self) -> "JointState":
-        n = self.norm
-        if n < ZERO_NORM_TOL:
-            raise ValueError("cannot normalize a (numerically) zero state")
-        return JointState(self.amps / n, self.truncs)
-
-
-@dataclass(frozen=True, eq=False)
-class TwoModeOperator:
-    """Matrix on the joint space of two modes (mode-1-major layout)."""
-
-    elems: np.ndarray
-    truncs: tuple
-
-    def __post_init__(self):
-        truncs = tuple(self.truncs)
-        if len(truncs) != 2:
-            raise ValueError("TwoModeOperator needs exactly two truncations")
-        d = truncs[0].dim * truncs[1].dim
-        elems = np.array(self.elems, dtype=np.complex128)
-        if elems.shape != (d, d):
-            raise ValueError(f"matrix shape {elems.shape} does not match joint dim {d}")
-        object.__setattr__(self, "truncs", truncs)
-        _freeze(self, "elems", elems)
-
-    def apply(self, joint: JointState) -> JointState:
-        """Apply to the first two modes of ``joint`` (remaining modes untouched)."""
-        if joint.dims[:2] != (self.truncs[0].dim, self.truncs[1].dim):
-            raise ValueError("leading mode dimensions do not match the operator")
-        d12 = self.truncs[0].dim * self.truncs[1].dim
-        block = joint.amps.reshape(d12, -1)
-        return JointState((self.elems @ block).reshape(-1), joint.truncs)
-
-
 def _require_same_dim(x, y):
     dx = x.trunc.dim if hasattr(x, "trunc") else x.dim
     dy = y.trunc.dim if hasattr(y, "trunc") else y.dim
@@ -354,15 +289,12 @@ def ladder_operators(trunc: Truncation):
 
     a|n> = sqrt(n)|n-1> and a_dag|n> = sqrt(n+1)|n+1> for n < N-1; the top
     level is annihilated by a_dag, so [a, a_dag] = 1 only on levels 0..N-2.
+    n = a_dag a is formed on its diagonal, sqrt(k) * sqrt(k), which gives
+    the same floats as the dense product at O(N) cost.
     """
     offdiag = np.sqrt(np.arange(1, trunc.dim, dtype=np.float64))
-    a = np.diag(offdiag.astype(np.complex128), k=1)
-    a_dag = a.conj().T
-    return (
-        ModeOperator(a, trunc),
-        ModeOperator(a_dag, trunc),
-        ModeOperator(a_dag @ a, trunc),
-    )
+    a = ModeOperator(np.diag(offdiag, k=1), trunc)
+    return a, a.dag, ModeOperator(np.diag(np.concatenate(([0.0], offdiag * offdiag))), trunc)
 
 
 def identity_op(trunc: Truncation) -> ModeOperator:
@@ -387,58 +319,28 @@ def unitarity_defect(op) -> float:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
-def beam_splitter_op(theta: float, truncs) -> TwoModeOperator:
-    """Two-mode beam-splitter unitary with t = cos(theta), r = sin(theta).
+def beam_splitter_op(theta: float, total: int) -> np.ndarray:
+    """Beam-splitter unitary on the sector n1 + n2 = ``total``, with t = cos(theta), r = sin(theta).
+
+    Returns the real (total+1) x (total+1) block over the basis |total-k, k>,
+    k = 0..total, as exp(theta G) with the tridiagonal sector generator
+    G[k+1, k] = sqrt((total-k)(k+1)) = -G[k, k+1].  The splitter conserves
+    the total photon number, so the block is exact; no truncation enters.
 
     Convention (fixed): conjugation maps the mode-1 creation operator to
     t*(mode 1) + r*(mode 2) and the mode-2 creation operator to
-    -r*(mode 1) + t*(mode 2).  Consequently B|1,0> = t|1,0> + r|0,1> and
-    B (|0> x |beta>) = |-r beta> x |t beta> on coherent input.
+    -r*(mode 1) + t*(mode 2).  Consequently the one-photon block is
+    [[t, -r], [r, t]], i.e. B|1,0> = t|1,0> + r|0,1>, and on coherent input
+    B (|0> x |beta>) = |-r beta> x |t beta>.
     """
-    t1, t2 = truncs
-    a1m = np.diag(np.sqrt(np.arange(1, t1.dim, dtype=np.float64)).astype(np.complex128), k=1)
-    a2m = np.diag(np.sqrt(np.arange(1, t2.dim, dtype=np.float64)).astype(np.complex128), k=1)
-    a1 = np.kron(a1m, np.eye(t2.dim))
-    a2 = np.kron(np.eye(t1.dim), a2m)
-    gen = a1 @ a2.conj().T - a1.conj().T @ a2
-    return TwoModeOperator(expm(theta * gen), (t1, t2))
-
-
-def tensor(*states: StateVector) -> JointState:
-    """Tensor product of single-mode states, flattened mode-1-major."""
-    if len(states) < 2:
-        raise ValueError("tensor needs at least two states")
-    amps = states[0].amps
-    for s in states[1:]:
-        amps = np.kron(amps, s.amps)
-    return JointState(amps, tuple(s.trunc for s in states))
-
-
-def herald_project(joint: JointState, outcome):
-    """Project all but the last mode onto number states.
-
-    ``outcome`` gives one Fock index per herald mode (every mode except the
-    final signal mode).  Returns the normalized conditional signal state and
-    the outcome probability (squared norm of the contraction).  Probabilities
-    over a full outcome sweep of a normalized joint state sum to 1.
-    """
-    outcome = tuple(int(n) for n in outcome)
-    dims = joint.dims
-    if len(outcome) != len(dims) - 1:
-        raise ValueError(
-            f"outcome has {len(outcome)} entries for {len(dims) - 1} herald modes"
-        )
-    for i, (n, d) in enumerate(zip(outcome, dims[:-1])):
-        if not 0 <= n < d:
-            raise ValueError(f"herald outcome {n} outside basis 0..{d - 1} on mode {i}")
-    block = joint.amps.reshape(dims)[outcome]
-    prob = float(np.real(np.vdot(block, block)))
-    nrm = math.sqrt(prob)
-    if nrm < ZERO_NORM_TOL:
-        raise HeraldImpossibleError(
-            f"herald outcome {outcome} has vanishing probability ({prob:.3e})"
-        )
-    return StateVector(block / nrm, joint.truncs[-1]), prob
+    if isinstance(total, bool) or not isinstance(total, (int, np.integer)) or total < 0:
+        raise ValueError(f"photon-number sector must be an integer >= 0, got {total!r}")
+    k = np.arange(total, dtype=np.float64)
+    offdiag = np.sqrt((total - k) * (k + 1))
+    gen = np.diag(offdiag, k=-1) - np.diag(offdiag, k=1)
+    block = expm(theta * gen)
+    block.flags.writeable = False
+    return block
 
 
 # ---------------------------------------------------------------------------

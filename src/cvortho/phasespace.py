@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .fock import DensityMatrix, Truncation, displacement_op
+from .fock import DensityMatrix, Truncation, displacement_op, ladder_operators
 
 __all__ = [
     "PhaseGrid",
@@ -190,7 +190,7 @@ def _axis_eigensystem(dim: int, along_p: bool):
     exp(v * gen) = V e^{-i v w} V_dag, with gen = (a_dag - a)/sqrt2 for the
     x axis and gen = i (a_dag + a)/sqrt2 for the p axis.
     """
-    a = np.diag(np.sqrt(np.arange(1, dim, dtype=np.float64)).astype(np.complex128), k=1)
+    a = ladder_operators(Truncation(dim))[0].elems
     if along_p:
         gen = 1j * (a.conj().T + a) / math.sqrt(2.0)
     else:

@@ -19,7 +19,8 @@ from enum import Enum
 import numpy as np
 
 from .fock import (
-    JointState,
+    ZERO_NORM_TOL,
+    HeraldImpossibleError,
     ModeOperator,
     StateVector,
     Truncation,
@@ -27,8 +28,6 @@ from .fock import (
     check_tail,
     coherent_state,
     expectation,
-    fock_state,
-    herald_project,
     identity_op,
     inner_product,
     ladder_operators,
@@ -60,10 +59,12 @@ _MEAN_MATCH_TOL = 1e-8
 _EIGENSTATE_TOL = 1e-12
 _DENOMINATOR_TOL = 1e-12
 
-# Herald modes only have to hold the ancilla coherent state well enough to
-# calibrate success probabilities: the projection onto |1>|0> reads the
-# single-excitation herald block, which the truncated beam splitter treats
-# exactly.  A looser tail guard than the signal default is therefore safe.
+# The herald truncation only has to hold the addition scheme's coherent
+# ancilla well enough to calibrate success probabilities: the |1>|0> click
+# reads the one-photon sector, so only the ancilla's |0> and |1> amplitudes
+# enter, and the truncation acts only through the ancilla's renormalization,
+# which scales the success probability by at most 1 / (1 - tail_tol).  A
+# looser tail guard than the signal default is therefore safe.
 _HERALD_DIM_CAP = 12
 _HERALD_TAIL_TOL = 5e-3
 
@@ -141,7 +142,9 @@ class HeraldModel:
 
     t = cos(theta) and r = sin(theta).  ``phi`` rotates the ancilla
     amplitude, so the addition scheme realizes t a_dag - r beta e^{i phi} 1.
-    ``herald_trunc`` defaults to min(signal dim, 12) with a loose tail guard.
+    ``herald_trunc`` is the basis of the addition scheme's coherent ancilla
+    and defaults to min(signal dim, 12) with a loose tail guard; the number
+    scheme has no ancilla and ignores it.
     """
 
     beta: complex
@@ -316,36 +319,44 @@ def theta_for_number_orthogonalizer(n_mean: float) -> float:
     return math.atan(n_mean / (1.0 + n_mean))
 
 
-def _herald_pair(model: HeraldModel, signal_trunc: Truncation):
-    ht = model.herald_truncation(signal_trunc)
-    bs = beam_splitter_op(model.theta, (ht, ht))
-    return ht, bs
+def _herald_one_zero(theta: float, from_one_zero: np.ndarray, from_zero_one: np.ndarray,
+                     signal_trunc: Truncation):
+    """Signal state heralded by the click |1>|0> after the beam splitter.
+
+    The splitter conserves photon number, so the click reads only the
+    one-photon sector: ``from_one_zero`` and ``from_zero_one`` are the
+    (unnormalized) signal vectors paired with the herald inputs |1>|0> and
+    |0>|1>.  Returns the normalized conditional signal state and the
+    outcome probability.
+    """
+    row = beam_splitter_op(theta, 1)[0]
+    amps = row[0] * from_one_zero + row[1] * from_zero_one
+    prob = float(np.real(np.vdot(amps, amps)))
+    nrm = math.sqrt(prob)
+    if nrm < ZERO_NORM_TOL:
+        raise HeraldImpossibleError(f"herald outcome (1, 0) has vanishing probability ({prob:.3e})")
+    return StateVector(amps / nrm, signal_trunc), prob
 
 
 def heralded_addition_model(psi: StateVector, model: HeraldModel):
     """Physical realization of t a_dag - r beta e^{i phi} 1 on the signal.
 
-    Builds the joint state of (idler, ancilla, signal) with a photon-addition
-    branch |1>|beta'> x a_dag|psi> and an identity branch |0>|beta'> x |psi>
-    (beta' = beta e^{i phi}), mixes the two herald modes on the beam splitter,
-    and projects them onto |1>|0>.  Returns the normalized conditional signal
-    state and the raw projection probability.
+    The herald modes (idler, ancilla) carry a photon-addition branch
+    |1>|beta'> x a_dag|psi> and an identity branch |0>|beta'> x |psi>
+    (beta' = beta e^{i phi}).  They meet on the beam splitter and are
+    heralded on |1>|0>, which keeps the parts |1>|0> x anc_0 a_dag|psi> and
+    |0>|1> x anc_1 |psi>, where anc_n are the ancilla amplitudes on the
+    herald truncation.  Returns the normalized conditional signal state and
+    the outcome probability.
     """
     check_tail(psi, context="addition-scheme input")
-    st = psi.trunc
-    ht, bs = _herald_pair(model, st)
-    _, a_dag, _ = ladder_operators(st)
+    _, a_dag, _ = ladder_operators(psi.trunc)
     added = a_dag.apply(psi)
     check_tail(added, context="photon-added branch")
 
-    ancilla = coherent_state(complex(model.beta) * cmath.exp(1j * model.phi), ht)
-    one, vac = fock_state(1, ht), fock_state(0, ht)
-    joint = JointState(
-        np.kron(one.amps, np.kron(ancilla.amps, added.amps))
-        + np.kron(vac.amps, np.kron(ancilla.amps, psi.amps)),
-        (ht, ht, st),
-    )
-    return herald_project(bs.apply(joint), (1, 0))
+    ht = model.herald_truncation(psi.trunc)
+    ancilla = coherent_state(complex(model.beta) * cmath.exp(1j * model.phi), ht).amps
+    return _herald_one_zero(model.theta, ancilla[0] * added.amps, ancilla[1] * psi.amps, psi.trunc)
 
 
 def number_scheme_model(psi: StateVector, model: HeraldModel):
@@ -353,7 +364,7 @@ def number_scheme_model(psi: StateVector, model: HeraldModel):
 
     Starts from the two-branch herald superposition
     e^{i phi} a_dag a |psi> x |1>|0> + a a_dag |psi> x |0>|1>, mixes the
-    herald modes on the beam splitter, and projects onto |1>|0>.  At phi = 0
+    herald modes on the beam splitter, and heralds on |1>|0>.  At phi = 0
     the conditional operator is proportional to n - r/(t-r) 1 on the
     commutator-valid subspace.
     """
@@ -362,16 +373,7 @@ def number_scheme_model(psi: StateVector, model: HeraldModel):
             "t = r makes the heralded number operator's identity weight diverge"
         )
     check_tail(psi, context="number-scheme input")
-    st = psi.trunc
-    ht, bs = _herald_pair(model, st)
-    a, a_dag, n_op = ladder_operators(st)
-    branch_n = n_op.apply(psi)
-    branch_an = (a @ a_dag).apply(psi)
-
-    one, vac = fock_state(1, ht), fock_state(0, ht)
-    joint = JointState(
-        cmath.exp(1j * model.phi) * np.kron(one.amps, np.kron(vac.amps, branch_n.amps))
-        + np.kron(vac.amps, np.kron(one.amps, branch_an.amps)),
-        (ht, ht, st),
-    )
-    return herald_project(bs.apply(joint), (1, 0))
+    a, a_dag, n_op = ladder_operators(psi.trunc)
+    branch_n = cmath.exp(1j * model.phi) * n_op.apply(psi).amps
+    branch_an = (a @ a_dag).apply(psi).amps
+    return _herald_one_zero(model.theta, branch_n, branch_an, psi.trunc)

@@ -33,6 +33,20 @@ class TestValidate:
         problems = validate_config({"experiment": "tomography", "eta": 1.5})
         assert any(p.startswith("eta") for p in problems)
 
+    @pytest.mark.parametrize("fragment, field", [
+        ({"eta": "0.5"}, "eta"),
+        ({"grid": {"nx": "241"}}, "grid.nx"),
+        ({"grid": {"x_min": "-6"}}, "grid.x_min"),
+        ({"sampling": {"eta": "0.5"}}, "sampling.eta"),
+        ({"herald": {"beta": "x"}}, "herald.beta"),
+        ({"herald": {"phi": "x"}}, "herald.phi"),
+        ({"input_state": {"kind": "coherent", "alpha": [1.0, None]}}, "input_state.alpha"),
+        ({"grid": 5}, "grid"),
+    ])
+    def test_wrong_types_reported_not_raised(self, fragment, field):
+        problems = validate_config({"experiment": "orthogonalize", **fragment})
+        assert len(problems) == 1 and problems[0].startswith(field + ":")
+
     def test_experiment_name_normalization(self):
         assert validate_config({"experiment": "QubitWigner"}) == []
         assert validate_config({"experiment": "number-scheme"}) == []
@@ -207,3 +221,4 @@ class TestVerifyBattery:
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+        assert "16/16 checks passed" in out

@@ -3,12 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_state
+from conftest import dense_beam_splitter, random_state
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cvortho import (
-    HeraldImpossibleError,
-    JointState,
     StateVector,
     Truncation,
     TruncationError,
@@ -20,13 +20,11 @@ from cvortho import (
     expectation,
     fidelity,
     fock_state,
-    herald_project,
     inner_product,
     ladder_operators,
     min_dim_for_coherent,
     state_from_json,
     state_to_json,
-    tensor,
     unitarity_defect,
 )
 
@@ -148,10 +146,12 @@ class TestDisplacement:
 
 
 class TestBeamSplitter:
+    # physics of the dense two-mode oracle that the sector blocks are checked against
+
     def test_zero_angle_is_identity(self):
         t = Truncation(5)
-        bs = beam_splitter_op(0.0, (t, t))
-        assert_allclose(bs.elems, np.eye(25), atol=1e-14)
+        bs = dense_beam_splitter(0.0, (t, t))
+        assert_allclose(bs, np.eye(25), atol=1e-14)
 
     @pytest.mark.parametrize("theta", [0.0, math.pi / 8, math.pi / 4, math.pi / 3])
     @pytest.mark.parametrize("beta", [0.6, 1.0])
@@ -159,67 +159,76 @@ class TestBeamSplitter:
         # B (|0> x |beta>) = |-r beta> x |t beta>
         ht = Truncation(14, tail_tol=1e-6)
         t, r = math.cos(theta), math.sin(theta)
-        out = beam_splitter_op(theta, (ht, ht)).apply(
-            tensor(fock_state(0, ht), coherent_state(beta, ht))
+        out = dense_beam_splitter(theta, (ht, ht)) @ np.kron(
+            fock_state(0, ht).amps, coherent_state(beta, ht).amps
         )
-        ref = tensor(coherent_state(-r * beta, ht), coherent_state(t * beta, ht))
-        assert abs(np.vdot(ref.amps, out.amps)) ** 2 > 1 - 1e-8
+        ref = np.kron(coherent_state(-r * beta, ht).amps, coherent_state(t * beta, ht).amps)
+        assert abs(np.vdot(ref, out)) ** 2 > 1 - 1e-8
 
     def test_single_photon_identity(self):
         # B |1,0> = t |1,0> + r |0,1>, exactly
         ht = Truncation(6)
         theta = 0.7
         t, r = math.cos(theta), math.sin(theta)
-        out = beam_splitter_op(theta, (ht, ht)).apply(tensor(fock_state(1, ht), fock_state(0, ht)))
-        ref = t * tensor(fock_state(1, ht), fock_state(0, ht)).amps + r * tensor(
-            fock_state(0, ht), fock_state(1, ht)
-        ).amps
-        assert_allclose(out.amps, ref, atol=1e-12)
+        one, vac = fock_state(1, ht).amps, fock_state(0, ht).amps
+        out = dense_beam_splitter(theta, (ht, ht)) @ np.kron(one, vac)
+        assert_allclose(out, t * np.kron(one, vac) + r * np.kron(vac, one), atol=1e-12)
 
     def test_unitary_on_joint_space(self):
         t1, t2 = Truncation(5), Truncation(7)
-        u = beam_splitter_op(0.4, (t1, t2)).elems
+        u = dense_beam_splitter(0.4, (t1, t2))
         assert_allclose(u.conj().T @ u, np.eye(35), atol=1e-12)
 
 
-class TestHeraldProject:
-    def test_separable_case(self, rng):
-        th, ts = Truncation(5), Truncation(9)
-        herald = random_state(th, rng, support=5)
-        signal = random_state(ts, rng)
-        joint = tensor(herald, signal)
-        cond, prob = herald_project(joint, (2,))
-        assert prob == pytest.approx(abs(herald.amps[2]) ** 2, abs=1e-12)
-        assert fidelity(cond, signal) > 1 - 1e-12
+def poisson_amplitude(alpha, n):
+    # <n|alpha> of the untruncated coherent state
+    return math.exp(-abs(alpha) ** 2 / 2.0) * alpha**n / math.sqrt(math.factorial(n))
 
-    def test_completeness(self, rng):
-        dims = (3, 4, 6)
-        truncs = tuple(Truncation(d) for d in dims)
-        for _ in range(100):
-            amps = rng.normal(size=math.prod(dims)) + 1j * rng.normal(size=math.prod(dims))
-            joint = JointState(amps / np.linalg.norm(amps), truncs)
-            total = 0.0
-            for n1 in range(dims[0]):
-                for n2 in range(dims[1]):
-                    try:
-                        _, prob = herald_project(joint, (n1, n2))
-                    except HeraldImpossibleError:
-                        prob = 0.0
-                    total += prob
-            assert total == pytest.approx(1.0, abs=1e-10)
 
-    def test_impossible_outcome(self):
-        th, ts = Truncation(3), Truncation(4)
-        joint = tensor(fock_state(0, th), fock_state(1, ts))
-        with pytest.raises(HeraldImpossibleError):
-            herald_project(joint, (2,))
+class TestSectorBeamSplitter:
+    def test_one_photon_block_convention(self):
+        theta = 0.7
+        t, r = math.cos(theta), math.sin(theta)
+        assert_allclose(beam_splitter_op(theta, 1), [[t, -r], [r, t]], atol=1e-15)
+        assert_allclose(beam_splitter_op(theta, 0), [[1.0]])
 
-    def test_outcome_validation(self):
-        joint = tensor(fock_state(0, Truncation(3)), fock_state(0, Truncation(4)))
+    @settings(max_examples=25, deadline=None)
+    @given(dim=st.integers(2, 20), theta=st.floats(-math.pi, math.pi))
+    def test_matches_dense_oracle_on_every_represented_sector(self, dim, theta):
+        dense = dense_beam_splitter(theta, (Truncation(dim), Truncation(dim)))
+        for total in range(dim):
+            # flat index of |total-k, k> in the mode-1-major layout
+            idx = [(total - k) * dim + k for k in range(total + 1)]
+            block = beam_splitter_op(theta, total)
+            assert np.max(np.abs(dense[np.ix_(idx, idx)] - block)) <= 1e-12
+
+    def test_orthogonal_up_to_sixty_photons(self):
+        for theta in np.linspace(0.0, math.pi / 2, 9):
+            for total in range(61):
+                block = beam_splitter_op(theta, total)
+                assert np.max(np.abs(block.T @ block - np.eye(total + 1))) <= 1e-12
+
+    @pytest.mark.parametrize("theta", [math.pi / 8, math.pi / 4, 1.2])
+    @pytest.mark.parametrize("beta", [0.6, 1.0, 1.7])
+    def test_exact_coherent_identity_per_sector(self, theta, beta):
+        # B (|0> x |beta>) = |-r beta> x |t beta>, read in sector N:
+        # B_N[k, N] c_N(beta) = c_{N-k}(-r beta) c_k(t beta)
+        t, r = math.cos(theta), math.sin(theta)
+        for total in range(31):
+            lhs = beam_splitter_op(theta, total)[:, total] * poisson_amplitude(beta, total)
+            rhs = [poisson_amplitude(-r * beta, total - k) * poisson_amplitude(t * beta, k)
+                   for k in range(total + 1)]
+            assert np.max(np.abs(lhs - rhs)) <= 1e-13
+
+    @pytest.mark.parametrize("total", [-1, 1.5, "2", True, None])
+    def test_rejects_non_sector(self, total):
         with pytest.raises(ValueError):
-            herald_project(joint, (0, 0))
+            beam_splitter_op(0.3, total)
+
+    def test_block_is_read_only(self):
+        block = beam_splitter_op(0.3, 3)
         with pytest.raises(ValueError):
-            herald_project(joint, (5,))
+            block[0, 0] = 2.0
 
 
 class TestScalars:

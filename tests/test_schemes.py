@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_state
+from conftest import dense_beam_splitter, random_state
 from numpy.testing import assert_allclose
 
 from cvortho import (
     DegenerateDenominatorError,
     EigenstateError,
+    HeraldImpossibleError,
     HeraldModel,
     ModeOperator,
     OperatorKind,
@@ -41,6 +42,21 @@ from cvortho import (
 
 def displaced_fock(alpha, n, trunc):
     return displacement_op(alpha, trunc).apply(fock_state(n, trunc)).normalized()
+
+
+def dense_herald_one_zero(joint, herald_trunc, signal_trunc, theta):
+    """Test oracle: dense splitter on the two herald modes, then <1, 0| on them.
+
+    ``joint`` is the (idler, ancilla, signal) amplitude vector in numpy.kron
+    order.  Returns the normalized signal amplitudes and the outcome
+    probability.
+    """
+    hd, sd = herald_trunc.dim, signal_trunc.dim
+    bs = dense_beam_splitter(theta, (herald_trunc, herald_trunc))
+    mixed = (bs @ joint.reshape(hd * hd, sd)).reshape(hd, hd, sd)
+    block = mixed[1, 0]
+    prob = float(np.real(np.vdot(block, block)))
+    return block / math.sqrt(prob), prob
 
 
 class TestBuildOrthogonalizer:
@@ -250,6 +266,29 @@ class TestHeraldedAdditionModel:
         spread = (max(ratios) - min(ratios)) / min(ratios)
         assert spread < 1e-6
 
+    @pytest.mark.parametrize("herald_dim", [12, 16, 20])
+    @pytest.mark.parametrize("theta", [math.pi / 16, math.pi / 8, math.pi / 4])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0 * cmath.exp(1j * math.pi / 3)])
+    def test_matches_dense_three_mode_oracle(self, herald_dim, theta, beta):
+        st, ht = Truncation(40), Truncation(herald_dim, tail_tol=5e-3)
+        model = HeraldModel(beta=beta, theta=theta, phi=0.4, herald_trunc=ht)
+        psi = coherent_state(0.8, st)
+        _, a_dag, _ = ladder_operators(st)
+        ancilla = coherent_state(beta * cmath.exp(0.4j), ht).amps
+        one, vac = fock_state(1, ht).amps, fock_state(0, ht).amps
+        joint = (np.kron(one, np.kron(ancilla, a_dag.apply(psi).amps))
+                 + np.kron(vac, np.kron(ancilla, psi.amps)))
+        ref, ref_prob = dense_herald_one_zero(joint, ht, st, theta)
+        out, prob = heralded_addition_model(psi, model)
+        assert np.max(np.abs(out.amps - ref)) <= 1e-13
+        assert prob == pytest.approx(ref_prob, rel=1e-12)
+
+    def test_impossible_herald(self):
+        # beta = 0 empties the identity branch and t = cos(pi/2) the addition branch
+        with pytest.raises(HeraldImpossibleError):
+            heralded_addition_model(coherent_state(0.5, Truncation(30)),
+                                    HeraldModel(beta=0.0, theta=math.pi / 2))
+
     def test_phase_convention(self):
         # phi rotates the ancilla amplitude: ideal operator t a_dag - r beta e^{i phi}
         t = Truncation(30)
@@ -288,6 +327,27 @@ class TestNumberSchemeModel:
             cond, prob = number_scheme_model(fock_state(n, t), model)
             recovered[:, n] = cond.amps * math.sqrt(prob)
         assert np.max(np.abs(recovered[:11, :11] - ideal.elems[:11, :11])) < 1e-10
+
+    @pytest.mark.parametrize("herald_dim", [12, 16, 20])
+    @pytest.mark.parametrize("theta", [math.pi / 16, math.pi / 8, 1.0])
+    def test_matches_dense_three_mode_oracle(self, herald_dim, theta, rng):
+        # the number scheme has no ancilla, so the herald dim only sizes the oracle
+        st, ht = Truncation(25), Truncation(herald_dim)
+        model = HeraldModel(beta=0.0, theta=theta, phi=0.9, herald_trunc=ht)
+        a, a_dag, n_op = ladder_operators(st)
+        one, vac = fock_state(1, ht).amps, fock_state(0, ht).amps
+        for psi in (coherent_state(1.0, st), random_state(st, rng, support=12)):
+            joint = (cmath.exp(0.9j) * np.kron(one, np.kron(vac, n_op.apply(psi).amps))
+                     + np.kron(vac, np.kron(one, (a @ a_dag).apply(psi).amps)))
+            ref, ref_prob = dense_herald_one_zero(joint, ht, st, theta)
+            out, prob = number_scheme_model(psi, model)
+            assert np.max(np.abs(out.amps - ref)) <= 1e-13
+            assert prob == pytest.approx(ref_prob, rel=1e-12)
+
+    def test_impossible_herald(self):
+        # n|0> = 0, and r = 0 removes the a a_dag branch
+        with pytest.raises(HeraldImpossibleError):
+            number_scheme_model(fock_state(0, Truncation(10)), HeraldModel(beta=0.0, theta=0.0))
 
     def test_singular_configuration(self):
         t = Truncation(10)
