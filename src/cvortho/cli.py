@@ -88,6 +88,11 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """A real number that converts to a finite float (no nan, inf or huge int)."""
+    return _is_real(value) and abs(value) <= sys.float_info.max
+
+
 def _as_complex(value, field: str) -> complex:
     if _is_real(value):
         return complex(value)
@@ -174,6 +179,8 @@ def validate_config(config: dict) -> list:
         problems.append(f"scheme.kind: must be creation or number, got {cfg['scheme'].get('kind')!r}")
     if cfg["route"] not in ("ideal", "heralded"):
         problems.append(f"route: must be ideal or heralded, got {cfg['route']!r}")
+    elif exp == "orthogonalize" and cfg["route"] == "heralded" and cfg["scheme"].get("kind") == "number":
+        problems.append("route: heralded orthogonalize needs scheme.kind creation (see the number_scheme experiment)")
 
     herald = cfg["herald"]
     theta = herald.get("theta")
@@ -193,8 +200,8 @@ def validate_config(config: dict) -> list:
             problems.append(f"herald.beta: must be 'auto', a number or an [re, im] pair, got {herald['beta']!r}")
 
     grid = cfg["grid"]
-    bad_grid = [f"grid.{k}: must be a number, got {grid.get(k)!r}"
-                for k in ("x_min", "x_max", "p_min", "p_max") if not _is_real(grid.get(k))]
+    bad_grid = [f"grid.{k}: must be a finite number, got {grid.get(k)!r}"
+                for k in ("x_min", "x_max", "p_min", "p_max") if not _is_finite(grid.get(k))]
     bad_grid += [f"grid.{k}: must be an integer, got {grid.get(k)!r}"
                  for k in ("nx", "np") if not isinstance(grid.get(k), int)]
     problems.extend(bad_grid)
@@ -203,6 +210,15 @@ def validate_config(config: dict) -> list:
             problems.append("grid: bounds must satisfy min < max on both axes")
         if grid["nx"] < 2 or grid["np"] < 2:
             problems.append("grid: nx and np must be >= 2")
+
+    axis = cfg["marginal_xs"]
+    bad_bounds = [f"marginal_xs.{k}: must be a finite number, got {axis.get(k)!r}"
+                  for k in ("x_min", "x_max") if not _is_finite(axis.get(k))]
+    problems.extend(bad_bounds)
+    if not bad_bounds and not axis["x_min"] < axis["x_max"]:
+        problems.append("marginal_xs: bounds must satisfy x_min < x_max")
+    if not isinstance(axis.get("n"), int) or isinstance(axis["n"], bool) or axis["n"] < 2:
+        problems.append(f"marginal_xs.n: must be an integer >= 2, got {axis.get('n')!r}")
 
     sampling = cfg["sampling"]
     phases = sampling["phases"]
@@ -330,8 +346,6 @@ def _run_orthogonalize(cfg: dict, writer: _ArtifactWriter) -> dict:
 
     report = {"scheme": cfg["scheme"]["kind"], "route": cfg["route"]}
     if cfg["route"] == "heralded":
-        if spec.kind is not OperatorKind.CREATION:
-            raise ValueError("the heralded route of this experiment uses the creation scheme")
         model = _herald_model(cfg, spec)
         out, prob = heralded_addition_model(psi, model)
         report["success_probability"] = prob

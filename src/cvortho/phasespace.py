@@ -12,9 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
-from .fock import DensityMatrix, Truncation, displacement_op, ladder_operators
+from .fock import DensityMatrix, Truncation, displacement_op
 
 __all__ = [
     "PhaseGrid",
@@ -184,55 +185,41 @@ def _parity_dim(displacement2: float, support: int) -> int:
     ))
 
 
-def _axis_eigensystem(dim: int, along_p: bool):
-    """Eigendecomposition of the Hermitian generator of one-axis displacements.
-
-    exp(v * gen) = V e^{-i v w} V_dag, with gen = (a_dag - a)/sqrt2 for the
-    x axis and gen = i (a_dag + a)/sqrt2 for the p axis.
-    """
-    a = ladder_operators(Truncation(dim))[0].elems
-    if along_p:
-        gen = 1j * (a.conj().T + a) / math.sqrt(2.0)
-    else:
-        gen = (a.conj().T - a) / math.sqrt(2.0)
-    return np.linalg.eigh(1j * gen)
-
-
 def wigner(rho: DensityMatrix, grid: PhaseGrid) -> WignerMap:
     """W(x, p) = (1/pi) Tr[rho D(g) P D(g)_dag], g = (x + i p)/sqrt2.
 
     P is the photon-number parity.  Parity conjugation folds the two
-    displacements into one, Tr[rho D(2g) P], and D(2g) factorizes into
-    single-axis displacements (built once per grid line from the
-    eigendecomposition of the anti-Hermitian generator) times the known
-    phase e^{-2ixp}.  The state enters through its eigenvectors, zero-padded
-    (an exact embedding) into a basis large enough for the farthest corner.
+    displacements into one, Tr[rho D(2g) P], with
+    D(2g) = e^{-2ixp} exp(2ip X) exp(-2ix Q), X = (a + a_dag)/sqrt2 and
+    Q = i(a_dag - a)/sqrt2.  Both factors come from one real Jacobi matrix
+    J = X = V diag(w) V^T, a tridiagonal eigenproblem whose eigenvectors are
+    the Hermite functions at the Gauss-Hermite nodes w (Golub & Welsch 1969).
+    With U = diag(i^k), U_dag a U = i a, so Q = U_dag (-J) U: the x axis uses
+    V_x = U_dag V and the p axis V_p = V.  The trace is one contraction,
+
+        Tr[rho D(2g) P] = e^{-2ixp} sum_ab e^{2ipw_a} G_ab K_ab e^{2ixw_b},
+
+    G = V_p^T V_x, K = (V_x_dag P rho V_p)^T.  It is linear in rho, so rho is
+    not diagonalized: zero-padded (an exact embedding) into a basis large
+    enough for the farthest corner, it meets only the first d rows of V.
     """
     xs, ps = grid.xs(), grid.ps()
-    evals, evecs = np.linalg.eigh(rho.elems)
-    keep = evals > 1e-12
+    d = rho.trunc.dim
     support = _support_level(np.real(np.diag(rho.elems)))
     reach2 = 2.0 * (max(abs(grid.x_min), abs(grid.x_max)) ** 2
                     + max(abs(grid.p_min), abs(grid.p_max)) ** 2)
-    n = max(rho.trunc.dim, _parity_dim(reach2, support))
+    n = max(d, _parity_dim(reach2, support))
 
-    w_x, v_x = _axis_eigensystem(n, along_p=False)
-    w_p, v_p = _axis_eigensystem(n, along_p=True)
-    parity = (-1.0) ** np.arange(n)
-    cross_phase = np.exp(-2j * np.outer(xs, ps))
-
-    values = np.zeros((grid.nx, grid.np))
-    for lam, vec in zip(evals[keep], evecs.T[keep]):
-        padded = np.zeros(n, dtype=np.complex128)
-        padded[: vec.shape[0]] = vec
-        # columns: Dx(2x) (P v) over the x grid and Dp(2p)^dag v over p
-        cx = v_x.conj().T @ (parity * padded)
-        right = v_x @ (np.exp(-1j * np.outer(w_x, 2.0 * xs)) * cx[:, None])
-        cp = v_p.conj().T @ padded
-        left = v_p @ (np.exp(1j * np.outer(w_p, 2.0 * ps)) * cp[:, None])
-        # W_jk = Re[ e^{-2i x_j p_k} (left_k)^dag right_j ]
-        values += lam * np.real(cross_phase * (left.conj().T @ right).T)
-    return WignerMap(grid, values / math.pi)
+    k = np.arange(n)
+    w, v = eigh_tridiagonal(np.zeros(n), np.sqrt(k[1:] / 2.0))
+    u_dag = np.array([1.0, -1j, -1.0, 1j])[k % 4]  # diagonal of U_dag
+    # V_x_dag P = V^T U P = V^T U_dag, so K^T = V^T U_dag rho V on the first d rows
+    kern = (v[:d].T @ (u_dag[:d, None] * rho.elems) @ v[:d]).T
+    # U_dag is real on even levels and imaginary on odd ones
+    ev, od = v[0::2], v[1::2]
+    gram = ev.T @ (u_dag[0::2].real[:, None] * ev) + 1j * (od.T @ (u_dag[1::2].imag[:, None] * od))
+    m = np.exp(2j * np.outer(ps, w)) @ (gram * kern) @ np.exp(2j * np.outer(w, xs))
+    return WignerMap(grid, np.real(np.exp(-2j * np.outer(xs, ps)) * m.T) / math.pi)
 
 
 def wigner_point(rho: DensityMatrix, x: float, p: float) -> float:
@@ -296,8 +283,8 @@ def write_wigner_grid(wmap: WignerMap, path) -> None:
         f"# {g.p_min:.17g} {g.p_max:.17g} {g.np}",
         f"# convention {WIGNER_CONVENTION}",
     ]
-    for k in range(g.np):
-        lines.append(" ".join(f"{v:.17g}" for v in wmap.values[:, k]))
+    row = " ".join(["%.17g"] * g.nx)
+    lines += [row % tuple(vals) for vals in wmap.values.T.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -318,7 +305,6 @@ def marginal_filename(prefix: str, phase: float) -> str:
 
 def write_marginal_csv(dist: QuadratureDistribution, path) -> None:
     lines = ["x,density"]
-    for x, d in zip(dist.xs, dist.density):
-        lines.append(f"{x:.17g},{d:.17g}")
+    lines += ["%.17g,%.17g" % pair for pair in zip(dist.xs.tolist(), dist.density.tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

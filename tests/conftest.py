@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from cvortho import StateVector, Truncation
+from cvortho.phasespace import _parity_dim, _support_level
 
 
 @pytest.fixture
@@ -33,3 +36,38 @@ def dense_beam_splitter(theta, truncs):
     a2 = np.kron(np.eye(t1.dim), a2m)
     gen = a1 @ a2.conj().T - a1.conj().T @ a2
     return expm(theta * gen)
+
+
+def eigvec_wigner(rho, grid):
+    """Wigner map by one sweep per eigenvector of rho (test oracle).
+
+    Diagonalizes rho and both axis displacement generators densely
+    (exp(v gen) = V e^{-i v w} V_dag, gen = (a_dag - a)/sqrt2 on x and
+    i (a_dag + a)/sqrt2 on p) and sums, over eigenvectors above 1e-12,
+    W_jk = Re[e^{-2i x_j p_k} <v| Dp(2p_k) Dx(2x_j) P |v>] / pi.  It shares
+    only the basis size with :func:`cvortho.wigner`.
+    """
+    xs, ps = grid.xs(), grid.ps()
+    evals, evecs = np.linalg.eigh(rho.elems)
+    keep = evals > 1e-12
+    support = _support_level(np.real(np.diag(rho.elems)))
+    reach2 = 2.0 * (max(abs(grid.x_min), abs(grid.x_max)) ** 2
+                    + max(abs(grid.p_min), abs(grid.p_max)) ** 2)
+    n = max(rho.trunc.dim, _parity_dim(reach2, support))
+
+    a = np.diag(np.sqrt(np.arange(1, n, dtype=np.float64)), k=1)
+    w_x, v_x = np.linalg.eigh(1j * (a.T - a) / math.sqrt(2.0))
+    w_p, v_p = np.linalg.eigh(-(a.T + a) / math.sqrt(2.0) + 0j)
+    parity = (-1.0) ** np.arange(n)
+    cross_phase = np.exp(-2j * np.outer(xs, ps))
+
+    values = np.zeros((grid.nx, grid.np))
+    for lam, vec in zip(evals[keep], evecs.T[keep]):
+        padded = np.zeros(n, dtype=np.complex128)
+        padded[: vec.shape[0]] = vec
+        cx = v_x.conj().T @ (parity * padded)
+        right = v_x @ (np.exp(-1j * np.outer(w_x, 2.0 * xs)) * cx[:, None])
+        cp = v_p.conj().T @ padded
+        left = v_p @ (np.exp(1j * np.outer(w_p, 2.0 * ps)) * cp[:, None])
+        values += lam * np.real(cross_phase * (left.conj().T @ right).T)
+    return values / math.pi

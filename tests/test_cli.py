@@ -47,6 +47,39 @@ class TestValidate:
         problems = validate_config({"experiment": "orthogonalize", **fragment})
         assert len(problems) == 1 and problems[0].startswith(field + ":")
 
+    @pytest.mark.parametrize("marginal_xs, field", [
+        ({"n": "5"}, "marginal_xs.n"),
+        ({"n": 1}, "marginal_xs.n"),
+        ({"n": 5.0}, "marginal_xs.n"),
+        ({"n": True}, "marginal_xs.n"),
+        ({"x_min": "-8"}, "marginal_xs.x_min"),
+        ({"x_max": None}, "marginal_xs.x_max"),
+        ({"x_max": float("inf")}, "marginal_xs.x_max"),
+        ({"x_max": 10**400}, "marginal_xs.x_max"),
+        ({"x_min": 3.0, "x_max": 1.0}, "marginal_xs"),
+        ({"x_min": 1.0, "x_max": 1.0}, "marginal_xs"),
+    ])
+    def test_marginal_axis_checked(self, marginal_xs, field):
+        problems = validate_config({"experiment": "orthogonalize", "marginal_xs": marginal_xs})
+        assert len(problems) == 1 and problems[0].startswith(field + ":")
+
+    @pytest.mark.parametrize("bound", [float("inf"), float("-inf"), float("nan"), 10**400])
+    def test_non_finite_grid_bound_reported(self, bound):
+        problems = validate_config({"experiment": "qubit_wigner", "grid": {"x_max": bound}})
+        assert len(problems) == 1 and problems[0].startswith("grid.x_max:")
+
+    def test_marginal_axis_minimal_valid(self):
+        assert validate_config({"experiment": "number_scheme", "marginal_xs": {"n": 2}}) == []
+
+    def test_heralded_orthogonalize_rejects_number_scheme(self, tmp_path):
+        config = {"experiment": "orthogonalize", "route": "heralded", "scheme": {"kind": "number"}}
+        problems = validate_config(config)
+        assert len(problems) == 1 and problems[0].startswith("route:")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_experiment_name_normalization(self):
         assert validate_config({"experiment": "QubitWigner"}) == []
         assert validate_config({"experiment": "number-scheme"}) == []

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_state
+from conftest import eigvec_wigner, random_state
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cvortho import (
+    DensityMatrix,
     LossChannel,
     PhaseGrid,
     Truncation,
@@ -20,13 +23,40 @@ from cvortho import (
     wigner_point,
 )
 from cvortho.phasespace import (
+    WIGNER_CONVENTION,
     QuadratureDistribution,
+    WignerMap,
     default_grid,
     marginal_filename,
     read_wigner_grid,
     write_marginal_csv,
     write_wigner_grid,
 )
+
+
+def random_mixed_state(dim, rank, seed):
+    """Density matrix of the given rank over a random eigenbasis and spectrum."""
+    rng = np.random.default_rng(seed)
+    vecs = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = vecs @ vecs.conj().T
+    return DensityMatrix(rho / np.trace(rho).real, Truncation(dim))
+
+
+@st.composite
+def mixed_states(draw, max_dim):
+    dim = draw(st.integers(2, max_dim))
+    return random_mixed_state(dim, draw(st.integers(1, dim)), draw(st.integers(0, 2**32 - 1)))
+
+
+@st.composite
+def off_centre_grids(draw):
+    # nx != np and min != -max on both axes
+    x_min, p_min = draw(st.floats(-4.0, 1.0)), draw(st.floats(-4.0, 1.0))
+    x_max = x_min + draw(st.floats(0.5, 5.0))
+    p_max = p_min + draw(st.floats(0.5, 5.0))
+    assume(x_min != -x_max and p_min != -p_max)
+    nx = draw(st.integers(2, 12))
+    return PhaseGrid(x_min, x_max, p_min, p_max, nx, nx + draw(st.integers(1, 6)))
 
 
 def displaced_one_photon_density(xs, alpha):
@@ -108,6 +138,29 @@ class TestWigner:
             for j in (1, 3, 6):
                 ref = wigner_point(rho, grid.xs()[i], grid.ps()[j])
                 assert w.values[i, j] == pytest.approx(ref, abs=1e-10)
+
+
+class TestWignerContraction:
+    @settings(max_examples=40, deadline=None)
+    @given(rho=mixed_states(max_dim=20), grid=off_centre_grids())
+    def test_matches_eigenvector_oracle_and_point_path(self, rho, grid):
+        w = wigner(rho, grid).values
+        assert np.max(np.abs(w - eigvec_wigner(rho, grid))) <= 1e-13
+        for i, j in ((0, 0), (grid.nx - 1, grid.np - 1), (grid.nx // 2, grid.np // 3)):
+            ref = wigner_point(rho, grid.xs()[i], grid.ps()[j])
+            assert abs(w[i, j] - ref) <= 1e-10
+
+    @settings(max_examples=15, deadline=None)
+    @given(rho=mixed_states(max_dim=12))
+    def test_p_integral_is_x_marginal(self, rho):
+        # the p-range holds all but ~1e-18 of W for d <= 12; the trapezoid
+        # error is bounded by the gap to the rule on every other node
+        grid = PhaseGrid(-4.0, 5.0, -9.0, 9.0, 19, 181)
+        w = wigner(rho, grid).values
+        fine = np.trapezoid(w, grid.ps(), axis=1)
+        coarse = np.trapezoid(w[:, ::2], grid.ps()[::2], axis=1)
+        dist = marginal(rho, 0.0, grid.xs())
+        assert np.all(np.abs(fine - dist.density) <= np.abs(fine - coarse) + 1e-13)
 
 
 class TestMarginal:
@@ -250,6 +303,34 @@ class TestFileFormats:
         lines = (tmp_path / name).read_text().splitlines()
         assert lines[0] == "x,density"
         assert len(lines) == 6
+
+    @staticmethod
+    def awkward_values(count):
+        # -0.0, subnormals, extremes and integers stored as floats
+        special = [-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300, 3.0, -7.0, 2.0**53, 1.0 / 3.0, math.pi]
+        return np.resize(np.array(special), count)
+
+    def test_wigner_grid_bytes_match_per_value_format(self, tmp_path):
+        grid = PhaseGrid(-1.5, 2.0, -3.0, 0.25, 7, 5)
+        wmap = WignerMap(grid, self.awkward_values(35).reshape(7, 5))
+        write_wigner_grid(wmap, tmp_path / "map.dat")
+        lines = [
+            f"# {grid.x_min:.17g} {grid.x_max:.17g} {grid.nx}",
+            f"# {grid.p_min:.17g} {grid.p_max:.17g} {grid.np}",
+            f"# convention {WIGNER_CONVENTION}",
+        ]
+        for k in range(grid.np):
+            lines.append(" ".join(f"{v:.17g}" for v in wmap.values[:, k]))
+        assert (tmp_path / "map.dat").read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+    def test_marginal_csv_bytes_match_per_value_format(self, tmp_path):
+        xs = self.awkward_values(13)
+        density = xs[::-1].copy()
+        density[density < 0] *= -1.0  # keeps -0.0
+        dist = QuadratureDistribution(0.0, xs, density)
+        write_marginal_csv(dist, tmp_path / "m.csv")
+        lines = ["x,density"] + [f"{x:.17g},{d:.17g}" for x, d in zip(dist.xs, dist.density)]
+        assert (tmp_path / "m.csv").read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
     def test_density_must_be_nonnegative(self):
         with pytest.raises(ValueError):
