@@ -2,13 +2,15 @@
 
 Subcommands: ``run <config.json>``, ``validate <config.json>``, ``verify``.
 Every run writes its files plus a manifest listing each artifact with a
-sha256 checksum; identical configs (including seed) produce identical
-checksums.
+sha256 checksum.  Identical configs (including seed) produce identical
+checksums at a fixed BLAS thread count; across thread counts the Wigner
+grid files and the ``qubit_wigner`` report differ in the last bits.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
 import json
 import math
@@ -66,187 +68,24 @@ from .schemes import (
     two_operator_orthogonalizer,
 )
 
-EXPERIMENTS = ("orthogonalize", "qubit_wigner", "number_scheme", "tomography", "verify")
-
-DEFAULTS = {
-    "input_state": {"kind": "coherent", "alpha": [1.0, 0.0]},
-    "scheme": {"kind": "creation"},
-    "route": "ideal",
-    "trunc": 40,
-    "eta": 1.0,
-    "qubit_c": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
-    "herald": {"theta": "auto", "phi": 0.0, "beta": "auto", "dim": None},
-    "grid": {"x_min": -6.0, "x_max": 6.0, "p_min": -6.0, "p_max": 6.0, "nx": 241, "np": 241},
-    "marginal_xs": {"x_min": -8.0, "x_max": 8.0, "n": 1601},
-    "sampling": {"phases": 10, "samples_per_phase": 5000, "seed": 12345, "eta": None},
-    "reconstruction": {"dim": 15, "max_iter": 2000, "tol": 1e-10},
-    "output_dir": "out",
-}
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
 
 def _is_finite(value) -> bool:
-    """A real number that converts to a finite float (no nan, inf or huge int)."""
-    return _is_real(value) and abs(value) <= sys.float_info.max
+    """A real number (not a bool) that converts to a finite float (no nan, inf or huge int)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
-def _as_complex(value, field: str) -> complex:
-    if _is_real(value):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2 and all(_is_real(v) for v in value):
-        return complex(float(value[0]), float(value[1]))
-    raise ValueError(f"{field}: expected a number or [re, im] pair, got {value!r}")
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _merged(config: dict) -> dict:
-    out = {}
-    for key, default in DEFAULTS.items():
-        given = config.get(key)
-        if isinstance(default, dict):
-            merged = dict(default)
-            if given is not None:
-                merged.update(given)
-            out[key] = merged
-        else:
-            out[key] = default if given is None else given
-    out["experiment"] = _canonical_experiment(config.get("experiment"))
-    return out
+def _is_complex(value) -> bool:
+    """A finite number or a finite ``[re, im]`` pair."""
+    pair = isinstance(value, (list, tuple)) and len(value) == 2
+    return _is_finite(value) or (pair and all(_is_finite(v) for v in value))
 
 
-def _canonical_experiment(name):
-    if not isinstance(name, str):
-        return None
-    flat = name.replace("-", "").replace("_", "").lower()
-    for exp in EXPERIMENTS:
-        if flat == exp.replace("_", ""):
-            return exp
-    return None
-
-
-def load_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def validate_config(config: dict) -> list:
-    """Range/schema report; returns one message per violated precondition.
-
-    Never raises: a wrongly typed field gets one message and skips the range
-    checks that would compare it.
-    """
-    if not isinstance(config, dict):
-        return [f"config: must be a JSON object, got {type(config).__name__}"]
-    problems = []
-    for key, default in DEFAULTS.items():
-        if isinstance(default, dict) and config.get(key) is not None and not isinstance(config[key], dict):
-            problems.append(f"{key}: must be an object, got {config[key]!r}")
-    if problems:
-        return problems
-    exp = _canonical_experiment(config.get("experiment"))
-    if exp is None:
-        problems.append(f"experiment: must be one of {EXPERIMENTS}, got {config.get('experiment')!r}")
-        return problems
-    cfg = _merged(config)
-
-    if not isinstance(cfg["trunc"], int) or cfg["trunc"] < 2:
-        problems.append(f"trunc: must be an integer >= 2, got {cfg['trunc']!r}")
-    if not _is_real(cfg["eta"]):
-        problems.append(f"eta: must be a number, got {cfg['eta']!r}")
-    elif not 0.0 <= cfg["eta"] <= 1.0:
-        problems.append(f"eta: must lie in [0, 1], got {cfg['eta']!r}")
-
-    state = cfg["input_state"]
-    if state.get("kind") not in ("coherent", "fock", "custom"):
-        problems.append(f"input_state.kind: must be coherent, fock, or custom, got {state.get('kind')!r}")
-    elif state["kind"] == "coherent":
-        try:
-            _as_complex(state.get("alpha", 1.0), "input_state.alpha")
-        except ValueError as err:
-            problems.append(str(err))
-    elif state["kind"] == "fock":
-        n = state.get("n", 0)
-        if not isinstance(n, int) or n < 0 or (isinstance(cfg["trunc"], int) and n >= cfg["trunc"]):
-            problems.append(f"input_state.n: must be an integer in 0..trunc-1, got {n!r}")
-    elif state["kind"] == "custom":
-        amps = state.get("amps")
-        if not isinstance(amps, list) or not amps:
-            problems.append("input_state.amps: custom states need a nonempty [re, im] list")
-
-    if cfg["scheme"].get("kind") not in ("creation", "number"):
-        problems.append(f"scheme.kind: must be creation or number, got {cfg['scheme'].get('kind')!r}")
-    if cfg["route"] not in ("ideal", "heralded"):
-        problems.append(f"route: must be ideal or heralded, got {cfg['route']!r}")
-    elif exp == "orthogonalize" and cfg["route"] == "heralded" and cfg["scheme"].get("kind") == "number":
-        problems.append("route: heralded orthogonalize needs scheme.kind creation (see the number_scheme experiment)")
-
-    herald = cfg["herald"]
-    theta = herald.get("theta")
-    if not isinstance(theta, (int, float)) and theta != "auto":
-        problems.append(f"herald.theta: must be a number or 'auto', got {theta!r}")
-    if exp == "number_scheme" and isinstance(theta, (int, float)):
-        if abs(math.cos(theta) - math.sin(theta)) < 1e-12:
-            problems.append("herald.theta: t = r is a singular configuration for the number scheme")
-    if herald.get("dim") is not None and (not isinstance(herald["dim"], int) or herald["dim"] < 2):
-        problems.append(f"herald.dim: must be an integer >= 2, got {herald['dim']!r}")
-    if not _is_real(herald["phi"]):
-        problems.append(f"herald.phi: must be a number, got {herald['phi']!r}")
-    if herald["beta"] != "auto":
-        try:
-            _as_complex(herald["beta"], "herald.beta")
-        except ValueError:
-            problems.append(f"herald.beta: must be 'auto', a number or an [re, im] pair, got {herald['beta']!r}")
-
-    grid = cfg["grid"]
-    bad_grid = [f"grid.{k}: must be a finite number, got {grid.get(k)!r}"
-                for k in ("x_min", "x_max", "p_min", "p_max") if not _is_finite(grid.get(k))]
-    bad_grid += [f"grid.{k}: must be an integer, got {grid.get(k)!r}"
-                 for k in ("nx", "np") if not isinstance(grid.get(k), int)]
-    problems.extend(bad_grid)
-    if not bad_grid:
-        if not (grid["x_min"] < grid["x_max"] and grid["p_min"] < grid["p_max"]):
-            problems.append("grid: bounds must satisfy min < max on both axes")
-        if grid["nx"] < 2 or grid["np"] < 2:
-            problems.append("grid: nx and np must be >= 2")
-
-    axis = cfg["marginal_xs"]
-    bad_bounds = [f"marginal_xs.{k}: must be a finite number, got {axis.get(k)!r}"
-                  for k in ("x_min", "x_max") if not _is_finite(axis.get(k))]
-    problems.extend(bad_bounds)
-    if not bad_bounds and not axis["x_min"] < axis["x_max"]:
-        problems.append("marginal_xs: bounds must satisfy x_min < x_max")
-    if not isinstance(axis.get("n"), int) or isinstance(axis["n"], bool) or axis["n"] < 2:
-        problems.append(f"marginal_xs.n: must be an integer >= 2, got {axis.get('n')!r}")
-
-    sampling = cfg["sampling"]
-    phases = sampling["phases"]
-    if isinstance(phases, int):
-        if phases < 1:
-            problems.append(f"sampling.phases: phase count must be >= 1, got {phases!r}")
-    elif isinstance(phases, list):
-        if len(phases) == 0 or len(set(phases)) != len(phases):
-            problems.append("sampling.phases: explicit phases must be nonempty and distinct")
-    else:
-        problems.append(f"sampling.phases: must be a count or list, got {phases!r}")
-    if not isinstance(sampling["samples_per_phase"], int) or sampling["samples_per_phase"] < 1:
-        problems.append(f"sampling.samples_per_phase: must be an integer >= 1, got {sampling['samples_per_phase']!r}")
-    if not isinstance(sampling["seed"], int) or sampling["seed"] < 0:
-        problems.append(f"sampling.seed: must be a nonnegative integer, got {sampling['seed']!r}")
-    eta = sampling["eta"]
-    if eta is not None and not _is_real(eta):
-        problems.append(f"sampling.eta: must be null or a number, got {eta!r}")
-    elif eta is not None and not 0.0 <= eta <= 1.0:
-        problems.append(f"sampling.eta: must lie in [0, 1], got {eta!r}")
-
-    recon = cfg["reconstruction"]
-    if not isinstance(recon["dim"], int) or not 2 <= recon["dim"] <= 30:
-        problems.append(f"reconstruction.dim: must be an integer in 2..30, got {recon['dim']!r}")
-    if not isinstance(recon["max_iter"], int) or recon["max_iter"] < 1:
-        problems.append(f"reconstruction.max_iter: must be an integer >= 1, got {recon['max_iter']!r}")
-
-    return problems
+def _as_complex(value) -> complex:
+    return complex(*value) if isinstance(value, (list, tuple)) else complex(value)
 
 
 class _ArtifactWriter:
@@ -280,26 +119,24 @@ class _ArtifactWriter:
         }
 
 
-def _build_input_state(cfg: dict, trunc: Truncation):
+def _prepared(cfg: dict, kind: OperatorKind | None = None):
+    """The truncation, the input state and its orthogonalizer spec (``kind`` defaults to ``scheme.kind``)."""
+    trunc = Truncation(cfg["trunc"])
     state = cfg["input_state"]
     if state["kind"] == "coherent":
-        return coherent_state(_as_complex(state.get("alpha", 1.0), "input_state.alpha"), trunc)
-    if state["kind"] == "fock":
-        return fock_state(int(state.get("n", 0)), trunc)
-    amps = np.array([_as_complex(a, "input_state.amps") for a in state["amps"]])
-    padded = np.zeros(trunc.dim, dtype=complex)
-    padded[: len(amps)] = amps
-    return StateVector(padded / np.linalg.norm(padded), trunc)
+        psi = coherent_state(_as_complex(state["alpha"]), trunc)
+    elif state["kind"] == "fock":
+        psi = fock_state(state["n"], trunc)
+    else:
+        padded = np.zeros(trunc.dim, dtype=complex)
+        padded[: len(state["amps"])] = [_as_complex(a) for a in state["amps"]]
+        psi = StateVector(padded / np.linalg.norm(padded), trunc)
+    return trunc, psi, OrthogonalizerSpec.from_state(kind or OperatorKind(cfg["scheme"]["kind"]), psi)
 
 
 def _build_grid(cfg: dict) -> PhaseGrid:
     g = cfg["grid"]
     return PhaseGrid(g["x_min"], g["x_max"], g["p_min"], g["p_max"], g["nx"], g["np"])
-
-
-def _marginal_axis(cfg: dict) -> np.ndarray:
-    m = cfg["marginal_xs"]
-    return np.linspace(m["x_min"], m["x_max"], m["n"])
 
 
 def _build_plan(cfg: dict) -> SamplingPlan:
@@ -322,17 +159,36 @@ def _herald_model(cfg: dict, spec: OrthogonalizerSpec) -> HeraldModel:
     if beta == "auto":
         beta = beta_for_addition_orthogonalizer(complex(spec.mean_value), theta) if spec.kind is OperatorKind.CREATION else 0.0
     else:
-        beta = _as_complex(beta, "herald.beta")
+        beta = _as_complex(beta)
     herald_trunc = Truncation(h["dim"], tail_tol=5e-3) if h["dim"] is not None else None
     return HeraldModel(beta=beta, theta=float(theta), phi=float(h["phi"]), herald_trunc=herald_trunc)
 
 
-def _spec_kind(cfg: dict) -> OperatorKind:
-    return OperatorKind.CREATION if cfg["scheme"]["kind"] == "creation" else OperatorKind.NUMBER
-
-
 def _complex_pair(z: complex):
     return [float(z.real), float(z.imag)]
+
+
+def _write_state(writer: _ArtifactWriter, cfg: dict, label: str, state: StateVector, phases=(), grid=None):
+    """Write ``state`` after the configured loss, each file named with ``label``.
+
+    Writes its marginals at ``phases``, its Wigner map on ``grid`` (the map
+    is returned) and its density JSON.
+    """
+    rho = state.to_density()
+    if cfg["eta"] < 1.0:
+        rho = apply_loss(rho, LossChannel(cfg["eta"]))
+    m = cfg["marginal_xs"]
+    xs = np.linspace(m["x_min"], m["x_max"], m["n"])
+    for phase in phases:
+        dist = marginal(rho, phase, xs)
+        writer.write_with(marginal_filename(f"marginal_{label}", phase), "marginal-csv",
+                          lambda p, d=dist: write_marginal_csv(d, p))
+    wmap = None
+    if grid is not None:
+        wmap = wigner(rho, grid)
+        writer.write_with(f"wigner_{label}.dat", "wigner-grid", lambda p: write_wigner_grid(wmap, p))
+    writer.write_json(f"density_{label}.json", density_to_json(rho), "density-json")
+    return wmap
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +196,7 @@ def _complex_pair(z: complex):
 
 
 def _run_orthogonalize(cfg: dict, writer: _ArtifactWriter) -> dict:
-    trunc = Truncation(cfg["trunc"])
-    psi = _build_input_state(cfg, trunc)
-    spec = OrthogonalizerSpec.from_state(_spec_kind(cfg), psi)
+    trunc, psi, spec = _prepared(cfg)
 
     report = {"scheme": cfg["scheme"]["kind"], "route": cfg["route"]}
     if cfg["route"] == "heralded":
@@ -357,61 +211,40 @@ def _run_orthogonalize(cfg: dict, writer: _ArtifactWriter) -> dict:
     overlap = abs(inner_product(psi, out))
     report["overlap_with_input"] = overlap
     if cfg["input_state"]["kind"] == "coherent" and spec.kind is OperatorKind.CREATION:
-        alpha = _as_complex(cfg["input_state"].get("alpha", 1.0), "input_state.alpha")
+        alpha = _as_complex(cfg["input_state"]["alpha"])
         ref = displacement_op(alpha, trunc).apply(fock_state(1, trunc))
         report["displaced_fock_fidelity"] = fidelity(out, ref)
 
-    xs = _marginal_axis(cfg)
-    eta = cfg["eta"]
     for label, state in (("input", psi), ("output", out)):
-        rho = state.to_density()
-        if eta < 1.0:
-            rho = apply_loss(rho, LossChannel(eta))
-        dist = marginal(rho, 0.0, xs)
-        writer.write_with(marginal_filename(f"marginal_{label}", 0.0), "marginal-csv",
-                          lambda p, d=dist: write_marginal_csv(d, p))
-        writer.write_json(f"density_{label}.json", density_to_json(rho), "density-json")
+        _write_state(writer, cfg, label, state, phases=(0.0,))
     writer.write_json("report.json", report, "report-json")
     return report
 
 
 def _run_qubit_wigner(cfg: dict, writer: _ArtifactWriter) -> dict:
-    trunc = Truncation(cfg["trunc"])
-    psi = _build_input_state(cfg, trunc)
-    spec = OrthogonalizerSpec.from_state(_spec_kind(cfg), psi)
+    trunc, psi, spec = _prepared(cfg)
     grid = _build_grid(cfg)
-    eta = cfg["eta"]
 
-    c_values = cfg["qubit_c"]
-    if not isinstance(c_values, list) or (c_values and isinstance(c_values[0], (int, float))):
-        c_values = [c_values]
+    c_values = [cfg["qubit_c"]] if _is_complex(cfg["qubit_c"]) else cfg["qubit_c"]
     entries = []
     for i, raw_c in enumerate(c_values):
-        c = _as_complex(raw_c, "qubit_c")
+        c = _as_complex(raw_c)
         out = qubit_operator(spec, c, trunc).apply(psi).normalized()
-        rho = out.to_density()
-        if eta < 1.0:
-            rho = apply_loss(rho, LossChannel(eta))
-        wmap = wigner(rho, grid)
-        name = f"wigner_{i:02d}.dat"
-        writer.write_with(name, "wigner-grid", lambda p, w=wmap: write_wigner_grid(w, p))
-        writer.write_json(f"density_{i:02d}.json", density_to_json(rho), "density-json")
+        wmap = _write_state(writer, cfg, f"{i:02d}", out, grid=grid)
         entries.append({
-            "file": name,
+            "file": f"wigner_{i:02d}.dat",
             "c": _complex_pair(c),
             "wigner_min": float(wmap.values.min()),
             "wigner_max": float(wmap.values.max()),
             "grid_integral": wmap.integral(),
         })
-    report = {"eta": eta, "maps": entries}
+    report = {"eta": cfg["eta"], "maps": entries}
     writer.write_json("report.json", report, "report-json")
     return report
 
 
 def _run_number_scheme(cfg: dict, writer: _ArtifactWriter) -> dict:
-    trunc = Truncation(cfg["trunc"])
-    psi = _build_input_state(cfg, trunc)
-    spec = OrthogonalizerSpec.from_state(OperatorKind.NUMBER, psi)
+    _, psi, spec = _prepared(cfg, OperatorKind.NUMBER)
     model = _herald_model(cfg, spec)
     out, prob = number_scheme_model(psi, model)
 
@@ -423,38 +256,19 @@ def _run_number_scheme(cfg: dict, writer: _ArtifactWriter) -> dict:
     }
 
     grid = _build_grid(cfg)
-    xs = _marginal_axis(cfg)
-    plan = _build_plan(cfg)
-    eta = cfg["eta"]
+    phases = _build_plan(cfg).phases
     for label, state in (("input", psi), ("output", out)):
-        rho = state.to_density()
-        if eta < 1.0:
-            rho = apply_loss(rho, LossChannel(eta))
-        for phase in plan.phases:
-            dist = marginal(rho, phase, xs)
-            writer.write_with(marginal_filename(f"marginal_{label}", phase), "marginal-csv",
-                              lambda p, d=dist: write_marginal_csv(d, p))
-        wmap = wigner(rho, grid)
-        writer.write_with(f"wigner_{label}.dat", "wigner-grid",
-                          lambda p, w=wmap: write_wigner_grid(w, p))
-        writer.write_json(f"density_{label}.json", density_to_json(rho), "density-json")
+        _write_state(writer, cfg, label, state, phases=phases, grid=grid)
     writer.write_json("report.json", report, "report-json")
     return report
 
 
 def _run_tomography(cfg: dict, writer: _ArtifactWriter) -> dict:
-    trunc = Truncation(cfg["trunc"])
-    psi = _build_input_state(cfg, trunc)
-    transform = cfg.get("transform", "none")
-    if transform == "orthogonalize":
-        spec = OrthogonalizerSpec.from_state(_spec_kind(cfg), psi)
+    trunc, psi, spec = _prepared(cfg)
+    if cfg["transform"] == "orthogonalize":
         psi = orthogonalize(psi, spec)
-    elif transform == "qubit":
-        spec = OrthogonalizerSpec.from_state(_spec_kind(cfg), psi)
-        c = _as_complex(cfg.get("qubit_c_single", [1.0, 0.0]), "qubit_c_single")
-        psi = qubit_operator(spec, c, trunc).apply(psi).normalized()
-    elif transform != "none":
-        raise ValueError(f"transform: must be none, orthogonalize, or qubit, got {transform!r}")
+    elif cfg["transform"] == "qubit":
+        psi = qubit_operator(spec, _as_complex(cfg["qubit_c_single"]), trunc).apply(psi).normalized()
 
     rho_true = psi.to_density()
     plan = _build_plan(cfg)
@@ -498,23 +312,201 @@ def _run_verify(cfg: dict, writer: _ArtifactWriter) -> dict:
     return report
 
 
+_RUNNERS = {
+    "orthogonalize": _run_orthogonalize,
+    "qubit_wigner": _run_qubit_wigner,
+    "number_scheme": _run_number_scheme,
+    "tomography": _run_tomography,
+    "verify": _run_verify,
+}
+EXPERIMENTS = tuple(_RUNNERS)
+
+
+# ---------------------------------------------------------------------------
+# config schema
+
+
+DEFAULTS = {
+    "input_state": {"kind": "coherent", "alpha": [1.0, 0.0], "n": 0, "amps": None},
+    "scheme": {"kind": "creation"},
+    "route": "ideal",
+    "trunc": 40,
+    "eta": 1.0,
+    "qubit_c": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+    "qubit_c_single": [1.0, 0.0],
+    "transform": "none",
+    "herald": {"theta": "auto", "phi": 0.0, "beta": "auto", "dim": None},
+    "grid": {"x_min": -6.0, "x_max": 6.0, "p_min": -6.0, "p_max": 6.0, "nx": 241, "np": 241},
+    "marginal_xs": {"x_min": -8.0, "x_max": 8.0, "n": 1601},
+    "sampling": {"phases": 10, "samples_per_phase": 5000, "seed": 12345, "eta": None},
+    "reconstruction": {"dim": 15, "max_iter": 2000, "tol": 1e-10},
+    "output_dir": "out",
+}
+
+
+def _one_of(*names):
+    return (lambda v: isinstance(v, str) and v in names), "one of " + ", ".join(names)
+
+
+def _int_at_least(low: int):
+    return (lambda v: _is_int(v) and v >= low), f"an integer >= {low}"
+
+
+def _or(special, entry):
+    check, description = entry
+    return (lambda v: v == special or check(v)), f"{json.dumps(special)} or {description}"
+
+
+def _nonempty_list_of(check, value) -> bool:
+    return isinstance(value, list) and len(value) > 0 and all(check(v) for v in value)
+
+
+_FINITE = _is_finite, "a finite number"
+_FRACTION = (lambda v: _is_finite(v) and 0.0 <= v <= 1.0), "a number in [0, 1]"
+_COMPLEX = _is_complex, "a finite number or [re, im] pair"
+
+# Every config leaf, by dotted path: (check, description).  A leaf that fails
+# its check is reported as "<path>: must be <description>, got <value>".
+# ``experiment`` is the one leaf without a default.
+SCHEMA = {
+    "experiment": ((lambda v: _canonical_experiment(v) is not None), "one of " + ", ".join(EXPERIMENTS)),
+    "input_state.kind": _one_of("coherent", "fock", "custom"),
+    "input_state.alpha": _COMPLEX,
+    "input_state.n": _int_at_least(0),
+    "input_state.amps": _or(None, ((lambda v: _nonempty_list_of(_is_complex, v) and any(map(_as_complex, v))),
+                                   "a nonempty list of numbers or [re, im] pairs, not all zero")),
+    "scheme.kind": _one_of("creation", "number"),
+    "route": _one_of("ideal", "heralded"),
+    "trunc": _int_at_least(2),
+    "eta": _FRACTION,
+    "qubit_c": ((lambda v: _is_complex(v) or _nonempty_list_of(_is_complex, v)),
+                "a finite number, an [re, im] pair or a nonempty list of them"),
+    "qubit_c_single": _COMPLEX,
+    "transform": _one_of("none", "orthogonalize", "qubit"),
+    "herald.theta": _or("auto", _FINITE),
+    "herald.phi": _FINITE,
+    "herald.beta": _or("auto", _COMPLEX),
+    "herald.dim": _or(None, _int_at_least(2)),
+    "grid.x_min": _FINITE,
+    "grid.x_max": _FINITE,
+    "grid.p_min": _FINITE,
+    "grid.p_max": _FINITE,
+    "grid.nx": _int_at_least(2),
+    "grid.np": _int_at_least(2),
+    "marginal_xs.x_min": _FINITE,
+    "marginal_xs.x_max": _FINITE,
+    "marginal_xs.n": _int_at_least(2),
+    "sampling.phases": ((lambda v: (_is_int(v) and v >= 1)
+                         or (_nonempty_list_of(_is_finite, v) and len(set(v)) == len(v))),
+                        "a count >= 1 or a nonempty list of distinct finite numbers"),
+    "sampling.samples_per_phase": _int_at_least(1),
+    "sampling.seed": _int_at_least(0),
+    "sampling.eta": _or(None, _FRACTION),
+    "reconstruction.dim": ((lambda v: _is_int(v) and 2 <= v <= 30), "an integer in 2..30"),
+    "reconstruction.max_iter": _int_at_least(1),
+    "reconstruction.tol": ((lambda v: _is_finite(v) and v >= 0), "a finite number >= 0"),
+    "output_dir": ((lambda v: isinstance(v, str) and v != ""), "a nonempty path string"),
+}
+
+
+def _merged(config: dict) -> dict:
+    """``config`` over DEFAULTS; a section's omitted keys keep their defaults."""
+    out = {key: {**default, **config.get(key, {})} if isinstance(default, dict) else config.get(key, default)
+           for key, default in DEFAULTS.items()}
+    out["experiment"] = config.get("experiment")
+    return out
+
+
+def _canonical_experiment(name):
+    if not isinstance(name, str):
+        return None
+    flat = name.replace("-", "").replace("_", "").lower()
+    for exp in EXPERIMENTS:
+        if flat == exp.replace("_", ""):
+            return exp
+    return None
+
+
+def _unknown_key(section: str, key, known) -> str:
+    prefix = section + "." if section else ""
+    near = difflib.get_close_matches(str(key), known, n=1)
+    hint = f" (did you mean {prefix + near[0]!r}?)" if near else ""
+    return f"{prefix}{key}: unknown key{hint}"
+
+
+def load_config(path) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def validate_config(config: dict) -> list:
+    """Schema and range report; returns one message per violated precondition.
+
+    Checks each SCHEMA leaf (an omitted leaf takes its DEFAULTS value), then
+    the rules that relate several leaves, each skipped when a leaf it reads
+    is already reported, and names every key outside the schema with the
+    nearest known one.  Never raises.
+    """
+    if not isinstance(config, dict):
+        return [f"config: must be a JSON object, got {type(config).__name__}"]
+    broken = [key for key, default in DEFAULTS.items()
+              if isinstance(default, dict) and not isinstance(config.get(key, {}), dict)]
+    problems = [f"{key}: must be an object, got {config[key]!r}" for key in broken]
+    cfg = _merged({key: value for key, value in config.items() if key not in broken})
+
+    known, bad = {}, {path for path in SCHEMA if path.partition(".")[0] in broken}
+    for path, (check, description) in SCHEMA.items():
+        section, _, key = path.partition(".")
+        known.setdefault(section, []).append(key)
+        value = cfg[section][key] if key else cfg[section]
+        if path not in bad and not check(value):
+            problems.append(f"{path}: must be {description}, got {value!r}")
+            bad.add(path)
+
+    def clean(*paths):
+        return bad.isdisjoint(paths)
+
+    state = cfg["input_state"]
+    if clean("input_state.kind", "input_state.n", "trunc") and state["kind"] == "fock" and state["n"] >= cfg["trunc"]:
+        problems.append(f"input_state.n: must be an integer in 0..trunc-1, got {state['n']!r}")
+    if (clean("input_state.kind", "input_state.amps", "trunc") and state["kind"] == "custom"
+            and not 1 <= len(state["amps"] or ()) <= cfg["trunc"]):
+        problems.append(f"input_state.amps: a custom state needs 1..trunc amplitudes, got {state['amps']!r}")
+    for section, axis in (("grid", "x"), ("grid", "p"), ("marginal_xs", "x")):
+        low, high = f"{axis}_min", f"{axis}_max"
+        if clean(f"{section}.{low}", f"{section}.{high}") and not cfg[section][low] < cfg[section][high]:
+            problems.append(f"{section}: bounds must satisfy {low} < {high}")
+    exp = _canonical_experiment(cfg["experiment"])
+    theta = cfg["herald"]["theta"]
+    if (clean("herald.theta") and exp == "number_scheme" and theta != "auto"
+            and abs(math.cos(theta) - math.sin(theta)) < 1e-12):
+        problems.append("herald.theta: t = r is a singular configuration for the number scheme")
+    if (clean("route", "scheme.kind") and exp == "orthogonalize" and cfg["route"] == "heralded"
+            and cfg["scheme"]["kind"] == "number"):
+        problems.append("route: heralded orthogonalize needs scheme.kind creation (see the number_scheme experiment)")
+
+    for key, value in config.items():
+        if key not in known:
+            problems.append(_unknown_key("", key, known))
+        elif key not in broken and isinstance(DEFAULTS.get(key), dict):
+            problems.extend(_unknown_key(key, sub, known[key]) for sub in value if sub not in known[key])
+    return problems
+
+
 def run(config: dict, output_dir=None) -> dict:
     """Execute the configured experiment and write its artifact manifest."""
     problems = validate_config(config)
     if problems:
         raise ValueError("invalid config: " + "; ".join(problems))
+    return _execute(config, output_dir)
+
+
+def _execute(config: dict, output_dir=None) -> dict:
+    """``run`` for a config that ``validate_config`` has passed."""
     cfg = _merged(config)
     outdir = Path(output_dir if output_dir is not None else cfg["output_dir"])
     writer = _ArtifactWriter(outdir)
-
-    runner = {
-        "orthogonalize": _run_orthogonalize,
-        "qubit_wigner": _run_qubit_wigner,
-        "number_scheme": _run_number_scheme,
-        "tomography": _run_tomography,
-        "verify": _run_verify,
-    }[cfg["experiment"]]
-    runner(cfg, writer)
+    _RUNNERS[_canonical_experiment(cfg["experiment"])](cfg, writer)
 
     manifest = writer.manifest(config_echo=config)
     (outdir / "manifest.json").write_text(
@@ -720,7 +712,8 @@ def main(argv=None) -> int:
         print("OK")
         return 0
 
-    if args.seed is not None:
+    # a config or sampling section that is not an object keeps the seed out and fails validation
+    if args.seed is not None and isinstance(config, dict) and isinstance(config.get("sampling", {}), dict):
         config.setdefault("sampling", {})["seed"] = args.seed
     problems = validate_config(config)
     if problems:
@@ -728,7 +721,7 @@ def main(argv=None) -> int:
             print(p, file=sys.stderr)
         return 2
     try:
-        manifest = run(config, output_dir=args.output_dir)
+        manifest = _execute(config, output_dir=args.output_dir)
     except Exception as err:  # propagate module errors with context
         print(f"run failed: {err}", file=sys.stderr)
         return 1

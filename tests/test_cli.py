@@ -1,10 +1,25 @@
+import copy
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cvortho import density_from_json, fidelity, fock_state, Truncation
-from cvortho.cli import main, run, validate_config
+import cvortho.cli as cli
+from cvortho import (
+    OperatorKind,
+    OrthogonalizerSpec,
+    Truncation,
+    coherent_state,
+    density_from_json,
+    fidelity,
+    fock_state,
+    orthogonalize,
+    project_density,
+)
+from cvortho.cli import DEFAULTS, EXPERIMENTS, SCHEMA, main, run, validate_config
 
 
 def read_manifest(outdir):
@@ -83,6 +98,78 @@ class TestValidate:
     def test_experiment_name_normalization(self):
         assert validate_config({"experiment": "QubitWigner"}) == []
         assert validate_config({"experiment": "number-scheme"}) == []
+
+
+def _leaf_config(path, value, experiment="orthogonalize"):
+    """A config that sets one SCHEMA leaf to ``value`` and leaves the rest at their defaults."""
+    if path == "experiment":
+        return {"experiment": value}
+    section, _, key = path.partition(".")
+    return {"experiment": experiment, section: {key: value} if key else value}
+
+
+def _default(path):
+    section, _, key = path.partition(".")
+    return DEFAULTS[section][key] if key else DEFAULTS.get(section)
+
+
+# Every known name: the top-level keys and each section's keys as dotted paths.
+_NAMES = sorted({path.partition(".")[0] for path in SCHEMA} | {path for path in SCHEMA if "." in path})
+
+
+class TestSchema:
+    def test_schema_covers_every_default_leaf(self):
+        leaves = {f"{key}.{sub}" for key, value in DEFAULTS.items() if isinstance(value, dict) for sub in value}
+        leaves |= {key for key, value in DEFAULTS.items() if not isinstance(value, dict)}
+        assert set(SCHEMA) == leaves | {"experiment"}
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_every_leaf_passes_at_its_default(self, experiment):
+        assert validate_config({"experiment": experiment, **copy.deepcopy(DEFAULTS)}) == []
+
+    @settings(max_examples=400, deadline=None)
+    @given(path=st.sampled_from(sorted(SCHEMA)), experiment=st.sampled_from(EXPERIMENTS),
+           value=st.one_of(st.text(alphabet="xyz", max_size=4), st.none(), st.booleans(),
+                           st.lists(st.text(alphabet="xyz", max_size=2), min_size=1, max_size=3),
+                           st.just(math.nan)))
+    def test_wrongly_typed_leaf_gives_one_message(self, path, experiment, value):
+        assume(value is not None or path == "experiment" or _default(path) is not None)
+        assume(not (path == "output_dir" and isinstance(value, str) and value))
+        problems = validate_config(_leaf_config(path, value, experiment))
+        assert len(problems) == 1 and problems[0].startswith(path + ":"), problems
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(_NAMES), data=st.data())
+    def test_unknown_key_names_the_nearest_known_key(self, name, data):
+        section, _, key = name.rpartition(".")
+        i = data.draw(st.integers(0, len(key) - 1))
+        typo = key[: i + 1] + key[i:]
+        assume(typo not in SCHEMA and typo not in DEFAULTS.get(section, {}))
+        config = {"experiment": "orthogonalize", **({section: {typo: 1}} if section else {typo: 1})}
+        problems = validate_config(config)
+        assert len(problems) == 1 and f"did you mean {name!r}" in problems[0], problems
+
+    def test_unknown_top_level_key(self):
+        assert validate_config({"experiment": "tomography", "samplng": {"seed": 3}}) == [
+            "samplng: unknown key (did you mean 'sampling'?)"
+        ]
+
+    @pytest.mark.parametrize("fragment, field", [
+        ({"transform": "bogus"}, "transform"),
+        ({"qubit_c": "x"}, "qubit_c"),
+        ({"qubit_c": []}, "qubit_c"),
+        ({"qubit_c_single": [1.0]}, "qubit_c_single"),
+        ({"reconstruction": {"tol": "small"}}, "reconstruction.tol"),
+        ({"sampling": {"phases": [0.0, "x"]}}, "sampling.phases"),
+        ({"sampling": {"seed": True}}, "sampling.seed"),
+        ({"output_dir": 3}, "output_dir"),
+        ({"input_state": {"kind": "custom", "amps": [0.0, [0.0, 0.0]]}}, "input_state.amps"),
+        ({"input_state": {"kind": "custom", "amps": [1.0] * 41}}, "input_state.amps"),
+        ({"input_state": {"kind": "custom"}}, "input_state.amps"),
+    ])
+    def test_leaf_reported(self, fragment, field):
+        problems = validate_config({"experiment": "tomography", **fragment})
+        assert len(problems) == 1 and problems[0].startswith(field + ":"), problems
 
 
 class TestRunOrthogonalize:
@@ -181,6 +268,22 @@ class TestRunTomography:
         assert report["stop_reason"] == "max_iter"
 
 
+    def test_transform_orthogonalize_is_sampled(self, tmp_path):
+        config = {
+            "experiment": "tomography",
+            "transform": "orthogonalize",
+            "trunc": 20,
+            "sampling": {"phases": 2, "samples_per_phase": 200, "seed": 5},
+            "reconstruction": {"dim": 6, "max_iter": 3, "tol": 1e-9},
+        }
+        run(config, output_dir=tmp_path)
+        psi = coherent_state(1.0, Truncation(20))
+        perp = orthogonalize(psi, OrthogonalizerSpec.from_state(OperatorKind.CREATION, psi))
+        expected = project_density(perp.to_density(), Truncation(6))
+        rho_true = density_from_json(json.loads((tmp_path / "rho_true.json").read_text()))
+        assert np.max(np.abs(rho_true.elems - expected.elems)) < 1e-12
+
+
 class TestDeterminism:
     def test_identical_manifests(self, tmp_path):
         config = {
@@ -240,6 +343,28 @@ class TestCliEntry:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"experiment": "orthogonalize", "eta": 7}))
         assert main(["run", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("config", [
+        {"experiment": "tomography", "sampling": None},
+        {"experiment": "tomography", "sampling": 5},
+        ["experiment", "tomography"],
+        3,
+    ])
+    def test_run_with_seed_reports_a_non_object(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["run", str(cfg), "--seed", "4", "--output-dir", str(tmp_path / "out")]) == 2
+        assert "must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_validates_once(self, tmp_path, monkeypatch):
+        calls = []
+        validate = cli.validate_config
+        monkeypatch.setattr(cli, "validate_config", lambda config: calls.append(1) or validate(config))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "orthogonalize", "trunc": 20}))
+        assert main(["run", str(cfg), "--seed", "4", "--output-dir", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
 
 
 class TestVerifyBattery:
