@@ -19,6 +19,7 @@ from .fock import (
     beam_splitter_op,
     coherent_state,
     density_from_json,
+    density_json_text,
     density_to_json,
     displacement_op,
     expectation,

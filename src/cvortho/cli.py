@@ -26,7 +26,7 @@ from .fock import (
     Truncation,
     beam_splitter_op,
     coherent_state,
-    density_to_json,
+    density_json_text,
     displacement_op,
     fidelity,
     fock_state,
@@ -96,18 +96,21 @@ class _ArtifactWriter:
         self.outdir.mkdir(parents=True, exist_ok=True)
         self.entries = []
 
-    def _record(self, relpath: str, kind: str):
-        digest = hashlib.sha256((self.outdir / relpath).read_bytes()).hexdigest()
-        self.entries.append({"path": relpath, "sha256": digest, "kind": kind})
+    def _record(self, relpath: str, kind: str, data: bytes):
+        self.entries.append({"path": relpath, "sha256": hashlib.sha256(data).hexdigest(), "kind": kind})
 
     def write_with(self, relpath: str, kind: str, writer):
         writer(self.outdir / relpath)
-        self._record(relpath, kind)
+        self._record(relpath, kind, (self.outdir / relpath).read_bytes())
+
+    def write_text(self, relpath: str, kind: str, text: str):
+        """Write ``text`` as UTF-8 and checksum the bytes written."""
+        data = text.encode("utf-8")
+        (self.outdir / relpath).write_bytes(data)
+        self._record(relpath, kind, data)
 
     def write_json(self, relpath: str, obj, kind: str):
-        text = json.dumps(obj, indent=2, sort_keys=True)
-        (self.outdir / relpath).write_text(text + "\n", encoding="utf-8")
-        self._record(relpath, kind)
+        self.write_text(relpath, kind, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
     def manifest(self, config_echo: dict) -> dict:
         import scipy
@@ -187,7 +190,7 @@ def _write_state(writer: _ArtifactWriter, cfg: dict, label: str, state: StateVec
     if grid is not None:
         wmap = wigner(rho, grid)
         writer.write_with(f"wigner_{label}.dat", "wigner-grid", lambda p: write_wigner_grid(wmap, p))
-    writer.write_json(f"density_{label}.json", density_to_json(rho), "density-json")
+    writer.write_text(f"density_{label}.json", "density-json", density_json_text(rho))
     return wmap
 
 
@@ -277,7 +280,7 @@ def _run_tomography(cfg: dict, writer: _ArtifactWriter) -> dict:
 
     recon = cfg["reconstruction"]
     result = maxlik_reconstruct(samples, dim=recon["dim"], max_iter=recon["max_iter"], tol=recon["tol"])
-    writer.write_json("rho_hat.json", density_to_json(result.rho_hat), "density-json")
+    writer.write_text("rho_hat.json", "density-json", density_json_text(result.rho_hat))
     writer.write_with("likelihood.csv", "likelihood-csv",
                       lambda p: write_likelihood_csv(result.log_likelihood_trace, p))
 
@@ -289,11 +292,11 @@ def _run_tomography(cfg: dict, writer: _ArtifactWriter) -> dict:
         "fidelity_vs_true": fidelity(result.rho_hat, target),
         "final_log_likelihood": float(result.log_likelihood_trace[-1]),
     }
-    writer.write_json("rho_true.json", density_to_json(target), "density-json")
+    writer.write_text("rho_true.json", "density-json", density_json_text(target))
     if plan.eta < 1.0:
         lossy = apply_loss(target, LossChannel(plan.eta))
         report["fidelity_vs_lossy_true"] = fidelity(result.rho_hat, lossy)
-        writer.write_json("rho_lossy.json", density_to_json(lossy), "density-json")
+        writer.write_text("rho_lossy.json", "density-json", density_json_text(lossy))
     writer.write_json("report.json", report, "report-json")
     return report
 

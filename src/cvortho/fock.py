@@ -42,6 +42,7 @@ __all__ = [
     "state_from_json",
     "density_to_json",
     "density_from_json",
+    "density_json_text",
 ]
 
 # Conditional states with norm below this are treated as impossible outcomes;
@@ -433,8 +434,7 @@ def project_density(rho: DensityMatrix, trunc: Truncation) -> DensityMatrix:
 
 
 def state_to_json(psi: StateVector) -> dict:
-    data = [[float(z.real), float(z.imag)] for z in psi.amps]
-    return {"dim": psi.trunc.dim, "data": data}
+    return {"dim": psi.trunc.dim, "data": np.column_stack([psi.amps.real, psi.amps.imag]).tolist()}
 
 
 def state_from_json(obj: dict, tail_tol: float = 1e-8) -> StateVector:
@@ -447,8 +447,24 @@ def state_from_json(obj: dict, tail_tol: float = 1e-8) -> StateVector:
 
 def density_to_json(rho: DensityMatrix) -> dict:
     flat = rho.elems.reshape(-1)
-    data = [[float(z.real), float(z.imag)] for z in flat]
-    return {"dim": rho.trunc.dim, "data": data}
+    return {"dim": rho.trunc.dim, "data": np.column_stack([flat.real, flat.imag]).tolist()}
+
+
+def density_json_text(rho: DensityMatrix) -> str:
+    """``json.dumps(density_to_json(rho), indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    json writes a finite float as its ``repr``, so one ``%r`` template gives the same text without
+    json's pure-Python indenting encoder.  Raises ``ValueError`` naming the first nan or inf entry.
+    """
+    dim = rho.trunc.dim
+    flat = rho.elems.reshape(-1)
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        i, j = divmod(int(bad[0]), dim)
+        raise ValueError(f"density entry [{i}, {j}] is not finite: {flat[bad[0]]}")
+    pairs = ",\n".join(["    [\n      %r,\n      %r\n    ]"] * (dim * dim))
+    values = np.column_stack([flat.real, flat.imag]).ravel().tolist()
+    return ('{\n  "data": [\n' + pairs + '\n  ],\n  "dim": %d\n}\n') % (*values, dim)
 
 
 def density_from_json(obj: dict, tail_tol: float = 1e-8) -> DensityMatrix:

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from cvortho import StateVector, Truncation
+from cvortho import DensityMatrix, StateVector, Truncation
 from cvortho.phasespace import _parity_dim, _support_level
 
 
@@ -20,6 +21,20 @@ def random_state(trunc: Truncation, rng, support: int | None = None) -> StateVec
     amps = np.zeros(trunc.dim, dtype=complex)
     amps[:support] = rng.normal(size=support) + 1j * rng.normal(size=support)
     return StateVector(amps, trunc).normalized()
+
+
+def random_mixed_state(dim, rank, seed):
+    """Density matrix of the given rank over a random eigenbasis and spectrum."""
+    rng = np.random.default_rng(seed)
+    vecs = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = vecs @ vecs.conj().T
+    return DensityMatrix(rho / np.trace(rho).real, Truncation(dim))
+
+
+@st.composite
+def mixed_states(draw, max_dim):
+    dim = draw(st.integers(2, max_dim))
+    return random_mixed_state(dim, draw(st.integers(1, dim)), draw(st.integers(0, 2**32 - 1)))
 
 
 def dense_beam_splitter(theta, truncs):

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 
@@ -198,6 +199,16 @@ class TestRunOrthogonalize:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["overlap_with_input"] < 1e-8
         assert 0 < report["success_probability"] < 1
+
+    def test_heralded_files_are_checksummed_indented_json(self, tmp_path):
+        manifest = run({"experiment": "orthogonalize", "route": "heralded", "trunc": 40}, output_dir=tmp_path)
+        for entry in manifest["files"]:
+            assert hashlib.sha256((tmp_path / entry["path"]).read_bytes()).hexdigest() == entry["sha256"]
+        densities = [e["path"] for e in manifest["files"] if e["kind"] == "density-json"]
+        assert sorted(densities) == ["density_input.json", "density_output.json"]
+        for path in densities:
+            text = (tmp_path / path).read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
     def test_no_orphan_outputs(self, tmp_path):
         manifest = run({"experiment": "orthogonalize", "trunc": 30}, output_dir=tmp_path)

@@ -3,18 +3,20 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dense_beam_splitter, random_state
+from conftest import dense_beam_splitter, mixed_states, random_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cvortho import (
+    DensityMatrix,
     StateVector,
     Truncation,
     TruncationError,
     beam_splitter_op,
     coherent_state,
     density_from_json,
+    density_json_text,
     density_to_json,
     displacement_op,
     expectation,
@@ -27,6 +29,30 @@ from cvortho import (
     state_to_json,
     unitarity_defect,
 )
+
+
+def unchecked_density(elems):
+    """A DensityMatrix holding ``elems`` as given, past the constructor's checks."""
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "elems", np.asarray(elems, dtype=np.complex128))
+    object.__setattr__(rho, "trunc", Truncation(len(elems)))
+    return rho
+
+
+def text_mismatch(rho):
+    """None when ``density_json_text`` equals the indented json text, else the first differing line.
+
+    Reported this way because pytest's diff of two long texts is slow enough
+    to stall hypothesis's shrinking.
+    """
+    got = density_json_text(rho)
+    want = json.dumps(density_to_json(rho), indent=2, sort_keys=True) + "\n"
+    if got == want:
+        return None
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    k = next((i for i, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
+             min(len(got_lines), len(want_lines)))
+    return k, got_lines[k:k + 1], want_lines[k:k + 1]
 
 
 def brute_poisson_weights(lam, count):
@@ -312,3 +338,28 @@ class TestSerialization:
         assert set(obj) == {"dim", "data"}
         assert obj["dim"] == 3
         assert obj["data"][1] == [1.0, 0.0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(rho=mixed_states(max_dim=40))
+    def test_density_text_matches_indented_json(self, rho):
+        assert text_mismatch(rho) is None
+
+    def test_density_text_awkward_floats(self):
+        # -0.0, the smallest subnormal, 1e-5 (repr in exponent form) and integer-valued floats
+        elems = np.array([
+            [1.0, complex(-0.0, 5e-324), 1e-5],
+            [complex(-0.0, -5e-324), 0.0, complex(2.0, -0.0)],
+            [1e-5, complex(2.0, 0.0), -3.0],
+        ])
+        rho = unchecked_density(elems)
+        assert text_mismatch(rho) is None
+        text = density_json_text(rho)
+        assert "-0.0," in text and "5e-324" in text and "1e-05" in text
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_density_text_refuses_non_finite(self, bad):
+        elems = np.eye(3, dtype=np.complex128) / 3.0
+        elems[1, 2] = bad
+        elems[2, 0] = np.nan
+        with pytest.raises(ValueError, match=r"density entry \[1, 2\] is not finite"):
+            density_json_text(unchecked_density(elems))

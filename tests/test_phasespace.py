@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import eigvec_wigner, random_state
+from conftest import eigvec_wigner, mixed_states, random_state
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cvortho import (
-    DensityMatrix,
     LossChannel,
     PhaseGrid,
     Truncation,
@@ -32,20 +31,6 @@ from cvortho.phasespace import (
     write_marginal_csv,
     write_wigner_grid,
 )
-
-
-def random_mixed_state(dim, rank, seed):
-    """Density matrix of the given rank over a random eigenbasis and spectrum."""
-    rng = np.random.default_rng(seed)
-    vecs = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    rho = vecs @ vecs.conj().T
-    return DensityMatrix(rho / np.trace(rho).real, Truncation(dim))
-
-
-@st.composite
-def mixed_states(draw, max_dim):
-    dim = draw(st.integers(2, max_dim))
-    return random_mixed_state(dim, draw(st.integers(1, dim)), draw(st.integers(0, 2**32 - 1)))
 
 
 @st.composite
@@ -279,6 +264,17 @@ class TestLossChannel:
     def test_eta_range_validated(self):
         with pytest.raises(ValueError):
             LossChannel(1.2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rho=mixed_states(max_dim=20), eta1=st.floats(0.0, 1.0), eta2=st.floats(0.0, 1.0))
+    def test_losses_compose(self, rho, eta1, eta2):
+        # exact on the truncated space: loss only moves weight to lower photon numbers
+        twice = apply_loss(apply_loss(rho, LossChannel(eta1)), LossChannel(eta2))
+        once = apply_loss(rho, LossChannel(eta1 * eta2))
+        assert np.max(np.abs(twice.elems - once.elems)) <= 1e-12
+        for out in (twice, once):
+            assert abs(np.trace(out.elems) - 1.0) <= 1e-12
+            assert np.min(np.linalg.eigvalsh(out.elems)) >= -1e-12
 
 
 class TestFileFormats:

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 from conftest import dense_beam_splitter, random_state
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cvortho import (
@@ -111,6 +113,35 @@ class TestOrthogonalize:
             spec = OrthogonalizerSpec.from_state(OperatorKind.CREATION, psi)
             out = orthogonalize(psi, spec)
             assert abs(inner_product(psi, out)) < 1e-10
+
+
+def overlap_bound_holds(psi, out):
+    """|<psi|out>| <= 1e-10 ||out|| for an unnormalized ``out = C psi``."""
+    return abs(inner_product(psi, out)) <= 1e-10 * out.norm
+
+
+class TestOrthogonalityProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(2, 40), kind=st.sampled_from([OperatorKind.CREATION, OperatorKind.NUMBER]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_orthogonalizer(self, dim, kind, seed):
+        t = Truncation(dim)
+        psi = random_state(t, np.random.default_rng(seed))
+        spec = OrthogonalizerSpec.from_state(kind, psi)
+        assert overlap_bound_holds(psi, build_orthogonalizer(spec, t).apply(psi))
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(2, 30), seed=st.integers(0, 2**32 - 1))
+    def test_custom_pair(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        t = Truncation(dim)
+        psi = random_state(t, rng)
+        c1, c2 = (ModeOperator(m, t) for m in rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim)))
+        try:
+            op = two_operator_orthogonalizer(c1, c2, psi)
+        except DegenerateDenominatorError:
+            assume(False)
+        assert overlap_bound_holds(psi, op.apply(psi))
 
 
 class TestOrthogonalFamily:
