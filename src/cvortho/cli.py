@@ -36,22 +36,23 @@ from .fock import (
     unitarity_defect,
 )
 from .homodyne import (
+    _MAX_RECON_DIM,
     SamplingPlan,
+    likelihood_csv_text,
     maxlik_reconstruct,
     sample_quadratures,
+    samples_csv_text,
     uniform_phases,
-    write_likelihood_csv,
-    write_samples_csv,
 )
 from .phasespace import (
     LossChannel,
     PhaseGrid,
     apply_loss,
     marginal,
+    marginal_csv_text,
     marginal_filename,
     wigner,
-    write_marginal_csv,
-    write_wigner_grid,
+    wigner_grid_text,
 )
 from .schemes import (
     HeraldModel,
@@ -96,18 +97,11 @@ class _ArtifactWriter:
         self.outdir.mkdir(parents=True, exist_ok=True)
         self.entries = []
 
-    def _record(self, relpath: str, kind: str, data: bytes):
-        self.entries.append({"path": relpath, "sha256": hashlib.sha256(data).hexdigest(), "kind": kind})
-
-    def write_with(self, relpath: str, kind: str, writer):
-        writer(self.outdir / relpath)
-        self._record(relpath, kind, (self.outdir / relpath).read_bytes())
-
     def write_text(self, relpath: str, kind: str, text: str):
-        """Write ``text`` as UTF-8 and checksum the bytes written."""
+        """Write ``text`` as UTF-8 and checksum the bytes written; the only way an artifact reaches disk."""
         data = text.encode("utf-8")
         (self.outdir / relpath).write_bytes(data)
-        self._record(relpath, kind, data)
+        self.entries.append({"path": relpath, "sha256": hashlib.sha256(data).hexdigest(), "kind": kind})
 
     def write_json(self, relpath: str, obj, kind: str):
         self.write_text(relpath, kind, json.dumps(obj, indent=2, sort_keys=True) + "\n")
@@ -183,13 +177,12 @@ def _write_state(writer: _ArtifactWriter, cfg: dict, label: str, state: StateVec
     m = cfg["marginal_xs"]
     xs = np.linspace(m["x_min"], m["x_max"], m["n"])
     for phase in phases:
-        dist = marginal(rho, phase, xs)
-        writer.write_with(marginal_filename(f"marginal_{label}", phase), "marginal-csv",
-                          lambda p, d=dist: write_marginal_csv(d, p))
+        writer.write_text(marginal_filename(f"marginal_{label}", phase), "marginal-csv",
+                          marginal_csv_text(marginal(rho, phase, xs)))
     wmap = None
     if grid is not None:
         wmap = wigner(rho, grid)
-        writer.write_with(f"wigner_{label}.dat", "wigner-grid", lambda p: write_wigner_grid(wmap, p))
+        writer.write_text(f"wigner_{label}.dat", "wigner-grid", wigner_grid_text(wmap))
     writer.write_text(f"density_{label}.json", "density-json", density_json_text(rho))
     return wmap
 
@@ -276,13 +269,12 @@ def _run_tomography(cfg: dict, writer: _ArtifactWriter) -> dict:
     rho_true = psi.to_density()
     plan = _build_plan(cfg)
     samples = sample_quadratures(rho_true, plan)
-    writer.write_with("samples.csv", "samples-csv", lambda p: write_samples_csv(samples, p))
+    writer.write_text("samples.csv", "samples-csv", samples_csv_text(samples))
 
     recon = cfg["reconstruction"]
     result = maxlik_reconstruct(samples, dim=recon["dim"], max_iter=recon["max_iter"], tol=recon["tol"])
     writer.write_text("rho_hat.json", "density-json", density_json_text(result.rho_hat))
-    writer.write_with("likelihood.csv", "likelihood-csv",
-                      lambda p: write_likelihood_csv(result.log_likelihood_trace, p))
+    writer.write_text("likelihood.csv", "likelihood-csv", likelihood_csv_text(result.log_likelihood_trace))
 
     target = project_density(rho_true, Truncation(recon["dim"]))
     report = {
@@ -405,7 +397,7 @@ SCHEMA = {
     "sampling.samples_per_phase": _int_at_least(1),
     "sampling.seed": _int_at_least(0),
     "sampling.eta": _or(None, _FRACTION),
-    "reconstruction.dim": ((lambda v: _is_int(v) and 2 <= v <= 30), "an integer in 2..30"),
+    "reconstruction.dim": ((lambda v: _is_int(v) and 2 <= v <= _MAX_RECON_DIM), f"an integer in 2..{_MAX_RECON_DIM}"),
     "reconstruction.max_iter": _int_at_least(1),
     "reconstruction.tol": ((lambda v: _is_finite(v) and v >= 0), "a finite number >= 0"),
     "output_dir": ((lambda v: isinstance(v, str) and v != ""), "a nonempty path string"),

@@ -152,6 +152,9 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix shape {elems.shape} does not match truncation dim {self.trunc.dim}"
             )
+        if not np.all(np.isfinite(elems)):
+            i, j = np.argwhere(~np.isfinite(elems))[0]
+            raise ValueError(f"density entry [{i}, {j}] is not finite: {elems[i, j]}")
         herm_defect = float(np.max(np.abs(elems - elems.conj().T)))
         if herm_defect > _HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")

@@ -23,9 +23,9 @@ __all__ = [
     "product_coefficients",
     "maxlik_reconstruct",
     "MaxLikTomography",
-    "write_samples_csv",
+    "samples_csv_text",
     "read_samples_csv",
-    "write_likelihood_csv",
+    "likelihood_csv_text",
 ]
 
 # Inverse-CDF sampling grid; fixed so statistical tests have a defined oracle.
@@ -328,21 +328,20 @@ class MaxLikTomography:
 # file formats
 
 
-def write_samples_csv(samples, path) -> None:
+def samples_csv_text(samples) -> str:
     """CSV with header phase,x; phases in radians to 10 decimals, x to 17 digits.
 
-    Each distinct phase is formatted once, and x is written run by run of
-    samples that share a phase.
+    Each run of samples that share a phase is formatted by one ``%`` template
+    holding its phase once.
     """
     samples = QuadratureSamples.of(samples)
-    labels = [f"{phase:.10f}," for phase in samples.phases.tolist()]
     index = samples.phase_index
     starts = np.flatnonzero(np.diff(index, prepend=-1)).tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("phase,x\n")
-        for start, stop in zip(starts, starts[1:] + [len(index)]):
-            label = labels[index[start]]
-            fh.write("".join([f"{label}{x:.17g}\n" for x in samples.x[start:stop].tolist()]))
+    runs = ["phase,x\n"]
+    for start, stop in zip(starts, starts[1:] + [len(index)]):
+        row = f"{samples.phases[index[start]]:.10f},%.17g\n"
+        runs.append(row * (stop - start) % tuple(samples.x[start:stop].tolist()))
+    return "".join(runs)
 
 
 def read_samples_csv(path) -> QuadratureSamples:
@@ -360,9 +359,5 @@ def read_samples_csv(path) -> QuadratureSamples:
     return QuadratureSamples.from_columns(rows[:, 0], rows[:, 1])
 
 
-def write_likelihood_csv(trace, path) -> None:
-    lines = ["iteration,log_likelihood"]
-    for i, val in enumerate(trace):
-        lines.append(f"{i},{val:.17g}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+def likelihood_csv_text(trace) -> str:
+    return "iteration,log_likelihood\n" + "".join([f"{i},{val:.17g}\n" for i, val in enumerate(trace)])

@@ -28,9 +28,9 @@ __all__ = [
     "wigner_point",
     "marginal",
     "apply_loss",
-    "write_wigner_grid",
+    "wigner_grid_text",
     "read_wigner_grid",
-    "write_marginal_csv",
+    "marginal_csv_text",
     "marginal_filename",
 ]
 
@@ -275,7 +275,7 @@ def apply_loss(rho: DensityMatrix, channel: LossChannel) -> DensityMatrix:
 # file formats
 
 
-def write_wigner_grid(wmap: WignerMap, path) -> None:
+def wigner_grid_text(wmap: WignerMap) -> str:
     """Plain-text grid file; one row per fixed p, nx values per row."""
     g = wmap.grid
     lines = [
@@ -285,8 +285,7 @@ def write_wigner_grid(wmap: WignerMap, path) -> None:
     ]
     row = " ".join(["%.17g"] * g.nx)
     lines += [row % tuple(vals) for vals in wmap.values.T.tolist()]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def read_wigner_grid(path) -> WignerMap:
@@ -303,8 +302,6 @@ def marginal_filename(prefix: str, phase: float) -> str:
     return f"{prefix}_phi{phase:.4f}.csv"
 
 
-def write_marginal_csv(dist: QuadratureDistribution, path) -> None:
-    lines = ["x,density"]
-    lines += ["%.17g,%.17g" % pair for pair in zip(dist.xs.tolist(), dist.density.tolist())]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+def marginal_csv_text(dist: QuadratureDistribution) -> str:
+    """CSV with header x,density; both columns to 17 significant digits."""
+    return "x,density\n" + "".join(["%.17g,%.17g\n" % pair for pair in zip(dist.xs.tolist(), dist.density.tolist())])

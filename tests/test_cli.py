@@ -210,11 +210,27 @@ class TestRunOrthogonalize:
             text = (tmp_path / path).read_text(encoding="utf-8")
             assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
-    def test_no_orphan_outputs(self, tmp_path):
-        manifest = run({"experiment": "orthogonalize", "trunc": 30}, output_dir=tmp_path)
-        listed = {e["path"] for e in manifest["files"]} | {"manifest.json"}
-        on_disk = {p.name for p in tmp_path.iterdir()}
-        assert on_disk == listed
+
+# One small config per experiment; the tomography samples through loss so that it also writes rho_lossy.json.
+SMALL_CONFIGS = {
+    "orthogonalize": {"trunc": 30},
+    "qubit_wigner": {"trunc": 20, "eta": 0.8, "qubit_c": [[1.0, 0.0], [0.0, 1.0]], "grid": {"nx": 21, "np": 17}},
+    "number_scheme": {"trunc": 20, "grid": {"nx": 21, "np": 17}, "sampling": {"phases": 2},
+                      "marginal_xs": {"n": 101}},
+    "tomography": {"trunc": 16, "sampling": {"phases": 3, "samples_per_phase": 200, "seed": 4, "eta": 0.9},
+                   "reconstruction": {"dim": 6, "max_iter": 5}},
+    "verify": {},
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_no_orphan_outputs(tmp_path, experiment):
+    manifest = run({"experiment": experiment, **SMALL_CONFIGS[experiment]}, output_dir=tmp_path)
+    listed = {e["path"] for e in manifest["files"]} | {"manifest.json"}
+    on_disk = {p.name for p in tmp_path.iterdir()}
+    assert on_disk == listed
+    for entry in manifest["files"]:
+        assert hashlib.sha256((tmp_path / entry["path"]).read_bytes()).hexdigest() == entry["sha256"], entry["path"]
 
 
 class TestRunQubitWigner:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -320,6 +321,16 @@ class TestInvariantsAndTypes:
             from cvortho import DensityMatrix
 
             DensityMatrix(np.array([[1, 1e-6, 0], [0, 0, 0], [0, 0, 0]]), t)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("i, j", [(0, 1), (2, 2)])
+    def test_density_refuses_non_finite(self, bad, i, j):
+        elems = np.eye(3, dtype=np.complex128) / 3.0
+        elems[i, j] = elems[j, i] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before eigvalsh can warn
+            with pytest.raises(ValueError, match=rf"density entry \[{i}, {j}\] is not finite"):
+                DensityMatrix(elems, Truncation(3))
 
 
 class TestSerialization:

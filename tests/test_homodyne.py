@@ -27,8 +27,8 @@ from cvortho.homodyne import (
     _MAX_RECON_DIM,
     product_coefficients,
     read_samples_csv,
-    write_likelihood_csv,
-    write_samples_csv,
+    likelihood_csv_text,
+    samples_csv_text,
 )
 from cvortho.phasespace import hermite_functions
 
@@ -308,7 +308,7 @@ class TestSampleFiles:
     def test_round_trip(self, tmp_path):
         samples = [QuadratureSample(0.3141592653, -1.25), QuadratureSample(1.0, 0.5)]
         path = tmp_path / "samples.csv"
-        write_samples_csv(samples, path)
+        path.write_text(samples_csv_text(samples), encoding="utf-8")
         lines = path.read_text().splitlines()
         assert lines[0] == "phase,x"
         assert lines[1].startswith("0.3141592653,")
@@ -322,21 +322,21 @@ class TestSampleFiles:
         # interleaved phases give many short runs of a shared phase
         mixed = [drawn[i] for i in np.random.default_rng(0).permutation(len(drawn))]
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_samples_csv(mixed, first)
+        first.write_text(samples_csv_text(mixed), encoding="utf-8")
         back = read_samples_csv(first)
         assert [s.x for s in back] == [s.x for s in mixed]
-        write_samples_csv(back, second)
+        second.write_text(samples_csv_text(back), encoding="utf-8")
         assert second.read_bytes() == first.read_bytes()
 
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_samples_csv([], path)
+        path.write_text(samples_csv_text([]), encoding="utf-8")
         assert path.read_text() == "phase,x\n"
         assert len(read_samples_csv(path)) == 0
 
     def test_likelihood_csv(self, tmp_path):
         path = tmp_path / "lik.csv"
-        write_likelihood_csv([-10.5, -9.25], path)
+        path.write_text(likelihood_csv_text([-10.5, -9.25]), encoding="utf-8")
         lines = path.read_text().splitlines()
         assert lines[0] == "iteration,log_likelihood"
         assert lines[1] == "0,-10.5"

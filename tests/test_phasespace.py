@@ -21,15 +21,16 @@ from cvortho import (
     wigner,
     wigner_point,
 )
+from cvortho.homodyne import QuadratureSamples, likelihood_csv_text, samples_csv_text
 from cvortho.phasespace import (
     WIGNER_CONVENTION,
     QuadratureDistribution,
     WignerMap,
     default_grid,
     marginal_filename,
+    marginal_csv_text,
     read_wigner_grid,
-    write_marginal_csv,
-    write_wigner_grid,
+    wigner_grid_text,
 )
 
 
@@ -282,7 +283,7 @@ class TestFileFormats:
         grid = PhaseGrid(-3, 3, -2, 2, 11, 9)
         w = wigner(random_state(Truncation(8), rng, support=5).to_density(), grid)
         path = tmp_path / "map.dat"
-        write_wigner_grid(w, path)
+        path.write_text(wigner_grid_text(w), encoding="utf-8")
         back = read_wigner_grid(path)
         assert back.grid == grid
         assert_allclose(back.values, w.values, rtol=1e-15)
@@ -295,7 +296,7 @@ class TestFileFormats:
         dist = QuadratureDistribution(0.25, xs, np.ones(5) / 2.0)
         name = marginal_filename("marginal_out", dist.phase)
         assert name == "marginal_out_phi0.2500.csv"
-        write_marginal_csv(dist, tmp_path / name)
+        (tmp_path / name).write_text(marginal_csv_text(dist), encoding="utf-8")
         lines = (tmp_path / name).read_text().splitlines()
         assert lines[0] == "x,density"
         assert len(lines) == 6
@@ -309,7 +310,7 @@ class TestFileFormats:
     def test_wigner_grid_bytes_match_per_value_format(self, tmp_path):
         grid = PhaseGrid(-1.5, 2.0, -3.0, 0.25, 7, 5)
         wmap = WignerMap(grid, self.awkward_values(35).reshape(7, 5))
-        write_wigner_grid(wmap, tmp_path / "map.dat")
+        (tmp_path / "map.dat").write_text(wigner_grid_text(wmap), encoding="utf-8")
         lines = [
             f"# {grid.x_min:.17g} {grid.x_max:.17g} {grid.nx}",
             f"# {grid.p_min:.17g} {grid.p_max:.17g} {grid.np}",
@@ -324,9 +325,21 @@ class TestFileFormats:
         density = xs[::-1].copy()
         density[density < 0] *= -1.0  # keeps -0.0
         dist = QuadratureDistribution(0.0, xs, density)
-        write_marginal_csv(dist, tmp_path / "m.csv")
+        (tmp_path / "m.csv").write_text(marginal_csv_text(dist), encoding="utf-8")
         lines = ["x,density"] + [f"{x:.17g},{d:.17g}" for x, d in zip(dist.xs, dist.density)]
         assert (tmp_path / "m.csv").read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+    def test_samples_csv_bytes_match_per_value_format(self):
+        # runs of three samples per phase; each phase comes back for a second run
+        phase = np.tile(np.repeat(self.awkward_values(7), 3), 2)
+        samples = QuadratureSamples.from_columns(phase, self.awkward_values(phase.size)[::-1])
+        want = "phase,x\n" + "".join(f"{p:.10f},{x:.17g}\n" for p, x in samples)
+        assert samples_csv_text(samples) == want
+
+    def test_likelihood_csv_bytes_match_per_value_format(self):
+        trace = self.awkward_values(13)
+        want = "iteration,log_likelihood\n" + "".join(f"{i},{v:.17g}\n" for i, v in enumerate(trace))
+        assert likelihood_csv_text(trace) == want
 
     def test_density_must_be_nonnegative(self):
         with pytest.raises(ValueError):
