@@ -54,7 +54,6 @@ from .phasespace import (
     apply_loss,
     hermite_functions,
     marginal,
-    quadrature_kernel,
     wigner,
     wigner_point,
 )

@@ -55,6 +55,7 @@ from .phasespace import (
     wigner_grid_text,
 )
 from .schemes import (
+    _HERALD_TAIL_TOL,
     HeraldModel,
     OperatorKind,
     OrthogonalizerSpec,
@@ -95,13 +96,15 @@ class _ArtifactWriter:
     def __init__(self, outdir: Path):
         self.outdir = Path(outdir)
         self.outdir.mkdir(parents=True, exist_ok=True)
-        self.entries = []
+        self.entries = {}
 
     def write_text(self, relpath: str, kind: str, text: str):
         """Write ``text`` as UTF-8 and checksum the bytes written; the only way an artifact reaches disk."""
+        if relpath in self.entries:
+            raise ValueError(f"artifact {relpath!r} was already written in this run")
         data = text.encode("utf-8")
         (self.outdir / relpath).write_bytes(data)
-        self.entries.append({"path": relpath, "sha256": hashlib.sha256(data).hexdigest(), "kind": kind})
+        self.entries[relpath] = {"path": relpath, "sha256": hashlib.sha256(data).hexdigest(), "kind": kind}
 
     def write_json(self, relpath: str, obj, kind: str):
         self.write_text(relpath, kind, json.dumps(obj, indent=2, sort_keys=True) + "\n")
@@ -110,7 +113,7 @@ class _ArtifactWriter:
         import scipy
 
         return {
-            "files": sorted(self.entries, key=lambda e: e["path"]),
+            "files": [self.entries[path] for path in sorted(self.entries)],
             "config_echo": config_echo,
             "versions": {"cvortho": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
         }
@@ -157,7 +160,7 @@ def _herald_model(cfg: dict, spec: OrthogonalizerSpec) -> HeraldModel:
         beta = beta_for_addition_orthogonalizer(complex(spec.mean_value), theta) if spec.kind is OperatorKind.CREATION else 0.0
     else:
         beta = _as_complex(beta)
-    herald_trunc = Truncation(h["dim"], tail_tol=5e-3) if h["dim"] is not None else None
+    herald_trunc = Truncation(h["dim"], tail_tol=_HERALD_TAIL_TOL) if h["dim"] is not None else None
     return HeraldModel(beta=beta, theta=float(theta), phi=float(h["phi"]), herald_trunc=herald_trunc)
 
 
@@ -391,9 +394,10 @@ SCHEMA = {
     "marginal_xs.x_min": _FINITE,
     "marginal_xs.x_max": _FINITE,
     "marginal_xs.n": _int_at_least(2),
+    # each phase names its marginal files, so the list's phases must differ in those names
     "sampling.phases": ((lambda v: (_is_int(v) and v >= 1)
-                         or (_nonempty_list_of(_is_finite, v) and len(set(v)) == len(v))),
-                        "a count >= 1 or a nonempty list of distinct finite numbers"),
+                         or (_nonempty_list_of(_is_finite, v) and len({marginal_filename("", p) for p in v}) == len(v))),
+                        "a count >= 1 or a nonempty list of finite numbers distinct to 4 decimals"),
     "sampling.samples_per_phase": _int_at_least(1),
     "sampling.seed": _int_at_least(0),
     "sampling.eta": _or(None, _FRACTION),
@@ -479,6 +483,9 @@ def validate_config(config: dict) -> list:
     if (clean("route", "scheme.kind") and exp == "orthogonalize" and cfg["route"] == "heralded"
             and cfg["scheme"]["kind"] == "number"):
         problems.append("route: heralded orthogonalize needs scheme.kind creation (see the number_scheme experiment)")
+    recon_dim = cfg["reconstruction"]["dim"]
+    if clean("reconstruction.dim", "trunc") and exp == "tomography" and recon_dim > cfg["trunc"]:
+        problems.append(f"reconstruction.dim: must be at most trunc ({cfg['trunc']}) for tomography, got {recon_dim!r}")
 
     for key, value in config.items():
         if key not in known:

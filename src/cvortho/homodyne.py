@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import DensityMatrix, Truncation
-from .phasespace import LossChannel, apply_loss, hermite_functions, marginal
+from .phasespace import LossChannel, _phase_matrix, apply_loss, hermite_functions, marginal
 
 __all__ = [
     "QuadratureSample",
@@ -216,9 +216,10 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
     """Iterative maximum-likelihood estimate of the density matrix.
 
     Iterates rho <- normalize(R rho R) with R = (1/K) sum_j Pi_j / Tr(rho Pi_j),
-    where Pi_j is the rank-one projector onto the quadrature eigenvector of
-    sample j (same Hermite-function kernel as the marginal formula).  Stops
-    at ``max_iter`` or when the total log-likelihood gain drops below ``tol``;
+    where Pi_j[a, b] = psi_a(x_j) psi_b(x_j) conj(F_ab) projects onto the
+    quadrature eigenvector of sample j (F_ab = e^{i(b-a)theta}, as in
+    :func:`~cvortho.phasespace.marginal`).  Stops at ``max_iter`` or when
+    the total log-likelihood gain drops below ``tol``;
     ``stop_reason`` on the result says which.  No efficiency correction is
     applied: sampling through a loss channel makes the estimate converge to
     the lossy state.
@@ -227,10 +228,10 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
     (phase, x) pairs.  Every kernel entry psi_a(x) psi_b(x) is expanded over
     the 2 dim - 1 features f_m(x) = psi_m(sqrt2 x) (see
     :func:`product_coefficients`), so at phase theta the likelihood is
-    p_j = sum_m c_m f_m(x_j) with c_m = sum_ab L[a, b, m] Re(rho_ab
-    e^{i(b-a)theta}), and R needs only the feature sums of 1/p_j.  Each
-    iteration is one sweep of two matrix-vector products over each phase's
-    feature matrix, which holds 8 K (2 dim - 1) bytes in all.
+    p_j = sum_m c_m f_m(x_j) with c_m = sum_ab L[a, b, m] Re(rho_ab F_ab),
+    and R needs only the feature sums of 1/p_j.  Each iteration is one
+    sweep of two matrix-vector products over each phase's feature matrix,
+    which holds 8 K (2 dim - 1) bytes in all.
     """
     samples = QuadratureSamples.of(samples)
     if len(samples) == 0:
@@ -242,25 +243,23 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
 
     coeffs = product_coefficients(dim)
     flat = coeffs.reshape(dim * dim, -1)
-    levels = np.arange(dim)
     order = np.argsort(samples.phase_index, kind="stable")
     ends = np.cumsum(np.bincount(samples.phase_index, minlength=samples.phases.size))
-    groups = []  # per phase: phase, caller positions, x, features f_m(x_j), e^{i(a-b)phase}
+    groups = []  # per phase: phase, caller positions, x, features f_m(x_j), F(phase)
     for phase, start, stop in zip(samples.phases.tolist(), np.concatenate(([0], ends[:-1])), ends):
         if stop > start:
             positions = order[start:stop]
             xs = samples.x[positions]
-            m = np.exp(1j * phase * levels)
             groups.append((phase, positions, xs, hermite_functions(math.sqrt(2.0) * xs, 2 * dim - 1),
-                           np.outer(m, m.conj())))
+                           _phase_matrix(phase, dim)))
     k_total = len(samples)
 
     def sweep(rho):
         """Log-likelihood of rho and its R operator, from one pass over the features."""
         loglik = 0.0
         r_op = np.zeros((dim, dim), dtype=np.complex128)
-        for phase, positions, xs, feats, rot in groups:
-            p = (flat.T @ np.real(rho * rot.conj()).ravel()) @ feats
+        for phase, positions, xs, feats, phase_mat in groups:
+            p = (flat.T @ np.real(rho * phase_mat).ravel()) @ feats
             bad = ~np.isfinite(p) | (p <= 0.0)
             if np.any(bad):
                 j = int(np.argmax(bad))
@@ -269,7 +268,7 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
                     "has non-positive likelihood under the current state"
                 )
             loglik += float(np.sum(np.log(p)))
-            r_op += rot * (coeffs @ (feats @ (1.0 / p)))
+            r_op += phase_mat.conj() * (coeffs @ (feats @ (1.0 / p)))
         return loglik, r_op / k_total
 
     rho = np.eye(dim, dtype=np.complex128) / dim

@@ -23,7 +23,6 @@ __all__ = [
     "QuadratureDistribution",
     "LossChannel",
     "hermite_functions",
-    "quadrature_kernel",
     "wigner",
     "wigner_point",
     "marginal",
@@ -143,22 +142,17 @@ def hermite_functions(xs, dim: int) -> np.ndarray:
     return out
 
 
-def quadrature_kernel(phase: float, xs, dim: int) -> np.ndarray:
-    """Vectors u with u[n, j] = psi_n(x_j) exp(i n phase).
-
-    Column j is the Fock-basis expansion of the quadrature eigenvector
-    |x_j> at local-oscillator phase ``phase``; both the marginal formula
-    and the tomography projectors are built from it.
-    """
-    herm = hermite_functions(xs, dim)
-    phases = np.exp(1j * phase * np.arange(dim))
-    return herm * phases[:, None]
+def _phase_matrix(phase: float, dim: int) -> np.ndarray:
+    """F_ab = e^{i(b-a) phase}; |x_phase> has Fock amplitudes psi_n(x) e^{i n phase}."""
+    m = np.exp(1j * phase * np.arange(dim))
+    return np.outer(m.conj(), m)
 
 
 def marginal(rho: DensityMatrix, phase: float, xs) -> QuadratureDistribution:
-    """Quadrature distribution pr(x; phase) = <x_phase| rho |x_phase>."""
-    u = quadrature_kernel(phase, xs, rho.trunc.dim)
-    dens = np.real(np.einsum("nx,nx->x", u.conj(), rho.elems @ u))
+    """Quadrature distribution <x_phase| rho |x_phase> = sum_ab psi_a(x) psi_b(x) Re(rho_ab F_ab)."""
+    herm = hermite_functions(xs, rho.trunc.dim)
+    form = np.real(rho.elems * _phase_matrix(phase, rho.trunc.dim))
+    dens = np.einsum("ax,ax->x", herm, form @ herm)
     return QuadratureDistribution(phase, np.asarray(xs, dtype=np.float64), np.clip(dens, 0.0, None))
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from cvortho import DensityMatrix, StateVector, Truncation
-from cvortho.phasespace import _parity_dim, _support_level
+from cvortho.phasespace import _parity_dim, _support_level, hermite_functions
 
 
 @pytest.fixture
@@ -35,6 +35,18 @@ def random_mixed_state(dim, rank, seed):
 def mixed_states(draw, max_dim):
     dim = draw(st.integers(2, max_dim))
     return random_mixed_state(dim, draw(st.integers(1, dim)), draw(st.integers(0, 2**32 - 1)))
+
+
+def kernel_marginal(rho, phase, xs):
+    """Quadrature density <x_phase| rho |x_phase> through the complex kernel (test oracle).
+
+    Builds the d x N matrix u[n, j] = psi_n(x_j) e^{i n phase}, the Fock
+    amplitudes of each |x_j> at ``phase``, and takes Re sum_n conj(u_n)
+    (rho u)_n clipped at 0.  It shares only the Hermite functions with
+    :func:`cvortho.marginal`.
+    """
+    u = hermite_functions(xs, rho.trunc.dim) * np.exp(1j * phase * np.arange(rho.trunc.dim))[:, None]
+    return np.clip(np.real(np.einsum("nx,nx->x", u.conj(), rho.elems @ u)), 0.0, None)
 
 
 def dense_beam_splitter(theta, truncs):

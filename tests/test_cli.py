@@ -96,6 +96,15 @@ class TestValidate:
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
 
+    def test_tomography_rejects_reconstruction_dim_above_trunc(self, tmp_path):
+        config = {"experiment": "tomography", "trunc": 12}
+        assert validate_config(config) == ["reconstruction.dim: must be at most trunc (12) for tomography, got 15"]
+        assert validate_config({**config, "reconstruction": {"dim": 12}}) == []
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_experiment_name_normalization(self):
         assert validate_config({"experiment": "QubitWigner"}) == []
         assert validate_config({"experiment": "number-scheme"}) == []
@@ -162,6 +171,7 @@ class TestSchema:
         ({"qubit_c_single": [1.0]}, "qubit_c_single"),
         ({"reconstruction": {"tol": "small"}}, "reconstruction.tol"),
         ({"sampling": {"phases": [0.0, "x"]}}, "sampling.phases"),
+        ({"sampling": {"phases": [0.1, 0.10001]}}, "sampling.phases"),
         ({"sampling": {"seed": True}}, "sampling.seed"),
         ({"output_dir": 3}, "output_dir"),
         ({"input_state": {"kind": "custom", "amps": [0.0, [0.0, 0.0]]}}, "input_state.amps"),
@@ -337,6 +347,22 @@ class TestDeterminism:
         sha = {e["path"]: e["sha256"] for e in m1["files"]}
         sha2 = {e["path"]: e["sha256"] for e in m2["files"]}
         assert sha["samples.csv"] != sha2["samples.csv"]
+
+
+def test_artifact_path_written_twice_is_refused(tmp_path):
+    writer = cli._ArtifactWriter(tmp_path)
+    writer.write_text("a.csv", "marginal-csv", "first\n")
+    with pytest.raises(ValueError, match="'a.csv' was already written"):
+        writer.write_text("a.csv", "marginal-csv", "second\n")
+    assert (tmp_path / "a.csv").read_text() == "first\n"
+    assert [e["path"] for e in writer.manifest({})["files"]] == ["a.csv"]
+
+
+def test_phases_equal_to_four_decimals_stop_the_run(tmp_path, monkeypatch):
+    # a phase count above 31415 spaces phases by less than 1e-4; two such phases stand in for it
+    monkeypatch.setattr(cli, "uniform_phases", lambda count: (0.1, 0.10001))
+    with pytest.raises(ValueError, match="'marginal_input_phi0.1000.csv' was already written"):
+        run({"experiment": "number_scheme", **SMALL_CONFIGS["number_scheme"]}, output_dir=tmp_path)
 
 
 class TestCliEntry:

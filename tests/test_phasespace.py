@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import eigvec_wigner, mixed_states, random_state
+from conftest import eigvec_wigner, kernel_marginal, mixed_states, random_state
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -173,6 +173,13 @@ class TestMarginal:
         dist = marginal(rho, math.pi / 2, xs)
         mean = np.trapezoid(xs * dist.density, xs)
         assert mean == pytest.approx(math.sqrt(2.0) * 0.8, abs=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rho=mixed_states(max_dim=40), phase=st.floats(-2.0 * math.pi, 2.0 * math.pi),
+           xs=st.lists(st.floats(-9.0, 9.0), min_size=1, max_size=40))
+    def test_matches_complex_kernel_oracle(self, rho, phase, xs):
+        dist = marginal(rho, phase, xs)
+        assert np.max(np.abs(dist.density - kernel_marginal(rho, phase, xs))) <= 1e-14
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_orthogonalized_coherent_marginal(self, alpha):
