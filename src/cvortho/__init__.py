@@ -38,7 +38,6 @@ from .fock import (
 from .homodyne import (
     DataError,
     MaxLikTomography,
-    QuadratureSample,
     QuadratureSamples,
     ReconstructionResult,
     SamplingPlan,

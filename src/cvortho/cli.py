@@ -95,7 +95,6 @@ class _ArtifactWriter:
 
     def __init__(self, outdir: Path):
         self.outdir = Path(outdir)
-        self.outdir.mkdir(parents=True, exist_ok=True)
         self.entries = {}
 
     def write_text(self, relpath: str, kind: str, text: str):
@@ -103,6 +102,8 @@ class _ArtifactWriter:
         if relpath in self.entries:
             raise ValueError(f"artifact {relpath!r} was already written in this run")
         data = text.encode("utf-8")
+        if not self.entries:  # made here, so a run that fails before its first artifact leaves no directory
+            self.outdir.mkdir(parents=True, exist_ok=True)
         (self.outdir / relpath).write_bytes(data)
         self.entries[relpath] = {"path": relpath, "sha256": hashlib.sha256(data).hexdigest(), "kind": kind}
 
@@ -362,6 +363,8 @@ def _nonempty_list_of(check, value) -> bool:
 _FINITE = _is_finite, "a finite number"
 _FRACTION = (lambda v: _is_finite(v) and 0.0 <= v <= 1.0), "a number in [0, 1]"
 _COMPLEX = _is_complex, "a finite number or [re, im] pair"
+# the most uniform_phases with distinct marginal file names: pi/count > 1e-4 up to 31415, and 31416 still differ
+_MAX_NAMED_PHASE_COUNT = 31416
 
 # Every config leaf, by dotted path: (check, description).  A leaf that fails
 # its check is reported as "<path>: must be <description>, got <value>".
@@ -394,10 +397,11 @@ SCHEMA = {
     "marginal_xs.x_min": _FINITE,
     "marginal_xs.x_max": _FINITE,
     "marginal_xs.n": _int_at_least(2),
-    # each phase names its marginal files, so the list's phases must differ in those names
+    # each phase names its marginal files, so the list's phases must differ in those names and as numbers
     "sampling.phases": ((lambda v: (_is_int(v) and v >= 1)
-                         or (_nonempty_list_of(_is_finite, v) and len({marginal_filename("", p) for p in v}) == len(v))),
-                        "a count >= 1 or a nonempty list of finite numbers distinct to 4 decimals"),
+                         or (_nonempty_list_of(_is_finite, v) and len({float(p) for p in v}) == len(v)
+                             and len({marginal_filename("", p) for p in v}) == len(v))),
+                        "a count >= 1 or a nonempty list of finite numbers, distinct as numbers and to 4 decimals"),
     "sampling.samples_per_phase": _int_at_least(1),
     "sampling.seed": _int_at_least(0),
     "sampling.eta": _or(None, _FRACTION),
@@ -483,6 +487,10 @@ def validate_config(config: dict) -> list:
     if (clean("route", "scheme.kind") and exp == "orthogonalize" and cfg["route"] == "heralded"
             and cfg["scheme"]["kind"] == "number"):
         problems.append("route: heralded orthogonalize needs scheme.kind creation (see the number_scheme experiment)")
+    count = cfg["sampling"]["phases"]
+    if clean("sampling.phases") and exp == "number_scheme" and _is_int(count) and count > _MAX_NAMED_PHASE_COUNT:
+        problems.append(f"sampling.phases: must be at most {_MAX_NAMED_PHASE_COUNT} for number_scheme, "
+                        f"whose marginal file names give each phase to 4 decimals, got {count!r}")
     recon_dim = cfg["reconstruction"]["dim"]
     if clean("reconstruction.dim", "trunc") and exp == "tomography" and recon_dim > cfg["trunc"]:
         problems.append(f"reconstruction.dim: must be at most trunc ({cfg['trunc']}) for tomography, got {recon_dim!r}")

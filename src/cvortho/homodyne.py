@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -13,7 +12,6 @@ from .fock import DensityMatrix, Truncation
 from .phasespace import LossChannel, _phase_matrix, apply_loss, hermite_functions, marginal
 
 __all__ = [
-    "QuadratureSample",
     "QuadratureSamples",
     "SamplingPlan",
     "ReconstructionResult",
@@ -42,76 +40,45 @@ class DataError(ValueError):
     """A quadrature sample falls outside the numerical support of the model."""
 
 
-class QuadratureSample(NamedTuple):
-    phase: float
-    x: float
-
-
 @dataclass(frozen=True, eq=False)
 class QuadratureSamples:
-    """Quadrature samples stored by column, in the caller's order.
+    """Quadrature samples by column, in the caller's order: the two fields of a ``samples.csv`` row.
 
-    ``phases`` is the table of distinct phases, ``phase_index[j]`` the table
-    row of sample j and ``x[j]`` its quadrature value.  Iterating yields
-    :class:`QuadratureSample` tuples; ``==`` compares the samples in order.
+    ``phase[j]`` is the local-oscillator phase of sample j and ``x[j]`` its
+    quadrature value, both read-only; ``==`` compares the samples in order.
     """
 
-    phases: np.ndarray
-    phase_index: np.ndarray
+    phase: np.ndarray
     x: np.ndarray
 
     def __post_init__(self):
-        phases = np.array(self.phases, dtype=np.float64).reshape(-1)
-        index = np.array(self.phase_index, dtype=np.intp).reshape(-1)
-        x = np.array(self.x, dtype=np.float64).reshape(-1)
-        if index.shape != x.shape:
-            raise ValueError("phase_index and x must have the same length")
-        if index.size and (index.min() < 0 or index.max() >= phases.size):
-            raise ValueError("phase_index entries must be rows of the phase table")
-        for name, arr in (("phases", phases), ("phase_index", index), ("x", x)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @classmethod
-    def from_columns(cls, phase, x) -> QuadratureSamples:
-        """Samples from per-sample phase and x columns.
-
-        Phases are told apart bit for bit, so iterating gives back exactly
-        the values passed in; the table keeps their order of first use.
-        """
-        phase = np.ascontiguousarray(phase, dtype=np.float64).reshape(-1)
-        _, first, inverse = np.unique(phase.view(np.int64), return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        return cls(phase[first[order]], rank[inverse.reshape(-1)], x)
-
-    @classmethod
-    def of(cls, samples) -> QuadratureSamples:
-        """``samples`` itself if already columnar, else the columns of its (phase, x) pairs."""
-        if isinstance(samples, cls):
-            return samples
-        pairs = np.array(list(samples), dtype=np.float64)
-        if pairs.size == 0:
-            pairs = pairs.reshape(0, 2)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ValueError("samples must be (phase, x) pairs")
-        return cls.from_columns(pairs[:, 0], pairs[:, 1])
+        for name in ("phase", "x"):
+            column = np.array(getattr(self, name), dtype=np.float64).reshape(-1)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if self.phase.shape != self.x.shape:
+            raise ValueError("phase and x must have the same length")
 
     def __len__(self) -> int:
         return self.x.size
 
-    def __iter__(self):
-        phases = self.phases.tolist()
-        for i, x in zip(self.phase_index.tolist(), self.x.tolist()):
-            yield QuadratureSample(phases[i], x)
-
     def __eq__(self, other):
         if not isinstance(other, QuadratureSamples):
             return NotImplemented
-        return (len(self) == len(other)
-                and np.array_equal(self.phases[self.phase_index], other.phases[other.phase_index])
-                and np.array_equal(self.x, other.x))
+        return np.array_equal(self.phase, other.phase) and np.array_equal(self.x, other.x)
+
+
+def _phase_bits(samples) -> np.ndarray:
+    """Bit patterns of the phase column, which tell -0.0 from 0.0; only a QuadratureSamples has one."""
+    if not isinstance(samples, QuadratureSamples):
+        raise TypeError(f"samples must be a QuadratureSamples, got {type(samples).__name__}")
+    return samples.phase.view(np.int64)
+
+
+def _runs(bits: np.ndarray) -> list:
+    """(start, stop) of each run of equal entries of ``bits``; ``~bits[0]`` never equals ``bits[0]``."""
+    starts = np.flatnonzero(bits != np.concatenate((~bits[:1], bits[:-1]))).tolist()
+    return list(zip(starts, starts[1:] + [bits.size]))
 
 
 @dataclass(frozen=True)
@@ -191,8 +158,7 @@ def sample_quadratures(rho: DensityMatrix, plan: SamplingPlan) -> QuadratureSamp
         cdf /= cdf[-1]
         rng = np.random.default_rng(plan.seed + i)
         draws.append(np.interp(rng.random(plan.samples_per_phase), cdf, xs))
-    index = np.repeat(np.arange(len(plan.phases)), plan.samples_per_phase)
-    return QuadratureSamples(plan.phases, index, np.concatenate(draws))
+    return QuadratureSamples(np.repeat(plan.phases, plan.samples_per_phase), np.concatenate(draws))
 
 
 def product_coefficients(dim: int) -> np.ndarray:
@@ -224,16 +190,17 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
     applied: sampling through a loss channel makes the estimate converge to
     the lossy state.
 
-    ``samples`` is a :class:`QuadratureSamples` or any iterable of
-    (phase, x) pairs.  Every kernel entry psi_a(x) psi_b(x) is expanded over
-    the 2 dim - 1 features f_m(x) = psi_m(sqrt2 x) (see
+    ``samples`` must be a :class:`QuadratureSamples`, grouped here by phase
+    bits in order of first use; a :class:`DataError` names a sample by its
+    position.  Every kernel entry psi_a(x) psi_b(x) is expanded over the
+    2 dim - 1 features f_m(x) = psi_m(sqrt2 x) (see
     :func:`product_coefficients`), so at phase theta the likelihood is
     p_j = sum_m c_m f_m(x_j) with c_m = sum_ab L[a, b, m] Re(rho_ab F_ab),
     and R needs only the feature sums of 1/p_j.  Each iteration is one
     sweep of two matrix-vector products over each phase's feature matrix,
     which holds 8 K (2 dim - 1) bytes in all.
     """
-    samples = QuadratureSamples.of(samples)
+    bits = _phase_bits(samples)
     if len(samples) == 0:
         raise ValueError("at least one sample is required")
     if not 2 <= dim <= _MAX_RECON_DIM:
@@ -243,28 +210,26 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
 
     coeffs = product_coefficients(dim)
     flat = coeffs.reshape(dim * dim, -1)
-    order = np.argsort(samples.phase_index, kind="stable")
-    ends = np.cumsum(np.bincount(samples.phase_index, minlength=samples.phases.size))
-    groups = []  # per phase: phase, caller positions, x, features f_m(x_j), F(phase)
-    for phase, start, stop in zip(samples.phases.tolist(), np.concatenate(([0], ends[:-1])), ends):
-        if stop > start:
-            positions = order[start:stop]
-            xs = samples.x[positions]
-            groups.append((phase, positions, xs, hermite_functions(math.sqrt(2.0) * xs, 2 * dim - 1),
-                           _phase_matrix(phase, dim)))
+    order = np.argsort(bits, kind="stable")  # keeps each phase's positions ascending: order[start] is its first use
+    groups = []  # per phase, in order of first use: phase, caller positions, features f_m(x_j), F(phase)
+    for start, stop in sorted(_runs(bits[order]), key=lambda run: order[run[0]]):
+        positions = order[start:stop]
+        phase = float(samples.phase[positions[0]])
+        groups.append((phase, positions, hermite_functions(math.sqrt(2.0) * samples.x[positions], 2 * dim - 1),
+                       _phase_matrix(phase, dim)))
     k_total = len(samples)
 
     def sweep(rho):
         """Log-likelihood of rho and its R operator, from one pass over the features."""
         loglik = 0.0
         r_op = np.zeros((dim, dim), dtype=np.complex128)
-        for phase, positions, xs, feats, phase_mat in groups:
+        for phase, positions, feats, phase_mat in groups:
             p = (flat.T @ np.real(rho * phase_mat).ravel()) @ feats
             bad = ~np.isfinite(p) | (p <= 0.0)
             if np.any(bad):
                 j = int(np.argmax(bad))
                 raise DataError(
-                    f"sample {int(positions[j])} (phase={phase:.10f}, x={xs[j]:.6g}) "
+                    f"sample {int(positions[j])} (phase={phase:.10f}, x={samples.x[positions[j]]:.6g}) "
                     "has non-positive likelihood under the current state"
                 )
             loglik += float(np.sum(np.log(p)))
@@ -294,8 +259,8 @@ class MaxLikTomography:
 
     Follows the scikit-learn protocol (``fit`` plus ``get_params`` /
     ``set_params``), so it can be cloned and composed with that ecosystem.
-    ``fit`` takes a :class:`QuadratureSamples` or any iterable of
-    (phase, x) pairs.  Fitted attributes: ``rho_``,
+    ``fit`` takes a :class:`QuadratureSamples`, as
+    :func:`maxlik_reconstruct` does.  Fitted attributes: ``rho_``,
     ``log_likelihood_trace_``, ``n_iter_``, ``stop_reason_``.
     """
 
@@ -330,15 +295,13 @@ class MaxLikTomography:
 def samples_csv_text(samples) -> str:
     """CSV with header phase,x; phases in radians to 10 decimals, x to 17 digits.
 
-    Each run of samples that share a phase is formatted by one ``%`` template
-    holding its phase once.
+    ``samples`` must be a :class:`QuadratureSamples`.  Each run of samples
+    whose phase bits agree (so ``-0.0`` and ``0.0`` print apart) is
+    formatted by one ``%`` template holding its phase once.
     """
-    samples = QuadratureSamples.of(samples)
-    index = samples.phase_index
-    starts = np.flatnonzero(np.diff(index, prepend=-1)).tolist()
     runs = ["phase,x\n"]
-    for start, stop in zip(starts, starts[1:] + [len(index)]):
-        row = f"{samples.phases[index[start]]:.10f},%.17g\n"
+    for start, stop in _runs(_phase_bits(samples)):
+        row = f"{samples.phase[start]:.10f},%.17g\n"
         runs.append(row * (stop - start) % tuple(samples.x[start:stop].tolist()))
     return "".join(runs)
 
@@ -355,7 +318,7 @@ def read_samples_csv(path) -> QuadratureSamples:
         rows = rows.reshape(0, 2)
     if rows.shape[1] != 2:
         raise ValueError(f"sample rows must have the two fields phase,x, got {rows.shape[1]}")
-    return QuadratureSamples.from_columns(rows[:, 0], rows[:, 1])
+    return QuadratureSamples(rows[:, 0], rows[:, 1])
 
 
 def likelihood_csv_text(trace) -> str:

@@ -105,6 +105,32 @@ class TestValidate:
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("config, message", [
+        ({"experiment": "tomography", "sampling": {"phases": [0.0, -0.0]}},
+         "sampling.phases: must be a count >= 1 or a nonempty list of finite numbers, "
+         "distinct as numbers and to 4 decimals, got [0.0, -0.0]"),
+        ({"experiment": "number_scheme", "sampling": {"phases": 31417}},
+         "sampling.phases: must be at most 31416 for number_scheme, "
+         "whose marginal file names give each phase to 4 decimals, got 31417"),
+        ({"experiment": "number_scheme", "sampling": {"phases": 10**12}},
+         "sampling.phases: must be at most 31416 for number_scheme, "
+         "whose marginal file names give each phase to 4 decimals, got 1000000000000"),
+    ])
+    def test_phase_collisions_rejected_before_the_run(self, tmp_path, config, message):
+        assert validate_config(config) == [message]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_phase_count_limit_is_the_last_with_distinct_marginal_names(self):
+        limit = cli._MAX_NAMED_PHASE_COUNT
+        for count, distinct in ((limit, True), (limit + 1, False)):
+            names = {cli.marginal_filename("", p) for p in cli.uniform_phases(count)}
+            assert (len(names) == count) is distinct
+        assert validate_config({"experiment": "number_scheme", "sampling": {"phases": limit}}) == []
+        assert validate_config({"experiment": "tomography", "sampling": {"phases": limit + 1}}) == []
+
     def test_experiment_name_normalization(self):
         assert validate_config({"experiment": "QubitWigner"}) == []
         assert validate_config({"experiment": "number-scheme"}) == []
@@ -359,10 +385,23 @@ def test_artifact_path_written_twice_is_refused(tmp_path):
 
 
 def test_phases_equal_to_four_decimals_stop_the_run(tmp_path, monkeypatch):
-    # a phase count above 31415 spaces phases by less than 1e-4; two such phases stand in for it
+    # validate refuses a count whose phases share a marginal file name; two such phases test the writer's own guard
     monkeypatch.setattr(cli, "uniform_phases", lambda count: (0.1, 0.10001))
     with pytest.raises(ValueError, match="'marginal_input_phi0.1000.csv' was already written"):
         run({"experiment": "number_scheme", **SMALL_CONFIGS["number_scheme"]}, output_dir=tmp_path)
+
+
+@pytest.mark.parametrize("config", [
+    {"experiment": "orthogonalize", "trunc": 12},  # alpha = 1 needs dim >= 13
+    {"experiment": "orthogonalize", "route": "heralded", "herald": {"theta": 0}},  # no ancilla path
+    {"experiment": "orthogonalize", "route": "heralded", "herald": {"dim": 3}},  # ancilla basis too small
+])
+def test_run_failing_before_its_first_artifact_leaves_no_directory(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+    assert "run failed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestCliEntry:

@@ -10,7 +10,6 @@ from scipy.stats import kstest
 from cvortho import (
     DataError,
     MaxLikTomography,
-    QuadratureSample,
     QuadratureSamples,
     ReconstructionResult,
     SamplingPlan,
@@ -42,8 +41,8 @@ def dense_maxlik(samples, dim, max_iter, tol):
     of first appearance; returns the estimate and the log-likelihood trace.
     """
     buckets = {}
-    for s in samples:
-        buckets.setdefault(float(s.phase), []).append(float(s.x))
+    for phase, x in zip(samples.phase.tolist(), samples.x.tolist()):
+        buckets.setdefault(phase, []).append(x)
     groups = []
     for phase, xs in buckets.items():
         m = np.exp(1j * phase * np.arange(dim))
@@ -108,14 +107,14 @@ class TestSampleQuadratures:
         n = 100_000
         rho = coherent_state(1.0, Truncation(25)).to_density()
         plan = SamplingPlan(phases=(0.0,), samples_per_phase=n, seed=9)
-        xs = np.array([s.x for s in sample_quadratures(rho, plan)])
+        xs = sample_quadratures(rho, plan).x
         assert abs(xs.mean() - math.sqrt(2.0)) < 5 * (1 / math.sqrt(2.0)) / math.sqrt(n)
 
     @pytest.mark.parametrize("phase", [0.0, 1.1])
     def test_single_photon_ks(self, phase):
         rho = fock_state(1, Truncation(12)).to_density()
         plan = SamplingPlan(phases=(phase,), samples_per_phase=100_000, seed=17)
-        xs = np.array([s.x for s in sample_quadratures(rho, plan)])
+        xs = sample_quadratures(rho, plan).x
         stat = kstest(xs, single_photon_cdf).statistic
         assert stat < 0.01
 
@@ -123,7 +122,7 @@ class TestSampleQuadratures:
         # eta=0 collapses any state to vacuum statistics
         rho = coherent_state(1.5, Truncation(30)).to_density()
         plan = SamplingPlan(phases=(0.0,), samples_per_phase=50_000, seed=3, eta=0.0)
-        xs = np.array([s.x for s in sample_quadratures(rho, plan)])
+        xs = sample_quadratures(rho, plan).x
         assert abs(xs.mean()) < 5 * (1 / math.sqrt(2.0)) / math.sqrt(50_000)
 
 
@@ -165,17 +164,17 @@ class TestMaxLikReconstruct:
 
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
-            maxlik_reconstruct([], dim=5)
+            maxlik_reconstruct(QuadratureSamples([], []), dim=5)
 
     def test_dim_range(self):
-        samples = [QuadratureSample(0.0, 0.1)]
+        samples = QuadratureSamples([0.0], [0.1])
         with pytest.raises(ValueError):
             maxlik_reconstruct(samples, dim=1)
         with pytest.raises(ValueError):
             maxlik_reconstruct(samples, dim=31)
 
     def test_data_error_names_sample(self):
-        samples = [QuadratureSample(0.0, 0.1), QuadratureSample(0.0, 1e6)]
+        samples = QuadratureSamples([0.0, 0.0], [0.1, 1e6])
         with pytest.raises(DataError, match="sample 1"):
             maxlik_reconstruct(samples, dim=5, max_iter=5)
 
@@ -183,9 +182,26 @@ class TestMaxLikReconstruct:
         # phases interleave; the bad sample is the third of the second phase
         xs = [0.1, -0.2, 0.3, 0.4, -0.5, 1e6, 0.7]
         phases = [0.0, 0.5, 0.0, 0.5, 0.0, 0.5, 0.0]
-        samples = [QuadratureSample(p, x) for p, x in zip(phases, xs)]
+        samples = QuadratureSamples(phases, xs)
         with pytest.raises(DataError, match=r"sample 5 \(phase=0\.5000000000, x=1e\+06\)"):
             maxlik_reconstruct(samples, dim=5, max_iter=5)
+
+    def test_data_error_names_the_phase_used_first(self):
+        # both phases hold a bad sample; 0.5 is used first, so its group runs first
+        # (taking groups in order of phase value would name sample 3 instead)
+        xs = [0.1, 0.2, 0.3, 1e6, 1e6, 0.4]
+        phases = [0.5, 0.0, 0.5, 0.0, 0.5, 0.0]
+        with pytest.raises(DataError, match=r"sample 4 \(phase=0\.5000000000, x=1e\+06\)"):
+            maxlik_reconstruct(QuadratureSamples(phases, xs), dim=5, max_iter=5)
+
+    def test_only_the_container_is_accepted(self):
+        pairs = [(0.0, 0.1), (0.5, -0.2)]
+        with pytest.raises(TypeError, match="QuadratureSamples, got list"):
+            maxlik_reconstruct(pairs, dim=5)
+        with pytest.raises(TypeError, match="QuadratureSamples, got list"):
+            MaxLikTomography(dim=5).fit(pairs)
+        with pytest.raises(TypeError, match="QuadratureSamples, got list"):
+            samples_csv_text(pairs)
 
     def test_stop_reason_tol(self):
         rho = fock_state(0, Truncation(8)).to_density()
@@ -222,8 +238,9 @@ class TestMomentKernel:
         rng = np.random.default_rng(seed)
         rho = random_state(Truncation(20), rng, support=dim).to_density()
         plan = SamplingPlan(phases=uniform_phases(phases), samples_per_phase=per_phase, seed=seed, eta=0.7)
-        samples = list(sample_quadratures(rho, plan))
-        samples = [samples[i] for i in rng.permutation(len(samples))]  # interleave the phases
+        drawn = sample_quadratures(rho, plan)
+        perm = rng.permutation(len(drawn))  # interleave the phases
+        samples = QuadratureSamples(drawn.phase[perm], drawn.x[perm])
         rho_ref, trace_ref = dense_maxlik(samples, dim, max_iter=40, tol=-np.inf)
         res = maxlik_reconstruct(samples, dim=dim, max_iter=40, tol=-np.inf)
         assert res.iterations_used == 40
@@ -232,42 +249,28 @@ class TestMomentKernel:
 
 
 class TestQuadratureSamples:
-    def test_columns_and_iteration(self):
+    def test_columns(self):
         rho = coherent_state(0.5, Truncation(15)).to_density()
         plan = SamplingPlan(phases=uniform_phases(3), samples_per_phase=4, seed=8)
         samples = sample_quadratures(rho, plan)
         assert isinstance(samples, QuadratureSamples)
         assert len(samples) == 12
-        assert samples.phases.tolist() == list(plan.phases)
-        assert samples.phase_index.tolist() == [0] * 4 + [1] * 4 + [2] * 4
-        items = list(samples)
-        assert all(isinstance(s, QuadratureSample) for s in items)
-        assert [s.phase for s in items] == [p for p in plan.phases for _ in range(4)]
-        assert [s.x for s in items] == samples.x.tolist()
-
-    def test_of_pairs_keeps_order_and_values(self):
-        pairs = [(0.5, 1.0), (0.0, -2.0), (0.5, 3.0), (-0.0, 4.0)]
-        samples = QuadratureSamples.of(iter(pairs))
-        # phases are told apart bit for bit, in order of first use
-        assert [math.copysign(1.0, p) for p in samples.phases.tolist()] == [1.0, 1.0, -1.0]
-        assert samples.phase_index.tolist() == [0, 1, 0, 2]
-        assert [tuple(s) for s in samples] == pairs
-        assert QuadratureSamples.of(samples) is samples
+        assert samples.phase.tolist() == [p for p in plan.phases for _ in range(4)]
+        assert samples.x.shape == (12,)
+        assert not samples.phase.flags.writeable and not samples.x.flags.writeable
 
     def test_equality_compares_samples_in_order(self):
-        a = QuadratureSamples.of([(0.0, 1.0), (1.0, 2.0)])
-        b = QuadratureSamples((1.0, 0.0), (1, 0), (1.0, 2.0))
+        a = QuadratureSamples([0.0, 1.0], [1.0, 2.0])
+        b = QuadratureSamples((0, 1), np.array([1.0, 2.0]))
         assert a == b
-        assert a != QuadratureSamples.of([(1.0, 2.0), (0.0, 1.0)])
-        assert a != QuadratureSamples.of([(0.0, 1.0)])
+        assert a != QuadratureSamples([1.0, 0.0], [2.0, 1.0])
+        assert a != QuadratureSamples([0.0], [1.0])
 
     def test_invalid_columns_rejected(self):
         with pytest.raises(ValueError):
-            QuadratureSamples((0.0,), (0, 1), (1.0, 2.0))
+            QuadratureSamples((0.0,), (1.0, 2.0))
         with pytest.raises(ValueError):
-            QuadratureSamples((0.0,), (0,), (1.0, 2.0))
-        with pytest.raises(ValueError):
-            QuadratureSamples.of([(0.0, 1.0, 2.0)])
+            QuadratureSamples((0.0, 1.0, 2.0), (1.0, 2.0))
 
 
 class TestEstimatorApi:
@@ -279,15 +282,6 @@ class TestEstimatorApi:
         assert est.rho_.trunc.dim == 6
         assert est.n_iter_ <= 100
         assert est.log_likelihood_trace_.shape == (est.n_iter_ + 1,)
-
-    def test_fit_accepts_plain_pairs(self):
-        rho = fock_state(0, Truncation(8)).to_density()
-        plan = SamplingPlan(phases=uniform_phases(4), samples_per_phase=500, seed=6)
-        samples = sample_quadratures(rho, plan)
-        est = MaxLikTomography(dim=5, max_iter=3, tol=1e-9).fit((s.phase, s.x) for s in samples)
-        ref = maxlik_reconstruct(samples, dim=5, max_iter=3, tol=1e-9)
-        assert np.array_equal(est.rho_.elems, ref.rho_hat.elems)
-        assert est.stop_reason_ == ref.stop_reason == "max_iter"
 
     def test_get_set_params(self):
         est = MaxLikTomography(dim=8)
@@ -306,31 +300,43 @@ class TestEstimatorApi:
 
 class TestSampleFiles:
     def test_round_trip(self, tmp_path):
-        samples = [QuadratureSample(0.3141592653, -1.25), QuadratureSample(1.0, 0.5)]
+        samples = QuadratureSamples([0.3141592653, 1.0], [-1.25, 0.5])
         path = tmp_path / "samples.csv"
         path.write_text(samples_csv_text(samples), encoding="utf-8")
         lines = path.read_text().splitlines()
         assert lines[0] == "phase,x"
         assert lines[1].startswith("0.3141592653,")
         back = read_samples_csv(path)
-        assert [s.x for s in back] == [-1.25, 0.5]
+        assert back.x.tolist() == [-1.25, 0.5]
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         rho = coherent_state(0.8, Truncation(15)).to_density()
         plan = SamplingPlan(phases=uniform_phases(3), samples_per_phase=50, seed=12)
-        drawn = list(sample_quadratures(rho, plan))
+        drawn = sample_quadratures(rho, plan)
         # interleaved phases give many short runs of a shared phase
-        mixed = [drawn[i] for i in np.random.default_rng(0).permutation(len(drawn))]
+        perm = np.random.default_rng(0).permutation(len(drawn))
+        mixed = QuadratureSamples(drawn.phase[perm], drawn.x[perm])
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
         first.write_text(samples_csv_text(mixed), encoding="utf-8")
         back = read_samples_csv(first)
-        assert [s.x for s in back] == [s.x for s in mixed]
+        assert back.x.tolist() == mixed.x.tolist()
         second.write_text(samples_csv_text(back), encoding="utf-8")
         assert second.read_bytes() == first.read_bytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(st.sampled_from([0.0, -0.0, 0.5, 1.2345678901, -2.75]),
+                                   st.floats(allow_nan=False, allow_infinity=False)), max_size=40))
+    def test_round_trip_keeps_interleaved_signed_zero_phases(self, tmp_path_factory, rows):
+        samples = QuadratureSamples([p for p, _ in rows], [x for _, x in rows])
+        path = tmp_path_factory.mktemp("samples") / "samples.csv"
+        path.write_text(samples_csv_text(samples), encoding="utf-8")
+        back = read_samples_csv(path)
+        assert back == samples
+        assert np.array_equal(back.phase.view(np.int64), samples.phase.view(np.int64))  # -0.0 stays -0.0
+
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "empty.csv"
-        path.write_text(samples_csv_text([]), encoding="utf-8")
+        path.write_text(samples_csv_text(QuadratureSamples([], [])), encoding="utf-8")
         assert path.read_text() == "phase,x\n"
         assert len(read_samples_csv(path)) == 0
 

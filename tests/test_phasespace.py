@@ -339,8 +339,8 @@ class TestFileFormats:
     def test_samples_csv_bytes_match_per_value_format(self):
         # runs of three samples per phase; each phase comes back for a second run
         phase = np.tile(np.repeat(self.awkward_values(7), 3), 2)
-        samples = QuadratureSamples.from_columns(phase, self.awkward_values(phase.size)[::-1])
-        want = "phase,x\n" + "".join(f"{p:.10f},{x:.17g}\n" for p, x in samples)
+        samples = QuadratureSamples(phase, self.awkward_values(phase.size)[::-1])
+        want = "phase,x\n" + "".join(f"{p:.10f},{x:.17g}\n" for p, x in zip(samples.phase, samples.x))
         assert samples_csv_text(samples) == want
 
     def test_likelihood_csv_bytes_match_per_value_format(self):
