@@ -30,7 +30,6 @@ from .fock import (
     ladder_operators,
     min_dim_for_coherent,
     project_density,
-    project_state,
     state_from_json,
     state_to_json,
     unitarity_defect,

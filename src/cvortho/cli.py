@@ -14,6 +14,7 @@ import difflib
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .fock import (
+    DensityMatrix,
     ModeOperator,
     StateVector,
     Truncation,
@@ -143,8 +145,7 @@ def _build_grid(cfg: dict) -> PhaseGrid:
 def _build_plan(cfg: dict) -> SamplingPlan:
     s = cfg["sampling"]
     phases = uniform_phases(s["phases"]) if isinstance(s["phases"], int) else tuple(s["phases"])
-    eta = cfg["eta"] if s["eta"] is None else s["eta"]
-    return SamplingPlan(phases=phases, samples_per_phase=s["samples_per_phase"], seed=s["seed"], eta=eta)
+    return SamplingPlan(phases=phases, samples_per_phase=s["samples_per_phase"], seed=s["seed"])
 
 
 def _herald_model(cfg: dict, spec: OrthogonalizerSpec) -> HeraldModel:
@@ -169,15 +170,18 @@ def _complex_pair(z: complex):
     return [float(z.real), float(z.imag)]
 
 
+def _detected(cfg: dict, rho: DensityMatrix) -> DensityMatrix:
+    """``rho`` after the configured detection loss: the state an ideal homodyne detector sees."""
+    return apply_loss(rho, LossChannel(cfg["eta"])) if cfg["eta"] < 1.0 else rho
+
+
 def _write_state(writer: _ArtifactWriter, cfg: dict, label: str, state: StateVector, phases=(), grid=None):
     """Write ``state`` after the configured loss, each file named with ``label``.
 
     Writes its marginals at ``phases``, its Wigner map on ``grid`` (the map
     is returned) and its density JSON.
     """
-    rho = state.to_density()
-    if cfg["eta"] < 1.0:
-        rho = apply_loss(rho, LossChannel(cfg["eta"]))
+    rho = _detected(cfg, state.to_density())
     m = cfg["marginal_xs"]
     xs = np.linspace(m["x_min"], m["x_max"], m["n"])
     for phase in phases:
@@ -271,8 +275,8 @@ def _run_tomography(cfg: dict, writer: _ArtifactWriter) -> dict:
         psi = qubit_operator(spec, _as_complex(cfg["qubit_c_single"]), trunc).apply(psi).normalized()
 
     rho_true = psi.to_density()
-    plan = _build_plan(cfg)
-    samples = sample_quadratures(rho_true, plan)
+    rho_detected = _detected(cfg, rho_true)
+    samples = sample_quadratures(rho_detected, _build_plan(cfg))
     writer.write_text("samples.csv", "samples-csv", samples_csv_text(samples))
 
     recon = cfg["reconstruction"]
@@ -284,13 +288,13 @@ def _run_tomography(cfg: dict, writer: _ArtifactWriter) -> dict:
     report = {
         "iterations_used": result.iterations_used,
         "stop_reason": result.stop_reason,
-        "eta": plan.eta,
+        "eta": cfg["eta"],
         "fidelity_vs_true": fidelity(result.rho_hat, target),
         "final_log_likelihood": float(result.log_likelihood_trace[-1]),
     }
     writer.write_text("rho_true.json", "density-json", density_json_text(target))
-    if plan.eta < 1.0:
-        lossy = apply_loss(target, LossChannel(plan.eta))
+    if cfg["eta"] < 1.0:
+        lossy = project_density(rho_detected, target.trunc)
         report["fidelity_vs_lossy_true"] = fidelity(result.rho_hat, lossy)
         writer.write_text("rho_lossy.json", "density-json", density_json_text(lossy))
     writer.write_json("report.json", report, "report-json")
@@ -337,7 +341,7 @@ DEFAULTS = {
     "herald": {"theta": "auto", "phi": 0.0, "beta": "auto", "dim": None},
     "grid": {"x_min": -6.0, "x_max": 6.0, "p_min": -6.0, "p_max": 6.0, "nx": 241, "np": 241},
     "marginal_xs": {"x_min": -8.0, "x_max": 8.0, "n": 1601},
-    "sampling": {"phases": 10, "samples_per_phase": 5000, "seed": 12345, "eta": None},
+    "sampling": {"phases": 10, "samples_per_phase": 5000, "seed": 12345},
     "reconstruction": {"dim": 15, "max_iter": 2000, "tol": 1e-10},
     "output_dir": "out",
 }
@@ -404,7 +408,6 @@ SCHEMA = {
                         "a count >= 1 or a nonempty list of finite numbers, distinct as numbers and to 4 decimals"),
     "sampling.samples_per_phase": _int_at_least(1),
     "sampling.seed": _int_at_least(0),
-    "sampling.eta": _or(None, _FRACTION),
     "reconstruction.dim": ((lambda v: _is_int(v) and 2 <= v <= _MAX_RECON_DIM), f"an integer in 2..{_MAX_RECON_DIM}"),
     "reconstruction.max_iter": _int_at_least(1),
     "reconstruction.tol": ((lambda v: _is_finite(v) and v >= 0), "a finite number >= 0"),
@@ -494,6 +497,13 @@ def validate_config(config: dict) -> list:
     recon_dim = cfg["reconstruction"]["dim"]
     if clean("reconstruction.dim", "trunc") and exp == "tomography" and recon_dim > cfg["trunc"]:
         problems.append(f"reconstruction.dim: must be at most trunc ({cfg['trunc']}) for tomography, got {recon_dim!r}")
+    if clean("sampling.phases", "sampling.samples_per_phase", "reconstruction.dim") and exp == "tomography":
+        samples = (count if _is_int(count) else len(count)) * cfg["sampling"]["samples_per_phase"]
+        feature_bytes = 8 * samples * (2 * recon_dim - 1)
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if feature_bytes > memory:
+            problems.append(f"sampling: {samples} samples at reconstruction.dim {recon_dim} need {feature_bytes} bytes "
+                            f"of MaxLik features (8 (2 dim - 1) each), more than the {memory} bytes of physical memory")
 
     for key, value in config.items():
         if key not in known:

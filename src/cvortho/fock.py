@@ -36,7 +36,6 @@ __all__ = [
     "fidelity",
     "unitarity_defect",
     "check_tail",
-    "project_state",
     "project_density",
     "state_to_json",
     "state_from_json",
@@ -228,10 +227,8 @@ class ModeOperator:
 
 
 def _require_same_dim(x, y):
-    dx = x.trunc.dim if hasattr(x, "trunc") else x.dim
-    dy = y.trunc.dim if hasattr(y, "trunc") else y.dim
-    if dx != dy:
-        raise ValueError(f"dimension mismatch: {dx} vs {dy}")
+    if x.trunc.dim != y.trunc.dim:
+        raise ValueError(f"dimension mismatch: {x.trunc.dim} vs {y.trunc.dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -408,17 +405,6 @@ def check_tail(state: StateVector, context: str = "") -> None:
             f"retry with dim >= {suggested}",
             suggested_dim=suggested,
         )
-
-
-def project_state(psi: StateVector, trunc: Truncation) -> StateVector:
-    """Cut a state down to a smaller truncation and renormalize."""
-    if trunc.dim > psi.trunc.dim:
-        raise ValueError("projection target must not be larger than the source")
-    cut = psi.amps[: trunc.dim]
-    n = np.linalg.norm(cut)
-    if n < ZERO_NORM_TOL:
-        raise ValueError("state has no weight inside the projection target")
-    return StateVector(cut / n, trunc)
 
 
 def project_density(rho: DensityMatrix, trunc: Truncation) -> DensityMatrix:

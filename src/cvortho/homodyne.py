@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import DensityMatrix, Truncation
-from .phasespace import LossChannel, _phase_matrix, apply_loss, hermite_functions, marginal
+from .phasespace import _phase_matrix, hermite_functions, marginal
 
 __all__ = [
     "QuadratureSamples",
@@ -45,7 +45,9 @@ class QuadratureSamples:
     """Quadrature samples by column, in the caller's order: the two fields of a ``samples.csv`` row.
 
     ``phase[j]`` is the local-oscillator phase of sample j and ``x[j]`` its
-    quadrature value, both read-only; ``==`` compares the samples in order.
+    quadrature value, both read-only; ``==`` compares both columns bit for
+    bit (``-0.0`` is not ``0.0``), so equal samples write the same
+    :func:`samples_csv_text`.
     """
 
     phase: np.ndarray
@@ -65,7 +67,8 @@ class QuadratureSamples:
     def __eq__(self, other):
         if not isinstance(other, QuadratureSamples):
             return NotImplemented
-        return np.array_equal(self.phase, other.phase) and np.array_equal(self.x, other.x)
+        return all(np.array_equal(getattr(self, name).view(np.int64), getattr(other, name).view(np.int64))
+                   for name in ("phase", "x"))
 
 
 def _phase_bits(samples) -> np.ndarray:
@@ -83,12 +86,11 @@ def _runs(bits: np.ndarray) -> list:
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    """Local-oscillator phases, per-phase counts, seed, and efficiency."""
+    """Local-oscillator phases, per-phase count and seed."""
 
     phases: tuple
     samples_per_phase: int
     seed: int
-    eta: float = 1.0
 
     def __post_init__(self):
         phases = tuple(float(p) for p in self.phases)
@@ -100,8 +102,6 @@ class SamplingPlan:
             raise ValueError("samples_per_phase must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta!r}")
         object.__setattr__(self, "phases", phases)
 
 
@@ -141,15 +141,13 @@ class ReconstructionResult:
 
 
 def sample_quadratures(rho: DensityMatrix, plan: SamplingPlan) -> QuadratureSamples:
-    """Draw quadrature samples phase by phase, deterministically per seed.
+    """Draw ideal (lossless) homodyne samples of ``rho``, phase by phase, deterministically per seed.
 
-    Detection efficiency acts on the state before sampling (via the loss
-    channel), then each phase draws by inverse-CDF over the marginal on a
+    Each phase draws by inverse-CDF over the marginal of ``rho`` on a
     4001-point grid spanning [-8, 8] with linear interpolation.  Phase i
-    uses the derived seed ``plan.seed + i``.
+    uses the derived seed ``plan.seed + i``.  A detector of efficiency eta
+    is modelled by sampling ``apply_loss(rho, LossChannel(eta))``.
     """
-    if plan.eta < 1.0:
-        rho = apply_loss(rho, LossChannel(plan.eta))
     xs = np.linspace(SAMPLING_X_MIN, SAMPLING_X_MAX, SAMPLING_POINTS)
     draws = []
     for i, phase in enumerate(plan.phases):

@@ -261,8 +261,8 @@ def test_criterion_8_tomography_round_trip():
 
     with Stopwatch(300) as watch:
         rho_q = states["qubit"].to_density()
-        plan = SamplingPlan(phases=uniform_phases(10), samples_per_phase=50_000, seed=202, eta=0.6)
-        samples = sample_quadratures(rho_q, plan)
+        plan = SamplingPlan(phases=uniform_phases(10), samples_per_phase=50_000, seed=202)
+        samples = sample_quadratures(apply_loss(rho_q, LossChannel(0.6)), plan)
         res = maxlik_reconstruct(samples, dim=15, max_iter=300, tol=1e-9)
         lossy_target = apply_loss(project_density(rho_q, recon_trunc), LossChannel(0.6))
         fid_lossy = fidelity(res.rho_hat, lossy_target)

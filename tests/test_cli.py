@@ -2,6 +2,8 @@ import copy
 import hashlib
 import json
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -10,9 +12,11 @@ from hypothesis import strategies as st
 
 import cvortho.cli as cli
 from cvortho import (
+    LossChannel,
     OperatorKind,
     OrthogonalizerSpec,
     Truncation,
+    apply_loss,
     coherent_state,
     density_from_json,
     fidelity,
@@ -53,7 +57,6 @@ class TestValidate:
         ({"eta": "0.5"}, "eta"),
         ({"grid": {"nx": "241"}}, "grid.nx"),
         ({"grid": {"x_min": "-6"}}, "grid.x_min"),
-        ({"sampling": {"eta": "0.5"}}, "sampling.eta"),
         ({"herald": {"beta": "x"}}, "herald.beta"),
         ({"herald": {"phi": "x"}}, "herald.phi"),
         ({"input_state": {"kind": "coherent", "alpha": [1.0, None]}}, "input_state.alpha"),
@@ -129,7 +132,31 @@ class TestValidate:
             names = {cli.marginal_filename("", p) for p in cli.uniform_phases(count)}
             assert (len(names) == count) is distinct
         assert validate_config({"experiment": "number_scheme", "sampling": {"phases": limit}}) == []
-        assert validate_config({"experiment": "tomography", "sampling": {"phases": limit + 1}}) == []
+        # one sample per phase keeps the tomography's MaxLik features (7 MB) inside physical memory
+        tomography = {"experiment": "tomography", "sampling": {"phases": limit + 1, "samples_per_phase": 1}}
+        assert validate_config(tomography) == []
+
+    @pytest.mark.parametrize("sampling", [{"phases": 10**12}, {"samples_per_phase": 10**12}])
+    def test_sample_count_bounded_by_physical_memory(self, sampling):
+        start = time.perf_counter()
+        problems = validate_config({"experiment": "tomography", "sampling": sampling})
+        assert time.perf_counter() - start < 1.0
+        assert len(problems) == 1 and problems[0].startswith("sampling:"), problems
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        feature_bytes = 8 * 10 ** 12 * (5000 if "phases" in sampling else 10) * 29
+        assert f" {feature_bytes} bytes" in problems[0] and f" {memory} bytes" in problems[0]
+        # the other experiments build no MaxLik features
+        assert validate_config({"experiment": "qubit_wigner", "sampling": sampling}) == []
+
+    def test_large_tomography_within_memory_validates(self):
+        # criterion 8's lossy run: 10 phases x 50000 samples at dim 15, 116 MB of features
+        config = {"experiment": "tomography", "transform": "qubit", "trunc": 30, "eta": 0.6,
+                  "sampling": {"phases": 10, "samples_per_phase": 50000, "seed": 1},
+                  "reconstruction": {"dim": 15, "max_iter": 300, "tol": 1e-9}}
+        assert validate_config(config) == []
+
+    def test_sampling_eta_is_an_unknown_key(self):
+        assert validate_config({"experiment": "tomography", "sampling": {"eta": 0.9}}) == ["sampling.eta: unknown key"]
 
     def test_experiment_name_normalization(self):
         assert validate_config({"experiment": "QubitWigner"}) == []
@@ -253,7 +280,7 @@ SMALL_CONFIGS = {
     "qubit_wigner": {"trunc": 20, "eta": 0.8, "qubit_c": [[1.0, 0.0], [0.0, 1.0]], "grid": {"nx": 21, "np": 17}},
     "number_scheme": {"trunc": 20, "grid": {"nx": 21, "np": 17}, "sampling": {"phases": 2},
                       "marginal_xs": {"n": 101}},
-    "tomography": {"trunc": 16, "sampling": {"phases": 3, "samples_per_phase": 200, "seed": 4, "eta": 0.9},
+    "tomography": {"trunc": 16, "eta": 0.9, "sampling": {"phases": 3, "samples_per_phase": 200, "seed": 4},
                    "reconstruction": {"dim": 6, "max_iter": 5}},
     "verify": {},
 }
@@ -345,6 +372,22 @@ class TestRunTomography:
         expected = project_density(perp.to_density(), Truncation(6))
         rho_true = density_from_json(json.loads((tmp_path / "rho_true.json").read_text()))
         assert np.max(np.abs(rho_true.elems - expected.elems)) < 1e-12
+
+    def test_lossy_reference_is_the_sampled_state_cut_to_dim(self, tmp_path):
+        # loss first, then the cut: the cut first would differ by about 0.03 in one entry here
+        config = {
+            "experiment": "tomography",
+            "input_state": {"kind": "coherent", "alpha": [2.0, 0.0]},
+            "trunc": 30,
+            "eta": 0.9,
+            "sampling": {"phases": 2, "samples_per_phase": 200, "seed": 5},
+            "reconstruction": {"dim": 8, "max_iter": 2},
+        }
+        run(config, output_dir=tmp_path)
+        rho_true = coherent_state(2.0, Truncation(30)).to_density()
+        expected = project_density(apply_loss(rho_true, LossChannel(0.9)), Truncation(8))
+        rho_lossy = density_from_json(json.loads((tmp_path / "rho_lossy.json").read_text()))
+        assert np.max(np.abs(rho_lossy.elems - expected.elems)) < 1e-12
 
 
 class TestDeterminism:

@@ -9,11 +9,13 @@ from scipy.stats import kstest
 
 from cvortho import (
     DataError,
+    LossChannel,
     MaxLikTomography,
     QuadratureSamples,
     ReconstructionResult,
     SamplingPlan,
     Truncation,
+    apply_loss,
     coherent_state,
     fidelity,
     fock_state,
@@ -121,8 +123,8 @@ class TestSampleQuadratures:
     def test_loss_applied_before_sampling(self):
         # eta=0 collapses any state to vacuum statistics
         rho = coherent_state(1.5, Truncation(30)).to_density()
-        plan = SamplingPlan(phases=(0.0,), samples_per_phase=50_000, seed=3, eta=0.0)
-        xs = sample_quadratures(rho, plan).x
+        plan = SamplingPlan(phases=(0.0,), samples_per_phase=50_000, seed=3)
+        xs = sample_quadratures(apply_loss(rho, LossChannel(0.0)), plan).x
         assert abs(xs.mean()) < 5 * (1 / math.sqrt(2.0)) / math.sqrt(50_000)
 
 
@@ -237,8 +239,8 @@ class TestMomentKernel:
     def test_matches_dense_oracle(self, dim, phases, per_phase, seed):
         rng = np.random.default_rng(seed)
         rho = random_state(Truncation(20), rng, support=dim).to_density()
-        plan = SamplingPlan(phases=uniform_phases(phases), samples_per_phase=per_phase, seed=seed, eta=0.7)
-        drawn = sample_quadratures(rho, plan)
+        plan = SamplingPlan(phases=uniform_phases(phases), samples_per_phase=per_phase, seed=seed)
+        drawn = sample_quadratures(apply_loss(rho, LossChannel(0.7)), plan)
         perm = rng.permutation(len(drawn))  # interleave the phases
         samples = QuadratureSamples(drawn.phase[perm], drawn.x[perm])
         rho_ref, trace_ref = dense_maxlik(samples, dim, max_iter=40, tol=-np.inf)
@@ -265,6 +267,13 @@ class TestQuadratureSamples:
         assert a == b
         assert a != QuadratureSamples([1.0, 0.0], [2.0, 1.0])
         assert a != QuadratureSamples([0.0], [1.0])
+
+    def test_equality_tells_signed_zeros_apart_as_the_file_does(self):
+        for plus, minus in ((QuadratureSamples([0.0], [1.0]), QuadratureSamples([-0.0], [1.0])),
+                            (QuadratureSamples([1.0], [0.0]), QuadratureSamples([1.0], [-0.0]))):
+            assert samples_csv_text(plus) != samples_csv_text(minus)
+            assert plus != minus and not plus == minus
+            assert plus == QuadratureSamples(plus.phase.copy(), plus.x.copy())
 
     def test_invalid_columns_rejected(self):
         with pytest.raises(ValueError):
