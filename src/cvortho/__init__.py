@@ -36,7 +36,6 @@ from .fock import (
 )
 from .homodyne import (
     DataError,
-    MaxLikTomography,
     QuadratureSamples,
     ReconstructionResult,
     SamplingPlan,

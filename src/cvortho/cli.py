@@ -434,9 +434,11 @@ def _canonical_experiment(name):
 
 
 def _unknown_key(section: str, key, known) -> str:
+    """Hints at the leaves of any section that have ``key`` as last name, else at the nearest name in ``known``."""
     prefix = section + "." if section else ""
-    near = difflib.get_close_matches(str(key), known, n=1)
-    hint = f" (did you mean {prefix + near[0]!r}?)" if near else ""
+    near = [path for path in SCHEMA if path.rpartition(".")[2] == str(key)]
+    near = near or [prefix + name for name in difflib.get_close_matches(str(key), known, n=1)]
+    hint = f" (did you mean {' or '.join(map(repr, near))}?)" if near else ""
     return f"{prefix}{key}: unknown key{hint}"
 
 

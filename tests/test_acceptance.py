@@ -264,7 +264,7 @@ def test_criterion_8_tomography_round_trip():
         plan = SamplingPlan(phases=uniform_phases(10), samples_per_phase=50_000, seed=202)
         samples = sample_quadratures(apply_loss(rho_q, LossChannel(0.6)), plan)
         res = maxlik_reconstruct(samples, dim=15, max_iter=300, tol=1e-9)
-        lossy_target = apply_loss(project_density(rho_q, recon_trunc), LossChannel(0.6))
+        lossy_target = project_density(apply_loss(rho_q, LossChannel(0.6)), recon_trunc)  # the sampled state
         fid_lossy = fidelity(res.rho_hat, lossy_target)
         assert np.all(np.diff(res.log_likelihood_trace) > -1e-9)
         assert fid_lossy >= 0.98

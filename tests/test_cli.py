@@ -156,7 +156,17 @@ class TestValidate:
         assert validate_config(config) == []
 
     def test_sampling_eta_is_an_unknown_key(self):
-        assert validate_config({"experiment": "tomography", "sampling": {"eta": 0.9}}) == ["sampling.eta: unknown key"]
+        assert validate_config({"experiment": "tomography", "sampling": {"eta": 0.9}}) == [
+            "sampling.eta: unknown key (did you mean 'eta'?)"
+        ]
+
+    def test_unknown_key_hints_at_every_leaf_of_that_name(self):
+        assert validate_config({"experiment": "tomography", "phases": 4}) == [
+            "phases: unknown key (did you mean 'sampling.phases'?)"
+        ]
+        assert validate_config({"experiment": "tomography", "reconstruction": {"x_min": -5.0}}) == [
+            "reconstruction.x_min: unknown key (did you mean 'grid.x_min' or 'marginal_xs.x_min'?)"
+        ]
 
     def test_experiment_name_normalization(self):
         assert validate_config({"experiment": "QubitWigner"}) == []

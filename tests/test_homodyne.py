@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from scipy.stats import kstest
 from cvortho import (
     DataError,
     LossChannel,
-    MaxLikTomography,
     QuadratureSamples,
     ReconstructionResult,
     SamplingPlan,
@@ -25,13 +25,14 @@ from cvortho import (
     uniform_phases,
 )
 from cvortho.homodyne import (
+    _BLOCK,
     _MAX_RECON_DIM,
     product_coefficients,
     read_samples_csv,
     likelihood_csv_text,
     samples_csv_text,
 )
-from cvortho.phasespace import hermite_functions
+from cvortho.phasespace import _phase_matrix, hermite_functions
 
 from conftest import random_state
 
@@ -74,6 +75,43 @@ def dense_maxlik(samples, dim, max_iter, tol):
         if loglik[-1] - loglik[-2] < tol:
             break
     return rho, np.asarray(loglik)
+
+
+def unblocked_maxlik(samples, dim, max_iter, tol):
+    """Reference sweep over each phase's whole (2 dim - 1) x K_i feature matrix, with two products per sweep.
+
+    The same RrhoR iteration as maxlik_reconstruct, phases in order of first
+    appearance, but p = c F and the feature sums F (1/p) each read the whole
+    matrix; returns the estimate and the log-likelihood trace.
+    """
+    coeffs = product_coefficients(dim)
+    flat = coeffs.reshape(dim * dim, -1)
+    buckets = {}
+    for phase, x in zip(samples.phase.tolist(), samples.x.tolist()):
+        buckets.setdefault(phase, []).append(x)
+    groups = [(hermite_functions(math.sqrt(2.0) * np.array(xs), 2 * dim - 1), _phase_matrix(phase, dim))
+              for phase, xs in buckets.items()]
+
+    def sweep(rho):
+        loglik, r_op = 0.0, np.zeros((dim, dim), dtype=np.complex128)
+        for feats, phase_mat in groups:
+            p = (flat.T @ np.real(rho * phase_mat).ravel()) @ feats
+            loglik += float(np.sum(np.log(p)))
+            r_op += phase_mat.conj() * (coeffs @ (feats @ (1.0 / p)))
+        return loglik, r_op / len(samples)
+
+    rho = np.eye(dim, dtype=np.complex128) / dim
+    loglik, r_op = sweep(rho)
+    trace = [loglik]
+    for _ in range(max_iter):
+        rho = r_op @ rho @ r_op
+        rho = (rho + rho.conj().T) / 2.0
+        rho /= np.trace(rho).real
+        loglik, r_op = sweep(rho)
+        trace.append(loglik)
+        if trace[-1] - trace[-2] < tol:
+            break
+    return rho, np.asarray(trace)
 
 
 def single_photon_cdf(x):
@@ -196,12 +234,27 @@ class TestMaxLikReconstruct:
         with pytest.raises(DataError, match=r"sample 4 \(phase=0\.5000000000, x=1e\+06\)"):
             maxlik_reconstruct(QuadratureSamples(phases, xs), dim=5, max_iter=5)
 
+    def test_data_error_in_a_later_block_names_caller_position(self):
+        # two interleaved phases of _BLOCK + 10 samples; the bad one is in phase 0.5's second block
+        xs = np.full(2 * (_BLOCK + 10), 0.3)
+        phases = np.tile([0.0, 0.5], _BLOCK + 10)
+        bad = 2 * (_BLOCK + 3) + 1
+        xs[bad] = 1e6
+        with pytest.raises(DataError, match=rf"sample {bad} \(phase=0\.5000000000, x=1e\+06\)"):
+            maxlik_reconstruct(QuadratureSamples(phases, xs), dim=5, max_iter=5)
+
+    def test_zero_likelihood_raises_without_warning(self):
+        # every feature of x = 1e6 underflows to 0, so p = 0 exactly: log(p) and 1/p must not warn
+        samples = QuadratureSamples([0.0, 0.0, 0.0], [0.1, 1e6, -0.2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"sample 1 \(phase=0\.0000000000, x=1e\+06\) has non-positive"):
+                maxlik_reconstruct(samples, dim=5, max_iter=5)
+
     def test_only_the_container_is_accepted(self):
         pairs = [(0.0, 0.1), (0.5, -0.2)]
         with pytest.raises(TypeError, match="QuadratureSamples, got list"):
             maxlik_reconstruct(pairs, dim=5)
-        with pytest.raises(TypeError, match="QuadratureSamples, got list"):
-            MaxLikTomography(dim=5).fit(pairs)
         with pytest.raises(TypeError, match="QuadratureSamples, got list"):
             samples_csv_text(pairs)
 
@@ -249,6 +302,24 @@ class TestMomentKernel:
         assert np.max(np.abs(res.rho_hat.elems - rho_ref)) <= 1e-12
         assert np.max(np.abs(res.log_likelihood_trace - trace_ref) / np.abs(trace_ref)) <= 1e-12
 
+    def test_blocked_sweep_matches_unblocked_oracle(self):
+        # groups of 2 blocks + 808 and of 1 block + 1 samples, so neither is whole blocks, and one under a block
+        rng = np.random.default_rng(11)
+        rho = random_state(Truncation(20), rng, support=8).to_density()
+        counts = (2 * _BLOCK + 808, _BLOCK + 1, 1000)
+        draws = [sample_quadratures(apply_loss(rho, LossChannel(0.8)),
+                                    SamplingPlan(phases=(phase,), samples_per_phase=count, seed=7 + i))
+                 for i, (phase, count) in enumerate(zip((0.3, 1.4, 2.6), counts))]
+        phase = np.concatenate([d.phase for d in draws])
+        x = np.concatenate([d.x for d in draws])
+        perm = rng.permutation(x.size)  # interleave the phases
+        samples = QuadratureSamples(phase[perm], x[perm])
+        rho_ref, trace_ref = unblocked_maxlik(samples, 8, max_iter=30, tol=-np.inf)
+        res = maxlik_reconstruct(samples, dim=8, max_iter=30, tol=-np.inf)
+        assert res.iterations_used == 30
+        assert np.linalg.norm(res.rho_hat.elems - rho_ref) <= 1e-12 * np.linalg.norm(rho_ref)
+        assert np.max(np.abs(res.log_likelihood_trace - trace_ref) / np.abs(trace_ref)) <= 1e-12
+
 
 class TestQuadratureSamples:
     def test_columns(self):
@@ -280,31 +351,6 @@ class TestQuadratureSamples:
             QuadratureSamples((0.0,), (1.0, 2.0))
         with pytest.raises(ValueError):
             QuadratureSamples((0.0, 1.0, 2.0), (1.0, 2.0))
-
-
-class TestEstimatorApi:
-    def test_fit_sets_attributes(self):
-        rho = fock_state(0, Truncation(8)).to_density()
-        plan = SamplingPlan(phases=uniform_phases(4), samples_per_phase=1500, seed=6)
-        est = MaxLikTomography(dim=6, max_iter=100, tol=1e-9)
-        assert est.fit(sample_quadratures(rho, plan)) is est
-        assert est.rho_.trunc.dim == 6
-        assert est.n_iter_ <= 100
-        assert est.log_likelihood_trace_.shape == (est.n_iter_ + 1,)
-
-    def test_get_set_params(self):
-        est = MaxLikTomography(dim=8)
-        assert est.get_params() == {"dim": 8, "max_iter": 2000, "tol": 1e-10}
-        est.set_params(dim=12, tol=1e-8)
-        assert est.dim == 12 and est.tol == 1e-8
-        with pytest.raises(ValueError):
-            est.set_params(bogus=1)
-
-    def test_sklearn_clone_compatible(self):
-        sklearn_base = pytest.importorskip("sklearn.base")
-        est = MaxLikTomography(dim=9, max_iter=50, tol=1e-7)
-        clone = sklearn_base.clone(est)
-        assert clone.get_params() == est.get_params()
 
 
 class TestSampleFiles:
