@@ -30,8 +30,6 @@ from .fock import (
     ladder_operators,
     min_dim_for_coherent,
     project_density,
-    state_from_json,
-    state_to_json,
     unitarity_defect,
 )
 from .homodyne import (
@@ -52,7 +50,6 @@ from .phasespace import (
     hermite_functions,
     marginal,
     wigner,
-    wigner_point,
 )
 from .schemes import (
     DegenerateDenominatorError,
@@ -60,7 +57,6 @@ from .schemes import (
     HeraldModel,
     OperatorKind,
     OrthogonalizerSpec,
-    QubitSpec,
     SingularConfigurationError,
     beta_for_addition_orthogonalizer,
     build_orthogonalizer,
@@ -70,7 +66,6 @@ from .schemes import (
     number_scheme_model,
     orthogonal_family,
     orthogonalize,
-    qubit_decomposition,
     qubit_operator,
     theta_for_number_orthogonalizer,
     two_operator_orthogonalizer,

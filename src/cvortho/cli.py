@@ -447,6 +447,31 @@ def load_config(path) -> dict:
         return json.load(fh)
 
 
+def _largest_array(cfg: dict, exp, clean):
+    """(bytes, section, array) for the largest array that ``exp`` builds at sizes read from ``cfg``, or None.
+
+    Sizes a dense complex trunc x trunc operator (every experiment but
+    verify), the complex nx x np Wigner phase product, the n x trunc Hermite
+    table of a marginal and MaxLik's features, each only from leaves that
+    ``clean`` passes.  A run needs at least this much memory.
+    """
+    trunc, grid, n = cfg["trunc"], cfg["grid"], cfg["marginal_xs"]["n"]
+    arrays = []
+    if clean("trunc") and exp in ("orthogonalize", "qubit_wigner", "number_scheme", "tomography"):
+        arrays.append((16 * trunc * trunc, "trunc", f"a dense complex {trunc} x {trunc} operator"))
+    if clean("grid.nx", "grid.np") and exp in ("qubit_wigner", "number_scheme"):
+        arrays.append((16 * grid["nx"] * grid["np"], "grid",
+                       f"the complex {grid['nx']} x {grid['np']} Wigner phase product"))
+    if clean("trunc", "marginal_xs.n") and exp in ("orthogonalize", "number_scheme"):
+        arrays.append((8 * n * trunc, "marginal_xs", f"the {n} x {trunc} Hermite table of a marginal"))
+    count, dim = cfg["sampling"]["phases"], cfg["reconstruction"]["dim"]
+    if clean("sampling.phases", "sampling.samples_per_phase", "reconstruction.dim") and exp == "tomography":
+        phases, per_phase = (count if _is_int(count) else len(count)), cfg["sampling"]["samples_per_phase"]
+        arrays.append((8 * phases * per_phase * (2 * dim - 1), "sampling", f"MaxLik's features of {phases} x "
+                       f"{per_phase} samples at reconstruction.dim {dim} (8 (2 dim - 1) bytes each)"))
+    return max(arrays, default=None)
+
+
 def validate_config(config: dict) -> list:
     """Schema and range report; returns one message per violated precondition.
 
@@ -499,13 +524,13 @@ def validate_config(config: dict) -> list:
     recon_dim = cfg["reconstruction"]["dim"]
     if clean("reconstruction.dim", "trunc") and exp == "tomography" and recon_dim > cfg["trunc"]:
         problems.append(f"reconstruction.dim: must be at most trunc ({cfg['trunc']}) for tomography, got {recon_dim!r}")
-    if clean("sampling.phases", "sampling.samples_per_phase", "reconstruction.dim") and exp == "tomography":
-        samples = (count if _is_int(count) else len(count)) * cfg["sampling"]["samples_per_phase"]
-        feature_bytes = 8 * samples * (2 * recon_dim - 1)
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if feature_bytes > memory:
-            problems.append(f"sampling: {samples} samples at reconstruction.dim {recon_dim} need {feature_bytes} bytes "
-                            f"of MaxLik features (8 (2 dim - 1) each), more than the {memory} bytes of physical memory")
+    largest = _largest_array(cfg, exp, clean)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if largest is not None and largest[0] > memory:
+        need, section, array = largest
+        # a product of leaves can pass the digits that str() converts (4300); each leaf read from JSON cannot
+        need = need if need.bit_length() < 14000 else f"over 2^{need.bit_length() - 1}"
+        problems.append(f"{section}: {exp} builds {array}, {need} bytes, more than the {memory} bytes of physical memory")
 
     for key, value in config.items():
         if key not in known:
@@ -636,9 +661,7 @@ def run_battery() -> list:
     overlap_n = abs(inner_product(coh1, out_n))
     checks.append(("number_scheme_orthogonalizer", *_check(overlap_n < 1e-8, f"overlap {overlap_n:.2e}")))
 
-    from .phasespace import default_grid
-
-    grid = default_grid()
+    grid = _build_grid(DEFAULTS)
     w_vac = wigner(fock_state(0, Truncation(20)).to_density(), grid)
     w_one = wigner(fock_state(1, Truncation(20)).to_density(), grid)
     mid = grid.nx // 2

@@ -37,8 +37,6 @@ __all__ = [
     "unitarity_defect",
     "check_tail",
     "project_density",
-    "state_to_json",
-    "state_from_json",
     "density_to_json",
     "density_from_json",
     "density_json_text",
@@ -112,10 +110,6 @@ class StateVector:
         _freeze(self, "amps", amps)
 
     @property
-    def dim(self) -> int:
-        return self.trunc.dim
-
-    @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
@@ -165,10 +159,6 @@ class DensityMatrix:
             raise ValueError(f"matrix has negative eigenvalue {lo:.3e}")
         _freeze(self, "elems", elems)
 
-    @property
-    def dim(self) -> int:
-        return self.trunc.dim
-
 
 @dataclass(frozen=True, eq=False)
 class ModeOperator:
@@ -186,10 +176,6 @@ class ModeOperator:
         _freeze(self, "elems", elems)
 
     @property
-    def dim(self) -> int:
-        return self.trunc.dim
-
-    @property
     def dag(self) -> "ModeOperator":
         return ModeOperator(self.elems.conj().T, self.trunc)
 
@@ -202,8 +188,6 @@ class ModeOperator:
         if isinstance(other, ModeOperator):
             _require_same_dim(self, other)
             return ModeOperator(self.elems @ other.elems, self.trunc)
-        if isinstance(other, StateVector):
-            return self.apply(other)
         return NotImplemented
 
     def __add__(self, other):
@@ -363,8 +347,9 @@ def expectation(op: ModeOperator, state) -> complex:
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    """Square root of a PSD matrix; an eigenvalue within eigh's rounding of 0 (dim eps max) counts as 0."""
     w, v = np.linalg.eigh(m)
-    w = np.clip(w, 0.0, None)
+    w = np.where(w > m.shape[0] * np.finfo(np.float64).eps * w[-1], w, 0.0)
     return (v * np.sqrt(w)) @ v.conj().T
 
 
@@ -379,10 +364,9 @@ def fidelity(x, y) -> float:
         return fidelity(y, x)
     elif isinstance(x, DensityMatrix) and isinstance(y, DensityMatrix):
         _require_same_dim(x, y)
-        s = _psd_sqrt(x.elems)
-        inner = s @ y.elems @ s
-        vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
-        val = float(np.sum(np.sqrt(np.clip(vals, 0.0, None))) ** 2)
+        # Uhlmann's (sum_i sigma_i(sqrt(x) sqrt(y)))^2: symmetric in x and y, and it takes no square root
+        # of the near-zero eigenvalues of sqrt(x) y sqrt(x), which amplifies their rounding
+        val = float(np.sum(np.linalg.svd(_psd_sqrt(x.elems) @ _psd_sqrt(y.elems), compute_uv=False)) ** 2)
     else:
         raise TypeError("fidelity expects StateVector or DensityMatrix arguments")
     return float(min(max(val, 0.0), 1.0))
@@ -419,19 +403,7 @@ def project_density(rho: DensityMatrix, trunc: Truncation) -> DensityMatrix:
 
 
 # ---------------------------------------------------------------------------
-# serialization: {"dim": N, "data": row-major [re, im] pairs}
-
-
-def state_to_json(psi: StateVector) -> dict:
-    return {"dim": psi.trunc.dim, "data": np.column_stack([psi.amps.real, psi.amps.imag]).tolist()}
-
-
-def state_from_json(obj: dict, tail_tol: float = 1e-8) -> StateVector:
-    dim = int(obj["dim"])
-    data = np.asarray(obj["data"], dtype=np.float64)
-    if data.shape != (dim, 2):
-        raise ValueError(f"state data shape {data.shape} does not match dim {dim}")
-    return StateVector(data[:, 0] + 1j * data[:, 1], Truncation(dim, tail_tol))
+# density serialization: {"dim": N, "data": row-major [re, im] pairs}
 
 
 def density_to_json(rho: DensityMatrix) -> dict:

@@ -137,10 +137,6 @@ class ReconstructionResult:
         trace.flags.writeable = False
         object.__setattr__(self, "log_likelihood_trace", trace)
 
-    @property
-    def converged(self) -> bool:
-        return self.stop_reason == "tol"
-
 
 def sample_quadratures(rho: DensityMatrix, plan: SamplingPlan) -> QuadratureSamples:
     """Draw ideal (lossless) homodyne samples of ``rho``, phase by phase, deterministically per seed.

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
-from .fock import DensityMatrix, Truncation, displacement_op
+from .fock import DensityMatrix
 
 __all__ = [
     "PhaseGrid",
@@ -24,7 +24,6 @@ __all__ = [
     "LossChannel",
     "hermite_functions",
     "wigner",
-    "wigner_point",
     "marginal",
     "apply_loss",
     "wigner_grid_text",
@@ -60,19 +59,12 @@ class PhaseGrid:
         return np.linspace(self.p_min, self.p_max, self.np)
 
 
-def default_grid() -> PhaseGrid:
-    """Covers states with |alpha| <= 2 to tail weight below 1e-6."""
-    return PhaseGrid(-6.0, 6.0, -6.0, 6.0, 241, 241)
-
-
 @dataclass(frozen=True, eq=False)
 class WignerMap:
     """Wigner values on a grid; values[i, j] = W(x_i, p_j)."""
 
     grid: PhaseGrid
     values: np.ndarray
-
-    convention = WIGNER_CONVENTION
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=np.float64)
@@ -105,9 +97,6 @@ class QuadratureDistribution:
         dens.flags.writeable = False
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "density", dens)
-
-    def integral(self) -> float:
-        return float(np.trapezoid(self.density, self.xs))
 
 
 @dataclass(frozen=True)
@@ -214,23 +203,6 @@ def wigner(rho: DensityMatrix, grid: PhaseGrid) -> WignerMap:
     gram = ev.T @ (u_dag[0::2].real[:, None] * ev) + 1j * (od.T @ (u_dag[1::2].imag[:, None] * od))
     m = np.exp(2j * np.outer(ps, w)) @ (gram * kern) @ np.exp(2j * np.outer(w, xs))
     return WignerMap(grid, np.real(np.exp(-2j * np.outer(xs, ps)) * m.T) / math.pi)
-
-
-def wigner_point(rho: DensityMatrix, x: float, p: float) -> float:
-    """Single-point Wigner value via the displacement operator directly.
-
-    Slow reference path evaluating Tr[rho D(g) P D(g)_dag] with the matrix
-    exponential; shares no machinery with :func:`wigner`'s folded sweep.
-    """
-    support = _support_level(np.real(np.diag(rho.elems)))
-    n = max(rho.trunc.dim, _parity_dim((x * x + p * p) / 2.0, support))
-    elems = np.zeros((n, n), dtype=np.complex128)
-    elems[: rho.trunc.dim, : rho.trunc.dim] = rho.elems
-    gamma = (x + 1j * p) / math.sqrt(2.0)
-    d = displacement_op(gamma, Truncation(n)).elems
-    parity = (-1.0) ** np.arange(n)
-    inner = d.conj().T @ elems @ d
-    return float(np.real(np.sum(parity * np.diag(inner))) / math.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -29,14 +29,12 @@ from .fock import (
     coherent_state,
     expectation,
     identity_op,
-    inner_product,
     ladder_operators,
 )
 
 __all__ = [
     "OperatorKind",
     "OrthogonalizerSpec",
-    "QubitSpec",
     "HeraldModel",
     "EigenstateError",
     "SingularConfigurationError",
@@ -45,7 +43,6 @@ __all__ = [
     "orthogonalize",
     "orthogonal_family",
     "qubit_operator",
-    "qubit_decomposition",
     "two_operator_orthogonalizer",
     "heralded_addition_model",
     "number_scheme_model",
@@ -115,25 +112,6 @@ class OrthogonalizerSpec:
         if kind is OperatorKind.NUMBER:
             mean = mean.real
         return cls(kind, mean, operator)
-
-
-@dataclass(frozen=True)
-class QubitSpec:
-    """Coefficient c and the resulting superposition weights.
-
-    ``weight_input`` and ``weight_orthogonal`` are the amplitudes of the
-    normalized output on the input state and its orthogonal, respectively;
-    they must square-sum to 1.
-    """
-
-    c: complex
-    weight_input: complex
-    weight_orthogonal: complex
-
-    def __post_init__(self):
-        total = abs(self.weight_input) ** 2 + abs(self.weight_orthogonal) ** 2
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"weights must square-sum to 1, got {total:.12g}")
 
 
 @dataclass(frozen=True)
@@ -255,18 +233,6 @@ def orthogonal_family(psi: StateVector, spec: OrthogonalizerSpec, k: int) -> lis
         check_tail(member, context="orthogonal family member")
         family.append(member)
     return family
-
-
-def qubit_decomposition(psi: StateVector, spec: OrthogonalizerSpec, c: complex) -> QubitSpec:
-    """Weights of the normalized qubit output on {input, orthogonal} basis."""
-    psi_n = psi.normalized()
-    perp = orthogonalize(psi_n, spec)
-    out = qubit_operator(spec, c, psi.trunc).apply(psi_n).normalized()
-    return QubitSpec(
-        c=complex(c),
-        weight_input=inner_product(psi_n, out),
-        weight_orthogonal=inner_product(perp, out),
-    )
 
 
 def two_operator_orthogonalizer(c1: ModeOperator, c2: ModeOperator, psi: StateVector) -> ModeOperator:

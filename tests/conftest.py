@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from cvortho import DensityMatrix, StateVector, Truncation
+from cvortho import DensityMatrix, StateVector, Truncation, displacement_op
 from cvortho.phasespace import _parity_dim, _support_level, hermite_functions
 
 
@@ -32,8 +32,8 @@ def random_mixed_state(dim, rank, seed):
 
 
 @st.composite
-def mixed_states(draw, max_dim):
-    dim = draw(st.integers(2, max_dim))
+def mixed_states(draw, max_dim, min_dim=2):
+    dim = draw(st.integers(min_dim, max_dim))
     return random_mixed_state(dim, draw(st.integers(1, dim)), draw(st.integers(0, 2**32 - 1)))
 
 
@@ -98,3 +98,21 @@ def eigvec_wigner(rho, grid):
         left = v_p @ (np.exp(1j * np.outer(w_p, 2.0 * ps)) * cp[:, None])
         values += lam * np.real(cross_phase * (left.conj().T @ right).T)
     return values / math.pi
+
+
+def wigner_point(rho, x, p):
+    """Wigner value at one point through the displacement operator directly (test oracle).
+
+    Evaluates Tr[rho D(g) P D(g)_dag] / pi, g = (x + i p)/sqrt2, with the
+    matrix exponential of :func:`cvortho.displacement_op`; it shares only
+    the basis size with :func:`cvortho.wigner`'s folded sweep.
+    """
+    support = _support_level(np.real(np.diag(rho.elems)))
+    n = max(rho.trunc.dim, _parity_dim((x * x + p * p) / 2.0, support))
+    elems = np.zeros((n, n), dtype=np.complex128)
+    elems[: rho.trunc.dim, : rho.trunc.dim] = rho.elems
+    gamma = (x + 1j * p) / math.sqrt(2.0)
+    d = displacement_op(gamma, Truncation(n)).elems
+    parity = (-1.0) ** np.arange(n)
+    inner = d.conj().T @ elems @ d
+    return float(np.real(np.sum(parity * np.diag(inner))) / math.pi)

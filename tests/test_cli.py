@@ -148,6 +148,27 @@ class TestValidate:
         # the other experiments build no MaxLik features
         assert validate_config({"experiment": "qubit_wigner", "sampling": sampling}) == []
 
+    @pytest.mark.parametrize("config, array, need", [
+        ({"experiment": "qubit_wigner", "grid": {"nx": 10**7, "np": 10**7}},
+         "the complex 10000000 x 10000000 Wigner phase product", 16 * 10**14),
+        ({"experiment": "orthogonalize", "marginal_xs": {"n": 10**12}},
+         "the 1000000000000 x 40 Hermite table of a marginal", 8 * 10**12 * 40),
+        ({"experiment": "orthogonalize", "trunc": 10**6}, "a dense complex 1000000 x 1000000 operator", 16 * 10**12),
+        # 16 trunc^2 has more digits than str() converts (4300), though trunc itself is a valid JSON number
+        ({"experiment": "orthogonalize", "trunc": 10**2200}, f"a dense complex {10**2200} x {10**2200} operator",
+         "over 2^14620"),
+    ])
+    def test_largest_array_bounded_by_physical_memory(self, config, array, need):
+        start = time.perf_counter()
+        problems = validate_config(config)
+        assert time.perf_counter() - start < 1.0
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        section = next(key for key in config if key != "experiment")
+        assert problems == [f"{section}: {config['experiment']} builds {array}, {need} bytes, "
+                            f"more than the {memory} bytes of physical memory"]
+        # verify builds nothing sized by the config
+        assert validate_config({**config, "experiment": "verify"}) == []
+
     def test_large_tomography_within_memory_validates(self):
         # criterion 8's lossy run: 10 phases x 50000 samples at dim 15, 116 MB of features
         config = {"experiment": "tomography", "transform": "qubit", "trunc": 30, "eta": 0.6,

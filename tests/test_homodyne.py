@@ -263,7 +263,6 @@ class TestMaxLikReconstruct:
         plan = SamplingPlan(phases=uniform_phases(4), samples_per_phase=1000, seed=5)
         res = maxlik_reconstruct(sample_quadratures(rho, plan), dim=6, max_iter=2000, tol=1e-2)
         assert res.stop_reason == "tol"
-        assert res.converged
 
     def test_stop_reason_max_iter(self):
         rho = coherent_state(0.7, Truncation(15)).to_density()
@@ -271,7 +270,6 @@ class TestMaxLikReconstruct:
         res = maxlik_reconstruct(sample_quadratures(rho, plan), dim=8, max_iter=7, tol=1e-12)
         assert res.iterations_used == 7
         assert res.stop_reason == "max_iter"
-        assert not res.converged
 
     def test_unknown_stop_reason_rejected(self):
         rho = fock_state(0, Truncation(4)).to_density()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import eigvec_wigner, kernel_marginal, mixed_states, random_state
+from conftest import eigvec_wigner, kernel_marginal, mixed_states, random_state, wigner_point
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -19,14 +19,13 @@ from cvortho import (
     hermite_functions,
     marginal,
     wigner,
-    wigner_point,
 )
+from cvortho.cli import DEFAULTS, _build_grid
 from cvortho.homodyne import QuadratureSamples, likelihood_csv_text, samples_csv_text
 from cvortho.phasespace import (
     WIGNER_CONVENTION,
     QuadratureDistribution,
     WignerMap,
-    default_grid,
     marginal_filename,
     marginal_csv_text,
     read_wigner_grid,
@@ -67,13 +66,13 @@ class TestHermiteFunctions:
 
 class TestWigner:
     def test_vacuum_at_origin(self):
-        grid = default_grid()
+        grid = _build_grid(DEFAULTS)
         w = wigner(fock_state(0, Truncation(15)).to_density(), grid)
         mid = grid.nx // 2
         assert w.values[mid, mid] == pytest.approx(1 / math.pi, abs=1e-12)
 
     def test_single_photon_at_origin(self):
-        grid = default_grid()
+        grid = _build_grid(DEFAULTS)
         w = wigner(fock_state(1, Truncation(15)).to_density(), grid)
         mid = grid.nx // 2
         assert w.values[mid, mid] == pytest.approx(-1 / math.pi, abs=1e-12)
@@ -86,7 +85,7 @@ class TestWigner:
         assert np.max(np.abs(w.values - ref)) < 1e-9
 
     def test_coherent_peak_location(self):
-        grid = default_grid()
+        grid = _build_grid(DEFAULTS)
         w = wigner(coherent_state(1.0, Truncation(25)).to_density(), grid)
         i, j = np.unravel_index(np.argmax(w.values), w.values.shape)
         dx = (grid.x_max - grid.x_min) / (grid.nx - 1)
@@ -94,7 +93,7 @@ class TestWigner:
         assert abs(grid.ps()[j]) <= dx
 
     def test_normalization(self):
-        grid = default_grid()
+        grid = _build_grid(DEFAULTS)
         for state in (
             fock_state(1, Truncation(12)),
             coherent_state(2.0, Truncation(30)),
@@ -111,7 +110,7 @@ class TestWigner:
         alpha = (1.0 + 0.5j) / math.sqrt(2.0)
         disp = displacement_op(alpha, trunc)
         rho_disp = disp.apply(psi).normalized().to_density()
-        grid = default_grid()
+        grid = _build_grid(DEFAULTS)
         w = wigner(rho, grid).values
         w_disp = wigner(rho_disp, grid).values
         assert np.max(np.abs(w_disp[20:, 10:] - w[:-20, :-10])) < 1e-9
@@ -156,7 +155,7 @@ class TestMarginal:
         dist = marginal(rho, 0.0, xs)
         ref = np.exp(-((xs - math.sqrt(2.0)) ** 2)) / math.sqrt(math.pi)
         assert np.max(np.abs(dist.density - ref)) < 1e-10
-        assert dist.integral() == pytest.approx(1.0, abs=1e-6)
+        assert np.trapezoid(dist.density, dist.xs) == pytest.approx(1.0, abs=1e-6)
 
     def test_single_photon_closed_form(self):
         rho = fock_state(1, Truncation(10)).to_density()

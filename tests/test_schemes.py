@@ -35,7 +35,6 @@ from cvortho import (
     number_scheme_model,
     orthogonal_family,
     orthogonalize,
-    qubit_decomposition,
     qubit_operator,
     theta_for_number_orthogonalizer,
     two_operator_orthogonalizer,
@@ -196,26 +195,24 @@ class TestQubitOperator:
         spec = OrthogonalizerSpec.from_state(OperatorKind.CREATION, psi)
         perp = orthogonalize(psi, spec)
         for c in (1.0, 1j, 0.3 - 0.8j):
-            qs = qubit_decomposition(psi, spec, c)
-            scale = math.sqrt(1 + abs(c) ** 2)
-            assert abs(qs.weight_input) == pytest.approx(abs(c) / scale, abs=1e-10)
-            assert abs(qs.weight_orthogonal) == pytest.approx(1 / scale, abs=1e-10)
             out = qubit_operator(spec, c, t).apply(psi).normalized()
-            residual = StateVector(
-                out.amps - qs.weight_input * psi.amps - qs.weight_orthogonal * perp.amps, t
-            )
+            w_in, w_perp = inner_product(psi, out), inner_product(perp, out)
+            scale = math.sqrt(1 + abs(c) ** 2)
+            assert abs(w_in) == pytest.approx(abs(c) / scale, abs=1e-10)
+            assert abs(w_perp) == pytest.approx(1 / scale, abs=1e-10)
+            assert abs(w_in) ** 2 + abs(w_perp) ** 2 == pytest.approx(1.0, abs=1e-10)
+            residual = StateVector(out.amps - w_in * psi.amps - w_perp * perp.amps, t)
             assert residual.norm < 1e-10
 
     def test_decomposition_closes_on_general_states(self, rng):
         # for arbitrary inputs the weights are measured a posteriori; the
         # output stays inside span{psi, psi_perp}, so they square-sum to 1
-        # (enforced by the QubitSpec invariant)
         t = Truncation(30)
         for kind in (OperatorKind.CREATION, OperatorKind.NUMBER):
             psi = random_state(t, rng, support=12)
             spec = OrthogonalizerSpec.from_state(kind, psi)
-            qs = qubit_decomposition(psi, spec, 0.4 + 0.7j)
-            total = abs(qs.weight_input) ** 2 + abs(qs.weight_orthogonal) ** 2
+            out = qubit_operator(spec, 0.4 + 0.7j, t).apply(psi).normalized()
+            total = abs(inner_product(psi, out)) ** 2 + abs(inner_product(orthogonalize(psi, spec), out)) ** 2
             assert total == pytest.approx(1.0, abs=1e-10)
 
 
