@@ -20,7 +20,6 @@ from .fock import (
     coherent_state,
     density_from_json,
     density_json_text,
-    density_to_json,
     displacement_op,
     expectation,
     fidelity,
@@ -59,7 +58,6 @@ from .schemes import (
     OrthogonalizerSpec,
     SingularConfigurationError,
     beta_for_addition_orthogonalizer,
-    build_orthogonalizer,
     heralded_addition_model,
     ideal_addition_operator,
     ideal_number_operator,

@@ -49,6 +49,7 @@ from .homodyne import (
 from .phasespace import (
     LossChannel,
     PhaseGrid,
+    _basis_side,
     apply_loss,
     marginal,
     marginal_csv_text,
@@ -329,24 +330,6 @@ EXPERIMENTS = tuple(_RUNNERS)
 # config schema
 
 
-DEFAULTS = {
-    "input_state": {"kind": "coherent", "alpha": [1.0, 0.0], "n": 0, "amps": None},
-    "scheme": {"kind": "creation"},
-    "route": "ideal",
-    "trunc": 40,
-    "eta": 1.0,
-    "qubit_c": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
-    "qubit_c_single": [1.0, 0.0],
-    "transform": "none",
-    "herald": {"theta": "auto", "phi": 0.0, "beta": "auto", "dim": None},
-    "grid": {"x_min": -6.0, "x_max": 6.0, "p_min": -6.0, "p_max": 6.0, "nx": 241, "np": 241},
-    "marginal_xs": {"x_min": -8.0, "x_max": 8.0, "n": 1601},
-    "sampling": {"phases": 10, "samples_per_phase": 5000, "seed": 12345},
-    "reconstruction": {"dim": 15, "max_iter": 2000, "tol": 1e-10},
-    "output_dir": "out",
-}
-
-
 def _one_of(*names):
     return (lambda v: isinstance(v, str) and v in names), "one of " + ", ".join(names)
 
@@ -370,74 +353,73 @@ _COMPLEX = _is_complex, "a finite number or [re, im] pair"
 # the most uniform_phases with distinct marginal file names: pi/count > 1e-4 up to 31415, and 31416 still differ
 _MAX_NAMED_PHASE_COUNT = 31416
 
-# Every config leaf, by dotted path: (check, description).  A leaf that fails
-# its check is reported as "<path>: must be <description>, got <value>".
-# ``experiment`` is the one leaf without a default.
+# Every config leaf, by dotted path: (default, check, description).  A leaf
+# that fails its check is reported as "<path>: must be <description>, got
+# <value>".  ``experiment`` is the one leaf without a default.
 SCHEMA = {
-    "experiment": ((lambda v: _canonical_experiment(v) is not None), "one of " + ", ".join(EXPERIMENTS)),
-    "input_state.kind": _one_of("coherent", "fock", "custom"),
-    "input_state.alpha": _COMPLEX,
-    "input_state.n": _int_at_least(0),
-    "input_state.amps": _or(None, ((lambda v: _nonempty_list_of(_is_complex, v) and any(map(_as_complex, v))),
-                                   "a nonempty list of numbers or [re, im] pairs, not all zero")),
-    "scheme.kind": _one_of("creation", "number"),
-    "route": _one_of("ideal", "heralded"),
-    "trunc": _int_at_least(2),
-    "eta": _FRACTION,
-    "qubit_c": ((lambda v: _is_complex(v) or _nonempty_list_of(_is_complex, v)),
+    "experiment": (None, *_one_of(*EXPERIMENTS)),
+    "input_state.kind": ("coherent", *_one_of("coherent", "fock", "custom")),
+    "input_state.alpha": ([1.0, 0.0], *_COMPLEX),
+    "input_state.n": (0, *_int_at_least(0)),
+    "input_state.amps": (None, *_or(None, ((lambda v: _nonempty_list_of(_is_complex, v) and any(map(_as_complex, v))),
+                                           "a nonempty list of numbers or [re, im] pairs, not all zero"))),
+    "scheme.kind": ("creation", *_one_of("creation", "number")),
+    "route": ("ideal", *_one_of("ideal", "heralded")),
+    "trunc": (40, *_int_at_least(2)),
+    "eta": (1.0, *_FRACTION),
+    "qubit_c": ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                (lambda v: _is_complex(v) or _nonempty_list_of(_is_complex, v)),
                 "a finite number, an [re, im] pair or a nonempty list of them"),
-    "qubit_c_single": _COMPLEX,
-    "transform": _one_of("none", "orthogonalize", "qubit"),
-    "herald.theta": _or("auto", _FINITE),
-    "herald.phi": _FINITE,
-    "herald.beta": _or("auto", _COMPLEX),
-    "herald.dim": _or(None, _int_at_least(2)),
-    "grid.x_min": _FINITE,
-    "grid.x_max": _FINITE,
-    "grid.p_min": _FINITE,
-    "grid.p_max": _FINITE,
-    "grid.nx": _int_at_least(2),
-    "grid.np": _int_at_least(2),
-    "marginal_xs.x_min": _FINITE,
-    "marginal_xs.x_max": _FINITE,
-    "marginal_xs.n": _int_at_least(2),
-    # each phase names its marginal files, so the list's phases must differ in those names and as numbers
-    "sampling.phases": ((lambda v: (_is_int(v) and v >= 1)
-                         or (_nonempty_list_of(_is_finite, v) and len({float(p) for p in v}) == len(v)
-                             and len({marginal_filename("", p) for p in v}) == len(v))),
-                        "a count >= 1 or a nonempty list of finite numbers, distinct as numbers and to 4 decimals"),
-    "sampling.samples_per_phase": _int_at_least(1),
-    "sampling.seed": _int_at_least(0),
-    "reconstruction.dim": ((lambda v: _is_int(v) and 2 <= v <= _MAX_RECON_DIM), f"an integer in 2..{_MAX_RECON_DIM}"),
-    "reconstruction.max_iter": _int_at_least(1),
-    "reconstruction.tol": ((lambda v: _is_finite(v) and v >= 0), "a finite number >= 0"),
-    "output_dir": ((lambda v: isinstance(v, str) and v != ""), "a nonempty path string"),
+    "qubit_c_single": ([1.0, 0.0], *_COMPLEX),
+    "transform": ("none", *_one_of("none", "orthogonalize", "qubit")),
+    "herald.theta": ("auto", *_or("auto", _FINITE)),
+    "herald.phi": (0.0, *_FINITE),
+    "herald.beta": ("auto", *_or("auto", _COMPLEX)),
+    "herald.dim": (None, *_or(None, _int_at_least(2))),
+    "grid.x_min": (-6.0, *_FINITE),
+    "grid.x_max": (6.0, *_FINITE),
+    "grid.p_min": (-6.0, *_FINITE),
+    "grid.p_max": (6.0, *_FINITE),
+    "grid.nx": (241, *_int_at_least(2)),
+    "grid.np": (241, *_int_at_least(2)),
+    "marginal_xs.x_min": (-8.0, *_FINITE),
+    "marginal_xs.x_max": (8.0, *_FINITE),
+    "marginal_xs.n": (1601, *_int_at_least(2)),
+    # number_scheme's marginal file names need more: see validate_config
+    "sampling.phases": (10, (lambda v: (_is_int(v) and v >= 1)
+                             or (_nonempty_list_of(_is_finite, v) and len({float(p) for p in v}) == len(v))),
+                        "a count >= 1 or a nonempty list of finite numbers, distinct as numbers"),
+    "sampling.samples_per_phase": (5000, *_int_at_least(1)),
+    "sampling.seed": (12345, *_int_at_least(0)),
+    "reconstruction.dim": (15, (lambda v: _is_int(v) and 2 <= v <= _MAX_RECON_DIM),
+                           f"an integer in 2..{_MAX_RECON_DIM}"),
+    "reconstruction.max_iter": (2000, *_int_at_least(1)),
+    "reconstruction.tol": (1e-10, (lambda v: _is_finite(v) and v >= 0), "a finite number >= 0"),
+    "output_dir": ("out", (lambda v: isinstance(v, str) and v != ""), "a nonempty path string"),
 }
 
 
 def _merged(config: dict) -> dict:
-    """``config`` over DEFAULTS; a section's omitted keys keep their defaults."""
-    out = {key: {**default, **config.get(key, {})} if isinstance(default, dict) else config.get(key, default)
-           for key, default in DEFAULTS.items()}
-    out["experiment"] = config.get("experiment")
+    """Every SCHEMA leaf, in sections, from ``config`` or else its default."""
+    out = {}
+    for path, (default, _, _) in SCHEMA.items():
+        section, _, key = path.partition(".")
+        if key:
+            out.setdefault(section, {})[key] = config.get(section, {}).get(key, default)
+        else:
+            out[section] = config.get(section, default)
     return out
 
 
-def _canonical_experiment(name):
-    if not isinstance(name, str):
-        return None
-    flat = name.replace("-", "").replace("_", "").lower()
-    for exp in EXPERIMENTS:
-        if flat == exp.replace("_", ""):
-            return exp
-    return None
+DEFAULTS = {key: value for key, value in _merged({}).items() if key != "experiment"}
 
 
 def _unknown_key(section: str, key, known) -> str:
     """Hints at the leaves of any section that have ``key`` as last name, else at the nearest name in ``known``."""
     prefix = section + "." if section else ""
-    near = [path for path in SCHEMA if path.rpartition(".")[2] == str(key)]
-    near = near or [prefix + name for name in difflib.get_close_matches(str(key), known, n=1)]
+    key = key if isinstance(key, str) else _shown(key)  # a JSON key is a string, one passed from Python may not be
+    near = [path for path in SCHEMA if path.rpartition(".")[2] == key]
+    near = near or [prefix + name for name in difflib.get_close_matches(key, known, n=1)]
     hint = f" (did you mean {' or '.join(map(repr, near))}?)" if near else ""
     return f"{prefix}{key}: unknown key{hint}"
 
@@ -447,28 +429,56 @@ def load_config(path) -> dict:
         return json.load(fh)
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for a message; a tuple is written as a list, and an int of 14000 bits or more (near
+    the 4300 digits that str() converts) by its size."""
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_shown, value)) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_shown(k)}: {_shown(v)}" for k, v in value.items()) + "}"
+    if _is_int(value) and value.bit_length() >= 14000:
+        return f"{'under -' if value < 0 else 'over '}2^{value.bit_length() - 1}"
+    return repr(value)
+
+
+_GRID_BOUNDS = ("grid.x_min", "grid.x_max", "grid.p_min", "grid.p_max")
+
+
+def _parity_side(cfg: dict):
+    """The side of the parity basis that ``phasespace.wigner`` builds at support 0, a lower bound; None past floats."""
+    g = cfg["grid"]
+    try:
+        return _basis_side((g["x_min"], g["x_max"]), (g["p_min"], g["p_max"]), cfg["trunc"], 0)
+    except OverflowError:  # a bound whose square, or a squared reach whose ceiling, passes the float range
+        return None
+
+
 def _largest_array(cfg: dict, exp, clean):
     """(bytes, section, array) for the largest array that ``exp`` builds at sizes read from ``cfg``, or None.
 
     Sizes a dense complex trunc x trunc operator (every experiment but
-    verify), the complex nx x np Wigner phase product, the n x trunc Hermite
-    table of a marginal and MaxLik's features, each only from leaves that
-    ``clean`` passes.  A run needs at least this much memory.
+    verify), the complex nx x np Wigner phase product and the real n x n
+    Wigner parity basis, the n x trunc Hermite table of a marginal and
+    MaxLik's features, each only from leaves that ``clean`` passes.  A run
+    needs at least this much memory.
     """
     trunc, grid, n = cfg["trunc"], cfg["grid"], cfg["marginal_xs"]["n"]
     arrays = []
     if clean("trunc") and exp in ("orthogonalize", "qubit_wigner", "number_scheme", "tomography"):
-        arrays.append((16 * trunc * trunc, "trunc", f"a dense complex {trunc} x {trunc} operator"))
+        arrays.append((16 * trunc * trunc, "trunc", f"a dense complex {_shown(trunc)} x {_shown(trunc)} operator"))
     if clean("grid.nx", "grid.np") and exp in ("qubit_wigner", "number_scheme"):
         arrays.append((16 * grid["nx"] * grid["np"], "grid",
-                       f"the complex {grid['nx']} x {grid['np']} Wigner phase product"))
+                       f"the complex {_shown(grid['nx'])} x {_shown(grid['np'])} Wigner phase product"))
+    side = _parity_side(cfg) if clean("trunc", *_GRID_BOUNDS) and exp in ("qubit_wigner", "number_scheme") else None
+    if side is not None:
+        arrays.append((8 * side * side, "grid", f"the real {_shown(side)} x {_shown(side)} Wigner parity basis"))
     if clean("trunc", "marginal_xs.n") and exp in ("orthogonalize", "number_scheme"):
-        arrays.append((8 * n * trunc, "marginal_xs", f"the {n} x {trunc} Hermite table of a marginal"))
+        arrays.append((8 * n * trunc, "marginal_xs", f"the {_shown(n)} x {_shown(trunc)} Hermite table of a marginal"))
     count, dim = cfg["sampling"]["phases"], cfg["reconstruction"]["dim"]
     if clean("sampling.phases", "sampling.samples_per_phase", "reconstruction.dim") and exp == "tomography":
         phases, per_phase = (count if _is_int(count) else len(count)), cfg["sampling"]["samples_per_phase"]
-        arrays.append((8 * phases * per_phase * (2 * dim - 1), "sampling", f"MaxLik's features of {phases} x "
-                       f"{per_phase} samples at reconstruction.dim {dim} (8 (2 dim - 1) bytes each)"))
+        arrays.append((8 * phases * per_phase * (2 * dim - 1), "sampling", f"MaxLik's features of {_shown(phases)} x "
+                       f"{_shown(per_phase)} samples at reconstruction.dim {dim} (8 (2 dim - 1) bytes each)"))
     return max(arrays, default=None)
 
 
@@ -484,16 +494,16 @@ def validate_config(config: dict) -> list:
         return [f"config: must be a JSON object, got {type(config).__name__}"]
     broken = [key for key, default in DEFAULTS.items()
               if isinstance(default, dict) and not isinstance(config.get(key, {}), dict)]
-    problems = [f"{key}: must be an object, got {config[key]!r}" for key in broken]
+    problems = [f"{key}: must be an object, got {_shown(config[key])}" for key in broken]
     cfg = _merged({key: value for key, value in config.items() if key not in broken})
 
     known, bad = {}, {path for path in SCHEMA if path.partition(".")[0] in broken}
-    for path, (check, description) in SCHEMA.items():
+    for path, (_, check, description) in SCHEMA.items():
         section, _, key = path.partition(".")
         known.setdefault(section, []).append(key)
         value = cfg[section][key] if key else cfg[section]
         if path not in bad and not check(value):
-            problems.append(f"{path}: must be {description}, got {value!r}")
+            problems.append(f"{path}: must be {description}, got {_shown(value)}")
             bad.add(path)
 
     def clean(*paths):
@@ -501,15 +511,15 @@ def validate_config(config: dict) -> list:
 
     state = cfg["input_state"]
     if clean("input_state.kind", "input_state.n", "trunc") and state["kind"] == "fock" and state["n"] >= cfg["trunc"]:
-        problems.append(f"input_state.n: must be an integer in 0..trunc-1, got {state['n']!r}")
+        problems.append(f"input_state.n: must be an integer in 0..trunc-1, got {_shown(state['n'])}")
     if (clean("input_state.kind", "input_state.amps", "trunc") and state["kind"] == "custom"
             and not 1 <= len(state["amps"] or ()) <= cfg["trunc"]):
-        problems.append(f"input_state.amps: a custom state needs 1..trunc amplitudes, got {state['amps']!r}")
+        problems.append(f"input_state.amps: a custom state needs 1..trunc amplitudes, got {_shown(state['amps'])}")
     for section, axis in (("grid", "x"), ("grid", "p"), ("marginal_xs", "x")):
         low, high = f"{axis}_min", f"{axis}_max"
         if clean(f"{section}.{low}", f"{section}.{high}") and not cfg[section][low] < cfg[section][high]:
             problems.append(f"{section}: bounds must satisfy {low} < {high}")
-    exp = _canonical_experiment(cfg["experiment"])
+    exp = cfg["experiment"]
     theta = cfg["herald"]["theta"]
     if (clean("herald.theta") and exp == "number_scheme" and theta != "auto"
             and abs(math.cos(theta) - math.sin(theta)) < 1e-12):
@@ -517,20 +527,26 @@ def validate_config(config: dict) -> list:
     if (clean("route", "scheme.kind") and exp == "orthogonalize" and cfg["route"] == "heralded"
             and cfg["scheme"]["kind"] == "number"):
         problems.append("route: heralded orthogonalize needs scheme.kind creation (see the number_scheme experiment)")
-    count = cfg["sampling"]["phases"]
-    if clean("sampling.phases") and exp == "number_scheme" and _is_int(count) and count > _MAX_NAMED_PHASE_COUNT:
-        problems.append(f"sampling.phases: must be at most {_MAX_NAMED_PHASE_COUNT} for number_scheme, "
-                        f"whose marginal file names give each phase to 4 decimals, got {count!r}")
+    phases = cfg["sampling"]["phases"]
+    if clean("sampling.phases") and exp == "number_scheme":
+        if _is_int(phases) and phases > _MAX_NAMED_PHASE_COUNT:
+            problems.append(f"sampling.phases: must be at most {_MAX_NAMED_PHASE_COUNT} for number_scheme, "
+                            f"whose marginal file names give each phase to 4 decimals, got {_shown(phases)}")
+        elif not _is_int(phases) and len({marginal_filename("", p) for p in phases}) < len(phases):
+            problems.append("sampling.phases: must be distinct to 4 decimals for number_scheme, "
+                            f"whose marginal file names give each phase to 4 decimals, got {_shown(phases)}")
+    if clean("trunc", *_GRID_BOUNDS) and exp in ("qubit_wigner", "number_scheme") and _parity_side(cfg) is None:
+        problems.append(f"grid: {exp} sizes its Wigner parity basis by the squared bounds, which pass the float range")
     recon_dim = cfg["reconstruction"]["dim"]
     if clean("reconstruction.dim", "trunc") and exp == "tomography" and recon_dim > cfg["trunc"]:
-        problems.append(f"reconstruction.dim: must be at most trunc ({cfg['trunc']}) for tomography, got {recon_dim!r}")
+        problems.append(f"reconstruction.dim: must be at most trunc ({cfg['trunc']}) for tomography, "
+                        f"got {_shown(recon_dim)}")
     largest = _largest_array(cfg, exp, clean)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if largest is not None and largest[0] > memory:
         need, section, array = largest
-        # a product of leaves can pass the digits that str() converts (4300); each leaf read from JSON cannot
-        need = need if need.bit_length() < 14000 else f"over 2^{need.bit_length() - 1}"
-        problems.append(f"{section}: {exp} builds {array}, {need} bytes, more than the {memory} bytes of physical memory")
+        problems.append(f"{section}: {exp} builds {array}, {_shown(need)} bytes, "
+                        f"more than the {memory} bytes of physical memory")
 
     for key, value in config.items():
         if key not in known:
@@ -553,7 +569,7 @@ def _execute(config: dict, output_dir=None) -> dict:
     cfg = _merged(config)
     outdir = Path(output_dir if output_dir is not None else cfg["output_dir"])
     writer = _ArtifactWriter(outdir)
-    _RUNNERS[_canonical_experiment(cfg["experiment"])](cfg, writer)
+    _RUNNERS[cfg["experiment"]](cfg, writer)
 
     manifest = writer.manifest(config_echo=config)
     (outdir / "manifest.json").write_text(

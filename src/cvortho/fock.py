@@ -37,13 +37,13 @@ __all__ = [
     "unitarity_defect",
     "check_tail",
     "project_density",
-    "density_to_json",
     "density_from_json",
     "density_json_text",
 ]
 
-# Conditional states with norm below this are treated as impossible outcomes;
-# below double-precision meaningfulness for normalized inputs.
+# A state with norm below this is numerically zero: an impossible herald
+# outcome or an orthogonalized eigenstate; below double-precision
+# meaningfulness for normalized inputs.
 ZERO_NORM_TOL = 1e-12
 
 _HERMITICITY_TOL = 1e-12
@@ -406,16 +406,12 @@ def project_density(rho: DensityMatrix, trunc: Truncation) -> DensityMatrix:
 # density serialization: {"dim": N, "data": row-major [re, im] pairs}
 
 
-def density_to_json(rho: DensityMatrix) -> dict:
-    flat = rho.elems.reshape(-1)
-    return {"dim": rho.trunc.dim, "data": np.column_stack([flat.real, flat.imag]).tolist()}
-
-
 def density_json_text(rho: DensityMatrix) -> str:
-    """``json.dumps(density_to_json(rho), indent=2, sort_keys=True) + "\\n"``, byte for byte.
+    """``json.dumps({"dim": N, "data": pairs}, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
-    json writes a finite float as its ``repr``, so one ``%r`` template gives the same text without
-    json's pure-Python indenting encoder.  Raises ``ValueError`` naming the first nan or inf entry.
+    ``pairs`` holds each entry's ``[re, im]``, row-major.  json writes a finite float as its ``repr``, so one
+    ``%r`` template gives the same text without json's pure-Python indenting encoder.  Raises ``ValueError``
+    naming the first nan or inf entry.
     """
     dim = rho.trunc.dim
     flat = rho.elems.reshape(-1)
@@ -428,10 +424,10 @@ def density_json_text(rho: DensityMatrix) -> str:
     return ('{\n  "data": [\n' + pairs + '\n  ],\n  "dim": %d\n}\n') % (*values, dim)
 
 
-def density_from_json(obj: dict, tail_tol: float = 1e-8) -> DensityMatrix:
+def density_from_json(obj: dict) -> DensityMatrix:
     dim = int(obj["dim"])
     data = np.asarray(obj["data"], dtype=np.float64)
     if data.shape != (dim * dim, 2):
         raise ValueError(f"density data shape {data.shape} does not match dim {dim}")
     elems = (data[:, 0] + 1j * data[:, 1]).reshape(dim, dim)
-    return DensityMatrix(elems, Truncation(dim, tail_tol))
+    return DensityMatrix(elems, Truncation(dim))

@@ -168,6 +168,15 @@ def _parity_dim(displacement2: float, support: int) -> int:
     ))
 
 
+def _basis_side(x_bounds, p_bounds, dim: int, support: int) -> int:
+    """Side of the parity basis for a ``dim``-level state with the given support, on a grid with these bounds.
+
+    The farthest grid corner, with the displacement doubled by the parity
+    fold, needs _parity_dim(2 (max|x|^2 + max|p|^2), support).
+    """
+    return max(dim, _parity_dim(2.0 * (max(map(abs, x_bounds)) ** 2 + max(map(abs, p_bounds)) ** 2), support))
+
+
 def wigner(rho: DensityMatrix, grid: PhaseGrid) -> WignerMap:
     """W(x, p) = (1/pi) Tr[rho D(g) P D(g)_dag], g = (x + i p)/sqrt2.
 
@@ -189,9 +198,7 @@ def wigner(rho: DensityMatrix, grid: PhaseGrid) -> WignerMap:
     xs, ps = grid.xs(), grid.ps()
     d = rho.trunc.dim
     support = _support_level(np.real(np.diag(rho.elems)))
-    reach2 = 2.0 * (max(abs(grid.x_min), abs(grid.x_max)) ** 2
-                    + max(abs(grid.p_min), abs(grid.p_max)) ** 2)
-    n = max(d, _parity_dim(reach2, support))
+    n = _basis_side((grid.x_min, grid.x_max), (grid.p_min, grid.p_max), d, support)
 
     k = np.arange(n)
     w, v = eigh_tridiagonal(np.zeros(n), np.sqrt(k[1:] / 2.0))

@@ -39,7 +39,6 @@ __all__ = [
     "EigenstateError",
     "SingularConfigurationError",
     "DegenerateDenominatorError",
-    "build_orthogonalizer",
     "orthogonalize",
     "orthogonal_family",
     "qubit_operator",
@@ -53,7 +52,6 @@ __all__ = [
 ]
 
 _MEAN_MATCH_TOL = 1e-8
-_EIGENSTATE_TOL = 1e-12
 _DENOMINATOR_TOL = 1e-12
 
 # The herald truncation only has to hold the addition scheme's coherent
@@ -160,12 +158,6 @@ def _base_operator(kind: OperatorKind, trunc: Truncation, operator: ModeOperator
 # ideal operators
 
 
-def build_orthogonalizer(spec: OrthogonalizerSpec, trunc: Truncation) -> ModeOperator:
-    """C - <C> 1 for the operator named by ``spec``."""
-    base = _base_operator(spec.kind, trunc, spec.operator)
-    return base - complex(spec.mean_value) * identity_op(trunc)
-
-
 def qubit_operator(spec: OrthogonalizerSpec, c: complex, trunc: Truncation) -> ModeOperator:
     """C + (c - <C>) 1; reduces to the orthogonalizer at c = 0.
 
@@ -199,7 +191,7 @@ def orthogonalize(psi: StateVector, spec: OrthogonalizerSpec) -> StateVector:
         )
     raw = base.apply(psi).amps - complex(spec.mean_value) * psi.amps
     nrm = float(np.linalg.norm(raw))
-    if nrm < _EIGENSTATE_TOL:
+    if nrm < ZERO_NORM_TOL:
         raise EigenstateError(
             "input is an eigenstate of the chosen operator; orthogonalization "
             "success probability drops to zero"
@@ -220,13 +212,13 @@ def orthogonal_family(psi: StateVector, spec: OrthogonalizerSpec, k: int) -> lis
         raise ValueError("the orthogonal family requires the creation-operator scheme")
     if k < 1:
         raise ValueError("family size k must be >= 1")
-    op = build_orthogonalizer(spec, psi.trunc).elems
+    op = qubit_operator(spec, 0.0, psi.trunc).elems
     family = []
     cur = psi.amps
     for _ in range(k):
         cur = op @ cur
         nrm = float(np.linalg.norm(cur))
-        if nrm < _EIGENSTATE_TOL:
+        if nrm < ZERO_NORM_TOL:
             raise EigenstateError("repeated orthogonalization annihilated the state")
         cur = cur / nrm
         member = StateVector(cur, psi.trunc)
