@@ -2,14 +2,20 @@
 
 Subcommands: ``run <config.json>``, ``validate <config.json>``, ``verify``.
 Every run writes its files plus a manifest listing each artifact with a
-sha256 checksum.  Identical configs (including seed) produce identical
-checksums at a fixed BLAS thread count; across thread counts the Wigner
-grid files and the ``qubit_wigner`` report differ in the last bits.
+sha256 checksum.  Every artifact is UTF-8 text except the Wigner grids,
+which are ``.npy`` arrays (little-endian float64, shape ``(nx, np)``); the
+grid they sit on is the ``grid`` object of the run's ``report.json``.
+Identical configs (including seed) produce identical checksums at a fixed
+BLAS thread count; across thread counts the Wigner grid files and the
+``qubit_wigner`` report differ in the last bits.  A grid file's bytes can also
+depend on the numpy version that writes its ``.npy`` header, which the
+manifest's ``versions`` records.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import difflib
 import hashlib
 import json
@@ -55,7 +61,7 @@ from .phasespace import (
     marginal_csv_text,
     marginal_filename,
     wigner,
-    wigner_grid_text,
+    wigner_grid_npy,
 )
 from .schemes import (
     _HERALD_TAIL_TOL,
@@ -100,18 +106,18 @@ class _ArtifactWriter:
         self.outdir = Path(outdir)
         self.entries = {}
 
-    def write_text(self, relpath: str, kind: str, text: str):
-        """Write ``text`` as UTF-8 and checksum the bytes written; the only way an artifact reaches disk."""
+    def write(self, relpath: str, kind: str, content: str | bytes):
+        """Write ``content`` (text as UTF-8) and checksum the bytes written; the only way an artifact reaches disk."""
         if relpath in self.entries:
             raise ValueError(f"artifact {relpath!r} was already written in this run")
-        data = text.encode("utf-8")
+        data = content.encode("utf-8") if isinstance(content, str) else content
         if not self.entries:  # made here, so a run that fails before its first artifact leaves no directory
             self.outdir.mkdir(parents=True, exist_ok=True)
         (self.outdir / relpath).write_bytes(data)
         self.entries[relpath] = {"path": relpath, "sha256": hashlib.sha256(data).hexdigest(), "kind": kind}
 
     def write_json(self, relpath: str, obj, kind: str):
-        self.write_text(relpath, kind, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        self.write(relpath, kind, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
     def manifest(self, config_echo: dict) -> dict:
         import scipy
@@ -179,21 +185,22 @@ def _detected(cfg: dict, rho: DensityMatrix) -> DensityMatrix:
 def _write_state(writer: _ArtifactWriter, cfg: dict, label: str, state: StateVector, phases=(), grid=None):
     """Write ``state`` after the configured loss, each file named with ``label``.
 
-    Writes its marginals at ``phases``, its Wigner map on ``grid`` (the map
-    is returned) and its density JSON.
+    Writes its marginals at ``phases``, its Wigner map on ``grid`` and its
+    density JSON.  Returns the map and its file name (both None without ``grid``).
     """
     rho = _detected(cfg, state.to_density())
     m = cfg["marginal_xs"]
     xs = np.linspace(m["x_min"], m["x_max"], m["n"])
     for phase in phases:
-        writer.write_text(marginal_filename(f"marginal_{label}", phase), "marginal-csv",
-                          marginal_csv_text(marginal(rho, phase, xs)))
-    wmap = None
+        writer.write(marginal_filename(f"marginal_{label}", phase), "marginal-csv",
+                     marginal_csv_text(marginal(rho, phase, xs)))
+    wmap = grid_file = None
     if grid is not None:
         wmap = wigner(rho, grid)
-        writer.write_text(f"wigner_{label}.dat", "wigner-grid", wigner_grid_text(wmap))
-    writer.write_text(f"density_{label}.json", "density-json", density_json_text(rho))
-    return wmap
+        grid_file = f"wigner_{label}.npy"
+        writer.write(grid_file, "wigner-grid", wigner_grid_npy(wmap))
+    writer.write(f"density_{label}.json", "density-json", density_json_text(rho))
+    return wmap, grid_file
 
 
 # ---------------------------------------------------------------------------
@@ -235,21 +242,22 @@ def _run_qubit_wigner(cfg: dict, writer: _ArtifactWriter) -> dict:
     for i, raw_c in enumerate(c_values):
         c = _as_complex(raw_c)
         out = qubit_operator(spec, c, trunc).apply(psi).normalized()
-        wmap = _write_state(writer, cfg, f"{i:02d}", out, grid=grid)
+        wmap, grid_file = _write_state(writer, cfg, f"{i:02d}", out, grid=grid)
         entries.append({
-            "file": f"wigner_{i:02d}.dat",
+            "file": grid_file,
             "c": _complex_pair(c),
             "wigner_min": float(wmap.values.min()),
             "wigner_max": float(wmap.values.max()),
             "grid_integral": wmap.integral(),
         })
-    report = {"eta": cfg["eta"], "maps": entries}
+    report = {"eta": cfg["eta"], "grid": dataclasses.asdict(grid), "maps": entries}
     writer.write_json("report.json", report, "report-json")
     return report
 
 
 def _run_number_scheme(cfg: dict, writer: _ArtifactWriter) -> dict:
     _, psi, spec = _prepared(cfg, OperatorKind.NUMBER)
+    grid = _build_grid(cfg)
     model = _herald_model(cfg, spec)
     out, prob = number_scheme_model(psi, model)
 
@@ -258,9 +266,9 @@ def _run_number_scheme(cfg: dict, writer: _ArtifactWriter) -> dict:
         "overlap_with_input": abs(inner_product(psi, out)),
         "beam_splitter_theta": model.theta,
         "mean_photon_number": float(complex(spec.mean_value).real),
+        "grid": dataclasses.asdict(grid),
     }
 
-    grid = _build_grid(cfg)
     phases = _build_plan(cfg).phases
     for label, state in (("input", psi), ("output", out)):
         _write_state(writer, cfg, label, state, phases=phases, grid=grid)
@@ -278,12 +286,12 @@ def _run_tomography(cfg: dict, writer: _ArtifactWriter) -> dict:
     rho_true = psi.to_density()
     rho_detected = _detected(cfg, rho_true)
     samples = sample_quadratures(rho_detected, _build_plan(cfg))
-    writer.write_text("samples.csv", "samples-csv", samples_csv_text(samples))
+    writer.write("samples.csv", "samples-csv", samples_csv_text(samples))
 
     recon = cfg["reconstruction"]
     result = maxlik_reconstruct(samples, dim=recon["dim"], max_iter=recon["max_iter"], tol=recon["tol"])
-    writer.write_text("rho_hat.json", "density-json", density_json_text(result.rho_hat))
-    writer.write_text("likelihood.csv", "likelihood-csv", likelihood_csv_text(result.log_likelihood_trace))
+    writer.write("rho_hat.json", "density-json", density_json_text(result.rho_hat))
+    writer.write("likelihood.csv", "likelihood-csv", likelihood_csv_text(result.log_likelihood_trace))
 
     target = project_density(rho_true, Truncation(recon["dim"]))
     report = {
@@ -293,11 +301,11 @@ def _run_tomography(cfg: dict, writer: _ArtifactWriter) -> dict:
         "fidelity_vs_true": fidelity(result.rho_hat, target),
         "final_log_likelihood": float(result.log_likelihood_trace[-1]),
     }
-    writer.write_text("rho_true.json", "density-json", density_json_text(target))
+    writer.write("rho_true.json", "density-json", density_json_text(target))
     if cfg["eta"] < 1.0:
         lossy = project_density(rho_detected, target.trunc)
         report["fidelity_vs_lossy_true"] = fidelity(result.rho_hat, lossy)
-        writer.write_text("rho_lossy.json", "density-json", density_json_text(lossy))
+        writer.write("rho_lossy.json", "density-json", density_json_text(lossy))
     writer.write_json("report.json", report, "report-json")
     return report
 

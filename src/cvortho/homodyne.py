@@ -292,4 +292,8 @@ def read_samples_csv(path) -> QuadratureSamples:
 
 
 def likelihood_csv_text(trace) -> str:
-    return "iteration,log_likelihood\n" + "".join([f"{i},{val:.17g}\n" for i, val in enumerate(trace)])
+    """CSV with header iteration,log_likelihood; values to 17 significant digits, filled into one template."""
+    cells = [None] * (2 * len(trace))
+    cells[0::2] = range(len(trace))
+    cells[1::2] = np.asarray(trace, dtype=np.float64).tolist()
+    return "iteration,log_likelihood\n" + ("%d,%.17g\n" * len(trace)) % tuple(cells)

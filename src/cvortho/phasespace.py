@@ -8,6 +8,7 @@ full phase-space integral is 1.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -26,13 +27,10 @@ __all__ = [
     "wigner",
     "marginal",
     "apply_loss",
-    "wigner_grid_text",
-    "read_wigner_grid",
+    "wigner_grid_npy",
     "marginal_csv_text",
     "marginal_filename",
 ]
-
-WIGNER_CONVENTION = "x=(a+a†)/sqrt2"
 
 
 @dataclass(frozen=True)
@@ -248,27 +246,11 @@ def apply_loss(rho: DensityMatrix, channel: LossChannel) -> DensityMatrix:
 # file formats
 
 
-def wigner_grid_text(wmap: WignerMap) -> str:
-    """Plain-text grid file; one row per fixed p, nx values per row."""
-    g = wmap.grid
-    lines = [
-        f"# {g.x_min:.17g} {g.x_max:.17g} {g.nx}",
-        f"# {g.p_min:.17g} {g.p_max:.17g} {g.np}",
-        f"# convention {WIGNER_CONVENTION}",
-    ]
-    row = " ".join(["%.17g"] * g.nx)
-    lines += [row % tuple(vals) for vals in wmap.values.T.tolist()]
-    return "\n".join(lines) + "\n"
-
-
-def read_wigner_grid(path) -> WignerMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    x_min, x_max, nx = lines[0][2:].split()
-    p_min, p_max, np_ = lines[1][2:].split()
-    grid = PhaseGrid(float(x_min), float(x_max), float(p_min), float(p_max), int(nx), int(np_))
-    rows = [np.array([float(tok) for tok in ln.split()]) for ln in lines[3 : 3 + grid.np]]
-    return WignerMap(grid, np.vstack(rows).T)
+def wigner_grid_npy(wmap: WignerMap) -> bytes:
+    """``.npy`` file of ``wmap.values``: little-endian float64, shape ``(nx, np)``, ``values[i, j] = W(x_i, p_j)``."""
+    buf = io.BytesIO()
+    np.save(buf, wmap.values.astype("<f8", copy=False), allow_pickle=False)
+    return buf.getvalue()
 
 
 def marginal_filename(prefix: str, phase: float) -> str:
@@ -276,5 +258,8 @@ def marginal_filename(prefix: str, phase: float) -> str:
 
 
 def marginal_csv_text(dist: QuadratureDistribution) -> str:
-    """CSV with header x,density; both columns to 17 significant digits."""
-    return "x,density\n" + "".join(["%.17g,%.17g\n" % pair for pair in zip(dist.xs.tolist(), dist.density.tolist())])
+    """CSV with header x,density; both columns to 17 significant digits, filled into one template."""
+    cells = [None] * (2 * dist.xs.size)
+    cells[0::2] = dist.xs.tolist()
+    cells[1::2] = dist.density.tolist()
+    return "x,density\n" + ("%.17g,%.17g\n" * dist.xs.size) % tuple(cells)

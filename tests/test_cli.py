@@ -15,6 +15,7 @@ from cvortho import (
     LossChannel,
     OperatorKind,
     OrthogonalizerSpec,
+    PhaseGrid,
     Truncation,
     apply_loss,
     coherent_state,
@@ -384,8 +385,13 @@ class TestRunQubitWigner:
         maps = [e for e in manifest["files"] if e["kind"] == "wigner-grid"]
         assert len(maps) == 4
         report = json.loads((tmp_path / "report.json").read_text())
+        kinds = {e["path"]: e["kind"] for e in manifest["files"]}
         for entry in report["maps"]:
             assert entry["grid_integral"] == pytest.approx(1.0, abs=1e-4)
+            assert kinds[entry["file"]] == "wigner-grid"
+            values = np.load(tmp_path / entry["file"], allow_pickle=False)
+            assert values.shape == (61, 61) and values.min() == entry["wigner_min"]
+        assert PhaseGrid(**report["grid"]) == cli._build_grid({"grid": {**DEFAULTS["grid"], "nx": 61, "np": 61}})
 
 
 class TestRunNumberScheme:
@@ -496,9 +502,9 @@ class TestDeterminism:
 
 def test_artifact_path_written_twice_is_refused(tmp_path):
     writer = cli._ArtifactWriter(tmp_path)
-    writer.write_text("a.csv", "marginal-csv", "first\n")
+    writer.write("a.csv", "marginal-csv", "first\n")
     with pytest.raises(ValueError, match="'a.csv' was already written"):
-        writer.write_text("a.csv", "marginal-csv", "second\n")
+        writer.write("a.csv", "marginal-csv", "second\n")
     assert (tmp_path / "a.csv").read_text() == "first\n"
     assert [e["path"] for e in writer.manifest({})["files"]] == ["a.csv"]
 

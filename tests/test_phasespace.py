@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -23,13 +24,11 @@ from cvortho import (
 from cvortho.cli import DEFAULTS, _build_grid
 from cvortho.homodyne import QuadratureSamples, likelihood_csv_text, samples_csv_text
 from cvortho.phasespace import (
-    WIGNER_CONVENTION,
     QuadratureDistribution,
     WignerMap,
     marginal_filename,
     marginal_csv_text,
-    read_wigner_grid,
-    wigner_grid_text,
+    wigner_grid_npy,
 )
 
 
@@ -285,17 +284,12 @@ class TestLossChannel:
 
 
 class TestFileFormats:
-    def test_wigner_grid_round_trip(self, tmp_path, rng):
+    def test_wigner_grid_npy_round_trip(self, rng):
         grid = PhaseGrid(-3, 3, -2, 2, 11, 9)
         w = wigner(random_state(Truncation(8), rng, support=5).to_density(), grid)
-        path = tmp_path / "map.dat"
-        path.write_text(wigner_grid_text(w), encoding="utf-8")
-        back = read_wigner_grid(path)
-        assert back.grid == grid
-        assert_allclose(back.values, w.values, rtol=1e-15)
-        header = path.read_text(encoding="utf-8").splitlines()[:3]
-        assert header[0].startswith("# ") and header[0].endswith(" 11")
-        assert header[2] == "# convention x=(a+a†)/sqrt2"
+        back = np.load(io.BytesIO(wigner_grid_npy(w)), allow_pickle=False)
+        assert back.shape == (grid.nx, grid.np)
+        assert np.array_equal(back.view(np.int64), w.values.view(np.int64))
 
     def test_marginal_csv(self, tmp_path):
         xs = np.linspace(-1, 1, 5)
@@ -313,18 +307,16 @@ class TestFileFormats:
         special = [-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300, 3.0, -7.0, 2.0**53, 1.0 / 3.0, math.pi]
         return np.resize(np.array(special), count)
 
-    def test_wigner_grid_bytes_match_per_value_format(self, tmp_path):
+    def test_wigner_grid_npy_keeps_every_bit(self):
         grid = PhaseGrid(-1.5, 2.0, -3.0, 0.25, 7, 5)
         wmap = WignerMap(grid, self.awkward_values(35).reshape(7, 5))
-        (tmp_path / "map.dat").write_text(wigner_grid_text(wmap), encoding="utf-8")
-        lines = [
-            f"# {grid.x_min:.17g} {grid.x_max:.17g} {grid.nx}",
-            f"# {grid.p_min:.17g} {grid.p_max:.17g} {grid.np}",
-            f"# convention {WIGNER_CONVENTION}",
-        ]
-        for k in range(grid.np):
-            lines.append(" ".join(f"{v:.17g}" for v in wmap.values[:, k]))
-        assert (tmp_path / "map.dat").read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+        data = io.BytesIO(wigner_grid_npy(wmap))
+        assert np.lib.format.read_magic(data) == (1, 0)
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(data)
+        assert (dtype.str, fortran_order, shape) == ("<f8", False, (grid.nx, grid.np))
+        data.seek(0)
+        back = np.load(data, allow_pickle=False)
+        assert np.array_equal(back.view(np.int64), wmap.values.view(np.int64))
 
     def test_marginal_csv_bytes_match_per_value_format(self, tmp_path):
         xs = self.awkward_values(13)
