@@ -1,10 +1,11 @@
 """Config-driven experiment runner emitting reproducible data artifacts.
 
-Subcommands: ``run <config.json>``, ``validate <config.json>``, ``verify``.
-Every run writes its files plus a manifest listing each artifact with a
-sha256 checksum.  Every artifact is UTF-8 text except the Wigner grids,
-which are ``.npy`` arrays (little-endian float64, shape ``(nx, np)``); the
-grid they sit on is the ``grid`` object of the run's ``report.json``.
+Subcommands: ``run <config.json> [--output-dir DIR]``, ``validate <config.json>``,
+``verify``.  Every run writes its files into DIR (``out`` by default) plus a
+manifest listing each artifact with a sha256 checksum.  Every artifact is
+UTF-8 text except the Wigner grids, which are ``.npy`` arrays (little-endian
+float64, shape ``(nx, np)``); the grid they sit on is the ``grid`` object of
+the run's ``report.json``.
 Identical configs (including seed) produce identical checksums at a fixed
 BLAS thread count; across thread counts the Wigner grid files and the
 ``qubit_wigner`` report differ in the last bits.  A grid file's bytes can also
@@ -28,7 +29,6 @@ import numpy as np
 
 from . import __version__
 from .fock import (
-    DensityMatrix,
     ModeOperator,
     StateVector,
     Truncation,
@@ -64,7 +64,6 @@ from .phasespace import (
     wigner_grid_npy,
 )
 from .schemes import (
-    _HERALD_TAIL_TOL,
     HeraldModel,
     OperatorKind,
     OrthogonalizerSpec,
@@ -144,11 +143,6 @@ def _prepared(cfg: dict, kind: OperatorKind | None = None):
     return trunc, psi, OrthogonalizerSpec.from_state(kind or OperatorKind(cfg["scheme"]["kind"]), psi)
 
 
-def _build_grid(cfg: dict) -> PhaseGrid:
-    g = cfg["grid"]
-    return PhaseGrid(g["x_min"], g["x_max"], g["p_min"], g["p_max"], g["nx"], g["np"])
-
-
 def _build_plan(cfg: dict) -> SamplingPlan:
     s = cfg["sampling"]
     phases = uniform_phases(s["phases"]) if isinstance(s["phases"], int) else tuple(s["phases"])
@@ -169,17 +163,11 @@ def _herald_model(cfg: dict, spec: OrthogonalizerSpec) -> HeraldModel:
         beta = beta_for_addition_orthogonalizer(complex(spec.mean_value), theta) if spec.kind is OperatorKind.CREATION else 0.0
     else:
         beta = _as_complex(beta)
-    herald_trunc = Truncation(h["dim"], tail_tol=_HERALD_TAIL_TOL) if h["dim"] is not None else None
-    return HeraldModel(beta=beta, theta=float(theta), phi=float(h["phi"]), herald_trunc=herald_trunc)
+    return HeraldModel(beta=beta, theta=float(theta), phi=float(h["phi"]), herald_dim=h["dim"])
 
 
 def _complex_pair(z: complex):
     return [float(z.real), float(z.imag)]
-
-
-def _detected(cfg: dict, rho: DensityMatrix) -> DensityMatrix:
-    """``rho`` after the configured detection loss: the state an ideal homodyne detector sees."""
-    return apply_loss(rho, LossChannel(cfg["eta"])) if cfg["eta"] < 1.0 else rho
 
 
 def _write_state(writer: _ArtifactWriter, cfg: dict, label: str, state: StateVector, phases=(), grid=None):
@@ -188,7 +176,7 @@ def _write_state(writer: _ArtifactWriter, cfg: dict, label: str, state: StateVec
     Writes its marginals at ``phases``, its Wigner map on ``grid`` and its
     density JSON.  Returns the map and its file name (both None without ``grid``).
     """
-    rho = _detected(cfg, state.to_density())
+    rho = apply_loss(state.to_density(), LossChannel(cfg["eta"]))
     m = cfg["marginal_xs"]
     xs = np.linspace(m["x_min"], m["x_max"], m["n"])
     for phase in phases:
@@ -235,7 +223,7 @@ def _run_orthogonalize(cfg: dict, writer: _ArtifactWriter) -> dict:
 
 def _run_qubit_wigner(cfg: dict, writer: _ArtifactWriter) -> dict:
     trunc, psi, spec = _prepared(cfg)
-    grid = _build_grid(cfg)
+    grid = PhaseGrid(**cfg["grid"])
 
     c_values = [cfg["qubit_c"]] if _is_complex(cfg["qubit_c"]) else cfg["qubit_c"]
     entries = []
@@ -257,7 +245,7 @@ def _run_qubit_wigner(cfg: dict, writer: _ArtifactWriter) -> dict:
 
 def _run_number_scheme(cfg: dict, writer: _ArtifactWriter) -> dict:
     _, psi, spec = _prepared(cfg, OperatorKind.NUMBER)
-    grid = _build_grid(cfg)
+    grid = PhaseGrid(**cfg["grid"])
     model = _herald_model(cfg, spec)
     out, prob = number_scheme_model(psi, model)
 
@@ -284,7 +272,7 @@ def _run_tomography(cfg: dict, writer: _ArtifactWriter) -> dict:
         psi = qubit_operator(spec, _as_complex(cfg["qubit_c_single"]), trunc).apply(psi).normalized()
 
     rho_true = psi.to_density()
-    rho_detected = _detected(cfg, rho_true)
+    rho_detected = apply_loss(rho_true, LossChannel(cfg["eta"]))
     samples = sample_quadratures(rho_detected, _build_plan(cfg))
     writer.write("samples.csv", "samples-csv", samples_csv_text(samples))
 
@@ -403,7 +391,6 @@ SCHEMA = {
                            f"an integer in 2..{_MAX_RECON_DIM}"),
     "reconstruction.max_iter": (2000, *_int_at_least(1)),
     "reconstruction.tol": (1e-10, (lambda v: _is_finite(v) and v >= 0), "a finite number >= 0"),
-    "output_dir": ("out", (lambda v: isinstance(v, str) and v != ""), "a nonempty path string"),
 }
 
 
@@ -532,9 +519,13 @@ def validate_config(config: dict) -> list:
     if (clean("herald.theta") and exp == "number_scheme" and theta != "auto"
             and abs(math.cos(theta) - math.sin(theta)) < 1e-12):
         problems.append("herald.theta: t = r is a singular configuration for the number scheme")
-    if (clean("route", "scheme.kind") and exp == "orthogonalize" and cfg["route"] == "heralded"
-            and cfg["scheme"]["kind"] == "number"):
+    heralded = clean("route", "scheme.kind") and exp == "orthogonalize" and cfg["route"] == "heralded"
+    if heralded and cfg["scheme"]["kind"] == "number":
         problems.append("route: heralded orthogonalize needs scheme.kind creation (see the number_scheme experiment)")
+    elif (heralded and clean("herald.theta", "herald.beta") and theta != "auto" and cfg["herald"]["beta"] == "auto"
+            and min(abs(math.sin(theta)), abs(math.cos(theta))) < 1e-12):
+        problems.append("herald.theta: auto beta needs sin(theta) and cos(theta) nonzero for heralded orthogonalize, "
+                        f"got {_shown(theta)}")
     phases = cfg["sampling"]["phases"]
     if clean("sampling.phases") and exp == "number_scheme":
         if _is_int(phases) and phases > _MAX_NAMED_PHASE_COUNT:
@@ -564,18 +555,18 @@ def validate_config(config: dict) -> list:
     return problems
 
 
-def run(config: dict, output_dir=None) -> dict:
-    """Execute the configured experiment and write its artifact manifest."""
+def run(config: dict, output_dir) -> dict:
+    """Execute the configured experiment, writing its artifacts and manifest into ``output_dir``."""
     problems = validate_config(config)
     if problems:
         raise ValueError("invalid config: " + "; ".join(problems))
     return _execute(config, output_dir)
 
 
-def _execute(config: dict, output_dir=None) -> dict:
+def _execute(config: dict, output_dir) -> dict:
     """``run`` for a config that ``validate_config`` has passed."""
     cfg = _merged(config)
-    outdir = Path(output_dir if output_dir is not None else cfg["output_dir"])
+    outdir = Path(output_dir)
     writer = _ArtifactWriter(outdir)
     _RUNNERS[cfg["experiment"]](cfg, writer)
 
@@ -588,10 +579,6 @@ def _execute(config: dict, output_dir=None) -> dict:
 
 # ---------------------------------------------------------------------------
 # built-in verification battery
-
-
-def _check(predicate: bool, detail: str) -> tuple:
-    return bool(predicate), detail
 
 
 def _coherent_amplitude(alpha: complex, n: int) -> complex:
@@ -609,17 +596,17 @@ def run_battery() -> list:
 
     comm = (a @ a_dag - a_dag @ a).elems[:-1, :-1]
     defect = float(np.max(np.abs(comm - np.eye(trunc.dim - 1))))
-    checks.append(("commutator_identity", *_check(defect < 1e-12, f"defect {defect:.2e}")))
+    checks.append(("commutator_identity", bool(defect < 1e-12), f"defect {defect:.2e}"))
 
     alpha = 1.0
     coh = coherent_state(alpha, trunc)
     disp = displacement_op(alpha, trunc).apply(fock_state(0, trunc))
     f = fidelity(coh, disp)
-    checks.append(("displacement_vs_closed_form", *_check(f > 1 - 1e-10, f"fidelity {f:.12f}")))
+    checks.append(("displacement_vs_closed_form", bool(f > 1 - 1e-10), f"fidelity {f:.12f}"))
 
     round_trip = displacement_op(1.0, trunc) @ displacement_op(-1.0, trunc)
     dev = float(np.max(np.abs(round_trip.elems[:11, :11] - np.eye(11))))
-    checks.append(("displacement_round_trip", *_check(dev < 1e-8, f"deviation {dev:.2e}")))
+    checks.append(("displacement_round_trip", bool(dev < 1e-8), f"deviation {dev:.2e}"))
 
     theta = math.pi / 8
     t, r = math.cos(theta), math.sin(theta)
@@ -634,12 +621,12 @@ def run_battery() -> list:
         coh_dev = max(coh_dev, float(np.max(np.abs(lhs - rhs))))
     dev_single = float(np.max(np.abs(blocks[1] - np.array([[t, -r], [r, t]]))))
     checks.append(("beam_splitter_identities",
-                   *_check(coh_dev < 1e-12 and dev_single < 1e-12,
-                           f"coherent sector deviation {coh_dev:.2e}, one-photon block deviation {dev_single:.2e}")))
+                   bool(coh_dev < 1e-12 and dev_single < 1e-12),
+                   f"coherent sector deviation {coh_dev:.2e}, one-photon block deviation {dev_single:.2e}"))
 
     orth = max(float(np.max(np.abs(b.T @ b - np.eye(b.shape[0])))) for b in blocks)
-    checks.append(("beam_splitter_sectors",
-                   *_check(orth < 1e-12, f"worst orthogonality defect {orth:.2e} over sectors N <= 20")))
+    checks.append(("beam_splitter_sectors", bool(orth < 1e-12),
+                   f"worst orthogonality defect {orth:.2e} over sectors N <= 20"))
 
     worst = 0.0
     for _ in range(20):
@@ -655,14 +642,14 @@ def run_battery() -> list:
         op = two_operator_orthogonalizer(c1, c2, psi)
         vec = op.apply(psi)
         worst = max(worst, abs(inner_product(psi, vec)) / vec.norm)
-    checks.append(("orthogonality_battery", *_check(worst < 1e-10, f"worst overlap {worst:.2e}")))
+    checks.append(("orthogonality_battery", bool(worst < 1e-10), f"worst overlap {worst:.2e}"))
 
     big = Truncation(40)
     coh1 = coherent_state(1.0, big)
     perp = orthogonalize(coh1, OrthogonalizerSpec.from_state(OperatorKind.CREATION, coh1))
     ref = displacement_op(1.0, big).apply(fock_state(1, big))
     f_df = fidelity(perp, ref)
-    checks.append(("displaced_fock_identity", *_check(f_df > 1 - 1e-8, f"fidelity {f_df:.10f}")))
+    checks.append(("displaced_fock_identity", bool(f_df > 1 - 1e-8), f"fidelity {f_df:.10f}"))
 
     fam = orthogonal_family(coh1, OrthogonalizerSpec.from_state(OperatorKind.CREATION, coh1), 3)
     members = [coh1] + fam
@@ -670,62 +657,60 @@ def run_battery() -> list:
         abs(inner_product(members[i], members[j]))
         for i in range(4) for j in range(i + 1, 4)
     )
-    checks.append(("orthogonal_family", *_check(worst_fam < 1e-8, f"worst overlap {worst_fam:.2e}")))
+    checks.append(("orthogonal_family", bool(worst_fam < 1e-8), f"worst overlap {worst_fam:.2e}"))
 
     psi_in = coherent_state(0.5, big)
     model = HeraldModel(beta=1.0, theta=math.pi / 8)
     out, prob = heralded_addition_model(psi_in, model)
     ideal = ideal_addition_operator(model, big).apply(psi_in).normalized()
     f_model = fidelity(out, ideal)
-    checks.append(("heralded_addition_equivalence", *_check(f_model > 1 - 1e-8, f"fidelity {f_model:.10f}")))
+    checks.append(("heralded_addition_equivalence", bool(f_model > 1 - 1e-8), f"fidelity {f_model:.10f}"))
 
     spec_n = OrthogonalizerSpec.from_state(OperatorKind.NUMBER, coh1)
     theta_n = theta_for_number_orthogonalizer(float(complex(spec_n.mean_value).real))
     out_n, _ = number_scheme_model(coh1, HeraldModel(beta=0.0, theta=theta_n))
     overlap_n = abs(inner_product(coh1, out_n))
-    checks.append(("number_scheme_orthogonalizer", *_check(overlap_n < 1e-8, f"overlap {overlap_n:.2e}")))
+    checks.append(("number_scheme_orthogonalizer", bool(overlap_n < 1e-8), f"overlap {overlap_n:.2e}"))
 
-    grid = _build_grid(DEFAULTS)
+    grid = PhaseGrid(**DEFAULTS["grid"])
     w_vac = wigner(fock_state(0, Truncation(20)).to_density(), grid)
     w_one = wigner(fock_state(1, Truncation(20)).to_density(), grid)
     mid = grid.nx // 2
     origin_ok = (abs(w_vac.values[mid, mid] - 1 / math.pi) < 1e-9
                  and abs(w_one.values[mid, mid] + 1 / math.pi) < 1e-9)
     norm_ok = abs(w_vac.integral() - 1.0) < 1e-4 and abs(w_one.integral() - 1.0) < 1e-4
-    checks.append(("wigner_origin_and_norm",
-                   *_check(origin_ok and norm_ok,
-                           f"W_vac(0,0)={w_vac.values[mid, mid]:.9f}, integrals "
-                           f"{w_vac.integral():.6f}/{w_one.integral():.6f}")))
+    checks.append(("wigner_origin_and_norm", bool(origin_ok and norm_ok),
+                   f"W_vac(0,0)={w_vac.values[mid, mid]:.9f}, integrals "
+                   f"{w_vac.integral():.6f}/{w_one.integral():.6f}"))
 
     rho_coh = coherent_state(1.0, Truncation(30)).to_density()
     lossy = apply_loss(rho_coh, LossChannel(0.6))
     target = coherent_state(math.sqrt(0.6), Truncation(30))
     f_loss = fidelity(target, lossy)
     trace_dev = abs(float(np.real(np.trace(lossy.elems))) - 1.0)
-    checks.append(("loss_channel", *_check(f_loss > 1 - 1e-10 and trace_dev < 1e-12,
-                                           f"fidelity {f_loss:.12f}, trace dev {trace_dev:.2e}")))
+    checks.append(("loss_channel", bool(f_loss > 1 - 1e-10 and trace_dev < 1e-12),
+                   f"fidelity {f_loss:.12f}, trace dev {trace_dev:.2e}"))
 
     xs = np.linspace(-8, 8, 1601)
     dist = marginal(rho_coh, 0.0, xs)
     ref_dens = np.exp(-((xs - math.sqrt(2)) ** 2)) / math.sqrt(math.pi)
     dev_marg = float(np.max(np.abs(dist.density - ref_dens)))
-    checks.append(("coherent_marginal_closed_form", *_check(dev_marg < 1e-10, f"sup dev {dev_marg:.2e}")))
+    checks.append(("coherent_marginal_closed_form", bool(dev_marg < 1e-10), f"sup dev {dev_marg:.2e}"))
 
     plan = SamplingPlan(phases=uniform_phases(4), samples_per_phase=500, seed=7)
     s1 = sample_quadratures(rho_coh, plan)
     s2 = sample_quadratures(rho_coh, plan)
-    checks.append(("sampler_determinism", *_check(s1 == s2, f"{len(s1)} samples")))
+    checks.append(("sampler_determinism", bool(s1 == s2), f"{len(s1)} samples"))
 
     vac_rho = fock_state(0, Truncation(12)).to_density()
     plan_vac = SamplingPlan(phases=uniform_phases(6), samples_per_phase=2000, seed=11)
     res = maxlik_reconstruct(sample_quadratures(vac_rho, plan_vac), dim=8, max_iter=200, tol=1e-9)
     f_tomo = fidelity(res.rho_hat, project_density(vac_rho, Truncation(8)))
     mono = bool(np.all(np.diff(res.log_likelihood_trace) > -1e-9))
-    checks.append(("tomography_round_trip", *_check(f_tomo > 0.99 and mono,
-                                                    f"fidelity {f_tomo:.4f}, monotone {mono}")))
+    checks.append(("tomography_round_trip", bool(f_tomo > 0.99 and mono), f"fidelity {f_tomo:.4f}, monotone {mono}"))
 
     d_unit = unitarity_defect(displacement_op(0.5, Truncation(40)))
-    checks.append(("displacement_unitarity_diagnostic", *_check(d_unit < 1e-6, f"defect {d_unit:.2e}")))
+    checks.append(("displacement_unitarity_diagnostic", bool(d_unit < 1e-6), f"defect {d_unit:.2e}"))
 
     return checks
 
@@ -750,8 +735,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="execute an experiment config")
     p_run.add_argument("config", type=Path)
-    p_run.add_argument("--output-dir", type=Path, default=None)
-    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--output-dir", type=Path, default=Path("out"), metavar="DIR")
 
     p_val = sub.add_parser("validate", help="check a config without executing it")
     p_val.add_argument("config", type=Path)
@@ -781,21 +765,17 @@ def main(argv=None) -> int:
         print("OK")
         return 0
 
-    # a config or sampling section that is not an object keeps the seed out and fails validation
-    if args.seed is not None and isinstance(config, dict) and isinstance(config.get("sampling", {}), dict):
-        config.setdefault("sampling", {})["seed"] = args.seed
     problems = validate_config(config)
     if problems:
         for p in problems:
             print(p, file=sys.stderr)
         return 2
     try:
-        manifest = _execute(config, output_dir=args.output_dir)
+        manifest = _execute(config, args.output_dir)
     except Exception as err:  # propagate module errors with context
         print(f"run failed: {err}", file=sys.stderr)
         return 1
-    outdir = args.output_dir if args.output_dir is not None else _merged(config)["output_dir"]
-    print(f"wrote {len(manifest['files'])} artifacts to {outdir}")
+    print(f"wrote {len(manifest['files'])} artifacts to {args.output_dir}")
     return 0
 
 

@@ -222,9 +222,9 @@ def apply_loss(rho: DensityMatrix, channel: LossChannel) -> DensityMatrix:
     coherent states with amplitude scaled by sqrt(eta).
     """
     eta = channel.eta
+    if eta == 1.0:  # DensityMatrix is immutable, so the lossless map returns its input
+        return rho
     n = rho.trunc.dim
-    if eta == 1.0:
-        return DensityMatrix(rho.elems.copy(), rho.trunc)
     out = np.zeros((n, n), dtype=np.complex128)
     if eta == 0.0:
         out[0, 0] = 1.0

@@ -118,15 +118,15 @@ class HeraldModel:
 
     t = cos(theta) and r = sin(theta).  ``phi`` rotates the ancilla
     amplitude, so the addition scheme realizes t a_dag - r beta e^{i phi} 1.
-    ``herald_trunc`` is the basis of the addition scheme's coherent ancilla
-    and defaults to min(signal dim, 12) with a loose tail guard; the number
-    scheme has no ancilla and ignores it.
+    ``herald_dim`` is the basis size of the addition scheme's coherent
+    ancilla and defaults to min(signal dim, 12); the number scheme has no
+    ancilla and ignores it.
     """
 
     beta: complex
     theta: float
     phi: float = 0.0
-    herald_trunc: Truncation | None = None
+    herald_dim: int | None = None
 
     @property
     def t(self) -> float:
@@ -135,11 +135,6 @@ class HeraldModel:
     @property
     def r(self) -> float:
         return math.sin(self.theta)
-
-    def herald_truncation(self, signal_trunc: Truncation) -> Truncation:
-        if self.herald_trunc is not None:
-            return self.herald_trunc
-        return Truncation(min(signal_trunc.dim, _HERALD_DIM_CAP), tail_tol=_HERALD_TAIL_TOL)
 
 
 def _base_operator(kind: OperatorKind, trunc: Truncation, operator: ModeOperator | None) -> ModeOperator:
@@ -266,7 +261,7 @@ def beta_for_addition_orthogonalizer(mean_creation: complex, theta: float) -> co
     """
     r = math.sin(theta)
     if abs(r) < 1e-12:
-        raise ValueError("theta = 0 leaves no ancilla path; cannot tune beta")
+        raise ValueError("sin(theta) = 0 leaves no ancilla path; cannot tune beta")
     return (math.cos(theta) / r) * complex(mean_creation)
 
 
@@ -312,7 +307,7 @@ def heralded_addition_model(psi: StateVector, model: HeraldModel):
     added = a_dag.apply(psi)
     check_tail(added, context="photon-added branch")
 
-    ht = model.herald_truncation(psi.trunc)
+    ht = Truncation(model.herald_dim or min(psi.trunc.dim, _HERALD_DIM_CAP), tail_tol=_HERALD_TAIL_TOL)
     ancilla = coherent_state(complex(model.beta) * cmath.exp(1j * model.phi), ht).amps
     return _herald_one_zero(model.theta, ancilla[0] * added.amps, ancilla[1] * psi.amps, psi.trunc)
 

@@ -274,7 +274,6 @@ class TestSchema:
                            st.just(math.nan)))
     def test_wrongly_typed_leaf_gives_one_message(self, path, experiment, value):
         assume(value is not None or path == "experiment" or _default(path) is not None)
-        assume(not (path == "output_dir" and isinstance(value, str) and value))
         problems = validate_config(_leaf_config(path, value, experiment))
         assert len(problems) == 1 and problems[0].startswith(path + ":"), problems
 
@@ -288,6 +287,10 @@ class TestSchema:
         config = {"experiment": "orthogonalize", **({section: {typo: 1}} if section else {typo: 1})}
         problems = validate_config(config)
         assert len(problems) == 1 and f"did you mean {name!r}" in problems[0], problems
+
+    def test_output_dir_is_not_a_config_key(self):
+        # the directory is a run argument, so a config that names one is refused without a hint
+        assert validate_config({"experiment": "orthogonalize", "output_dir": "out"}) == ["output_dir: unknown key"]
 
     def test_unknown_top_level_key(self):
         assert validate_config({"experiment": "tomography", "samplng": {"seed": 3}}) == [
@@ -303,7 +306,6 @@ class TestSchema:
         ({"sampling": {"phases": [0.0, "x"]}}, "sampling.phases"),
         ({"sampling": {"phases": [0.5, 0.5]}}, "sampling.phases"),
         ({"sampling": {"seed": True}}, "sampling.seed"),
-        ({"output_dir": 3}, "output_dir"),
         ({"input_state": {"kind": "custom", "amps": [0.0, [0.0, 0.0]]}}, "input_state.amps"),
         ({"input_state": {"kind": "custom", "amps": [1.0] * 41}}, "input_state.amps"),
         ({"input_state": {"kind": "custom"}}, "input_state.amps"),
@@ -391,7 +393,7 @@ class TestRunQubitWigner:
             assert kinds[entry["file"]] == "wigner-grid"
             values = np.load(tmp_path / entry["file"], allow_pickle=False)
             assert values.shape == (61, 61) and values.min() == entry["wigner_min"]
-        assert PhaseGrid(**report["grid"]) == cli._build_grid({"grid": {**DEFAULTS["grid"], "nx": 61, "np": 61}})
+        assert PhaseGrid(**report["grid"]) == PhaseGrid(**{**DEFAULTS["grid"], "nx": 61, "np": 61})
 
 
 class TestRunNumberScheme:
@@ -516,9 +518,23 @@ def test_phases_equal_to_four_decimals_stop_the_run(tmp_path, monkeypatch):
         run({"experiment": "number_scheme", **SMALL_CONFIGS["number_scheme"]}, output_dir=tmp_path)
 
 
+@pytest.mark.parametrize("theta", [0, math.pi / 2, math.pi])
+def test_heralded_auto_beta_at_a_degenerate_angle_is_refused(tmp_path, capsys, theta):
+    # sin(theta) = 0 leaves auto beta undefined; cos(theta) = 0 blocks the added photon and zeroes auto beta
+    config = {"experiment": "orthogonalize", "route": "heralded", "herald": {"theta": theta}}
+    assert validate_config(config) == [
+        "herald.theta: auto beta needs sin(theta) and cos(theta) nonzero for heralded orthogonalize, "
+        f"got {theta!r}"
+    ]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+    assert "herald.theta" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("config", [
     {"experiment": "orthogonalize", "trunc": 12},  # alpha = 1 needs dim >= 13
-    {"experiment": "orthogonalize", "route": "heralded", "herald": {"theta": 0}},  # no ancilla path
     {"experiment": "orthogonalize", "route": "heralded", "herald": {"dim": 3}},  # ancilla basis too small
 ])
 def test_run_failing_before_its_first_artifact_leaves_no_directory(tmp_path, capsys, config):
@@ -550,7 +566,6 @@ class TestCliEntry:
         cfg.write_text(json.dumps({
             "experiment": "orthogonalize",
             "trunc": 30,
-            "output_dir": str(tmp_path / "ignored"),
         }))
         out = tmp_path / "real"
         assert main(["run", str(cfg), "--output-dir", str(out)]) == 0
@@ -567,10 +582,10 @@ class TestCliEntry:
         ["experiment", "tomography"],
         3,
     ])
-    def test_run_with_seed_reports_a_non_object(self, tmp_path, capsys, config):
+    def test_run_reports_a_non_object(self, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
-        assert main(["run", str(cfg), "--seed", "4", "--output-dir", str(tmp_path / "out")]) == 2
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
         assert "must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -580,8 +595,17 @@ class TestCliEntry:
         monkeypatch.setattr(cli, "validate_config", lambda config: calls.append(1) or validate(config))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"experiment": "orthogonalize", "trunc": 20}))
-        assert main(["run", str(cfg), "--seed", "4", "--output-dir", str(tmp_path / "out")]) == 0
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
         assert len(calls) == 1
+
+    def test_run_has_no_seed_option(self, tmp_path, capsys):
+        # the seed has one spelling, sampling.seed
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "tomography"}))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(cfg), "--seed", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 4" in capsys.readouterr().err
 
 
 class TestVerifyBattery:

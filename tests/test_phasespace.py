@@ -21,7 +21,7 @@ from cvortho import (
     marginal,
     wigner,
 )
-from cvortho.cli import DEFAULTS, _build_grid
+from cvortho.cli import DEFAULTS
 from cvortho.homodyne import QuadratureSamples, likelihood_csv_text, samples_csv_text
 from cvortho.phasespace import (
     QuadratureDistribution,
@@ -65,13 +65,13 @@ class TestHermiteFunctions:
 
 class TestWigner:
     def test_vacuum_at_origin(self):
-        grid = _build_grid(DEFAULTS)
+        grid = PhaseGrid(**DEFAULTS["grid"])
         w = wigner(fock_state(0, Truncation(15)).to_density(), grid)
         mid = grid.nx // 2
         assert w.values[mid, mid] == pytest.approx(1 / math.pi, abs=1e-12)
 
     def test_single_photon_at_origin(self):
-        grid = _build_grid(DEFAULTS)
+        grid = PhaseGrid(**DEFAULTS["grid"])
         w = wigner(fock_state(1, Truncation(15)).to_density(), grid)
         mid = grid.nx // 2
         assert w.values[mid, mid] == pytest.approx(-1 / math.pi, abs=1e-12)
@@ -84,7 +84,7 @@ class TestWigner:
         assert np.max(np.abs(w.values - ref)) < 1e-9
 
     def test_coherent_peak_location(self):
-        grid = _build_grid(DEFAULTS)
+        grid = PhaseGrid(**DEFAULTS["grid"])
         w = wigner(coherent_state(1.0, Truncation(25)).to_density(), grid)
         i, j = np.unravel_index(np.argmax(w.values), w.values.shape)
         dx = (grid.x_max - grid.x_min) / (grid.nx - 1)
@@ -92,7 +92,7 @@ class TestWigner:
         assert abs(grid.ps()[j]) <= dx
 
     def test_normalization(self):
-        grid = _build_grid(DEFAULTS)
+        grid = PhaseGrid(**DEFAULTS["grid"])
         for state in (
             fock_state(1, Truncation(12)),
             coherent_state(2.0, Truncation(30)),
@@ -109,7 +109,7 @@ class TestWigner:
         alpha = (1.0 + 0.5j) / math.sqrt(2.0)
         disp = displacement_op(alpha, trunc)
         rho_disp = disp.apply(psi).normalized().to_density()
-        grid = _build_grid(DEFAULTS)
+        grid = PhaseGrid(**DEFAULTS["grid"])
         w = wigner(rho, grid).values
         w_disp = wigner(rho_disp, grid).values
         assert np.max(np.abs(w_disp[20:, 10:] - w[:-20, :-10])) < 1e-9
@@ -215,9 +215,9 @@ class TestMarginal:
 
 class TestLossChannel:
     def test_eta_one_is_identity(self, rng):
+        # DensityMatrix is immutable, so the lossless channel hands back its input unchanged
         rho = random_state(Truncation(12), rng).to_density()
-        out = apply_loss(rho, LossChannel(1.0))
-        assert_allclose(out.elems, rho.elems, atol=1e-14)
+        assert apply_loss(rho, LossChannel(1.0)) is rho
 
     def test_single_photon_bernoulli(self):
         rho = fock_state(1, Truncation(8)).to_density()

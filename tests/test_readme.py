@@ -4,7 +4,9 @@ import json
 import re
 from pathlib import Path
 
-from cvortho.cli import validate_config
+import pytest
+
+from cvortho.cli import main, validate_config
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -22,3 +24,11 @@ def test_python_example_runs():
 
 def test_json_example_config_validates():
     assert validate_config(json.loads(_block("json"))) == []
+
+
+def test_run_synopsis_lists_the_run_options(capsys):
+    (line,) = re.findall(r"^cvortho run .*$", README, flags=re.MULTILINE)
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert re.findall(r"\[--[^]]*\]", line) == re.findall(r"\[--[^]]*\]", usage)

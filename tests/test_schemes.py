@@ -19,6 +19,7 @@ from cvortho import (
     SingularConfigurationError,
     StateVector,
     Truncation,
+    TruncationError,
     beta_for_addition_orthogonalizer,
     coherent_state,
     displacement_op,
@@ -299,7 +300,7 @@ class TestHeraldedAdditionModel:
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0 * cmath.exp(1j * math.pi / 3)])
     def test_matches_dense_three_mode_oracle(self, herald_dim, theta, beta):
         st, ht = Truncation(40), Truncation(herald_dim, tail_tol=5e-3)
-        model = HeraldModel(beta=beta, theta=theta, phi=0.4, herald_trunc=ht)
+        model = HeraldModel(beta=beta, theta=theta, phi=0.4, herald_dim=herald_dim)
         psi = coherent_state(0.8, st)
         _, a_dag, _ = ladder_operators(st)
         ancilla = coherent_state(beta * cmath.exp(0.4j), ht).amps
@@ -361,7 +362,7 @@ class TestNumberSchemeModel:
     def test_matches_dense_three_mode_oracle(self, herald_dim, theta, rng):
         # the number scheme has no ancilla, so the herald dim only sizes the oracle
         st, ht = Truncation(25), Truncation(herald_dim)
-        model = HeraldModel(beta=0.0, theta=theta, phi=0.9, herald_trunc=ht)
+        model = HeraldModel(beta=0.0, theta=theta, phi=0.9)
         a, a_dag, n_op = ladder_operators(st)
         one, vac = fock_state(1, ht).amps, fock_state(0, ht).amps
         for psi in (coherent_state(1.0, st), random_state(st, rng, support=12)):
@@ -405,6 +406,8 @@ class TestHelpers:
             assert r / (t - r) == pytest.approx(n_mean)
 
     def test_herald_default_respects_signal(self):
-        model = HeraldModel(beta=1.0, theta=0.1)
-        assert model.herald_truncation(Truncation(40)).dim == 12
-        assert model.herald_truncation(Truncation(8)).dim == 8
+        # the default ancilla basis is min(signal dim, 12), too small for beta = 2.5 either way
+        model = HeraldModel(beta=2.5, theta=0.1)
+        for signal_dim, herald_dim in ((40, 12), (8, 8)):
+            with pytest.raises(TruncationError, match=f"got {herald_dim}$"):
+                heralded_addition_model(fock_state(0, Truncation(signal_dim)), model)
