@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, fock, homodyne, schemes
 from .fock import (
     ModeOperator,
     StateVector,
@@ -44,7 +44,6 @@ from .fock import (
     unitarity_defect,
 )
 from .homodyne import (
-    _MAX_RECON_DIM,
     SamplingPlan,
     likelihood_csv_text,
     maxlik_reconstruct,
@@ -217,7 +216,6 @@ def _run_orthogonalize(cfg: dict, writer: _ArtifactWriter) -> dict:
 
     for label, state in (("input", psi), ("output", out)):
         _write_state(writer, cfg, label, state, phases=(0.0,))
-    writer.write_json("report.json", report, "report-json")
     return report
 
 
@@ -239,7 +237,6 @@ def _run_qubit_wigner(cfg: dict, writer: _ArtifactWriter) -> dict:
             "grid_integral": wmap.integral(),
         })
     report = {"eta": cfg["eta"], "grid": dataclasses.asdict(grid), "maps": entries}
-    writer.write_json("report.json", report, "report-json")
     return report
 
 
@@ -260,7 +257,6 @@ def _run_number_scheme(cfg: dict, writer: _ArtifactWriter) -> dict:
     phases = _build_plan(cfg).phases
     for label, state in (("input", psi), ("output", out)):
         _write_state(writer, cfg, label, state, phases=phases, grid=grid)
-    writer.write_json("report.json", report, "report-json")
     return report
 
 
@@ -294,7 +290,6 @@ def _run_tomography(cfg: dict, writer: _ArtifactWriter) -> dict:
         lossy = project_density(rho_detected, target.trunc)
         report["fidelity_vs_lossy_true"] = fidelity(result.rho_hat, lossy)
         writer.write("rho_lossy.json", "density-json", density_json_text(lossy))
-    writer.write_json("report.json", report, "report-json")
     return report
 
 
@@ -305,8 +300,8 @@ def _run_verify(cfg: dict, writer: _ArtifactWriter) -> dict:
         "all_passed": ok,
         "checks": [{"name": name, "passed": passed, "detail": detail} for name, passed, detail in results],
     }
-    writer.write_json("report.json", report, "report-json")
     if not ok:
+        writer.write_json("report.json", report, "report-json")  # a failed battery still leaves its report
         failed = ", ".join(name for name, passed, _ in results if not passed)
         raise RuntimeError(f"verification battery failed: {failed}")
     return report
@@ -330,8 +325,10 @@ def _one_of(*names):
     return (lambda v: isinstance(v, str) and v in names), "one of " + ", ".join(names)
 
 
-def _int_at_least(low: int):
-    return (lambda v: _is_int(v) and v >= low), f"an integer >= {low}"
+def _guarded(guard, rule):
+    """``rule``, a library's (check, description), with its check run only on values that pass the JSON type ``guard``."""
+    check, description = rule
+    return (lambda v: guard(v) and check(v)), description
 
 
 def _or(special, entry):
@@ -344,25 +341,25 @@ def _nonempty_list_of(check, value) -> bool:
 
 
 _FINITE = _is_finite, "a finite number"
-_FRACTION = (lambda v: _is_finite(v) and 0.0 <= v <= 1.0), "a number in [0, 1]"
 _COMPLEX = _is_complex, "a finite number or [re, im] pair"
+_PHASE_LIST = _guarded(lambda v: isinstance(v, list) and all(map(_is_finite, v)), SamplingPlan.PHASES)
 # the most uniform_phases with distinct marginal file names: pi/count > 1e-4 up to 31415, and 31416 still differ
 _MAX_NAMED_PHASE_COUNT = 31416
 
-# Every config leaf, by dotted path: (default, check, description).  A leaf
-# that fails its check is reported as "<path>: must be <description>, got
+# Every config leaf, by dotted path: (default, check, description); a range rule's pair is the library owner's, behind a
+# JSON type guard where one is needed.  A leaf that fails its check is reported as "<path>: must be <description>, got
 # <value>".  ``experiment`` is the one leaf without a default.
 SCHEMA = {
     "experiment": (None, *_one_of(*EXPERIMENTS)),
     "input_state.kind": ("coherent", *_one_of("coherent", "fock", "custom")),
     "input_state.alpha": ([1.0, 0.0], *_COMPLEX),
-    "input_state.n": (0, *_int_at_least(0)),
+    "input_state.n": (0, _is_int, "an integer"),  # fock_state's range for it depends on trunc: see validate_config
     "input_state.amps": (None, *_or(None, ((lambda v: _nonempty_list_of(_is_complex, v) and any(map(_as_complex, v))),
                                            "a nonempty list of numbers or [re, im] pairs, not all zero"))),
     "scheme.kind": ("creation", *_one_of("creation", "number")),
     "route": ("ideal", *_one_of("ideal", "heralded")),
-    "trunc": (40, *_int_at_least(2)),
-    "eta": (1.0, *_FRACTION),
+    "trunc": (40, *Truncation.DIM),
+    "eta": (1.0, *_guarded(_is_finite, LossChannel.ETA)),
     "qubit_c": ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
                 (lambda v: _is_complex(v) or _nonempty_list_of(_is_complex, v)),
                 "a finite number, an [re, im] pair or a nonempty list of them"),
@@ -371,25 +368,23 @@ SCHEMA = {
     "herald.theta": ("auto", *_or("auto", _FINITE)),
     "herald.phi": (0.0, *_FINITE),
     "herald.beta": ("auto", *_or("auto", _COMPLEX)),
-    "herald.dim": (None, *_or(None, _int_at_least(2))),
+    "herald.dim": (None, *_or(None, Truncation.DIM)),
     "grid.x_min": (-6.0, *_FINITE),
     "grid.x_max": (6.0, *_FINITE),
     "grid.p_min": (-6.0, *_FINITE),
     "grid.p_max": (6.0, *_FINITE),
-    "grid.nx": (241, *_int_at_least(2)),
-    "grid.np": (241, *_int_at_least(2)),
+    "grid.nx": (241, *PhaseGrid.SIZE),
+    "grid.np": (241, *PhaseGrid.SIZE),
     "marginal_xs.x_min": (-8.0, *_FINITE),
     "marginal_xs.x_max": (8.0, *_FINITE),
-    "marginal_xs.n": (1601, *_int_at_least(2)),
+    "marginal_xs.n": (1601, *PhaseGrid.SIZE),
     # number_scheme's marginal file names need more: see validate_config
-    "sampling.phases": (10, (lambda v: (_is_int(v) and v >= 1)
-                             or (_nonempty_list_of(_is_finite, v) and len({float(p) for p in v}) == len(v))),
-                        "a count >= 1 or a nonempty list of finite numbers, distinct as numbers"),
-    "sampling.samples_per_phase": (5000, *_int_at_least(1)),
-    "sampling.seed": (12345, *_int_at_least(0)),
-    "reconstruction.dim": (15, (lambda v: _is_int(v) and 2 <= v <= _MAX_RECON_DIM),
-                           f"an integer in 2..{_MAX_RECON_DIM}"),
-    "reconstruction.max_iter": (2000, *_int_at_least(1)),
+    "sampling.phases": (10, (lambda v: homodyne._PHASE_COUNT[0](v) or _PHASE_LIST[0](v)),
+                        f"{homodyne._PHASE_COUNT[1]} or {_PHASE_LIST[1]}"),
+    "sampling.samples_per_phase": (5000, *SamplingPlan.SAMPLES),
+    "sampling.seed": (12345, *SamplingPlan.SEED),
+    "reconstruction.dim": (15, *homodyne._RECON_DIM),
+    "reconstruction.max_iter": (2000, *homodyne._MAX_ITER),
     "reconstruction.tol": (1e-10, (lambda v: _is_finite(v) and v >= 0), "a finite number >= 0"),
 }
 
@@ -419,11 +414,6 @@ def _unknown_key(section: str, key, known) -> str:
     return f"{prefix}{key}: unknown key{hint}"
 
 
-def load_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _shown(value) -> str:
     """``repr(value)`` for a message; a tuple is written as a list, and an int of 14000 bits or more (near
     the 4300 digits that str() converts) by its size."""
@@ -434,6 +424,12 @@ def _shown(value) -> str:
     if _is_int(value) and value.bit_length() >= 14000:
         return f"{'under -' if value < 0 else 'over '}2^{value.bit_length() - 1}"
     return repr(value)
+
+
+def _breach(path: str, rule, value) -> list:
+    """``["<path>: must be <description>, got <value>"]`` if ``rule``, a (check, description) pair, fails on ``value``."""
+    check, description = rule
+    return [] if check(value) else [f"{path}: must be {description}, got {_shown(value)}"]
 
 
 _GRID_BOUNDS = ("grid.x_min", "grid.x_max", "grid.p_min", "grid.p_max")
@@ -493,39 +489,35 @@ def validate_config(config: dict) -> list:
     cfg = _merged({key: value for key, value in config.items() if key not in broken})
 
     known, bad = {}, {path for path in SCHEMA if path.partition(".")[0] in broken}
-    for path, (_, check, description) in SCHEMA.items():
+    for path, (_, *rule) in SCHEMA.items():
         section, _, key = path.partition(".")
         known.setdefault(section, []).append(key)
-        value = cfg[section][key] if key else cfg[section]
-        if path not in bad and not check(value):
-            problems.append(f"{path}: must be {description}, got {_shown(value)}")
+        if path not in bad and (found := _breach(path, rule, cfg[section][key] if key else cfg[section])):
+            problems += found
             bad.add(path)
 
     def clean(*paths):
         return bad.isdisjoint(paths)
 
     state = cfg["input_state"]
-    if clean("input_state.kind", "input_state.n", "trunc") and state["kind"] == "fock" and state["n"] >= cfg["trunc"]:
-        problems.append(f"input_state.n: must be an integer in 0..trunc-1, got {_shown(state['n'])}")
+    if clean("input_state.kind", "input_state.n", "trunc") and state["kind"] == "fock":
+        problems += _breach("input_state.n", fock._level_rule(cfg["trunc"]), state["n"])
     if (clean("input_state.kind", "input_state.amps", "trunc") and state["kind"] == "custom"
             and not 1 <= len(state["amps"] or ()) <= cfg["trunc"]):
         problems.append(f"input_state.amps: a custom state needs 1..trunc amplitudes, got {_shown(state['amps'])}")
     for section, axis in (("grid", "x"), ("grid", "p"), ("marginal_xs", "x")):
-        low, high = f"{axis}_min", f"{axis}_max"
-        if clean(f"{section}.{low}", f"{section}.{high}") and not cfg[section][low] < cfg[section][high]:
-            problems.append(f"{section}: bounds must satisfy {low} < {high}")
+        bounds = (f"{axis}_min", f"{axis}_max")
+        if clean(*(f"{section}.{bound}" for bound in bounds)):
+            problems += _breach(section, PhaseGrid.ORDER, {bound: cfg[section][bound] for bound in bounds})
     exp = cfg["experiment"]
     theta = cfg["herald"]["theta"]
-    if (clean("herald.theta") and exp == "number_scheme" and theta != "auto"
-            and abs(math.cos(theta) - math.sin(theta)) < 1e-12):
-        problems.append("herald.theta: t = r is a singular configuration for the number scheme")
+    if clean("herald.theta") and exp == "number_scheme" and theta != "auto":
+        problems += _breach("herald.theta", schemes._NUMBER_SCHEME_THETA, theta)
     heralded = clean("route", "scheme.kind") and exp == "orthogonalize" and cfg["route"] == "heralded"
     if heralded and cfg["scheme"]["kind"] == "number":
         problems.append("route: heralded orthogonalize needs scheme.kind creation (see the number_scheme experiment)")
-    elif (heralded and clean("herald.theta", "herald.beta") and theta != "auto" and cfg["herald"]["beta"] == "auto"
-            and min(abs(math.sin(theta)), abs(math.cos(theta))) < 1e-12):
-        problems.append("herald.theta: auto beta needs sin(theta) and cos(theta) nonzero for heralded orthogonalize, "
-                        f"got {_shown(theta)}")
+    elif heralded and clean("herald.theta", "herald.beta") and theta != "auto" and cfg["herald"]["beta"] == "auto":
+        problems += _breach("herald.theta", schemes._AUTO_BETA_THETA, theta)
     phases = cfg["sampling"]["phases"]
     if clean("sampling.phases") and exp == "number_scheme":
         if _is_int(phases) and phases > _MAX_NAMED_PHASE_COUNT:
@@ -536,10 +528,8 @@ def validate_config(config: dict) -> list:
                             f"whose marginal file names give each phase to 4 decimals, got {_shown(phases)}")
     if clean("trunc", *_GRID_BOUNDS) and exp in ("qubit_wigner", "number_scheme") and _parity_side(cfg) is None:
         problems.append(f"grid: {exp} sizes its Wigner parity basis by the squared bounds, which pass the float range")
-    recon_dim = cfg["reconstruction"]["dim"]
-    if clean("reconstruction.dim", "trunc") and exp == "tomography" and recon_dim > cfg["trunc"]:
-        problems.append(f"reconstruction.dim: must be at most trunc ({cfg['trunc']}) for tomography, "
-                        f"got {_shown(recon_dim)}")
+    if clean("reconstruction.dim", "trunc") and exp == "tomography":
+        problems += _breach("reconstruction.dim", fock._fits_rule(cfg["trunc"]), cfg["reconstruction"]["dim"])
     largest = _largest_array(cfg, exp, clean)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if largest is not None and largest[0] > memory:
@@ -564,11 +554,11 @@ def run(config: dict, output_dir) -> dict:
 
 
 def _execute(config: dict, output_dir) -> dict:
-    """``run`` for a config that ``validate_config`` has passed."""
+    """``run`` for a config that ``validate_config`` has passed; the runner returns the report written as report.json."""
     cfg = _merged(config)
     outdir = Path(output_dir)
     writer = _ArtifactWriter(outdir)
-    _RUNNERS[cfg["experiment"]](cfg, writer)
+    writer.write_json("report.json", _RUNNERS[cfg["experiment"]](cfg, writer), "report-json")
 
     manifest = writer.manifest(config_echo=config)
     (outdir / "manifest.json").write_text(
@@ -653,10 +643,7 @@ def run_battery() -> list:
 
     fam = orthogonal_family(coh1, OrthogonalizerSpec.from_state(OperatorKind.CREATION, coh1), 3)
     members = [coh1] + fam
-    worst_fam = max(
-        abs(inner_product(members[i], members[j]))
-        for i in range(4) for j in range(i + 1, 4)
-    )
+    worst_fam = max(abs(inner_product(x, y)) for i, x in enumerate(members) for y in members[i + 1:])
     checks.append(("orthogonal_family", bool(worst_fam < 1e-8), f"worst overlap {worst_fam:.2e}"))
 
     psi_in = coherent_state(0.5, big)
@@ -718,11 +705,10 @@ def run_battery() -> list:
 def _print_battery(results) -> int:
     width = max(len(name) for name, _, _ in results)
     for name, passed, detail in results:
-        status = "PASS" if passed else "FAIL"
-        print(f"{status}  {name.ljust(width)}  {detail}")
-    failed = sum(1 for _, passed, _ in results if not passed)
+        print(f"{'PASS' if passed else 'FAIL'}  {name.ljust(width)}  {detail}")
+    failed = sum(not passed for _, passed, _ in results)
     print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 0 if failed == 0 else 1
+    return int(failed > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +734,7 @@ def main(argv=None) -> int:
         return _print_battery(run_battery())
 
     try:
-        config = load_config(args.config)
+        config = json.loads(args.config.read_text(encoding="utf-8"))
     except OSError as err:
         print(f"cannot read config: {err}", file=sys.stderr)
         return 2
@@ -756,19 +742,12 @@ def main(argv=None) -> int:
         print(f"config is not valid JSON: {err}", file=sys.stderr)
         return 2
 
-    if args.command == "validate":
-        problems = validate_config(config)
-        if problems:
-            for p in problems:
-                print(p)
-            return 1
-        print("OK")
-        return 0
-
     problems = validate_config(config)
+    if args.command == "validate":
+        print("\n".join(problems) or "OK")
+        return 1 if problems else 0
     if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
+        print("\n".join(problems), file=sys.stderr)
         return 2
     try:
         manifest = _execute(config, args.output_dir)

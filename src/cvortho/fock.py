@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.special import pdtrc
 
 __all__ = [
     "ZERO_NORM_TOL",
@@ -66,6 +67,19 @@ class HeraldImpossibleError(ValueError):
     """The requested herald outcome has (numerically) zero probability."""
 
 
+def _require(name: str, rule, value, error=ValueError) -> None:
+    """Raise ``error("<name>: must be <description>, got <value>")`` unless ``rule = (check, description)`` passes."""
+    check, description = rule
+    if not check(value):
+        raise error(f"{name}: must be {description}, got {value!r}")
+
+
+def _int_rule(low: int, high: int | None = None):
+    """The rule "an integer >= low" (or "in low..high"); a bool is not an integer here."""
+    return ((lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool) and low <= v
+             and (high is None or v <= high)), f"an integer >= {low}" if high is None else f"an integer in {low}..{high}")
+
+
 @dataclass(frozen=True)
 class Truncation:
     """Fock-basis cutoff keeping levels |0> ... |dim-1>.
@@ -77,10 +91,10 @@ class Truncation:
 
     dim: int
     tail_tol: float = 1e-8
+    DIM = _int_rule(2)
 
     def __post_init__(self):
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
-            raise ValueError(f"truncation dim must be an integer >= 2, got {self.dim!r}")
+        _require("dim", self.DIM, self.dim)
         if self.tail_tol < 0:
             raise ValueError(f"tail_tol must be >= 0, got {self.tail_tol!r}")
 
@@ -219,10 +233,13 @@ def _require_same_dim(x, y):
 # constructors
 
 
+def _level_rule(dim: int):  # fock_state's rule for a level of a dim-level basis
+    return _int_rule(0, dim - 1)
+
+
 def fock_state(n: int, trunc: Truncation) -> StateVector:
     """Number state |n>."""
-    if not 0 <= n < trunc.dim:
-        raise ValueError(f"level {n} outside the truncated basis 0..{trunc.dim - 1}")
+    _require("n", _level_rule(trunc.dim), n)
     amps = np.zeros(trunc.dim, dtype=np.complex128)
     amps[n] = 1.0
     return StateVector(amps, trunc)
@@ -231,29 +248,27 @@ def fock_state(n: int, trunc: Truncation) -> StateVector:
 def min_dim_for_coherent(alpha: complex, tail_tol: float) -> int:
     """Smallest dim such that a coherent state fits under the tail guard.
 
-    The returned N keeps the Poisson weight at and beyond level N-1 below
-    ``tail_tol``, so the constructed state satisfies the admission invariant.
+    The returned N keeps the Poisson weight at and beyond level N-1,
+    ``pdtrc(N-2, |alpha|^2)`` in closed form, at most ``tail_tol``, so the
+    constructed state satisfies the admission invariant.  N is found by
+    bisection, so it holds at any |alpha|, also where exp(-|alpha|^2) underflows.
     """
     lam = abs(alpha) ** 2
-    if lam == 0.0:
-        return 2
-    p = math.exp(-lam)
-    cum = p
-    m = 0
-    while 1.0 - cum > tail_tol:
-        m += 1
-        p *= lam / m
-        cum += p
-        if m > 100000:
-            raise ValueError(f"no finite truncation reaches tail_tol {tail_tol:g}")
-    return max(m + 2, 2)
+    low, high = -1, math.ceil(lam)  # the tail beyond level low is above tail_tol; beyond high it is not
+    while pdtrc(high, lam) > tail_tol:
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if pdtrc(mid, lam) > tail_tol else (low, mid)
+    return high + 2
 
 
 def coherent_state(alpha: complex, trunc: Truncation) -> StateVector:
     """Coherent state with amplitude ``alpha``, renormalized on the basis.
 
     Amplitudes follow the Poissonian closed form exp(-|a|^2/2) a^n / sqrt(n!).
-    Raises :class:`TruncationError` when the truncation cannot hold the state.
+    Raises :class:`TruncationError` when the truncation cannot hold the state,
+    and ``ValueError`` when exp(-|a|^2/2) is not a normal double (|a| > 37.6).
     """
     needed = min_dim_for_coherent(alpha, trunc.tail_tol)
     if trunc.dim < needed:
@@ -263,7 +278,9 @@ def coherent_state(alpha: complex, trunc: Truncation) -> StateVector:
             suggested_dim=needed,
         )
     amps = np.zeros(trunc.dim, dtype=np.complex128)
-    amps[0] = math.exp(-abs(alpha) ** 2 / 2.0)
+    amps[0] = vacuum = math.exp(-abs(alpha) ** 2 / 2.0)
+    if vacuum < np.finfo(np.float64).tiny:
+        raise ValueError(f"coherent amplitude |alpha|={abs(alpha):.4g} underflows exp(-|alpha|^2/2) = {vacuum:.3g}")
     for n in range(1, trunc.dim):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
     return StateVector(amps / np.linalg.norm(amps), trunc)
@@ -318,8 +335,7 @@ def beam_splitter_op(theta: float, total: int) -> np.ndarray:
     [[t, -r], [r, t]], i.e. B|1,0> = t|1,0> + r|0,1>, and on coherent input
     B (|0> x |beta>) = |-r beta> x |t beta>.
     """
-    if isinstance(total, bool) or not isinstance(total, (int, np.integer)) or total < 0:
-        raise ValueError(f"photon-number sector must be an integer >= 0, got {total!r}")
+    _require("total", _int_rule(0), total)
     k = np.arange(total, dtype=np.float64)
     offdiag = np.sqrt((total - k) * (k + 1))
     gen = np.diag(offdiag, k=-1) - np.diag(offdiag, k=1)
@@ -391,10 +407,13 @@ def check_tail(state: StateVector, context: str = "") -> None:
         )
 
 
+def _fits_rule(source_dim: int):  # project_density's rule for the target dim
+    return (lambda v: v <= source_dim), f"at most the source dim {source_dim}"
+
+
 def project_density(rho: DensityMatrix, trunc: Truncation) -> DensityMatrix:
     """Cut a density matrix down to a smaller truncation and renormalize."""
-    if trunc.dim > rho.trunc.dim:
-        raise ValueError("projection target must not be larger than the source")
+    _require("trunc.dim", _fits_rule(rho.trunc.dim), trunc.dim)
     block = rho.elems[: trunc.dim, : trunc.dim]
     tr = float(np.real(np.trace(block)))
     if tr < ZERO_NORM_TOL:

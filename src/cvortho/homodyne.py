@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, Truncation
+from .fock import DensityMatrix, Truncation, _int_rule, _require
 from .phasespace import _phase_matrix, hermite_functions, marginal
 
 __all__ = [
@@ -31,6 +31,7 @@ SAMPLING_X_MAX = 8.0
 SAMPLING_POINTS = 4001
 
 _MAX_RECON_DIM = 30
+_RECON_DIM, _MAX_ITER = _int_rule(2, _MAX_RECON_DIM), _int_rule(1)  # maxlik_reconstruct's rules
 # Samples per MaxLik feature block: 0.95 MB of features at dim 15 (1.9 MB at dim 30), so a block read
 # for a sweep's first product is still in L2 for its second
 _BLOCK = 4096
@@ -93,24 +94,24 @@ class SamplingPlan:
     phases: tuple
     samples_per_phase: int
     seed: int
+    PHASES = ((lambda v: len(v) > 0 and all(map(math.isfinite, v)) and len(set(map(float, v))) == len(v)),
+              "a nonempty list of finite numbers, distinct as numbers")
+    SAMPLES = _int_rule(1)
+    SEED = _int_rule(0)
 
     def __post_init__(self):
-        phases = tuple(float(p) for p in self.phases)
-        if len(phases) == 0:
-            raise ValueError("at least one phase is required")
-        if len(set(phases)) != len(phases):
-            raise ValueError("phases must be distinct")
-        if self.samples_per_phase < 1:
-            raise ValueError("samples_per_phase must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        object.__setattr__(self, "phases", phases)
+        _require("phases", self.PHASES, self.phases)
+        _require("samples_per_phase", self.SAMPLES, self.samples_per_phase)
+        _require("seed", self.SEED, self.seed)
+        object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
+
+
+_PHASE_COUNT = _int_rule(1)[0], "a count >= 1"  # uniform_phases's rule
 
 
 def uniform_phases(count: int) -> tuple:
     """``count`` equally spaced phases in [0, pi)."""
-    if count < 1:
-        raise ValueError("phase count must be >= 1")
+    _require("count", _PHASE_COUNT, count)
     return tuple(k * math.pi / count for k in range(count))
 
 
@@ -129,8 +130,7 @@ class ReconstructionResult:
     stop_reason: str
 
     def __post_init__(self):
-        if self.stop_reason not in STOP_REASONS:
-            raise ValueError(f"stop_reason must be one of {STOP_REASONS}, got {self.stop_reason!r}")
+        _require("stop_reason", ((lambda v: v in STOP_REASONS), f"one of {STOP_REASONS}"), self.stop_reason)
         trace = np.asarray(self.log_likelihood_trace, dtype=np.float64)
         if trace.size and np.any(np.diff(trace) < -1e-9):
             raise ValueError("log-likelihood trace decreased beyond numerical slack")
@@ -182,7 +182,8 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
     quadrature eigenvector of sample j (F_ab = e^{i(b-a)theta}, as in
     :func:`~cvortho.phasespace.marginal`).  Stops at ``max_iter`` or when
     the total log-likelihood gain drops below ``tol``;
-    ``stop_reason`` on the result says which.  No efficiency correction is
+    ``stop_reason`` on the result says which, and ``tol=-inf`` runs all
+    ``max_iter`` iterations.  No efficiency correction is
     applied: sampling through a loss channel makes the estimate converge to
     the lossy state.
 
@@ -200,10 +201,8 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
     bits = _phase_bits(samples)
     if len(samples) == 0:
         raise ValueError("at least one sample is required")
-    if not 2 <= dim <= _MAX_RECON_DIM:
-        raise ValueError(f"reconstruction dim must lie in 2..{_MAX_RECON_DIM}, got {dim}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    _require("dim", _RECON_DIM, dim)
+    _require("max_iter", _MAX_ITER, max_iter)
 
     coeffs = product_coefficients(dim)
     flat = coeffs.reshape(dim * dim, -1)

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
-from .fock import DensityMatrix
+from .fock import DensityMatrix, _int_rule, _require
 
 __all__ = [
     "PhaseGrid",
@@ -43,12 +44,14 @@ class PhaseGrid:
     p_max: float
     nx: int
     np: int
+    ORDER = (lambda bounds: operator.lt(*bounds.values())), "ordered min < max"  # on {"x_min": ..., "x_max": ...}
+    SIZE = _int_rule(2)
 
     def __post_init__(self):
-        if not (self.x_min < self.x_max and self.p_min < self.p_max):
-            raise ValueError("grid bounds must satisfy min < max on both axes")
-        if self.nx < 2 or self.np < 2:
-            raise ValueError("grid needs at least 2 points per axis")
+        for axis in "xp":
+            _require(f"{axis} bounds", self.ORDER, {f"{axis}_{end}": getattr(self, f"{axis}_{end}") for end in ("min", "max")})
+        _require("nx", self.SIZE, self.nx)
+        _require("np", self.SIZE, self.np)
 
     def xs(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.nx)
@@ -102,10 +105,10 @@ class LossChannel:
     """Detection-efficiency loss: a fraction eta of the signal survives."""
 
     eta: float
+    ETA = (lambda v: 0.0 <= v <= 1.0), "a number in [0, 1]"
 
     def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta!r}")
+        _require("eta", self.ETA, self.eta)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ from .fock import (
     expectation,
     identity_op,
     ladder_operators,
+    _int_rule,
+    _require,
 )
 
 __all__ = [
@@ -53,6 +55,7 @@ __all__ = [
 
 _MEAN_MATCH_TOL = 1e-8
 _DENOMINATOR_TOL = 1e-12
+_ANGLE_TOL = 1e-12  # sin and cos of a beam-splitter angle this close to each other, or to 0, count as equal
 
 # The herald truncation only has to hold the addition scheme's coherent
 # ancilla well enough to calibrate success probabilities: the |1>|0> click
@@ -104,12 +107,9 @@ class OrthogonalizerSpec:
 
     @classmethod
     def from_state(cls, kind: OperatorKind, psi: StateVector, operator: ModeOperator | None = None):
-        """Measure <C> on ``psi`` and record it as the spec mean."""
-        base = _base_operator(kind, psi.trunc, operator)
-        mean = expectation(base, psi)
-        if kind is OperatorKind.NUMBER:
-            mean = mean.real
-        return cls(kind, mean, operator)
+        """Measure <C> on ``psi`` and record it as the spec mean; the kind and operator are checked first."""
+        mean = expectation(_base_operator(cls(kind, 0.0, operator), psi.trunc), psi)
+        return cls(kind, mean.real if kind is OperatorKind.NUMBER else mean, operator)
 
 
 @dataclass(frozen=True)
@@ -137,16 +137,12 @@ class HeraldModel:
         return math.sin(self.theta)
 
 
-def _base_operator(kind: OperatorKind, trunc: Truncation, operator: ModeOperator | None) -> ModeOperator:
-    if kind is OperatorKind.CREATION:
+def _base_operator(spec: OrthogonalizerSpec, trunc: Truncation) -> ModeOperator:
+    if spec.kind is OperatorKind.CREATION:
         return ladder_operators(trunc)[1]
-    if kind is OperatorKind.NUMBER:
+    if spec.kind is OperatorKind.NUMBER:
         return ladder_operators(trunc)[2]
-    if operator is None:
-        raise ValueError("custom specs must carry the operator matrix")
-    if operator.trunc.dim != trunc.dim:
-        raise ValueError(f"dimension mismatch: {operator.trunc.dim} vs {trunc.dim}")
-    return operator
+    return spec.operator  # an operator on another basis meets _require_same_dim at its first use
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +157,7 @@ def qubit_operator(spec: OrthogonalizerSpec, c: complex, trunc: Truncation) -> M
     direction (C - <C>)|psi>.  On coherent input with the creation operator
     this is the displaced qubit D(alpha)(|1> + c|0>) up to normalization.
     """
-    base = _base_operator(spec.kind, trunc, spec.operator)
+    base = _base_operator(spec, trunc)
     return base + (complex(c) - complex(spec.mean_value)) * identity_op(trunc)
 
 
@@ -177,7 +173,7 @@ def orthogonalize(psi: StateVector, spec: OrthogonalizerSpec) -> StateVector:
     at the top level signals leakage.  Custom operators act on the
     truncated space by definition, so no guard applies to them.
     """
-    base = _base_operator(spec.kind, psi.trunc, spec.operator)
+    base = _base_operator(spec, psi.trunc)
     measured = expectation(base, psi)
     if abs(measured - complex(spec.mean_value)) > _MEAN_MATCH_TOL:
         raise ValueError(
@@ -205,8 +201,7 @@ def orthogonal_family(psi: StateVector, spec: OrthogonalizerSpec, k: int) -> lis
     """
     if spec.kind is not OperatorKind.CREATION:
         raise ValueError("the orthogonal family requires the creation-operator scheme")
-    if k < 1:
-        raise ValueError("family size k must be >= 1")
+    _require("k", _int_rule(1), k)
     op = qubit_operator(spec, 0.0, psi.trunc).elems
     family = []
     cur = psi.amps
@@ -253,16 +248,19 @@ def ideal_number_operator(model: HeraldModel, trunc: Truncation) -> ModeOperator
     return model.t * cmath.exp(1j * model.phi) * n_op - model.r * (a @ a_dag)
 
 
+# beta_for_addition_orthogonalizer's rule: r = 0 leaves no ancilla path, and at t = 0 the tuned t a_dag - r beta is 0
+_AUTO_BETA_THETA = ((lambda theta: min(abs(math.sin(theta)), abs(math.cos(theta))) >= _ANGLE_TOL),
+                    "an angle with sin(theta) and cos(theta) nonzero")
+
+
 def beta_for_addition_orthogonalizer(mean_creation: complex, theta: float) -> complex:
     """Ancilla amplitude that tunes the addition scheme into an orthogonalizer.
 
     Solves r beta = t <a_dag> for beta at fixed theta (phi = 0), keeping the
     herald truncation requirement set by the beam-splitter angle alone.
     """
-    r = math.sin(theta)
-    if abs(r) < 1e-12:
-        raise ValueError("sin(theta) = 0 leaves no ancilla path; cannot tune beta")
-    return (math.cos(theta) / r) * complex(mean_creation)
+    _require("theta", _AUTO_BETA_THETA, theta)
+    return (math.cos(theta) / math.sin(theta)) * complex(mean_creation)
 
 
 def theta_for_number_orthogonalizer(n_mean: float) -> float:
@@ -312,6 +310,11 @@ def heralded_addition_model(psi: StateVector, model: HeraldModel):
     return _herald_one_zero(model.theta, ancilla[0] * added.amps, ancilla[1] * psi.amps, psi.trunc)
 
 
+# number_scheme_model's rule: at t = r the identity weight r/(t - r) diverges
+_NUMBER_SCHEME_THETA = ((lambda theta: abs(math.cos(theta) - math.sin(theta)) >= _ANGLE_TOL),
+                        "an angle with cos(theta) != sin(theta) (t = r is singular)")
+
+
 def number_scheme_model(psi: StateVector, model: HeraldModel):
     """Physical realization of t e^{i phi} a_dag a - r a a_dag on the signal.
 
@@ -321,10 +324,7 @@ def number_scheme_model(psi: StateVector, model: HeraldModel):
     the conditional operator is proportional to n - r/(t-r) 1 on the
     commutator-valid subspace.
     """
-    if abs(model.t - model.r) < 1e-12:
-        raise SingularConfigurationError(
-            "t = r makes the heralded number operator's identity weight diverge"
-        )
+    _require("theta", _NUMBER_SCHEME_THETA, model.theta, SingularConfigurationError)
     check_tail(psi, context="number-scheme input")
     a, a_dag, n_op = ladder_operators(psi.trunc)
     branch_n = cmath.exp(1j * model.phi) * n_op.apply(psi).amps

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import time
 
 import numpy as np
@@ -12,18 +13,26 @@ from hypothesis import strategies as st
 
 import cvortho.cli as cli
 from cvortho import (
+    HeraldModel,
     LossChannel,
     OperatorKind,
     OrthogonalizerSpec,
     PhaseGrid,
+    QuadratureSamples,
+    SamplingPlan,
     Truncation,
     apply_loss,
+    beam_splitter_op,
+    beta_for_addition_orthogonalizer,
     coherent_state,
     density_from_json,
     fidelity,
     fock_state,
+    maxlik_reconstruct,
+    number_scheme_model,
     orthogonalize,
     project_density,
+    uniform_phases,
 )
 from cvortho.cli import DEFAULTS, EXPERIMENTS, SCHEMA, main, run, validate_config
 
@@ -102,7 +111,7 @@ class TestValidate:
 
     def test_tomography_rejects_reconstruction_dim_above_trunc(self, tmp_path):
         config = {"experiment": "tomography", "trunc": 12}
-        assert validate_config(config) == ["reconstruction.dim: must be at most trunc (12) for tomography, got 15"]
+        assert validate_config(config) == ["reconstruction.dim: must be at most the source dim 12, got 15"]
         assert validate_config({**config, "reconstruction": {"dim": 12}}) == []
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -315,6 +324,96 @@ class TestSchema:
         assert len(problems) == 1 and problems[0].startswith(field + ":"), problems
 
 
+# Values around each rule's boundaries: integers from -2 to 40 and both zeros, fractions near [0, 1], bound pairs,
+# phase lists with repeats, and beam-splitter angles within 1e-13 to 1e-6 of 0, pi/4, pi/2 and their images.
+_INTS = st.one_of(st.integers(-2, 40), st.sampled_from([0.0, -0.0]))
+_FRACTIONS = st.one_of(st.floats(-0.5, 1.5), st.integers(-2, 3),
+                       st.sampled_from([0.0, -0.0, 1.0, 1.0000000000000002, -5e-324, math.nan]))
+_BOUNDS = st.tuples(*[st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0])] * 2)
+_PHASE_LISTS = st.lists(st.sampled_from([0.0, -0.0, 0.5, math.pi]), max_size=3)
+_ANGLES = st.one_of(
+    st.tuples(st.sampled_from([0.0, math.pi / 4, math.pi / 2, math.pi, 5 * math.pi / 4, -math.pi / 2]),
+              st.sampled_from([0.0, 1e-13, -1e-13, 1e-12, -1e-12, 2e-12, 1e-6])).map(sum),
+    st.just(-0.0), st.floats(-4.0, 4.0))
+_GRID = DEFAULTS["grid"]
+_SAMPLES = QuadratureSamples([0.0, 0.0, 1.0], [0.1, -0.2, 0.3])
+_PSI = coherent_state(0.5, Truncation(12))
+
+
+def _grid_bounds(axis, bounds):
+    return PhaseGrid(**{**_GRID, f"{axis}_min": bounds[0], f"{axis}_max": bounds[1]})
+
+
+# (leaf, values, a config that sets the leaf to a value, the library call that owns the leaf's rule)
+_AGREEMENT = [
+    ("trunc", _INTS, lambda v: {"experiment": "orthogonalize", "trunc": v}, Truncation),
+    ("herald.dim", _INTS, lambda v: {"experiment": "orthogonalize", "route": "heralded", "herald": {"dim": v}},
+     Truncation),
+    ("grid.nx", _INTS, lambda v: {"experiment": "qubit_wigner", "grid": {"nx": v}}, lambda v: PhaseGrid(**{**_GRID, "nx": v})),
+    ("grid.np", _INTS, lambda v: {"experiment": "qubit_wigner", "grid": {"np": v}}, lambda v: PhaseGrid(**{**_GRID, "np": v})),
+    ("marginal_xs.n", _INTS, lambda v: {"experiment": "orthogonalize", "marginal_xs": {"n": v}},
+     lambda v: PhaseGrid(**{**_GRID, "nx": v})),
+    ("grid", _BOUNDS, lambda v: {"experiment": "qubit_wigner", "grid": {"x_min": v[0], "x_max": v[1]}},
+     lambda v: _grid_bounds("x", v)),
+    ("grid", _BOUNDS, lambda v: {"experiment": "qubit_wigner", "grid": {"p_min": v[0], "p_max": v[1]}},
+     lambda v: _grid_bounds("p", v)),
+    ("marginal_xs", _BOUNDS, lambda v: {"experiment": "orthogonalize", "marginal_xs": {"x_min": v[0], "x_max": v[1]}},
+     lambda v: _grid_bounds("x", v)),
+    ("eta", _FRACTIONS, lambda v: {"experiment": "tomography", "eta": v}, LossChannel),
+    ("sampling.phases", _PHASE_LISTS, lambda v: {"experiment": "tomography", "sampling": {"phases": v}},
+     lambda v: SamplingPlan(v, 1, 0)),
+    ("sampling.phases", _INTS, lambda v: {"experiment": "tomography", "sampling": {"phases": v}}, uniform_phases),
+    ("sampling.samples_per_phase", _INTS, lambda v: {"experiment": "tomography", "sampling": {"samples_per_phase": v}},
+     lambda v: SamplingPlan((0.0,), v, 0)),
+    ("sampling.seed", _INTS, lambda v: {"experiment": "tomography", "sampling": {"seed": v}},
+     lambda v: SamplingPlan((0.0,), 1, v)),
+    # beam_splitter_op's sector reads the seed's rule, an integer >= 0
+    ("sampling.seed", _INTS, lambda v: {"experiment": "tomography", "sampling": {"seed": v}},
+     lambda v: beam_splitter_op(0.3, v)),
+    ("reconstruction.dim", _INTS, lambda v: {"experiment": "tomography", "reconstruction": {"dim": v}},
+     lambda v: maxlik_reconstruct(_SAMPLES, v, max_iter=1)),
+    ("reconstruction.max_iter", _INTS, lambda v: {"experiment": "tomography", "reconstruction": {"max_iter": v}},
+     lambda v: maxlik_reconstruct(_SAMPLES, 2, max_iter=v)),
+    ("input_state.n", _INTS, lambda v: {"experiment": "orthogonalize", "trunc": 12, "input_state": {"kind": "fock", "n": v}},
+     lambda v: fock_state(v, Truncation(12))),
+    ("reconstruction.dim", st.tuples(st.integers(2, 30), st.integers(2, 30)),
+     lambda v: {"experiment": "tomography", "trunc": v[0], "reconstruction": {"dim": v[1]}},
+     lambda v: project_density(fock_state(0, Truncation(v[0])).to_density(), Truncation(v[1]))),
+    ("herald.theta", _ANGLES, lambda v: {"experiment": "number_scheme", "herald": {"theta": v}},
+     lambda v: number_scheme_model(_PSI, HeraldModel(beta=0.0, theta=v))),
+    ("herald.theta", _ANGLES, lambda v: {"experiment": "orthogonalize", "route": "heralded", "herald": {"theta": v}},
+     lambda v: beta_for_addition_orthogonalizer(1.0, v)),
+]
+
+
+def _described(message):
+    """The ``<description>`` of a ``<name>: must be <description>, got <value>`` message."""
+    return message.split("must be ", 1)[1].rsplit(", got ", 1)[0]
+
+
+@pytest.mark.parametrize("leaf, values, config, call", _AGREEMENT,
+                         ids=[f"{case[0]}-{i}" for i, case in enumerate(_AGREEMENT)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_validate_reads_the_library_rules(leaf, values, config, call, data):
+    # validate reports the leaf exactly when the library call that owns its rule raises, in the same words
+    value = data.draw(values)
+    reported = [p for p in validate_config(config(value)) if p.startswith(leaf + ":")]
+    try:
+        call(value)
+        raised = None
+    except ValueError as err:
+        raised = str(err)
+    assert len(reported) == (raised is not None), (value, reported, raised)
+    if raised is None:
+        return
+    if leaf == "input_state.n" and not cli._is_int(value):
+        # a level's range depends on trunc, so the leaf's own check is the JSON type alone
+        assert reported == [f"input_state.n: must be an integer, got {value!r}"]
+    else:
+        assert _described(raised) in _described(reported[0]), (reported, raised)
+
+
 class TestRunOrthogonalize:
     def test_artifacts_and_report(self, tmp_path):
         config = {
@@ -522,14 +621,22 @@ def test_phases_equal_to_four_decimals_stop_the_run(tmp_path, monkeypatch):
 def test_heralded_auto_beta_at_a_degenerate_angle_is_refused(tmp_path, capsys, theta):
     # sin(theta) = 0 leaves auto beta undefined; cos(theta) = 0 blocks the added photon and zeroes auto beta
     config = {"experiment": "orthogonalize", "route": "heralded", "herald": {"theta": theta}}
-    assert validate_config(config) == [
-        "herald.theta: auto beta needs sin(theta) and cos(theta) nonzero for heralded orthogonalize, "
-        f"got {theta!r}"
-    ]
+    assert validate_config(config) == [f"herald.theta: must be an angle with sin(theta) and cos(theta) nonzero, got {theta!r}"]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
     assert "herald.theta" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_heralded_auto_beta_at_a_tiny_angle_names_the_ancilla_dim(tmp_path, capsys):
+    # auto beta = cot(1e-6) <a_dag> is about 1e6, and its coherent ancilla needs about |beta|^2 = 1e12 levels
+    config = {"experiment": "orthogonalize", "route": "heralded", "herald": {"theta": 1e-6}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+    needed = re.search(r"\|alpha\|=1e\+06 needs dim >= (\d+) at tail_tol 0\.005, got 12$", capsys.readouterr().err.strip())
+    assert needed and 10**12 <= int(needed.group(1)) < 1.01 * 10**12
     assert not (tmp_path / "out").exists()
 
 

@@ -66,6 +66,23 @@ def brute_poisson_weights(lam, count):
     return poisson.pmf(np.arange(count), lam)
 
 
+def running_sum_min_dim(alpha, tail_tol):
+    """The search that ``min_dim_for_coherent`` made before its closed form: a running Poisson sum from exp(-|alpha|^2).
+
+    Exact while exp(-|alpha|^2) is a normal double, |alpha| < 26.6; past that its first term is subnormal, then 0.
+    """
+    lam = abs(alpha) ** 2
+    if lam == 0.0:
+        return 2
+    p = cum = math.exp(-lam)
+    m = 0
+    while 1.0 - cum > tail_tol:
+        m += 1
+        p *= lam / m
+        cum += p
+    return m + 2
+
+
 class TestFockState:
     def test_basis_vector(self):
         psi = fock_state(1, Truncation(10))
@@ -123,6 +140,37 @@ class TestCoherentState:
             weights = brute_poisson_weights(lam, 200)
             smallest = next(n for n in range(2, 200) if sum(weights[n - 1 :]) < tol)
             assert min_dim_for_coherent(alpha, tol) == smallest
+
+    def test_min_dim_matches_the_running_sum_below_its_underflow(self):
+        for radius in np.linspace(0.0, 26.59, 400):
+            alpha = radius * complex(math.cos(radius), math.sin(radius))  # only |alpha| counts
+            for tol in (1e-8, 5e-3):
+                assert min_dim_for_coherent(alpha, tol) == running_sum_min_dim(alpha, tol), (radius, tol)
+
+    @pytest.mark.parametrize("alpha", [26.949, 26.952, 26.955, 28.0, 35.0])
+    def test_min_dim_past_the_running_sum_underflow(self, alpha):
+        # the running sum gave 887, 889 and 882 at the first three, and no dim at all from |alpha| = 27.3 on
+        dim = min_dim_for_coherent(alpha, 1e-8)
+        weights = brute_poisson_weights(alpha**2, 4000)
+        assert math.fsum(weights[dim - 1:]) <= 1e-8 < math.fsum(weights[dim - 2:])
+
+    def test_min_dim_is_monotone_where_the_running_sum_was_not(self):
+        dims = [min_dim_for_coherent(alpha, 1e-8) for alpha in (26.949, 26.952, 26.955)]
+        assert dims == sorted(dims)
+
+    def test_alpha_28_builds_within_its_tail_tolerance(self):
+        dim = min_dim_for_coherent(28.0, 1e-8)
+        psi = coherent_state(28.0, Truncation(dim))
+        weights = brute_poisson_weights(28.0**2, dim)
+        assert_allclose(np.abs(psi.amps) ** 2, weights / weights.sum(), rtol=0, atol=1e-12)
+        assert psi.top_weight <= 1e-8
+        with pytest.raises(TruncationError):
+            coherent_state(28.0, Truncation(dim - 1))
+
+    def test_vacuum_amplitude_underflow_raises(self):
+        # exp(-40^2 / 2) is 0 in double precision, so the amplitudes would be 0/0
+        with pytest.raises(ValueError, match=r"\|alpha\|=40 underflows"):
+            coherent_state(40.0, Truncation(min_dim_for_coherent(40.0, 1e-8)))
 
 
 class TestLadderOperators:
