@@ -169,18 +169,18 @@ def _complex_pair(z: complex):
     return [float(z.real), float(z.imag)]
 
 
-def _write_state(writer: _ArtifactWriter, cfg: dict, label: str, state: StateVector, phases=(), grid=None):
-    """Write ``state`` after the configured loss, each file named with ``label``.
-
-    Writes its marginals at ``phases``, its Wigner map on ``grid`` and its
-    density JSON.  Returns the map and its file name (both None without ``grid``).
+def _write_state(writer: _ArtifactWriter, cfg: dict, label: str, state: StateVector, phases=(), grid=None, masses=None):
+    """Write ``state`` after the configured loss, each file named with ``label``: its marginals at ``phases``
+    (with each file's trapezoid integral in ``masses``, by file name), its Wigner map on ``grid`` and its density
+    JSON.  Returns the map and its file name (both None without ``grid``).
     """
     rho = apply_loss(state.to_density(), LossChannel(cfg["eta"]))
     m = cfg["marginal_xs"]
     xs = np.linspace(m["x_min"], m["x_max"], m["n"])
     for phase in phases:
-        writer.write(marginal_filename(f"marginal_{label}", phase), "marginal-csv",
-                     marginal_csv_text(marginal(rho, phase, xs)))
+        dist, name = marginal(rho, phase, xs), marginal_filename(f"marginal_{label}", phase)
+        writer.write(name, "marginal-csv", marginal_csv_text(dist))
+        masses[name] = float(np.trapezoid(dist.density, xs))
     wmap = grid_file = None
     if grid is not None:
         wmap = wigner(rho, grid)
@@ -197,7 +197,7 @@ def _write_state(writer: _ArtifactWriter, cfg: dict, label: str, state: StateVec
 def _run_orthogonalize(cfg: dict, writer: _ArtifactWriter) -> dict:
     trunc, psi, spec = _prepared(cfg)
 
-    report = {"scheme": cfg["scheme"]["kind"], "route": cfg["route"]}
+    report = {"scheme": cfg["scheme"]["kind"], "route": cfg["route"], "marginal_mass": {}}
     if cfg["route"] == "heralded":
         model = _herald_model(cfg, spec)
         out, prob = heralded_addition_model(psi, model)
@@ -215,7 +215,7 @@ def _run_orthogonalize(cfg: dict, writer: _ArtifactWriter) -> dict:
         report["displaced_fock_fidelity"] = fidelity(out, ref)
 
     for label, state in (("input", psi), ("output", out)):
-        _write_state(writer, cfg, label, state, phases=(0.0,))
+        _write_state(writer, cfg, label, state, phases=(0.0,), masses=report["marginal_mass"])
     return report
 
 
@@ -252,11 +252,12 @@ def _run_number_scheme(cfg: dict, writer: _ArtifactWriter) -> dict:
         "beam_splitter_theta": model.theta,
         "mean_photon_number": float(complex(spec.mean_value).real),
         "grid": dataclasses.asdict(grid),
+        "marginal_mass": {},
     }
 
     phases = _build_plan(cfg).phases
     for label, state in (("input", psi), ("output", out)):
-        _write_state(writer, cfg, label, state, phases=phases, grid=grid)
+        _write_state(writer, cfg, label, state, phases=phases, grid=grid, masses=report["marginal_mass"])
     return report
 
 
@@ -281,6 +282,7 @@ def _run_tomography(cfg: dict, writer: _ArtifactWriter) -> dict:
     report = {
         "iterations_used": result.iterations_used,
         "stop_reason": result.stop_reason,
+        "loglik_gap": result.loglik_gap,
         "eta": cfg["eta"],
         "fidelity_vs_true": fidelity(result.rho_hat, target),
         "final_log_likelihood": float(result.log_likelihood_trace[-1]),
@@ -450,8 +452,8 @@ def _largest_array(cfg: dict, exp, clean):
     Sizes a dense complex trunc x trunc operator (every experiment but
     verify), the complex nx x np Wigner phase product and the real n x n
     Wigner parity basis, the n x trunc Hermite table of a marginal and
-    MaxLik's features, each only from leaves that ``clean`` passes.  A run
-    needs at least this much memory.
+    the quadrature samples, each only from leaves that ``clean`` passes.  A
+    run needs at least this much memory.
     """
     trunc, grid, n = cfg["trunc"], cfg["grid"], cfg["marginal_xs"]["n"]
     arrays = []
@@ -465,11 +467,11 @@ def _largest_array(cfg: dict, exp, clean):
         arrays.append((8 * side * side, "grid", f"the real {_shown(side)} x {_shown(side)} Wigner parity basis"))
     if clean("trunc", "marginal_xs.n") and exp in ("orthogonalize", "number_scheme"):
         arrays.append((8 * n * trunc, "marginal_xs", f"the {_shown(n)} x {_shown(trunc)} Hermite table of a marginal"))
-    count, dim = cfg["sampling"]["phases"], cfg["reconstruction"]["dim"]
-    if clean("sampling.phases", "sampling.samples_per_phase", "reconstruction.dim") and exp == "tomography":
+    count = cfg["sampling"]["phases"]
+    if clean("sampling.phases", "sampling.samples_per_phase") and exp == "tomography":
         phases, per_phase = (count if _is_int(count) else len(count)), cfg["sampling"]["samples_per_phase"]
-        arrays.append((8 * phases * per_phase * (2 * dim - 1), "sampling", f"MaxLik's features of {_shown(phases)} x "
-                       f"{_shown(per_phase)} samples at reconstruction.dim {dim} (8 (2 dim - 1) bytes each)"))
+        arrays.append((16 * phases * per_phase, "sampling",
+                       f"the phase and x columns of {_shown(phases)} x {_shown(per_phase)} samples (16 bytes each)"))
     return max(arrays, default=None)
 
 

@@ -32,11 +32,14 @@ SAMPLING_POINTS = 4001
 
 _MAX_RECON_DIM = 30
 _RECON_DIM, _MAX_ITER = _int_rule(2, _MAX_RECON_DIM), _int_rule(1)  # maxlik_reconstruct's rules
-# Samples per MaxLik feature block: 0.95 MB of features at dim 15 (1.9 MB at dim 30), so a block read
-# for a sweep's first product is still in L2 for its second
-_BLOCK = 4096
+# Width of a sampling-grid cell, on which the sampled density is constant and MaxLik counts samples
+_CELL_WIDTH = (SAMPLING_X_MAX - SAMPLING_X_MIN) / (SAMPLING_POINTS - 1)
 
 STOP_REASONS = ("tol", "max_iter")
+_TRACE_SLACK = 1e-9  # the log-likelihood decrease that a step may show from rounding alone
+# Step operators R + eps 1: eps = 0 is RrhoR; where that lowers the log-likelihood, eps = 1, 3, 7, ... dilute the
+# step (Rehacek et al., PRA 75, 042108, 2007), which gains once eps is large enough
+_DILUTIONS = (0.0, *(2.0**n - 1.0 for n in range(1, 31)))
 
 
 class DataError(ValueError):
@@ -121,18 +124,21 @@ class ReconstructionResult:
 
     ``stop_reason`` is ``"tol"`` when the last log-likelihood gain fell
     below the tolerance and ``"max_iter"`` when the iteration cap ended
-    the run.
+    the run.  ``loglik_gap`` is K (lambda_max(R) - 1) for K samples at the
+    estimate: by concavity no density's log-likelihood exceeds the last
+    trace entry by more (Glancy, Knill, Girard, NJP 14, 095017, 2012).
     """
 
     rho_hat: DensityMatrix
     log_likelihood_trace: np.ndarray
     iterations_used: int
     stop_reason: str
+    loglik_gap: float
 
     def __post_init__(self):
         _require("stop_reason", ((lambda v: v in STOP_REASONS), f"one of {STOP_REASONS}"), self.stop_reason)
         trace = np.asarray(self.log_likelihood_trace, dtype=np.float64)
-        if trace.size and np.any(np.diff(trace) < -1e-9):
+        if trace.size and np.any(np.diff(trace) < -_TRACE_SLACK):
             raise ValueError("log-likelihood trace decreased beyond numerical slack")
         trace.flags.writeable = False
         object.__setattr__(self, "log_likelihood_trace", trace)
@@ -175,28 +181,26 @@ def product_coefficients(dim: int) -> np.ndarray:
 
 
 def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-10) -> ReconstructionResult:
-    """Iterative maximum-likelihood estimate of the density matrix.
+    """Iterative maximum-likelihood estimate of the density matrix from per-phase cell counts.
 
     Iterates rho <- normalize(R rho R) with R = (1/K) sum_j Pi_j / Tr(rho Pi_j),
     where Pi_j[a, b] = psi_a(x_j) psi_b(x_j) conj(F_ab) projects onto the
     quadrature eigenvector of sample j (F_ab = e^{i(b-a)theta}, as in
-    :func:`~cvortho.phasespace.marginal`).  Stops at ``max_iter`` or when
-    the total log-likelihood gain drops below ``tol``;
-    ``stop_reason`` on the result says which, and ``tol=-inf`` runs all
-    ``max_iter`` iterations.  No efficiency correction is
-    applied: sampling through a loss channel makes the estimate converge to
-    the lossy state.
+    :func:`~cvortho.phasespace.marginal`), diluting a step that would lower
+    the likelihood.  Stops at ``max_iter`` or when the gain drops below
+    ``tol`` (``stop_reason`` says which; ``tol=-inf`` runs all ``max_iter``).
+    No efficiency correction: loss before sampling gives the lossy state.
 
-    ``samples`` must be a :class:`QuadratureSamples`, grouped here by phase
-    bits in order of first use; a :class:`DataError` names a sample by its
-    position.  Every kernel entry psi_a(x) psi_b(x) is expanded over the
-    2 dim - 1 features f_m(x) = psi_m(sqrt2 x) (see
-    :func:`product_coefficients`), so at phase theta the likelihood is
-    p_j = sum_m c_m f_m(x_j) with c_m = sum_ab L[a, b, m] Re(rho_ab F_ab),
-    and R needs only the feature sums of 1/p_j.  Each phase's features,
-    8 K (2 dim - 1) bytes in all, are held in blocks of 4096 samples, and
-    each sweep reads each block once: both of its matrix-vector products,
-    for p_j and for the feature sums, run while the block is cache-resident.
+    Sample j counts at the midpoint of its cell [x_min + k h, x_min + (k+1) h)
+    of the sampling grid (h = 0.004, extended past [-8, 8]).
+    :func:`sample_quadratures` draws from a density that is constant on each
+    cell, so for its samples the per-phase cell counts lose nothing; for other
+    samples this is a midpoint rule.  psi_a psi_b expands over 2 dim - 1
+    features (:func:`product_coefficients`), so a sweep is one product each
+    way with each phase's cell features.  ``samples`` must be a
+    :class:`QuadratureSamples`, grouped by phase bits in order of first use;
+    a :class:`DataError` names, in the first phase with cells of p <= 0, the
+    lowest position among the first samples of those cells.
     """
     bits = _phase_bits(samples)
     if len(samples) == 0:
@@ -206,55 +210,50 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
 
     coeffs = product_coefficients(dim)
     flat = coeffs.reshape(dim * dim, -1)
+    cells = np.floor((samples.x - SAMPLING_X_MIN) / _CELL_WIDTH)
     order = np.argsort(bits, kind="stable")  # keeps each phase's positions ascending: order[start] is its first use
-    groups = []  # per phase, in order of first use: phase, caller positions, feature blocks f_m(x_j), F(phase)
+    groups = []  # per phase, in order of first use: phase, each cell's first caller position and count, features, F
     for start, stop in sorted(_runs(bits[order]), key=lambda run: order[run[0]]):
         positions = order[start:stop]
+        cell, first, counts = np.unique(cells[positions], return_index=True, return_counts=True)
+        feats = hermite_functions(math.sqrt(2.0) * (SAMPLING_X_MIN + (cell + 0.5) * _CELL_WIDTH), 2 * dim - 1)
         phase = float(samples.phase[positions[0]])
-        blocks = [hermite_functions(math.sqrt(2.0) * samples.x[positions[first:first + _BLOCK]], 2 * dim - 1)
-                  for first in range(0, positions.size, _BLOCK)]
-        groups.append((phase, positions, blocks, _phase_matrix(phase, dim)))
-    k_total = len(samples)
+        groups.append((phase, positions[first], counts, feats, _phase_matrix(phase, dim)))
 
     def sweep(rho):
-        """Log-likelihood of rho and its R operator, from one pass over the feature blocks."""
+        """Log-likelihood of rho and its R operator, from one product each way with every phase's cell features."""
         loglik = 0.0
         r_op = np.zeros((dim, dim), dtype=np.complex128)
-        for phase, positions, blocks, phase_mat in groups:
-            c = flat.T @ np.real(rho * phase_mat).ravel()
-            group_loglik, sums = 0.0, np.zeros(2 * dim - 1)
-            with np.errstate(divide="ignore", invalid="ignore"):  # a p_j <= 0 makes group_loglik non-finite
-                for blk in blocks:
-                    p = c @ blk
-                    group_loglik += float(np.sum(np.log(p)))
-                    sums += blk @ (1.0 / p)
-            if not math.isfinite(group_loglik):
-                p = np.concatenate([c @ blk for blk in blocks])
-                j = int(np.argmax(~np.isfinite(p) | (p <= 0.0)))
-                raise DataError(
-                    f"sample {int(positions[j])} (phase={phase:.10f}, x={samples.x[positions[j]]:.6g}) "
-                    "has non-positive likelihood under the current state"
-                )
-            loglik += group_loglik
-            r_op += phase_mat.conj() * (coeffs @ sums)
-        return loglik, r_op / k_total
+        for phase, first, counts, feats, phase_mat in groups:
+            p = (flat.T @ np.real(rho * phase_mat).ravel()) @ feats
+            if not np.all(p > 0.0):  # before log and 1/p, so a p of 0 or nan raises without a warning
+                j = int(first[~(p > 0.0)].min())
+                raise DataError(f"sample {j} (phase={phase:.10f}, x={samples.x[j]:.6g}) "
+                                "has non-positive likelihood under the current state")
+            loglik += float(counts @ np.log(p))
+            r_op += phase_mat.conj() * (coeffs @ (feats @ (counts / p)))
+        return loglik, r_op / len(samples)
 
     rho = np.eye(dim, dtype=np.complex128) / dim
     loglik, r_op = sweep(rho)
     trace = [loglik]
     stop_reason = "max_iter"
     for _ in range(max_iter):
-        rho = r_op @ rho @ r_op
-        rho = (rho + rho.conj().T) / 2.0
-        rho /= np.trace(rho).real
-        loglik, r_op = sweep(rho)
+        for eps in _DILUTIONS:
+            m = r_op + eps * np.eye(dim)
+            step = m @ rho @ m
+            step = (step + step.conj().T) / (2.0 * np.trace(step).real)
+            loglik, step_r = sweep(step)
+            if loglik >= trace[-1] - _TRACE_SLACK:
+                break
+        rho, r_op = step, step_r
         trace.append(loglik)
         if trace[-1] - trace[-2] < tol:
             stop_reason = "tol"
             break
 
-    result = DensityMatrix(rho, Truncation(dim))
-    return ReconstructionResult(result, np.asarray(trace), len(trace) - 1, stop_reason)
+    gap = len(samples) * (float(np.linalg.eigvalsh(r_op)[-1]) - 1.0)
+    return ReconstructionResult(DensityMatrix(rho, Truncation(dim)), np.asarray(trace), len(trace) - 1, stop_reason, gap)
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ class TestValidate:
             names = {cli.marginal_filename("", p) for p in cli.uniform_phases(count)}
             assert (len(names) == count) is distinct
         assert validate_config({"experiment": "number_scheme", "sampling": {"phases": limit}}) == []
-        # one sample per phase keeps the tomography's MaxLik features (7 MB) inside physical memory
+        # one sample per phase keeps the tomography's samples (0.5 MB) inside physical memory
         tomography = {"experiment": "tomography", "sampling": {"phases": limit + 1, "samples_per_phase": 1}}
         assert validate_config(tomography) == []
 
@@ -156,9 +156,9 @@ class TestValidate:
         assert time.perf_counter() - start < 1.0
         assert len(problems) == 1 and problems[0].startswith("sampling:"), problems
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        feature_bytes = 8 * 10 ** 12 * (5000 if "phases" in sampling else 10) * 29
-        assert f" {feature_bytes} bytes" in problems[0] and f" {memory} bytes" in problems[0]
-        # the other experiments build no MaxLik features
+        sample_bytes = 16 * 10 ** 12 * (5000 if "phases" in sampling else 10)
+        assert f" {sample_bytes} bytes" in problems[0] and f" {memory} bytes" in problems[0]
+        # the other experiments draw no samples
         assert validate_config({"experiment": "qubit_wigner", "sampling": sampling}) == []
 
     @pytest.mark.parametrize("config, array, need", [
@@ -222,7 +222,7 @@ class TestValidate:
         assert validate_config(config) == [message]
 
     def test_large_tomography_within_memory_validates(self):
-        # criterion 8's lossy run: 10 phases x 50000 samples at dim 15, 116 MB of features
+        # criterion 8's lossy run: 10 phases x 50000 samples at dim 15, 8 MB of samples
         config = {"experiment": "tomography", "transform": "qubit", "trunc": 30, "eta": 0.6,
                   "sampling": {"phases": 10, "samples_per_phase": 50000, "seed": 1},
                   "reconstruction": {"dim": 15, "max_iter": 300, "tol": 1e-9}}
@@ -430,6 +430,20 @@ class TestRunOrthogonalize:
         assert report["overlap_with_input"] < 1e-10
         assert report["displaced_fock_fidelity"] > 1 - 1e-8
 
+    @pytest.mark.parametrize("alpha, trunc", [(1.0, 40), (28.0, 1200)])
+    def test_marginal_mass_reports_the_window(self, tmp_path, alpha, trunc):
+        # the number scheme skips the creation scheme's displaced-Fock reference, a 10 s expm at trunc 1200;
+        # at alpha = 28 the marginals peak near x = 39.6, far outside marginal_xs's [-8, 8]
+        config = {"experiment": "orthogonalize", "scheme": {"kind": "number"}, "trunc": trunc,
+                  "input_state": {"kind": "coherent", "alpha": [alpha, 0.0]}}
+        manifest = run(config, output_dir=tmp_path)
+        masses = json.loads((tmp_path / "report.json").read_text())["marginal_mass"]
+        assert sorted(masses) == sorted(e["path"] for e in manifest["files"] if e["kind"] == "marginal-csv")
+        for name, mass in masses.items():
+            xs, density = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1, unpack=True)
+            assert mass == np.trapezoid(density, xs)
+            assert (mass < 1e-10) if alpha == 28.0 else (abs(mass - 1.0) <= 1e-6)
+
     def test_heralded_route(self, tmp_path):
         config = {
             "experiment": "orthogonalize",
@@ -508,6 +522,8 @@ class TestRunNumberScheme:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["overlap_with_input"] < 1e-8
         assert report["beam_splitter_theta"] == pytest.approx(math.atan(0.5), abs=1e-6)
+        assert len(report["marginal_mass"]) == 6
+        assert all(abs(mass - 1.0) <= 1e-6 for mass in report["marginal_mass"].values())
 
 
 class TestRunTomography:
@@ -539,6 +555,7 @@ class TestRunTomography:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["iterations_used"] == 4
         assert report["stop_reason"] == "max_iter"
+        assert report["loglik_gap"] > 0.0
 
 
     def test_transform_orthogonalize_is_sampled(self, tmp_path):

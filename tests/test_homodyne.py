@@ -25,8 +25,10 @@ from cvortho import (
     uniform_phases,
 )
 from cvortho.homodyne import (
-    _BLOCK,
     _MAX_RECON_DIM,
+    SAMPLING_POINTS,
+    SAMPLING_X_MAX,
+    SAMPLING_X_MIN,
     product_coefficients,
     read_samples_csv,
     likelihood_csv_text,
@@ -34,7 +36,7 @@ from cvortho.homodyne import (
 )
 from cvortho.phasespace import _phase_matrix, hermite_functions
 
-from conftest import random_state
+from conftest import mixed_states, random_mixed_state, random_state
 
 
 def dense_maxlik(samples, dim, max_iter, tol):
@@ -78,11 +80,11 @@ def dense_maxlik(samples, dim, max_iter, tol):
 
 
 def unblocked_maxlik(samples, dim, max_iter, tol):
-    """Reference sweep over each phase's whole (2 dim - 1) x K_i feature matrix, with two products per sweep.
+    """Reference sweep over each phase's whole (2 dim - 1) x K_i per-sample feature matrix, two products per sweep.
 
     The same RrhoR iteration as maxlik_reconstruct, phases in order of first
-    appearance, but p = c F and the feature sums F (1/p) each read the whole
-    matrix; returns the estimate and the log-likelihood trace.
+    appearance, but with one feature column per sample rather than per cell;
+    returns the estimate and the log-likelihood trace.
     """
     coeffs = product_coefficients(dim)
     flat = coeffs.reshape(dim * dim, -1)
@@ -112,6 +114,13 @@ def unblocked_maxlik(samples, dim, max_iter, tol):
         if trace[-1] - trace[-2] < tol:
             break
     return rho, np.asarray(trace)
+
+
+def snapped(samples):
+    """``samples`` with each x moved to the midpoint of its sampling-grid cell [x_min + k h, x_min + (k+1) h)."""
+    h = (SAMPLING_X_MAX - SAMPLING_X_MIN) / (SAMPLING_POINTS - 1)
+    k = np.floor((samples.x - SAMPLING_X_MIN) / h)
+    return QuadratureSamples(samples.phase, SAMPLING_X_MIN + (k + 0.5) * h)
 
 
 def single_photon_cdf(x):
@@ -234,11 +243,11 @@ class TestMaxLikReconstruct:
         with pytest.raises(DataError, match=r"sample 4 \(phase=0\.5000000000, x=1e\+06\)"):
             maxlik_reconstruct(QuadratureSamples(phases, xs), dim=5, max_iter=5)
 
-    def test_data_error_in_a_later_block_names_caller_position(self):
-        # two interleaved phases of _BLOCK + 10 samples; the bad one is in phase 0.5's second block
-        xs = np.full(2 * (_BLOCK + 10), 0.3)
-        phases = np.tile([0.0, 0.5], _BLOCK + 10)
-        bad = 2 * (_BLOCK + 3) + 1
+    def test_data_error_deep_in_a_phase_names_caller_position(self):
+        # two interleaved phases of 4106 samples; the bad one is phase 0.5's 4100th
+        xs = np.full(2 * 4106, 0.3)
+        phases = np.tile([0.0, 0.5], 4106)
+        bad = 2 * 4099 + 1
         xs[bad] = 1e6
         with pytest.raises(DataError, match=rf"sample {bad} \(phase=0\.5000000000, x=1e\+06\)"):
             maxlik_reconstruct(QuadratureSamples(phases, xs), dim=5, max_iter=5)
@@ -274,7 +283,7 @@ class TestMaxLikReconstruct:
     def test_unknown_stop_reason_rejected(self):
         rho = fock_state(0, Truncation(4)).to_density()
         with pytest.raises(ValueError, match="stop_reason"):
-            ReconstructionResult(rho, np.zeros(1), 0, "gave_up")
+            ReconstructionResult(rho, np.zeros(1), 0, "gave_up", 0.0)
 
 
 class TestMomentKernel:
@@ -294,29 +303,60 @@ class TestMomentKernel:
         drawn = sample_quadratures(apply_loss(rho, LossChannel(0.7)), plan)
         perm = rng.permutation(len(drawn))  # interleave the phases
         samples = QuadratureSamples(drawn.phase[perm], drawn.x[perm])
-        rho_ref, trace_ref = dense_maxlik(samples, dim, max_iter=40, tol=-np.inf)
+        rho_ref, trace_ref = dense_maxlik(snapped(samples), dim, max_iter=40, tol=-np.inf)
         res = maxlik_reconstruct(samples, dim=dim, max_iter=40, tol=-np.inf)
         assert res.iterations_used == 40
         assert np.max(np.abs(res.rho_hat.elems - rho_ref)) <= 1e-12
         assert np.max(np.abs(res.log_likelihood_trace - trace_ref) / np.abs(trace_ref)) <= 1e-12
 
-    def test_blocked_sweep_matches_unblocked_oracle(self):
-        # groups of 2 blocks + 808 and of 1 block + 1 samples, so neither is whole blocks, and one under a block
+    @pytest.mark.parametrize("outside", [(), (-9.5, -8.0, 8.0, 9.5)])
+    def test_cell_counts_match_per_sample_oracle(self, outside):
+        # three phases of unequal size; ``outside`` adds samples on the window's edges and in cells past it
         rng = np.random.default_rng(11)
         rho = random_state(Truncation(20), rng, support=8).to_density()
-        counts = (2 * _BLOCK + 808, _BLOCK + 1, 1000)
         draws = [sample_quadratures(apply_loss(rho, LossChannel(0.8)),
                                     SamplingPlan(phases=(phase,), samples_per_phase=count, seed=7 + i))
-                 for i, (phase, count) in enumerate(zip((0.3, 1.4, 2.6), counts))]
-        phase = np.concatenate([d.phase for d in draws])
-        x = np.concatenate([d.x for d in draws])
+                 for i, (phase, count) in enumerate(zip((0.3, 1.4, 2.6), (9000, 4097, 1000)))]
+        phase = np.concatenate([d.phase for d in draws] + [np.repeat((0.3, 1.4, 2.6), len(outside))])
+        x = np.concatenate([d.x for d in draws] + [np.tile(outside, 3)])
         perm = rng.permutation(x.size)  # interleave the phases
         samples = QuadratureSamples(phase[perm], x[perm])
-        rho_ref, trace_ref = unblocked_maxlik(samples, 8, max_iter=30, tol=-np.inf)
+        rho_ref, trace_ref = unblocked_maxlik(snapped(samples), 8, max_iter=30, tol=-np.inf)
         res = maxlik_reconstruct(samples, dim=8, max_iter=30, tol=-np.inf)
         assert res.iterations_used == 30
         assert np.linalg.norm(res.rho_hat.elems - rho_ref) <= 1e-12 * np.linalg.norm(rho_ref)
         assert np.max(np.abs(res.log_likelihood_trace - trace_ref) / np.abs(trace_ref)) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(rho=mixed_states(12), phases=st.integers(1, 4), seed=st.integers(0, 2**31))
+    def test_trace_is_monotone(self, rho, phases, seed):
+        plan = SamplingPlan(phases=uniform_phases(phases), samples_per_phase=300, seed=seed)
+        res = maxlik_reconstruct(sample_quadratures(rho, plan), dim=rho.trunc.dim, max_iter=30, tol=-np.inf)
+        trace = res.log_likelihood_trace
+        assert np.all(np.diff(trace) >= -1e-12 * np.abs(trace[1:]))  # a step may round down once converged
+
+    def test_a_step_that_would_lower_the_likelihood_is_diluted(self):
+        # one phase of a pure d = 11 state, where the plain RrhoR step overshoots and the plain trace zigzags
+        rho = random_mixed_state(11, 1, 1395957989)
+        samples = sample_quadratures(rho, SamplingPlan(phases=(0.0,), samples_per_phase=300, seed=820925148))
+        _, plain = unblocked_maxlik(snapped(samples), 11, max_iter=60, tol=-np.inf)
+        first_drop = int(np.argmax(np.diff(plain) < 0.0))
+        assert np.min(np.diff(plain)) < -1e-3 and first_drop > 0
+        trace = maxlik_reconstruct(samples, dim=11, max_iter=60, tol=-np.inf).log_likelihood_trace
+        assert np.all(np.diff(trace) >= 0.0)
+        # the steps before the first drop are plain RrhoR steps
+        assert np.max(np.abs(trace[:first_drop + 1] - plain[:first_drop + 1]) / np.abs(plain[0])) <= 1e-12
+
+    def test_loglik_gap_bounds_the_gain_still_to_come(self):
+        rho = coherent_state(0.7, Truncation(15)).to_density()
+        samples = sample_quadratures(apply_loss(rho, LossChannel(0.8)),
+                                     SamplingPlan(phases=uniform_phases(4), samples_per_phase=2000, seed=6))
+        short = maxlik_reconstruct(samples, dim=8, max_iter=50, tol=-np.inf)
+        long = maxlik_reconstruct(samples, dim=8, max_iter=3000, tol=-np.inf)
+        assert np.array_equal(long.log_likelihood_trace[:51], short.log_likelihood_trace)
+        gain = long.log_likelihood_trace[-1] - short.log_likelihood_trace[-1]
+        assert 0.0 < gain <= short.loglik_gap
+        assert 0.0 <= long.loglik_gap < short.loglik_gap
 
 
 class TestQuadratureSamples:
