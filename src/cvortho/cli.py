@@ -210,8 +210,9 @@ def _run_orthogonalize(cfg: dict, writer: _ArtifactWriter) -> dict:
     overlap = abs(inner_product(psi, out))
     report["overlap_with_input"] = overlap
     if cfg["input_state"]["kind"] == "coherent" and spec.kind is OperatorKind.CREATION:
-        alpha = _as_complex(cfg["input_state"]["alpha"])
-        ref = displacement_op(alpha, trunc).apply(fock_state(1, trunc))
+        # D(alpha)|1> = D(alpha) a_dag |0> = (a_dag - conj(alpha)) |alpha>, from the coherent input already built
+        raised = np.concatenate(([0.0], np.sqrt(np.arange(1.0, trunc.dim)) * psi.amps[:-1]))
+        ref = StateVector(raised - np.conj(_as_complex(cfg["input_state"]["alpha"])) * psi.amps, trunc).normalized()
         report["displaced_fock_fidelity"] = fidelity(out, ref)
 
     for label, state in (("input", psi), ("output", out)):
@@ -450,10 +451,10 @@ def _largest_array(cfg: dict, exp, clean):
     """(bytes, section, array) for the largest array that ``exp`` builds at sizes read from ``cfg``, or None.
 
     Sizes a dense complex trunc x trunc operator (every experiment but
-    verify), the complex nx x np Wigner phase product and the real n x n
-    Wigner parity basis, the n x trunc Hermite table of a marginal and
-    the quadrature samples, each only from leaves that ``clean`` passes.  A
-    run needs at least this much memory.
+    verify), the complex nx x np Wigner phase product and the complex n x n
+    Gram matrix of the Wigner parity basis, the n x trunc Hermite table of a
+    marginal and the quadrature samples, each only from leaves that
+    ``clean`` passes.  A run needs at least this much memory.
     """
     trunc, grid, n = cfg["trunc"], cfg["grid"], cfg["marginal_xs"]["n"]
     arrays = []
@@ -464,7 +465,8 @@ def _largest_array(cfg: dict, exp, clean):
                        f"the complex {_shown(grid['nx'])} x {_shown(grid['np'])} Wigner phase product"))
     side = _parity_side(cfg) if clean("trunc", *_GRID_BOUNDS) and exp in ("qubit_wigner", "number_scheme") else None
     if side is not None:
-        arrays.append((8 * side * side, "grid", f"the real {_shown(side)} x {_shown(side)} Wigner parity basis"))
+        arrays.append((16 * side * side, "grid",
+                       f"the complex {_shown(side)} x {_shown(side)} Gram matrix of the Wigner parity basis"))
     if clean("trunc", "marginal_xs.n") and exp in ("orthogonalize", "number_scheme"):
         arrays.append((8 * n * trunc, "marginal_xs", f"the {_shown(n)} x {_shown(trunc)} Hermite table of a marginal"))
     count = cfg["sampling"]["phases"]

@@ -210,15 +210,17 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
 
     coeffs = product_coefficients(dim)
     flat = coeffs.reshape(dim * dim, -1)
-    cells = np.floor((samples.x - SAMPLING_X_MIN) / _CELL_WIDTH)
     order = np.argsort(bits, kind="stable")  # keeps each phase's positions ascending: order[start] is its first use
     groups = []  # per phase, in order of first use: phase, each cell's first caller position and count, features, F
-    for start, stop in sorted(_runs(bits[order]), key=lambda run: order[run[0]]):
-        positions = order[start:stop]
-        cell, first, counts = np.unique(cells[positions], return_index=True, return_counts=True)
-        feats = hermite_functions(math.sqrt(2.0) * (SAMPLING_X_MIN + (cell + 0.5) * _CELL_WIDTH), 2 * dim - 1)
-        phase = float(samples.phase[positions[0]])
-        groups.append((phase, positions[first], counts, feats, _phase_matrix(phase, dim)))
+    # a huge or infinite x or phase overflows here to features or F of 0 or nan, which the sweep names as a DataError
+    with np.errstate(over="ignore", invalid="ignore"):
+        cells = np.floor((samples.x - SAMPLING_X_MIN) / _CELL_WIDTH)
+        for start, stop in sorted(_runs(bits[order]), key=lambda run: order[run[0]]):
+            positions = order[start:stop]
+            cell, first, counts = np.unique(cells[positions], return_index=True, return_counts=True)
+            feats = hermite_functions(math.sqrt(2.0) * (SAMPLING_X_MIN + (cell + 0.5) * _CELL_WIDTH), 2 * dim - 1)
+            phase = float(samples.phase[positions[0]])
+            groups.append((phase, positions[first], counts, feats, _phase_matrix(phase, dim)))
 
     def sweep(rho):
         """Log-likelihood of rho and its R operator, from one product each way with every phase's cell features."""

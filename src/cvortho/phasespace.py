@@ -178,6 +178,36 @@ def _basis_side(x_bounds, p_bounds, dim: int, support: int) -> int:
     return max(dim, _parity_dim(2.0 * (max(map(abs, x_bounds)) ** 2 + max(map(abs, p_bounds)) ** 2), support))
 
 
+# The last parity basis that wigner built, {key: arrays}; at most one entry, so a map on another basis or grid evicts it
+_basis_slot: dict = {}
+
+
+def _parity_basis(n: int, d: int, xs: np.ndarray, ps: np.ndarray) -> tuple:
+    """The rho-independent half of a Wigner map on an n-level parity basis: (V[:d], diag U_dag, G, e^{2ipw}, e^{2iwx}).
+
+    Kept read-only in ``_basis_slot`` under (n, d) and the bits of the grid
+    axes ``xs`` and ``ps``, so ``-0.0`` and ``0.0`` bounds do not share an
+    entry.  A miss clears the slot before building, so at most one basis is
+    alive.
+    """
+    key = (n, d, xs.tobytes(), ps.tobytes())
+    arrays = _basis_slot.get(key)
+    if arrays is None:
+        _basis_slot.clear()
+        k = np.arange(n)
+        w, v = eigh_tridiagonal(np.zeros(n), np.sqrt(k[1:] / 2.0))
+        u_dag = np.array([1.0, -1j, -1.0, 1j])[k % 4]  # diagonal of U_dag
+        # U_dag is real on even levels and imaginary on odd ones
+        ev, od = v[0::2], v[1::2]
+        gram = ev.T @ (u_dag[0::2].real[:, None] * ev) + 1j * (od.T @ (u_dag[1::2].imag[:, None] * od))
+        # V[:d] keeps V's Fortran order, so the kernel products see the layout of V itself
+        arrays = (v[:d].copy(order="F"), u_dag, gram, np.exp(2j * np.outer(ps, w)), np.exp(2j * np.outer(w, xs)))
+        for arr in arrays:
+            arr.flags.writeable = False
+        _basis_slot[key] = arrays
+    return arrays
+
+
 def wigner(rho: DensityMatrix, grid: PhaseGrid) -> WignerMap:
     """W(x, p) = (1/pi) Tr[rho D(g) P D(g)_dag], g = (x + i p)/sqrt2.
 
@@ -195,21 +225,20 @@ def wigner(rho: DensityMatrix, grid: PhaseGrid) -> WignerMap:
     G = V_p^T V_x, K = (V_x_dag P rho V_p)^T.  It is linear in rho, so rho is
     not diagonalized: zero-padded (an exact embedding) into a basis large
     enough for the farthest corner, it meets only the first d rows of V.
+
+    Everything but K depends only on (n, d, grid), so the last basis built
+    stays in one read-only slot (``_parity_basis``) and the next map on the
+    same basis and grid reuses it: 16 n^2 + 16 n (nx + np) bytes for G and
+    the two axis exponentials, held until a map on another basis or grid
+    replaces them.
     """
     xs, ps = grid.xs(), grid.ps()
     d = rho.trunc.dim
     support = _support_level(np.real(np.diag(rho.elems)))
     n = _basis_side((grid.x_min, grid.x_max), (grid.p_min, grid.p_max), d, support)
-
-    k = np.arange(n)
-    w, v = eigh_tridiagonal(np.zeros(n), np.sqrt(k[1:] / 2.0))
-    u_dag = np.array([1.0, -1j, -1.0, 1j])[k % 4]  # diagonal of U_dag
+    vd, u_dag, gram, left, right = _parity_basis(n, d, xs, ps)
     # V_x_dag P = V^T U P = V^T U_dag, so K^T = V^T U_dag rho V on the first d rows
-    kern = (v[:d].T @ (u_dag[:d, None] * rho.elems) @ v[:d]).T
-    # U_dag is real on even levels and imaginary on odd ones
-    ev, od = v[0::2], v[1::2]
-    gram = ev.T @ (u_dag[0::2].real[:, None] * ev) + 1j * (od.T @ (u_dag[1::2].imag[:, None] * od))
-    m = np.exp(2j * np.outer(ps, w)) @ (gram * kern) @ np.exp(2j * np.outer(w, xs))
+    m = left @ (gram * (vd.T @ (u_dag[:d, None] * rho.elems) @ vd).T) @ right
     return WignerMap(grid, np.real(np.exp(-2j * np.outer(xs, ps)) * m.T) / math.pi)
 
 

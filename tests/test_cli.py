@@ -31,6 +31,7 @@ from cvortho import (
     maxlik_reconstruct,
     number_scheme_model,
     orthogonalize,
+    phasespace,
     project_density,
     uniform_phases,
 )
@@ -183,14 +184,14 @@ class TestValidate:
         assert validate_config({**config, "experiment": "verify"}) == []
 
     def test_wigner_parity_basis_bounded_by_physical_memory(self):
-        # wigner's real parity basis has side n >= _parity_dim(2 (100^2 + 100^2), 0) = 40776 here: 13.3 GB
+        # wigner's complex Gram matrix has side n >= _parity_dim(2 (100^2 + 100^2), 0) = 40776 here: 26.6 GB
         config = {"experiment": "qubit_wigner", "grid": {"x_min": -100, "x_max": 100, "p_min": -100, "p_max": 100}}
         start = time.perf_counter()
         problems = validate_config(config)
         assert time.perf_counter() - start < 1.0
-        memory, need = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), 8 * 40776**2
-        message = (f"grid: qubit_wigner builds the real 40776 x 40776 Wigner parity basis, {need} bytes, "
-                   f"more than the {memory} bytes of physical memory")
+        memory, need = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), 16 * 40776**2
+        message = (f"grid: qubit_wigner builds the complex 40776 x 40776 Gram matrix of the Wigner parity basis, "
+                   f"{need} bytes, more than the {memory} bytes of physical memory")
         assert problems == ([message] if need > memory else [])
 
     @pytest.mark.parametrize("experiment", ["qubit_wigner", "number_scheme"])
@@ -602,6 +603,19 @@ class TestDeterminism:
         m1 = run(config, output_dir=tmp_path / "a")
         m2 = run(config, output_dir=tmp_path / "b")
         assert m1["files"] == m2["files"]
+
+    def test_qubit_wigner_after_number_scheme_writes_the_same_bytes(self, tmp_path):
+        # wigner's parity-basis slot outlives a run, so a run after another one starts warm
+        grid = {"nx": 21, "np": 17}
+        qubit = {"experiment": "qubit_wigner", "trunc": 20, "grid": grid}
+        run({"experiment": "number_scheme", "trunc": 20, "grid": grid, "sampling": {"phases": 2},
+             "marginal_xs": {"n": 101}}, output_dir=tmp_path / "number")
+        warm = run(qubit, output_dir=tmp_path / "warm")
+        phasespace._basis_slot.clear()
+        cold = run(qubit, output_dir=tmp_path / "cold")
+        assert warm == cold
+        for name in ["manifest.json"] + [entry["path"] for entry in cold["files"]]:
+            assert (tmp_path / "warm" / name).read_bytes() == (tmp_path / "cold" / name).read_bytes(), name
 
     def test_seed_changes_samples(self, tmp_path):
         base = {

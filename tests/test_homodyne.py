@@ -252,13 +252,16 @@ class TestMaxLikReconstruct:
         with pytest.raises(DataError, match=rf"sample {bad} \(phase=0\.5000000000, x=1e\+06\)"):
             maxlik_reconstruct(QuadratureSamples(phases, xs), dim=5, max_iter=5)
 
-    def test_zero_likelihood_raises_without_warning(self):
-        # every feature of x = 1e6 underflows to 0, so p = 0 exactly: log(p) and 1/p must not warn
-        samples = QuadratureSamples([0.0, 0.0, 0.0], [0.1, 1e6, -0.2])
+    @pytest.mark.parametrize("x", [1e6, 1e200, -1e200, 1.7e308, math.inf, -math.inf, math.nan])
+    def test_zero_likelihood_raises_without_warning(self, x):
+        # every feature of x = 1e6 underflows to 0, so p = 0 exactly: log(p) and 1/p must not warn; sqrt2 x overflows
+        # when squared from 1e200 on, and inf and nan give inf * 0 or nan in the recurrence, so p is 0 or nan there
+        samples = QuadratureSamples([0.0, 0.0, 0.0], [0.1, x, -0.2])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DataError, match=r"sample 1 \(phase=0\.0000000000, x=1e\+06\) has non-positive"):
+            with pytest.raises(DataError) as raised:
                 maxlik_reconstruct(samples, dim=5, max_iter=5)
+        assert str(raised.value).startswith(f"sample 1 (phase=0.0000000000, x={x:.6g}) has non-positive")
 
     def test_only_the_container_is_accepted(self):
         pairs = [(0.0, 0.1), (0.5, -0.2)]

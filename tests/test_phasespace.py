@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import eigvec_wigner, kernel_marginal, mixed_states, random_state, wigner_point
+from conftest import eigvec_wigner, kernel_marginal, mixed_states, random_mixed_state, random_state, wigner_point
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cvortho import (
+    DensityMatrix,
     LossChannel,
     PhaseGrid,
     Truncation,
@@ -19,6 +20,7 @@ from cvortho import (
     fock_state,
     hermite_functions,
     marginal,
+    phasespace,
     wigner,
 )
 from cvortho.cli import DEFAULTS
@@ -26,6 +28,7 @@ from cvortho.homodyne import QuadratureSamples, likelihood_csv_text, samples_csv
 from cvortho.phasespace import (
     QuadratureDistribution,
     WignerMap,
+    _basis_side,
     marginal_filename,
     marginal_csv_text,
     wigner_grid_npy,
@@ -41,6 +44,38 @@ def off_centre_grids(draw):
     assume(x_min != -x_max and p_min != -p_max)
     nx = draw(st.integers(2, 12))
     return PhaseGrid(x_min, x_max, p_min, p_max, nx, nx + draw(st.integers(1, 6)))
+
+
+@st.composite
+def signed_zero_grids(draw):
+    # on each axis one bound may be -0.0 or 0.0, whose bits differ
+    def axis():
+        zero = st.sampled_from([-0.0, 0.0])
+        low, high = st.floats(-4.0, -0.25), st.floats(0.25, 4.0)
+        return draw(st.tuples(zero | low, high) | st.tuples(low, zero | high))
+    (x_min, x_max), (p_min, p_max) = axis(), axis()
+    return PhaseGrid(x_min, x_max, p_min, p_max, draw(st.integers(2, 12)), draw(st.integers(2, 12)))
+
+
+@st.composite
+def same_support_pairs(draw, max_dim):
+    # two d-level densities on the same levels 0..s-1 (so wigner gives both the same basis side), zero above
+    d = draw(st.integers(2, max_dim))
+    s = draw(st.integers(1, d))
+    pair = []
+    for _ in range(2):
+        elems = np.zeros((d, d), dtype=np.complex128)
+        if s == 1:
+            elems[0, 0] = 1.0
+        else:
+            elems[:s, :s] = random_mixed_state(s, draw(st.integers(1, s)), draw(st.integers(0, 2**32 - 1))).elems
+        pair.append(DensityMatrix(elems, Truncation(d)))
+    return pair
+
+
+def slot_key():
+    assert len(phasespace._basis_slot) == 1
+    return next(iter(phasespace._basis_slot))
 
 
 def displaced_one_photon_density(xs, alpha):
@@ -145,6 +180,48 @@ class TestWignerContraction:
         coarse = np.trapezoid(w[:, ::2], grid.ps()[::2], axis=1)
         dist = marginal(rho, 0.0, grid.xs())
         assert np.all(np.abs(fine - dist.density) <= np.abs(fine - coarse) + 1e-13)
+
+
+class TestParityBasisSlot:
+    @settings(max_examples=40, deadline=None)
+    @given(pair=same_support_pairs(max_dim=20), grid=signed_zero_grids())
+    def test_warm_slot_map_equals_cold_map(self, pair, grid):
+        warm_up, rho = pair
+        wigner(warm_up, grid)
+        key = slot_key()
+        warm = wigner(rho, grid).values
+        assert slot_key() is key  # the map reused the warm-up's basis
+        phasespace._basis_slot.clear()
+        assert wigner(rho, grid).values.tobytes() == warm.tobytes()
+
+    def test_cached_arrays_are_read_only(self):
+        wigner(fock_state(1, Truncation(8)).to_density(), PhaseGrid(-3.0, 3.0, -2.0, 2.0, 9, 7))
+        (arrays,) = phasespace._basis_slot.values()
+        assert len(arrays) == 5
+        for arr in arrays:
+            assert not arr.flags.writeable and arr.base is None  # no writeable array shares its memory
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+    def test_another_basis_or_grid_evicts_the_entry(self):
+        grid = PhaseGrid(-3.0, 3.0, -2.0, 2.0, 9, 7)
+        one = fock_state(1, Truncation(8)).to_density()
+        wigner(one, grid)
+        first = slot_key()
+        n = _basis_side((-3.0, 3.0), (-2.0, 2.0), 8, 1)
+        assert first[:2] == (n, 8)
+        for rho, other, key_head in [
+            (fock_state(3, Truncation(8)).to_density(), grid, (_basis_side((-3.0, 3.0), (-2.0, 2.0), 8, 3), 8)),
+            (fock_state(1, Truncation(9)).to_density(), grid, (n, 9)),
+            (one, PhaseGrid(-3.0, 3.0, -2.0, 2.0, 9, 8), (n, 8)),
+            (one, PhaseGrid(-3.0, 3.0, -2.0, 0.0, 9, 7), (n, 8)),
+            (one, PhaseGrid(-3.0, 3.0, -2.0, -0.0, 9, 7), (n, 8)),
+            (one, grid, (n, 8)),
+        ]:
+            before = slot_key()
+            wigner(rho, other)
+            assert slot_key() is not before and slot_key()[:2] == key_head
+        assert slot_key() == first and slot_key() is not first  # rebuilt, not kept beside the others
 
 
 class TestMarginal:
