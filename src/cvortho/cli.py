@@ -3,13 +3,13 @@
 Subcommands: ``run <config.json> [--output-dir DIR]``, ``validate <config.json>``,
 ``verify``.  Every run writes its files into DIR (``out`` by default) plus a
 manifest listing each artifact with a sha256 checksum.  Every artifact is
-UTF-8 text except the Wigner grids, which are ``.npy`` arrays (little-endian
-float64, shape ``(nx, np)``); the grid they sit on is the ``grid`` object of
-the run's ``report.json``.
+UTF-8 text except the ``.npy`` arrays of little-endian float64: the Wigner
+grids, of shape ``(nx, np)`` on the ``grid`` of the run's ``report.json``,
+and the marginals, of shape ``(n, 2)`` with columns x and density.
 Identical configs (including seed) produce identical checksums at a fixed
 BLAS thread count; across thread counts the Wigner grid files and the
-``qubit_wigner`` report differ in the last bits.  A grid file's bytes can also
-depend on the numpy version that writes its ``.npy`` header, which the
+``qubit_wigner`` report differ in the last bits.  A ``.npy`` file's bytes can
+also depend on the numpy version that writes its header, which the
 manifest's ``versions`` records.
 """
 
@@ -54,13 +54,13 @@ from .homodyne import (
 from .phasespace import (
     LossChannel,
     PhaseGrid,
+    _SQUARABLE,
     _basis_side,
     apply_loss,
     marginal,
-    marginal_csv_text,
     marginal_filename,
+    npy_bytes,
     wigner,
-    wigner_grid_npy,
 )
 from .schemes import (
     HeraldModel,
@@ -179,13 +179,13 @@ def _write_state(writer: _ArtifactWriter, cfg: dict, label: str, state: StateVec
     xs = np.linspace(m["x_min"], m["x_max"], m["n"])
     for phase in phases:
         dist, name = marginal(rho, phase, xs), marginal_filename(f"marginal_{label}", phase)
-        writer.write(name, "marginal-csv", marginal_csv_text(dist))
+        writer.write(name, "marginal-npy", npy_bytes(np.column_stack([dist.xs, dist.density])))
         masses[name] = float(np.trapezoid(dist.density, xs))
     wmap = grid_file = None
     if grid is not None:
         wmap = wigner(rho, grid)
         grid_file = f"wigner_{label}.npy"
-        writer.write(grid_file, "wigner-grid", wigner_grid_npy(wmap))
+        writer.write(grid_file, "wigner-grid", npy_bytes(wmap.values))
     writer.write(f"density_{label}.json", "density-json", density_json_text(rho))
     return wmap, grid_file
 
@@ -514,6 +514,8 @@ def validate_config(config: dict) -> list:
         if clean(*(f"{section}.{bound}" for bound in bounds)):
             problems += _breach(section, PhaseGrid.ORDER, {bound: cfg[section][bound] for bound in bounds})
     exp = cfg["experiment"]
+    if clean("marginal_xs.x_min", "marginal_xs.x_max") and exp in ("orthogonalize", "number_scheme"):
+        problems += _breach("marginal_xs", _SQUARABLE, [cfg["marginal_xs"]["x_min"], cfg["marginal_xs"]["x_max"]])
     theta = cfg["herald"]["theta"]
     if clean("herald.theta") and exp == "number_scheme" and theta != "auto":
         problems += _breach("herald.theta", schemes._NUMBER_SCHEME_THETA, theta)

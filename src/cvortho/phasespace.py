@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,7 @@ __all__ = [
     "wigner",
     "marginal",
     "apply_loss",
-    "wigner_grid_npy",
-    "marginal_csv_text",
+    "npy_bytes",
     "marginal_filename",
 ]
 
@@ -115,6 +115,10 @@ class LossChannel:
 # harmonic-oscillator position eigenfunctions
 
 
+# marginal's rule for its points, whose squares hermite_functions takes: |x| <= sqrt(max float) exactly when x*x is finite
+_SQUARABLE = (lambda xs: bool(np.all(np.abs(xs) <= math.sqrt(sys.float_info.max)))), "points whose squares are finite"
+
+
 def hermite_functions(xs, dim: int) -> np.ndarray:
     """Normalized oscillator eigenfunctions psi_n(x), rows n = 0..dim-1.
 
@@ -140,6 +144,7 @@ def _phase_matrix(phase: float, dim: int) -> np.ndarray:
 
 def marginal(rho: DensityMatrix, phase: float, xs) -> QuadratureDistribution:
     """Quadrature distribution <x_phase| rho |x_phase> = sum_ab psi_a(x) psi_b(x) Re(rho_ab F_ab)."""
+    _require("xs", _SQUARABLE, xs)
     herm = hermite_functions(xs, rho.trunc.dim)
     form = np.real(rho.elems * _phase_matrix(phase, rho.trunc.dim))
     dens = np.einsum("ax,ax->x", herm, form @ herm)
@@ -278,20 +283,12 @@ def apply_loss(rho: DensityMatrix, channel: LossChannel) -> DensityMatrix:
 # file formats
 
 
-def wigner_grid_npy(wmap: WignerMap) -> bytes:
-    """``.npy`` file of ``wmap.values``: little-endian float64, shape ``(nx, np)``, ``values[i, j] = W(x_i, p_j)``."""
+def npy_bytes(array) -> bytes:
+    """``.npy`` file (format 1.0) of ``array`` as little-endian float64 in C order; ``np.load`` reads it back."""
     buf = io.BytesIO()
-    np.save(buf, wmap.values.astype("<f8", copy=False), allow_pickle=False)
+    np.save(buf, np.ascontiguousarray(array, dtype="<f8"), allow_pickle=False)
     return buf.getvalue()
 
 
 def marginal_filename(prefix: str, phase: float) -> str:
-    return f"{prefix}_phi{phase:.4f}.csv"
-
-
-def marginal_csv_text(dist: QuadratureDistribution) -> str:
-    """CSV with header x,density; both columns to 17 significant digits, filled into one template."""
-    cells = [None] * (2 * dist.xs.size)
-    cells[0::2] = dist.xs.tolist()
-    cells[1::2] = dist.density.tolist()
-    return "x,density\n" + ("%.17g,%.17g\n" * dist.xs.size) % tuple(cells)
+    return f"{prefix}_phi{phase:.4f}.npy"

@@ -116,9 +116,7 @@ def test_criterion_2_displaced_fock_and_marginals(tmp_path):
                 },
                 output_dir=outdir,
             )
-            rows = (outdir / "marginal_output_phi0.0000.csv").read_text().splitlines()[1:]
-            xs = np.array([float(r.split(",")[0]) for r in rows])
-            dens = np.array([float(r.split(",")[1]) for r in rows])
+            xs, dens = np.load(outdir / "marginal_output_phi0.0000.npy", allow_pickle=False).T
             u = xs - math.sqrt(2.0) * alpha
             closed = 2.0 * u**2 * np.exp(-(u**2)) / math.sqrt(math.pi)
             worst_sup = max(worst_sup, float(np.max(np.abs(dens - closed))))

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import sys
 import time
 
 import numpy as np
@@ -28,6 +29,7 @@ from cvortho import (
     density_from_json,
     fidelity,
     fock_state,
+    marginal,
     maxlik_reconstruct,
     number_scheme_model,
     orthogonalize,
@@ -331,6 +333,10 @@ _INTS = st.one_of(st.integers(-2, 40), st.sampled_from([0.0, -0.0]))
 _FRACTIONS = st.one_of(st.floats(-0.5, 1.5), st.integers(-2, 3),
                        st.sampled_from([0.0, -0.0, 1.0, 1.0000000000000002, -5e-324, math.nan]))
 _BOUNDS = st.tuples(*[st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0])] * 2)
+# ordered bound pairs on both sides of sqrt(max float), the largest |x| whose square is finite
+_ROOT_MAX = math.sqrt(sys.float_info.max)
+_SQUARE_BOUNDS = st.lists(st.sampled_from([-1e200, -_ROOT_MAX, -1.0, 0.0, _ROOT_MAX, math.nextafter(_ROOT_MAX, math.inf)]),
+                          min_size=2, max_size=2, unique=True).map(sorted)
 _PHASE_LISTS = st.lists(st.sampled_from([0.0, -0.0, 0.5, math.pi]), max_size=3)
 _ANGLES = st.one_of(
     st.tuples(st.sampled_from([0.0, math.pi / 4, math.pi / 2, math.pi, 5 * math.pi / 4, -math.pi / 2]),
@@ -360,6 +366,9 @@ _AGREEMENT = [
      lambda v: _grid_bounds("p", v)),
     ("marginal_xs", _BOUNDS, lambda v: {"experiment": "orthogonalize", "marginal_xs": {"x_min": v[0], "x_max": v[1]}},
      lambda v: _grid_bounds("x", v)),
+    ("marginal_xs", _SQUARE_BOUNDS,
+     lambda v: {"experiment": "orthogonalize", "marginal_xs": {"x_min": v[0], "x_max": v[1], "n": 11}},
+     lambda v: marginal(_PSI.to_density(), 0.0, np.linspace(v[0], v[1], 11))),
     ("eta", _FRACTIONS, lambda v: {"experiment": "tomography", "eta": v}, LossChannel),
     ("sampling.phases", _PHASE_LISTS, lambda v: {"experiment": "tomography", "sampling": {"phases": v}},
      lambda v: SamplingPlan(v, 1, 0)),
@@ -424,8 +433,8 @@ class TestRunOrthogonalize:
         }
         manifest = run(config, output_dir=tmp_path)
         paths = {e["path"] for e in manifest["files"]}
-        assert "marginal_input_phi0.0000.csv" in paths
-        assert "marginal_output_phi0.0000.csv" in paths
+        assert "marginal_input_phi0.0000.npy" in paths
+        assert "marginal_output_phi0.0000.npy" in paths
         assert "report.json" in paths
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["overlap_with_input"] < 1e-10
@@ -439,9 +448,9 @@ class TestRunOrthogonalize:
                   "input_state": {"kind": "coherent", "alpha": [alpha, 0.0]}}
         manifest = run(config, output_dir=tmp_path)
         masses = json.loads((tmp_path / "report.json").read_text())["marginal_mass"]
-        assert sorted(masses) == sorted(e["path"] for e in manifest["files"] if e["kind"] == "marginal-csv")
+        assert sorted(masses) == sorted(e["path"] for e in manifest["files"] if e["kind"] == "marginal-npy")
         for name, mass in masses.items():
-            xs, density = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1, unpack=True)
+            xs, density = np.load(tmp_path / name, allow_pickle=False).T
             assert mass == np.trapezoid(density, xs)
             assert (mass < 1e-10) if alpha == 28.0 else (abs(mass - 1.0) <= 1e-6)
 
@@ -644,8 +653,23 @@ def test_artifact_path_written_twice_is_refused(tmp_path):
 def test_phases_equal_to_four_decimals_stop_the_run(tmp_path, monkeypatch):
     # validate refuses a count whose phases share a marginal file name; two such phases test the writer's own guard
     monkeypatch.setattr(cli, "uniform_phases", lambda count: (0.1, 0.10001))
-    with pytest.raises(ValueError, match="'marginal_input_phi0.1000.csv' was already written"):
+    with pytest.raises(ValueError, match="'marginal_input_phi0.1000.npy' was already written"):
         run({"experiment": "number_scheme", **SMALL_CONFIGS["number_scheme"]}, output_dir=tmp_path)
+
+
+def test_marginal_points_with_overflowing_squares_are_refused(tmp_path, capsys):
+    # marginal takes the square of each point in hermite_functions: validate and run refuse the bounds in the same words
+    config = {"experiment": "orthogonalize", "marginal_xs": {"x_min": -1e200, "x_max": 1e200, "n": 11}}
+    message = "marginal_xs: must be points whose squares are finite, got [-1e+200, 1e+200]"
+    assert validate_config(config) == [message]
+    with pytest.raises(ValueError) as raised:
+        run(config, tmp_path / "out")
+    assert str(raised.value) == f"invalid config: {message}"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("theta", [0, math.pi / 2, math.pi])

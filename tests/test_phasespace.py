@@ -30,8 +30,7 @@ from cvortho.phasespace import (
     WignerMap,
     _basis_side,
     marginal_filename,
-    marginal_csv_text,
-    wigner_grid_npy,
+    npy_bytes,
 )
 
 
@@ -361,22 +360,15 @@ class TestLossChannel:
 
 
 class TestFileFormats:
-    def test_wigner_grid_npy_round_trip(self, rng):
-        grid = PhaseGrid(-3, 3, -2, 2, 11, 9)
-        w = wigner(random_state(Truncation(8), rng, support=5).to_density(), grid)
-        back = np.load(io.BytesIO(wigner_grid_npy(w)), allow_pickle=False)
-        assert back.shape == (grid.nx, grid.np)
-        assert np.array_equal(back.view(np.int64), w.values.view(np.int64))
-
-    def test_marginal_csv(self, tmp_path):
-        xs = np.linspace(-1, 1, 5)
-        dist = QuadratureDistribution(0.25, xs, np.ones(5) / 2.0)
-        name = marginal_filename("marginal_out", dist.phase)
-        assert name == "marginal_out_phi0.2500.csv"
-        (tmp_path / name).write_text(marginal_csv_text(dist), encoding="utf-8")
-        lines = (tmp_path / name).read_text().splitlines()
-        assert lines[0] == "x,density"
-        assert len(lines) == 6
+    @staticmethod
+    def loaded(array):
+        """``np.load`` of ``npy_bytes(array)``, whose header must say format 1.0, ``<f8``, C order and the array's shape."""
+        data = io.BytesIO(npy_bytes(array))
+        assert np.lib.format.read_magic(data) == (1, 0)
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(data)
+        assert (dtype.str, fortran_order, shape) == ("<f8", False, array.shape)
+        data.seek(0)
+        return np.load(data, allow_pickle=False)
 
     @staticmethod
     def awkward_values(count):
@@ -384,25 +376,34 @@ class TestFileFormats:
         special = [-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300, 3.0, -7.0, 2.0**53, 1.0 / 3.0, math.pi]
         return np.resize(np.array(special), count)
 
-    def test_wigner_grid_npy_keeps_every_bit(self):
-        grid = PhaseGrid(-1.5, 2.0, -3.0, 0.25, 7, 5)
-        wmap = WignerMap(grid, self.awkward_values(35).reshape(7, 5))
-        data = io.BytesIO(wigner_grid_npy(wmap))
-        assert np.lib.format.read_magic(data) == (1, 0)
-        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(data)
-        assert (dtype.str, fortran_order, shape) == ("<f8", False, (grid.nx, grid.np))
-        data.seek(0)
-        back = np.load(data, allow_pickle=False)
-        assert np.array_equal(back.view(np.int64), wmap.values.view(np.int64))
+    def test_npy_bytes_keeps_every_bit_of_a_grid(self, rng):
+        grid = PhaseGrid(-3, 3, -2, 2, 11, 9)
+        computed = wigner(random_state(Truncation(8), rng, support=5).to_density(), grid).values
+        awkward = self.awkward_values(99).reshape(11, 9)
+        # a map built from a Fortran-ordered array keeps that layout, and its file is still in C order
+        for wmap in (WignerMap(grid, computed), WignerMap(grid, awkward), WignerMap(grid, np.asfortranarray(awkward))):
+            assert np.array_equal(self.loaded(wmap.values).view(np.int64), wmap.values.view(np.int64))
 
-    def test_marginal_csv_bytes_match_per_value_format(self, tmp_path):
+    def test_marginal_npy(self, tmp_path):
+        xs = np.linspace(-1, 1, 5)
+        dist = QuadratureDistribution(0.25, xs, np.ones(5) / 2.0)
+        name = marginal_filename("marginal_out", dist.phase)
+        assert name == "marginal_out_phi0.2500.npy"
+        (tmp_path / name).write_bytes(npy_bytes(np.column_stack([dist.xs, dist.density])))
+        x, density = np.load(tmp_path / name, allow_pickle=False).T
+        assert np.array_equal(x, xs) and np.array_equal(density, dist.density)
+
+    def test_marginal_npy_keeps_every_bit(self):
         xs = self.awkward_values(13)
         density = xs[::-1].copy()
         density[density < 0] *= -1.0  # keeps -0.0
         dist = QuadratureDistribution(0.0, xs, density)
-        (tmp_path / "m.csv").write_text(marginal_csv_text(dist), encoding="utf-8")
-        lines = ["x,density"] + [f"{x:.17g},{d:.17g}" for x, d in zip(dist.xs, dist.density)]
-        assert (tmp_path / "m.csv").read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+        back = self.loaded(np.column_stack([dist.xs, dist.density]))
+        for column, values in zip(back.T, (dist.xs, dist.density)):
+            # %.17g round-trips every finite double, so the file holds what a 17-digit CSV of the column parses to
+            parsed = np.array([float("%.17g" % v) for v in values])
+            assert np.array_equal(column.view(np.int64), values.view(np.int64))
+            assert np.array_equal(column.view(np.int64), parsed.view(np.int64))
 
     def test_samples_csv_bytes_match_per_value_format(self):
         # runs of three samples per phase; each phase comes back for a second run
