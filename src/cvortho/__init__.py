@@ -43,8 +43,6 @@ from .homodyne import (
 from .phasespace import (
     LossChannel,
     PhaseGrid,
-    QuadratureDistribution,
-    WignerMap,
     apply_loss,
     hermite_functions,
     marginal,

@@ -69,6 +69,7 @@ from .schemes import (
     beta_for_addition_orthogonalizer,
     heralded_addition_model,
     ideal_addition_operator,
+    ideal_number_operator,
     number_scheme_model,
     orthogonal_family,
     orthogonalize,
@@ -175,17 +176,18 @@ def _write_state(writer: _ArtifactWriter, cfg: dict, label: str, state: StateVec
     JSON.  Returns the map and its file name (both None without ``grid``).
     """
     rho = apply_loss(state.to_density(), LossChannel(cfg["eta"]))
-    m = cfg["marginal_xs"]
-    xs = np.linspace(m["x_min"], m["x_max"], m["n"])
-    for phase in phases:
-        dist, name = marginal(rho, phase, xs), marginal_filename(f"marginal_{label}", phase)
-        writer.write(name, "marginal-npy", npy_bytes(np.column_stack([dist.xs, dist.density])))
-        masses[name] = float(np.trapezoid(dist.density, xs))
+    if phases:
+        m = cfg["marginal_xs"]
+        xs = np.linspace(m["x_min"], m["x_max"], m["n"])
+        for phase, dens in zip(phases, marginal(rho, phases, xs)):
+            name = marginal_filename(f"marginal_{label}", phase)
+            writer.write(name, "marginal-npy", npy_bytes(np.column_stack([xs, dens])))
+            masses[name] = float(np.trapezoid(dens, xs))
     wmap = grid_file = None
     if grid is not None:
         wmap = wigner(rho, grid)
         grid_file = f"wigner_{label}.npy"
-        writer.write(grid_file, "wigner-grid", npy_bytes(wmap.values))
+        writer.write(grid_file, "wigner-grid", npy_bytes(wmap))
     writer.write(f"density_{label}.json", "density-json", density_json_text(rho))
     return wmap, grid_file
 
@@ -211,7 +213,7 @@ def _run_orthogonalize(cfg: dict, writer: _ArtifactWriter) -> dict:
     report["overlap_with_input"] = overlap
     if cfg["input_state"]["kind"] == "coherent" and spec.kind is OperatorKind.CREATION:
         # D(alpha)|1> = D(alpha) a_dag |0> = (a_dag - conj(alpha)) |alpha>, from the coherent input already built
-        raised = np.concatenate(([0.0], np.sqrt(np.arange(1.0, trunc.dim)) * psi.amps[:-1]))
+        raised = ladder_operators(trunc)[1].apply(psi).amps
         ref = StateVector(raised - np.conj(_as_complex(cfg["input_state"]["alpha"])) * psi.amps, trunc).normalized()
         report["displaced_fock_fidelity"] = fidelity(out, ref)
 
@@ -233,9 +235,9 @@ def _run_qubit_wigner(cfg: dict, writer: _ArtifactWriter) -> dict:
         entries.append({
             "file": grid_file,
             "c": _complex_pair(c),
-            "wigner_min": float(wmap.values.min()),
-            "wigner_max": float(wmap.values.max()),
-            "grid_integral": wmap.integral(),
+            "wigner_min": float(wmap.min()),
+            "wigner_max": float(wmap.max()),
+            "grid_integral": grid.integral(wmap),
         })
     report = {"eta": cfg["eta"], "grid": dataclasses.asdict(grid), "maps": entries}
     return report
@@ -659,6 +661,11 @@ def run_battery() -> list:
     f_model = fidelity(out, ideal)
     checks.append(("heralded_addition_equivalence", bool(f_model > 1 - 1e-8), f"fidelity {f_model:.10f}"))
 
+    model_n = HeraldModel(beta=0.0, theta=math.pi / 7, phi=0.4)
+    out_model_n, _ = number_scheme_model(coh1, model_n)
+    f_number = fidelity(out_model_n, ideal_number_operator(model_n, big).apply(coh1).normalized())
+    checks.append(("number_scheme_equivalence", bool(f_number > 1 - 1e-8), f"fidelity {f_number:.10f}"))
+
     spec_n = OrthogonalizerSpec.from_state(OperatorKind.NUMBER, coh1)
     theta_n = theta_for_number_orthogonalizer(float(complex(spec_n.mean_value).real))
     out_n, _ = number_scheme_model(coh1, HeraldModel(beta=0.0, theta=theta_n))
@@ -669,12 +676,11 @@ def run_battery() -> list:
     w_vac = wigner(fock_state(0, Truncation(20)).to_density(), grid)
     w_one = wigner(fock_state(1, Truncation(20)).to_density(), grid)
     mid = grid.nx // 2
-    origin_ok = (abs(w_vac.values[mid, mid] - 1 / math.pi) < 1e-9
-                 and abs(w_one.values[mid, mid] + 1 / math.pi) < 1e-9)
-    norm_ok = abs(w_vac.integral() - 1.0) < 1e-4 and abs(w_one.integral() - 1.0) < 1e-4
+    origin_ok = abs(w_vac[mid, mid] - 1 / math.pi) < 1e-9 and abs(w_one[mid, mid] + 1 / math.pi) < 1e-9
+    int_vac, int_one = grid.integral(w_vac), grid.integral(w_one)
+    norm_ok = abs(int_vac - 1.0) < 1e-4 and abs(int_one - 1.0) < 1e-4
     checks.append(("wigner_origin_and_norm", bool(origin_ok and norm_ok),
-                   f"W_vac(0,0)={w_vac.values[mid, mid]:.9f}, integrals "
-                   f"{w_vac.integral():.6f}/{w_one.integral():.6f}"))
+                   f"W_vac(0,0)={w_vac[mid, mid]:.9f}, integrals {int_vac:.6f}/{int_one:.6f}"))
 
     rho_coh = coherent_state(1.0, Truncation(30)).to_density()
     lossy = apply_loss(rho_coh, LossChannel(0.6))
@@ -685,9 +691,8 @@ def run_battery() -> list:
                    f"fidelity {f_loss:.12f}, trace dev {trace_dev:.2e}"))
 
     xs = np.linspace(-8, 8, 1601)
-    dist = marginal(rho_coh, 0.0, xs)
     ref_dens = np.exp(-((xs - math.sqrt(2)) ** 2)) / math.sqrt(math.pi)
-    dev_marg = float(np.max(np.abs(dist.density - ref_dens)))
+    dev_marg = float(np.max(np.abs(marginal(rho_coh, (0.0,), xs)[0] - ref_dens)))
     checks.append(("coherent_marginal_closed_form", bool(dev_marg < 1e-10), f"sup dev {dev_marg:.2e}"))
 
     plan = SamplingPlan(phases=uniform_phases(4), samples_per_phase=500, seed=7)

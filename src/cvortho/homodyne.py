@@ -147,15 +147,14 @@ class ReconstructionResult:
 def sample_quadratures(rho: DensityMatrix, plan: SamplingPlan) -> QuadratureSamples:
     """Draw ideal (lossless) homodyne samples of ``rho``, phase by phase, deterministically per seed.
 
-    Each phase draws by inverse-CDF over the marginal of ``rho`` on a
-    4001-point grid spanning [-8, 8] with linear interpolation.  Phase i
-    uses the derived seed ``plan.seed + i``.  A detector of efficiency eta
-    is modelled by sampling ``apply_loss(rho, LossChannel(eta))``.
+    Each phase draws by inverse-CDF, with linear interpolation, over its row
+    of one ``marginal`` call for all phases on a 4001-point grid spanning
+    [-8, 8].  Phase i uses the derived seed ``plan.seed + i``.  A detector
+    of efficiency eta is modelled by sampling ``apply_loss(rho, LossChannel(eta))``.
     """
     xs = np.linspace(SAMPLING_X_MIN, SAMPLING_X_MAX, SAMPLING_POINTS)
     draws = []
-    for i, phase in enumerate(plan.phases):
-        dens = marginal(rho, phase, xs).density
+    for i, dens in enumerate(marginal(rho, plan.phases, xs)):
         cdf = np.concatenate(([0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(xs))))
         cdf /= cdf[-1]
         rng = np.random.default_rng(plan.seed + i)

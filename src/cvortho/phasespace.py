@@ -22,8 +22,6 @@ from .fock import DensityMatrix, _int_rule, _require
 
 __all__ = [
     "PhaseGrid",
-    "WignerMap",
-    "QuadratureDistribution",
     "LossChannel",
     "hermite_functions",
     "wigner",
@@ -59,45 +57,10 @@ class PhaseGrid:
     def ps(self) -> np.ndarray:
         return np.linspace(self.p_min, self.p_max, self.np)
 
-
-@dataclass(frozen=True, eq=False)
-class WignerMap:
-    """Wigner values on a grid; values[i, j] = W(x_i, p_j)."""
-
-    grid: PhaseGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64)
-        if vals.shape != (self.grid.nx, self.grid.np):
-            raise ValueError(f"value shape {vals.shape} does not match grid")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    def integral(self) -> float:
-        inner = np.trapezoid(self.values, self.grid.ps(), axis=1)
-        return float(np.trapezoid(inner, self.grid.xs()))
-
-
-@dataclass(frozen=True, eq=False)
-class QuadratureDistribution:
-    """Probability density of the rotated quadrature at one phase."""
-
-    phase: float
-    xs: np.ndarray
-    density: np.ndarray
-
-    def __post_init__(self):
-        xs = np.array(self.xs, dtype=np.float64).reshape(-1)
-        dens = np.array(self.density, dtype=np.float64).reshape(-1)
-        if xs.shape != dens.shape:
-            raise ValueError("xs and density must have the same length")
-        if np.any(dens < 0):
-            raise ValueError("density must be nonnegative")
-        xs.flags.writeable = False
-        dens.flags.writeable = False
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "density", dens)
+    def integral(self, values) -> float:
+        """Trapezoid integral of ``values[i, j]`` = f(x_i, p_j) over the grid, p first."""
+        inner = np.trapezoid(values, self.ps(), axis=1)
+        return float(np.trapezoid(inner, self.xs()))
 
 
 @dataclass(frozen=True)
@@ -142,13 +105,21 @@ def _phase_matrix(phase: float, dim: int) -> np.ndarray:
     return np.outer(m.conj(), m)
 
 
-def marginal(rho: DensityMatrix, phase: float, xs) -> QuadratureDistribution:
-    """Quadrature distribution <x_phase| rho |x_phase> = sum_ab psi_a(x) psi_b(x) Re(rho_ab F_ab)."""
+def marginal(rho: DensityMatrix, phases, xs) -> np.ndarray:
+    """Quadrature densities <x_phase| rho |x_phase> = sum_ab psi_a(x) psi_b(x) Re(rho_ab F_ab), read-only.
+
+    Row k is the density at ``phases[k]`` on the points ``xs``, clipped at
+    0; every row reads one table of Hermite functions.
+    """
     _require("xs", _SQUARABLE, xs)
-    herm = hermite_functions(xs, rho.trunc.dim)
-    form = np.real(rho.elems * _phase_matrix(phase, rho.trunc.dim))
-    dens = np.einsum("ax,ax->x", herm, form @ herm)
-    return QuadratureDistribution(phase, np.asarray(xs, dtype=np.float64), np.clip(dens, 0.0, None))
+    d = rho.trunc.dim
+    herm = hermite_functions(xs, d)
+    dens = np.empty((len(phases), herm.shape[1]))
+    for k, phase in enumerate(phases):
+        dens[k] = np.einsum("ax,ax->x", herm, np.real(rho.elems * _phase_matrix(phase, d)) @ herm)
+    np.clip(dens, 0.0, None, out=dens)
+    dens.flags.writeable = False
+    return dens
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +184,8 @@ def _parity_basis(n: int, d: int, xs: np.ndarray, ps: np.ndarray) -> tuple:
     return arrays
 
 
-def wigner(rho: DensityMatrix, grid: PhaseGrid) -> WignerMap:
-    """W(x, p) = (1/pi) Tr[rho D(g) P D(g)_dag], g = (x + i p)/sqrt2.
+def wigner(rho: DensityMatrix, grid: PhaseGrid) -> np.ndarray:
+    """W(x_i, p_j) = (1/pi) Tr[rho D(g) P D(g)_dag], g = (x + i p)/sqrt2, as a read-only (nx, np) array.
 
     P is the photon-number parity.  Parity conjugation folds the two
     displacements into one, Tr[rho D(2g) P], with
@@ -244,7 +215,9 @@ def wigner(rho: DensityMatrix, grid: PhaseGrid) -> WignerMap:
     vd, u_dag, gram, left, right = _parity_basis(n, d, xs, ps)
     # V_x_dag P = V^T U P = V^T U_dag, so K^T = V^T U_dag rho V on the first d rows
     m = left @ (gram * (vd.T @ (u_dag[:d, None] * rho.elems) @ vd).T) @ right
-    return WignerMap(grid, np.real(np.exp(-2j * np.outer(xs, ps)) * m.T) / math.pi)
+    w = np.real(np.exp(-2j * np.outer(xs, ps)) * m.T) / math.pi
+    w.flags.writeable = False
+    return w
 
 
 # ---------------------------------------------------------------------------

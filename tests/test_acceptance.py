@@ -175,9 +175,9 @@ def test_criterion_5_wigner_correctness():
         mid = 120
         w_vac = wigner(fock_state(0, Truncation(20)).to_density(), grid)
         w_one = wigner(fock_state(1, Truncation(20)).to_density(), grid)
-        assert abs(w_vac.values[mid, mid] - 1.0 / math.pi) < 1e-9
-        assert abs(w_one.values[mid, mid] + 1.0 / math.pi) < 1e-9
-        norm_dev = max(abs(w_vac.integral() - 1.0), abs(w_one.integral() - 1.0))
+        assert abs(w_vac[mid, mid] - 1.0 / math.pi) < 1e-9
+        assert abs(w_one[mid, mid] + 1.0 / math.pi) < 1e-9
+        norm_dev = max(abs(grid.integral(w_vac) - 1.0), abs(grid.integral(w_one) - 1.0))
         assert norm_dev < 1e-4
 
         # displacement covariance on grid-aligned shifts: alpha = (1 + 0.5i)/sqrt2
@@ -186,8 +186,8 @@ def test_criterion_5_wigner_correctness():
         psi = fock_state(1, trunc)
         alpha = (1.0 + 0.5j) / math.sqrt(2.0)
         shifted = displacement_op(alpha, trunc).apply(psi).normalized()
-        w0 = wigner(psi.to_density(), grid).values
-        w1 = wigner(shifted.to_density(), grid).values
+        w0 = wigner(psi.to_density(), grid)
+        w1 = wigner(shifted.to_density(), grid)
         cov_dev = float(np.max(np.abs(w1[20:, 10:] - w0[:-20, :-10])))
         assert cov_dev < 1e-9
     report(5, f"Wigner origin values, normalization {norm_dev:.1e}, covariance {cov_dev:.1e}", watch)
@@ -208,11 +208,11 @@ def test_criterion_6_qubit_wigner_maps():
             ref = disp.apply(StateVector(ref_amps, trunc))
             w_state = wigner(state.to_density(), grid)
             w_ref = wigner(ref.to_density(), grid)
-            worst_pointwise = max(worst_pointwise, float(np.max(np.abs(w_state.values - w_ref.values))))
+            worst_pointwise = max(worst_pointwise, float(np.max(np.abs(w_state - w_ref))))
             lossy = wigner(apply_loss(state.to_density(), LossChannel(0.6)), grid)
-            assert lossy.values.min() > w_state.values.min()
-            assert lossy.values.min() < 0.0 or lossy.values.min() == pytest.approx(0.0, abs=1e-6)
-            worst_norm = max(worst_norm, abs(lossy.integral() - 1.0))
+            assert lossy.min() > w_state.min()
+            assert lossy.min() < 0.0 or lossy.min() == pytest.approx(0.0, abs=1e-6)
+            worst_norm = max(worst_norm, abs(grid.integral(lossy) - 1.0))
         assert worst_pointwise < 1e-9
         assert worst_norm < 1e-4
     report(6, f"qubit Wigner maps, pointwise {worst_pointwise:.1e}, lossy norm dev {worst_norm:.1e}", watch)

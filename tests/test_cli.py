@@ -368,7 +368,7 @@ _AGREEMENT = [
      lambda v: _grid_bounds("x", v)),
     ("marginal_xs", _SQUARE_BOUNDS,
      lambda v: {"experiment": "orthogonalize", "marginal_xs": {"x_min": v[0], "x_max": v[1], "n": 11}},
-     lambda v: marginal(_PSI.to_density(), 0.0, np.linspace(v[0], v[1], 11))),
+     lambda v: marginal(_PSI.to_density(), (0.0,), np.linspace(v[0], v[1], 11))),
     ("eta", _FRACTIONS, lambda v: {"experiment": "tomography", "eta": v}, LossChannel),
     ("sampling.phases", _PHASE_LISTS, lambda v: {"experiment": "tomography", "sampling": {"phases": v}},
      lambda v: SamplingPlan(v, 1, 0)),
@@ -782,4 +782,4 @@ class TestVerifyBattery:
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
-        assert "16/16 checks passed" in out
+        assert "17/17 checks passed" in out

@@ -25,13 +25,7 @@ from cvortho import (
 )
 from cvortho.cli import DEFAULTS
 from cvortho.homodyne import QuadratureSamples, likelihood_csv_text, samples_csv_text
-from cvortho.phasespace import (
-    QuadratureDistribution,
-    WignerMap,
-    _basis_side,
-    marginal_filename,
-    npy_bytes,
-)
+from cvortho.phasespace import _basis_side, marginal_filename, npy_bytes
 
 
 @st.composite
@@ -102,25 +96,25 @@ class TestWigner:
         grid = PhaseGrid(**DEFAULTS["grid"])
         w = wigner(fock_state(0, Truncation(15)).to_density(), grid)
         mid = grid.nx // 2
-        assert w.values[mid, mid] == pytest.approx(1 / math.pi, abs=1e-12)
+        assert w[mid, mid] == pytest.approx(1 / math.pi, abs=1e-12)
 
     def test_single_photon_at_origin(self):
         grid = PhaseGrid(**DEFAULTS["grid"])
         w = wigner(fock_state(1, Truncation(15)).to_density(), grid)
         mid = grid.nx // 2
-        assert w.values[mid, mid] == pytest.approx(-1 / math.pi, abs=1e-12)
+        assert w[mid, mid] == pytest.approx(-1 / math.pi, abs=1e-12)
 
     def test_vacuum_closed_form(self):
         grid = PhaseGrid(-4, 4, -4, 4, 41, 41)
         w = wigner(fock_state(0, Truncation(10)).to_density(), grid)
         xs, ps = grid.xs(), grid.ps()
         ref = np.exp(-(xs[:, None] ** 2) - ps[None, :] ** 2) / math.pi
-        assert np.max(np.abs(w.values - ref)) < 1e-9
+        assert np.max(np.abs(w - ref)) < 1e-9
 
     def test_coherent_peak_location(self):
         grid = PhaseGrid(**DEFAULTS["grid"])
         w = wigner(coherent_state(1.0, Truncation(25)).to_density(), grid)
-        i, j = np.unravel_index(np.argmax(w.values), w.values.shape)
+        i, j = np.unravel_index(np.argmax(w), w.shape)
         dx = (grid.x_max - grid.x_min) / (grid.nx - 1)
         assert abs(grid.xs()[i] - math.sqrt(2.0)) <= dx
         assert abs(grid.ps()[j]) <= dx
@@ -132,7 +126,22 @@ class TestWigner:
             coherent_state(2.0, Truncation(30)),
             coherent_state(1.0 + 0.5j, Truncation(30)),
         ):
-            assert wigner(state.to_density(), grid).integral() == pytest.approx(1.0, abs=1e-4)
+            assert grid.integral(wigner(state.to_density(), grid)) == pytest.approx(1.0, abs=1e-4)
+
+    def test_result_is_a_read_only_grid_array(self):
+        grid = PhaseGrid(-3.0, 3.0, -2.0, 2.0, 9, 7)
+        w = wigner(fock_state(1, Truncation(8)).to_density(), grid)
+        assert type(w) is np.ndarray and w.dtype == np.float64 and w.shape == (grid.nx, grid.np)
+        with pytest.raises(ValueError, match="read-only"):
+            w[0, 0] = 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(grid=off_centre_grids(), seed=st.integers(0, 2**32 - 1), fortran=st.booleans())
+    def test_grid_integral_is_the_nested_trapezoid(self, grid, seed, fortran):
+        values = np.random.default_rng(seed).normal(size=(grid.nx, grid.np))
+        values = np.asfortranarray(values) if fortran else values
+        nested = np.trapezoid(np.trapezoid(values, grid.ps(), axis=1), grid.xs())
+        assert grid.integral(values) == nested
 
     def test_displacement_covariance(self):
         # shift by one grid-aligned displacement: alpha = (1.0 + 0.5j)/sqrt2
@@ -144,8 +153,8 @@ class TestWigner:
         disp = displacement_op(alpha, trunc)
         rho_disp = disp.apply(psi).normalized().to_density()
         grid = PhaseGrid(**DEFAULTS["grid"])
-        w = wigner(rho, grid).values
-        w_disp = wigner(rho_disp, grid).values
+        w = wigner(rho, grid)
+        w_disp = wigner(rho_disp, grid)
         assert np.max(np.abs(w_disp[20:, 10:] - w[:-20, :-10])) < 1e-9
 
     def test_point_evaluator_matches_sweep(self, rng):
@@ -155,14 +164,14 @@ class TestWigner:
         for i in (0, 3, 5):
             for j in (1, 3, 6):
                 ref = wigner_point(rho, grid.xs()[i], grid.ps()[j])
-                assert w.values[i, j] == pytest.approx(ref, abs=1e-10)
+                assert w[i, j] == pytest.approx(ref, abs=1e-10)
 
 
 class TestWignerContraction:
     @settings(max_examples=40, deadline=None)
     @given(rho=mixed_states(max_dim=20), grid=off_centre_grids())
     def test_matches_eigenvector_oracle_and_point_path(self, rho, grid):
-        w = wigner(rho, grid).values
+        w = wigner(rho, grid)
         assert np.max(np.abs(w - eigvec_wigner(rho, grid))) <= 1e-13
         for i, j in ((0, 0), (grid.nx - 1, grid.np - 1), (grid.nx // 2, grid.np // 3)):
             ref = wigner_point(rho, grid.xs()[i], grid.ps()[j])
@@ -174,11 +183,11 @@ class TestWignerContraction:
         # the p-range holds all but ~1e-18 of W for d <= 12; the trapezoid
         # error is bounded by the gap to the rule on every other node
         grid = PhaseGrid(-4.0, 5.0, -9.0, 9.0, 19, 181)
-        w = wigner(rho, grid).values
+        w = wigner(rho, grid)
         fine = np.trapezoid(w, grid.ps(), axis=1)
         coarse = np.trapezoid(w[:, ::2], grid.ps()[::2], axis=1)
-        dist = marginal(rho, 0.0, grid.xs())
-        assert np.all(np.abs(fine - dist.density) <= np.abs(fine - coarse) + 1e-13)
+        (density,) = marginal(rho, (0.0,), grid.xs())
+        assert np.all(np.abs(fine - density) <= np.abs(fine - coarse) + 1e-13)
 
 
 class TestParityBasisSlot:
@@ -188,10 +197,10 @@ class TestParityBasisSlot:
         warm_up, rho = pair
         wigner(warm_up, grid)
         key = slot_key()
-        warm = wigner(rho, grid).values
+        warm = wigner(rho, grid)
         assert slot_key() is key  # the map reused the warm-up's basis
         phasespace._basis_slot.clear()
-        assert wigner(rho, grid).values.tobytes() == warm.tobytes()
+        assert wigner(rho, grid).tobytes() == warm.tobytes()
 
     def test_cached_arrays_are_read_only(self):
         wigner(fock_state(1, Truncation(8)).to_density(), PhaseGrid(-3.0, 3.0, -2.0, 2.0, 9, 7))
@@ -227,33 +236,43 @@ class TestMarginal:
     def test_coherent_gaussian(self):
         rho = coherent_state(1.0, Truncation(30)).to_density()
         xs = np.linspace(-8, 8, 1601)
-        dist = marginal(rho, 0.0, xs)
+        (density,) = marginal(rho, (0.0,), xs)
         ref = np.exp(-((xs - math.sqrt(2.0)) ** 2)) / math.sqrt(math.pi)
-        assert np.max(np.abs(dist.density - ref)) < 1e-10
-        assert np.trapezoid(dist.density, dist.xs) == pytest.approx(1.0, abs=1e-6)
+        assert np.max(np.abs(density - ref)) < 1e-10
+        assert np.trapezoid(density, xs) == pytest.approx(1.0, abs=1e-6)
 
     def test_single_photon_closed_form(self):
         rho = fock_state(1, Truncation(10)).to_density()
         xs = np.linspace(-8, 8, 1601)
-        for phase in (0.0, 0.7, math.pi / 2):
-            dist = marginal(rho, phase, xs)
-            ref = 2.0 * xs**2 * np.exp(-(xs**2)) / math.sqrt(math.pi)
-            assert np.max(np.abs(dist.density - ref)) < 1e-10
+        ref = 2.0 * xs**2 * np.exp(-(xs**2)) / math.sqrt(math.pi)
+        for density in marginal(rho, (0.0, 0.7, math.pi / 2), xs):
+            assert np.max(np.abs(density - ref)) < 1e-10
 
     def test_rotated_coherent_mean(self):
         # at phase pi/2 the marginal reads the p quadrature
         rho = coherent_state(0.8j, Truncation(25)).to_density()
         xs = np.linspace(-8, 8, 1601)
-        dist = marginal(rho, math.pi / 2, xs)
-        mean = np.trapezoid(xs * dist.density, xs)
+        (density,) = marginal(rho, (math.pi / 2,), xs)
+        mean = np.trapezoid(xs * density, xs)
         assert mean == pytest.approx(math.sqrt(2.0) * 0.8, abs=1e-10)
 
     @settings(max_examples=60, deadline=None)
     @given(rho=mixed_states(max_dim=40), phase=st.floats(-2.0 * math.pi, 2.0 * math.pi),
            xs=st.lists(st.floats(-9.0, 9.0), min_size=1, max_size=40))
     def test_matches_complex_kernel_oracle(self, rho, phase, xs):
-        dist = marginal(rho, phase, xs)
-        assert np.max(np.abs(dist.density - kernel_marginal(rho, phase, xs))) <= 1e-14
+        (density,) = marginal(rho, (phase,), xs)
+        assert np.max(np.abs(density - kernel_marginal(rho, phase, xs))) <= 1e-14
+
+    @settings(max_examples=40, deadline=None)
+    @given(rho=mixed_states(max_dim=40), phases=st.lists(st.floats(-2.0 * math.pi, 2.0 * math.pi), max_size=6),
+           xs=st.lists(st.floats(-9.0, 9.0), min_size=1, max_size=40))
+    def test_each_row_is_the_single_phase_marginal(self, rho, phases, xs):
+        rows = marginal(rho, phases, xs)
+        assert rows.shape == (len(phases), len(xs)) and not rows.flags.writeable
+        for phase, row in zip(phases, rows):
+            assert row.tobytes() == marginal(rho, (phase,), xs)[0].tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            rows[...] = 0.0
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_orthogonalized_coherent_marginal(self, alpha):
@@ -265,8 +284,8 @@ class TestMarginal:
         psi = coherent_state(alpha, trunc)
         perp = orthogonalize(psi, OrthogonalizerSpec.from_state(OperatorKind.CREATION, psi))
         xs = np.linspace(-8, 8, 1601)
-        dist = marginal(perp.to_density(), 0.0, xs)
-        assert np.max(np.abs(dist.density - displaced_one_photon_density(xs, alpha))) < 1e-6
+        (density,) = marginal(perp.to_density(), (0.0,), xs)
+        assert np.max(np.abs(density - displaced_one_photon_density(xs, alpha))) < 1e-6
 
     def test_wigner_slice_cross_validation(self, rng):
         # Radon consistency of the two independent formulas: the
@@ -281,12 +300,11 @@ class TestMarginal:
         xs = grid.xs()
         for phi in phases:
             rho = random_state(Truncation(10), rng, support=6).to_density()
-            dist = marginal(rho, phi, xs)
+            (density,) = marginal(rho, (phi,), xs)
             rot = np.exp(-1j * phi * np.arange(10))
             rho_rot = DensityMatrix(rot[:, None] * rho.elems * rot.conj()[None, :], rho.trunc)
-            w = wigner(rho_rot, grid)
-            sliced = np.trapezoid(w.values, grid.ps(), axis=1)
-            assert np.max(np.abs(sliced - dist.density)) < 1e-4
+            sliced = np.trapezoid(wigner(rho_rot, grid), grid.ps(), axis=1)
+            assert np.max(np.abs(sliced - density)) < 1e-4
 
 
 class TestLossChannel:
@@ -338,7 +356,7 @@ class TestLossChannel:
         ]
         for rho in states:
             minima = [
-                wigner(apply_loss(rho, LossChannel(eta)), grid).values.min()
+                wigner(apply_loss(rho, LossChannel(eta)), grid).min()
                 for eta in (1.0, 0.8, 0.6, 0.4)
             ]
             assert all(m2 > m1 for m1, m2 in zip(minima, minima[1:]))
@@ -378,28 +396,27 @@ class TestFileFormats:
 
     def test_npy_bytes_keeps_every_bit_of_a_grid(self, rng):
         grid = PhaseGrid(-3, 3, -2, 2, 11, 9)
-        computed = wigner(random_state(Truncation(8), rng, support=5).to_density(), grid).values
+        computed = wigner(random_state(Truncation(8), rng, support=5).to_density(), grid)
         awkward = self.awkward_values(99).reshape(11, 9)
-        # a map built from a Fortran-ordered array keeps that layout, and its file is still in C order
-        for wmap in (WignerMap(grid, computed), WignerMap(grid, awkward), WignerMap(grid, np.asfortranarray(awkward))):
-            assert np.array_equal(self.loaded(wmap.values).view(np.int64), wmap.values.view(np.int64))
+        # a Fortran-ordered array's file is still in C order
+        for values in (computed, awkward, np.asfortranarray(awkward)):
+            assert np.array_equal(self.loaded(values).view(np.int64), values.view(np.int64))
 
     def test_marginal_npy(self, tmp_path):
         xs = np.linspace(-1, 1, 5)
-        dist = QuadratureDistribution(0.25, xs, np.ones(5) / 2.0)
-        name = marginal_filename("marginal_out", dist.phase)
+        (written,) = marginal(fock_state(0, Truncation(4)).to_density(), (0.25,), xs)
+        name = marginal_filename("marginal_out", 0.25)
         assert name == "marginal_out_phi0.2500.npy"
-        (tmp_path / name).write_bytes(npy_bytes(np.column_stack([dist.xs, dist.density])))
+        (tmp_path / name).write_bytes(npy_bytes(np.column_stack([xs, written])))
         x, density = np.load(tmp_path / name, allow_pickle=False).T
-        assert np.array_equal(x, xs) and np.array_equal(density, dist.density)
+        assert np.array_equal(x, xs) and np.array_equal(density, written)
 
     def test_marginal_npy_keeps_every_bit(self):
         xs = self.awkward_values(13)
         density = xs[::-1].copy()
         density[density < 0] *= -1.0  # keeps -0.0
-        dist = QuadratureDistribution(0.0, xs, density)
-        back = self.loaded(np.column_stack([dist.xs, dist.density]))
-        for column, values in zip(back.T, (dist.xs, dist.density)):
+        back = self.loaded(np.column_stack([xs, density]))
+        for column, values in zip(back.T, (xs, density)):
             # %.17g round-trips every finite double, so the file holds what a 17-digit CSV of the column parses to
             parsed = np.array([float("%.17g" % v) for v in values])
             assert np.array_equal(column.view(np.int64), values.view(np.int64))
@@ -416,7 +433,3 @@ class TestFileFormats:
         trace = self.awkward_values(13)
         want = "iteration,log_likelihood\n" + "".join(f"{i},{v:.17g}\n" for i, v in enumerate(trace))
         assert likelihood_csv_text(trace) == want
-
-    def test_density_must_be_nonnegative(self):
-        with pytest.raises(ValueError):
-            QuadratureDistribution(0.0, np.array([0.0, 1.0]), np.array([0.5, -0.1]))
