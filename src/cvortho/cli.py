@@ -5,7 +5,9 @@ Subcommands: ``run <config.json> [--output-dir DIR]``, ``validate <config.json>`
 manifest listing each artifact with a sha256 checksum.  Every artifact is
 UTF-8 text except the ``.npy`` arrays of little-endian float64: the Wigner
 grids, of shape ``(nx, np)`` on the ``grid`` of the run's ``report.json``,
-and the marginals, of shape ``(n, 2)`` with columns x and density.
+the marginals, of shape ``(n, 2)`` with columns x and density, the
+tomography samples, ``(K, 2)`` with columns phase and x, and the likelihood
+trace, ``(k, 2)`` with columns iteration and log-likelihood.
 Identical configs (including seed) produce identical checksums at a fixed
 BLAS thread count; across thread counts the Wigner grid files and the
 ``qubit_wigner`` report differ in the last bits.  A ``.npy`` file's bytes can
@@ -45,10 +47,8 @@ from .fock import (
 )
 from .homodyne import (
     SamplingPlan,
-    likelihood_csv_text,
     maxlik_reconstruct,
     sample_quadratures,
-    samples_csv_text,
     uniform_phases,
 )
 from .phasespace import (
@@ -274,12 +274,13 @@ def _run_tomography(cfg: dict, writer: _ArtifactWriter) -> dict:
     rho_true = psi.to_density()
     rho_detected = apply_loss(rho_true, LossChannel(cfg["eta"]))
     samples = sample_quadratures(rho_detected, _build_plan(cfg))
-    writer.write("samples.csv", "samples-csv", samples_csv_text(samples))
+    writer.write("samples.npy", "samples-npy", npy_bytes(np.column_stack([samples.phase, samples.x])))
 
     recon = cfg["reconstruction"]
     result = maxlik_reconstruct(samples, dim=recon["dim"], max_iter=recon["max_iter"], tol=recon["tol"])
     writer.write("rho_hat.json", "density-json", density_json_text(result.rho_hat))
-    writer.write("likelihood.csv", "likelihood-csv", likelihood_csv_text(result.log_likelihood_trace))
+    trace = result.log_likelihood_trace
+    writer.write("likelihood.npy", "likelihood-npy", npy_bytes(np.column_stack([np.arange(trace.size), trace])))
 
     target = project_density(rho_true, Truncation(recon["dim"]))
     report = {
@@ -521,6 +522,9 @@ def validate_config(config: dict) -> list:
     theta = cfg["herald"]["theta"]
     if clean("herald.theta") and exp == "number_scheme" and theta != "auto":
         problems += _breach("herald.theta", schemes._NUMBER_SCHEME_THETA, theta)
+    if clean("experiment", "route") and exp != "orthogonalize":
+        problems += _breach("route", ((lambda v: v == "ideal"), f'"ideal" for {exp}, since only orthogonalize reads it'),
+                            cfg["route"])
     heralded = clean("route", "scheme.kind") and exp == "orthogonalize" and cfg["route"] == "heralded"
     if heralded and cfg["scheme"]["kind"] == "number":
         problems.append("route: heralded orthogonalize needs scheme.kind creation (see the number_scheme experiment)")

@@ -143,7 +143,11 @@ class StateVector:
 
     def to_density(self) -> "DensityMatrix":
         psi = self.normalized()
-        return DensityMatrix(np.outer(psi.amps, psi.amps.conj()), self.trunc)
+        # |psi><psi| is rank one and positive semidefinite by construction, so only its eigensolve is skipped
+        rho = object.__new__(DensityMatrix)
+        object.__setattr__(rho, "trunc", self.trunc)
+        rho._check(np.outer(psi.amps, psi.amps.conj()), eigensolve=False)
+        return rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +158,12 @@ class DensityMatrix:
     trunc: Truncation
 
     def __post_init__(self):
-        elems = np.array(self.elems, dtype=np.complex128)
+        self._check(self.elems)
+
+    def _check(self, elems, eigensolve: bool = True):
+        """Check ``elems`` as a density over ``self.trunc`` and freeze a complex copy as ``self.elems``;
+        ``eigensolve=False`` skips only the eigenvalue floor, for a matrix that is PSD by construction."""
+        elems = np.array(elems, dtype=np.complex128)
         if elems.shape != (self.trunc.dim, self.trunc.dim):
             raise ValueError(
                 f"matrix shape {elems.shape} does not match truncation dim {self.trunc.dim}"
@@ -168,8 +177,7 @@ class DensityMatrix:
         tr = complex(np.trace(elems))
         if abs(tr - 1.0) > _TRACE_TOL:
             raise ValueError(f"trace {tr:.12g} deviates from 1 beyond {_TRACE_TOL:g}")
-        lo = float(np.min(np.linalg.eigvalsh(elems)))
-        if lo < _EIGENVALUE_FLOOR:
+        if eigensolve and (lo := float(np.min(np.linalg.eigvalsh(elems)))) < _EIGENVALUE_FLOOR:
             raise ValueError(f"matrix has negative eigenvalue {lo:.3e}")
         _freeze(self, "elems", elems)
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +19,6 @@ __all__ = [
     "sample_quadratures",
     "product_coefficients",
     "maxlik_reconstruct",
-    "samples_csv_text",
-    "read_samples_csv",
-    "likelihood_csv_text",
 ]
 
 # Inverse-CDF sampling grid; fixed so statistical tests have a defined oracle.
@@ -48,12 +44,11 @@ class DataError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class QuadratureSamples:
-    """Quadrature samples by column, in the caller's order: the two fields of a ``samples.csv`` row.
+    """Quadrature samples by column, in the caller's order: the two columns of ``samples.npy``.
 
     ``phase[j]`` is the local-oscillator phase of sample j and ``x[j]`` its
     quadrature value, both read-only; ``==`` compares both columns bit for
-    bit (``-0.0`` is not ``0.0``), so equal samples write the same
-    :func:`samples_csv_text`.
+    bit (``-0.0`` is not ``0.0``), as the file keeps them.
     """
 
     phase: np.ndarray
@@ -255,44 +250,3 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
 
     gap = len(samples) * (float(np.linalg.eigvalsh(r_op)[-1]) - 1.0)
     return ReconstructionResult(DensityMatrix(rho, Truncation(dim)), np.asarray(trace), len(trace) - 1, stop_reason, gap)
-
-
-# ---------------------------------------------------------------------------
-# file formats
-
-
-def samples_csv_text(samples) -> str:
-    """CSV with header phase,x; phases in radians to 10 decimals, x to 17 digits.
-
-    ``samples`` must be a :class:`QuadratureSamples`.  Each run of samples
-    whose phase bits agree (so ``-0.0`` and ``0.0`` print apart) is
-    formatted by one ``%`` template holding its phase once.
-    """
-    runs = ["phase,x\n"]
-    for start, stop in _runs(_phase_bits(samples)):
-        row = f"{samples.phase[start]:.10f},%.17g\n"
-        runs.append(row * (stop - start) % tuple(samples.x[start:stop].tolist()))
-    return "".join(runs)
-
-
-def read_samples_csv(path) -> QuadratureSamples:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "phase,x":
-            raise ValueError(f"unexpected sample-file header {header!r}")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a header-only file has no rows
-            rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-    if rows.size == 0:
-        rows = rows.reshape(0, 2)
-    if rows.shape[1] != 2:
-        raise ValueError(f"sample rows must have the two fields phase,x, got {rows.shape[1]}")
-    return QuadratureSamples(rows[:, 0], rows[:, 1])
-
-
-def likelihood_csv_text(trace) -> str:
-    """CSV with header iteration,log_likelihood; values to 17 significant digits, filled into one template."""
-    cells = [None] * (2 * len(trace))
-    cells[0::2] = range(len(trace))
-    cells[1::2] = np.asarray(trace, dtype=np.float64).tolist()
-    return "iteration,log_likelihood\n" + ("%d,%.17g\n" * len(trace)) % tuple(cells)

@@ -35,6 +35,7 @@ from cvortho import (
     orthogonalize,
     phasespace,
     project_density,
+    sample_quadratures,
     uniform_phases,
 )
 from cvortho.cli import DEFAULTS, EXPERIMENTS, SCHEMA, main, run, validate_config
@@ -107,6 +108,18 @@ class TestValidate:
         config = {"experiment": "orthogonalize", "route": "heralded", "scheme": {"kind": "number"}}
         problems = validate_config(config)
         assert len(problems) == 1 and problems[0].startswith("route:")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment", ["qubit_wigner", "number_scheme", "tomography", "verify"])
+    def test_route_is_refused_where_it_would_be_ignored(self, tmp_path, experiment):
+        # only orthogonalize has a heralded route; the other runners would run ideal and drop the leaf
+        config = {"experiment": experiment, "route": "heralded"}
+        assert validate_config(config) == [
+            f'route: must be "ideal" for {experiment}, since only orthogonalize reads it, got \'heralded\'']
+        assert validate_config({**config, "route": "ideal"}) == []
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
@@ -254,7 +267,7 @@ class TestValidate:
         config = {"experiment": "tomography", "sampling": {"phases": [0.0, 1e-5]}}
         assert validate_config(config) == []
         run(config, output_dir=tmp_path)
-        assert (tmp_path / "samples.csv").exists()
+        assert (tmp_path / "samples.npy").exists()
 
 
 def _leaf_config(path, value, experiment="orthogonalize"):
@@ -442,8 +455,8 @@ class TestRunOrthogonalize:
 
     @pytest.mark.parametrize("alpha, trunc", [(1.0, 40), (28.0, 1200)])
     def test_marginal_mass_reports_the_window(self, tmp_path, alpha, trunc):
-        # the number scheme skips the creation scheme's displaced-Fock reference, a 10 s expm at trunc 1200;
-        # at alpha = 28 the marginals peak near x = 39.6, far outside marginal_xs's [-8, 8]
+        # at alpha = 28 the marginals peak near x = 39.6, far outside marginal_xs's [-8, 8]; at trunc 1200 most of
+        # the time goes to the two density JSON files, of 1200 x 1200 entries each
         config = {"experiment": "orthogonalize", "scheme": {"kind": "number"}, "trunc": trunc,
                   "input_state": {"kind": "coherent", "alpha": [alpha, 0.0]}}
         manifest = run(config, output_dir=tmp_path)
@@ -547,12 +560,33 @@ class TestRunTomography:
         }
         manifest = run(config, output_dir=tmp_path)
         paths = {e["path"] for e in manifest["files"]}
-        assert {"samples.csv", "rho_hat.json", "rho_true.json", "likelihood.csv", "report.json"} <= paths
+        assert {"samples.npy", "rho_hat.json", "rho_true.json", "likelihood.npy", "report.json"} <= paths
         rho_hat = density_from_json(json.loads((tmp_path / "rho_hat.json").read_text()))
         target = fock_state(0, Truncation(8)).to_density()
         assert fidelity(rho_hat, target) >= 0.99
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["fidelity_vs_true"] >= 0.99
+
+    def test_sample_and_likelihood_files_hold_the_run_bits(self, tmp_path):
+        # a -0.0 phase keeps its sign bit in the file, and the trace is the one MaxLik returns on the same samples
+        config = {"experiment": "tomography", "trunc": 16, "eta": 0.9,
+                  "sampling": {"phases": [-0.0, 1.0], "samples_per_phase": 40, "seed": 3},
+                  "reconstruction": {"dim": 5, "max_iter": 4}}
+        manifest = run(config, output_dir=tmp_path)
+        kinds = {e["path"]: e["kind"] for e in manifest["files"]}
+        assert kinds["samples.npy"] == "samples-npy" and kinds["likelihood.npy"] == "likelihood-npy"
+        rho = apply_loss(coherent_state(1.0, Truncation(16)).to_density(), LossChannel(0.9))
+        drawn = sample_quadratures(rho, SamplingPlan(phases=(-0.0, 1.0), samples_per_phase=40, seed=3))
+        assert math.copysign(1.0, drawn.phase[0]) == -1.0
+        samples = np.load(tmp_path / "samples.npy", allow_pickle=False)
+        assert samples.dtype.str == "<f8" and samples.shape == (80, 2)
+        for column, values in zip(samples.T, (drawn.phase, drawn.x)):
+            assert np.array_equal(column.view(np.int64), values.view(np.int64))
+        trace = maxlik_reconstruct(drawn, dim=5, max_iter=4).log_likelihood_trace
+        likelihood = np.load(tmp_path / "likelihood.npy", allow_pickle=False)
+        assert likelihood.dtype.str == "<f8" and likelihood.shape == (trace.size, 2)
+        assert likelihood[:, 0].tolist() == list(range(trace.size))
+        assert np.array_equal(likelihood[:, 1].view(np.int64), trace.view(np.int64))
 
     def test_report_states_stop_reason(self, tmp_path):
         config = {
@@ -638,7 +672,7 @@ class TestDeterminism:
         m2 = run(base, output_dir=tmp_path / "b")
         sha = {e["path"]: e["sha256"] for e in m1["files"]}
         sha2 = {e["path"]: e["sha256"] for e in m2["files"]}
-        assert sha["samples.csv"] != sha2["samples.csv"]
+        assert sha["samples.npy"] != sha2["samples.npy"]
 
 
 def test_artifact_path_written_twice_is_refused(tmp_path):

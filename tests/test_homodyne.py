@@ -30,13 +30,15 @@ from cvortho.homodyne import (
     SAMPLING_X_MAX,
     SAMPLING_X_MIN,
     product_coefficients,
-    read_samples_csv,
-    likelihood_csv_text,
-    samples_csv_text,
 )
-from cvortho.phasespace import _phase_matrix, hermite_functions
+from cvortho.phasespace import _phase_matrix, hermite_functions, npy_bytes
 
 from conftest import mixed_states, random_mixed_state, random_state
+
+
+def samples_npy(samples) -> bytes:
+    """The bytes of ``samples.npy`` for ``samples``: ``npy_bytes`` of its (phase, x) columns, as the runner writes."""
+    return npy_bytes(np.column_stack([samples.phase, samples.x]))
 
 
 def dense_maxlik(samples, dim, max_iter, tol):
@@ -267,8 +269,6 @@ class TestMaxLikReconstruct:
         pairs = [(0.0, 0.1), (0.5, -0.2)]
         with pytest.raises(TypeError, match="QuadratureSamples, got list"):
             maxlik_reconstruct(pairs, dim=5)
-        with pytest.raises(TypeError, match="QuadratureSamples, got list"):
-            samples_csv_text(pairs)
 
     def test_stop_reason_tol(self):
         rho = fock_state(0, Truncation(8)).to_density()
@@ -383,7 +383,7 @@ class TestQuadratureSamples:
     def test_equality_tells_signed_zeros_apart_as_the_file_does(self):
         for plus, minus in ((QuadratureSamples([0.0], [1.0]), QuadratureSamples([-0.0], [1.0])),
                             (QuadratureSamples([1.0], [0.0]), QuadratureSamples([1.0], [-0.0]))):
-            assert samples_csv_text(plus) != samples_csv_text(minus)
+            assert samples_npy(plus) != samples_npy(minus)
             assert plus != minus and not plus == minus
             assert plus == QuadratureSamples(plus.phase.copy(), plus.x.copy())
 
@@ -395,15 +395,20 @@ class TestQuadratureSamples:
 
 
 class TestSampleFiles:
+    @staticmethod
+    def loaded(samples, tmp_path):
+        """``np.load`` of the ``samples.npy`` of ``samples``, which must be ``<f8`` of shape ``(K, 2)``."""
+        path = tmp_path / "samples.npy"
+        path.write_bytes(samples_npy(samples))
+        back = np.load(path, allow_pickle=False)
+        assert back.dtype.str == "<f8" and back.shape == (len(samples), 2) and back.flags.c_contiguous
+        return back
+
     def test_round_trip(self, tmp_path):
         samples = QuadratureSamples([0.3141592653, 1.0], [-1.25, 0.5])
-        path = tmp_path / "samples.csv"
-        path.write_text(samples_csv_text(samples), encoding="utf-8")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "phase,x"
-        assert lines[1].startswith("0.3141592653,")
-        back = read_samples_csv(path)
-        assert back.x.tolist() == [-1.25, 0.5]
+        phase, x = self.loaded(samples, tmp_path).T
+        assert phase.tolist() == [0.3141592653, 1.0]
+        assert x.tolist() == [-1.25, 0.5]
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         rho = coherent_state(0.8, Truncation(15)).to_density()
@@ -412,33 +417,20 @@ class TestSampleFiles:
         # interleaved phases give many short runs of a shared phase
         perm = np.random.default_rng(0).permutation(len(drawn))
         mixed = QuadratureSamples(drawn.phase[perm], drawn.x[perm])
-        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-        first.write_text(samples_csv_text(mixed), encoding="utf-8")
-        back = read_samples_csv(first)
-        assert back.x.tolist() == mixed.x.tolist()
-        second.write_text(samples_csv_text(back), encoding="utf-8")
-        assert second.read_bytes() == first.read_bytes()
+        back = QuadratureSamples(*self.loaded(mixed, tmp_path).T)
+        assert back == mixed
+        assert samples_npy(back) == samples_npy(mixed)
 
     @settings(max_examples=100, deadline=None)
     @given(rows=st.lists(st.tuples(st.sampled_from([0.0, -0.0, 0.5, 1.2345678901, -2.75]),
-                                   st.floats(allow_nan=False, allow_infinity=False)), max_size=40))
+                                   st.floats(allow_nan=False)), max_size=40))
     def test_round_trip_keeps_interleaved_signed_zero_phases(self, tmp_path_factory, rows):
         samples = QuadratureSamples([p for p, _ in rows], [x for _, x in rows])
-        path = tmp_path_factory.mktemp("samples") / "samples.csv"
-        path.write_text(samples_csv_text(samples), encoding="utf-8")
-        back = read_samples_csv(path)
+        back = QuadratureSamples(*self.loaded(samples, tmp_path_factory.mktemp("samples")).T)
         assert back == samples
         assert np.array_equal(back.phase.view(np.int64), samples.phase.view(np.int64))  # -0.0 stays -0.0
 
-    def test_header_only_file(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text(samples_csv_text(QuadratureSamples([], [])), encoding="utf-8")
-        assert path.read_text() == "phase,x\n"
-        assert len(read_samples_csv(path)) == 0
-
-    def test_likelihood_csv(self, tmp_path):
-        path = tmp_path / "lik.csv"
-        path.write_text(likelihood_csv_text([-10.5, -9.25]), encoding="utf-8")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "iteration,log_likelihood"
-        assert lines[1] == "0,-10.5"
+    def test_empty_samples_file(self, tmp_path):
+        back = self.loaded(QuadratureSamples([], []), tmp_path)
+        assert back.shape == (0, 2)
+        assert len(QuadratureSamples(*back.T)) == 0

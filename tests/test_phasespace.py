@@ -24,7 +24,6 @@ from cvortho import (
     wigner,
 )
 from cvortho.cli import DEFAULTS
-from cvortho.homodyne import QuadratureSamples, likelihood_csv_text, samples_csv_text
 from cvortho.phasespace import _basis_side, marginal_filename, npy_bytes
 
 
@@ -421,15 +420,3 @@ class TestFileFormats:
             parsed = np.array([float("%.17g" % v) for v in values])
             assert np.array_equal(column.view(np.int64), values.view(np.int64))
             assert np.array_equal(column.view(np.int64), parsed.view(np.int64))
-
-    def test_samples_csv_bytes_match_per_value_format(self):
-        # runs of three samples per phase; each phase comes back for a second run
-        phase = np.tile(np.repeat(self.awkward_values(7), 3), 2)
-        samples = QuadratureSamples(phase, self.awkward_values(phase.size)[::-1])
-        want = "phase,x\n" + "".join(f"{p:.10f},{x:.17g}\n" for p, x in zip(samples.phase, samples.x))
-        assert samples_csv_text(samples) == want
-
-    def test_likelihood_csv_bytes_match_per_value_format(self):
-        trace = self.awkward_values(13)
-        want = "iteration,log_likelihood\n" + "".join(f"{i},{v:.17g}\n" for i, v in enumerate(trace))
-        assert likelihood_csv_text(trace) == want
