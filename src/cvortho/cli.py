@@ -73,7 +73,6 @@ from .schemes import (
     number_scheme_model,
     orthogonal_family,
     orthogonalize,
-    qubit_operator,
     theta_for_number_orthogonalizer,
     two_operator_orthogonalizer,
 )
@@ -149,21 +148,28 @@ def _build_plan(cfg: dict) -> SamplingPlan:
     return SamplingPlan(phases=phases, samples_per_phase=s["samples_per_phase"], seed=s["seed"])
 
 
-def _herald_model(cfg: dict, spec: OrthogonalizerSpec) -> HeraldModel:
-    h = cfg["herald"]
+def _transformed(cfg: dict, psi: StateVector, spec: OrthogonalizerSpec, report: dict) -> StateVector:
+    """``psi`` under the orthogonalizer of ``spec`` on the configured route, the one branch on ``route``.
+
+    The ``number_scheme`` experiment is the number scheme's heralded route.  A
+    heralded route writes its success probability, beam-splitter angle and,
+    for the creation scheme, ancilla amplitude into ``report``.
+    """
+    if cfg["route"] == "ideal" and cfg["experiment"] != "number_scheme":
+        return orthogonalize(psi, spec)
+    h, creation = cfg["herald"], spec.kind is OperatorKind.CREATION
     theta = h["theta"]
-    if theta == "auto":
-        if spec.kind is OperatorKind.NUMBER:
-            theta = theta_for_number_orthogonalizer(float(complex(spec.mean_value).real))
-        else:
-            # balanced splitter: the tuned ancilla amplitude stays at |<a_dag>|
-            theta = math.pi / 4
+    if theta == "auto":  # the creation scheme's balanced splitter keeps the tuned ancilla amplitude at |<a_dag>|
+        theta = math.pi / 4 if creation else theta_for_number_orthogonalizer(float(complex(spec.mean_value).real))
     beta = h["beta"]
     if beta == "auto":
-        beta = beta_for_addition_orthogonalizer(complex(spec.mean_value), theta) if spec.kind is OperatorKind.CREATION else 0.0
-    else:
-        beta = _as_complex(beta)
-    return HeraldModel(beta=beta, theta=float(theta), phi=float(h["phi"]), herald_dim=h["dim"])
+        beta = beta_for_addition_orthogonalizer(complex(spec.mean_value), theta) if creation else 0.0
+    model = HeraldModel(beta=_as_complex(beta), theta=float(theta), phi=float(h["phi"]), herald_dim=h["dim"])
+    out, report["success_probability"] = (heralded_addition_model if creation else number_scheme_model)(psi, model)
+    report["beam_splitter_theta"] = model.theta
+    if creation:
+        report["ancilla_beta"] = _complex_pair(model.beta)
+    return out
 
 
 def _complex_pair(z: complex):
@@ -198,19 +204,9 @@ def _write_state(writer: _ArtifactWriter, cfg: dict, label: str, state: StateVec
 
 def _run_orthogonalize(cfg: dict, writer: _ArtifactWriter) -> dict:
     trunc, psi, spec = _prepared(cfg)
-
     report = {"scheme": cfg["scheme"]["kind"], "route": cfg["route"], "marginal_mass": {}}
-    if cfg["route"] == "heralded":
-        model = _herald_model(cfg, spec)
-        out, prob = heralded_addition_model(psi, model)
-        report["success_probability"] = prob
-        report["beam_splitter_theta"] = model.theta
-        report["ancilla_beta"] = _complex_pair(complex(model.beta))
-    else:
-        out = orthogonalize(psi, spec)
-
-    overlap = abs(inner_product(psi, out))
-    report["overlap_with_input"] = overlap
+    out = _transformed(cfg, psi, spec, report)
+    report["overlap_with_input"] = abs(inner_product(psi, out))
     if cfg["input_state"]["kind"] == "coherent" and spec.kind is OperatorKind.CREATION:
         # D(alpha)|1> = D(alpha) a_dag |0> = (a_dag - conj(alpha)) |alpha>, from the coherent input already built
         raised = ladder_operators(trunc)[1].apply(psi).amps
@@ -223,14 +219,14 @@ def _run_orthogonalize(cfg: dict, writer: _ArtifactWriter) -> dict:
 
 
 def _run_qubit_wigner(cfg: dict, writer: _ArtifactWriter) -> dict:
-    trunc, psi, spec = _prepared(cfg)
+    _, psi, spec = _prepared(cfg)
     grid = PhaseGrid(**cfg["grid"])
 
     c_values = [cfg["qubit_c"]] if _is_complex(cfg["qubit_c"]) else cfg["qubit_c"]
     entries = []
     for i, raw_c in enumerate(c_values):
         c = _as_complex(raw_c)
-        out = qubit_operator(spec, c, trunc).apply(psi).normalized()
+        out = orthogonalize(psi, spec, c)
         wmap, grid_file = _write_state(writer, cfg, f"{i:02d}", out, grid=grid)
         entries.append({
             "file": grid_file,
@@ -239,24 +235,19 @@ def _run_qubit_wigner(cfg: dict, writer: _ArtifactWriter) -> dict:
             "wigner_max": float(wmap.max()),
             "grid_integral": grid.integral(wmap),
         })
-    report = {"eta": cfg["eta"], "grid": dataclasses.asdict(grid), "maps": entries}
-    return report
+    return {"eta": cfg["eta"], "grid": dataclasses.asdict(grid), "maps": entries}
 
 
 def _run_number_scheme(cfg: dict, writer: _ArtifactWriter) -> dict:
     _, psi, spec = _prepared(cfg, OperatorKind.NUMBER)
     grid = PhaseGrid(**cfg["grid"])
-    model = _herald_model(cfg, spec)
-    out, prob = number_scheme_model(psi, model)
-
     report = {
-        "success_probability": prob,
-        "overlap_with_input": abs(inner_product(psi, out)),
-        "beam_splitter_theta": model.theta,
         "mean_photon_number": float(complex(spec.mean_value).real),
         "grid": dataclasses.asdict(grid),
         "marginal_mass": {},
     }
+    out = _transformed(cfg, psi, spec, report)
+    report["overlap_with_input"] = abs(inner_product(psi, out))
 
     phases = _build_plan(cfg).phases
     for label, state in (("input", psi), ("output", out)):
@@ -265,11 +256,11 @@ def _run_number_scheme(cfg: dict, writer: _ArtifactWriter) -> dict:
 
 
 def _run_tomography(cfg: dict, writer: _ArtifactWriter) -> dict:
-    trunc, psi, spec = _prepared(cfg)
+    _, psi, spec = _prepared(cfg)
     if cfg["transform"] == "orthogonalize":
         psi = orthogonalize(psi, spec)
     elif cfg["transform"] == "qubit":
-        psi = qubit_operator(spec, _as_complex(cfg["qubit_c_single"]), trunc).apply(psi).normalized()
+        psi = orthogonalize(psi, spec, _as_complex(cfg["qubit_c_single"]))
 
     rho_true = psi.to_density()
     rho_detected = apply_loss(rho_true, LossChannel(cfg["eta"]))
@@ -393,6 +384,11 @@ SCHEMA = {
     "reconstruction.max_iter": (2000, *homodyne._MAX_ITER),
     "reconstruction.tol": (1e-10, (lambda v: _is_finite(v) and v >= 0), "a finite number >= 0"),
 }
+
+
+# The runs that read each herald leaf; any other run refuses a value but the default.
+_HERALD_READERS = {**dict.fromkeys(("herald.theta", "herald.phi"), ("heralded orthogonalize", "number_scheme")),
+                   **dict.fromkeys(("herald.beta", "herald.dim"), ("heralded orthogonalize",))}
 
 
 def _merged(config: dict) -> dict:
@@ -525,7 +521,13 @@ def validate_config(config: dict) -> list:
     if clean("experiment", "route") and exp != "orthogonalize":
         problems += _breach("route", ((lambda v: v == "ideal"), f'"ideal" for {exp}, since only orthogonalize reads it'),
                             cfg["route"])
-    heralded = clean("route", "scheme.kind") and exp == "orthogonalize" and cfg["route"] == "heralded"
+    runner = f"{cfg['route']} orthogonalize" if exp == "orthogonalize" else exp
+    for path, readers in _HERALD_READERS.items():
+        default = SCHEMA[path][0]
+        if clean("experiment", "route", path) and runner not in readers:
+            problems += _breach(path, ((lambda v: v == default), f"{json.dumps(default)} for {runner}, since it is "
+                                       f"read only by {' and '.join(readers)}"), cfg["herald"][path.partition(".")[2]])
+    heralded = clean("route", "scheme.kind") and runner == "heralded orthogonalize"
     if heralded and cfg["scheme"]["kind"] == "number":
         problems.append("route: heralded orthogonalize needs scheme.kind creation (see the number_scheme experiment)")
     elif heralded and clean("herald.theta", "herald.beta") and theta != "auto" and cfg["herald"]["beta"] == "auto":

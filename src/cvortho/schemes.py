@@ -150,23 +150,36 @@ def _base_operator(spec: OrthogonalizerSpec, trunc: Truncation) -> ModeOperator:
 
 
 def qubit_operator(spec: OrthogonalizerSpec, c: complex, trunc: Truncation) -> ModeOperator:
-    """C + (c - <C>) 1; reduces to the orthogonalizer at c = 0.
+    """C + (c - <C>) 1 as a dense matrix: the reference that ``orthogonalize(psi, spec, c)`` is checked against.
 
-    Applied to the matching input and normalized, the output decomposes as
-    (c |psi> + |psi_perp>) / sqrt(1 + |c|^2) with unnormalized |psi_perp>
-    direction (C - <C>)|psi>.  On coherent input with the creation operator
-    this is the displaced qubit D(alpha)(|1> + c|0>) up to normalization.
+    On coherent input with the creation operator it gives the displaced
+    qubit D(alpha)(|1> + c|0>) up to normalization.
     """
     base = _base_operator(spec, trunc)
     return base + (complex(c) - complex(spec.mean_value)) * identity_op(trunc)
 
 
-def orthogonalize(psi: StateVector, spec: OrthogonalizerSpec) -> StateVector:
-    """Apply the orthogonalizer and normalize; output satisfies <psi|out> = 0.
+def _shifted(base: ModeOperator, shift: complex, psi: StateVector, context: str | None) -> StateVector:
+    """(base - shift 1)|psi>, normalized, as one vector step; with a ``context``, tail-guarded under that name."""
+    raw = base.apply(psi).amps - shift * psi.amps
+    nrm = float(np.linalg.norm(raw))
+    if nrm < ZERO_NORM_TOL:
+        raise EigenstateError(f"the input is an eigenstate of the operator with eigenvalue {shift:.6g}; "
+                              "the output norm, hence the success probability, drops to zero")
+    out = StateVector(raw / nrm, psi.trunc)
+    if context:
+        check_tail(out, context=context)
+    return out
 
-    The recorded mean must match the measured expectation on ``psi`` (the
-    premise is that this mean is known beforehand).  Eigenstates of C are
-    rejected: their orthogonalized norm, hence success probability, is zero.
+
+def orthogonalize(psi: StateVector, spec: OrthogonalizerSpec, c: complex = 0.0) -> StateVector:
+    """Apply C + (c - <C>) 1 and normalize: the orthogonalizer at c = 0, the qubit generator otherwise.
+
+    The output is (c |psi> + |psi_perp>) / sqrt(|c|^2 + ||psi_perp||^2) with
+    |psi_perp> = (C - <C>)|psi> orthogonal to ``psi``.  The recorded mean
+    must match the measured expectation on ``psi`` (the premise is that this
+    mean is known beforehand).  At c = 0 an eigenstate of C is rejected: its
+    output norm, hence success probability, is zero.
 
     The output tail guard applies to the ladder-derived kinds, where the
     finite matrix approximates an infinite-dimensional operator and weight
@@ -180,21 +193,12 @@ def orthogonalize(psi: StateVector, spec: OrthogonalizerSpec) -> StateVector:
             f"spec mean {complex(spec.mean_value):.6g} does not match the measured "
             f"expectation {measured:.6g} on this input"
         )
-    raw = base.apply(psi).amps - complex(spec.mean_value) * psi.amps
-    nrm = float(np.linalg.norm(raw))
-    if nrm < ZERO_NORM_TOL:
-        raise EigenstateError(
-            "input is an eigenstate of the chosen operator; orthogonalization "
-            "success probability drops to zero"
-        )
-    out = StateVector(raw / nrm, psi.trunc)
-    if spec.kind is not OperatorKind.CUSTOM:
-        check_tail(out, context="orthogonalized output")
-    return out
+    context = None if spec.kind is OperatorKind.CUSTOM else "transformed output"
+    return _shifted(base, complex(spec.mean_value) - complex(c), psi, context)
 
 
 def orthogonal_family(psi: StateVector, spec: OrthogonalizerSpec, k: int) -> list:
-    """Repeated application of the creation-operator orthogonalizer.
+    """Repeated application of the creation-operator orthogonalizer, by :func:`orthogonalize`'s guarded step.
 
     Returns the normalized states O^m |psi> for m = 1..k, which are mutually
     orthogonal (for coherent input they are the displaced number states).
@@ -202,19 +206,11 @@ def orthogonal_family(psi: StateVector, spec: OrthogonalizerSpec, k: int) -> lis
     if spec.kind is not OperatorKind.CREATION:
         raise ValueError("the orthogonal family requires the creation-operator scheme")
     _require("k", _int_rule(1), k)
-    op = qubit_operator(spec, 0.0, psi.trunc).elems
-    family = []
-    cur = psi.amps
+    base = _base_operator(spec, psi.trunc)
+    family = [psi]
     for _ in range(k):
-        cur = op @ cur
-        nrm = float(np.linalg.norm(cur))
-        if nrm < ZERO_NORM_TOL:
-            raise EigenstateError("repeated orthogonalization annihilated the state")
-        cur = cur / nrm
-        member = StateVector(cur, psi.trunc)
-        check_tail(member, context="orthogonal family member")
-        family.append(member)
-    return family
+        family.append(_shifted(base, complex(spec.mean_value), family[-1], "orthogonal family member"))
+    return family[1:]
 
 
 def two_operator_orthogonalizer(c1: ModeOperator, c2: ModeOperator, psi: StateVector) -> ModeOperator:

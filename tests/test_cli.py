@@ -4,8 +4,10 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from cvortho import (
     QuadratureSamples,
     SamplingPlan,
     Truncation,
+    TruncationError,
     apply_loss,
     beam_splitter_op,
     beta_for_addition_orthogonalizer,
@@ -120,6 +123,33 @@ class TestValidate:
         assert validate_config(config) == [
             f'route: must be "ideal" for {experiment}, since only orthogonalize reads it, got \'heralded\'']
         assert validate_config({**config, "route": "ideal"}) == []
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config, path, message", [
+        ({"experiment": "number_scheme", "herald": {"beta": [0.5, 0.0]}}, "herald.beta",
+         '"auto" for number_scheme, since it is read only by heralded orthogonalize, got [0.5, 0.0]'),
+        ({"experiment": "number_scheme", "herald": {"dim": 6}}, "herald.dim",
+         "null for number_scheme, since it is read only by heralded orthogonalize, got 6"),
+        ({"experiment": "orthogonalize", "herald": {"theta": 0.5}}, "herald.theta",
+         '"auto" for ideal orthogonalize, since it is read only by heralded orthogonalize and number_scheme, got 0.5'),
+        ({"experiment": "orthogonalize", "herald": {"phi": 0.5}}, "herald.phi",
+         "0.0 for ideal orthogonalize, since it is read only by heralded orthogonalize and number_scheme, got 0.5"),
+        ({"experiment": "orthogonalize", "herald": {"dim": 6}}, "herald.dim",
+         "null for ideal orthogonalize, since it is read only by heralded orthogonalize, got 6"),
+        ({"experiment": "qubit_wigner", "herald": {"beta": 1.0}}, "herald.beta",
+         '"auto" for qubit_wigner, since it is read only by heralded orthogonalize, got 1.0'),
+        ({"experiment": "tomography", "herald": {"theta": 0.5}}, "herald.theta",
+         '"auto" for tomography, since it is read only by heralded orthogonalize and number_scheme, got 0.5'),
+    ])
+    def test_herald_leaf_is_refused_where_it_would_be_ignored(self, tmp_path, config, path, message):
+        # a run that reads the leaf passes it: heralded orthogonalize reads all four, number_scheme theta and phi
+        assert validate_config(config) == [f"{path}: must be {message}"]
+        assert validate_config({**config, "experiment": "orthogonalize", "route": "heralded"}) == []
+        if path in ("herald.theta", "herald.phi"):
+            assert validate_config({**config, "experiment": "number_scheme"}) == []
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
@@ -660,6 +690,64 @@ class TestDeterminism:
         for name in ["manifest.json"] + [entry["path"] for entry in cold["files"]]:
             assert (tmp_path / "warm" / name).read_bytes() == (tmp_path / "cold" / name).read_bytes(), name
 
+    def test_two_processes_write_the_same_bytes(self, tmp_path):
+        # Two fresh processes run the same four configs, each through the CLI into its default directory, out.  The
+        # "warm" one runs number_scheme first, so its qubit_wigner maps reuse the parity basis of number_scheme's grid.
+        # Every file of each manifest, and the manifest, must match byte for byte.  Every .npy must load without
+        # pickles as C-order <f8 in the shape that the report states: a marginal (n, 2) with the report's
+        # marginal_mass as its trapezoid integral, a Wigner grid (nx, np) with the report's grid_integral,
+        # samples.npy one (phase, x) row per sample and likelihood.npy one (iteration, log-likelihood) row per sweep.
+        configs = {
+            "qubit_wigner": {"trunc": 20, "grid": {"nx": 21, "np": 17}},
+            "orthogonalize": {"route": "heralded", "trunc": 20, "marginal_xs": {"n": 101}},
+            "number_scheme": {"trunc": 20, "grid": {"nx": 21, "np": 17}, "sampling": {"phases": 2},
+                              "marginal_xs": {"n": 101}},
+            "tomography": {"trunc": 16, "eta": 0.9, "sampling": {"phases": 3, "samples_per_phase": 200, "seed": 4},
+                           "reconstruction": {"dim": 6, "max_iter": 5}},
+        }
+        for name, config in configs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps({"experiment": name, **config}))
+        script = ("import os, sys\nfrom cvortho.cli import main\nfor name in sys.argv[1:]:\n"
+                  "    os.mkdir(name)\n    os.chdir(name)\n    assert main(['run', f'../../{name}.json']) == 0\n"
+                  "    os.chdir('..')\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        orders = {"cold": list(configs), "warm": ["number_scheme", "qubit_wigner", "orthogonalize", "tomography"]}
+        processes = []
+        for label, order in orders.items():
+            (tmp_path / label).mkdir()
+            processes.append(subprocess.Popen([sys.executable, "-c", script, *order], cwd=tmp_path / label, env=env,
+                                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True))
+        for process in processes:
+            assert process.wait(timeout=120) == 0, process.stderr.read()
+            process.stderr.close()
+
+        for name, config in configs.items():
+            cold, warm = tmp_path / "cold" / name / "out", tmp_path / "warm" / name / "out"
+            manifest = read_manifest(cold)
+            for path in ["manifest.json"] + [entry["path"] for entry in manifest["files"]]:
+                assert (cold / path).read_bytes() == (warm / path).read_bytes(), (name, path)
+            report = json.loads((cold / "report.json").read_text())
+            arrays = {path.name: np.load(path, allow_pickle=False) for path in sorted(cold.glob("*.npy"))}
+            for path, array in arrays.items():
+                assert array.dtype.str == "<f8" and array.flags.c_contiguous, (name, path)
+            masses = report.get("marginal_mass", {})
+            assert sorted(path for path in arrays if path.startswith("marginal_")) == sorted(masses)
+            n = {**DEFAULTS["marginal_xs"], **config.get("marginal_xs", {})}["n"]
+            for path, mass in masses.items():
+                xs, density = arrays[path].T
+                assert arrays[path].shape == (n, 2) and np.trapezoid(density, xs) == mass, (name, path)
+            if "maps" in report:
+                grid = PhaseGrid(**report["grid"])
+                maps = {entry["file"]: entry["grid_integral"] for entry in report["maps"]}
+                assert sorted(path for path in arrays if path.startswith("wigner_")) == sorted(maps)
+                for path, integral in maps.items():
+                    assert arrays[path].shape == (grid.nx, grid.np) and grid.integral(arrays[path]) == integral, path
+            if name == "tomography":
+                assert arrays["samples.npy"].shape == (3 * 200, 2)
+                assert arrays["likelihood.npy"].shape == (report["iterations_used"] + 1, 2)
+
     def test_seed_changes_samples(self, tmp_path):
         base = {
             "experiment": "tomography",
@@ -738,6 +826,25 @@ def test_run_failing_before_its_first_artifact_leaves_no_directory(tmp_path, cap
     cfg.write_text(json.dumps(config))
     assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
     assert "run failed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config", [
+    {"experiment": "qubit_wigner", "qubit_c": [1.0]},
+    {"experiment": "tomography", "transform": "qubit", "qubit_c_single": 1.0,
+     "sampling": {"phases": 2, "samples_per_phase": 100}, "reconstruction": {"dim": 10, "max_iter": 3}},
+])
+def test_qubit_output_on_the_top_level_is_refused(tmp_path, capsys, config):
+    # c = 1 on |8> of a 10-level basis gives (3|9> + |8>) / sqrt(10): 90% of the output on the top level, which
+    # orthogonalize's tail guard refuses for a qubit as for an orthogonalized state
+    config = {**config, "trunc": 10, "input_state": {"kind": "fock", "n": 8}}
+    assert validate_config(config) == []
+    with pytest.raises(TruncationError, match=r"^top-level weight 9\.000e-01 exceeds tail_tol 1e-08"):
+        run(config, tmp_path / "out")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+    assert "run failed: top-level weight 9.000e-01" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -205,6 +205,23 @@ class TestQubitOperator:
             residual = StateVector(out.amps - w_in * psi.amps - w_perp * perp.amps, t)
             assert residual.norm < 1e-10
 
+    @settings(max_examples=80, deadline=None)
+    @given(dim=st.integers(4, 40), kind=st.sampled_from(list(OperatorKind)), seed=st.integers(0, 2**32 - 1),
+           c=st.one_of(st.just(0j), st.complex_numbers(max_magnitude=10.0)))
+    def test_orthogonalize_is_the_reference_qubit_operator(self, dim, kind, seed, c):
+        # one vector step against the dense reference matrix, and the weight the input keeps in the output
+        rng = np.random.default_rng(seed)
+        t = Truncation(dim)
+        psi = random_state(t, rng)  # support on the lower half, so a_dag psi stays clear of the top level
+        custom = ModeOperator(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)), t)
+        spec = OrthogonalizerSpec.from_state(kind, psi, operator=custom if kind is OperatorKind.CUSTOM else None)
+        perp_norm = qubit_operator(spec, 0.0, t).apply(psi).norm
+        assume(perp_norm > 1e-6)  # an eigenstate of C: at c = 0 the output norm is zero
+        out = orthogonalize(psi, spec, c)
+        assert np.max(np.abs(out.amps - qubit_operator(spec, c, t).apply(psi).normalized().amps)) <= 1e-13
+        weight = abs(c) ** 2 / (abs(c) ** 2 + perp_norm**2)
+        assert abs(inner_product(psi, out)) ** 2 == pytest.approx(weight, abs=1e-13)
+
     def test_decomposition_closes_on_general_states(self, rng):
         # for arbitrary inputs the weights are measured a posteriori; the
         # output stays inside span{psi, psi_perp}, so they square-sum to 1
