@@ -9,10 +9,10 @@ the marginals, of shape ``(n, 2)`` with columns x and density, the
 tomography samples, ``(K, 2)`` with columns phase and x, and the likelihood
 trace, ``(k, 2)`` with columns iteration and log-likelihood.
 Identical configs (including seed) produce identical checksums at a fixed
-BLAS thread count; across thread counts the Wigner grid files and the
-``qubit_wigner`` report differ in the last bits.  A ``.npy`` file's bytes can
-also depend on the numpy version that writes its header, which the
-manifest's ``versions`` records.
+BLAS thread count, and identical tomography artifacts at any; across thread
+counts the Wigner grid files and the ``qubit_wigner`` report differ in the
+last bits.  The manifest's ``versions`` records the numpy version, which
+writes each ``.npy`` header, the BLAS, its thread variables and the platform.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 from pathlib import Path
 
@@ -120,10 +121,14 @@ class _ArtifactWriter:
     def manifest(self, config_echo: dict) -> dict:
         import scipy
 
+        blas = "{name} {version}".format_map(np.show_config(mode="dicts")["Build Dependencies"]["blas"])
+        threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")  # looked up: os.environ reads slowly
         return {
             "files": [self.entries[path] for path in sorted(self.entries)],
             "config_echo": config_echo,
-            "versions": {"cvortho": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
+            "versions": {"cvortho": __version__, "numpy": np.__version__, "scipy": scipy.__version__,
+                         "blas": blas, "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
+                         "blas_threads": {name: os.environ[name] for name in threads if name in os.environ}},
         }
 
 
@@ -452,8 +457,8 @@ def _largest_array(cfg: dict, exp, clean):
     Sizes a dense complex trunc x trunc operator (every experiment but
     verify), the complex nx x np Wigner phase product and the complex n x n
     Gram matrix of the Wigner parity basis, the n x trunc Hermite table of a
-    marginal and the quadrature samples, each only from leaves that
-    ``clean`` passes.  A run needs at least this much memory.
+    marginal, the quadrature samples and MaxLik's phases x cells table, each
+    only from leaves that ``clean`` passes.  A run needs at least this much memory.
     """
     trunc, grid, n = cfg["trunc"], cfg["grid"], cfg["marginal_xs"]["n"]
     arrays = []
@@ -473,6 +478,8 @@ def _largest_array(cfg: dict, exp, clean):
         phases, per_phase = (count if _is_int(count) else len(count)), cfg["sampling"]["samples_per_phase"]
         arrays.append((16 * phases * per_phase, "sampling",
                        f"the phase and x columns of {_shown(phases)} x {_shown(per_phase)} samples (16 bytes each)"))
+        cells = min(phases * per_phase, homodyne.SAMPLING_POINTS)  # sampler data occupies at most this many cells
+        arrays.append((8 * phases * cells, "sampling", f"MaxLik's {_shown(phases)} phases x {_shown(cells)} cells table"))
     return max(arrays, default=None)
 
 

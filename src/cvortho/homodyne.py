@@ -72,19 +72,6 @@ class QuadratureSamples:
                    for name in ("phase", "x"))
 
 
-def _phase_bits(samples) -> np.ndarray:
-    """Bit patterns of the phase column, which tell -0.0 from 0.0; only a QuadratureSamples has one."""
-    if not isinstance(samples, QuadratureSamples):
-        raise TypeError(f"samples must be a QuadratureSamples, got {type(samples).__name__}")
-    return samples.phase.view(np.int64)
-
-
-def _runs(bits: np.ndarray) -> list:
-    """(start, stop) of each run of equal entries of ``bits``; ``~bits[0]`` never equals ``bits[0]``."""
-    starts = np.flatnonzero(bits != np.concatenate((~bits[:1], bits[:-1]))).tolist()
-    return list(zip(starts, starts[1:] + [bits.size]))
-
-
 @dataclass(frozen=True)
 class SamplingPlan:
     """Local-oscillator phases, per-phase count and seed."""
@@ -188,47 +175,63 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
     Sample j counts at the midpoint of its cell [x_min + k h, x_min + (k+1) h)
     of the sampling grid (h = 0.004, extended past [-8, 8]).
     :func:`sample_quadratures` draws from a density that is constant on each
-    cell, so for its samples the per-phase cell counts lose nothing; for other
-    samples this is a midpoint rule.  psi_a psi_b expands over 2 dim - 1
-    features (:func:`product_coefficients`), so a sweep is one product each
-    way with each phase's cell features.  ``samples`` must be a
-    :class:`QuadratureSamples`, grouped by phase bits in order of first use;
-    a :class:`DataError` names, in the first phase with cells of p <= 0, the
-    lowest position among the first samples of those cells.
+    cell, so for its samples the cell counts lose nothing; for other samples
+    this is a midpoint rule.  The counts form one dense table, a row per phase
+    (told apart by its bits, in order of first use) and a column per cell that
+    any phase occupies, so a distinct phase per sample costs memory quadratic
+    in K.  psi_a psi_b expands over 2 dim - 1 features at those cells
+    (:func:`product_coefficients`): a sweep is two matrix products each way.
+    ``samples`` must be a :class:`QuadratureSamples`; a :class:`DataError`
+    names, in the first phase with occupied cells of p <= 0, the lowest
+    position among its samples in those cells.
     """
-    bits = _phase_bits(samples)
+    if not isinstance(samples, QuadratureSamples):
+        raise TypeError(f"samples must be a QuadratureSamples, got {type(samples).__name__}")
     if len(samples) == 0:
         raise ValueError("at least one sample is required")
     _require("dim", _RECON_DIM, dim)
     _require("max_iter", _MAX_ITER, max_iter)
 
-    coeffs = product_coefficients(dim)
-    flat = coeffs.reshape(dim * dim, -1)
-    order = np.argsort(bits, kind="stable")  # keeps each phase's positions ascending: order[start] is its first use
-    groups = []  # per phase, in order of first use: phase, each cell's first caller position and count, features, F
-    # a huge or infinite x or phase overflows here to features or F of 0 or nan, which the sweep names as a DataError
+    flat = product_coefficients(dim).reshape(dim * dim, -1)
+    bits = samples.phase.view(np.int64)  # tells -0.0 from 0.0
+    uniq, first = np.unique(bits, return_index=True)
+    rank = np.argsort(np.argsort(first))  # each phase's table row: rows in order of first use
+
+    def table():
+        """The occupied cells, sorted, and each sample's entry of the flattened table; a DataError recomputes it."""
+        with np.errstate(over="ignore", invalid="ignore"):  # an x past the float range has a cell of inf, a nan x nan
+            col = np.floor((samples.x - SAMPLING_X_MIN) / _CELL_WIDTH)  # each sample's cell, then its column
+            lo, span = col.min(), np.ptp(col)
+        if span < col.size + SAMPLING_POINTS:  # finite, and a flag per cell in the span costs no more than the samples
+            col = (col - lo).astype(np.intp)
+            used = np.bincount(col) > 0
+            cell, col = lo + np.flatnonzero(used), (np.cumsum(used) - 1)[col]
+        else:
+            cell, col = np.unique(col, return_inverse=True)
+        col += rank[np.searchsorted(uniq, bits)] * cell.size
+        return cell, col
+
+    cell, entry = table()
+    counts = np.bincount(entry, minlength=first.size * cell.size)
+    del entry  # no per-sample array outlives the count
+    occupied = np.flatnonzero(counts)
+    counts = counts[occupied].astype(np.float64)
+    # a cell of inf or nan, or a huge or infinite phase, gives features or F of 0 or nan: the sweep's DataError
     with np.errstate(over="ignore", invalid="ignore"):
-        cells = np.floor((samples.x - SAMPLING_X_MIN) / _CELL_WIDTH)
-        for start, stop in sorted(_runs(bits[order]), key=lambda run: order[run[0]]):
-            positions = order[start:stop]
-            cell, first, counts = np.unique(cells[positions], return_index=True, return_counts=True)
-            feats = hermite_functions(math.sqrt(2.0) * (SAMPLING_X_MIN + (cell + 0.5) * _CELL_WIDTH), 2 * dim - 1)
-            phase = float(samples.phase[positions[0]])
-            groups.append((phase, positions[first], counts, feats, _phase_matrix(phase, dim)))
+        feats = hermite_functions(math.sqrt(2.0) * (SAMPLING_X_MIN + (cell + 0.5) * _CELL_WIDTH), 2 * dim - 1)
+        phase_mats = np.stack([_phase_matrix(samples.phase[j], dim).ravel() for j in np.sort(first)])
 
     def sweep(rho):
-        """Log-likelihood of rho and its R operator, from one product each way with every phase's cell features."""
-        loglik = 0.0
-        r_op = np.zeros((dim, dim), dtype=np.complex128)
-        for phase, first, counts, feats, phase_mat in groups:
-            p = (flat.T @ np.real(rho * phase_mat).ravel()) @ feats
-            if not np.all(p > 0.0):  # before log and 1/p, so a p of 0 or nan raises without a warning
-                j = int(first[~(p > 0.0)].min())
-                raise DataError(f"sample {j} (phase={phase:.10f}, x={samples.x[j]:.6g}) "
-                                "has non-positive likelihood under the current state")
-            loglik += float(counts @ np.log(p))
-            r_op += phase_mat.conj() * (coeffs @ (feats @ (counts / p)))
-        return loglik, r_op / len(samples)
+        """Log-likelihood of rho and its R operator, from two products each way between the table and the features."""
+        p = ((np.real(phase_mats * rho.ravel()) @ flat) @ feats).ravel()[occupied]
+        if not np.all(p > 0.0):  # before log and 1/p, so a p of 0 or nan raises without a warning
+            bad = occupied[~(p > 0.0)]
+            j = int(np.flatnonzero(np.isin(table()[1], bad[bad // cell.size == bad[0] // cell.size]))[0])
+            raise DataError(f"sample {j} (phase={samples.phase[j]:.10f}, x={samples.x[j]:.6g}) "
+                            "has non-positive likelihood under the current state")
+        q = np.bincount(occupied, counts / p, first.size * cell.size).reshape(first.size, cell.size)  # 0 if no count
+        r_op = np.sum(phase_mats.conj() * ((q @ feats.T) @ flat.T), axis=0).reshape(dim, dim) / len(samples)
+        return float(np.sum(counts * np.log(p))), r_op  # np.sum: a BLAS dot this long rounds by its thread count
 
     rho = np.eye(dim, dtype=np.complex128) / dim
     loglik, r_op = sweep(rho)

@@ -258,9 +258,9 @@ def apply_loss(rho: DensityMatrix, channel: LossChannel) -> DensityMatrix:
 
 def npy_bytes(array) -> bytes:
     """``.npy`` file (format 1.0) of ``array`` as little-endian float64 in C order; ``np.load`` reads it back."""
-    buf = io.BytesIO()
-    np.save(buf, np.ascontiguousarray(array, dtype="<f8"), allow_pickle=False)
-    return buf.getvalue()
+    array, buf = np.ascontiguousarray(array, dtype="<f8"), io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, np.lib.format.header_data_from_array_1_0(array))
+    return b"".join((buf.getvalue(), array))  # one copy of the data, where np.save to a buffer makes two
 
 
 def marginal_filename(prefix: str, phase: float) -> str:

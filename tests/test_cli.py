@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -191,7 +192,8 @@ class TestValidate:
             names = {cli.marginal_filename("", p) for p in cli.uniform_phases(count)}
             assert (len(names) == count) is distinct
         assert validate_config({"experiment": "number_scheme", "sampling": {"phases": limit}}) == []
-        # one sample per phase keeps the tomography's samples (0.5 MB) inside physical memory
+        # one sample per phase keeps the tomography's largest array, MaxLik's 31417 x 4001 table (1.0 GB), inside
+        # physical memory
         tomography = {"experiment": "tomography", "sampling": {"phases": limit + 1, "samples_per_phase": 1}}
         assert validate_config(tomography) == []
 
@@ -213,6 +215,9 @@ class TestValidate:
         ({"experiment": "orthogonalize", "marginal_xs": {"n": 10**12}},
          "the 1000000000000 x 40 Hermite table of a marginal", 8 * 10**12 * 40),
         ({"experiment": "orthogonalize", "trunc": 10**6}, "a dense complex 1000000 x 1000000 operator", 16 * 10**12),
+        # one sample per phase: the samples take 16 bytes each, the table 8 bytes for each of 4001 cells per phase
+        ({"experiment": "tomography", "sampling": {"phases": 10**7, "samples_per_phase": 1}},
+         "MaxLik's 10000000 phases x 4001 cells table", 8 * 10**7 * 4001),
         # 16 trunc^2 has more digits than str() converts (4300), though trunc itself is a valid JSON number
         ({"experiment": "orthogonalize", "trunc": 10**2200}, f"a dense complex {10**2200} x {10**2200} operator",
          "over 2^14620"),
@@ -541,6 +546,20 @@ def test_no_orphan_outputs(tmp_path, experiment):
         assert hashlib.sha256((tmp_path / entry["path"]).read_bytes()).hexdigest() == entry["sha256"], entry["path"]
 
 
+def test_manifest_records_the_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    manifest = run({"experiment": "tomography", **SMALL_CONFIGS["tomography"]}, output_dir=tmp_path)
+    versions = manifest["versions"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert sorted(versions) == ["blas", "blas_threads", "cvortho", "numpy", "platform", "scipy"]
+    assert versions["blas"] == f"{blas['name']} {blas['version']}"
+    assert versions["platform"] == f"{platform.system()}-{platform.release()}-{platform.machine()}"
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    assert versions["blas_threads"] == {name: os.environ[name] for name in threads if name in os.environ}
+    assert versions["blas_threads"]["OMP_NUM_THREADS"] == "3"
+    assert read_manifest(tmp_path) == manifest
+
+
 class TestRunQubitWigner:
     def test_four_maps(self, tmp_path):
         config = {
@@ -747,6 +766,35 @@ class TestDeterminism:
             if name == "tomography":
                 assert arrays["samples.npy"].shape == (3 * 200, 2)
                 assert arrays["likelihood.npy"].shape == (report["iterations_used"] + 1, 2)
+
+    def test_tomography_artifacts_do_not_depend_on_the_thread_count(self, tmp_path):
+        # criterion 8's lossy set: its 500,000 samples take MaxLik's reductions past every BLAS threading threshold,
+        # which the 200-sample config of the test above stays below
+        config = {"experiment": "tomography", "transform": "qubit",
+                  "input_state": {"kind": "coherent", "alpha": [1.0, 0.0]}, "trunc": 30, "eta": 0.6,
+                  "sampling": {"phases": 10, "samples_per_phase": 50000, "seed": 202},
+                  "reconstruction": {"dim": 15, "max_iter": 5, "tol": 1e-9}}
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        script = "import sys\nfrom cvortho.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        processes = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            processes[threads] = subprocess.Popen(
+                [sys.executable, "-c", script, "run", "cfg.json", "--output-dir", f"threads{threads}"], cwd=tmp_path,
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        for process in processes.values():
+            assert process.wait(timeout=120) == 0, process.stderr.read()
+            process.stderr.close()
+
+        one, two = read_manifest(tmp_path / "threads1"), read_manifest(tmp_path / "threads2")
+        assert one["files"] == two["files"]
+        for entry in one["files"]:
+            path = entry["path"]
+            assert (tmp_path / "threads1" / path).read_bytes() == (tmp_path / "threads2" / path).read_bytes(), path
+        assert one["versions"]["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert two["versions"]["blas_threads"]["OPENBLAS_NUM_THREADS"] == "2"
 
     def test_seed_changes_samples(self, tmp_path):
         base = {

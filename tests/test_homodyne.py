@@ -265,6 +265,14 @@ class TestMaxLikReconstruct:
                 maxlik_reconstruct(samples, dim=5, max_iter=5)
         assert str(raised.value).startswith(f"sample 1 (phase=0.0000000000, x={x:.6g}) has non-positive")
 
+    @pytest.mark.parametrize("xs", [[math.inf], [-math.inf, -math.inf], [1e308, 1e308], [math.nan, math.inf]])
+    def test_no_finite_cell_raises_without_warning(self, xs):
+        # every cell is inf or nan, so the cells' span is inf - inf or nan: no finite table column, and no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"^sample 0 \(phase=0\.0000000000, x="):
+                maxlik_reconstruct(QuadratureSamples([0.0] * len(xs), xs), dim=5, max_iter=5)
+
     def test_only_the_container_is_accepted(self):
         pairs = [(0.0, 0.1), (0.5, -0.2)]
         with pytest.raises(TypeError, match="QuadratureSamples, got list"):
@@ -337,6 +345,25 @@ class TestMomentKernel:
         res = maxlik_reconstruct(sample_quadratures(rho, plan), dim=rho.trunc.dim, max_iter=30, tol=-np.inf)
         trace = res.log_likelihood_trace
         assert np.all(np.diff(trace) >= -1e-12 * np.abs(trace[1:]))  # a step may round down once converged
+
+    @settings(max_examples=25, deadline=None)
+    @given(phases=st.integers(1, 4), seed=st.integers(0, 2**31 - 1))
+    def test_shuffling_within_each_phase_keeps_every_bit(self, phases, seed):
+        # the phases interleave in a random first-use order; each keeps its positions while its x values are shuffled
+        rng = np.random.default_rng(seed)
+        rho = random_mixed_state(6, 2, seed)
+        drawn = sample_quadratures(rho, SamplingPlan(phases=uniform_phases(phases), samples_per_phase=150, seed=seed))
+        perm = rng.permutation(len(drawn))
+        phase, x = drawn.phase[perm], drawn.x[perm]
+        shuffled = x.copy()
+        for value in np.unique(phase):
+            at = np.flatnonzero(phase == value)
+            shuffled[at] = x[rng.permutation(at)]
+        assert not np.array_equal(shuffled, x)
+        a = maxlik_reconstruct(QuadratureSamples(phase, x), dim=6, max_iter=20, tol=-np.inf)
+        b = maxlik_reconstruct(QuadratureSamples(phase, shuffled), dim=6, max_iter=20, tol=-np.inf)
+        assert np.array_equal(a.rho_hat.elems, b.rho_hat.elems)
+        assert np.array_equal(a.log_likelihood_trace, b.log_likelihood_trace) and a.loglik_gap == b.loglik_gap
 
     def test_a_step_that_would_lower_the_likelihood_is_diluted(self):
         # one phase of a pure d = 11 state, where the plain RrhoR step overshoots and the plain trace zigzags
