@@ -10,9 +10,10 @@ tomography samples, ``(K, 2)`` with columns phase and x, and the likelihood
 trace, ``(k, 2)`` with columns iteration and log-likelihood.
 Identical configs (including seed) produce identical checksums at a fixed
 BLAS thread count, and identical tomography artifacts at any; across thread
-counts the Wigner grid files and the ``qubit_wigner`` report differ in the
-last bits.  The manifest's ``versions`` records the numpy version, which
-writes each ``.npy`` header, the BLAS, its thread variables and the platform.
+counts the Wigner grid and marginal files can differ in the last bits, where
+a BLAS kernel rounds a tile edge differently.  The manifest's ``versions``
+records the numpy version, which writes each ``.npy`` header, the BLAS, its
+thread variables and the platform.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 
 from . import __version__, fock, homodyne, schemes
 from .fock import (
+    DensityMatrix,
     ModeOperator,
     StateVector,
     Truncation,
@@ -56,11 +58,11 @@ from .phasespace import (
     LossChannel,
     PhaseGrid,
     _SQUARABLE,
-    _basis_side,
+    _WIGNER_BOUNDS,
     apply_loss,
     marginal,
     marginal_filename,
-    npy_bytes,
+    npy_buffers,
     wigner,
 )
 from .schemes import (
@@ -105,15 +107,19 @@ class _ArtifactWriter:
         self.outdir = Path(outdir)
         self.entries = {}
 
-    def write(self, relpath: str, kind: str, content: str | bytes):
-        """Write ``content`` (text as UTF-8) and checksum the bytes written; the only way an artifact reaches disk."""
+    def write(self, relpath: str, kind: str, content: str | tuple):
+        """Write ``content``, text as UTF-8 or a tuple of buffers one after another, and checksum the bytes written;
+        the only way an artifact reaches disk.  A buffer is hashed and written where it lies, never joined."""
         if relpath in self.entries:
             raise ValueError(f"artifact {relpath!r} was already written in this run")
-        data = content.encode("utf-8") if isinstance(content, str) else content
         if not self.entries:  # made here, so a run that fails before its first artifact leaves no directory
             self.outdir.mkdir(parents=True, exist_ok=True)
-        (self.outdir / relpath).write_bytes(data)
-        self.entries[relpath] = {"path": relpath, "sha256": hashlib.sha256(data).hexdigest(), "kind": kind}
+        digest = hashlib.sha256()
+        with open(self.outdir / relpath, "wb") as file:
+            for part in (content.encode("utf-8"),) if isinstance(content, str) else content:
+                file.write(part)
+                digest.update(part)
+        self.entries[relpath] = {"path": relpath, "sha256": digest.hexdigest(), "kind": kind}
 
     def write_json(self, relpath: str, obj, kind: str):
         self.write(relpath, kind, json.dumps(obj, indent=2, sort_keys=True) + "\n")
@@ -192,13 +198,13 @@ def _write_state(writer: _ArtifactWriter, cfg: dict, label: str, state: StateVec
         xs = np.linspace(m["x_min"], m["x_max"], m["n"])
         for phase, dens in zip(phases, marginal(rho, phases, xs)):
             name = marginal_filename(f"marginal_{label}", phase)
-            writer.write(name, "marginal-npy", npy_bytes(np.column_stack([xs, dens])))
+            writer.write(name, "marginal-npy", npy_buffers(np.column_stack([xs, dens])))
             masses[name] = float(np.trapezoid(dens, xs))
     wmap = grid_file = None
     if grid is not None:
         wmap = wigner(rho, grid)
         grid_file = f"wigner_{label}.npy"
-        writer.write(grid_file, "wigner-grid", npy_bytes(wmap))
+        writer.write(grid_file, "wigner-grid", npy_buffers(wmap))
     writer.write(f"density_{label}.json", "density-json", density_json_text(rho))
     return wmap, grid_file
 
@@ -270,13 +276,13 @@ def _run_tomography(cfg: dict, writer: _ArtifactWriter) -> dict:
     rho_true = psi.to_density()
     rho_detected = apply_loss(rho_true, LossChannel(cfg["eta"]))
     samples = sample_quadratures(rho_detected, _build_plan(cfg))
-    writer.write("samples.npy", "samples-npy", npy_bytes(np.column_stack([samples.phase, samples.x])))
+    writer.write("samples.npy", "samples-npy", npy_buffers(np.column_stack([samples.phase, samples.x])))
 
     recon = cfg["reconstruction"]
     result = maxlik_reconstruct(samples, dim=recon["dim"], max_iter=recon["max_iter"], tol=recon["tol"])
     writer.write("rho_hat.json", "density-json", density_json_text(result.rho_hat))
     trace = result.log_likelihood_trace
-    writer.write("likelihood.npy", "likelihood-npy", npy_bytes(np.column_stack([np.arange(trace.size), trace])))
+    writer.write("likelihood.npy", "likelihood-npy", npy_buffers(np.column_stack([np.arange(trace.size), trace])))
 
     target = project_density(rho_true, Truncation(recon["dim"]))
     report = {
@@ -442,35 +448,31 @@ def _breach(path: str, rule, value) -> list:
 _GRID_BOUNDS = ("grid.x_min", "grid.x_max", "grid.p_min", "grid.p_max")
 
 
-def _parity_side(cfg: dict):
-    """The side of the parity basis that ``phasespace.wigner`` builds at support 0, a lower bound; None past floats."""
-    g = cfg["grid"]
-    try:
-        return _basis_side((g["x_min"], g["x_max"]), (g["p_min"], g["p_max"]), cfg["trunc"], 0)
-    except OverflowError:  # a bound whose square, or a squared reach whose ceiling, passes the float range
-        return None
-
-
 def _largest_array(cfg: dict, exp, clean):
     """(bytes, section, array) for the largest array that ``exp`` builds at sizes read from ``cfg``, or None.
 
     Sizes a dense complex trunc x trunc operator (every experiment but
-    verify), the complex nx x np Wigner phase product and the complex n x n
-    Gram matrix of the Wigner parity basis, the n x trunc Hermite table of a
-    marginal, the quadrature samples and MaxLik's phases x cells table, each
-    only from leaves that ``clean`` passes.  A run needs at least this much memory.
+    verify), the real nx x np Wigner map, the two Hermite tables of its
+    2 trunc - 1 levels on the grid axes and its complex coefficient matrix C,
+    the n x trunc Hermite table of a marginal, the quadrature samples and
+    MaxLik's phases x cells table, each only from leaves that ``clean``
+    passes.  A run needs at least this much memory.
     """
     trunc, grid, n = cfg["trunc"], cfg["grid"], cfg["marginal_xs"]["n"]
     arrays = []
     if clean("trunc") and exp in ("orthogonalize", "qubit_wigner", "number_scheme", "tomography"):
         arrays.append((16 * trunc * trunc, "trunc", f"a dense complex {_shown(trunc)} x {_shown(trunc)} operator"))
-    if clean("grid.nx", "grid.np") and exp in ("qubit_wigner", "number_scheme"):
-        arrays.append((16 * grid["nx"] * grid["np"], "grid",
-                       f"the complex {_shown(grid['nx'])} x {_shown(grid['np'])} Wigner phase product"))
-    side = _parity_side(cfg) if clean("trunc", *_GRID_BOUNDS) and exp in ("qubit_wigner", "number_scheme") else None
-    if side is not None:
-        arrays.append((16 * side * side, "grid",
-                       f"the complex {_shown(side)} x {_shown(side)} Gram matrix of the Wigner parity basis"))
+    mapped = exp in ("qubit_wigner", "number_scheme")
+    if mapped and clean("grid.nx", "grid.np"):
+        arrays.append((8 * grid["nx"] * grid["np"], "grid",
+                       f"the {_shown(grid['nx'])} x {_shown(grid['np'])} Wigner map"))
+    if mapped and clean("trunc"):
+        levels = 2 * trunc - 1
+        arrays.append((16 * levels * levels, "trunc",
+                       f"the complex {_shown(levels)} x {_shown(levels)} Wigner coefficients"))
+        arrays += [(8 * levels * grid[size], "grid",
+                    f"the {_shown(levels)} x {_shown(grid[size])} Hermite table of the Wigner {size[1]} axis")
+                   for size in ("nx", "np") if clean(f"grid.{size}")]
     if clean("trunc", "marginal_xs.n") and exp in ("orthogonalize", "number_scheme"):
         arrays.append((8 * n * trunc, "marginal_xs", f"the {_shown(n)} x {_shown(trunc)} Hermite table of a marginal"))
     count = cfg["sampling"]["phases"]
@@ -547,8 +549,8 @@ def validate_config(config: dict) -> list:
         elif not _is_int(phases) and len({marginal_filename("", p) for p in phases}) < len(phases):
             problems.append("sampling.phases: must be distinct to 4 decimals for number_scheme, "
                             f"whose marginal file names give each phase to 4 decimals, got {_shown(phases)}")
-    if clean("trunc", *_GRID_BOUNDS) and exp in ("qubit_wigner", "number_scheme") and _parity_side(cfg) is None:
-        problems.append(f"grid: {exp} sizes its Wigner parity basis by the squared bounds, which pass the float range")
+    if clean(*_GRID_BOUNDS) and exp in ("qubit_wigner", "number_scheme"):
+        problems += _breach("grid", _WIGNER_BOUNDS, [cfg["grid"][path.partition(".")[2]] for path in _GRID_BOUNDS])
     if clean("reconstruction.dim", "trunc") and exp == "tomography":
         problems += _breach("reconstruction.dim", fock._fits_rule(cfg["trunc"]), cfg["reconstruction"]["dim"])
     largest = _largest_array(cfg, exp, clean)
@@ -694,6 +696,20 @@ def run_battery() -> list:
     norm_ok = abs(int_vac - 1.0) < 1e-4 and abs(int_one - 1.0) < 1e-4
     checks.append(("wigner_origin_and_norm", bool(origin_ok and norm_ok),
                    f"W_vac(0,0)={w_vac[mid, mid]:.9f}, integrals {int_vac:.6f}/{int_one:.6f}"))
+
+    # the definition itself, Tr[rho D(g) P D(g)_dag] / pi, through displacement_op on 64 levels, at 4 points of a
+    # random rank-4 state on 12 levels
+    vecs = rng.normal(size=(12, 4)) + 1j * rng.normal(size=(12, 4))
+    rho_mix = DensityMatrix(vecs @ vecs.conj().T / np.sum(np.abs(vecs) ** 2), Truncation(12))
+    small = PhaseGrid(-2.0, 2.0, -1.5, 1.5, 5, 7)
+    w_mix, padded = wigner(rho_mix, small), np.zeros((64, 64), dtype=complex)
+    padded[:12, :12] = rho_mix.elems
+    dev_def = 0.0
+    for i, j in ((0, 0), (1, 5), (2, 3), (4, 6)):
+        disp = displacement_op(complex(small.xs()[i], small.ps()[j]) / math.sqrt(2.0), Truncation(64)).elems
+        direct = float(np.real(np.diag(disp.conj().T @ padded @ disp) @ (-1.0) ** np.arange(64))) / math.pi
+        dev_def = max(dev_def, abs(w_mix[i, j] - direct))
+    checks.append(("wigner_displaced_parity_definition", bool(dev_def < 1e-12), f"sup dev {dev_def:.2e} at 4 points"))
 
     rho_coh = coherent_state(1.0, Truncation(30)).to_density()
     lossy = apply_loss(rho_coh, LossChannel(0.6))

@@ -15,10 +15,9 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
-from .fock import DensityMatrix, _int_rule, _require
+from .fock import DensityMatrix, _int_rule, _require, _sector_blocks
 
 __all__ = [
     "PhaseGrid",
@@ -27,7 +26,7 @@ __all__ = [
     "wigner",
     "marginal",
     "apply_loss",
-    "npy_bytes",
+    "npy_buffers",
     "marginal_filename",
 ]
 
@@ -123,99 +122,43 @@ def marginal(rho: DensityMatrix, phases, xs) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Wigner function via the displaced-parity trace
+# Wigner function through one balanced beam splitter
 
 
-def _support_level(weights: np.ndarray, eps: float = 1e-13) -> int:
-    """Highest level carrying non-negligible probability weight."""
-    tail = np.cumsum(weights[::-1])[::-1]
-    occupied = np.nonzero(tail > eps)[0]
-    return int(occupied[-1]) if occupied.size else 0
-
-
-def _parity_dim(displacement2: float, support: int) -> int:
-    """Basis size for accurate displaced-parity matrix elements.
-
-    A displaced level-n state spreads around displacement2 + n with width
-    of order sqrt(displacement2 * (n + 1)); the rule keeps the weight lost
-    above the cutoff below ~1e-10.
-    """
-    return int(math.ceil(
-        displacement2 + support + 3.8 * math.sqrt(displacement2 * (support + 1.0)) + 16.0
-    ))
-
-
-def _basis_side(x_bounds, p_bounds, dim: int, support: int) -> int:
-    """Side of the parity basis for a ``dim``-level state with the given support, on a grid with these bounds.
-
-    The farthest grid corner, with the displacement doubled by the parity
-    fold, needs _parity_dim(2 (max|x|^2 + max|p|^2), support).
-    """
-    return max(dim, _parity_dim(2.0 * (max(map(abs, x_bounds)) ** 2 + max(map(abs, p_bounds)) ** 2), support))
-
-
-# The last parity basis that wigner built, {key: arrays}; at most one entry, so a map on another basis or grid evicts it
-_basis_slot: dict = {}
-
-
-def _parity_basis(n: int, d: int, xs: np.ndarray, ps: np.ndarray) -> tuple:
-    """The rho-independent half of a Wigner map on an n-level parity basis: (V[:d], diag U_dag, G, e^{2ipw}, e^{2iwx}).
-
-    Kept read-only in ``_basis_slot`` under (n, d) and the bits of the grid
-    axes ``xs`` and ``ps``, so ``-0.0`` and ``0.0`` bounds do not share an
-    entry.  A miss clears the slot before building, so at most one basis is
-    alive.
-    """
-    key = (n, d, xs.tobytes(), ps.tobytes())
-    arrays = _basis_slot.get(key)
-    if arrays is None:
-        _basis_slot.clear()
-        k = np.arange(n)
-        w, v = eigh_tridiagonal(np.zeros(n), np.sqrt(k[1:] / 2.0))
-        u_dag = np.array([1.0, -1j, -1.0, 1j])[k % 4]  # diagonal of U_dag
-        # U_dag is real on even levels and imaginary on odd ones
-        ev, od = v[0::2], v[1::2]
-        gram = ev.T @ (u_dag[0::2].real[:, None] * ev) + 1j * (od.T @ (u_dag[1::2].imag[:, None] * od))
-        # V[:d] keeps V's Fortran order, so the kernel products see the layout of V itself
-        arrays = (v[:d].copy(order="F"), u_dag, gram, np.exp(2j * np.outer(ps, w)), np.exp(2j * np.outer(w, xs)))
-        for arr in arrays:
-            arr.flags.writeable = False
-        _basis_slot[key] = arrays
-    return arrays
+# wigner's rule for its grid bounds, at sqrt(2) times which it evaluates hermite_functions
+_WIGNER_BOUNDS = ((lambda bounds: _SQUARABLE[0](math.sqrt(2.0) * np.asarray(bounds, dtype=np.float64))),
+                  "bounds whose sqrt(2) multiples have finite squares")
 
 
 def wigner(rho: DensityMatrix, grid: PhaseGrid) -> np.ndarray:
     """W(x_i, p_j) = (1/pi) Tr[rho D(g) P D(g)_dag], g = (x + i p)/sqrt2, as a read-only (nx, np) array.
 
-    P is the photon-number parity.  Parity conjugation folds the two
-    displacements into one, Tr[rho D(2g) P], with
-    D(2g) = e^{-2ixp} exp(2ip X) exp(-2ix Q), X = (a + a_dag)/sqrt2 and
-    Q = i(a_dag - a)/sqrt2.  Both factors come from one real Jacobi matrix
-    J = X = V diag(w) V^T, a tridiagonal eigenproblem whose eigenvectors are
-    the Hermite functions at the Gauss-Hermite nodes w (Golub & Welsch 1969).
-    With U = diag(i^k), U_dag a U = i a, so Q = U_dag (-J) U: the x axis uses
-    V_x = U_dag V and the p axis V_p = V.  The trace is one contraction,
+    P is the photon-number parity.  In W = (1/pi) int du <x-u| rho |x+u> e^{2ipu}
+    each psi_a(x-u) psi_b(x+u) is a two-mode wave function, which a balanced
+    beam splitter B = B(pi/4) carries to the rotated coordinates sqrt2 x and
+    sqrt2 u; the u integral is then a Fourier transform of psi_m, which
+    returns (-i)^m psi_m(sqrt2 p).  With |rho>> = sum_ab rho_ab |a>|b>,
 
-        Tr[rho D(2g) P] = e^{-2ixp} sum_ab e^{2ipw_a} G_ab K_ab e^{2ixw_b},
+        W(x, p) = pi^(-1/2) sum_{j,m < 2d-1} Re[(-i)^m <m, j| B |rho>>] psi_j(sqrt2 x) psi_m(sqrt2 p),
 
-    G = V_p^T V_x, K = (V_x_dag P rho V_p)^T.  It is linear in rho, so rho is
-    not diagonalized: zero-padded (an exact embedding) into a basis large
-    enough for the farthest corner, it meets only the first d rows of V.
-
-    Everything but K depends only on (n, d, grid), so the last basis built
-    stays in one read-only slot (``_parity_basis``) and the next map on the
-    same basis and grid reuses it: 16 n^2 + 16 n (nx + np) bytes for G and
-    the two axis exponentials, held until a map on another basis or grid
-    replaces them.
+    exact up to rounding: B keeps the photon number a + b <= 2d-2, so no
+    basis beyond 2d-1 levels enters.  Sector N of ``beam_splitter_op(pi/4, N)``
+    maps v_k = rho[N-k, k] to C[j, N-j] = <N-j, j| B |rho>>, one sector
+    recurrence pass in all; the map is then two real matrix products over two
+    Hermite tables, O(d^3 + (2d-1)^2 (nx + np) + (2d-1) nx np), with nothing
+    kept between calls.
     """
-    xs, ps = grid.xs(), grid.ps()
+    _require("grid bounds", _WIGNER_BOUNDS, [grid.x_min, grid.x_max, grid.p_min, grid.p_max])
     d = rho.trunc.dim
-    support = _support_level(np.real(np.diag(rho.elems)))
-    n = _basis_side((grid.x_min, grid.x_max), (grid.p_min, grid.p_max), d, support)
-    vd, u_dag, gram, left, right = _parity_basis(n, d, xs, ps)
-    # V_x_dag P = V^T U P = V^T U_dag, so K^T = V^T U_dag rho V on the first d rows
-    m = left @ (gram * (vd.T @ (u_dag[:d, None] * rho.elems) @ vd).T) @ right
-    w = np.real(np.exp(-2j * np.outer(xs, ps)) * m.T) / math.pi
+    m = 2 * d - 1
+    levels = np.arange(m)
+    coeffs = np.zeros((m, m), dtype=np.complex128)  # C[j, N - j]
+    flipped = rho.elems[::-1]  # flipped.diagonal(N - d + 1) is rho[N - k, k] over the k that both levels allow
+    for n, block in enumerate(_sector_blocks(math.pi / 4, d)):
+        j = levels[: n + 1]
+        coeffs[j, n - j] = block @ flipped.diagonal(n - d + 1)
+    real = np.real(coeffs * np.array([1.0, -1j, -1.0, 1j])[levels % 4]) / math.sqrt(math.pi)
+    w = hermite_functions(math.sqrt(2.0) * grid.xs(), m).T @ real @ hermite_functions(math.sqrt(2.0) * grid.ps(), m)
     w.flags.writeable = False
     return w
 
@@ -256,11 +199,16 @@ def apply_loss(rho: DensityMatrix, channel: LossChannel) -> DensityMatrix:
 # file formats
 
 
-def npy_bytes(array) -> bytes:
-    """``.npy`` file (format 1.0) of ``array`` as little-endian float64 in C order; ``np.load`` reads it back."""
+def npy_buffers(array) -> tuple:
+    """The header and the data of a ``.npy`` file (format 1.0) of ``array`` as little-endian float64 in C order.
+
+    Written one after the other they make the file, which ``np.load`` reads
+    back; the data is ``array`` itself where it already has that layout, so
+    no copy of it is made.
+    """
     array, buf = np.ascontiguousarray(array, dtype="<f8"), io.BytesIO()
     np.lib.format.write_array_header_1_0(buf, np.lib.format.header_data_from_array_1_0(array))
-    return b"".join((buf.getvalue(), array))  # one copy of the data, where np.save to a buffer makes two
+    return buf.getvalue(), array
 
 
 def marginal_filename(prefix: str, phase: float) -> str:

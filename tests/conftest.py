@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from cvortho import DensityMatrix, StateVector, Truncation, displacement_op
-from cvortho.phasespace import _parity_dim, _support_level, hermite_functions
+from cvortho.phasespace import hermite_functions
 
 
 @pytest.fixture
@@ -65,14 +65,34 @@ def dense_beam_splitter(theta, truncs):
     return expm(theta * gen)
 
 
+def _support_level(weights: np.ndarray, eps: float = 1e-13) -> int:
+    """Highest level carrying non-negligible probability weight."""
+    tail = np.cumsum(weights[::-1])[::-1]
+    occupied = np.nonzero(tail > eps)[0]
+    return int(occupied[-1]) if occupied.size else 0
+
+
+def _parity_dim(displacement2: float, support: int) -> int:
+    """Basis size for accurate displaced-parity matrix elements in the oracles below.
+
+    A displaced level-n state spreads around displacement2 + n with width
+    of order sqrt(displacement2 * (n + 1)); the rule keeps the weight lost
+    above the cutoff below ~1e-10.
+    """
+    return int(math.ceil(
+        displacement2 + support + 3.8 * math.sqrt(displacement2 * (support + 1.0)) + 16.0
+    ))
+
+
 def eigvec_wigner(rho, grid):
     """Wigner map by one sweep per eigenvector of rho (test oracle).
 
     Diagonalizes rho and both axis displacement generators densely
     (exp(v gen) = V e^{-i v w} V_dag, gen = (a_dag - a)/sqrt2 on x and
     i (a_dag + a)/sqrt2 on p) and sums, over eigenvectors above 1e-12,
-    W_jk = Re[e^{-2i x_j p_k} <v| Dp(2p_k) Dx(2x_j) P |v>] / pi.  It shares
-    only the basis size with :func:`cvortho.wigner`.
+    W_jk = Re[e^{-2i x_j p_k} <v| Dp(2p_k) Dx(2x_j) P |v>] / pi, on a basis
+    that ``_parity_dim`` sizes for the farthest grid corner.  It shares
+    nothing with :func:`cvortho.wigner`.
     """
     xs, ps = grid.xs(), grid.ps()
     evals, evecs = np.linalg.eigh(rho.elems)
@@ -104,8 +124,9 @@ def wigner_point(rho, x, p):
     """Wigner value at one point through the displacement operator directly (test oracle).
 
     Evaluates Tr[rho D(g) P D(g)_dag] / pi, g = (x + i p)/sqrt2, with the
-    matrix exponential of :func:`cvortho.displacement_op`; it shares only
-    the basis size with :func:`cvortho.wigner`'s folded sweep.
+    matrix exponential of :func:`cvortho.displacement_op`, on a basis that
+    ``_parity_dim`` sizes for the point; it shares nothing with
+    :func:`cvortho.wigner`'s beam-splitter form.
     """
     support = _support_level(np.real(np.diag(rho.elems)))
     n = max(rho.trunc.dim, _parity_dim((x * x + p * p) / 2.0, support))

@@ -31,14 +31,14 @@ from cvortho.homodyne import (
     SAMPLING_X_MIN,
     product_coefficients,
 )
-from cvortho.phasespace import _phase_matrix, hermite_functions, npy_bytes
+from cvortho.phasespace import _phase_matrix, hermite_functions, npy_buffers
 
 from conftest import mixed_states, random_mixed_state, random_state
 
 
 def samples_npy(samples) -> bytes:
-    """The bytes of ``samples.npy`` for ``samples``: ``npy_bytes`` of its (phase, x) columns, as the runner writes."""
-    return npy_bytes(np.column_stack([samples.phase, samples.x]))
+    """The bytes of ``samples.npy`` for ``samples``: ``npy_buffers`` of its (phase, x) columns, as the runner writes."""
+    return b"".join(npy_buffers(np.column_stack([samples.phase, samples.x])))
 
 
 def dense_maxlik(samples, dim, max_iter, tol):

@@ -3,13 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import eigvec_wigner, kernel_marginal, mixed_states, random_mixed_state, random_state, wigner_point
+from conftest import eigvec_wigner, kernel_marginal, mixed_states, random_state, wigner_point
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cvortho import (
-    DensityMatrix,
     LossChannel,
     PhaseGrid,
     Truncation,
@@ -20,11 +19,10 @@ from cvortho import (
     fock_state,
     hermite_functions,
     marginal,
-    phasespace,
     wigner,
 )
 from cvortho.cli import DEFAULTS
-from cvortho.phasespace import _basis_side, marginal_filename, npy_bytes
+from cvortho.phasespace import marginal_filename, npy_buffers
 
 
 @st.composite
@@ -36,38 +34,6 @@ def off_centre_grids(draw):
     assume(x_min != -x_max and p_min != -p_max)
     nx = draw(st.integers(2, 12))
     return PhaseGrid(x_min, x_max, p_min, p_max, nx, nx + draw(st.integers(1, 6)))
-
-
-@st.composite
-def signed_zero_grids(draw):
-    # on each axis one bound may be -0.0 or 0.0, whose bits differ
-    def axis():
-        zero = st.sampled_from([-0.0, 0.0])
-        low, high = st.floats(-4.0, -0.25), st.floats(0.25, 4.0)
-        return draw(st.tuples(zero | low, high) | st.tuples(low, zero | high))
-    (x_min, x_max), (p_min, p_max) = axis(), axis()
-    return PhaseGrid(x_min, x_max, p_min, p_max, draw(st.integers(2, 12)), draw(st.integers(2, 12)))
-
-
-@st.composite
-def same_support_pairs(draw, max_dim):
-    # two d-level densities on the same levels 0..s-1 (so wigner gives both the same basis side), zero above
-    d = draw(st.integers(2, max_dim))
-    s = draw(st.integers(1, d))
-    pair = []
-    for _ in range(2):
-        elems = np.zeros((d, d), dtype=np.complex128)
-        if s == 1:
-            elems[0, 0] = 1.0
-        else:
-            elems[:s, :s] = random_mixed_state(s, draw(st.integers(1, s)), draw(st.integers(0, 2**32 - 1))).elems
-        pair.append(DensityMatrix(elems, Truncation(d)))
-    return pair
-
-
-def slot_key():
-    assert len(phasespace._basis_slot) == 1
-    return next(iter(phasespace._basis_slot))
 
 
 def displaced_one_photon_density(xs, alpha):
@@ -109,6 +75,23 @@ class TestWigner:
         xs, ps = grid.xs(), grid.ps()
         ref = np.exp(-(xs[:, None] ** 2) - ps[None, :] ** 2) / math.pi
         assert np.max(np.abs(w - ref)) < 1e-9
+
+    def test_coherent_far_from_the_origin_closed_form(self):
+        # alpha = 6 on a grid centred at its peak (6 sqrt2, 0); the Poisson tail past level 120 is below 1e-26
+        centre = 6.0 * math.sqrt(2.0)
+        grid = PhaseGrid(centre - 4.0, centre + 4.0, -4.0, 4.0, 41, 41)
+        w = wigner(coherent_state(6.0, Truncation(120)).to_density(), grid)
+        ref = np.exp(-((grid.xs()[:, None] - centre) ** 2) - grid.ps()[None, :] ** 2) / math.pi
+        assert np.max(np.abs(w - ref)) <= 1e-13
+
+    def test_bounds_are_refused_where_their_sqrt2_multiples_square_past_the_float_range(self):
+        # the map evaluates Hermite functions at sqrt(2) x and sqrt(2) p: the limit is sqrt(max float / 2) ~ 9.486e153
+        rho = fock_state(0, Truncation(4)).to_density()
+        far = wigner(rho, PhaseGrid(-9.48e153, 9.48e153, -1.0, 1.0, 2, 2))
+        assert far.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        message = r"^grid bounds: must be bounds whose sqrt\(2\) multiples have finite squares, got \[-1.0, 9.49e\+153"
+        with pytest.raises(ValueError, match=message):
+            wigner(rho, PhaseGrid(-1.0, 9.49e153, -1.0, 1.0, 2, 2))
 
     def test_coherent_peak_location(self):
         grid = PhaseGrid(**DEFAULTS["grid"])
@@ -187,48 +170,6 @@ class TestWignerContraction:
         coarse = np.trapezoid(w[:, ::2], grid.ps()[::2], axis=1)
         (density,) = marginal(rho, (0.0,), grid.xs())
         assert np.all(np.abs(fine - density) <= np.abs(fine - coarse) + 1e-13)
-
-
-class TestParityBasisSlot:
-    @settings(max_examples=40, deadline=None)
-    @given(pair=same_support_pairs(max_dim=20), grid=signed_zero_grids())
-    def test_warm_slot_map_equals_cold_map(self, pair, grid):
-        warm_up, rho = pair
-        wigner(warm_up, grid)
-        key = slot_key()
-        warm = wigner(rho, grid)
-        assert slot_key() is key  # the map reused the warm-up's basis
-        phasespace._basis_slot.clear()
-        assert wigner(rho, grid).tobytes() == warm.tobytes()
-
-    def test_cached_arrays_are_read_only(self):
-        wigner(fock_state(1, Truncation(8)).to_density(), PhaseGrid(-3.0, 3.0, -2.0, 2.0, 9, 7))
-        (arrays,) = phasespace._basis_slot.values()
-        assert len(arrays) == 5
-        for arr in arrays:
-            assert not arr.flags.writeable and arr.base is None  # no writeable array shares its memory
-            with pytest.raises(ValueError, match="read-only"):
-                arr[...] = 0
-
-    def test_another_basis_or_grid_evicts_the_entry(self):
-        grid = PhaseGrid(-3.0, 3.0, -2.0, 2.0, 9, 7)
-        one = fock_state(1, Truncation(8)).to_density()
-        wigner(one, grid)
-        first = slot_key()
-        n = _basis_side((-3.0, 3.0), (-2.0, 2.0), 8, 1)
-        assert first[:2] == (n, 8)
-        for rho, other, key_head in [
-            (fock_state(3, Truncation(8)).to_density(), grid, (_basis_side((-3.0, 3.0), (-2.0, 2.0), 8, 3), 8)),
-            (fock_state(1, Truncation(9)).to_density(), grid, (n, 9)),
-            (one, PhaseGrid(-3.0, 3.0, -2.0, 2.0, 9, 8), (n, 8)),
-            (one, PhaseGrid(-3.0, 3.0, -2.0, 0.0, 9, 7), (n, 8)),
-            (one, PhaseGrid(-3.0, 3.0, -2.0, -0.0, 9, 7), (n, 8)),
-            (one, grid, (n, 8)),
-        ]:
-            before = slot_key()
-            wigner(rho, other)
-            assert slot_key() is not before and slot_key()[:2] == key_head
-        assert slot_key() == first and slot_key() is not first  # rebuilt, not kept beside the others
 
 
 class TestMarginal:
@@ -379,8 +320,9 @@ class TestLossChannel:
 class TestFileFormats:
     @staticmethod
     def loaded(array):
-        """``np.load`` of ``npy_bytes(array)``, whose header must say format 1.0, ``<f8``, C order and the array's shape."""
-        data = io.BytesIO(npy_bytes(array))
+        """``np.load`` of ``npy_buffers(array)`` written one after the other, whose header must say format 1.0, ``<f8``,
+        C order and the array's shape."""
+        data = io.BytesIO(b"".join(npy_buffers(array)))
         assert np.lib.format.read_magic(data) == (1, 0)
         shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(data)
         assert (dtype.str, fortran_order, shape) == ("<f8", False, array.shape)
@@ -393,7 +335,7 @@ class TestFileFormats:
         special = [-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300, 3.0, -7.0, 2.0**53, 1.0 / 3.0, math.pi]
         return np.resize(np.array(special), count)
 
-    def test_npy_bytes_keeps_every_bit_of_a_grid(self, rng):
+    def test_npy_buffers_keep_every_bit_of_a_grid(self, rng):
         grid = PhaseGrid(-3, 3, -2, 2, 11, 9)
         computed = wigner(random_state(Truncation(8), rng, support=5).to_density(), grid)
         awkward = self.awkward_values(99).reshape(11, 9)
@@ -406,7 +348,7 @@ class TestFileFormats:
         (written,) = marginal(fock_state(0, Truncation(4)).to_density(), (0.25,), xs)
         name = marginal_filename("marginal_out", 0.25)
         assert name == "marginal_out_phi0.2500.npy"
-        (tmp_path / name).write_bytes(npy_bytes(np.column_stack([xs, written])))
+        (tmp_path / name).write_bytes(b"".join(npy_buffers(np.column_stack([xs, written]))))
         x, density = np.load(tmp_path / name, allow_pickle=False).T
         assert np.array_equal(x, xs) and np.array_equal(density, written)
 
