@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .fock import (
     DensityMatrix,
     HeraldImpossibleError,
-    ModeOperator,
     StateVector,
     Truncation,
     TruncationError,
@@ -24,7 +23,6 @@ from .fock import (
     expectation,
     fidelity,
     fock_state,
-    identity_op,
     inner_product,
     ladder_operators,
     min_dim_for_coherent,

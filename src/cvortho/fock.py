@@ -4,8 +4,9 @@ A single bosonic mode is represented on the number basis |0>, ..., |N-1>.
 The two-mode beam splitter conserves the total photon number, so it is
 given one photon-number sector at a time; no truncation enters there.
 
-All containers are immutable: arrays are copied on construction and marked
-read-only, so values can be shared freely across threads.
+States and densities are immutable: their arrays are copied on construction
+and marked read-only.  Operators are frozen (read-only) complex128 (d, d)
+arrays.  So values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -23,14 +24,12 @@ __all__ = [
     "Truncation",
     "StateVector",
     "DensityMatrix",
-    "ModeOperator",
     "TruncationError",
     "HeraldImpossibleError",
     "fock_state",
     "coherent_state",
     "min_dim_for_coherent",
     "ladder_operators",
-    "identity_op",
     "displacement_op",
     "beam_splitter_op",
     "inner_product",
@@ -100,9 +99,13 @@ class Truncation:
             raise ValueError(f"tail_tol must be >= 0, got {self.tail_tol!r}")
 
 
-def _freeze(obj, name, arr):
+def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
-    object.__setattr__(obj, name, arr)
+    return arr
+
+
+def _freeze(obj, name, arr):
+    object.__setattr__(obj, name, _read_only(arr))
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,59 +186,14 @@ class DensityMatrix:
         _freeze(self, "elems", elems)
 
 
-@dataclass(frozen=True, eq=False)
-class ModeOperator:
-    """General complex matrix acting on one mode."""
-
-    elems: np.ndarray
-    trunc: Truncation
-
-    def __post_init__(self):
-        elems = np.array(self.elems, dtype=np.complex128)
-        if elems.shape != (self.trunc.dim, self.trunc.dim):
-            raise ValueError(
-                f"matrix shape {elems.shape} does not match truncation dim {self.trunc.dim}"
-            )
-        _freeze(self, "elems", elems)
-
-    @property
-    def dag(self) -> "ModeOperator":
-        return ModeOperator(self.elems.conj().T, self.trunc)
-
-    def apply(self, psi: StateVector) -> StateVector:
-        """Apply to a state; the result is generally unnormalized."""
-        _require_same_dim(self, psi)
-        return StateVector(self.elems @ psi.amps, psi.trunc)
-
-    def __matmul__(self, other):
-        if isinstance(other, ModeOperator):
-            _require_same_dim(self, other)
-            return ModeOperator(self.elems @ other.elems, self.trunc)
-        return NotImplemented
-
-    def __add__(self, other):
-        if isinstance(other, ModeOperator):
-            _require_same_dim(self, other)
-            return ModeOperator(self.elems + other.elems, self.trunc)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, ModeOperator):
-            _require_same_dim(self, other)
-            return ModeOperator(self.elems - other.elems, self.trunc)
-        return NotImplemented
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, (int, float, complex, np.number)):
-            return ModeOperator(self.elems * scalar, self.trunc)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-
 def _require_same_dim(x, y):
     if x.trunc.dim != y.trunc.dim:
         raise ValueError(f"dimension mismatch: {x.trunc.dim} vs {y.trunc.dim}")
+
+
+def _require_operator_on(op: np.ndarray, trunc: Truncation) -> None:
+    if op.shape != (trunc.dim, trunc.dim):
+        raise ValueError(f"dimension mismatch: operator of shape {op.shape} on {trunc.dim} levels")
 
 
 # ---------------------------------------------------------------------------
@@ -296,23 +254,20 @@ def coherent_state(alpha: complex, trunc: Truncation) -> StateVector:
 
 
 def ladder_operators(trunc: Truncation):
-    """Annihilation, creation, and number operators (a, a_dag, n).
+    """Annihilation, creation, and number operators (a, a_dag, n) as read-only complex (N, N) arrays.
 
     a|n> = sqrt(n)|n-1> and a_dag|n> = sqrt(n+1)|n+1> for n < N-1; the top
     level is annihilated by a_dag, so [a, a_dag] = 1 only on levels 0..N-2.
-    n = a_dag a is formed on its diagonal, sqrt(k) * sqrt(k), which gives
-    the same floats as the dense product at O(N) cost.
+    a is real, so a_dag is its transposed view.  n = a_dag a is formed on its
+    diagonal, sqrt(k) * sqrt(k), which gives the same floats as the dense
+    product at O(N) cost.
     """
     offdiag = np.sqrt(np.arange(1, trunc.dim, dtype=np.float64))
-    a = ModeOperator(np.diag(offdiag, k=1), trunc)
-    return a, a.dag, ModeOperator(np.diag(np.concatenate(([0.0], offdiag * offdiag))), trunc)
+    a = _read_only(np.diag(offdiag, k=1).astype(np.complex128))
+    return a, a.T, _read_only(np.diag(np.concatenate(([0.0], offdiag * offdiag))).astype(np.complex128))
 
 
-def identity_op(trunc: Truncation) -> ModeOperator:
-    return ModeOperator(np.eye(trunc.dim, dtype=np.complex128), trunc)
-
-
-def displacement_op(alpha: complex, trunc: Truncation) -> ModeOperator:
+def displacement_op(alpha: complex, trunc: Truncation) -> np.ndarray:
     """Displacement exp(alpha a_dag - conj(alpha) a) on the finite matrix.
 
     Computed by scaling-and-squaring of the truncated generator; unitary on
@@ -320,13 +275,11 @@ def displacement_op(alpha: complex, trunc: Truncation) -> ModeOperator:
     :func:`unitarity_defect` for the diagnostic norm).
     """
     a, a_dag, _ = ladder_operators(trunc)
-    gen = alpha * a_dag.elems - np.conj(alpha) * a.elems
-    return ModeOperator(expm(gen), trunc)
+    return _read_only(expm(alpha * a_dag - np.conj(alpha) * a))
 
 
-def unitarity_defect(op) -> float:
+def unitarity_defect(u: np.ndarray) -> float:
     """sup-norm of U_dag U - 1; reports truncation-induced degradation."""
-    u = op.elems
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
@@ -375,9 +328,7 @@ def beam_splitter_op(theta: float, total: int) -> np.ndarray:
     B (|0> x |beta>) = |-r beta> x |t beta>.
     """
     _require("total", _int_rule(0), total)
-    block = next(itertools.islice(_sector_blocks(theta, total + 1), total, None))
-    block.flags.writeable = False
-    return block
+    return _read_only(next(itertools.islice(_sector_blocks(theta, total + 1), total, None)))
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +341,12 @@ def inner_product(u: StateVector, v: StateVector) -> complex:
     return complex(np.vdot(u.amps, v.amps))
 
 
-def expectation(op: ModeOperator, state) -> complex:
-    """<O> on a StateVector (assumed normalized) or a DensityMatrix."""
-    _require_same_dim(op, state)
+def expectation(op: np.ndarray, state) -> complex:
+    """<O> for an (N, N) operator array on a StateVector (assumed normalized) or a DensityMatrix over N levels."""
+    _require_operator_on(op, state.trunc)
     if isinstance(state, DensityMatrix):
-        return complex(np.trace(state.elems @ op.elems))
-    return complex(np.vdot(state.amps, op.elems @ state.amps))
+        return complex(np.trace(state.elems @ op))
+    return complex(np.vdot(state.amps, op @ state.amps))
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:

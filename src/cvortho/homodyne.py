@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, Truncation, _int_rule, _require
+from .fock import DensityMatrix, Truncation, _freeze, _int_rule, _require
 from .phasespace import _phase_matrix, hermite_functions, marginal
 
 __all__ = [
@@ -56,9 +56,7 @@ class QuadratureSamples:
 
     def __post_init__(self):
         for name in ("phase", "x"):
-            column = np.array(getattr(self, name), dtype=np.float64).reshape(-1)
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+            _freeze(self, name, np.array(getattr(self, name), dtype=np.float64).reshape(-1))
         if self.phase.shape != self.x.shape:
             raise ValueError("phase and x must have the same length")
 
@@ -135,13 +133,17 @@ def sample_quadratures(rho: DensityMatrix, plan: SamplingPlan) -> QuadratureSamp
     of efficiency eta is modelled by sampling ``apply_loss(rho, LossChannel(eta))``.
     """
     xs = np.linspace(SAMPLING_X_MIN, SAMPLING_X_MAX, SAMPLING_POINTS)
-    draws = []
+    count = plan.samples_per_phase
+    x = np.empty(len(plan.phases) * count)  # one column, filled phase by phase, so no draw is held twice
     for i, dens in enumerate(marginal(rho, plan.phases, xs)):
         cdf = np.concatenate(([0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(xs))))
         cdf /= cdf[-1]
         rng = np.random.default_rng(plan.seed + i)
-        draws.append(np.interp(rng.random(plan.samples_per_phase), cdf, xs))
-    return QuadratureSamples(np.repeat(plan.phases, plan.samples_per_phase), np.concatenate(draws))
+        x[i * count: (i + 1) * count] = np.interp(rng.random(count), cdf, xs)
+    samples = object.__new__(QuadratureSamples)  # both columns are this call's alone: frozen in place, not copied
+    _freeze(samples, "phase", np.repeat(plan.phases, count))
+    _freeze(samples, "x", x)
+    return samples
 
 
 def product_coefficients(dim: int) -> np.ndarray:

@@ -21,17 +21,18 @@ import numpy as np
 from .fock import (
     ZERO_NORM_TOL,
     HeraldImpossibleError,
-    ModeOperator,
     StateVector,
     Truncation,
     beam_splitter_op,
     check_tail,
     coherent_state,
     expectation,
-    identity_op,
     ladder_operators,
+    _freeze,
     _int_rule,
+    _read_only,
     _require,
+    _require_operator_on,
 )
 
 __all__ = [
@@ -85,17 +86,19 @@ class OperatorKind(Enum):
     CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthogonalizerSpec:
     """Choice of operator C together with its mean on the intended input.
 
     For ``NUMBER`` the mean is the mean photon number and must be real.
-    ``CUSTOM`` carries the operator matrix explicitly.
+    ``CUSTOM`` carries the operator matrix explicitly, as a read-only complex
+    copy of the caller's matrix.
     """
 
     kind: OperatorKind
     mean_value: complex
-    operator: ModeOperator | None = None
+    operator: np.ndarray | None = None
+    OPERATOR_SHAPE = (lambda shape: len(shape) == 2 and shape[0] == shape[1]), "a square matrix"
 
     def __post_init__(self):
         if self.kind is OperatorKind.NUMBER and abs(complex(self.mean_value).imag) >= 1e-12:
@@ -104,9 +107,13 @@ class OrthogonalizerSpec:
             raise ValueError("custom specs must carry the operator matrix")
         if self.kind is not OperatorKind.CUSTOM and self.operator is not None:
             raise ValueError("operator matrix is only meaningful for custom specs")
+        if self.operator is not None:
+            operator = np.array(self.operator, dtype=np.complex128)
+            _require("operator shape", self.OPERATOR_SHAPE, operator.shape)
+            _freeze(self, "operator", operator)
 
     @classmethod
-    def from_state(cls, kind: OperatorKind, psi: StateVector, operator: ModeOperator | None = None):
+    def from_state(cls, kind: OperatorKind, psi: StateVector, operator: np.ndarray | None = None):
         """Measure <C> on ``psi`` and record it as the spec mean; the kind and operator are checked first."""
         mean = expectation(_base_operator(cls(kind, 0.0, operator), psi.trunc), psi)
         return cls(kind, mean.real if kind is OperatorKind.NUMBER else mean, operator)
@@ -137,31 +144,32 @@ class HeraldModel:
         return math.sin(self.theta)
 
 
-def _base_operator(spec: OrthogonalizerSpec, trunc: Truncation) -> ModeOperator:
+def _base_operator(spec: OrthogonalizerSpec, trunc: Truncation) -> np.ndarray:
     if spec.kind is OperatorKind.CREATION:
         return ladder_operators(trunc)[1]
     if spec.kind is OperatorKind.NUMBER:
         return ladder_operators(trunc)[2]
-    return spec.operator  # an operator on another basis meets _require_same_dim at its first use
+    _require_operator_on(spec.operator, trunc)  # a spec built for another basis fails at its first use
+    return spec.operator
 
 
 # ---------------------------------------------------------------------------
 # ideal operators
 
 
-def qubit_operator(spec: OrthogonalizerSpec, c: complex, trunc: Truncation) -> ModeOperator:
+def qubit_operator(spec: OrthogonalizerSpec, c: complex, trunc: Truncation) -> np.ndarray:
     """C + (c - <C>) 1 as a dense matrix: the reference that ``orthogonalize(psi, spec, c)`` is checked against.
 
     On coherent input with the creation operator it gives the displaced
     qubit D(alpha)(|1> + c|0>) up to normalization.
     """
     base = _base_operator(spec, trunc)
-    return base + (complex(c) - complex(spec.mean_value)) * identity_op(trunc)
+    return _read_only(base + (complex(c) - complex(spec.mean_value)) * np.eye(trunc.dim))
 
 
-def _shifted(base: ModeOperator, shift: complex, psi: StateVector, context: str | None) -> StateVector:
+def _shifted(base: np.ndarray, shift: complex, psi: StateVector, context: str | None) -> StateVector:
     """(base - shift 1)|psi>, normalized, as one vector step; with a ``context``, tail-guarded under that name."""
-    raw = base.apply(psi).amps - shift * psi.amps
+    raw = base @ psi.amps - shift * psi.amps
     nrm = float(np.linalg.norm(raw))
     if nrm < ZERO_NORM_TOL:
         raise EigenstateError(f"the input is an eigenstate of the operator with eigenvalue {shift:.6g}; "
@@ -213,7 +221,7 @@ def orthogonal_family(psi: StateVector, spec: OrthogonalizerSpec, k: int) -> lis
     return family[1:]
 
 
-def two_operator_orthogonalizer(c1: ModeOperator, c2: ModeOperator, psi: StateVector) -> ModeOperator:
+def two_operator_orthogonalizer(c1: np.ndarray, c2: np.ndarray, psi: StateVector) -> np.ndarray:
     """C1 - (<C1>/<C2>) C2, orthogonalizing ``psi`` with two operators.
 
     Reduces to the single-operator form when C2 is the identity.
@@ -224,24 +232,24 @@ def two_operator_orthogonalizer(c1: ModeOperator, c2: ModeOperator, psi: StateVe
         raise DegenerateDenominatorError(
             f"<C2> = {mean2:.3e} vanishes on the input; the operator ratio is undefined"
         )
-    return c1 - (mean1 / mean2) * c2
+    return _read_only(c1 - (mean1 / mean2) * c2)
 
 
 # ---------------------------------------------------------------------------
 # heralded beam-splitter realizations
 
 
-def ideal_addition_operator(model: HeraldModel, trunc: Truncation) -> ModeOperator:
+def ideal_addition_operator(model: HeraldModel, trunc: Truncation) -> np.ndarray:
     """t a_dag - r beta e^{i phi} 1: the heralded addition scheme's target."""
     _, a_dag, _ = ladder_operators(trunc)
     shift = model.r * complex(model.beta) * cmath.exp(1j * model.phi)
-    return model.t * a_dag - shift * identity_op(trunc)
+    return _read_only(model.t * a_dag - shift * np.eye(trunc.dim))
 
 
-def ideal_number_operator(model: HeraldModel, trunc: Truncation) -> ModeOperator:
+def ideal_number_operator(model: HeraldModel, trunc: Truncation) -> np.ndarray:
     """t e^{i phi} a_dag a - r a a_dag: the number scheme's target."""
     a, a_dag, n_op = ladder_operators(trunc)
-    return model.t * cmath.exp(1j * model.phi) * n_op - model.r * (a @ a_dag)
+    return _read_only(model.t * cmath.exp(1j * model.phi) * n_op - model.r * (a @ a_dag))
 
 
 # beta_for_addition_orthogonalizer's rule: r = 0 leaves no ancilla path, and at t = 0 the tuned t a_dag - r beta is 0
@@ -298,7 +306,7 @@ def heralded_addition_model(psi: StateVector, model: HeraldModel):
     """
     check_tail(psi, context="addition-scheme input")
     _, a_dag, _ = ladder_operators(psi.trunc)
-    added = a_dag.apply(psi)
+    added = StateVector(a_dag @ psi.amps, psi.trunc)
     check_tail(added, context="photon-added branch")
 
     ht = Truncation(model.herald_dim or min(psi.trunc.dim, _HERALD_DIM_CAP), tail_tol=_HERALD_TAIL_TOL)
@@ -323,6 +331,6 @@ def number_scheme_model(psi: StateVector, model: HeraldModel):
     _require("theta", _NUMBER_SCHEME_THETA, model.theta, SingularConfigurationError)
     check_tail(psi, context="number-scheme input")
     a, a_dag, n_op = ladder_operators(psi.trunc)
-    branch_n = cmath.exp(1j * model.phi) * n_op.apply(psi).amps
-    branch_an = (a @ a_dag).apply(psi).amps
+    branch_n = cmath.exp(1j * model.phi) * (n_op @ psi.amps)
+    branch_an = a @ (a_dag @ psi.amps)
     return _herald_one_zero(model.theta, branch_n, branch_an, psi.trunc)

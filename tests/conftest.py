@@ -133,7 +133,7 @@ def wigner_point(rho, x, p):
     elems = np.zeros((n, n), dtype=np.complex128)
     elems[: rho.trunc.dim, : rho.trunc.dim] = rho.elems
     gamma = (x + 1j * p) / math.sqrt(2.0)
-    d = displacement_op(gamma, Truncation(n)).elems
+    d = displacement_op(gamma, Truncation(n))
     parity = (-1.0) ** np.arange(n)
     inner = d.conj().T @ elems @ d
     return float(np.real(np.sum(parity * np.diag(inner))) / math.pi)

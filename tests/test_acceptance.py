@@ -16,7 +16,6 @@ from cvortho import (
     EigenstateError,
     HeraldModel,
     LossChannel,
-    ModeOperator,
     OperatorKind,
     OrthogonalizerSpec,
     PhaseGrid,
@@ -75,13 +74,13 @@ def test_criterion_1_orthogonality_battery(rng):
             for kind in (OperatorKind.CREATION, OperatorKind.NUMBER):
                 out = orthogonalize(psi, OrthogonalizerSpec.from_state(kind, psi))
                 worst = max(worst, abs(inner_product(psi, out)))
-            custom = ModeOperator(rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40)), trunc)
+            custom = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
             spec = OrthogonalizerSpec.from_state(OperatorKind.CUSTOM, psi, operator=custom)
             out = orthogonalize(psi, spec)
             worst = max(worst, abs(inner_product(psi, out)))
-            c1 = ModeOperator(rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40)), trunc)
-            c2 = ModeOperator(rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40)), trunc)
-            vec = two_operator_orthogonalizer(c1, c2, psi).apply(psi)
+            c1 = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+            c2 = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+            vec = StateVector(two_operator_orthogonalizer(c1, c2, psi) @ psi.amps, psi.trunc)
             worst = max(worst, abs(inner_product(psi, vec)) / vec.norm)
         assert worst < 1e-10
         with pytest.raises(EigenstateError):
@@ -91,7 +90,7 @@ def test_criterion_1_orthogonality_battery(rng):
         with pytest.raises(EigenstateError):
             orthogonalize(
                 fock_state(2, trunc),
-                OrthogonalizerSpec(OperatorKind.CUSTOM, 1.0, operator=ModeOperator(proj, trunc)),
+                OrthogonalizerSpec(OperatorKind.CUSTOM, 1.0, operator=proj),
             )
     report(1, f"orthogonality battery, worst overlap {worst:.2e}", watch)
 
@@ -104,7 +103,7 @@ def test_criterion_2_displaced_fock_and_marginals(tmp_path):
             trunc = Truncation(60)
             psi = coherent_state(alpha, trunc)
             perp = orthogonalize(psi, OrthogonalizerSpec.from_state(OperatorKind.CREATION, psi))
-            target = displacement_op(alpha, trunc).apply(fock_state(1, trunc))
+            target = StateVector(displacement_op(alpha, trunc) @ fock_state(1, trunc).amps, trunc)
             worst_fid_gap = max(worst_fid_gap, 1.0 - fidelity(perp, target))
 
             outdir = tmp_path / f"alpha_{alpha}"
@@ -139,7 +138,7 @@ def test_criterion_3_physical_model_equivalence():
                 ratios = []
                 for psi in states:
                     out, prob = heralded_addition_model(psi, model)
-                    target = ideal.apply(psi)
+                    target = StateVector(ideal @ psi.amps, psi.trunc)
                     worst_fid_gap = max(worst_fid_gap, 1.0 - fidelity(out, target.normalized()))
                     ratios.append(prob / target.norm**2)
                 worst_spread = max(worst_spread, (max(ratios) - min(ratios)) / min(ratios))
@@ -164,7 +163,7 @@ def test_criterion_4_number_scheme():
         for n in range(11):
             cond, prob = number_scheme_model(fock_state(n, small), model)
             recovered[:, n] = cond.amps * math.sqrt(prob)
-        elementwise = float(np.max(np.abs(recovered[:11, :11] - ideal.elems[:11, :11])))
+        elementwise = float(np.max(np.abs(recovered[:11, :11] - ideal[:11, :11])))
         assert elementwise < 1e-10
     report(4, f"number scheme, overlap {overlap:.1e}, operator deviation {elementwise:.1e}", watch)
 
@@ -185,7 +184,7 @@ def test_criterion_5_wigner_correctness():
         trunc = Truncation(40)
         psi = fock_state(1, trunc)
         alpha = (1.0 + 0.5j) / math.sqrt(2.0)
-        shifted = displacement_op(alpha, trunc).apply(psi).normalized()
+        shifted = StateVector(displacement_op(alpha, trunc) @ psi.amps, psi.trunc).normalized()
         w0 = wigner(psi.to_density(), grid)
         w1 = wigner(shifted.to_density(), grid)
         cov_dev = float(np.max(np.abs(w1[20:, 10:] - w0[:-20, :-10])))
@@ -203,9 +202,9 @@ def test_criterion_6_qubit_wigner_maps():
         worst_pointwise = 0.0
         worst_norm = 0.0
         for c in (1.0, -1.0, 1j, -1j):
-            state = qubit_operator(spec, c, trunc).apply(psi).normalized()
+            state = StateVector(qubit_operator(spec, c, trunc) @ psi.amps, psi.trunc).normalized()
             ref_amps = (c * fock_state(0, trunc).amps + fock_state(1, trunc).amps) / math.sqrt(2.0)
-            ref = disp.apply(StateVector(ref_amps, trunc))
+            ref = StateVector(disp @ ref_amps, trunc)
             w_state = wigner(state.to_density(), grid)
             w_ref = wigner(ref.to_density(), grid)
             worst_pointwise = max(worst_pointwise, float(np.max(np.abs(w_state - w_ref))))
@@ -241,7 +240,7 @@ def test_criterion_8_tomography_round_trip():
         "vacuum": fock_state(0, trunc),
         "coherent": coh,
         "orthogonal": orthogonalize(coh, spec),
-        "qubit": qubit_operator(spec, 1.0, trunc).apply(coh).normalized(),
+        "qubit": StateVector(qubit_operator(spec, 1.0, trunc) @ coh.amps, coh.trunc).normalized(),
     }
     recon_trunc = Truncation(15)
     lines = []

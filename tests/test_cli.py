@@ -788,22 +788,32 @@ class TestDeterminism:
             path = entry["path"]
             assert (tmp_path / "threads1" / path).read_bytes() == (tmp_path / "threads2" / path).read_bytes(), path
 
-    def test_wigner_grids_agree_across_thread_counts(self, tmp_path):
-        # The default 241 x 241 grid takes the map's two real matrix products past the BLAS threading threshold.  On a
-        # 2-core Xeon the grids at 1 and 2 OpenBLAS threads differed in 65-88 of 58,081 entries per map, all in the
-        # last p column, by at most 4 units in the last place of the entry (1.2e-30 absolute): a GEMM kernel rounds a
-        # tile edge differently.  Where the edges fall depends on the CPU, so the bound is 4 rounding steps at the
-        # map's largest entry.  Everything but the grids is byte-identical.
-        one, two = run_at_one_and_two_blas_threads(tmp_path, {"experiment": "qubit_wigner", "eta": 0.6})
-        grids = [entry["path"] for entry in one["files"] if entry["kind"] == "wigner-grid"]
-        assert len(grids) == 4
+    @pytest.mark.parametrize("config, grid_count, marginal_count", [
+        ({"experiment": "qubit_wigner", "eta": 0.6}, 4, 0),
+        ({"experiment": "number_scheme"}, 2, 20),
+    ], ids=["qubit_wigner", "number_scheme"])
+    def test_wigner_grids_agree_across_thread_counts(self, tmp_path, config, grid_count, marginal_count):
+        # The default 241 x 241 grid takes the map's two real matrix products past the BLAS threading threshold, and
+        # the marginal's real product over its 1601 points does the same.  On a 2-core Xeon the qubit_wigner grids at
+        # 1 and 2 OpenBLAS threads differed in 65-88 of 58,081 entries per map, all in the last p column, by at most 4
+        # units in the last place of the entry (1.2e-30 absolute): a GEMM kernel rounds a tile edge differently.  In
+        # the default number_scheme run 17 of its 20 marginal files differed, by at most 1.5e-33 absolute, 3e-17 of a
+        # rounding step at the file's largest density, and its x columns not at all.  Where the edges fall depends on
+        # the CPU, so the bound is 4 rounding steps at the map's largest entry or the file's largest density.
+        # Everything but the grids and the marginal densities is byte-identical.
+        one, two = run_at_one_and_two_blas_threads(tmp_path, config)
+        kinds = [entry["kind"] for entry in one["files"]]
+        assert (kinds.count("wigner-grid"), kinds.count("marginal-npy")) == (grid_count, marginal_count)
         for entry in one["files"]:
             path = entry["path"]
             first, second = (tmp_path / "threads1" / path).read_bytes(), (tmp_path / "threads2" / path).read_bytes()
-            if path not in grids:
+            if entry["kind"] not in ("wigner-grid", "marginal-npy"):
                 assert first == second, path
                 continue
             first, second = np.load(tmp_path / "threads1" / path), np.load(tmp_path / "threads2" / path)
+            if entry["kind"] == "marginal-npy":
+                assert np.array_equal(first[:, 0], second[:, 0]), path
+                first, second = first[:, 1], second[:, 1]
             assert np.max(np.abs(first - second)) <= 4 * np.spacing(np.max(np.abs(first))), path
 
     def test_seed_changes_samples(self, tmp_path):

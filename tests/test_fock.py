@@ -12,6 +12,8 @@ from scipy.linalg import expm
 
 from cvortho import (
     DensityMatrix,
+    OperatorKind,
+    OrthogonalizerSpec,
     StateVector,
     Truncation,
     TruncationError,
@@ -26,6 +28,8 @@ from cvortho import (
     inner_product,
     ladder_operators,
     min_dim_for_coherent,
+    orthogonalize,
+    qubit_operator,
     unitarity_defect,
 )
 
@@ -125,7 +129,7 @@ class TestCoherentState:
 
     def test_matches_displaced_vacuum(self):
         t = Truncation(30)
-        disp = displacement_op(1.0, t).apply(fock_state(0, t))
+        disp = StateVector(displacement_op(1.0, t) @ fock_state(0, t).amps, t)
         assert fidelity(coherent_state(1.0, t), disp) > 1 - 1e-10
 
     def test_truncation_error_carries_hint(self):
@@ -178,24 +182,24 @@ class TestLadderOperators:
     def test_raising(self):
         t = Truncation(10)
         _, a_dag, _ = ladder_operators(t)
-        assert_allclose(a_dag.apply(fock_state(0, t)).amps, fock_state(1, t).amps)
-        assert_allclose(a_dag.apply(fock_state(3, t)).amps, 2.0 * fock_state(4, t).amps)
+        assert_allclose(a_dag @ fock_state(0, t).amps, fock_state(1, t).amps)
+        assert_allclose(a_dag @ fock_state(3, t).amps, 2.0 * fock_state(4, t).amps)
 
     def test_lowering_annihilates_vacuum(self):
         t = Truncation(10)
         a, _, _ = ladder_operators(t)
-        assert a.apply(fock_state(0, t)).norm == 0.0
+        assert StateVector(a @ fock_state(0, t).amps, t).norm == 0.0
 
     def test_number_operator_is_exact_product(self):
         t = Truncation(12)
         a, a_dag, n_op = ladder_operators(t)
-        assert_allclose(n_op.elems, (a_dag @ a).elems)
-        assert_allclose(np.diag(n_op.elems).real, np.arange(12))
+        assert_allclose(n_op, a_dag @ a)
+        assert_allclose(np.diag(n_op).real, np.arange(12))
 
     def test_commutator_on_valid_subspace(self):
         t = Truncation(14)
         a, a_dag, _ = ladder_operators(t)
-        comm = (a @ a_dag - a_dag @ a).elems
+        comm = a @ a_dag - a_dag @ a
         assert_allclose(comm[:-1, :-1], np.eye(13), atol=1e-14)
         # the top level violates the commutator by construction
         assert comm[-1, -1].real == pytest.approx(-13.0)
@@ -203,13 +207,13 @@ class TestLadderOperators:
 
 class TestDisplacement:
     def test_zero_is_identity(self):
-        assert_allclose(displacement_op(0.0, Truncation(10)).elems, np.eye(10))
+        assert_allclose(displacement_op(0.0, Truncation(10)), np.eye(10))
 
     def test_round_trip_error_shrinks_with_dim(self):
         deviations = []
         for dim in (20, 40, 60):
             prod = displacement_op(1.0, Truncation(dim)) @ displacement_op(-1.0, Truncation(dim))
-            deviations.append(np.max(np.abs(prod.elems[:11, :11] - np.eye(11))))
+            deviations.append(np.max(np.abs(prod[:11, :11] - np.eye(11))))
         # the exponential construction keeps the product near the identity at
         # every dim; the sweep only has to confirm no growth beyond noise
         assert deviations[0] < 1e-8
@@ -365,13 +369,24 @@ class TestScalars:
         t = Truncation(9)
         psi = random_state(t, rng)
         _, _, n_op = ladder_operators(t)
-        direct = np.vdot(psi.amps, n_op.elems @ psi.amps)
+        direct = np.vdot(psi.amps, n_op @ psi.amps)
         assert expectation(n_op, psi) == pytest.approx(direct)
         assert expectation(n_op, psi.to_density()) == pytest.approx(direct)
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("call", [
+        lambda four, five: inner_product(fock_state(0, four), five),
+        lambda four, five: expectation(ladder_operators(four)[2], five),
+        lambda four, five: expectation(ladder_operators(four)[2], five.to_density()),
+        lambda four, five: OrthogonalizerSpec.from_state(OperatorKind.CUSTOM, five, ladder_operators(four)[2]),
+        lambda four, five: orthogonalize(five, OrthogonalizerSpec(OperatorKind.CUSTOM, 1.0, ladder_operators(four)[2])),
+        lambda four, five: qubit_operator(OrthogonalizerSpec(OperatorKind.CUSTOM, 1.0, ladder_operators(four)[2]), 0.5,
+                                          five.trunc),
+    ], ids=["inner_product", "expectation_state", "expectation_density", "from_state", "orthogonalize",
+            "qubit_operator"])
+    def test_dimension_mismatch(self, call):
+        # a state or an operator on 4 levels meets a 5-level state
         with pytest.raises(ValueError, match="dimension mismatch"):
-            inner_product(fock_state(0, Truncation(4)), fock_state(0, Truncation(5)))
+            call(Truncation(4), fock_state(1, Truncation(5)))
 
 
 class TestInvariantsAndTypes:
@@ -389,6 +404,13 @@ class TestInvariantsAndTypes:
         psi = fock_state(0, Truncation(4))
         with pytest.raises(ValueError):
             psi.amps[0] = 2.0
+
+    @pytest.mark.parametrize("name, op", [*zip(("a", "a_dag", "n"), ladder_operators(Truncation(4))),
+                                          ("displacement", displacement_op(0.5, Truncation(4)))])
+    def test_operators_are_read_only_complex_arrays(self, name, op):
+        assert op.dtype == np.complex128 and op.shape == (4, 4)
+        with pytest.raises(ValueError, match="read-only"):
+            op[1, 0] = 2.0
 
     def test_density_validation(self):
         t = Truncation(3)

@@ -185,12 +185,12 @@ class TestMaxLikReconstruct:
         assert fidelity(res.rho_hat, project_density(rho, Truncation(10))) >= 0.99
 
     def test_qubit_round_trip(self):
-        from cvortho import OperatorKind, OrthogonalizerSpec, qubit_operator
+        from cvortho import OperatorKind, OrthogonalizerSpec, StateVector, qubit_operator
 
         t = Truncation(25)
         psi = coherent_state(1.0, t)
         spec = OrthogonalizerSpec.from_state(OperatorKind.CREATION, psi)
-        state = qubit_operator(spec, 1.0, t).apply(psi).normalized()
+        state = StateVector(qubit_operator(spec, 1.0, t) @ psi.amps, psi.trunc).normalized()
         plan = SamplingPlan(phases=uniform_phases(10), samples_per_phase=5000, seed=2)
         res = maxlik_reconstruct(sample_quadratures(state.to_density(), plan), dim=15,
                                  max_iter=250, tol=1e-9)
@@ -399,6 +399,12 @@ class TestQuadratureSamples:
         assert samples.phase.tolist() == [p for p in plan.phases for _ in range(4)]
         assert samples.x.shape == (12,)
         assert not samples.phase.flags.writeable and not samples.x.flags.writeable
+
+    def test_caller_columns_are_copied(self):
+        phase, x = np.array([0.0, 1.0]), np.array([1.0, 2.0])
+        samples = QuadratureSamples(phase, x)
+        phase[0] = x[0] = 5.0
+        assert samples.phase.tolist() == [0.0, 1.0] and samples.x.tolist() == [1.0, 2.0]
 
     def test_equality_compares_samples_in_order(self):
         a = QuadratureSamples([0.0, 1.0], [1.0, 2.0])

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from cvortho import (
     LossChannel,
     PhaseGrid,
+    StateVector,
     Truncation,
     apply_loss,
     coherent_state,
@@ -133,7 +134,7 @@ class TestWigner:
         rho = psi.to_density()
         alpha = (1.0 + 0.5j) / math.sqrt(2.0)
         disp = displacement_op(alpha, trunc)
-        rho_disp = disp.apply(psi).normalized().to_density()
+        rho_disp = StateVector(disp @ psi.amps, psi.trunc).normalized().to_density()
         grid = PhaseGrid(**DEFAULTS["grid"])
         w = wigner(rho, grid)
         w_disp = wigner(rho_disp, grid)
@@ -291,7 +292,7 @@ class TestLossChannel:
         psi = coherent_state(1.0, trunc)
         spec = OrthogonalizerSpec.from_state(OperatorKind.CREATION, psi)
         states = [fock_state(1, trunc).to_density()] + [
-            qubit_operator(spec, c, trunc).apply(psi).normalized().to_density()
+            StateVector(qubit_operator(spec, c, trunc) @ psi.amps, psi.trunc).normalized().to_density()
             for c in (1.0, -1.0, 1j, -1j)
         ]
         for rho in states:

@@ -13,7 +13,6 @@ from cvortho import (
     EigenstateError,
     HeraldImpossibleError,
     HeraldModel,
-    ModeOperator,
     OperatorKind,
     OrthogonalizerSpec,
     SingularConfigurationError,
@@ -29,7 +28,6 @@ from cvortho import (
     heralded_addition_model,
     ideal_addition_operator,
     ideal_number_operator,
-    identity_op,
     inner_product,
     ladder_operators,
     number_scheme_model,
@@ -42,7 +40,7 @@ from cvortho import (
 
 
 def displaced_fock(alpha, n, trunc):
-    return displacement_op(alpha, trunc).apply(fock_state(n, trunc)).normalized()
+    return StateVector(displacement_op(alpha, trunc) @ fock_state(n, trunc).amps, trunc).normalized()
 
 
 def dense_herald_one_zero(joint, herald_trunc, signal_trunc, theta):
@@ -65,25 +63,41 @@ class TestBuildOrthogonalizer:
         t = Truncation(12)
         spec = OrthogonalizerSpec(OperatorKind.CREATION, 1.0)
         _, a_dag, _ = ladder_operators(t)
-        assert_allclose(qubit_operator(spec, 0, t).elems, (a_dag - identity_op(t)).elems)
+        assert_allclose(qubit_operator(spec, 0, t), a_dag - np.eye(t.dim))
 
     def test_number_form(self):
         t = Truncation(12)
         spec = OrthogonalizerSpec(OperatorKind.NUMBER, 1.0)
         _, _, n_op = ladder_operators(t)
-        assert_allclose(qubit_operator(spec, 0, t).elems, (n_op - identity_op(t)).elems)
+        assert_allclose(qubit_operator(spec, 0, t), n_op - np.eye(t.dim))
 
     def test_custom_zeroes_overlap_by_construction(self, rng):
         t = Truncation(16)
         psi = random_state(t, rng)
-        c_op = ModeOperator(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)), t)
+        c_op = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         spec = OrthogonalizerSpec.from_state(OperatorKind.CUSTOM, psi, operator=c_op)
-        out = qubit_operator(spec, 0, t).apply(psi)
+        out = StateVector(qubit_operator(spec, 0, t) @ psi.amps, psi.trunc)
         assert abs(inner_product(psi, out)) / out.norm < 1e-12
 
     def test_number_mean_must_be_real(self):
         with pytest.raises(ValueError):
             OrthogonalizerSpec(OperatorKind.NUMBER, 1.0 + 0.1j)
+
+    def test_custom_operator_is_a_frozen_copy(self, rng):
+        t = Truncation(8)
+        psi = random_state(t, rng)
+        matrix = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        spec = OrthogonalizerSpec.from_state(OperatorKind.CUSTOM, psi, operator=matrix)
+        before = orthogonalize(psi, spec).amps
+        matrix *= 2.0
+        assert np.array_equal(orthogonalize(psi, spec).amps, before)
+        with pytest.raises(ValueError, match="read-only"):
+            spec.operator[0, 0] = 1.0
+
+    @pytest.mark.parametrize("shape", [(8,), (8, 7), (2, 2, 2)])
+    def test_custom_operator_must_be_a_square_matrix(self, shape):
+        with pytest.raises(ValueError, match="operator shape: must be a square matrix"):
+            OrthogonalizerSpec(OperatorKind.CUSTOM, 0.0, operator=np.ones(shape))
 
 
 class TestOrthogonalize:
@@ -127,7 +141,7 @@ class TestOrthogonalityProperty:
         t = Truncation(dim)
         psi = random_state(t, np.random.default_rng(seed))
         spec = OrthogonalizerSpec.from_state(kind, psi)
-        assert overlap_bound_holds(psi, qubit_operator(spec, 0, t).apply(psi))
+        assert overlap_bound_holds(psi, StateVector(qubit_operator(spec, 0, t) @ psi.amps, psi.trunc))
 
     @settings(max_examples=60, deadline=None)
     @given(dim=st.integers(2, 30), seed=st.integers(0, 2**32 - 1))
@@ -135,12 +149,12 @@ class TestOrthogonalityProperty:
         rng = np.random.default_rng(seed)
         t = Truncation(dim)
         psi = random_state(t, rng)
-        c1, c2 = (ModeOperator(m, t) for m in rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim)))
+        c1, c2 = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
         try:
             op = two_operator_orthogonalizer(c1, c2, psi)
         except DegenerateDenominatorError:
             assume(False)
-        assert overlap_bound_holds(psi, op.apply(psi))
+        assert overlap_bound_holds(psi, StateVector(op @ psi.amps, psi.trunc))
 
 
 class TestOrthogonalFamily:
@@ -174,7 +188,7 @@ class TestQubitOperator:
         t = Truncation(15)
         spec = OrthogonalizerSpec(OperatorKind.CREATION, 0.7 + 0.2j)
         _, a_dag, _ = ladder_operators(t)
-        assert_allclose(qubit_operator(spec, 0.0, t).elems, (a_dag - (0.7 + 0.2j) * identity_op(t)).elems)
+        assert_allclose(qubit_operator(spec, 0.0, t), a_dag - (0.7 + 0.2j) * np.eye(t.dim))
 
     @pytest.mark.parametrize("c", [1.0, -1.0, 1j, -1j, 0.5 + 0.5j])
     def test_balanced_qubits_on_coherent(self, c):
@@ -182,9 +196,9 @@ class TestQubitOperator:
         t = Truncation(40)
         psi = coherent_state(1.0, t)
         spec = OrthogonalizerSpec.from_state(OperatorKind.CREATION, psi)
-        out = qubit_operator(spec, c, t).apply(psi).normalized()
+        out = StateVector(qubit_operator(spec, c, t) @ psi.amps, psi.trunc).normalized()
         target_amps = (fock_state(1, t).amps + c * fock_state(0, t).amps) / math.sqrt(1 + abs(c) ** 2)
-        target = displacement_op(1.0, t).apply(StateVector(target_amps, t))
+        target = StateVector(displacement_op(1.0, t) @ target_amps, t)
         assert fidelity(out, target) > 1 - 1e-8
 
     def test_decomposition_weights_on_coherent(self):
@@ -196,7 +210,7 @@ class TestQubitOperator:
         spec = OrthogonalizerSpec.from_state(OperatorKind.CREATION, psi)
         perp = orthogonalize(psi, spec)
         for c in (1.0, 1j, 0.3 - 0.8j):
-            out = qubit_operator(spec, c, t).apply(psi).normalized()
+            out = StateVector(qubit_operator(spec, c, t) @ psi.amps, psi.trunc).normalized()
             w_in, w_perp = inner_product(psi, out), inner_product(perp, out)
             scale = math.sqrt(1 + abs(c) ** 2)
             assert abs(w_in) == pytest.approx(abs(c) / scale, abs=1e-10)
@@ -213,12 +227,13 @@ class TestQubitOperator:
         rng = np.random.default_rng(seed)
         t = Truncation(dim)
         psi = random_state(t, rng)  # support on the lower half, so a_dag psi stays clear of the top level
-        custom = ModeOperator(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)), t)
+        custom = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         spec = OrthogonalizerSpec.from_state(kind, psi, operator=custom if kind is OperatorKind.CUSTOM else None)
-        perp_norm = qubit_operator(spec, 0.0, t).apply(psi).norm
+        perp_norm = StateVector(qubit_operator(spec, 0.0, t) @ psi.amps, psi.trunc).norm
         assume(perp_norm > 1e-6)  # an eigenstate of C: at c = 0 the output norm is zero
         out = orthogonalize(psi, spec, c)
-        assert np.max(np.abs(out.amps - qubit_operator(spec, c, t).apply(psi).normalized().amps)) <= 1e-13
+        ref = StateVector(qubit_operator(spec, c, t) @ psi.amps, psi.trunc).normalized()
+        assert np.max(np.abs(out.amps - ref.amps)) <= 1e-13
         weight = abs(c) ** 2 / (abs(c) ** 2 + perp_norm**2)
         assert abs(inner_product(psi, out)) ** 2 == pytest.approx(weight, abs=1e-13)
 
@@ -229,7 +244,7 @@ class TestQubitOperator:
         for kind in (OperatorKind.CREATION, OperatorKind.NUMBER):
             psi = random_state(t, rng, support=12)
             spec = OrthogonalizerSpec.from_state(kind, psi)
-            out = qubit_operator(spec, 0.4 + 0.7j, t).apply(psi).normalized()
+            out = StateVector(qubit_operator(spec, 0.4 + 0.7j, t) @ psi.amps, psi.trunc).normalized()
             total = abs(inner_product(psi, out)) ** 2 + abs(inner_product(orthogonalize(psi, spec), out)) ** 2
             assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -239,25 +254,25 @@ class TestTwoOperatorOrthogonalizer:
         t = Truncation(20)
         psi = random_state(t, rng, support=10)
         _, a_dag, _ = ladder_operators(t)
-        op = two_operator_orthogonalizer(a_dag, identity_op(t), psi)
+        op = two_operator_orthogonalizer(a_dag, np.eye(t.dim), psi)
         mean = expectation(a_dag, psi)
-        assert_allclose(op.elems, (a_dag - mean * identity_op(t)).elems, atol=1e-12)
+        assert_allclose(op, a_dag - mean * np.eye(t.dim), atol=1e-12)
 
     def test_reduces_to_number_form(self, rng):
         t = Truncation(20)
         psi = random_state(t, rng, support=10)
         _, _, n_op = ladder_operators(t)
-        op = two_operator_orthogonalizer(n_op, identity_op(t), psi)
+        op = two_operator_orthogonalizer(n_op, np.eye(t.dim), psi)
         mean = expectation(n_op, psi)
-        assert_allclose(op.elems, (n_op - mean * identity_op(t)).elems, atol=1e-12)
+        assert_allclose(op, n_op - mean * np.eye(t.dim), atol=1e-12)
 
     def test_random_battery(self, rng):
         t = Truncation(30)
         for _ in range(50):
             psi = random_state(t, rng, support=15)
-            c1 = ModeOperator(rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30)), t)
-            c2 = ModeOperator(rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30)), t)
-            out = two_operator_orthogonalizer(c1, c2, psi).apply(psi)
+            c1 = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
+            c2 = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
+            out = StateVector(two_operator_orthogonalizer(c1, c2, psi) @ psi.amps, psi.trunc)
             assert abs(inner_product(psi, out)) / out.norm < 1e-10
 
     def test_degenerate_denominator(self):
@@ -274,14 +289,14 @@ class TestHeraldedAdditionModel:
         psi = coherent_state(0.8, t)
         out, _ = heralded_addition_model(psi, HeraldModel(beta=1.0, theta=0.0))
         _, a_dag, _ = ladder_operators(t)
-        assert fidelity(out, a_dag.apply(psi).normalized()) > 1 - 1e-10
+        assert fidelity(out, StateVector(a_dag @ psi.amps, psi.trunc).normalized()) > 1 - 1e-10
 
     def test_vacuum_ancilla_is_pure_addition(self):
         t = Truncation(30)
         psi = coherent_state(0.8, t)
         out, _ = heralded_addition_model(psi, HeraldModel(beta=0.0, theta=math.pi / 8))
         _, a_dag, _ = ladder_operators(t)
-        assert fidelity(out, a_dag.apply(psi).normalized()) > 1 - 1e-10
+        assert fidelity(out, StateVector(a_dag @ psi.amps, psi.trunc).normalized()) > 1 - 1e-10
 
     def test_tuned_into_physical_orthogonalizer(self):
         t = Truncation(40)
@@ -304,7 +319,7 @@ class TestHeraldedAdditionModel:
         ratios = []
         for psi in (coherent_state(0.5, t), coherent_state(1.0, t), fock_state(1, t), plus2):
             out, prob = heralded_addition_model(psi, model)
-            target = ideal.apply(psi)
+            target = StateVector(ideal @ psi.amps, psi.trunc)
             assert fidelity(out, target.normalized()) > 1 - 1e-8
             ratios.append(prob / target.norm ** 2)
         # success probability proportional to the ideal squared norm with a
@@ -322,7 +337,7 @@ class TestHeraldedAdditionModel:
         _, a_dag, _ = ladder_operators(st)
         ancilla = coherent_state(beta * cmath.exp(0.4j), ht).amps
         one, vac = fock_state(1, ht).amps, fock_state(0, ht).amps
-        joint = (np.kron(one, np.kron(ancilla, a_dag.apply(psi).amps))
+        joint = (np.kron(one, np.kron(ancilla, a_dag @ psi.amps))
                  + np.kron(vac, np.kron(ancilla, psi.amps)))
         ref, ref_prob = dense_herald_one_zero(joint, ht, st, theta)
         out, prob = heralded_addition_model(psi, model)
@@ -341,7 +356,7 @@ class TestHeraldedAdditionModel:
         psi = coherent_state(0.7, t)
         model = HeraldModel(beta=0.8, theta=math.pi / 8, phi=math.pi / 5)
         out, _ = heralded_addition_model(psi, model)
-        target = ideal_addition_operator(model, t).apply(psi).normalized()
+        target = StateVector(ideal_addition_operator(model, t) @ psi.amps, psi.trunc).normalized()
         assert fidelity(out, target) > 1 - 1e-10
 
 
@@ -351,7 +366,7 @@ class TestNumberSchemeModel:
         psi = coherent_state(1.0, t)
         out, _ = number_scheme_model(psi, HeraldModel(beta=0.0, theta=0.0))
         _, _, n_op = ladder_operators(t)
-        assert fidelity(out, n_op.apply(psi).normalized()) > 1 - 1e-10
+        assert fidelity(out, StateVector(n_op @ psi.amps, psi.trunc).normalized()) > 1 - 1e-10
 
     def test_tuned_into_orthogonalizer(self):
         t = Truncation(40)
@@ -372,7 +387,7 @@ class TestNumberSchemeModel:
         for n in range(11):
             cond, prob = number_scheme_model(fock_state(n, t), model)
             recovered[:, n] = cond.amps * math.sqrt(prob)
-        assert np.max(np.abs(recovered[:11, :11] - ideal.elems[:11, :11])) < 1e-10
+        assert np.max(np.abs(recovered[:11, :11] - ideal[:11, :11])) < 1e-10
 
     @pytest.mark.parametrize("herald_dim", [12, 16, 20])
     @pytest.mark.parametrize("theta", [math.pi / 16, math.pi / 8, 1.0])
@@ -383,8 +398,8 @@ class TestNumberSchemeModel:
         a, a_dag, n_op = ladder_operators(st)
         one, vac = fock_state(1, ht).amps, fock_state(0, ht).amps
         for psi in (coherent_state(1.0, st), random_state(st, rng, support=12)):
-            joint = (cmath.exp(0.9j) * np.kron(one, np.kron(vac, n_op.apply(psi).amps))
-                     + np.kron(vac, np.kron(one, (a @ a_dag).apply(psi).amps)))
+            joint = (cmath.exp(0.9j) * np.kron(one, np.kron(vac, n_op @ psi.amps))
+                     + np.kron(vac, np.kron(one, a @ a_dag @ psi.amps)))
             ref, ref_prob = dense_herald_one_zero(joint, ht, st, theta)
             out, prob = number_scheme_model(psi, model)
             assert np.max(np.abs(out.amps - ref)) <= 1e-13
@@ -407,7 +422,7 @@ class TestNumberSchemeModel:
         for _ in range(5):
             psi = random_state(t, rng, support=12)
             out, _ = number_scheme_model(psi, model)
-            assert fidelity(out, ideal.apply(psi).normalized()) > 1 - 1e-8
+            assert fidelity(out, StateVector(ideal @ psi.amps, psi.trunc).normalized()) > 1 - 1e-8
 
 
 class TestHelpers:
