@@ -152,34 +152,45 @@ def _prepared(cfg: dict, kind: OperatorKind | None = None):
     return trunc, psi, OrthogonalizerSpec.from_state(kind or OperatorKind(cfg["scheme"]["kind"]), psi)
 
 
-def _build_plan(cfg: dict) -> SamplingPlan:
-    s = cfg["sampling"]
-    phases = uniform_phases(s["phases"]) if isinstance(s["phases"], int) else tuple(s["phases"])
-    return SamplingPlan(phases=phases, samples_per_phase=s["samples_per_phase"], seed=s["seed"])
+def _phases(cfg: dict) -> tuple:
+    count = cfg["sampling"]["phases"]
+    return uniform_phases(count) if isinstance(count, int) else tuple(count)
 
 
 def _transformed(cfg: dict, psi: StateVector, spec: OrthogonalizerSpec, report: dict) -> StateVector:
     """``psi`` under the orthogonalizer of ``spec`` on the configured route, the one branch on ``route``.
 
     The ``number_scheme`` experiment is the number scheme's heralded route.  A
-    heralded route writes its success probability, beam-splitter angle and,
+    heralded route writes its herald weight (the squared norm of the heralded
+    signal before normalization, not a probability), beam-splitter angle and,
     for the creation scheme, ancilla amplitude into ``report``.
     """
-    if cfg["route"] == "ideal" and cfg["experiment"] != "number_scheme":
+    if cfg["experiment"] != "number_scheme" and cfg["route"] == "ideal":
         return orthogonalize(psi, spec)
     h, creation = cfg["herald"], spec.kind is OperatorKind.CREATION
     theta = h["theta"]
     if theta == "auto":  # the creation scheme's balanced splitter keeps the tuned ancilla amplitude at |<a_dag>|
         theta = math.pi / 4 if creation else theta_for_number_orthogonalizer(float(complex(spec.mean_value).real))
-    beta = h["beta"]
+    beta, dim = (h["beta"], h["dim"]) if creation else (0.0, None)  # the number scheme has no ancilla
     if beta == "auto":
-        beta = beta_for_addition_orthogonalizer(complex(spec.mean_value), theta) if creation else 0.0
-    model = HeraldModel(beta=_as_complex(beta), theta=float(theta), phi=float(h["phi"]), herald_dim=h["dim"])
-    out, report["success_probability"] = (heralded_addition_model if creation else number_scheme_model)(psi, model)
+        beta = beta_for_addition_orthogonalizer(complex(spec.mean_value), theta)
+        if misfit := _ancilla_misfit(beta, cfg):  # the tuned amplitude is cot(theta) |<a_dag>|
+            raise fock.TruncationError(f"herald.theta {theta:.6g} with auto beta: {misfit}")
+    model = HeraldModel(beta=_as_complex(beta), theta=float(theta), phi=float(h["phi"]), herald_dim=dim)
+    out, report["herald_weight"] = (heralded_addition_model if creation else number_scheme_model)(psi, model)
     report["beam_splitter_theta"] = model.theta
     if creation:
         report["ancilla_beta"] = _complex_pair(model.beta)
     return out
+
+
+def _ancilla_misfit(beta: complex, cfg: dict) -> str:
+    """'' if the addition scheme's coherent ancilla of amplitude ``beta`` fits its herald basis, else what it needs."""
+    dim, size = cfg["herald"]["dim"] or min(cfg["trunc"], schemes._HERALD_DIM_CAP), math.hypot(beta.real, beta.imag)
+    # past |beta| = 1e150 the need exceeds any basis that fits in memory, and |beta|^2 nears the float range
+    needed = fock.min_dim_for_coherent(min(size, 1e150), schemes._HERALD_TAIL_TOL)
+    return "" if needed <= dim else (f"a coherent ancilla of |beta|={size:.4g} needs herald.dim >= {needed} "
+                                     f"at tail_tol {schemes._HERALD_TAIL_TOL:g}, got {dim}")
 
 
 def _complex_pair(z: complex):
@@ -213,8 +224,8 @@ def _write_state(writer: _ArtifactWriter, cfg: dict, label: str, state: StateVec
 
 
 def _run_orthogonalize(cfg: dict, writer: _ArtifactWriter) -> dict:
-    trunc, psi, spec = _prepared(cfg)
-    report = {"scheme": cfg["scheme"]["kind"], "route": cfg["route"], "marginal_mass": {}}
+    trunc, psi, spec = _prepared(cfg, OperatorKind.CREATION if cfg["route"] == "heralded" else None)
+    report = {"scheme": spec.kind.value, "route": cfg["route"], "marginal_mass": {}}
     out = _transformed(cfg, psi, spec, report)
     report["overlap_with_input"] = abs(inner_product(psi, out))
     if cfg["input_state"]["kind"] == "coherent" and spec.kind is OperatorKind.CREATION:
@@ -259,7 +270,7 @@ def _run_number_scheme(cfg: dict, writer: _ArtifactWriter) -> dict:
     out = _transformed(cfg, psi, spec, report)
     report["overlap_with_input"] = abs(inner_product(psi, out))
 
-    phases = _build_plan(cfg).phases
+    phases = _phases(cfg)
     for label, state in (("input", psi), ("output", out)):
         _write_state(writer, cfg, label, state, phases=phases, grid=grid, masses=report["marginal_mass"])
     return report
@@ -274,7 +285,8 @@ def _run_tomography(cfg: dict, writer: _ArtifactWriter) -> dict:
 
     rho_true = psi.to_density()
     rho_detected = apply_loss(rho_true, LossChannel(cfg["eta"]))
-    samples = sample_quadratures(rho_detected, _build_plan(cfg))
+    s = cfg["sampling"]
+    samples = sample_quadratures(rho_detected, SamplingPlan(_phases(cfg), s["samples_per_phase"], s["seed"]))
     writer.write("samples.npy", "samples-npy", npy_buffers(np.column_stack([samples.phase, samples.x])))
 
     recon = cfg["reconstruction"]
@@ -396,16 +408,30 @@ SCHEMA = {
 }
 
 
-# The runs that read each herald leaf; any other run refuses a value but the default.
-_HERALD_READERS = {**dict.fromkeys(("herald.theta", "herald.phi"), ("heralded orthogonalize", "number_scheme")),
-                   **dict.fromkeys(("herald.beta", "herald.dim"), ("heralded orthogonalize",))}
+# The SCHEMA leaves each run reads (a section for all its leaves); a run reading input_state.kind reads its kind's row.
+READS = {run: frozenset(p for p in SCHEMA if {p, p.partition(".")[0]} & set(names.split())) for run, names in {
+    "ideal orthogonalize": "input_state.kind scheme route trunc eta marginal_xs",
+    "heralded orthogonalize": "input_state.kind route trunc eta marginal_xs herald",
+    "qubit_wigner": "input_state.kind scheme trunc eta qubit_c grid",
+    "number_scheme": "input_state.kind trunc eta herald.theta herald.phi grid marginal_xs sampling.phases",
+    "tomography": "input_state.kind scheme trunc eta transform qubit_c_single sampling reconstruction",
+    "verify": "",
+    "a coherent input": "input_state.alpha", "a fock input": "input_state.n", "a custom input": "input_state.amps",
+}.items()}
 
 
-def _merged(config: dict) -> dict:
-    """Every SCHEMA leaf, in sections, from ``config`` or else its default."""
+def _reads(cfg: dict):
+    """The run of ``cfg`` and the leaves it reads: experiment, its READS row and, with input_state.kind, the kind's."""
+    run = f"{cfg['route']} orthogonalize" if cfg["experiment"] == "orthogonalize" else cfg["experiment"]
+    row = READS[run] | {"experiment"}
+    return run, row | READS[f"a {cfg['input_state']['kind']} input"] if "input_state.kind" in row else row
+
+
+def _merged(config: dict, leaves=SCHEMA) -> dict:
+    """The SCHEMA leaves in ``leaves`` (every one by default), in sections, from ``config`` or else their defaults."""
     out = {}
-    for path, (default, _, _) in SCHEMA.items():
-        section, _, key = path.partition(".")
+    for path in (path for path in SCHEMA if path in leaves):
+        (default, _, _), (section, _, key) = SCHEMA[path], path.partition(".")
         if key:
             out.setdefault(section, {})[key] = config.get(section, {}).get(key, default)
         else:
@@ -444,38 +470,31 @@ def _breach(path: str, rule, value) -> list:
     return [] if check(value) else [f"{path}: must be {description}, got {_shown(value)}"]
 
 
-_GRID_BOUNDS = ("grid.x_min", "grid.x_max", "grid.p_min", "grid.p_max")
+def _largest_array(cfg: dict, clean):
+    """(bytes, section, array) for the largest array that a run builds at sizes read from ``cfg``, or None.
 
-
-def _largest_array(cfg: dict, exp, clean):
-    """(bytes, section, array) for the largest array that ``exp`` builds at sizes read from ``cfg``, or None.
-
-    Sizes a dense complex trunc x trunc operator (every experiment but
-    verify), the real nx x np Wigner map, the two Hermite tables of its
-    2 trunc - 1 levels on the grid axes and its complex coefficient matrix C,
-    the n x trunc Hermite table of a marginal, the quadrature samples and
-    MaxLik's phases x cells table, each only from leaves that ``clean``
-    passes.  A run needs at least this much memory.
+    Sizes a dense complex trunc x trunc operator, the real nx x np Wigner map, the two Hermite tables of its
+    2 trunc - 1 levels on the grid axes and its complex coefficient matrix C, the n x trunc Hermite table of a
+    marginal, the quadrature samples and MaxLik's phases x cells table, each only from leaves that ``clean`` passes
+    (those the run reads and no rule has reported).  A run needs at least this much memory.
     """
     trunc, grid, n = cfg["trunc"], cfg["grid"], cfg["marginal_xs"]["n"]
     arrays = []
-    if clean("trunc") and exp in ("orthogonalize", "qubit_wigner", "number_scheme", "tomography"):
+    if clean("trunc"):
         arrays.append((16 * trunc * trunc, "trunc", f"a dense complex {_shown(trunc)} x {_shown(trunc)} operator"))
-    mapped = exp in ("qubit_wigner", "number_scheme")
-    if mapped and clean("grid.nx", "grid.np"):
+    if clean("trunc", "grid.nx", "grid.np"):
+        levels = 2 * trunc - 1
         arrays.append((8 * grid["nx"] * grid["np"], "grid",
                        f"the {_shown(grid['nx'])} x {_shown(grid['np'])} Wigner map"))
-    if mapped and clean("trunc"):
-        levels = 2 * trunc - 1
         arrays.append((16 * levels * levels, "trunc",
                        f"the complex {_shown(levels)} x {_shown(levels)} Wigner coefficients"))
         arrays += [(8 * levels * grid[size], "grid",
                     f"the {_shown(levels)} x {_shown(grid[size])} Hermite table of the Wigner {size[1]} axis")
-                   for size in ("nx", "np") if clean(f"grid.{size}")]
-    if clean("trunc", "marginal_xs.n") and exp in ("orthogonalize", "number_scheme"):
+                   for size in ("nx", "np")]
+    if clean("trunc", "marginal_xs.n"):
         arrays.append((8 * n * trunc, "marginal_xs", f"the {_shown(n)} x {_shown(trunc)} Hermite table of a marginal"))
     count = cfg["sampling"]["phases"]
-    if clean("sampling.phases", "sampling.samples_per_phase") and exp == "tomography":
+    if clean("sampling.phases", "sampling.samples_per_phase"):
         phases, per_phase = (count if _is_int(count) else len(count)), cfg["sampling"]["samples_per_phase"]
         arrays.append((16 * phases * per_phase, "sampling",
                        f"the phase and x columns of {_shown(phases)} x {_shown(per_phase)} samples (16 bytes each)"))
@@ -487,10 +506,9 @@ def _largest_array(cfg: dict, exp, clean):
 def validate_config(config: dict) -> list:
     """Schema and range report; returns one message per violated precondition.
 
-    Checks each SCHEMA leaf (an omitted leaf takes its DEFAULTS value), then
-    the rules that relate several leaves, each skipped when a leaf it reads
-    is already reported, and names every key outside the schema with the
-    nearest known one.  Never raises.
+    Checks each SCHEMA leaf (an omitted leaf takes its DEFAULTS value), refuses a value but the default for a leaf
+    outside the run's READS rows, then checks the rules that relate several leaves, each skipped when a leaf it reads
+    is reported or unread, and names every key outside the schema with the nearest known one.  Never raises.
     """
     if not isinstance(config, dict):
         return [f"config: must be a JSON object, got {type(config).__name__}"]
@@ -499,71 +517,70 @@ def validate_config(config: dict) -> list:
     problems = [f"{key}: must be an object, got {_shown(config[key])}" for key in broken]
     cfg = _merged({key: value for key, value in config.items() if key not in broken})
 
-    known, bad = {}, {path for path in SCHEMA if path.partition(".")[0] in broken}
+    leaves = {path: cfg[section][key] if key else cfg[section]
+              for path in SCHEMA for section, _, key in [path.partition(".")]}
+    bad = {path for path in SCHEMA if path.partition(".")[0] in broken}
     for path, (_, *rule) in SCHEMA.items():
-        section, _, key = path.partition(".")
-        known.setdefault(section, []).append(key)
-        if path not in bad and (found := _breach(path, rule, cfg[section][key] if key else cfg[section])):
+        if path not in bad and (found := _breach(path, rule, leaves[path])):
             problems += found
             bad.add(path)
 
     def clean(*paths):
         return bad.isdisjoint(paths)
 
-    state = cfg["input_state"]
-    if clean("input_state.kind", "input_state.n", "trunc") and state["kind"] == "fock":
-        problems += _breach("input_state.n", fock._level_rule(cfg["trunc"]), state["n"])
-    if (clean("input_state.kind", "input_state.amps", "trunc") and state["kind"] == "custom"
-            and not 1 <= len(state["amps"] or ()) <= cfg["trunc"]):
-        problems.append(f"input_state.amps: a custom state needs 1..trunc amplitudes, got {_shown(state['amps'])}")
+    run, read = _reads(cfg) if clean("experiment", "route", "input_state.kind") else (None, frozenset())
+    for path in [path for path in SCHEMA if path not in read and path not in bad]:  # every one, if the run is unknown
+        bad.add(path)  # a leaf the run does not read enters no rule below
+        if run and leaves[path] != SCHEMA[path][0]:
+            readers = [name for name, row in READS.items() if path in row]
+            problems.append(f"{path}: must be {json.dumps(SCHEMA[path][0])} for {run}, since it is read only by "
+                            f"{' and '.join(filter(None, (', '.join(readers[:-1]), readers[-1])))}, "
+                            f"got {_shown(leaves[path])}")
+
+    amps = leaves["input_state.amps"]
+    if clean("input_state.n", "trunc"):
+        problems += _breach("input_state.n", fock._level_rule(leaves["trunc"]), leaves["input_state.n"])
+    if clean("input_state.amps", "trunc") and not 1 <= len(amps or ()) <= leaves["trunc"]:
+        problems.append(f"input_state.amps: a custom state needs 1..trunc amplitudes, got {_shown(amps)}")
     for section, axis in (("grid", "x"), ("grid", "p"), ("marginal_xs", "x")):
         bounds = (f"{axis}_min", f"{axis}_max")
         if clean(*(f"{section}.{bound}" for bound in bounds)):
             problems += _breach(section, PhaseGrid.ORDER, {bound: cfg[section][bound] for bound in bounds})
-    exp = cfg["experiment"]
-    if clean("marginal_xs.x_min", "marginal_xs.x_max") and exp in ("orthogonalize", "number_scheme"):
-        problems += _breach("marginal_xs", _SQUARABLE, [cfg["marginal_xs"]["x_min"], cfg["marginal_xs"]["x_max"]])
+    for section, rule, ends in (("marginal_xs", _SQUARABLE, ("x_min", "x_max")),
+                                ("grid", _WIGNER_BOUNDS, ("x_min", "x_max", "p_min", "p_max"))):
+        if clean(*(f"{section}.{end}" for end in ends)):
+            problems += _breach(section, rule, [cfg[section][end] for end in ends])
     theta = cfg["herald"]["theta"]
-    if clean("herald.theta") and exp == "number_scheme" and theta != "auto":
+    if clean("herald.theta") and run == "number_scheme" and theta != "auto":
         problems += _breach("herald.theta", schemes._NUMBER_SCHEME_THETA, theta)
-    if clean("experiment", "route") and exp != "orthogonalize":
-        problems += _breach("route", ((lambda v: v == "ideal"), f'"ideal" for {exp}, since only orthogonalize reads it'),
-                            cfg["route"])
-    runner = f"{cfg['route']} orthogonalize" if exp == "orthogonalize" else exp
-    for path, readers in _HERALD_READERS.items():
-        default = SCHEMA[path][0]
-        if clean("experiment", "route", path) and runner not in readers:
-            problems += _breach(path, ((lambda v: v == default), f"{json.dumps(default)} for {runner}, since it is "
-                                       f"read only by {' and '.join(readers)}"), cfg["herald"][path.partition(".")[2]])
-    heralded = clean("route", "scheme.kind") and runner == "heralded orthogonalize"
-    if heralded and cfg["scheme"]["kind"] == "number":
-        problems.append("route: heralded orthogonalize needs scheme.kind creation (see the number_scheme experiment)")
-    elif heralded and clean("herald.theta", "herald.beta") and theta != "auto" and cfg["herald"]["beta"] == "auto":
+    beta = cfg["herald"]["beta"]
+    if clean("herald.theta", "herald.beta") and theta != "auto" and beta == "auto":
         problems += _breach("herald.theta", schemes._AUTO_BETA_THETA, theta)
+    misfit = clean("herald.beta", "herald.dim", "trunc") and beta != "auto" and _ancilla_misfit(_as_complex(beta), cfg)
+    if misfit:
+        problems.append(f"herald.beta: {misfit}")
     phases = cfg["sampling"]["phases"]
-    if clean("sampling.phases") and exp == "number_scheme":
+    if clean("sampling.phases") and run == "number_scheme":
         if _is_int(phases) and phases > _MAX_NAMED_PHASE_COUNT:
             problems.append(f"sampling.phases: must be at most {_MAX_NAMED_PHASE_COUNT} for number_scheme, "
                             f"whose marginal file names give each phase to 4 decimals, got {_shown(phases)}")
         elif not _is_int(phases) and len({marginal_filename("", p) for p in phases}) < len(phases):
             problems.append("sampling.phases: must be distinct to 4 decimals for number_scheme, "
                             f"whose marginal file names give each phase to 4 decimals, got {_shown(phases)}")
-    if clean(*_GRID_BOUNDS) and exp in ("qubit_wigner", "number_scheme"):
-        problems += _breach("grid", _WIGNER_BOUNDS, [cfg["grid"][path.partition(".")[2]] for path in _GRID_BOUNDS])
-    if clean("reconstruction.dim", "trunc") and exp == "tomography":
+    if clean("reconstruction.dim", "trunc"):
         problems += _breach("reconstruction.dim", fock._fits_rule(cfg["trunc"]), cfg["reconstruction"]["dim"])
-    largest = _largest_array(cfg, exp, clean)
+    largest = _largest_array(cfg, clean)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if largest is not None and largest[0] > memory:
         need, section, array = largest
-        problems.append(f"{section}: {exp} builds {array}, {_shown(need)} bytes, "
+        problems.append(f"{section}: {cfg['experiment']} builds {array}, {_shown(need)} bytes, "
                         f"more than the {memory} bytes of physical memory")
 
     for key, value in config.items():
-        if key not in known:
-            problems.append(_unknown_key("", key, known))
+        if key not in cfg:
+            problems.append(_unknown_key("", key, cfg))
         elif key not in broken and isinstance(DEFAULTS.get(key), dict):
-            problems.extend(_unknown_key(key, sub, known[key]) for sub in value if sub not in known[key])
+            problems.extend(_unknown_key(key, sub, cfg[key]) for sub in value if sub not in cfg[key])
     return problems
 
 
@@ -577,7 +594,7 @@ def run(config: dict, output_dir) -> dict:
 
 def _execute(config: dict, output_dir) -> dict:
     """``run`` for a config that ``validate_config`` has passed; the runner returns the report written as report.json."""
-    cfg = _merged(config)
+    cfg = _merged(config, _reads(_merged(config))[1])  # a runner that reads any other leaf fails on it
     outdir = Path(output_dir)
     writer = _ArtifactWriter(outdir)
     writer.write_json("report.json", _RUNNERS[cfg["experiment"]](cfg, writer), "report-json")

@@ -59,10 +59,10 @@ _DENOMINATOR_TOL = 1e-12
 _ANGLE_TOL = 1e-12  # sin and cos of a beam-splitter angle this close to each other, or to 0, count as equal
 
 # The herald truncation only has to hold the addition scheme's coherent
-# ancilla well enough to calibrate success probabilities: the |1>|0> click
+# ancilla well enough to calibrate herald weights: the |1>|0> click
 # reads the one-photon sector, so only the ancilla's |0> and |1> amplitudes
 # enter, and the truncation acts only through the ancilla's renormalization,
-# which scales the success probability by at most 1 / (1 - tail_tol).  A
+# which scales the herald weight by at most 1 / (1 - tail_tol).  A
 # looser tail guard than the signal default is therefore safe.
 _HERALD_DIM_CAP = 12
 _HERALD_TAIL_TOL = 5e-3
@@ -281,16 +281,17 @@ def _herald_one_zero(theta: float, from_one_zero: np.ndarray, from_zero_one: np.
     The splitter conserves photon number, so the click reads only the
     one-photon sector: ``from_one_zero`` and ``from_zero_one`` are the
     (unnormalized) signal vectors paired with the herald inputs |1>|0> and
-    |0>|1>.  Returns the normalized conditional signal state and the
-    outcome probability.
+    |0>|1>.  Returns the normalized conditional signal state and the herald
+    weight ||t from_one_zero - r from_zero_one||^2, the heralded signal's
+    squared norm: not a probability, as the branches enter with unit weight.
     """
     row = beam_splitter_op(theta, 1)[0]
     amps = row[0] * from_one_zero + row[1] * from_zero_one
-    prob = float(np.real(np.vdot(amps, amps)))
-    nrm = math.sqrt(prob)
+    weight = float(np.real(np.vdot(amps, amps)))
+    nrm = math.sqrt(weight)
     if nrm < ZERO_NORM_TOL:
-        raise HeraldImpossibleError(f"herald outcome (1, 0) has vanishing probability ({prob:.3e})")
-    return StateVector(amps / nrm, signal_trunc), prob
+        raise HeraldImpossibleError(f"herald outcome (1, 0) has vanishing weight ({weight:.3e})")
+    return StateVector(amps / nrm, signal_trunc), weight
 
 
 def heralded_addition_model(psi: StateVector, model: HeraldModel):
@@ -302,7 +303,8 @@ def heralded_addition_model(psi: StateVector, model: HeraldModel):
     heralded on |1>|0>, which keeps the parts |1>|0> x anc_0 a_dag|psi> and
     |0>|1> x anc_1 |psi>, where anc_n are the ancilla amplitudes on the
     herald truncation.  Returns the normalized conditional signal state and
-    the outcome probability.
+    the herald weight ||t anc_0 a_dag|psi> - r anc_1 |psi>||^2, which is not a
+    probability: at beta = 0 and theta = pi/4 it is (|alpha|^2 + 1) / 2 on a coherent |alpha>.
     """
     check_tail(psi, context="addition-scheme input")
     _, a_dag, _ = ladder_operators(psi.trunc)

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from cvortho import (
     density_from_json,
     fidelity,
     fock_state,
+    ladder_operators,
     marginal,
     maxlik_reconstruct,
     number_scheme_model,
@@ -41,7 +43,7 @@ from cvortho import (
     sample_quadratures,
     uniform_phases,
 )
-from cvortho.cli import DEFAULTS, EXPERIMENTS, SCHEMA, main, run, validate_config
+from cvortho.cli import DEFAULTS, EXPERIMENTS, READS, SCHEMA, main, run, validate_config
 
 
 def read_manifest(outdir):
@@ -68,6 +70,9 @@ def run_at_one_and_two_blas_threads(tmp_path, config):
     for threads, manifest in zip("12", manifests):
         assert manifest["versions"]["blas_threads"]["OPENBLAS_NUM_THREADS"] == threads
     return manifests
+
+
+_NOT_VERIFY = "ideal orthogonalize, heralded orthogonalize, qubit_wigner, number_scheme and tomography"
 
 
 class TestValidate:
@@ -129,49 +134,77 @@ class TestValidate:
     def test_marginal_axis_minimal_valid(self):
         assert validate_config({"experiment": "number_scheme", "marginal_xs": {"n": 2}}) == []
 
-    def test_heralded_orthogonalize_rejects_number_scheme(self, tmp_path):
-        config = {"experiment": "orthogonalize", "route": "heralded", "scheme": {"kind": "number"}}
-        problems = validate_config(config)
-        assert len(problems) == 1 and problems[0].startswith("route:")
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("experiment", ["qubit_wigner", "number_scheme", "tomography", "verify"])
-    def test_route_is_refused_where_it_would_be_ignored(self, tmp_path, experiment):
-        # only orthogonalize has a heralded route; the other runners would run ideal and drop the leaf
-        config = {"experiment": experiment, "route": "heralded"}
-        assert validate_config(config) == [
-            f'route: must be "ideal" for {experiment}, since only orthogonalize reads it, got \'heralded\'']
-        assert validate_config({**config, "route": "ideal"}) == []
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("config, path, message", [
-        ({"experiment": "number_scheme", "herald": {"beta": [0.5, 0.0]}}, "herald.beta",
-         '"auto" for number_scheme, since it is read only by heralded orthogonalize, got [0.5, 0.0]'),
-        ({"experiment": "number_scheme", "herald": {"dim": 6}}, "herald.dim",
-         "null for number_scheme, since it is read only by heralded orthogonalize, got 6"),
-        ({"experiment": "orthogonalize", "herald": {"theta": 0.5}}, "herald.theta",
-         '"auto" for ideal orthogonalize, since it is read only by heralded orthogonalize and number_scheme, got 0.5'),
-        ({"experiment": "orthogonalize", "herald": {"phi": 0.5}}, "herald.phi",
-         "0.0 for ideal orthogonalize, since it is read only by heralded orthogonalize and number_scheme, got 0.5"),
-        ({"experiment": "orthogonalize", "herald": {"dim": 6}}, "herald.dim",
-         "null for ideal orthogonalize, since it is read only by heralded orthogonalize, got 6"),
-        ({"experiment": "qubit_wigner", "herald": {"beta": 1.0}}, "herald.beta",
-         '"auto" for qubit_wigner, since it is read only by heralded orthogonalize, got 1.0'),
-        ({"experiment": "tomography", "herald": {"theta": 0.5}}, "herald.theta",
-         '"auto" for tomography, since it is read only by heralded orthogonalize and number_scheme, got 0.5'),
+    @pytest.mark.parametrize("config, message", [
+        # the leaves that each run would accept and drop without the READS table
+        ({"experiment": "orthogonalize", "grid": {"nx": 11}},
+         "grid.nx: must be 241 for ideal orthogonalize, since it is read only by qubit_wigner and number_scheme, got 11"),
+        ({"experiment": "orthogonalize", "qubit_c": 0.5}, "qubit_c: must be [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], "
+         "[0.0, -1.0]] for ideal orthogonalize, since it is read only by qubit_wigner, got 0.5"),
+        ({"experiment": "orthogonalize", "sampling": {"seed": 3}},
+         "sampling.seed: must be 12345 for ideal orthogonalize, since it is read only by tomography, got 3"),
+        ({"experiment": "orthogonalize", "reconstruction": {"dim": 5}},
+         "reconstruction.dim: must be 15 for ideal orthogonalize, since it is read only by tomography, got 5"),
+        ({"experiment": "qubit_wigner", "marginal_xs": {"n": 11}}, "marginal_xs.n: must be 1601 for qubit_wigner, "
+         "since it is read only by ideal orthogonalize, heralded orthogonalize and number_scheme, got 11"),
+        ({"experiment": "qubit_wigner", "sampling": {"phases": 3}},
+         "sampling.phases: must be 10 for qubit_wigner, since it is read only by number_scheme and tomography, got 3"),
+        ({"experiment": "tomography", "grid": {"nx": 11}},
+         "grid.nx: must be 241 for tomography, since it is read only by qubit_wigner and number_scheme, got 11"),
+        ({"experiment": "tomography", "qubit_c": 0.5}, "qubit_c: must be [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], "
+         "[0.0, -1.0]] for tomography, since it is read only by qubit_wigner, got 0.5"),
+        ({"experiment": "number_scheme", "transform": "qubit"},
+         "transform: must be \"none\" for number_scheme, since it is read only by tomography, got 'qubit'"),
+        ({"experiment": "number_scheme", "sampling": {"seed": 3}},
+         "sampling.seed: must be 12345 for number_scheme, since it is read only by tomography, got 3"),
+        # number_scheme is the number scheme; the default "creation" cannot be told from an omitted leaf
+        ({"experiment": "number_scheme", "scheme": {"kind": "number"}}, "scheme.kind: must be \"creation\" for "
+         "number_scheme, since it is read only by ideal orthogonalize, qubit_wigner and tomography, got 'number'"),
+        ({"experiment": "verify", "trunc": 12},
+         f"trunc: must be 40 for verify, since it is read only by {_NOT_VERIFY}, got 12"),
+        ({"experiment": "verify", "eta": 0.5},
+         f"eta: must be 1.0 for verify, since it is read only by {_NOT_VERIFY}, got 0.5"),
+        # route and herald: only orthogonalize has a heralded route, which is the creation scheme
+        *[({"experiment": experiment, "route": "heralded"}, f'route: must be "ideal" for {experiment}, since it is '
+           "read only by ideal orthogonalize and heralded orthogonalize, got 'heralded'")
+          for experiment in ("qubit_wigner", "number_scheme", "tomography", "verify")],
+        ({"experiment": "orthogonalize", "route": "heralded", "scheme": {"kind": "number"}}, 'scheme.kind: must be '
+         "\"creation\" for heralded orthogonalize, since it is read only by ideal orthogonalize, qubit_wigner and "
+         "tomography, got 'number'"),
+        ({"experiment": "number_scheme", "herald": {"beta": [0.5, 0.0]}},
+         'herald.beta: must be "auto" for number_scheme, since it is read only by heralded orthogonalize, got [0.5, 0.0]'),
+        ({"experiment": "number_scheme", "herald": {"dim": 6}},
+         "herald.dim: must be null for number_scheme, since it is read only by heralded orthogonalize, got 6"),
+        ({"experiment": "orthogonalize", "herald": {"theta": 0.5}}, 'herald.theta: must be "auto" for ideal '
+         "orthogonalize, since it is read only by heralded orthogonalize and number_scheme, got 0.5"),
+        ({"experiment": "orthogonalize", "herald": {"phi": 0.5}}, "herald.phi: must be 0.0 for ideal orthogonalize, "
+         "since it is read only by heralded orthogonalize and number_scheme, got 0.5"),
+        ({"experiment": "orthogonalize", "herald": {"dim": 6}},
+         "herald.dim: must be null for ideal orthogonalize, since it is read only by heralded orthogonalize, got 6"),
+        ({"experiment": "qubit_wigner", "herald": {"beta": 1.0}},
+         'herald.beta: must be "auto" for qubit_wigner, since it is read only by heralded orthogonalize, got 1.0'),
+        ({"experiment": "tomography", "herald": {"theta": 0.5}}, 'herald.theta: must be "auto" for tomography, '
+         "since it is read only by heralded orthogonalize and number_scheme, got 0.5"),
+        # an input state's leaves follow its kind
+        ({"experiment": "orthogonalize", "input_state": {"kind": "coherent", "n": 3}},
+         "input_state.n: must be 0 for ideal orthogonalize, since it is read only by a fock input, got 3"),
+        ({"experiment": "tomography", "input_state": {"kind": "fock", "alpha": [2.0, 0.0]}},
+         "input_state.alpha: must be [1.0, 0.0] for tomography, since it is read only by a coherent input, "
+         "got [2.0, 0.0]"),
+        ({"experiment": "qubit_wigner", "input_state": {"kind": "fock", "amps": [1.0]}},
+         "input_state.amps: must be null for qubit_wigner, since it is read only by a custom input, got [1.0]"),
     ])
-    def test_herald_leaf_is_refused_where_it_would_be_ignored(self, tmp_path, config, path, message):
-        # a run that reads the leaf passes it: heralded orthogonalize reads all four, number_scheme theta and phi
-        assert validate_config(config) == [f"{path}: must be {message}"]
-        assert validate_config({**config, "experiment": "orthogonalize", "route": "heralded"}) == []
-        if path in ("herald.theta", "herald.phi"):
-            assert validate_config({**config, "experiment": "number_scheme"}) == []
+    def test_leaf_the_run_does_not_read_is_refused(self, tmp_path, config, message):
+        assert validate_config(config) == [message]
+        # the first run that reads the leaf takes the same value
+        path = message.partition(":")[0]
+        reader = next(name for name, row in READS.items() if path in row)
+        if reader.endswith(" input"):
+            taken = {**config, "input_state": {**config["input_state"], "kind": reader.split()[1]}}
+        else:
+            taken = {**config, "experiment": reader.rpartition(" ")[2]}
+            if reader.endswith(" orthogonalize") and path != "route":
+                taken["route"] = reader.partition(" ")[0]
+        assert validate_config(taken) == []
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
@@ -227,8 +260,11 @@ class TestValidate:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         sample_bytes = 16 * 10 ** 12 * (5000 if "phases" in sampling else 10)
         assert f" {sample_bytes} bytes" in problems[0] and f" {memory} bytes" in problems[0]
-        # the other experiments draw no samples
-        assert validate_config({"experiment": "qubit_wigner", "sampling": sampling}) == []
+        # the other experiments draw no samples: qubit_wigner reads no sampling leaf and refuses a value but the default
+        ((key, value),) = sampling.items()
+        assert validate_config({"experiment": "qubit_wigner", "sampling": sampling}) == [
+            f"sampling.{key}: must be {DEFAULTS['sampling'][key]} for qubit_wigner, since it is read only by "
+            f"{'number_scheme and tomography' if key == 'phases' else 'tomography'}, got {value}"]
 
     @pytest.mark.parametrize("config, array, need", [
         ({"experiment": "qubit_wigner", "grid": {"nx": 10**7, "np": 10**7}},
@@ -251,8 +287,12 @@ class TestValidate:
         section = next(key for key in config if key != "experiment")
         assert problems == [f"{section}: {config['experiment']} builds {array}, {need} bytes, "
                             f"more than the {memory} bytes of physical memory"]
-        # verify builds nothing sized by the config
-        assert validate_config({**config, "experiment": "verify"}) == []
+        # verify builds nothing sized by the config, and reads no size: it refuses each leaf set, and nothing more
+        set_leaves = [f"{key}.{sub}" if isinstance(value, dict) else key for key, value in config.items()
+                      if key != "experiment" for sub in (value if isinstance(value, dict) else [None])]
+        problems = validate_config({**config, "experiment": "verify"})
+        assert [p.partition(":")[0] for p in problems] == set_leaves
+        assert all(": must be " in p and " for verify, since it is read only by " in p for p in problems), problems
 
     def test_wide_wigner_grid_validates_and_runs(self, tmp_path):
         # the map's arrays do not grow with the grid bounds: at +-100 the largest is the 241 x 241 map itself
@@ -274,8 +314,11 @@ class TestValidate:
         assert validate_config(config) == [f"grid: must be bounds whose sqrt(2) multiples have finite squares, "
                                            f"got [{bounds}]"]
         assert time.perf_counter() - start < 1.0
-        # the grid is unused elsewhere
-        assert validate_config({**config, "experiment": "orthogonalize"}) == []
+        # orthogonalize reads no grid leaf: it refuses each one set, with no bounds rule
+        problems = validate_config({**config, "experiment": "orthogonalize"})
+        assert [p.partition(":")[0] for p in problems] == [f"grid.{key}" for key in grid]
+        assert all(" for ideal orthogonalize, since it is read only by qubit_wigner and number_scheme, got " in p
+                   for p in problems), problems
 
     @pytest.mark.parametrize("config, message", [
         ({"experiment": "orthogonalize", "trunc": -10**5000}, "trunc: must be an integer >= 2, got under -2^16609"),
@@ -523,16 +566,26 @@ class TestRunOrthogonalize:
             assert mass == np.trapezoid(density, xs)
             assert (mass < 1e-10) if alpha == 28.0 else (abs(mass - 1.0) <= 1e-6)
 
-    def test_heralded_route(self, tmp_path):
-        config = {
-            "experiment": "orthogonalize",
-            "route": "heralded",
-            "trunc": 40,
-        }
-        run(config, output_dir=tmp_path)
+    @pytest.mark.parametrize("config", [
+        {"trunc": 40},
+        # no ancilla photon: the weight is t^2 ||a_dag psi||^2 = (|alpha|^2 + 1) / 2 = 2.5, so not a probability
+        {"trunc": 40, "input_state": {"alpha": [2.0, 0.0]}, "herald": {"beta": [0.0, 0.0], "theta": math.pi / 4}},
+    ])
+    def test_heralded_route(self, tmp_path, config):
+        run({"experiment": "orthogonalize", "route": "heralded", **config}, output_dir=tmp_path)
         report = json.loads((tmp_path / "report.json").read_text())
-        assert report["overlap_with_input"] < 1e-8
-        assert 0 < report["success_probability"] < 1
+        if "herald" not in config:  # auto beta tunes the scheme into the orthogonalizer
+            assert report["overlap_with_input"] < 1e-8
+        # the herald weight is the heralded signal's squared norm, ||t anc_0 a_dag psi - r anc_1 psi||^2, with anc_0
+        # and anc_1 the |0> and |1> amplitudes of the ancilla on its 12-level basis
+        trunc = Truncation(40)
+        psi = coherent_state(complex(*config.get("input_state", {"alpha": [1.0, 0.0]})["alpha"]), trunc)
+        theta, beta = report["beam_splitter_theta"], complex(*report["ancilla_beta"])
+        anc = coherent_state(beta, Truncation(12, tail_tol=5e-3)).amps
+        heralded = math.cos(theta) * anc[0] * (ladder_operators(trunc)[1] @ psi.amps) - math.sin(theta) * anc[1] * psi.amps
+        assert report["herald_weight"] == pytest.approx(float(np.vdot(heralded, heralded).real), rel=1e-14, abs=0)
+        if "herald" in config:
+            assert report["herald_weight"] == pytest.approx(2.5, rel=1e-12)
 
     def test_heralded_files_are_checksummed_indented_json(self, tmp_path):
         manifest = run({"experiment": "orthogonalize", "route": "heralded", "trunc": 40}, output_dir=tmp_path)
@@ -565,6 +618,76 @@ def test_no_orphan_outputs(tmp_path, experiment):
     assert on_disk == listed
     for entry in manifest["files"]:
         assert hashlib.sha256((tmp_path / entry["path"]).read_bytes()).hexdigest() == entry["sha256"], entry["path"]
+
+
+class _Recording(Mapping):
+    """A runner's config that adds the dotted path of every leaf read to ``seen``."""
+
+    def __init__(self, data, seen, prefix=""):
+        self._data, self._seen, self._prefix = data, seen, prefix
+
+    def __getitem__(self, key):
+        value = self._data[key]
+        if isinstance(value, dict):
+            return _Recording(value, self._seen, f"{key}.")
+        self._seen.add(self._prefix + key)
+        return value
+
+    def __iter__(self):
+        return iter(self._data)
+
+    def __len__(self):
+        return len(self._data)
+
+
+# A small config for each run, and the branches it takes: each input kind and, for tomography, each transform.  The
+# number scheme takes no Fock input, an eigenstate of n.
+_ROW_CONFIGS = {
+    "ideal orthogonalize": {"experiment": "orthogonalize", "trunc": 16, "marginal_xs": {"n": 11}},
+    "heralded orthogonalize": {"experiment": "orthogonalize", "route": "heralded", "trunc": 16,
+                               "marginal_xs": {"n": 11}},
+    "qubit_wigner": {"experiment": "qubit_wigner", "trunc": 16, "qubit_c": 1.0, "grid": {"nx": 5, "np": 5}},
+    "number_scheme": {"experiment": "number_scheme", "trunc": 16, "grid": {"nx": 5, "np": 5},
+                      "sampling": {"phases": 1}, "marginal_xs": {"n": 11}},
+    "tomography": {"experiment": "tomography", "trunc": 16, "sampling": {"phases": 1, "samples_per_phase": 20},
+                   "reconstruction": {"dim": 3, "max_iter": 2}},
+    "verify": {"experiment": "verify"},
+}
+_INPUTS = {"coherent": {"kind": "coherent", "alpha": [0.5, 0.0]}, "fock": {"kind": "fock", "n": 1},
+           "custom": {"kind": "custom", "amps": [1.0, 0.5]}}
+
+
+def _branches(name):
+    base = _ROW_CONFIGS[name]
+    if name == "verify":
+        return [base]
+    kinds = [kind for kind in _INPUTS if not (name == "number_scheme" and kind == "fock")]
+    transforms = ("none", "orthogonalize", "qubit") if name == "tomography" else (None,)
+    return [{**base, "input_state": _INPUTS[kind], **({"transform": transform} if transform else {})}
+            for kind in kinds for transform in transforms]
+
+
+def test_the_runs_with_a_row_cover_every_row():
+    assert set(_ROW_CONFIGS) | {f"a {kind} input" for kind in _INPUTS} == set(READS)
+
+
+@pytest.mark.parametrize("name", _ROW_CONFIGS)
+def test_each_run_reads_exactly_its_rows(tmp_path, monkeypatch, name):
+    # Each branch's runner reads its input kind's whole row and, beside it, only leaves of the run's READS row and
+    # experiment (it gets no other, so it could not read one); over all branches it reads every leaf of the run's row.
+    seen = set()
+    for experiment, runner in cli._RUNNERS.items():
+        monkeypatch.setitem(cli._RUNNERS, experiment,
+                            lambda cfg, writer, runner=runner: runner(_Recording(cfg, seen), writer))
+    monkeypatch.setattr(cli, "run_battery", lambda: [])
+    read = set()
+    for i, config in enumerate(_branches(name)):
+        seen.clear()
+        run(config, output_dir=tmp_path / str(i))
+        kind = READS[f"a {config['input_state']['kind']} input"] if "input_state" in config else frozenset()
+        assert kind <= seen <= READS[name] | kind | {"experiment"}, config
+        read |= seen - kind - {"experiment"}
+    assert read == READS[name]
 
 
 def test_manifest_records_the_environment(tmp_path, monkeypatch):
@@ -874,14 +997,42 @@ def test_heralded_auto_beta_at_a_degenerate_angle_is_refused(tmp_path, capsys, t
     assert not (tmp_path / "out").exists()
 
 
-def test_heralded_auto_beta_at_a_tiny_angle_names_the_ancilla_dim(tmp_path, capsys):
+@pytest.mark.parametrize("config, found", [
+    # auto beta = cot(pi/4) <a_dag> = 3 at alpha = 3, whose coherent ancilla needs 20 levels
+    ({"input_state": {"alpha": [3.0, 0.0]}}, "herald.theta 0.785398 with auto beta: a coherent ancilla of |beta|=3 "
+     "needs herald.dim >= 20 at tail_tol 0.005, got 12"),
     # auto beta = cot(1e-6) <a_dag> is about 1e6, and its coherent ancilla needs about |beta|^2 = 1e12 levels
-    config = {"experiment": "orthogonalize", "route": "heralded", "herald": {"theta": 1e-6}}
+    ({"herald": {"theta": 1e-6}}, "herald.theta 1e-06 with auto beta: a coherent ancilla of |beta|=1e+06 "
+     "needs herald.dim >= 1000002575832 at tail_tol 0.005, got 12"),
+])
+def test_heralded_auto_beta_past_the_ancilla_basis_names_the_herald_leaves(tmp_path, capsys, config, found):
+    # auto beta depends on the input state's <a_dag>, so the run, not validate, finds that the ancilla does not fit
+    config = {"experiment": "orthogonalize", "route": "heralded", **config}
+    assert validate_config(config) == []
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
-    needed = re.search(r"\|alpha\|=1e\+06 needs dim >= (\d+) at tail_tol 0\.005, got 12$", capsys.readouterr().err.strip())
-    assert needed and 10**12 <= int(needed.group(1)) < 1.01 * 10**12
+    assert capsys.readouterr().err.strip() == f"run failed: {found}"
+    assert not (tmp_path / "out").exists()
+
+
+def test_explicit_herald_beta_past_the_ancilla_basis_is_refused(tmp_path, capsys):
+    config = {"experiment": "orthogonalize", "route": "heralded", "herald": {"beta": [3.0, 0.0]}}
+    message = "herald.beta: a coherent ancilla of |beta|=3 needs herald.dim >= 20 at tail_tol 0.005, got 12"
+    assert validate_config(config) == [message]
+    assert validate_config({**config, "herald": {"beta": [3.0, 0.0], "dim": 20}}) == []
+    # the herald basis defaults to min(trunc, 12) levels: |beta| = 2 fits 12, not 10
+    assert validate_config({**config, "herald": {"beta": 2.0}}) == []
+    assert validate_config({**config, "trunc": 10, "herald": {"beta": 2.0}}) == [
+        "herald.beta: a coherent ancilla of |beta|=2 needs herald.dim >= 12 at tail_tol 0.005, got 10"]
+    # |beta|^2 past the float range is reported, not raised
+    (huge,) = validate_config({**config, "herald": {"beta": [1e308, 1e308]}})
+    assert re.fullmatch(r"herald\.beta: a coherent ancilla of \|beta\|=1\.414e\+308 needs herald\.dim >= \d+ "
+                        r"at tail_tol 0\.005, got 12", huge)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
