@@ -139,6 +139,12 @@ class _ArtifactWriter:
 
 def _prepared(cfg: dict, kind: OperatorKind | None = None):
     """The truncation, the input state and its orthogonalizer spec (``kind`` defaults to ``scheme.kind``)."""
+    trunc, psi = _input(cfg)
+    return trunc, psi, OrthogonalizerSpec.from_state(kind or OperatorKind(cfg["scheme"]["kind"]), psi)
+
+
+def _input(cfg: dict):
+    """The truncation and the input state."""
     trunc = Truncation(cfg["trunc"])
     state = cfg["input_state"]
     if state["kind"] == "coherent":
@@ -149,7 +155,7 @@ def _prepared(cfg: dict, kind: OperatorKind | None = None):
         padded = np.zeros(trunc.dim, dtype=complex)
         padded[: len(state["amps"])] = [_as_complex(a) for a in state["amps"]]
         psi = StateVector(padded / np.linalg.norm(padded), trunc)
-    return trunc, psi, OrthogonalizerSpec.from_state(kind or OperatorKind(cfg["scheme"]["kind"]), psi)
+    return trunc, psi
 
 
 def _phases(cfg: dict) -> tuple:
@@ -197,26 +203,26 @@ def _complex_pair(z: complex):
     return [float(z.real), float(z.imag)]
 
 
-def _write_state(writer: _ArtifactWriter, cfg: dict, label: str, state: StateVector, phases=(), grid=None, masses=None):
-    """Write ``state`` after the configured loss, each file named with ``label``: its marginals at ``phases``
-    (with each file's trapezoid integral in ``masses``, by file name), its Wigner map on ``grid`` and its density
-    JSON.  Returns the map and its file name (both None without ``grid``).
+def _write_state(writer: _ArtifactWriter, cfg: dict, states: dict, phases=(), grid=None, masses=None):
+    """Write ``states`` (label -> state, on one basis) after the configured loss, each file named with its label:
+    marginals at ``phases`` (with each file's trapezoid integral in ``masses``, by file name), Wigner map on ``grid``
+    and density JSON, through one ``marginal`` and one ``wigner`` call.  Returns the maps (None without ``grid``).
     """
-    rho = apply_loss(state.to_density(), LossChannel(cfg["eta"]))
+    rhos = [apply_loss(state.to_density(), LossChannel(cfg["eta"])) for state in states.values()]
     if phases:
         m = cfg["marginal_xs"]
         xs = np.linspace(m["x_min"], m["x_max"], m["n"])
-        for phase, dens in zip(phases, marginal(rho, phases, xs)):
-            name = marginal_filename(f"marginal_{label}", phase)
-            writer.write(name, "marginal-npy", npy_buffers(np.column_stack([xs, dens])))
-            masses[name] = float(np.trapezoid(dens, xs))
-    wmap = grid_file = None
-    if grid is not None:
-        wmap = wigner(rho, grid)
-        grid_file = f"wigner_{label}.npy"
-        writer.write(grid_file, "wigner-grid", npy_buffers(wmap))
-    writer.write(f"density_{label}.json", "density-json", density_json_text(rho))
-    return wmap, grid_file
+        for label, rows in zip(states, marginal(rhos, phases, xs)):
+            for phase, dens in zip(phases, rows):
+                name = marginal_filename(f"marginal_{label}", phase)
+                writer.write(name, "marginal-npy", npy_buffers(np.column_stack([xs, dens])))
+                masses[name] = float(np.trapezoid(dens, xs))
+    maps = None if grid is None else wigner(rhos, grid)
+    for s, (label, rho) in enumerate(zip(states, rhos)):
+        if maps is not None:
+            writer.write(f"wigner_{label}.npy", "wigner-grid", npy_buffers(maps[s]))
+        writer.write(f"density_{label}.json", "density-json", density_json_text(rho))
+    return maps
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +240,7 @@ def _run_orthogonalize(cfg: dict, writer: _ArtifactWriter) -> dict:
         ref = StateVector(raised - np.conj(_as_complex(cfg["input_state"]["alpha"])) * psi.amps, trunc).normalized()
         report["displaced_fock_fidelity"] = fidelity(out, ref)
 
-    for label, state in (("input", psi), ("output", out)):
-        _write_state(writer, cfg, label, state, phases=(0.0,), masses=report["marginal_mass"])
+    _write_state(writer, cfg, {"input": psi, "output": out}, phases=(0.0,), masses=report["marginal_mass"])
     return report
 
 
@@ -243,19 +248,11 @@ def _run_qubit_wigner(cfg: dict, writer: _ArtifactWriter) -> dict:
     _, psi, spec = _prepared(cfg)
     grid = PhaseGrid(**cfg["grid"])
 
-    c_values = [cfg["qubit_c"]] if _is_complex(cfg["qubit_c"]) else cfg["qubit_c"]
-    entries = []
-    for i, raw_c in enumerate(c_values):
-        c = _as_complex(raw_c)
-        out = orthogonalize(psi, spec, c)
-        wmap, grid_file = _write_state(writer, cfg, f"{i:02d}", out, grid=grid)
-        entries.append({
-            "file": grid_file,
-            "c": _complex_pair(c),
-            "wigner_min": float(wmap.min()),
-            "wigner_max": float(wmap.max()),
-            "grid_integral": grid.integral(wmap),
-        })
+    cs = [_as_complex(c) for c in ([cfg["qubit_c"]] if _is_complex(cfg["qubit_c"]) else cfg["qubit_c"])]
+    maps = _write_state(writer, cfg, {f"{i:02d}": orthogonalize(psi, spec, c) for i, c in enumerate(cs)}, grid=grid)
+    entries = [{"file": f"wigner_{i:02d}.npy", "c": _complex_pair(c), "wigner_min": float(wmap.min()),
+                "wigner_max": float(wmap.max()), "grid_integral": grid.integral(wmap)}
+               for i, (c, wmap) in enumerate(zip(cs, maps))]
     return {"eta": cfg["eta"], "grid": dataclasses.asdict(grid), "maps": entries}
 
 
@@ -270,18 +267,15 @@ def _run_number_scheme(cfg: dict, writer: _ArtifactWriter) -> dict:
     out = _transformed(cfg, psi, spec, report)
     report["overlap_with_input"] = abs(inner_product(psi, out))
 
-    phases = _phases(cfg)
-    for label, state in (("input", psi), ("output", out)):
-        _write_state(writer, cfg, label, state, phases=phases, grid=grid, masses=report["marginal_mass"])
+    _write_state(writer, cfg, {"input": psi, "output": out}, _phases(cfg), grid, report["marginal_mass"])
     return report
 
 
 def _run_tomography(cfg: dict, writer: _ArtifactWriter) -> dict:
-    _, psi, spec = _prepared(cfg)
-    if cfg["transform"] == "orthogonalize":
-        psi = orthogonalize(psi, spec)
-    elif cfg["transform"] == "qubit":
-        psi = orthogonalize(psi, spec, _as_complex(cfg["qubit_c_single"]))
+    _, psi = _input(cfg)
+    if cfg["transform"] != "none":
+        c = _as_complex(cfg["qubit_c_single"]) if cfg["transform"] == "qubit" else 0.0
+        psi = orthogonalize(psi, OrthogonalizerSpec.from_state(OperatorKind(cfg["scheme"]["kind"]), psi), c)
 
     rho_true = psi.to_density()
     rho_detected = apply_loss(rho_true, LossChannel(cfg["eta"]))
@@ -408,21 +402,27 @@ SCHEMA = {
 }
 
 
+_TRANSFORMED = {"none": "plain", "orthogonalize": "orthogonalized", "qubit": "qubit"}
 # The SCHEMA leaves each run reads (a section for all its leaves); a run reading input_state.kind reads its kind's row.
 READS = {run: frozenset(p for p in SCHEMA if {p, p.partition(".")[0]} & set(names.split())) for run, names in {
     "ideal orthogonalize": "input_state.kind scheme route trunc eta marginal_xs",
     "heralded orthogonalize": "input_state.kind route trunc eta marginal_xs herald",
     "qubit_wigner": "input_state.kind scheme trunc eta qubit_c grid",
     "number_scheme": "input_state.kind trunc eta herald.theta herald.phi grid marginal_xs sampling.phases",
-    "tomography": "input_state.kind scheme trunc eta transform qubit_c_single sampling reconstruction",
+    "plain tomography": "input_state.kind trunc eta transform sampling reconstruction",
+    "orthogonalized tomography": "input_state.kind scheme trunc eta transform sampling reconstruction",
+    "qubit tomography": "input_state.kind scheme trunc eta transform qubit_c_single sampling reconstruction",
     "verify": "",
     "a coherent input": "input_state.alpha", "a fock input": "input_state.n", "a custom input": "input_state.amps",
 }.items()}
 
 
 def _reads(cfg: dict):
-    """The run of ``cfg`` and the leaves it reads: experiment, its READS row and, with input_state.kind, the kind's."""
-    run = f"{cfg['route']} orthogonalize" if cfg["experiment"] == "orthogonalize" else cfg["experiment"]
+    """The run of ``cfg`` and the leaves it reads: experiment, its READS row and, with input_state.kind, the kind's.
+
+    ``orthogonalize`` is split by route and ``tomography`` by transform."""
+    run = {"orthogonalize": f"{cfg['route']} orthogonalize",
+           "tomography": f"{_TRANSFORMED[cfg['transform']]} tomography"}.get(cfg["experiment"], cfg["experiment"])
     row = READS[run] | {"experiment"}
     return run, row | READS[f"a {cfg['input_state']['kind']} input"] if "input_state.kind" in row else row
 
@@ -528,7 +528,7 @@ def validate_config(config: dict) -> list:
     def clean(*paths):
         return bad.isdisjoint(paths)
 
-    run, read = _reads(cfg) if clean("experiment", "route", "input_state.kind") else (None, frozenset())
+    run, read = _reads(cfg) if clean("experiment", "route", "transform", "input_state.kind") else (None, frozenset())
     for path in [path for path in SCHEMA if path not in read and path not in bad]:  # every one, if the run is unknown
         bad.add(path)  # a leaf the run does not read enters no rule below
         if run and leaves[path] != SCHEMA[path][0]:
@@ -553,6 +553,18 @@ def validate_config(config: dict) -> list:
     theta = cfg["herald"]["theta"]
     if clean("herald.theta") and run == "number_scheme" and theta != "auto":
         problems += _breach("herald.theta", schemes._NUMBER_SCHEME_THETA, theta)
+    # the number orthogonalizer n - <n> maps a number eigenstate to 0, so the run would find nothing to normalize
+    kind, alpha = leaves["input_state.kind"], leaves["input_state.alpha"]
+    why = f"for {run}, whose n - <n> maps a number eigenstate to 0"
+    if (clean("herald.theta") and run == "number_scheme" and theta == "auto") or (
+            clean("scheme.kind") and run in ("ideal orthogonalize", "orthogonalized tomography")
+            and cfg["scheme"]["kind"] == "number"):
+        if kind == "fock":
+            problems.append(f'input_state.kind: must be "coherent" or "custom" {why}, got \'fock\'')
+        elif kind == "custom" and clean("input_state.amps") and sum(_as_complex(a) != 0 for a in amps) == 1:
+            problems.append(f"input_state.amps: must have two or more nonzero amplitudes {why}, got {_shown(amps)}")
+        elif kind == "coherent" and clean("input_state.alpha") and _as_complex(alpha) == 0:
+            problems.append(f"input_state.alpha: must be nonzero {why}, got {_shown(alpha)}")
     beta = cfg["herald"]["beta"]
     if clean("herald.theta", "herald.beta") and theta != "auto" and beta == "auto":
         problems += _breach("herald.theta", schemes._AUTO_BETA_THETA, theta)
@@ -704,8 +716,7 @@ def run_battery() -> list:
     checks.append(("number_scheme_orthogonalizer", bool(overlap_n < 1e-8), f"overlap {overlap_n:.2e}"))
 
     grid = PhaseGrid(**DEFAULTS["grid"])
-    w_vac = wigner(fock_state(0, Truncation(20)).to_density(), grid)
-    w_one = wigner(fock_state(1, Truncation(20)).to_density(), grid)
+    w_vac, w_one = wigner([fock_state(n, Truncation(20)).to_density() for n in (0, 1)], grid)
     mid = grid.nx // 2
     origin_ok = abs(w_vac[mid, mid] - 1 / math.pi) < 1e-9 and abs(w_one[mid, mid] + 1 / math.pi) < 1e-9
     int_vac, int_one = grid.integral(w_vac), grid.integral(w_one)
@@ -718,7 +729,7 @@ def run_battery() -> list:
     vecs = rng.normal(size=(12, 4)) + 1j * rng.normal(size=(12, 4))
     rho_mix = DensityMatrix(vecs @ vecs.conj().T / np.sum(np.abs(vecs) ** 2), Truncation(12))
     small = PhaseGrid(-2.0, 2.0, -1.5, 1.5, 5, 7)
-    w_mix, padded = wigner(rho_mix, small), np.zeros((64, 64), dtype=complex)
+    (w_mix,), padded = wigner([rho_mix], small), np.zeros((64, 64), dtype=complex)
     padded[:12, :12] = rho_mix.elems
     dev_def = 0.0
     for i, j in ((0, 0), (1, 5), (2, 3), (4, 6)):
@@ -737,7 +748,7 @@ def run_battery() -> list:
 
     xs = np.linspace(-8, 8, 1601)
     ref_dens = np.exp(-((xs - math.sqrt(2)) ** 2)) / math.sqrt(math.pi)
-    dev_marg = float(np.max(np.abs(marginal(rho_coh, (0.0,), xs)[0] - ref_dens)))
+    dev_marg = float(np.max(np.abs(marginal([rho_coh], (0.0,), xs)[0, 0] - ref_dens)))
     checks.append(("coherent_marginal_closed_form", bool(dev_marg < 1e-10), f"sup dev {dev_marg:.2e}"))
 
     plan = SamplingPlan(phases=uniform_phases(4), samples_per_phase=500, seed=7)

@@ -416,7 +416,9 @@ def density_json_text(rho: DensityMatrix) -> str:
     """``json.dumps({"dim": N, "data": pairs}, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
     ``pairs`` holds each entry's ``[re, im]``, row-major.  json writes a finite float as its ``repr``, so one
-    ``%r`` template gives the same text without json's pure-Python indenting encoder.  Raises ``ValueError``
+    ``%s`` template of reprs gives the same text without json's pure-Python indenting encoder.  A finite x >= 0
+    has ``repr(-x) == "-" + repr(x)``, -0.0 included, so each distinct magnitude is written once and signed where
+    the value's sign bit is set; a Hermitian density repeats most of its magnitudes.  Raises ``ValueError``
     naming the first nan or inf entry.
     """
     dim = rho.trunc.dim
@@ -425,9 +427,13 @@ def density_json_text(rho: DensityMatrix) -> str:
     if bad.size:
         i, j = divmod(int(bad[0]), dim)
         raise ValueError(f"density entry [{i}, {j}] is not finite: {flat[bad[0]]}")
-    pairs = ",\n".join(["    [\n      %r,\n      %r\n    ]"] * (dim * dim))
-    values = np.column_stack([flat.real, flat.imag]).ravel().tolist()
-    return ('{\n  "data": [\n' + pairs + '\n  ],\n  "dim": %d\n}\n') % (*values, dim)
+    pairs = ",\n".join(["    [\n      %s,\n      %s\n    ]"] * (dim * dim))
+    values = np.column_stack([flat.real, flat.imag]).ravel()
+    magnitudes, which = np.unique(np.abs(values), return_inverse=True)
+    texts = [repr(m) for m in magnitudes.tolist()]
+    texts += ["-" + text for text in texts]  # entry i + len(magnitudes) is magnitude i with its sign
+    signed = (which.reshape(-1) + magnitudes.size * np.signbit(values)).tolist()
+    return ('{\n  "data": [\n' + pairs + '\n  ],\n  "dim": %d\n}\n') % (*[texts[i] for i in signed], dim)
 
 
 def density_from_json(obj: dict) -> DensityMatrix:

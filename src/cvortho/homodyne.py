@@ -135,7 +135,7 @@ def sample_quadratures(rho: DensityMatrix, plan: SamplingPlan) -> QuadratureSamp
     xs = np.linspace(SAMPLING_X_MIN, SAMPLING_X_MAX, SAMPLING_POINTS)
     count = plan.samples_per_phase
     x = np.empty(len(plan.phases) * count)  # one column, filled phase by phase, so no draw is held twice
-    for i, dens in enumerate(marginal(rho, plan.phases, xs)):
+    for i, dens in enumerate(marginal([rho], plan.phases, xs)[0]):
         cdf = np.concatenate(([0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(xs))))
         cdf /= cdf[-1]
         rng = np.random.default_rng(plan.seed + i)

@@ -104,18 +104,26 @@ def _phase_matrix(phase: float, dim: int) -> np.ndarray:
     return np.outer(m.conj(), m)
 
 
-def marginal(rho: DensityMatrix, phases, xs) -> np.ndarray:
+def _basis_dim(rhos) -> int:
+    """The one basis size of the densities ``rhos``; refuses an empty sequence or one that mixes sizes."""
+    dims = list(dict.fromkeys(rho.trunc.dim for rho in rhos))
+    _require("density dims", ((lambda dims: len(dims) == 1), "one basis size"), dims)
+    return dims[0]
+
+
+def marginal(rhos, phases, xs) -> np.ndarray:
     """Quadrature densities <x_phase| rho |x_phase> = sum_ab psi_a(x) psi_b(x) Re(rho_ab F_ab), read-only.
 
-    Row k is the density at ``phases[k]`` on the points ``xs``, clipped at
-    0; every row reads one table of Hermite functions.
+    Row [s, k] is the density of ``rhos[s]`` at ``phases[k]`` on the points ``xs``, clipped at 0; all read
+    one table of Hermite functions, and each has the bits of the one-density, one-phase call.
     """
     _require("xs", _SQUARABLE, xs)
-    d = rho.trunc.dim
+    d = _basis_dim(rhos)
     herm = hermite_functions(xs, d)
-    dens = np.empty((len(phases), herm.shape[1]))
-    for k, phase in enumerate(phases):
-        dens[k] = np.einsum("ax,ax->x", herm, np.real(rho.elems * _phase_matrix(phase, d)) @ herm)
+    dens = np.empty((len(rhos), len(phases), herm.shape[1]))
+    for s, rho in enumerate(rhos):
+        for k, phase in enumerate(phases):
+            dens[s, k] = np.einsum("ax,ax->x", herm, np.real(rho.elems * _phase_matrix(phase, d)) @ herm)
     np.clip(dens, 0.0, None, out=dens)
     dens.flags.writeable = False
     return dens
@@ -130,8 +138,8 @@ _WIGNER_BOUNDS = ((lambda bounds: _SQUARABLE[0](math.sqrt(2.0) * np.asarray(boun
                   "bounds whose sqrt(2) multiples have finite squares")
 
 
-def wigner(rho: DensityMatrix, grid: PhaseGrid) -> np.ndarray:
-    """W(x_i, p_j) = (1/pi) Tr[rho D(g) P D(g)_dag], g = (x + i p)/sqrt2, as a read-only (nx, np) array.
+def wigner(rhos, grid: PhaseGrid) -> np.ndarray:
+    """W_s(x_i, p_j) = (1/pi) Tr[rho_s D(g) P D(g)_dag], g = (x + i p)/sqrt2, as a read-only (S, nx, np) array.
 
     P is the photon-number parity.  In W = (1/pi) int du <x-u| rho |x+u> e^{2ipu}
     each psi_a(x-u) psi_b(x+u) is a two-mode wave function, which a balanced
@@ -143,22 +151,25 @@ def wigner(rho: DensityMatrix, grid: PhaseGrid) -> np.ndarray:
 
     exact up to rounding: B keeps the photon number a + b <= 2d-2, so no
     basis beyond 2d-1 levels enters.  Sector N of ``beam_splitter_op(pi/4, N)``
-    maps v_k = rho[N-k, k] to C[j, N-j] = <N-j, j| B |rho>>, one sector
-    recurrence pass in all; the map is then two real matrix products over two
-    Hermite tables, O(d^3 + (2d-1)^2 (nx + np) + (2d-1) nx np), with nothing
-    kept between calls.
+    maps v_k = rho[N-k, k] to C[j, N-j] = <N-j, j| B |rho>>.  One recurrence pass and
+    one pair of Hermite tables, O(d^3 + (2d-1)(nx + np)), serve all of ``rhos``, which
+    share one basis; each map then costs O(d^3 + (2d-1)^2 nx + (2d-1) nx np), with
+    the bits of the one-density call, and nothing is kept between calls.
     """
     _require("grid bounds", _WIGNER_BOUNDS, [grid.x_min, grid.x_max, grid.p_min, grid.p_max])
-    d = rho.trunc.dim
+    d = _basis_dim(rhos)
     m = 2 * d - 1
     levels = np.arange(m)
-    coeffs = np.zeros((m, m), dtype=np.complex128)  # C[j, N - j]
-    flipped = rho.elems[::-1]  # flipped.diagonal(N - d + 1) is rho[N - k, k] over the k that both levels allow
+    coeffs = np.zeros((len(rhos), m, m), dtype=np.complex128)  # C[s, j, N - j]
     for n, block in enumerate(_sector_blocks(math.pi / 4, d)):
         j = levels[: n + 1]
-        coeffs[j, n - j] = block @ flipped.diagonal(n - d + 1)
-    real = np.real(coeffs * np.array([1.0, -1j, -1.0, 1j])[levels % 4]) / math.sqrt(math.pi)
-    w = hermite_functions(math.sqrt(2.0) * grid.xs(), m).T @ real @ hermite_functions(math.sqrt(2.0) * grid.ps(), m)
+        for c, rho in zip(coeffs, rhos):  # rho.elems[::-1].diagonal(N - d + 1) is rho[N - k, k] over the k both allow
+            c[j, n - j] = block @ rho.elems[::-1].diagonal(n - d + 1)
+    real = np.multiply(coeffs, np.array([1.0, -1j, -1.0, 1j])[levels % 4], out=coeffs).real / math.sqrt(math.pi)
+    hx, hp = (hermite_functions(math.sqrt(2.0) * axis, m) for axis in (grid.xs(), grid.ps()))
+    w = np.empty((len(rhos), grid.nx, grid.np))
+    for s, r in enumerate(real):
+        np.matmul(hx.T @ r, hp, out=w[s])  # at the one-density shapes, so with that call's bits, and no map copied
     w.flags.writeable = False
     return w
 

@@ -37,6 +37,13 @@ def mixed_states(draw, max_dim, min_dim=2):
     return random_mixed_state(dim, draw(st.integers(1, dim)), draw(st.integers(0, 2**32 - 1)))
 
 
+@st.composite
+def mixed_state_stacks(draw, max_dim, max_count=4):
+    """1 to ``max_count`` random densities on one basis of 2 to ``max_dim`` levels."""
+    dim = draw(st.integers(2, max_dim))
+    return [draw(mixed_states(dim, dim)) for _ in range(draw(st.integers(1, max_count)))]
+
+
 def kernel_marginal(rho, phase, xs):
     """Quadrature density <x_phase| rho |x_phase> through the complex kernel (test oracle).
 

@@ -172,8 +172,8 @@ def test_criterion_5_wigner_correctness():
     with Stopwatch(60) as watch:
         grid = PhaseGrid(-6.0, 6.0, -6.0, 6.0, 241, 241)
         mid = 120
-        w_vac = wigner(fock_state(0, Truncation(20)).to_density(), grid)
-        w_one = wigner(fock_state(1, Truncation(20)).to_density(), grid)
+        w_vac = wigner([fock_state(0, Truncation(20)).to_density()], grid)[0]
+        w_one = wigner([fock_state(1, Truncation(20)).to_density()], grid)[0]
         assert abs(w_vac[mid, mid] - 1.0 / math.pi) < 1e-9
         assert abs(w_one[mid, mid] + 1.0 / math.pi) < 1e-9
         norm_dev = max(abs(grid.integral(w_vac) - 1.0), abs(grid.integral(w_one) - 1.0))
@@ -185,8 +185,8 @@ def test_criterion_5_wigner_correctness():
         psi = fock_state(1, trunc)
         alpha = (1.0 + 0.5j) / math.sqrt(2.0)
         shifted = StateVector(displacement_op(alpha, trunc) @ psi.amps, psi.trunc).normalized()
-        w0 = wigner(psi.to_density(), grid)
-        w1 = wigner(shifted.to_density(), grid)
+        w0 = wigner([psi.to_density()], grid)[0]
+        w1 = wigner([shifted.to_density()], grid)[0]
         cov_dev = float(np.max(np.abs(w1[20:, 10:] - w0[:-20, :-10])))
         assert cov_dev < 1e-9
     report(5, f"Wigner origin values, normalization {norm_dev:.1e}, covariance {cov_dev:.1e}", watch)
@@ -205,10 +205,10 @@ def test_criterion_6_qubit_wigner_maps():
             state = StateVector(qubit_operator(spec, c, trunc) @ psi.amps, psi.trunc).normalized()
             ref_amps = (c * fock_state(0, trunc).amps + fock_state(1, trunc).amps) / math.sqrt(2.0)
             ref = StateVector(disp @ ref_amps, trunc)
-            w_state = wigner(state.to_density(), grid)
-            w_ref = wigner(ref.to_density(), grid)
+            w_state = wigner([state.to_density()], grid)[0]
+            w_ref = wigner([ref.to_density()], grid)[0]
             worst_pointwise = max(worst_pointwise, float(np.max(np.abs(w_state - w_ref))))
-            lossy = wigner(apply_loss(state.to_density(), LossChannel(0.6)), grid)
+            lossy = wigner([apply_loss(state.to_density(), LossChannel(0.6))], grid)[0]
             assert lossy.min() > w_state.min()
             assert lossy.min() < 0.0 or lossy.min() == pytest.approx(0.0, abs=1e-6)
             worst_norm = max(worst_norm, abs(grid.integral(lossy) - 1.0))

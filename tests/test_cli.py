@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 import cvortho.cli as cli
 from cvortho import (
+    EigenstateError,
+    HeraldImpossibleError,
     HeraldModel,
     LossChannel,
     OperatorKind,
@@ -72,7 +74,9 @@ def run_at_one_and_two_blas_threads(tmp_path, config):
     return manifests
 
 
-_NOT_VERIFY = "ideal orthogonalize, heralded orthogonalize, qubit_wigner, number_scheme and tomography"
+_NOT_VERIFY = ("ideal orthogonalize, heralded orthogonalize, qubit_wigner, number_scheme, plain tomography, "
+               "orthogonalized tomography and qubit tomography")
+_TOMOGRAPHY = "plain tomography, orthogonalized tomography and qubit tomography"
 
 
 class TestValidate:
@@ -141,35 +145,42 @@ class TestValidate:
         ({"experiment": "orthogonalize", "qubit_c": 0.5}, "qubit_c: must be [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], "
          "[0.0, -1.0]] for ideal orthogonalize, since it is read only by qubit_wigner, got 0.5"),
         ({"experiment": "orthogonalize", "sampling": {"seed": 3}},
-         "sampling.seed: must be 12345 for ideal orthogonalize, since it is read only by tomography, got 3"),
+         f"sampling.seed: must be 12345 for ideal orthogonalize, since it is read only by {_TOMOGRAPHY}, got 3"),
         ({"experiment": "orthogonalize", "reconstruction": {"dim": 5}},
-         "reconstruction.dim: must be 15 for ideal orthogonalize, since it is read only by tomography, got 5"),
+         f"reconstruction.dim: must be 15 for ideal orthogonalize, since it is read only by {_TOMOGRAPHY}, got 5"),
         ({"experiment": "qubit_wigner", "marginal_xs": {"n": 11}}, "marginal_xs.n: must be 1601 for qubit_wigner, "
          "since it is read only by ideal orthogonalize, heralded orthogonalize and number_scheme, got 11"),
         ({"experiment": "qubit_wigner", "sampling": {"phases": 3}},
-         "sampling.phases: must be 10 for qubit_wigner, since it is read only by number_scheme and tomography, got 3"),
+         f"sampling.phases: must be 10 for qubit_wigner, since it is read only by number_scheme, {_TOMOGRAPHY}, got 3"),
         ({"experiment": "tomography", "grid": {"nx": 11}},
-         "grid.nx: must be 241 for tomography, since it is read only by qubit_wigner and number_scheme, got 11"),
+         "grid.nx: must be 241 for plain tomography, since it is read only by qubit_wigner and number_scheme, got 11"),
         ({"experiment": "tomography", "qubit_c": 0.5}, "qubit_c: must be [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], "
-         "[0.0, -1.0]] for tomography, since it is read only by qubit_wigner, got 0.5"),
+         "[0.0, -1.0]] for plain tomography, since it is read only by qubit_wigner, got 0.5"),
         ({"experiment": "number_scheme", "transform": "qubit"},
-         "transform: must be \"none\" for number_scheme, since it is read only by tomography, got 'qubit'"),
+         f"transform: must be \"none\" for number_scheme, since it is read only by {_TOMOGRAPHY}, got 'qubit'"),
         ({"experiment": "number_scheme", "sampling": {"seed": 3}},
-         "sampling.seed: must be 12345 for number_scheme, since it is read only by tomography, got 3"),
+         f"sampling.seed: must be 12345 for number_scheme, since it is read only by {_TOMOGRAPHY}, got 3"),
         # number_scheme is the number scheme; the default "creation" cannot be told from an omitted leaf
         ({"experiment": "number_scheme", "scheme": {"kind": "number"}}, "scheme.kind: must be \"creation\" for "
-         "number_scheme, since it is read only by ideal orthogonalize, qubit_wigner and tomography, got 'number'"),
+         "number_scheme, since it is read only by ideal orthogonalize, qubit_wigner, orthogonalized tomography and "
+         "qubit tomography, got 'number'"),
         ({"experiment": "verify", "trunc": 12},
          f"trunc: must be 40 for verify, since it is read only by {_NOT_VERIFY}, got 12"),
         ({"experiment": "verify", "eta": 0.5},
          f"eta: must be 1.0 for verify, since it is read only by {_NOT_VERIFY}, got 0.5"),
         # route and herald: only orthogonalize has a heralded route, which is the creation scheme
-        *[({"experiment": experiment, "route": "heralded"}, f'route: must be "ideal" for {experiment}, since it is '
-           "read only by ideal orthogonalize and heralded orthogonalize, got 'heralded'")
-          for experiment in ("qubit_wigner", "number_scheme", "tomography", "verify")],
+        *[({"experiment": run.rpartition(" ")[2], "route": "heralded"}, f'route: must be "ideal" for {run}, since it '
+           "is read only by ideal orthogonalize and heralded orthogonalize, got 'heralded'")
+          for run in ("qubit_wigner", "number_scheme", "plain tomography", "verify")],
         ({"experiment": "orthogonalize", "route": "heralded", "scheme": {"kind": "number"}}, 'scheme.kind: must be '
-         "\"creation\" for heralded orthogonalize, since it is read only by ideal orthogonalize, qubit_wigner and "
-         "tomography, got 'number'"),
+         "\"creation\" for heralded orthogonalize, since it is read only by ideal orthogonalize, qubit_wigner, "
+         "orthogonalized tomography and qubit tomography, got 'number'"),
+        # tomography reads scheme.kind only under a transform, and qubit_c_single only under the qubit one
+        ({"experiment": "tomography", "scheme": {"kind": "number"}}, 'scheme.kind: must be "creation" for plain '
+         "tomography, since it is read only by ideal orthogonalize, qubit_wigner, orthogonalized tomography and "
+         "qubit tomography, got 'number'"),
+        ({"experiment": "tomography", "transform": "orthogonalize", "qubit_c_single": 0.5}, "qubit_c_single: must be "
+         "[1.0, 0.0] for orthogonalized tomography, since it is read only by qubit tomography, got 0.5"),
         ({"experiment": "number_scheme", "herald": {"beta": [0.5, 0.0]}},
          'herald.beta: must be "auto" for number_scheme, since it is read only by heralded orthogonalize, got [0.5, 0.0]'),
         ({"experiment": "number_scheme", "herald": {"dim": 6}},
@@ -182,13 +193,13 @@ class TestValidate:
          "herald.dim: must be null for ideal orthogonalize, since it is read only by heralded orthogonalize, got 6"),
         ({"experiment": "qubit_wigner", "herald": {"beta": 1.0}},
          'herald.beta: must be "auto" for qubit_wigner, since it is read only by heralded orthogonalize, got 1.0'),
-        ({"experiment": "tomography", "herald": {"theta": 0.5}}, 'herald.theta: must be "auto" for tomography, '
-         "since it is read only by heralded orthogonalize and number_scheme, got 0.5"),
+        ({"experiment": "tomography", "herald": {"theta": 0.5}}, 'herald.theta: must be "auto" for plain '
+         "tomography, since it is read only by heralded orthogonalize and number_scheme, got 0.5"),
         # an input state's leaves follow its kind
         ({"experiment": "orthogonalize", "input_state": {"kind": "coherent", "n": 3}},
          "input_state.n: must be 0 for ideal orthogonalize, since it is read only by a fock input, got 3"),
         ({"experiment": "tomography", "input_state": {"kind": "fock", "alpha": [2.0, 0.0]}},
-         "input_state.alpha: must be [1.0, 0.0] for tomography, since it is read only by a coherent input, "
+         "input_state.alpha: must be [1.0, 0.0] for plain tomography, since it is read only by a coherent input, "
          "got [2.0, 0.0]"),
         ({"experiment": "qubit_wigner", "input_state": {"kind": "fock", "amps": [1.0]}},
          "input_state.amps: must be null for qubit_wigner, since it is read only by a custom input, got [1.0]"),
@@ -204,11 +215,40 @@ class TestValidate:
             taken = {**config, "experiment": reader.rpartition(" ")[2]}
             if reader.endswith(" orthogonalize") and path != "route":
                 taken["route"] = reader.partition(" ")[0]
+            if reader.endswith(" tomography"):
+                (taken["transform"],) = [t for t, name in cli._TRANSFORMED.items() if reader == f"{name} tomography"]
         assert validate_config(taken) == []
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config, must", [
+        ({"experiment": "number_scheme", "input_state": {"kind": "fock", "n": 1}},
+         'input_state.kind: must be "coherent" or "custom" for number_scheme'),
+        ({"experiment": "number_scheme", "input_state": {"kind": "fock", "n": 0}},
+         'input_state.kind: must be "coherent" or "custom" for number_scheme'),
+        ({"experiment": "number_scheme", "input_state": {"kind": "custom", "amps": [0.0, [0.0, 1.0]]}},
+         "input_state.amps: must have two or more nonzero amplitudes for number_scheme"),
+        ({"experiment": "number_scheme", "input_state": {"kind": "coherent", "alpha": [0.0, 0.0]}},
+         "input_state.alpha: must be nonzero for number_scheme"),
+        ({"experiment": "orthogonalize", "scheme": {"kind": "number"}, "input_state": {"kind": "fock", "n": 2}},
+         'input_state.kind: must be "coherent" or "custom" for ideal orthogonalize'),
+        ({"experiment": "tomography", "transform": "orthogonalize", "scheme": {"kind": "number"},
+          "input_state": {"kind": "custom", "amps": [0.0, 0.0, 2.0]}},
+         "input_state.amps: must have two or more nonzero amplitudes for orthogonalized tomography"),
+    ])
+    def test_number_orthogonalizer_refuses_a_number_eigenstate(self, tmp_path, config, must):
+        state = config["input_state"]
+        got = repr(state.get("amps", state.get("alpha", state["kind"])))
+        assert validate_config(config) == [f"{must}, whose n - <n> maps a number eigenstate to 0, got {got}"]
+        # the run would have failed: the number orthogonalizer leaves nothing to normalize
+        with pytest.raises((EigenstateError, HeraldImpossibleError)):
+            cli._execute(config, tmp_path / "out")
+        # an input on two levels, or the number scheme at an explicit angle, still validates
+        assert validate_config({**config, "input_state": {"kind": "custom", "amps": [0.0, 1.0, 1.0]}}) == []
+        if config["experiment"] == "number_scheme":
+            assert validate_config({**config, "herald": {"theta": 0.5}}) == []
 
     def test_tomography_rejects_reconstruction_dim_above_trunc(self, tmp_path):
         config = {"experiment": "tomography", "trunc": 12}
@@ -264,7 +304,7 @@ class TestValidate:
         ((key, value),) = sampling.items()
         assert validate_config({"experiment": "qubit_wigner", "sampling": sampling}) == [
             f"sampling.{key}: must be {DEFAULTS['sampling'][key]} for qubit_wigner, since it is read only by "
-            f"{'number_scheme and tomography' if key == 'phases' else 'tomography'}, got {value}"]
+            f"{'number_scheme, ' if key == 'phases' else ''}{_TOMOGRAPHY}, got {value}"]
 
     @pytest.mark.parametrize("config, array, need", [
         ({"experiment": "qubit_wigner", "grid": {"nx": 10**7, "np": 10**7}},
@@ -480,7 +520,7 @@ _AGREEMENT = [
      lambda v: _grid_bounds("x", v)),
     ("marginal_xs", _SQUARE_BOUNDS,
      lambda v: {"experiment": "orthogonalize", "marginal_xs": {"x_min": v[0], "x_max": v[1], "n": 11}},
-     lambda v: marginal(_PSI.to_density(), (0.0,), np.linspace(v[0], v[1], 11))),
+     lambda v: marginal([_PSI.to_density()], (0.0,), np.linspace(v[0], v[1], 11))[0]),
     ("eta", _FRACTIONS, lambda v: {"experiment": "tomography", "eta": v}, LossChannel),
     ("sampling.phases", _PHASE_LISTS, lambda v: {"experiment": "tomography", "sampling": {"phases": v}},
      lambda v: SamplingPlan(v, 1, 0)),
@@ -640,8 +680,8 @@ class _Recording(Mapping):
         return len(self._data)
 
 
-# A small config for each run, and the branches it takes: each input kind and, for tomography, each transform.  The
-# number scheme takes no Fock input, an eigenstate of n.
+# A small config for each run, and the branches it takes: each input kind.  The number scheme takes no Fock input, an
+# eigenstate of n.
 _ROW_CONFIGS = {
     "ideal orthogonalize": {"experiment": "orthogonalize", "trunc": 16, "marginal_xs": {"n": 11}},
     "heralded orthogonalize": {"experiment": "orthogonalize", "route": "heralded", "trunc": 16,
@@ -649,8 +689,10 @@ _ROW_CONFIGS = {
     "qubit_wigner": {"experiment": "qubit_wigner", "trunc": 16, "qubit_c": 1.0, "grid": {"nx": 5, "np": 5}},
     "number_scheme": {"experiment": "number_scheme", "trunc": 16, "grid": {"nx": 5, "np": 5},
                       "sampling": {"phases": 1}, "marginal_xs": {"n": 11}},
-    "tomography": {"experiment": "tomography", "trunc": 16, "sampling": {"phases": 1, "samples_per_phase": 20},
-                   "reconstruction": {"dim": 3, "max_iter": 2}},
+    **{f"{name} tomography": {"experiment": "tomography", "transform": transform, "trunc": 16,
+                              "sampling": {"phases": 1, "samples_per_phase": 20},
+                              "reconstruction": {"dim": 3, "max_iter": 2}}
+       for transform, name in cli._TRANSFORMED.items()},
     "verify": {"experiment": "verify"},
 }
 _INPUTS = {"coherent": {"kind": "coherent", "alpha": [0.5, 0.0]}, "fock": {"kind": "fock", "n": 1},
@@ -662,9 +704,7 @@ def _branches(name):
     if name == "verify":
         return [base]
     kinds = [kind for kind in _INPUTS if not (name == "number_scheme" and kind == "fock")]
-    transforms = ("none", "orthogonalize", "qubit") if name == "tomography" else (None,)
-    return [{**base, "input_state": _INPUTS[kind], **({"transform": transform} if transform else {})}
-            for kind in kinds for transform in transforms]
+    return [{**base, "input_state": _INPUTS[kind]} for kind in kinds]
 
 
 def test_the_runs_with_a_row_cover_every_row():

@@ -448,16 +448,18 @@ class TestSerialization:
         assert text_mismatch(rho) is None
 
     def test_density_text_awkward_floats(self):
-        # -0.0, the smallest subnormal, 1e-5 (repr in exponent form) and integer-valued floats
+        # -0.0, the smallest subnormal, 1e-5 (repr in exponent form), integer-valued floats and mirror pairs x, -x
         elems = np.array([
-            [1.0, complex(-0.0, 5e-324), 1e-5],
-            [complex(-0.0, -5e-324), 0.0, complex(2.0, -0.0)],
-            [1e-5, complex(2.0, 0.0), -3.0],
+            [1.0, complex(-0.0, 5e-324), 1e-5, complex(1 / 3, -1 / 3)],
+            [complex(-0.0, -5e-324), 0.0, complex(2.0, -0.0), -1e300],
+            [1e-5, complex(2.0, 0.0), -3.0, 1e300],
+            [complex(-1 / 3, 1 / 3), 0.1, -0.1, -2.5e-310],
         ])
         rho = unchecked_density(elems)
         assert text_mismatch(rho) is None
         text = density_json_text(rho)
         assert "-0.0," in text and "5e-324" in text and "1e-05" in text
+        assert "-0.3333333333333333," in text and "-1e+300," in text and "-0.1," in text
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_density_text_refuses_non_finite(self, bad):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import eigvec_wigner, kernel_marginal, mixed_states, random_state, wigner_point
+from conftest import eigvec_wigner, kernel_marginal, mixed_state_stacks, mixed_states, random_state, wigner_point
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -60,19 +60,19 @@ class TestHermiteFunctions:
 class TestWigner:
     def test_vacuum_at_origin(self):
         grid = PhaseGrid(**DEFAULTS["grid"])
-        w = wigner(fock_state(0, Truncation(15)).to_density(), grid)
+        w = wigner([fock_state(0, Truncation(15)).to_density()], grid)[0]
         mid = grid.nx // 2
         assert w[mid, mid] == pytest.approx(1 / math.pi, abs=1e-12)
 
     def test_single_photon_at_origin(self):
         grid = PhaseGrid(**DEFAULTS["grid"])
-        w = wigner(fock_state(1, Truncation(15)).to_density(), grid)
+        w = wigner([fock_state(1, Truncation(15)).to_density()], grid)[0]
         mid = grid.nx // 2
         assert w[mid, mid] == pytest.approx(-1 / math.pi, abs=1e-12)
 
     def test_vacuum_closed_form(self):
         grid = PhaseGrid(-4, 4, -4, 4, 41, 41)
-        w = wigner(fock_state(0, Truncation(10)).to_density(), grid)
+        w = wigner([fock_state(0, Truncation(10)).to_density()], grid)[0]
         xs, ps = grid.xs(), grid.ps()
         ref = np.exp(-(xs[:, None] ** 2) - ps[None, :] ** 2) / math.pi
         assert np.max(np.abs(w - ref)) < 1e-9
@@ -81,22 +81,22 @@ class TestWigner:
         # alpha = 6 on a grid centred at its peak (6 sqrt2, 0); the Poisson tail past level 120 is below 1e-26
         centre = 6.0 * math.sqrt(2.0)
         grid = PhaseGrid(centre - 4.0, centre + 4.0, -4.0, 4.0, 41, 41)
-        w = wigner(coherent_state(6.0, Truncation(120)).to_density(), grid)
+        w = wigner([coherent_state(6.0, Truncation(120)).to_density()], grid)[0]
         ref = np.exp(-((grid.xs()[:, None] - centre) ** 2) - grid.ps()[None, :] ** 2) / math.pi
         assert np.max(np.abs(w - ref)) <= 1e-13
 
     def test_bounds_are_refused_where_their_sqrt2_multiples_square_past_the_float_range(self):
         # the map evaluates Hermite functions at sqrt(2) x and sqrt(2) p: the limit is sqrt(max float / 2) ~ 9.486e153
         rho = fock_state(0, Truncation(4)).to_density()
-        far = wigner(rho, PhaseGrid(-9.48e153, 9.48e153, -1.0, 1.0, 2, 2))
+        far = wigner([rho], PhaseGrid(-9.48e153, 9.48e153, -1.0, 1.0, 2, 2))[0]
         assert far.tolist() == [[0.0, 0.0], [0.0, 0.0]]
         message = r"^grid bounds: must be bounds whose sqrt\(2\) multiples have finite squares, got \[-1.0, 9.49e\+153"
         with pytest.raises(ValueError, match=message):
-            wigner(rho, PhaseGrid(-1.0, 9.49e153, -1.0, 1.0, 2, 2))
+            wigner([rho], PhaseGrid(-1.0, 9.49e153, -1.0, 1.0, 2, 2))
 
     def test_coherent_peak_location(self):
         grid = PhaseGrid(**DEFAULTS["grid"])
-        w = wigner(coherent_state(1.0, Truncation(25)).to_density(), grid)
+        w = wigner([coherent_state(1.0, Truncation(25)).to_density()], grid)[0]
         i, j = np.unravel_index(np.argmax(w), w.shape)
         dx = (grid.x_max - grid.x_min) / (grid.nx - 1)
         assert abs(grid.xs()[i] - math.sqrt(2.0)) <= dx
@@ -109,14 +109,22 @@ class TestWigner:
             coherent_state(2.0, Truncation(30)),
             coherent_state(1.0 + 0.5j, Truncation(30)),
         ):
-            assert grid.integral(wigner(state.to_density(), grid)) == pytest.approx(1.0, abs=1e-4)
+            assert grid.integral(wigner([state.to_density()], grid)[0]) == pytest.approx(1.0, abs=1e-4)
 
-    def test_result_is_a_read_only_grid_array(self):
+    def test_result_is_a_read_only_stack_of_grid_arrays(self):
         grid = PhaseGrid(-3.0, 3.0, -2.0, 2.0, 9, 7)
-        w = wigner(fock_state(1, Truncation(8)).to_density(), grid)
-        assert type(w) is np.ndarray and w.dtype == np.float64 and w.shape == (grid.nx, grid.np)
+        w = wigner([fock_state(n, Truncation(8)).to_density() for n in (0, 1)], grid)
+        assert type(w) is np.ndarray and w.dtype == np.float64 and w.shape == (2, grid.nx, grid.np)
         with pytest.raises(ValueError, match="read-only"):
-            w[0, 0] = 0.0
+            w[0, 0, 0] = 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(rhos=mixed_state_stacks(max_dim=16), grid=off_centre_grids())
+    def test_each_map_of_a_stack_is_the_one_density_map(self, rhos, grid):
+        maps = wigner(rhos, grid)
+        assert maps.shape == (len(rhos), grid.nx, grid.np)
+        for rho, w in zip(rhos, maps):
+            assert w.tobytes() == wigner([rho], grid)[0].tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(grid=off_centre_grids(), seed=st.integers(0, 2**32 - 1), fortran=st.booleans())
@@ -136,14 +144,14 @@ class TestWigner:
         disp = displacement_op(alpha, trunc)
         rho_disp = StateVector(disp @ psi.amps, psi.trunc).normalized().to_density()
         grid = PhaseGrid(**DEFAULTS["grid"])
-        w = wigner(rho, grid)
-        w_disp = wigner(rho_disp, grid)
+        w = wigner([rho], grid)[0]
+        w_disp = wigner([rho_disp], grid)[0]
         assert np.max(np.abs(w_disp[20:, 10:] - w[:-20, :-10])) < 1e-9
 
     def test_point_evaluator_matches_sweep(self, rng):
         rho = random_state(Truncation(12), rng, support=8).to_density()
         grid = PhaseGrid(-3, 3, -3, 3, 7, 7)
-        w = wigner(rho, grid)
+        w = wigner([rho], grid)[0]
         for i in (0, 3, 5):
             for j in (1, 3, 6):
                 ref = wigner_point(rho, grid.xs()[i], grid.ps()[j])
@@ -154,7 +162,7 @@ class TestWignerContraction:
     @settings(max_examples=40, deadline=None)
     @given(rho=mixed_states(max_dim=20), grid=off_centre_grids())
     def test_matches_eigenvector_oracle_and_point_path(self, rho, grid):
-        w = wigner(rho, grid)
+        w = wigner([rho], grid)[0]
         assert np.max(np.abs(w - eigvec_wigner(rho, grid))) <= 1e-13
         for i, j in ((0, 0), (grid.nx - 1, grid.np - 1), (grid.nx // 2, grid.np // 3)):
             ref = wigner_point(rho, grid.xs()[i], grid.ps()[j])
@@ -166,10 +174,10 @@ class TestWignerContraction:
         # the p-range holds all but ~1e-18 of W for d <= 12; the trapezoid
         # error is bounded by the gap to the rule on every other node
         grid = PhaseGrid(-4.0, 5.0, -9.0, 9.0, 19, 181)
-        w = wigner(rho, grid)
+        w = wigner([rho], grid)[0]
         fine = np.trapezoid(w, grid.ps(), axis=1)
         coarse = np.trapezoid(w[:, ::2], grid.ps()[::2], axis=1)
-        (density,) = marginal(rho, (0.0,), grid.xs())
+        (density,) = marginal([rho], (0.0,), grid.xs())[0]
         assert np.all(np.abs(fine - density) <= np.abs(fine - coarse) + 1e-13)
 
 
@@ -177,7 +185,7 @@ class TestMarginal:
     def test_coherent_gaussian(self):
         rho = coherent_state(1.0, Truncation(30)).to_density()
         xs = np.linspace(-8, 8, 1601)
-        (density,) = marginal(rho, (0.0,), xs)
+        (density,) = marginal([rho], (0.0,), xs)[0]
         ref = np.exp(-((xs - math.sqrt(2.0)) ** 2)) / math.sqrt(math.pi)
         assert np.max(np.abs(density - ref)) < 1e-10
         assert np.trapezoid(density, xs) == pytest.approx(1.0, abs=1e-6)
@@ -186,14 +194,14 @@ class TestMarginal:
         rho = fock_state(1, Truncation(10)).to_density()
         xs = np.linspace(-8, 8, 1601)
         ref = 2.0 * xs**2 * np.exp(-(xs**2)) / math.sqrt(math.pi)
-        for density in marginal(rho, (0.0, 0.7, math.pi / 2), xs):
+        for density in marginal([rho], (0.0, 0.7, math.pi / 2), xs)[0]:
             assert np.max(np.abs(density - ref)) < 1e-10
 
     def test_rotated_coherent_mean(self):
         # at phase pi/2 the marginal reads the p quadrature
         rho = coherent_state(0.8j, Truncation(25)).to_density()
         xs = np.linspace(-8, 8, 1601)
-        (density,) = marginal(rho, (math.pi / 2,), xs)
+        (density,) = marginal([rho], (math.pi / 2,), xs)[0]
         mean = np.trapezoid(xs * density, xs)
         assert mean == pytest.approx(math.sqrt(2.0) * 0.8, abs=1e-10)
 
@@ -201,19 +209,21 @@ class TestMarginal:
     @given(rho=mixed_states(max_dim=40), phase=st.floats(-2.0 * math.pi, 2.0 * math.pi),
            xs=st.lists(st.floats(-9.0, 9.0), min_size=1, max_size=40))
     def test_matches_complex_kernel_oracle(self, rho, phase, xs):
-        (density,) = marginal(rho, (phase,), xs)
+        (density,) = marginal([rho], (phase,), xs)[0]
         assert np.max(np.abs(density - kernel_marginal(rho, phase, xs))) <= 1e-14
 
     @settings(max_examples=40, deadline=None)
-    @given(rho=mixed_states(max_dim=40), phases=st.lists(st.floats(-2.0 * math.pi, 2.0 * math.pi), max_size=6),
+    @given(rhos=mixed_state_stacks(max_dim=40), phases=st.lists(st.floats(-2.0 * math.pi, 2.0 * math.pi), max_size=6),
            xs=st.lists(st.floats(-9.0, 9.0), min_size=1, max_size=40))
-    def test_each_row_is_the_single_phase_marginal(self, rho, phases, xs):
-        rows = marginal(rho, phases, xs)
-        assert rows.shape == (len(phases), len(xs)) and not rows.flags.writeable
-        for phase, row in zip(phases, rows):
-            assert row.tobytes() == marginal(rho, (phase,), xs)[0].tobytes()
+    def test_each_row_is_the_single_phase_marginal(self, rhos, phases, xs):
+        # each row of a stack of densities has the bits of its one-density, one-phase call
+        stack = marginal(rhos, phases, xs)
+        assert stack.shape == (len(rhos), len(phases), len(xs)) and not stack.flags.writeable
+        for rho, rows in zip(rhos, stack):
+            for phase, row in zip(phases, rows):
+                assert row.tobytes() == marginal([rho], (phase,), xs)[0, 0].tobytes()
         with pytest.raises(ValueError, match="read-only"):
-            rows[...] = 0.0
+            stack[...] = 0.0
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_orthogonalized_coherent_marginal(self, alpha):
@@ -225,7 +235,7 @@ class TestMarginal:
         psi = coherent_state(alpha, trunc)
         perp = orthogonalize(psi, OrthogonalizerSpec.from_state(OperatorKind.CREATION, psi))
         xs = np.linspace(-8, 8, 1601)
-        (density,) = marginal(perp.to_density(), (0.0,), xs)
+        (density,) = marginal([perp.to_density()], (0.0,), xs)[0]
         assert np.max(np.abs(density - displaced_one_photon_density(xs, alpha))) < 1e-6
 
     def test_wigner_slice_cross_validation(self, rng):
@@ -241,11 +251,22 @@ class TestMarginal:
         xs = grid.xs()
         for phi in phases:
             rho = random_state(Truncation(10), rng, support=6).to_density()
-            (density,) = marginal(rho, (phi,), xs)
+            (density,) = marginal([rho], (phi,), xs)[0]
             rot = np.exp(-1j * phi * np.arange(10))
             rho_rot = DensityMatrix(rot[:, None] * rho.elems * rot.conj()[None, :], rho.trunc)
-            sliced = np.trapezoid(wigner(rho_rot, grid), grid.ps(), axis=1)
+            sliced = np.trapezoid(wigner([rho_rot], grid)[0], grid.ps(), axis=1)
             assert np.max(np.abs(sliced - density)) < 1e-4
+
+
+class TestStacks:
+    @pytest.mark.parametrize("call", [lambda rhos: wigner(rhos, PhaseGrid(-1.0, 1.0, -1.0, 1.0, 3, 3)),
+                                      lambda rhos: marginal(rhos, (0.0,), np.linspace(-1.0, 1.0, 3))])
+    def test_densities_on_two_bases_are_refused(self, call):
+        rhos = [fock_state(0, Truncation(d)).to_density() for d in (4, 4, 6)]
+        with pytest.raises(ValueError, match=r"^density dims: must be one basis size, got \[4, 6\]$"):
+            call(rhos)
+        with pytest.raises(ValueError, match=r"^density dims: must be one basis size, got \[\]$"):
+            call([])
 
 
 class TestLossChannel:
@@ -297,7 +318,7 @@ class TestLossChannel:
         ]
         for rho in states:
             minima = [
-                wigner(apply_loss(rho, LossChannel(eta)), grid).min()
+                wigner([apply_loss(rho, LossChannel(eta))], grid)[0].min()
                 for eta in (1.0, 0.8, 0.6, 0.4)
             ]
             assert all(m2 > m1 for m1, m2 in zip(minima, minima[1:]))
@@ -338,7 +359,7 @@ class TestFileFormats:
 
     def test_npy_buffers_keep_every_bit_of_a_grid(self, rng):
         grid = PhaseGrid(-3, 3, -2, 2, 11, 9)
-        computed = wigner(random_state(Truncation(8), rng, support=5).to_density(), grid)
+        computed = wigner([random_state(Truncation(8), rng, support=5).to_density()], grid)[0]
         awkward = self.awkward_values(99).reshape(11, 9)
         # a Fortran-ordered array's file is still in C order
         for values in (computed, awkward, np.asfortranarray(awkward)):
@@ -346,7 +367,7 @@ class TestFileFormats:
 
     def test_marginal_npy(self, tmp_path):
         xs = np.linspace(-1, 1, 5)
-        (written,) = marginal(fock_state(0, Truncation(4)).to_density(), (0.25,), xs)
+        (written,) = marginal([fock_state(0, Truncation(4)).to_density()], (0.25,), xs)[0]
         name = marginal_filename("marginal_out", 0.25)
         assert name == "marginal_out_phi0.2500.npy"
         (tmp_path / name).write_bytes(b"".join(npy_buffers(np.column_stack([xs, written]))))
