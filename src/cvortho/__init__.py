@@ -49,7 +49,6 @@ from .phasespace import (
 from .schemes import (
     DegenerateDenominatorError,
     EigenstateError,
-    HeraldModel,
     OperatorKind,
     OrthogonalizerSpec,
     SingularConfigurationError,

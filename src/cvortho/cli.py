@@ -65,7 +65,6 @@ from .phasespace import (
     wigner,
 )
 from .schemes import (
-    HeraldModel,
     OperatorKind,
     OrthogonalizerSpec,
     beta_for_addition_orthogonalizer,
@@ -177,26 +176,20 @@ def _transformed(cfg: dict, psi: StateVector, spec: OrthogonalizerSpec, report: 
     theta = h["theta"]
     if theta == "auto":  # the creation scheme's balanced splitter keeps the tuned ancilla amplitude at |<a_dag>|
         theta = math.pi / 4 if creation else theta_for_number_orthogonalizer(float(complex(spec.mean_value).real))
-    beta, dim = (h["beta"], h["dim"]) if creation else (0.0, None)  # the number scheme has no ancilla
-    if beta == "auto":
+    report["beam_splitter_theta"] = theta = float(theta)
+    if not creation:  # the number scheme has no ancilla
+        out, report["herald_weight"] = number_scheme_model(psi, theta, float(h["phi"]))
+        return out
+    if h["beta"] != "auto":
+        beta = _as_complex(h["beta"])
+    else:
         beta = beta_for_addition_orthogonalizer(complex(spec.mean_value), theta)
-        if misfit := _ancilla_misfit(beta, cfg):  # the tuned amplitude is cot(theta) |<a_dag>|
+        _, misfit = schemes._ancilla_basis(beta, cfg["trunc"], h["dim"])
+        if misfit:  # the tuned amplitude is cot(theta) |<a_dag>|
             raise fock.TruncationError(f"herald.theta {theta:.6g} with auto beta: {misfit}")
-    model = HeraldModel(beta=_as_complex(beta), theta=float(theta), phi=float(h["phi"]), herald_dim=dim)
-    out, report["herald_weight"] = (heralded_addition_model if creation else number_scheme_model)(psi, model)
-    report["beam_splitter_theta"] = model.theta
-    if creation:
-        report["ancilla_beta"] = _complex_pair(model.beta)
+    report["ancilla_beta"] = _complex_pair(beta)
+    out, report["herald_weight"] = heralded_addition_model(psi, beta, theta, h["dim"])
     return out
-
-
-def _ancilla_misfit(beta: complex, cfg: dict) -> str:
-    """'' if the addition scheme's coherent ancilla of amplitude ``beta`` fits its herald basis, else what it needs."""
-    dim, size = cfg["herald"]["dim"] or min(cfg["trunc"], schemes._HERALD_DIM_CAP), math.hypot(beta.real, beta.imag)
-    # past |beta| = 1e150 the need exceeds any basis that fits in memory, and |beta|^2 nears the float range
-    needed = fock.min_dim_for_coherent(min(size, 1e150), schemes._HERALD_TAIL_TOL)
-    return "" if needed <= dim else (f"a coherent ancilla of |beta|={size:.4g} needs herald.dim >= {needed} "
-                                     f"at tail_tol {schemes._HERALD_TAIL_TOL:g}, got {dim}")
 
 
 def _complex_pair(z: complex):
@@ -406,7 +399,7 @@ _TRANSFORMED = {"none": "plain", "orthogonalize": "orthogonalized", "qubit": "qu
 # The SCHEMA leaves each run reads (a section for all its leaves); a run reading input_state.kind reads its kind's row.
 READS = {run: frozenset(p for p in SCHEMA if {p, p.partition(".")[0]} & set(names.split())) for run, names in {
     "ideal orthogonalize": "input_state.kind scheme route trunc eta marginal_xs",
-    "heralded orthogonalize": "input_state.kind route trunc eta marginal_xs herald",
+    "heralded orthogonalize": "input_state.kind route trunc eta marginal_xs herald.theta herald.beta herald.dim",
     "qubit_wigner": "input_state.kind scheme trunc eta qubit_c grid",
     "number_scheme": "input_state.kind trunc eta herald.theta herald.phi grid marginal_xs sampling.phases",
     "plain tomography": "input_state.kind trunc eta transform sampling reconstruction",
@@ -473,21 +466,22 @@ def _breach(path: str, rule, value) -> list:
 def _largest_array(cfg: dict, clean):
     """(bytes, section, array) for the largest array that a run builds at sizes read from ``cfg``, or None.
 
-    Sizes a dense complex trunc x trunc operator, the real nx x np Wigner map, the two Hermite tables of its
-    2 trunc - 1 levels on the grid axes and its complex coefficient matrix C, the n x trunc Hermite table of a
-    marginal, the quadrature samples and MaxLik's phases x cells table, each only from leaves that ``clean`` passes
-    (those the run reads and no rule has reported).  A run needs at least this much memory.
+    Sizes a dense complex trunc x trunc operator, the real S x nx x np stack of a run's S Wigner maps with their
+    complex coefficient matrices C on 2 trunc - 1 levels and the two Hermite tables of those levels on the grid
+    axes, the n x trunc Hermite table of a marginal, the quadrature samples and MaxLik's phases x cells table, each only from leaves
+    that ``clean`` passes (those the run reads and no rule has reported).  A run needs at least this much memory.
     """
     trunc, grid, n = cfg["trunc"], cfg["grid"], cfg["marginal_xs"]["n"]
     arrays = []
     if clean("trunc"):
         arrays.append((16 * trunc * trunc, "trunc", f"a dense complex {_shown(trunc)} x {_shown(trunc)} operator"))
     if clean("trunc", "grid.nx", "grid.np"):
-        levels = 2 * trunc - 1
-        arrays.append((8 * grid["nx"] * grid["np"], "grid",
-                       f"the {_shown(grid['nx'])} x {_shown(grid['np'])} Wigner map"))
-        arrays.append((16 * levels * levels, "trunc",
-                       f"the complex {_shown(levels)} x {_shown(levels)} Wigner coefficients"))
+        levels, c = 2 * trunc - 1, cfg["qubit_c"]  # qubit_wigner maps each qubit_c coefficient, number_scheme 2 states
+        maps = 2 if cfg["experiment"] == "number_scheme" else len(c) if clean("qubit_c") and not _is_complex(c) else 1
+        arrays.append((8 * maps * grid["nx"] * grid["np"], "grid",
+                       f"the {maps} x {_shown(grid['nx'])} x {_shown(grid['np'])} stack of Wigner maps"))
+        arrays.append((16 * maps * levels * levels, "trunc",
+                       f"the complex {maps} x {_shown(levels)} x {_shown(levels)} stack of Wigner coefficients"))
         arrays += [(8 * levels * grid[size], "grid",
                     f"the {_shown(levels)} x {_shown(grid[size])} Hermite table of the Wigner {size[1]} axis")
                    for size in ("nx", "np")]
@@ -568,9 +562,9 @@ def validate_config(config: dict) -> list:
     beta = cfg["herald"]["beta"]
     if clean("herald.theta", "herald.beta") and theta != "auto" and beta == "auto":
         problems += _breach("herald.theta", schemes._AUTO_BETA_THETA, theta)
-    misfit = clean("herald.beta", "herald.dim", "trunc") and beta != "auto" and _ancilla_misfit(_as_complex(beta), cfg)
-    if misfit:
-        problems.append(f"herald.beta: {misfit}")
+    if clean("herald.beta", "herald.dim", "trunc") and beta != "auto":
+        _, misfit = schemes._ancilla_basis(_as_complex(beta), cfg["trunc"], cfg["herald"]["dim"])
+        problems += [f"herald.beta: {misfit}"] if misfit else []
     phases = cfg["sampling"]["phases"]
     if clean("sampling.phases") and run == "number_scheme":
         if _is_int(phases) and phases > _MAX_NAMED_PHASE_COUNT:
@@ -698,20 +692,27 @@ def run_battery() -> list:
     checks.append(("orthogonal_family", bool(worst_fam < 1e-8), f"worst overlap {worst_fam:.2e}"))
 
     psi_in = coherent_state(0.5, big)
-    model = HeraldModel(beta=1.0, theta=math.pi / 8)
-    out, prob = heralded_addition_model(psi_in, model)
-    ideal = StateVector(ideal_addition_operator(model, big) @ psi_in.amps, big).normalized()
+    out, prob = heralded_addition_model(psi_in, 1.0, math.pi / 8)
+    ideal = StateVector(ideal_addition_operator(1.0, math.pi / 8, big) @ psi_in.amps, big).normalized()
     f_model = fidelity(out, ideal)
     checks.append(("heralded_addition_equivalence", bool(f_model > 1 - 1e-8), f"fidelity {f_model:.10f}"))
 
-    model_n = HeraldModel(beta=0.0, theta=math.pi / 7, phi=0.4)
-    out_model_n, _ = number_scheme_model(coh1, model_n)
-    f_number = fidelity(out_model_n, StateVector(ideal_number_operator(model_n, big) @ coh1.amps, big).normalized())
+    # auto beta r beta = t <a_dag> at a complex alpha: the ancilla's phase is beta's own
+    coh_c = coherent_state(0.7 + 0.4j, big)
+    spec_c = OrthogonalizerSpec.from_state(OperatorKind.CREATION, coh_c)
+    out_c, _ = heralded_addition_model(coh_c, beta_for_addition_orthogonalizer(spec_c.mean_value, math.pi / 4),
+                                       math.pi / 4)
+    overlap_c = abs(inner_product(coh_c, out_c))
+    checks.append(("heralded_addition_orthogonalizer", bool(overlap_c < 1e-8), f"overlap {overlap_c:.2e}"))
+
+    out_model_n, _ = number_scheme_model(coh1, math.pi / 7, 0.4)
+    ideal_n = StateVector(ideal_number_operator(math.pi / 7, 0.4, big) @ coh1.amps, big).normalized()
+    f_number = fidelity(out_model_n, ideal_n)
     checks.append(("number_scheme_equivalence", bool(f_number > 1 - 1e-8), f"fidelity {f_number:.10f}"))
 
     spec_n = OrthogonalizerSpec.from_state(OperatorKind.NUMBER, coh1)
     theta_n = theta_for_number_orthogonalizer(float(complex(spec_n.mean_value).real))
-    out_n, _ = number_scheme_model(coh1, HeraldModel(beta=0.0, theta=theta_n))
+    out_n, _ = number_scheme_model(coh1, theta_n)
     overlap_n = abs(inner_product(coh1, out_n))
     checks.append(("number_scheme_orthogonalizer", bool(overlap_n < 1e-8), f"overlap {overlap_n:.2e}"))
 

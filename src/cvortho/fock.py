@@ -1,6 +1,8 @@
 """Truncated-Fock-space linear algebra: states, operators, the beam splitter.
 
 A single bosonic mode is represented on the number basis |0>, ..., |N-1>.
+One tail guard holds on every basis: a coherent state, and any state that
+``check_tail`` admits, carries at most 1e-8 of its weight at the top level.
 The two-mode beam splitter conserves the total photon number, so it is
 given one photon-number sector at a time; no truncation enters there.
 
@@ -47,6 +49,9 @@ __all__ = [
 # meaningfulness for normalized inputs.
 ZERO_NORM_TOL = 1e-12
 
+# The tail guard: the most weight an admitted state may carry at the top level, checked where weight can move up
+_TAIL_TOL = 1e-8
+
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-10
 _EIGENVALUE_FLOOR = -1e-10
@@ -82,21 +87,13 @@ def _int_rule(low: int, high: int | None = None):
 
 @dataclass(frozen=True)
 class Truncation:
-    """Fock-basis cutoff keeping levels |0> ... |dim-1>.
-
-    ``tail_tol`` bounds the probability weight an admitted state may carry
-    at the top retained level; operations that can push weight upward
-    (displacement, photon addition) check it and fail loudly.
-    """
+    """Fock-basis cutoff keeping levels |0> ... |dim-1>."""
 
     dim: int
-    tail_tol: float = 1e-8
     DIM = _int_rule(2)
 
     def __post_init__(self):
         _require("dim", self.DIM, self.dim)
-        if self.tail_tol < 0:
-            raise ValueError(f"tail_tol must be >= 0, got {self.tail_tol!r}")
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -237,11 +234,11 @@ def coherent_state(alpha: complex, trunc: Truncation) -> StateVector:
     Raises :class:`TruncationError` when the truncation cannot hold the state,
     and ``ValueError`` when exp(-|a|^2/2) is not a normal double (|a| > 37.6).
     """
-    needed = min_dim_for_coherent(alpha, trunc.tail_tol)
+    needed = min_dim_for_coherent(alpha, _TAIL_TOL)
     if trunc.dim < needed:
         raise TruncationError(
             f"coherent amplitude |alpha|={abs(alpha):.4g} needs dim >= {needed} at "
-            f"tail_tol {trunc.tail_tol:g}, got {trunc.dim}",
+            f"tail_tol {_TAIL_TOL:g}, got {trunc.dim}",
             suggested_dim=needed,
         )
     amps = np.zeros(trunc.dim, dtype=np.complex128)
@@ -380,15 +377,14 @@ def fidelity(x, y) -> float:
 
 
 def check_tail(state: StateVector, context: str = "") -> None:
-    """Raise :class:`TruncationError` when the top-level weight is too large."""
+    """Raise :class:`TruncationError` when the top-level weight is above the tail guard's 1e-8."""
     w = state.top_weight
-    tol = state.trunc.tail_tol
-    if w > tol:
+    if w > _TAIL_TOL:
         dim = state.trunc.dim
         suggested = dim + max(8, dim // 2)
         where = f" ({context})" if context else ""
         raise TruncationError(
-            f"top-level weight {w:.3e} exceeds tail_tol {tol:g}{where}; "
+            f"top-level weight {w:.3e} exceeds tail_tol {_TAIL_TOL:g}{where}; "
             f"retry with dim >= {suggested}",
             suggested_dim=suggested,
         )

@@ -4,9 +4,11 @@ Given any operator C and its mean <C> on a known input state, the operator
 C - <C> 1 maps that input to a state orthogonal to it, and
 C + (c - <C>) 1 superposes the input with its orthogonal at a weight set by
 the coefficient c.  Two conditional beam-splitter realizations are modeled
-explicitly: a photon-addition branch mixed with a coherent ancilla (giving
-t a_dag - r beta 1 on the signal after heralding on |1>|0>), and a
-two-branch number scheme (giving t e^{i phi} a_dag a - r a a_dag).
+explicitly, each taking only the parameters it reads: a photon-addition
+branch mixed with a coherent ancilla |beta> (giving t a_dag - r beta 1 on
+the signal after heralding on |1>|0>, which reads the ancilla's |0> and |1>
+amplitudes, in closed form), and a two-branch number scheme (giving
+t e^{i phi} a_dag a - r a a_dag).
 """
 
 from __future__ import annotations
@@ -17,17 +19,19 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import pdtr
 
 from .fock import (
     ZERO_NORM_TOL,
     HeraldImpossibleError,
     StateVector,
     Truncation,
+    TruncationError,
     beam_splitter_op,
     check_tail,
-    coherent_state,
     expectation,
     ladder_operators,
+    min_dim_for_coherent,
     _freeze,
     _int_rule,
     _read_only,
@@ -38,7 +42,6 @@ from .fock import (
 __all__ = [
     "OperatorKind",
     "OrthogonalizerSpec",
-    "HeraldModel",
     "EigenstateError",
     "SingularConfigurationError",
     "DegenerateDenominatorError",
@@ -117,31 +120,6 @@ class OrthogonalizerSpec:
         """Measure <C> on ``psi`` and record it as the spec mean; the kind and operator are checked first."""
         mean = expectation(_base_operator(cls(kind, 0.0, operator), psi.trunc), psi)
         return cls(kind, mean.real if kind is OperatorKind.NUMBER else mean, operator)
-
-
-@dataclass(frozen=True)
-class HeraldModel:
-    """Conditional beam-splitter configuration.
-
-    t = cos(theta) and r = sin(theta).  ``phi`` rotates the ancilla
-    amplitude, so the addition scheme realizes t a_dag - r beta e^{i phi} 1.
-    ``herald_dim`` is the basis size of the addition scheme's coherent
-    ancilla and defaults to min(signal dim, 12); the number scheme has no
-    ancilla and ignores it.
-    """
-
-    beta: complex
-    theta: float
-    phi: float = 0.0
-    herald_dim: int | None = None
-
-    @property
-    def t(self) -> float:
-        return math.cos(self.theta)
-
-    @property
-    def r(self) -> float:
-        return math.sin(self.theta)
 
 
 def _base_operator(spec: OrthogonalizerSpec, trunc: Truncation) -> np.ndarray:
@@ -236,20 +214,19 @@ def two_operator_orthogonalizer(c1: np.ndarray, c2: np.ndarray, psi: StateVector
 
 
 # ---------------------------------------------------------------------------
-# heralded beam-splitter realizations
+# heralded beam-splitter realizations, with t = cos(theta) and r = sin(theta)
 
 
-def ideal_addition_operator(model: HeraldModel, trunc: Truncation) -> np.ndarray:
-    """t a_dag - r beta e^{i phi} 1: the heralded addition scheme's target."""
+def ideal_addition_operator(beta: complex, theta: float, trunc: Truncation) -> np.ndarray:
+    """t a_dag - r beta 1: the heralded addition scheme's target."""
     _, a_dag, _ = ladder_operators(trunc)
-    shift = model.r * complex(model.beta) * cmath.exp(1j * model.phi)
-    return _read_only(model.t * a_dag - shift * np.eye(trunc.dim))
+    return _read_only(math.cos(theta) * a_dag - math.sin(theta) * complex(beta) * np.eye(trunc.dim))
 
 
-def ideal_number_operator(model: HeraldModel, trunc: Truncation) -> np.ndarray:
+def ideal_number_operator(theta: float, phi: float, trunc: Truncation) -> np.ndarray:
     """t e^{i phi} a_dag a - r a a_dag: the number scheme's target."""
     a, a_dag, n_op = ladder_operators(trunc)
-    return _read_only(model.t * cmath.exp(1j * model.phi) * n_op - model.r * (a @ a_dag))
+    return _read_only(math.cos(theta) * cmath.exp(1j * phi) * n_op - math.sin(theta) * (a @ a_dag))
 
 
 # beta_for_addition_orthogonalizer's rule: r = 0 leaves no ancilla path, and at t = 0 the tuned t a_dag - r beta is 0
@@ -260,8 +237,8 @@ _AUTO_BETA_THETA = ((lambda theta: min(abs(math.sin(theta)), abs(math.cos(theta)
 def beta_for_addition_orthogonalizer(mean_creation: complex, theta: float) -> complex:
     """Ancilla amplitude that tunes the addition scheme into an orthogonalizer.
 
-    Solves r beta = t <a_dag> for beta at fixed theta (phi = 0), keeping the
-    herald truncation requirement set by the beam-splitter angle alone.
+    Solves r beta = t <a_dag> for beta at fixed theta, so that
+    t a_dag - r beta 1 is t (a_dag - <a_dag>) 1.
     """
     _require("theta", _AUTO_BETA_THETA, theta)
     return (math.cos(theta) / math.sin(theta)) * complex(mean_creation)
@@ -294,16 +271,30 @@ def _herald_one_zero(theta: float, from_one_zero: np.ndarray, from_zero_one: np.
     return StateVector(amps / nrm, signal_trunc), weight
 
 
-def heralded_addition_model(psi: StateVector, model: HeraldModel):
-    """Physical realization of t a_dag - r beta e^{i phi} 1 on the signal.
+def _ancilla_basis(beta: complex, signal_dim: int, herald_dim: int | None):
+    """The herald basis size D of the coherent ancilla |beta>, ``herald_dim`` or else min(signal dim, 12), and
+    '' if the ancilla fits D levels under the herald tail guard, else what it needs."""
+    dim, size = herald_dim or min(signal_dim, _HERALD_DIM_CAP), abs(beta)
+    # past |beta| = 1e150 the need exceeds any basis that fits in memory, and |beta|^2 nears the float range
+    needed = min_dim_for_coherent(min(size, 1e150), _HERALD_TAIL_TOL)
+    return dim, "" if needed <= dim else (f"a coherent ancilla of |beta|={size:.4g} needs herald.dim >= {needed} "
+                                          f"at tail_tol {_HERALD_TAIL_TOL:g}, got {dim}")
+
+
+def heralded_addition_model(psi: StateVector, beta: complex, theta: float, herald_dim: int | None = None):
+    """Physical realization of t a_dag - r beta 1 on the signal.
 
     The herald modes (idler, ancilla) carry a photon-addition branch
-    |1>|beta'> x a_dag|psi> and an identity branch |0>|beta'> x |psi>
-    (beta' = beta e^{i phi}).  They meet on the beam splitter and are
-    heralded on |1>|0>, which keeps the parts |1>|0> x anc_0 a_dag|psi> and
-    |0>|1> x anc_1 |psi>, where anc_n are the ancilla amplitudes on the
-    herald truncation.  Returns the normalized conditional signal state and
-    the herald weight ||t anc_0 a_dag|psi> - r anc_1 |psi>||^2, which is not a
+    |1>|beta> x a_dag|psi> and an identity branch |0>|beta> x |psi>; the
+    complex ``beta`` sets the ancilla's phase too.  They meet on the beam
+    splitter and are heralded on |1>|0>, which keeps the parts
+    |1>|0> x anc_0 a_dag|psi> and |0>|1> x anc_1 |psi>.  anc_0 and anc_1 are
+    the ancilla's amplitudes renormalized on its herald basis of D levels
+    (``herald_dim``, by default min(signal dim, 12)), in closed form:
+    anc_0 = e^{-|beta|^2/2} / sqrt(P(X <= D-1)) for X Poisson of mean |beta|^2,
+    and anc_1 = anc_0 beta.  Raises :class:`TruncationError` when |beta> does
+    not fit D levels.  Returns the normalized conditional signal state and the
+    herald weight ||t anc_0 a_dag|psi> - r anc_1 |psi>||^2, which is not a
     probability: at beta = 0 and theta = pi/4 it is (|alpha|^2 + 1) / 2 on a coherent |alpha>.
     """
     check_tail(psi, context="addition-scheme input")
@@ -311,9 +302,13 @@ def heralded_addition_model(psi: StateVector, model: HeraldModel):
     added = StateVector(a_dag @ psi.amps, psi.trunc)
     check_tail(added, context="photon-added branch")
 
-    ht = Truncation(model.herald_dim or min(psi.trunc.dim, _HERALD_DIM_CAP), tail_tol=_HERALD_TAIL_TOL)
-    ancilla = coherent_state(complex(model.beta) * cmath.exp(1j * model.phi), ht).amps
-    return _herald_one_zero(model.theta, ancilla[0] * added.amps, ancilla[1] * psi.amps, psi.trunc)
+    beta = complex(beta)
+    dim, misfit = _ancilla_basis(beta, psi.trunc.dim, herald_dim)
+    _require("herald_dim", Truncation.DIM, dim)
+    if misfit:
+        raise TruncationError(misfit)
+    anc0 = math.exp(-abs(beta) ** 2 / 2.0) / math.sqrt(pdtr(dim - 1, abs(beta) ** 2))
+    return _herald_one_zero(theta, anc0 * added.amps, anc0 * beta * psi.amps, psi.trunc)
 
 
 # number_scheme_model's rule: at t = r the identity weight r/(t - r) diverges
@@ -321,7 +316,7 @@ _NUMBER_SCHEME_THETA = ((lambda theta: abs(math.cos(theta) - math.sin(theta)) >=
                         "an angle with cos(theta) != sin(theta) (t = r is singular)")
 
 
-def number_scheme_model(psi: StateVector, model: HeraldModel):
+def number_scheme_model(psi: StateVector, theta: float, phi: float = 0.0):
     """Physical realization of t e^{i phi} a_dag a - r a a_dag on the signal.
 
     Starts from the two-branch herald superposition
@@ -330,9 +325,9 @@ def number_scheme_model(psi: StateVector, model: HeraldModel):
     the conditional operator is proportional to n - r/(t-r) 1 on the
     commutator-valid subspace.
     """
-    _require("theta", _NUMBER_SCHEME_THETA, model.theta, SingularConfigurationError)
+    _require("theta", _NUMBER_SCHEME_THETA, theta, SingularConfigurationError)
     check_tail(psi, context="number-scheme input")
     a, a_dag, n_op = ladder_operators(psi.trunc)
-    branch_n = cmath.exp(1j * model.phi) * (n_op @ psi.amps)
+    branch_n = cmath.exp(1j * phi) * (n_op @ psi.amps)
     branch_an = a @ (a_dag @ psi.amps)
-    return _herald_one_zero(model.theta, branch_n, branch_an, psi.trunc)
+    return _herald_one_zero(theta, branch_n, branch_an, psi.trunc)

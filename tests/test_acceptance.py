@@ -14,7 +14,6 @@ from conftest import random_state
 
 from cvortho import (
     EigenstateError,
-    HeraldModel,
     LossChannel,
     OperatorKind,
     OrthogonalizerSpec,
@@ -133,11 +132,10 @@ def test_criterion_3_physical_model_equivalence():
         worst_spread = 0.0
         for theta in (math.pi / 16, math.pi / 8, math.pi / 4):
             for beta in (0.5, 1.0, 2.0 * cmath.exp(1j * math.pi / 3)):
-                model = HeraldModel(beta=beta, theta=theta)
-                ideal = ideal_addition_operator(model, trunc)
+                ideal = ideal_addition_operator(beta, theta, trunc)
                 ratios = []
                 for psi in states:
-                    out, prob = heralded_addition_model(psi, model)
+                    out, prob = heralded_addition_model(psi, beta, theta)
                     target = StateVector(ideal @ psi.amps, psi.trunc)
                     worst_fid_gap = max(worst_fid_gap, 1.0 - fidelity(out, target.normalized()))
                     ratios.append(prob / target.norm**2)
@@ -152,16 +150,15 @@ def test_criterion_4_number_scheme():
         trunc = Truncation(40)
         psi = coherent_state(1.0, trunc)
         theta = theta_for_number_orthogonalizer(1.0)
-        out, _ = number_scheme_model(psi, HeraldModel(beta=0.0, theta=theta))
+        out, _ = number_scheme_model(psi, theta)
         overlap = abs(inner_product(psi, out))
         assert overlap < 1e-8
 
         small = Truncation(12)
-        model = HeraldModel(beta=0.0, theta=math.pi / 8, phi=math.pi / 3)
-        ideal = ideal_number_operator(model, small)
+        ideal = ideal_number_operator(math.pi / 8, math.pi / 3, small)
         recovered = np.zeros((12, 12), dtype=complex)
         for n in range(11):
-            cond, prob = number_scheme_model(fock_state(n, small), model)
+            cond, prob = number_scheme_model(fock_state(n, small), math.pi / 8, math.pi / 3)
             recovered[:, n] = cond.amps * math.sqrt(prob)
         elementwise = float(np.max(np.abs(recovered[:11, :11] - ideal[:11, :11])))
         assert elementwise < 1e-10

@@ -20,7 +20,6 @@ import cvortho.cli as cli
 from cvortho import (
     EigenstateError,
     HeraldImpossibleError,
-    HeraldModel,
     LossChannel,
     OperatorKind,
     OrthogonalizerSpec,
@@ -188,7 +187,7 @@ class TestValidate:
         ({"experiment": "orthogonalize", "herald": {"theta": 0.5}}, 'herald.theta: must be "auto" for ideal '
          "orthogonalize, since it is read only by heralded orthogonalize and number_scheme, got 0.5"),
         ({"experiment": "orthogonalize", "herald": {"phi": 0.5}}, "herald.phi: must be 0.0 for ideal orthogonalize, "
-         "since it is read only by heralded orthogonalize and number_scheme, got 0.5"),
+         "since it is read only by number_scheme, got 0.5"),
         ({"experiment": "orthogonalize", "herald": {"dim": 6}},
          "herald.dim: must be null for ideal orthogonalize, since it is read only by heralded orthogonalize, got 6"),
         ({"experiment": "qubit_wigner", "herald": {"beta": 1.0}},
@@ -203,6 +202,9 @@ class TestValidate:
          "got [2.0, 0.0]"),
         ({"experiment": "qubit_wigner", "input_state": {"kind": "fock", "amps": [1.0]}},
          "input_state.amps: must be null for qubit_wigner, since it is read only by a custom input, got [1.0]"),
+        # the addition scheme's complex beta carries the ancilla's phase, so phi is the number scheme's alone
+        ({"experiment": "orthogonalize", "route": "heralded", "herald": {"phi": 0.5}}, "herald.phi: must be 0.0 for "
+         "heralded orthogonalize, since it is read only by number_scheme, got 0.5"),
     ])
     def test_leaf_the_run_does_not_read_is_refused(self, tmp_path, config, message):
         assert validate_config(config) == [message]
@@ -213,7 +215,9 @@ class TestValidate:
             taken = {**config, "input_state": {**config["input_state"], "kind": reader.split()[1]}}
         else:
             taken = {**config, "experiment": reader.rpartition(" ")[2]}
-            if reader.endswith(" orthogonalize") and path != "route":
+            if not reader.endswith(" orthogonalize"):
+                taken.pop("route", None)  # only orthogonalize reads the route
+            elif path != "route":
                 taken["route"] = reader.partition(" ")[0]
             if reader.endswith(" tomography"):
                 (taken["transform"],) = [t for t, name in cli._TRANSFORMED.items() if reader == f"{name} tomography"]
@@ -306,9 +310,22 @@ class TestValidate:
             f"sampling.{key}: must be {DEFAULTS['sampling'][key]} for qubit_wigner, since it is read only by "
             f"{'number_scheme, ' if key == 'phases' else ''}{_TOMOGRAPHY}, got {value}"]
 
+    @pytest.mark.parametrize("experiment, maps", [("qubit_wigner", 4), ("number_scheme", 2)])
+    def test_stack_of_wigner_maps_bounded_by_physical_memory(self, experiment, maps):
+        # a run holds all of its maps at once, qubit_wigner's one per qubit_c coefficient (4 by default) and
+        # number_scheme's of its input and output: a grid whose one map takes two thirds of physical memory is refused
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        side = math.isqrt(memory // 12)
+        config = {"experiment": experiment, "grid": {"nx": side, "np": side}}
+        assert validate_config(config) == [f"grid: {experiment} builds the {maps} x {side} x {side} stack of Wigner "
+                                           f"maps, {8 * maps * side * side} bytes, more than the {memory} bytes of "
+                                           "physical memory"]
+        if experiment == "qubit_wigner":  # one coefficient, one map: it fits
+            assert validate_config({**config, "qubit_c": [0.0, 1.0]}) == []
+
     @pytest.mark.parametrize("config, array, need", [
         ({"experiment": "qubit_wigner", "grid": {"nx": 10**7, "np": 10**7}},
-         "the 10000000 x 10000000 Wigner map", 8 * 10**14),
+         "the 4 x 10000000 x 10000000 stack of Wigner maps", 4 * 8 * 10**14),
         ({"experiment": "orthogonalize", "marginal_xs": {"n": 10**12}},
          "the 1000000000000 x 40 Hermite table of a marginal", 8 * 10**12 * 40),
         ({"experiment": "orthogonalize", "trunc": 10**6}, "a dense complex 1000000 x 1000000 operator", 16 * 10**12),
@@ -318,6 +335,9 @@ class TestValidate:
         # 16 trunc^2 has more digits than str() converts (4300), though trunc itself is a valid JSON number
         ({"experiment": "orthogonalize", "trunc": 10**2200}, f"a dense complex {10**2200} x {10**2200} operator",
          "over 2^14620"),
+        # each of the 4 maps has its complex coefficients on 2 trunc - 1 levels, all held at once
+        ({"experiment": "qubit_wigner", "trunc": 10**5}, "the complex 4 x 199999 x 199999 stack of Wigner coefficients",
+         4 * 16 * 199999**2),
     ])
     def test_largest_array_bounded_by_physical_memory(self, config, array, need):
         start = time.perf_counter()
@@ -542,7 +562,7 @@ _AGREEMENT = [
      lambda v: {"experiment": "tomography", "trunc": v[0], "reconstruction": {"dim": v[1]}},
      lambda v: project_density(fock_state(0, Truncation(v[0])).to_density(), Truncation(v[1]))),
     ("herald.theta", _ANGLES, lambda v: {"experiment": "number_scheme", "herald": {"theta": v}},
-     lambda v: number_scheme_model(_PSI, HeraldModel(beta=0.0, theta=v))),
+     lambda v: number_scheme_model(_PSI, v)),
     ("herald.theta", _ANGLES, lambda v: {"experiment": "orthogonalize", "route": "heralded", "herald": {"theta": v}},
      lambda v: beta_for_addition_orthogonalizer(1.0, v)),
 ]
@@ -610,6 +630,9 @@ class TestRunOrthogonalize:
         {"trunc": 40},
         # no ancilla photon: the weight is t^2 ||a_dag psi||^2 = (|alpha|^2 + 1) / 2 = 2.5, so not a probability
         {"trunc": 40, "input_state": {"alpha": [2.0, 0.0]}, "herald": {"beta": [0.0, 0.0], "theta": math.pi / 4}},
+        # a complex ancilla on 2 to 20 levels: |beta|^2 = 0.0041 fits even 2 levels at tail_tol 5e-3
+        *[{"trunc": 40, "input_state": {"alpha": [0.6, -0.3]},
+           "herald": {"beta": [0.05, -0.04], "theta": 0.7, "dim": dim}} for dim in (2, 8, 12, 20)],
     ])
     def test_heralded_route(self, tmp_path, config):
         run({"experiment": "orthogonalize", "route": "heralded", **config}, output_dir=tmp_path)
@@ -617,14 +640,16 @@ class TestRunOrthogonalize:
         if "herald" not in config:  # auto beta tunes the scheme into the orthogonalizer
             assert report["overlap_with_input"] < 1e-8
         # the herald weight is the heralded signal's squared norm, ||t anc_0 a_dag psi - r anc_1 psi||^2, with anc_0
-        # and anc_1 the |0> and |1> amplitudes of the ancilla on its 12-level basis
+        # and anc_1 the |0> and |1> amplitudes of the ancilla renormalized on its basis of herald.dim levels (12 by
+        # default), here from beta^n / sqrt(n!) directly
         trunc = Truncation(40)
         psi = coherent_state(complex(*config.get("input_state", {"alpha": [1.0, 0.0]})["alpha"]), trunc)
         theta, beta = report["beam_splitter_theta"], complex(*report["ancilla_beta"])
-        anc = coherent_state(beta, Truncation(12, tail_tol=5e-3)).amps
+        anc = np.array([beta**n / math.sqrt(math.factorial(n)) for n in range(config.get("herald", {}).get("dim", 12))])
+        anc /= np.linalg.norm(anc)
         heralded = math.cos(theta) * anc[0] * (ladder_operators(trunc)[1] @ psi.amps) - math.sin(theta) * anc[1] * psi.amps
         assert report["herald_weight"] == pytest.approx(float(np.vdot(heralded, heralded).real), rel=1e-14, abs=0)
-        if "herald" in config:
+        if beta == 0:
             assert report["herald_weight"] == pytest.approx(2.5, rel=1e-12)
 
     def test_heralded_files_are_checksummed_indented_json(self, tmp_path):
@@ -1182,4 +1207,4 @@ class TestVerifyBattery:
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
-        assert "18/18 checks passed" in out
+        assert "19/19 checks passed" in out

@@ -240,7 +240,7 @@ class TestBeamSplitter:
     @pytest.mark.parametrize("beta", [0.6, 1.0])
     def test_coherent_identity(self, theta, beta):
         # B (|0> x |beta>) = |-r beta> x |t beta>
-        ht = Truncation(14, tail_tol=1e-6)
+        ht = Truncation(14)
         t, r = math.cos(theta), math.sin(theta)
         out = dense_beam_splitter(theta, (ht, ht)) @ np.kron(
             fock_state(0, ht).amps, coherent_state(beta, ht).amps
@@ -397,8 +397,6 @@ class TestInvariantsAndTypes:
     def test_truncation_validation(self):
         with pytest.raises(ValueError):
             Truncation(1)
-        with pytest.raises(ValueError):
-            Truncation(10, tail_tol=-1.0)
 
     def test_states_are_immutable(self):
         psi = fock_state(0, Truncation(4))

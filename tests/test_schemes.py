@@ -12,7 +12,6 @@ from cvortho import (
     DegenerateDenominatorError,
     EigenstateError,
     HeraldImpossibleError,
-    HeraldModel,
     OperatorKind,
     OrthogonalizerSpec,
     SingularConfigurationError,
@@ -41,6 +40,12 @@ from cvortho import (
 
 def displaced_fock(alpha, n, trunc):
     return StateVector(displacement_op(alpha, trunc) @ fock_state(n, trunc).amps, trunc).normalized()
+
+
+def renormalized_coherent(beta, dim):
+    """Test oracle: the coherent amplitudes beta^n / sqrt(n!), n < dim, divided by their norm on the dim levels."""
+    amps = np.array([beta**n / math.sqrt(math.factorial(n)) for n in range(dim)], dtype=complex)
+    return amps / np.linalg.norm(amps)
 
 
 def dense_herald_one_zero(joint, herald_trunc, signal_trunc, theta):
@@ -287,14 +292,14 @@ class TestHeraldedAdditionModel:
     def test_zero_angle_is_pure_addition(self):
         t = Truncation(30)
         psi = coherent_state(0.8, t)
-        out, _ = heralded_addition_model(psi, HeraldModel(beta=1.0, theta=0.0))
+        out, _ = heralded_addition_model(psi, 1.0, 0.0)
         _, a_dag, _ = ladder_operators(t)
         assert fidelity(out, StateVector(a_dag @ psi.amps, psi.trunc).normalized()) > 1 - 1e-10
 
     def test_vacuum_ancilla_is_pure_addition(self):
         t = Truncation(30)
         psi = coherent_state(0.8, t)
-        out, _ = heralded_addition_model(psi, HeraldModel(beta=0.0, theta=math.pi / 8))
+        out, _ = heralded_addition_model(psi, 0.0, math.pi / 8)
         _, a_dag, _ = ladder_operators(t)
         assert fidelity(out, StateVector(a_dag @ psi.amps, psi.trunc).normalized()) > 1 - 1e-10
 
@@ -304,21 +309,20 @@ class TestHeraldedAdditionModel:
         psi = coherent_state(alpha, t)
         theta = math.pi / 6  # keeps the tuned ancilla amplitude below 2
         beta = beta_for_addition_orthogonalizer(np.conj(alpha), theta)
-        out, _ = heralded_addition_model(psi, HeraldModel(beta=beta, theta=theta))
+        out, _ = heralded_addition_model(psi, beta, theta)
         assert abs(inner_product(psi, out)) < 1e-8
 
     @pytest.mark.parametrize("theta", [math.pi / 16, math.pi / 8, math.pi / 4])
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0 * cmath.exp(1j * math.pi / 3)])
     def test_matches_ideal_operator_over_grid(self, theta, beta):
         t = Truncation(40)
-        model = HeraldModel(beta=beta, theta=theta)
-        ideal = ideal_addition_operator(model, t)
+        ideal = ideal_addition_operator(beta, theta, t)
         plus2 = StateVector(
             (fock_state(0, t).amps + fock_state(2, t).amps) / math.sqrt(2), t
         )
         ratios = []
         for psi in (coherent_state(0.5, t), coherent_state(1.0, t), fock_state(1, t), plus2):
-            out, prob = heralded_addition_model(psi, model)
+            out, prob = heralded_addition_model(psi, beta, theta)
             target = StateVector(ideal @ psi.amps, psi.trunc)
             assert fidelity(out, target.normalized()) > 1 - 1e-8
             ratios.append(prob / target.norm ** 2)
@@ -331,40 +335,51 @@ class TestHeraldedAdditionModel:
     @pytest.mark.parametrize("theta", [math.pi / 16, math.pi / 8, math.pi / 4])
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0 * cmath.exp(1j * math.pi / 3)])
     def test_matches_dense_three_mode_oracle(self, herald_dim, theta, beta):
-        st, ht = Truncation(40), Truncation(herald_dim, tail_tol=5e-3)
-        model = HeraldModel(beta=beta, theta=theta, phi=0.4, herald_dim=herald_dim)
+        st, ht = Truncation(40), Truncation(herald_dim)
         psi = coherent_state(0.8, st)
         _, a_dag, _ = ladder_operators(st)
-        ancilla = coherent_state(beta * cmath.exp(0.4j), ht).amps
+        ancilla = renormalized_coherent(beta, herald_dim)
         one, vac = fock_state(1, ht).amps, fock_state(0, ht).amps
         joint = (np.kron(one, np.kron(ancilla, a_dag @ psi.amps))
                  + np.kron(vac, np.kron(ancilla, psi.amps)))
         ref, ref_prob = dense_herald_one_zero(joint, ht, st, theta)
-        out, prob = heralded_addition_model(psi, model)
+        out, prob = heralded_addition_model(psi, beta, theta, herald_dim)
         assert np.max(np.abs(out.amps - ref)) <= 1e-13
         assert prob == pytest.approx(ref_prob, rel=1e-12)
 
     def test_impossible_herald(self):
         # beta = 0 empties the identity branch and t = cos(pi/2) the addition branch
         with pytest.raises(HeraldImpossibleError):
-            heralded_addition_model(coherent_state(0.5, Truncation(30)),
-                                    HeraldModel(beta=0.0, theta=math.pi / 2))
+            heralded_addition_model(coherent_state(0.5, Truncation(30)), 0.0, math.pi / 2)
 
     def test_phase_convention(self):
-        # phi rotates the ancilla amplitude: ideal operator t a_dag - r beta e^{i phi}
+        # the complex beta is the ancilla amplitude, its phase included: ideal operator t a_dag - r beta 1
         t = Truncation(30)
         psi = coherent_state(0.7, t)
-        model = HeraldModel(beta=0.8, theta=math.pi / 8, phi=math.pi / 5)
-        out, _ = heralded_addition_model(psi, model)
-        target = StateVector(ideal_addition_operator(model, t) @ psi.amps, psi.trunc).normalized()
+        beta = 0.8 * cmath.exp(1j * math.pi / 5)
+        out, _ = heralded_addition_model(psi, beta, math.pi / 8)
+        target = StateVector(ideal_addition_operator(beta, math.pi / 8, t) @ psi.amps, psi.trunc).normalized()
         assert fidelity(out, target) > 1 - 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.floats(-1.5, 1.5), y=st.floats(-1.5, 1.5), theta=st.floats(0.1, 1.4))
+    def test_auto_beta_orthogonalizes_a_complex_coherent_input(self, x, y, theta):
+        alpha = complex(x, y)
+        assume(abs(alpha) <= 1.5)
+        t = Truncation(40)
+        psi = coherent_state(alpha, t)
+        beta = beta_for_addition_orthogonalizer(expectation(ladder_operators(t)[1], psi), theta)
+        # a 20-level ancilla basis holds |beta| up to 3; far past it the herald weight vanishes (e^{-|beta|^2})
+        assume(abs(beta) <= 3.0)
+        out, _ = heralded_addition_model(psi, beta, theta, herald_dim=20)
+        assert abs(inner_product(psi, out)) < 1e-8
 
 
 class TestNumberSchemeModel:
     def test_zero_reflectivity_is_number_operator(self):
         t = Truncation(30)
         psi = coherent_state(1.0, t)
-        out, _ = number_scheme_model(psi, HeraldModel(beta=0.0, theta=0.0))
+        out, _ = number_scheme_model(psi, 0.0)
         _, _, n_op = ladder_operators(t)
         assert fidelity(out, StateVector(n_op @ psi.amps, psi.trunc).normalized()) > 1 - 1e-10
 
@@ -374,18 +389,17 @@ class TestNumberSchemeModel:
         n_mean = expectation(ladder_operators(t)[2], psi).real
         theta = theta_for_number_orthogonalizer(n_mean)
         assert theta == pytest.approx(math.atan(0.5))
-        out, _ = number_scheme_model(psi, HeraldModel(beta=0.0, theta=theta))
+        out, _ = number_scheme_model(psi, theta)
         assert abs(inner_product(psi, out)) < 1e-8
 
     def test_conditional_operator_elementwise(self):
         # reconstruct the conditional operator column by column from basis
         # states and compare with t e^{i phi} a_dag a - r a a_dag
         t = Truncation(12)
-        model = HeraldModel(beta=0.0, theta=math.pi / 8, phi=math.pi / 3)
-        ideal = ideal_number_operator(model, t)
+        ideal = ideal_number_operator(math.pi / 8, math.pi / 3, t)
         recovered = np.zeros((12, 12), dtype=complex)
         for n in range(11):
-            cond, prob = number_scheme_model(fock_state(n, t), model)
+            cond, prob = number_scheme_model(fock_state(n, t), math.pi / 8, math.pi / 3)
             recovered[:, n] = cond.amps * math.sqrt(prob)
         assert np.max(np.abs(recovered[:11, :11] - ideal[:11, :11])) < 1e-10
 
@@ -394,34 +408,32 @@ class TestNumberSchemeModel:
     def test_matches_dense_three_mode_oracle(self, herald_dim, theta, rng):
         # the number scheme has no ancilla, so the herald dim only sizes the oracle
         st, ht = Truncation(25), Truncation(herald_dim)
-        model = HeraldModel(beta=0.0, theta=theta, phi=0.9)
         a, a_dag, n_op = ladder_operators(st)
         one, vac = fock_state(1, ht).amps, fock_state(0, ht).amps
         for psi in (coherent_state(1.0, st), random_state(st, rng, support=12)):
             joint = (cmath.exp(0.9j) * np.kron(one, np.kron(vac, n_op @ psi.amps))
                      + np.kron(vac, np.kron(one, a @ a_dag @ psi.amps)))
             ref, ref_prob = dense_herald_one_zero(joint, ht, st, theta)
-            out, prob = number_scheme_model(psi, model)
+            out, prob = number_scheme_model(psi, theta, 0.9)
             assert np.max(np.abs(out.amps - ref)) <= 1e-13
             assert prob == pytest.approx(ref_prob, rel=1e-12)
 
     def test_impossible_herald(self):
         # n|0> = 0, and r = 0 removes the a a_dag branch
         with pytest.raises(HeraldImpossibleError):
-            number_scheme_model(fock_state(0, Truncation(10)), HeraldModel(beta=0.0, theta=0.0))
+            number_scheme_model(fock_state(0, Truncation(10)), 0.0)
 
     def test_singular_configuration(self):
         t = Truncation(10)
         with pytest.raises(SingularConfigurationError):
-            number_scheme_model(coherent_state(0.5, t), HeraldModel(beta=0.0, theta=math.pi / 4))
+            number_scheme_model(coherent_state(0.5, t), math.pi / 4)
 
     def test_number_scheme_equals_ideal_on_states(self, rng):
         t = Truncation(25)
-        model = HeraldModel(beta=0.0, theta=0.3, phi=0.9)
-        ideal = ideal_number_operator(model, t)
+        ideal = ideal_number_operator(0.3, 0.9, t)
         for _ in range(5):
             psi = random_state(t, rng, support=12)
-            out, _ = number_scheme_model(psi, model)
+            out, _ = number_scheme_model(psi, 0.3, 0.9)
             assert fidelity(out, StateVector(ideal @ psi.amps, psi.trunc).normalized()) > 1 - 1e-8
 
 
@@ -439,7 +451,6 @@ class TestHelpers:
 
     def test_herald_default_respects_signal(self):
         # the default ancilla basis is min(signal dim, 12), too small for beta = 2.5 either way
-        model = HeraldModel(beta=2.5, theta=0.1)
         for signal_dim, herald_dim in ((40, 12), (8, 8)):
             with pytest.raises(TruncationError, match=f"got {herald_dim}$"):
-                heralded_addition_model(fock_state(0, Truncation(signal_dim)), model)
+                heralded_addition_model(fock_state(0, Truncation(signal_dim)), 2.5, 0.1)
