@@ -30,6 +30,9 @@ _MAX_RECON_DIM = 30
 _RECON_DIM, _MAX_ITER = _int_rule(2, _MAX_RECON_DIM), _int_rule(1)  # maxlik_reconstruct's rules
 # Width of a sampling-grid cell, on which the sampled density is constant and MaxLik counts samples
 _CELL_WIDTH = (SAMPLING_X_MAX - SAMPLING_X_MIN) / (SAMPLING_POINTS - 1)
+# MaxLik finds table rows per run of one phase where the phase changes less often than once per this many samples
+# (the sampler writes one run per phase); a search per sample gets cheaper only near one change per sample
+_SAMPLES_PER_CHANGE = 4
 
 STOP_REASONS = ("tol", "max_iter")
 _TRACE_SLACK = 1e-9  # the log-likelihood decrease that a step may show from rounding alone
@@ -129,8 +132,11 @@ def sample_quadratures(rho: DensityMatrix, plan: SamplingPlan) -> QuadratureSamp
 
     Each phase draws by inverse-CDF, with linear interpolation, over its row
     of one ``marginal`` call for all phases on a 4001-point grid spanning
-    [-8, 8].  Phase i uses the derived seed ``plan.seed + i``.  A detector
-    of efficiency eta is modelled by sampling ``apply_loss(rho, LossChannel(eta))``.
+    [-8, 8].  Phase i uses the derived seed ``plan.seed + i``.  The uniforms
+    are interpolated in sorted order and put back in draw order, so each
+    value is the one that interpolating the unsorted draws gives, bit for
+    bit.  A detector of efficiency eta is modelled by sampling
+    ``apply_loss(rho, LossChannel(eta))``.
     """
     xs = np.linspace(SAMPLING_X_MIN, SAMPLING_X_MAX, SAMPLING_POINTS)
     count = plan.samples_per_phase
@@ -138,8 +144,12 @@ def sample_quadratures(rho: DensityMatrix, plan: SamplingPlan) -> QuadratureSamp
     for i, dens in enumerate(marginal([rho], plan.phases, xs)[0]):
         cdf = np.concatenate(([0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(xs))))
         cdf /= cdf[-1]
-        rng = np.random.default_rng(plan.seed + i)
-        x[i * count: (i + 1) * count] = np.interp(rng.random(count), cdf, xs)
+        u = np.random.default_rng(plan.seed + i).random(count)
+        # np.interp gives u the value at the largest j with cdf[j] <= u, an index that is unique even where cdf
+        # repeats, so the value does not depend on the order of the points; on sorted points it walks forward from
+        # its last index instead of searching.  Equal draws get equal values, so the sort need not be stable.
+        order = np.argsort(u)
+        x[i * count: (i + 1) * count][order] = np.interp(u[order], cdf, xs)
     samples = object.__new__(QuadratureSamples)  # both columns are this call's alone: frozen in place, not copied
     _freeze(samples, "phase", np.repeat(plan.phases, count))
     _freeze(samples, "x", x)
@@ -181,7 +191,11 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
     this is a midpoint rule.  The counts form one dense table, a row per phase
     (told apart by its bits, in order of first use) and a column per cell that
     any phase occupies, so a distinct phase per sample costs memory quadratic
-    in K.  psi_a psi_b expands over 2 dim - 1 features at those cells
+    in K.  Rows come from runs of one phase: the sampler's one run per phase
+    needs one lookup per run, and samples whose phase changes at least once
+    per 4 samples are looked up one by one, into the same table.  Beside the
+    samples, the set-up then holds at most two per-sample arrays of 8 bytes
+    at a time.  psi_a psi_b expands over 2 dim - 1 features at those cells
     (:func:`product_coefficients`): a sweep is two matrix products each way.
     ``samples`` must be a :class:`QuadratureSamples`; a :class:`DataError`
     names, in the first phase with occupied cells of p <= 0, the lowest
@@ -196,21 +210,33 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
 
     flat = product_coefficients(dim).reshape(dim * dim, -1)
     bits = samples.phase.view(np.int64)  # tells -0.0 from 0.0
-    uniq, first = np.unique(bits, return_index=True)
+    change = bits[1:] != bits[:-1]
+    if _SAMPLES_PER_CHANGE * np.count_nonzero(change) < bits.size:  # few runs of one phase: rows found per run
+        starts = np.concatenate(([0], np.flatnonzero(change) + 1))  # each run's first sample
+        lengths, keys = np.diff(starts, append=bits.size), bits[starts]
+    else:  # interleaved phases: each sample is its own run
+        starts, keys = None, bits
+    del change
+    uniq, first = np.unique(keys, return_index=True)
+    first = first if starts is None else starts[first]  # each phase's first sample
     rank = np.argsort(np.argsort(first))  # each phase's table row: rows in order of first use
 
     def table():
         """The occupied cells, sorted, and each sample's entry of the flattened table; a DataError recomputes it."""
         with np.errstate(over="ignore", invalid="ignore"):  # an x past the float range has a cell of inf, a nan x nan
-            col = np.floor((samples.x - SAMPLING_X_MIN) / _CELL_WIDTH)  # each sample's cell, then its column
+            col = samples.x - SAMPLING_X_MIN  # each sample's cell, then its column, in place
+            col /= _CELL_WIDTH
+            np.floor(col, out=col)
             lo, span = col.min(), np.ptp(col)
         if span < col.size + SAMPLING_POINTS:  # finite, and a flag per cell in the span costs no more than the samples
-            col = (col - lo).astype(np.intp)
+            col -= lo
+            col = col.astype(np.intp)
             used = np.bincount(col) > 0
             cell, col = lo + np.flatnonzero(used), (np.cumsum(used) - 1)[col]
         else:
             cell, col = np.unique(col, return_inverse=True)
-        col += rank[np.searchsorted(uniq, bits)] * cell.size
+        offset = rank[np.searchsorted(uniq, keys)] * cell.size  # each run's row, as an offset into the table
+        col += offset if starts is None else np.repeat(offset, lengths)
         return cell, col
 
     cell, entry = table()
@@ -223,6 +249,9 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
         feats = hermite_functions(math.sqrt(2.0) * (SAMPLING_X_MIN + (cell + 0.5) * _CELL_WIDTH), 2 * dim - 1)
         phase_mats = np.stack([_phase_matrix(samples.phase[j], dim).ravel() for j in np.sort(first)])
 
+    q = np.zeros((first.size, cell.size))  # counts / p on the occupied entries, 0 elsewhere: only those entries change
+    q_flat = q.reshape(-1)
+
     def sweep(rho):
         """Log-likelihood of rho and its R operator, from two products each way between the table and the features."""
         p = ((np.real(phase_mats * rho.ravel()) @ flat) @ feats).ravel()[occupied]
@@ -231,17 +260,17 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
             j = int(np.flatnonzero(np.isin(table()[1], bad[bad // cell.size == bad[0] // cell.size]))[0])
             raise DataError(f"sample {j} (phase={samples.phase[j]:.10f}, x={samples.x[j]:.6g}) "
                             "has non-positive likelihood under the current state")
-        q = np.bincount(occupied, counts / p, first.size * cell.size).reshape(first.size, cell.size)  # 0 if no count
+        q_flat[occupied] = counts / p
         r_op = np.sum(phase_mats.conj() * ((q @ feats.T) @ flat.T), axis=0).reshape(dim, dim) / len(samples)
         return float(np.sum(counts * np.log(p))), r_op  # np.sum: a BLAS dot this long rounds by its thread count
 
-    rho = np.eye(dim, dtype=np.complex128) / dim
+    rho, eye = np.eye(dim, dtype=np.complex128) / dim, np.eye(dim)
     loglik, r_op = sweep(rho)
     trace = [loglik]
     stop_reason = "max_iter"
     for _ in range(max_iter):
         for eps in _DILUTIONS:
-            m = r_op + eps * np.eye(dim)
+            m = r_op + eps * eye
             step = m @ rho @ m
             step = (step + step.conj().T) / (2.0 * np.trace(step).real)
             loglik, step_r = sweep(step)

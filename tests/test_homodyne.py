@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,12 +27,13 @@ from cvortho import (
 )
 from cvortho.homodyne import (
     _MAX_RECON_DIM,
+    _SAMPLES_PER_CHANGE,
     SAMPLING_POINTS,
     SAMPLING_X_MAX,
     SAMPLING_X_MIN,
     product_coefficients,
 )
-from cvortho.phasespace import _phase_matrix, hermite_functions, npy_buffers
+from cvortho.phasespace import _phase_matrix, hermite_functions, marginal, npy_buffers
 
 from conftest import mixed_states, random_mixed_state, random_state
 
@@ -39,6 +41,27 @@ from conftest import mixed_states, random_mixed_state, random_state
 def samples_npy(samples) -> bytes:
     """The bytes of ``samples.npy`` for ``samples``: ``npy_buffers`` of its (phase, x) columns, as the runner writes."""
     return b"".join(npy_buffers(np.column_stack([samples.phase, samples.x])))
+
+
+def unsorted_sampler(rho, plan):
+    """Reference inverse-CDF sampler: each phase's uniforms interpolated in draw order, one binary search each."""
+    xs = np.linspace(SAMPLING_X_MIN, SAMPLING_X_MAX, SAMPLING_POINTS)
+    draws = []
+    for i, dens in enumerate(marginal([rho], plan.phases, xs)[0]):
+        cdf = np.concatenate(([0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(xs))))
+        cdf /= cdf[-1]
+        draws.append(np.interp(np.random.default_rng(plan.seed + i).random(plan.samples_per_phase), cdf, xs))
+    return QuadratureSamples(np.repeat(plan.phases, plan.samples_per_phase), np.concatenate(draws))
+
+
+@st.composite
+def staircase_cdfs(draw):
+    """A nondecreasing CDF from 0 with flat runs and a run of 1.0 at the top, on increasing knots."""
+    steps = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=40))
+    cdf = np.concatenate(([0.0], np.cumsum(steps + [1.0])))
+    cdf = np.concatenate((cdf / cdf[-1], np.ones(draw(st.integers(0, 3)))))
+    knots = np.cumsum(draw(st.lists(st.floats(1e-3, 1.0), min_size=cdf.size, max_size=cdf.size)))
+    return cdf, knots
 
 
 def dense_maxlik(samples, dim, max_iter, tol):
@@ -176,6 +199,28 @@ class TestSampleQuadratures:
         xs = sample_quadratures(apply_loss(rho, LossChannel(0.0)), plan).x
         assert abs(xs.mean()) < 5 * (1 / math.sqrt(2.0)) / math.sqrt(50_000)
 
+    @settings(max_examples=40, deadline=None)
+    @given(rho=mixed_states(10), phases=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=5, unique=True),
+           per_phase=st.one_of(st.just(1), st.integers(0, 2000).map(lambda n: 2 * n + 1)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sorted_draws_match_the_unsorted_sampler(self, rho, phases, per_phase, seed):
+        plan = SamplingPlan(phases=phases, samples_per_phase=per_phase, seed=seed)
+        assert samples_npy(sample_quadratures(rho, plan)) == samples_npy(unsorted_sampler(rho, plan))
+
+    @settings(max_examples=200, deadline=None)
+    @given(curve=staircase_cdfs(), data=st.data())
+    def test_interp_does_not_depend_on_the_order_of_the_points(self, curve, data):
+        # np.interp gives u the value at the largest j with cdf[j] <= u, wherever u stands in the input
+        cdf, knots = curve
+        picks = st.one_of(st.floats(0.0, 1.0), st.sampled_from(cdf.tolist()))
+        u = np.array([0.0] + data.draw(st.lists(picks, min_size=1, max_size=2 * cdf.size)))
+        u = np.concatenate((u, data.draw(st.lists(st.sampled_from(u.tolist()), min_size=1, max_size=u.size))))
+        u = u[data.draw(st.permutations(range(u.size)))]
+        order = np.argsort(u)
+        scattered = np.empty_like(u)
+        scattered[order] = np.interp(u[order], cdf, knots)
+        assert np.array_equal(scattered.view(np.int64), np.interp(u, cdf, knots).view(np.int64))
+
 
 class TestMaxLikReconstruct:
     def test_vacuum_round_trip(self):
@@ -273,6 +318,20 @@ class TestMaxLikReconstruct:
             with pytest.raises(DataError, match=r"^sample 0 \(phase=0\.0000000000, x="):
                 maxlik_reconstruct(QuadratureSamples([0.0] * len(xs), xs), dim=5, max_iter=5)
 
+    def test_set_up_peaks_below_two_and_a_half_sample_columns(self):
+        # K = 200,000 in blocks, as the sampler writes them: beside the samples, MaxLik holds at most the cell column
+        # and one more per-sample array at a time
+        rho = apply_loss(coherent_state(1.0, Truncation(20)).to_density(), LossChannel(0.6))
+        samples = sample_quadratures(rho, SamplingPlan(phases=uniform_phases(4), samples_per_phase=50_000, seed=1))
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            maxlik_reconstruct(samples, dim=8, max_iter=1)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * len(samples)
+
     def test_only_the_container_is_accepted(self):
         pairs = [(0.0, 0.1), (0.5, -0.2)]
         with pytest.raises(TypeError, match="QuadratureSamples, got list"):
@@ -362,6 +421,29 @@ class TestMomentKernel:
         assert not np.array_equal(shuffled, x)
         a = maxlik_reconstruct(QuadratureSamples(phase, x), dim=6, max_iter=20, tol=-np.inf)
         b = maxlik_reconstruct(QuadratureSamples(phase, shuffled), dim=6, max_iter=20, tol=-np.inf)
+        assert np.array_equal(a.rho_hat.elems, b.rho_hat.elems)
+        assert np.array_equal(a.log_likelihood_trace, b.log_likelihood_trace) and a.loglik_gap == b.loglik_gap
+
+    @pytest.mark.parametrize("changes", [1199 // _SAMPLES_PER_CHANGE, -(-1200 // _SAMPLES_PER_CHANGE), 1199])
+    def test_regrouping_the_phases_into_runs_keeps_every_bit(self, changes):
+        # 1200 samples whose phase changes ``changes`` times, either side of where MaxLik stops finding table rows
+        # per run; regrouped stably into one run per phase in first-use order, they take the per-run path
+        rng = np.random.default_rng(changes)
+        rho = random_mixed_state(6, 2, changes)
+        drawn = sample_quadratures(rho, SamplingPlan(phases=(2.0, -0.0, 1.0), samples_per_phase=400, seed=changes))
+        run_phase = rng.permutation(3)[np.arange(changes + 1) % 3]  # consecutive runs differ in phase
+        run_of = np.empty(len(drawn), dtype=np.intp)
+        for k in range(3):  # the samples of phase k, in draw order, cut into as many pieces as it has runs
+            runs = np.flatnonzero(run_phase == k)
+            cuts = np.sort(rng.choice(np.arange(1, 400), runs.size - 1, replace=False))
+            run_of[k * 400:(k + 1) * 400] = np.repeat(runs, np.diff(cuts, prepend=0, append=400))
+        order = np.argsort(run_of, kind="stable")
+        phase, x = drawn.phase[order], drawn.x[order]
+        assert np.count_nonzero(phase[1:] != phase[:-1]) == changes
+        _, first, inverse = np.unique(phase, return_index=True, return_inverse=True)
+        grouped = np.argsort(first.argsort().argsort()[inverse], kind="stable")  # one run per phase, first-use order
+        a = maxlik_reconstruct(QuadratureSamples(phase, x), dim=6, max_iter=20, tol=-np.inf)
+        b = maxlik_reconstruct(QuadratureSamples(phase[grouped], x[grouped]), dim=6, max_iter=20, tol=-np.inf)
         assert np.array_equal(a.rho_hat.elems, b.rho_hat.elems)
         assert np.array_equal(a.log_likelihood_trace, b.log_likelihood_trace) and a.loglik_gap == b.loglik_gap
 
