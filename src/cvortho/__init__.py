@@ -31,15 +31,12 @@ from .fock import (
 )
 from .homodyne import (
     DataError,
-    QuadratureSamples,
     ReconstructionResult,
-    SamplingPlan,
     maxlik_reconstruct,
     sample_quadratures,
     uniform_phases,
 )
 from .phasespace import (
-    LossChannel,
     PhaseGrid,
     apply_loss,
     hermite_functions,

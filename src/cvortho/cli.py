@@ -48,14 +48,13 @@ from .fock import (
     unitarity_defect,
 )
 from .homodyne import (
-    SamplingPlan,
     maxlik_reconstruct,
     sample_quadratures,
     uniform_phases,
 )
 from .phasespace import (
-    LossChannel,
     PhaseGrid,
+    _ETA,
     _SQUARABLE,
     _WIGNER_BOUNDS,
     apply_loss,
@@ -201,7 +200,7 @@ def _write_state(writer: _ArtifactWriter, cfg: dict, states: dict, phases=(), gr
     marginals at ``phases`` (with each file's trapezoid integral in ``masses``, by file name), Wigner map on ``grid``
     and density JSON, through one ``marginal`` and one ``wigner`` call.  Returns the maps (None without ``grid``).
     """
-    rhos = [apply_loss(state.to_density(), LossChannel(cfg["eta"])) for state in states.values()]
+    rhos = [apply_loss(state.to_density(), cfg["eta"]) for state in states.values()]
     if phases:
         m = cfg["marginal_xs"]
         xs = np.linspace(m["x_min"], m["x_max"], m["n"])
@@ -271,10 +270,10 @@ def _run_tomography(cfg: dict, writer: _ArtifactWriter) -> dict:
         psi = orthogonalize(psi, OrthogonalizerSpec.from_state(OperatorKind(cfg["scheme"]["kind"]), psi), c)
 
     rho_true = psi.to_density()
-    rho_detected = apply_loss(rho_true, LossChannel(cfg["eta"]))
+    rho_detected = apply_loss(rho_true, cfg["eta"])
     s = cfg["sampling"]
-    samples = sample_quadratures(rho_detected, SamplingPlan(_phases(cfg), s["samples_per_phase"], s["seed"]))
-    writer.write("samples.npy", "samples-npy", npy_buffers(np.column_stack([samples.phase, samples.x])))
+    samples = sample_quadratures(rho_detected, _phases(cfg), s["samples_per_phase"], s["seed"])
+    writer.write("samples.npy", "samples-npy", npy_buffers(samples))
 
     recon = cfg["reconstruction"]
     result = maxlik_reconstruct(samples, dim=recon["dim"], max_iter=recon["max_iter"], tol=recon["tol"])
@@ -348,7 +347,7 @@ def _nonempty_list_of(check, value) -> bool:
 
 _FINITE = _is_finite, "a finite number"
 _COMPLEX = _is_complex, "a finite number or [re, im] pair"
-_PHASE_LIST = _guarded(lambda v: isinstance(v, list) and all(map(_is_finite, v)), SamplingPlan.PHASES)
+_PHASE_LIST = _guarded(lambda v: isinstance(v, list) and all(map(_is_finite, v)), homodyne._PHASES)
 # the most uniform_phases with distinct marginal file names: pi/count > 1e-4 up to 31415, and 31416 still differ
 _MAX_NAMED_PHASE_COUNT = 31416
 
@@ -365,7 +364,7 @@ SCHEMA = {
     "scheme.kind": ("creation", *_one_of("creation", "number")),
     "route": ("ideal", *_one_of("ideal", "heralded")),
     "trunc": (40, *Truncation.DIM),
-    "eta": (1.0, *_guarded(_is_finite, LossChannel.ETA)),
+    "eta": (1.0, *_guarded(_is_finite, _ETA)),
     "qubit_c": ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
                 (lambda v: _is_complex(v) or _nonempty_list_of(_is_complex, v)),
                 "a finite number, an [re, im] pair or a nonempty list of them"),
@@ -387,8 +386,8 @@ SCHEMA = {
     # number_scheme's marginal file names need more: see validate_config
     "sampling.phases": (10, (lambda v: homodyne._PHASE_COUNT[0](v) or _PHASE_LIST[0](v)),
                         f"{homodyne._PHASE_COUNT[1]} or {_PHASE_LIST[1]}"),
-    "sampling.samples_per_phase": (5000, *SamplingPlan.SAMPLES),
-    "sampling.seed": (12345, *SamplingPlan.SEED),
+    "sampling.samples_per_phase": (5000, *homodyne._SAMPLES),
+    "sampling.seed": (12345, *homodyne._SEED),
     "reconstruction.dim": (15, *homodyne._RECON_DIM),
     "reconstruction.max_iter": (2000, *homodyne._MAX_ITER),
     "reconstruction.tol": (1e-10, (lambda v: _is_finite(v) and v >= 0), "a finite number >= 0"),
@@ -534,6 +533,9 @@ def validate_config(config: dict) -> list:
     amps = leaves["input_state.amps"]
     if clean("input_state.n", "trunc"):
         problems += _breach("input_state.n", fock._level_rule(leaves["trunc"]), leaves["input_state.n"])
+    if clean("input_state.alpha", "trunc"):
+        misfit, _ = fock._coherent_misfit(_as_complex(leaves["input_state.alpha"]), leaves["trunc"])
+        problems += [f"input_state.alpha: {misfit}"] if misfit else []
     if clean("input_state.amps", "trunc") and not 1 <= len(amps or ()) <= leaves["trunc"]:
         problems.append(f"input_state.amps: a custom state needs 1..trunc amplitudes, got {_shown(amps)}")
     for section, axis in (("grid", "x"), ("grid", "p"), ("marginal_xs", "x")):
@@ -740,7 +742,7 @@ def run_battery() -> list:
     checks.append(("wigner_displaced_parity_definition", bool(dev_def < 1e-12), f"sup dev {dev_def:.2e} at 4 points"))
 
     rho_coh = coherent_state(1.0, Truncation(30)).to_density()
-    lossy = apply_loss(rho_coh, LossChannel(0.6))
+    lossy = apply_loss(rho_coh, 0.6)
     target = coherent_state(math.sqrt(0.6), Truncation(30))
     f_loss = fidelity(target, lossy)
     trace_dev = abs(float(np.real(np.trace(lossy.elems))) - 1.0)
@@ -752,14 +754,11 @@ def run_battery() -> list:
     dev_marg = float(np.max(np.abs(marginal([rho_coh], (0.0,), xs)[0, 0] - ref_dens)))
     checks.append(("coherent_marginal_closed_form", bool(dev_marg < 1e-10), f"sup dev {dev_marg:.2e}"))
 
-    plan = SamplingPlan(phases=uniform_phases(4), samples_per_phase=500, seed=7)
-    s1 = sample_quadratures(rho_coh, plan)
-    s2 = sample_quadratures(rho_coh, plan)
-    checks.append(("sampler_determinism", bool(s1 == s2), f"{len(s1)} samples"))
+    s1, s2 = (sample_quadratures(rho_coh, uniform_phases(4), 500, 7) for _ in range(2))
+    checks.append(("sampler_determinism", np.array_equal(s1.view(np.int64), s2.view(np.int64)), f"{len(s1)} samples"))
 
     vac_rho = fock_state(0, Truncation(12)).to_density()
-    plan_vac = SamplingPlan(phases=uniform_phases(6), samples_per_phase=2000, seed=11)
-    res = maxlik_reconstruct(sample_quadratures(vac_rho, plan_vac), dim=8, max_iter=200, tol=1e-9)
+    res = maxlik_reconstruct(sample_quadratures(vac_rho, uniform_phases(6), 2000, 11), dim=8, max_iter=200, tol=1e-9)
     f_tomo = fidelity(res.rho_hat, project_density(vac_rho, Truncation(8)))
     mono = bool(np.all(np.diff(res.log_likelihood_trace) > -1e-9))
     checks.append(("tomography_round_trip", bool(f_tomo > 0.99 and mono), f"fidelity {f_tomo:.4f}, monotone {mono}"))

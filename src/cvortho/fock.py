@@ -227,24 +227,29 @@ def min_dim_for_coherent(alpha: complex, tail_tol: float) -> int:
     return high + 2
 
 
+def _coherent_misfit(alpha: complex, dim: int):
+    """Why coherent_state(alpha) does not fit ``dim`` levels ('' if it does), and the dim it needs (None if none)."""
+    size = math.hypot(complex(alpha).real, complex(alpha).imag)  # abs() raises past the float range
+    vacuum = math.exp(-min(size, 1e150) ** 2 / 2.0)
+    if vacuum < np.finfo(np.float64).tiny:
+        return f"coherent amplitude |alpha|={size:.4g} underflows exp(-|alpha|^2/2) = {vacuum:.3g}", None
+    needed = min_dim_for_coherent(alpha, _TAIL_TOL)
+    why = f"coherent amplitude |alpha|={size:.4g} needs dim >= {needed} at tail_tol {_TAIL_TOL:g}, got {dim}"
+    return why if dim < needed else "", needed
+
+
 def coherent_state(alpha: complex, trunc: Truncation) -> StateVector:
     """Coherent state with amplitude ``alpha``, renormalized on the basis.
 
     Amplitudes follow the Poissonian closed form exp(-|a|^2/2) a^n / sqrt(n!).
-    Raises :class:`TruncationError` when the truncation cannot hold the state,
-    and ``ValueError`` when exp(-|a|^2/2) is not a normal double (|a| > 37.6).
+    Raises ``ValueError`` when exp(-|a|^2/2) is not a normal double (|a| > 37.6),
+    and else :class:`TruncationError` when the truncation cannot hold the state.
     """
-    needed = min_dim_for_coherent(alpha, _TAIL_TOL)
-    if trunc.dim < needed:
-        raise TruncationError(
-            f"coherent amplitude |alpha|={abs(alpha):.4g} needs dim >= {needed} at "
-            f"tail_tol {_TAIL_TOL:g}, got {trunc.dim}",
-            suggested_dim=needed,
-        )
+    misfit, needed = _coherent_misfit(alpha, trunc.dim)
+    if misfit:
+        raise ValueError(misfit) if needed is None else TruncationError(misfit, suggested_dim=needed)
     amps = np.zeros(trunc.dim, dtype=np.complex128)
-    amps[0] = vacuum = math.exp(-abs(alpha) ** 2 / 2.0)
-    if vacuum < np.finfo(np.float64).tiny:
-        raise ValueError(f"coherent amplitude |alpha|={abs(alpha):.4g} underflows exp(-|alpha|^2/2) = {vacuum:.3g}")
+    amps[0] = math.exp(-abs(alpha) ** 2 / 2.0)
     for n in range(1, trunc.dim):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
     return StateVector(amps / np.linalg.norm(amps), trunc)

@@ -1,4 +1,7 @@
-"""Simulated homodyne acquisition and iterative maximum-likelihood tomography."""
+"""Simulated homodyne acquisition and iterative maximum-likelihood tomography.
+
+Samples are one (K, 2) float64 array of (phase, x) rows, the layout of ``samples.npy``.
+"""
 
 from __future__ import annotations
 
@@ -7,12 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, Truncation, _freeze, _int_rule, _require
+from .fock import DensityMatrix, Truncation, _int_rule, _require
 from .phasespace import _phase_matrix, hermite_functions, marginal
 
 __all__ = [
-    "QuadratureSamples",
-    "SamplingPlan",
     "ReconstructionResult",
     "DataError",
     "uniform_phases",
@@ -45,53 +46,10 @@ class DataError(ValueError):
     """A quadrature sample falls outside the numerical support of the model."""
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureSamples:
-    """Quadrature samples by column, in the caller's order: the two columns of ``samples.npy``.
-
-    ``phase[j]`` is the local-oscillator phase of sample j and ``x[j]`` its
-    quadrature value, both read-only; ``==`` compares both columns bit for
-    bit (``-0.0`` is not ``0.0``), as the file keeps them.
-    """
-
-    phase: np.ndarray
-    x: np.ndarray
-
-    def __post_init__(self):
-        for name in ("phase", "x"):
-            _freeze(self, name, np.array(getattr(self, name), dtype=np.float64).reshape(-1))
-        if self.phase.shape != self.x.shape:
-            raise ValueError("phase and x must have the same length")
-
-    def __len__(self) -> int:
-        return self.x.size
-
-    def __eq__(self, other):
-        if not isinstance(other, QuadratureSamples):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, name).view(np.int64), getattr(other, name).view(np.int64))
-                   for name in ("phase", "x"))
-
-
-@dataclass(frozen=True)
-class SamplingPlan:
-    """Local-oscillator phases, per-phase count and seed."""
-
-    phases: tuple
-    samples_per_phase: int
-    seed: int
-    PHASES = ((lambda v: len(v) > 0 and all(map(math.isfinite, v)) and len(set(map(float, v))) == len(v)),
-              "a nonempty list of finite numbers, distinct as numbers")
-    SAMPLES = _int_rule(1)
-    SEED = _int_rule(0)
-
-    def __post_init__(self):
-        _require("phases", self.PHASES, self.phases)
-        _require("samples_per_phase", self.SAMPLES, self.samples_per_phase)
-        _require("seed", self.SEED, self.seed)
-        object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
-
-
+# sample_quadratures's rules
+_PHASES = ((lambda v: len(v) > 0 and all(map(math.isfinite, v)) and len(set(map(float, v))) == len(v)),
+           "a nonempty list of finite numbers, distinct as numbers")
+_SAMPLES, _SEED = _int_rule(1), _int_rule(0)
 _PHASE_COUNT = _int_rule(1)[0], "a count >= 1"  # uniform_phases's rule
 
 
@@ -127,32 +85,36 @@ class ReconstructionResult:
         object.__setattr__(self, "log_likelihood_trace", trace)
 
 
-def sample_quadratures(rho: DensityMatrix, plan: SamplingPlan) -> QuadratureSamples:
+def sample_quadratures(rho: DensityMatrix, phases, samples_per_phase: int, seed: int) -> np.ndarray:
     """Draw ideal (lossless) homodyne samples of ``rho``, phase by phase, deterministically per seed.
 
-    Each phase draws by inverse-CDF, with linear interpolation, over its row
-    of one ``marginal`` call for all phases on a 4001-point grid spanning
-    [-8, 8].  Phase i uses the derived seed ``plan.seed + i``.  The uniforms
-    are interpolated in sorted order and put back in draw order, so each
-    value is the one that interpolating the unsorted draws gives, bit for
-    bit.  A detector of efficiency eta is modelled by sampling
-    ``apply_loss(rho, LossChannel(eta))``.
+    Returns a read-only, C-ordered (K, 2) float64 array of (phase, x) rows,
+    ``samples_per_phase`` per phase in the order of ``phases``.  Each phase
+    draws by inverse-CDF, with linear interpolation, over its row of one
+    ``marginal`` call for all phases on a 4001-point grid spanning [-8, 8].
+    Phase i uses the derived seed ``seed + i``.  The uniforms are interpolated
+    in sorted order and put back in draw order, so each value is the one that
+    interpolating the unsorted draws gives, bit for bit.  A detector of
+    efficiency eta is modelled by sampling ``apply_loss(rho, eta)``.
     """
+    _require("phases", _PHASES, phases)
+    _require("samples_per_phase", _SAMPLES, samples_per_phase)
+    _require("seed", _SEED, seed)
+    phases, count = tuple(map(float, phases)), samples_per_phase
     xs = np.linspace(SAMPLING_X_MIN, SAMPLING_X_MAX, SAMPLING_POINTS)
-    count = plan.samples_per_phase
-    x = np.empty(len(plan.phases) * count)  # one column, filled phase by phase, so no draw is held twice
-    for i, dens in enumerate(marginal([rho], plan.phases, xs)[0]):
+    samples = np.empty((len(phases) * count, 2))  # filled phase by phase, so no draw is held twice
+    for i, dens in enumerate(marginal([rho], phases, xs)[0]):
         cdf = np.concatenate(([0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(xs))))
         cdf /= cdf[-1]
-        u = np.random.default_rng(plan.seed + i).random(count)
+        u = np.random.default_rng(seed + i).random(count)
         # np.interp gives u the value at the largest j with cdf[j] <= u, an index that is unique even where cdf
         # repeats, so the value does not depend on the order of the points; on sorted points it walks forward from
         # its last index instead of searching.  Equal draws get equal values, so the sort need not be stable.
         order = np.argsort(u)
-        x[i * count: (i + 1) * count][order] = np.interp(u[order], cdf, xs)
-    samples = object.__new__(QuadratureSamples)  # both columns are this call's alone: frozen in place, not copied
-    _freeze(samples, "phase", np.repeat(plan.phases, count))
-    _freeze(samples, "x", x)
+        u[order] = np.interp(u[order], cdf, xs)  # scattered where the values lie contiguous, then copied once
+        block = samples[i * count: (i + 1) * count]
+        block[:, 0], block[:, 1] = phases[i], u
+    samples.flags.writeable = False
     return samples
 
 
@@ -197,19 +159,21 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
     samples, the set-up then holds at most two per-sample arrays of 8 bytes
     at a time.  psi_a psi_b expands over 2 dim - 1 features at those cells
     (:func:`product_coefficients`): a sweep is two matrix products each way.
-    ``samples`` must be a :class:`QuadratureSamples`; a :class:`DataError`
-    names, in the first phase with occupied cells of p <= 0, the lowest
-    position among its samples in those cells.
+    ``samples`` is any (K, 2) array-like of (phase, x) rows, such as
+    ``np.load("samples.npy")``.  A :class:`DataError` names, in the first
+    phase with occupied cells of p <= 0, the lowest row among its samples
+    in those cells.
     """
-    if not isinstance(samples, QuadratureSamples):
-        raise TypeError(f"samples must be a QuadratureSamples, got {type(samples).__name__}")
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != 2 or samples.shape[1] != 2:
+        raise ValueError(f"samples must be a (K, 2) array of (phase, x) rows, got shape {samples.shape}")
     if len(samples) == 0:
         raise ValueError("at least one sample is required")
     _require("dim", _RECON_DIM, dim)
     _require("max_iter", _MAX_ITER, max_iter)
 
     flat = product_coefficients(dim).reshape(dim * dim, -1)
-    bits = samples.phase.view(np.int64)  # tells -0.0 from 0.0
+    bits = samples[:, 0].view(np.int64)  # tells -0.0 from 0.0
     change = bits[1:] != bits[:-1]
     if _SAMPLES_PER_CHANGE * np.count_nonzero(change) < bits.size:  # few runs of one phase: rows found per run
         starts = np.concatenate(([0], np.flatnonzero(change) + 1))  # each run's first sample
@@ -224,7 +188,7 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
     def table():
         """The occupied cells, sorted, and each sample's entry of the flattened table; a DataError recomputes it."""
         with np.errstate(over="ignore", invalid="ignore"):  # an x past the float range has a cell of inf, a nan x nan
-            col = samples.x - SAMPLING_X_MIN  # each sample's cell, then its column, in place
+            col = samples[:, 1] - SAMPLING_X_MIN  # each sample's cell, then its column, in place
             col /= _CELL_WIDTH
             np.floor(col, out=col)
             lo, span = col.min(), np.ptp(col)
@@ -247,7 +211,7 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
     # a cell of inf or nan, or a huge or infinite phase, gives features or F of 0 or nan: the sweep's DataError
     with np.errstate(over="ignore", invalid="ignore"):
         feats = hermite_functions(math.sqrt(2.0) * (SAMPLING_X_MIN + (cell + 0.5) * _CELL_WIDTH), 2 * dim - 1)
-        phase_mats = np.stack([_phase_matrix(samples.phase[j], dim).ravel() for j in np.sort(first)])
+        phase_mats = np.stack([_phase_matrix(samples[j, 0], dim).ravel() for j in np.sort(first)])
 
     q = np.zeros((first.size, cell.size))  # counts / p on the occupied entries, 0 elsewhere: only those entries change
     q_flat = q.reshape(-1)
@@ -258,7 +222,7 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
         if not np.all(p > 0.0):  # before log and 1/p, so a p of 0 or nan raises without a warning
             bad = occupied[~(p > 0.0)]
             j = int(np.flatnonzero(np.isin(table()[1], bad[bad // cell.size == bad[0] // cell.size]))[0])
-            raise DataError(f"sample {j} (phase={samples.phase[j]:.10f}, x={samples.x[j]:.6g}) "
+            raise DataError(f"sample {j} (phase={samples[j, 0]:.10f}, x={samples[j, 1]:.6g}) "
                             "has non-positive likelihood under the current state")
         q_flat[occupied] = counts / p
         r_op = np.sum(phase_mats.conj() * ((q @ feats.T) @ flat.T), axis=0).reshape(dim, dim) / len(samples)

@@ -1,4 +1,4 @@
-"""Phase-space observables: Wigner maps, quadrature marginals, detection loss.
+"""Phase-space observables: Wigner maps, quadrature marginals, detection loss at efficiency eta.
 
 Quadrature convention: x = (a + a_dag)/sqrt(2), [x, p] = i.  A coherent
 state alpha then sits at (x, p) = (sqrt(2) Re alpha, sqrt(2) Im alpha) and
@@ -21,7 +21,6 @@ from .fock import DensityMatrix, _int_rule, _require, _sector_blocks
 
 __all__ = [
     "PhaseGrid",
-    "LossChannel",
     "hermite_functions",
     "wigner",
     "marginal",
@@ -60,17 +59,6 @@ class PhaseGrid:
         """Trapezoid integral of ``values[i, j]`` = f(x_i, p_j) over the grid, p first."""
         inner = np.trapezoid(values, self.ps(), axis=1)
         return float(np.trapezoid(inner, self.xs()))
-
-
-@dataclass(frozen=True)
-class LossChannel:
-    """Detection-efficiency loss: a fraction eta of the signal survives."""
-
-    eta: float
-    ETA = (lambda v: 0.0 <= v <= 1.0), "a number in [0, 1]"
-
-    def __post_init__(self):
-        _require("eta", self.ETA, self.eta)
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +166,17 @@ def wigner(rhos, grid: PhaseGrid) -> np.ndarray:
 # detection-efficiency loss channel
 
 
-def apply_loss(rho: DensityMatrix, channel: LossChannel) -> DensityMatrix:
-    """Generalized Bernoulli loss map at efficiency eta.
+_ETA = (lambda v: 0.0 <= v <= 1.0), "a number in [0, 1]"  # apply_loss's rule
+
+
+def apply_loss(rho: DensityMatrix, eta: float) -> DensityMatrix:
+    """Generalized Bernoulli loss map at efficiency eta: a fraction eta of the signal survives.
 
     rho'_{mn} = sum_k sqrt(C(m+k,k) C(n+k,k)) eta^{(m+n)/2} (1-eta)^k rho_{m+k,n+k};
     trace-preserving and completely positive.  Coherent states map to
     coherent states with amplitude scaled by sqrt(eta).
     """
-    eta = channel.eta
+    _require("eta", _ETA, eta)
     if eta == 1.0:  # DensityMatrix is immutable, so the lossless map returns its input
         return rho
     n = rho.trunc.dim

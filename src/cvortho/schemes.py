@@ -169,9 +169,12 @@ def orthogonalize(psi: StateVector, spec: OrthogonalizerSpec, c: complex = 0.0) 
 
     The output tail guard applies to the ladder-derived kinds, where the
     finite matrix approximates an infinite-dimensional operator and weight
-    at the top level signals leakage.  Custom operators act on the
-    truncated space by definition, so no guard applies to them.
+    at the top level signals leakage; the creation kind guards its input
+    too, whose top level the truncated a_dag drops.  Custom operators act
+    on the truncated space by definition, so no guard applies to them.
     """
+    if spec.kind is OperatorKind.CREATION:
+        check_tail(psi, context="creation-operator input")
     base = _base_operator(spec, psi.trunc)
     measured = expectation(base, psi)
     if abs(measured - complex(spec.mean_value)) > _MEAN_MATCH_TOL:
@@ -192,6 +195,7 @@ def orthogonal_family(psi: StateVector, spec: OrthogonalizerSpec, k: int) -> lis
     if spec.kind is not OperatorKind.CREATION:
         raise ValueError("the orthogonal family requires the creation-operator scheme")
     _require("k", _int_rule(1), k)
+    check_tail(psi, context="creation-operator input")
     base = _base_operator(spec, psi.trunc)
     family = [psi]
     for _ in range(k):

@@ -14,11 +14,9 @@ from conftest import random_state
 
 from cvortho import (
     EigenstateError,
-    LossChannel,
     OperatorKind,
     OrthogonalizerSpec,
     PhaseGrid,
-    SamplingPlan,
     StateVector,
     Truncation,
     apply_loss,
@@ -205,7 +203,7 @@ def test_criterion_6_qubit_wigner_maps():
             w_state = wigner([state.to_density()], grid)[0]
             w_ref = wigner([ref.to_density()], grid)[0]
             worst_pointwise = max(worst_pointwise, float(np.max(np.abs(w_state - w_ref))))
-            lossy = wigner([apply_loss(state.to_density(), LossChannel(0.6))], grid)[0]
+            lossy = wigner([apply_loss(state.to_density(), 0.6)], grid)[0]
             assert lossy.min() > w_state.min()
             assert lossy.min() < 0.0 or lossy.min() == pytest.approx(0.0, abs=1e-6)
             worst_norm = max(worst_norm, abs(grid.integral(lossy) - 1.0))
@@ -244,8 +242,7 @@ def test_criterion_8_tomography_round_trip():
     for name, psi in states.items():
         with Stopwatch(300) as watch:
             rho = psi.to_density()
-            plan = SamplingPlan(phases=uniform_phases(10), samples_per_phase=50_000, seed=101)
-            samples = sample_quadratures(rho, plan)
+            samples = sample_quadratures(rho, uniform_phases(10), 50_000, 101)
             res = maxlik_reconstruct(samples, dim=15, max_iter=300, tol=1e-9)
             fid = fidelity(res.rho_hat, project_density(rho, recon_trunc))
             assert np.all(np.diff(res.log_likelihood_trace) > -1e-9)
@@ -255,10 +252,9 @@ def test_criterion_8_tomography_round_trip():
 
     with Stopwatch(300) as watch:
         rho_q = states["qubit"].to_density()
-        plan = SamplingPlan(phases=uniform_phases(10), samples_per_phase=50_000, seed=202)
-        samples = sample_quadratures(apply_loss(rho_q, LossChannel(0.6)), plan)
+        samples = sample_quadratures(apply_loss(rho_q, 0.6), uniform_phases(10), 50_000, 202)
         res = maxlik_reconstruct(samples, dim=15, max_iter=300, tol=1e-9)
-        lossy_target = project_density(apply_loss(rho_q, LossChannel(0.6)), recon_trunc)  # the sampled state
+        lossy_target = project_density(apply_loss(rho_q, 0.6), recon_trunc)  # the sampled state
         fid_lossy = fidelity(res.rho_hat, lossy_target)
         assert np.all(np.diff(res.log_likelihood_trace) > -1e-9)
         assert fid_lossy >= 0.98

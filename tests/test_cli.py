@@ -20,12 +20,9 @@ import cvortho.cli as cli
 from cvortho import (
     EigenstateError,
     HeraldImpossibleError,
-    LossChannel,
     OperatorKind,
     OrthogonalizerSpec,
     PhaseGrid,
-    QuadratureSamples,
-    SamplingPlan,
     Truncation,
     TruncationError,
     apply_loss,
@@ -33,6 +30,7 @@ from cvortho import (
     beta_for_addition_orthogonalizer,
     coherent_state,
     density_from_json,
+    density_json_text,
     fidelity,
     fock_state,
     ladder_operators,
@@ -45,6 +43,7 @@ from cvortho import (
     uniform_phases,
 )
 from cvortho.cli import DEFAULTS, EXPERIMENTS, READS, SCHEMA, main, run, validate_config
+from cvortho.phasespace import npy_buffers
 
 
 def read_manifest(outdir):
@@ -163,8 +162,8 @@ class TestValidate:
         ({"experiment": "number_scheme", "scheme": {"kind": "number"}}, "scheme.kind: must be \"creation\" for "
          "number_scheme, since it is read only by ideal orthogonalize, qubit_wigner, orthogonalized tomography and "
          "qubit tomography, got 'number'"),
-        ({"experiment": "verify", "trunc": 12},
-         f"trunc: must be 40 for verify, since it is read only by {_NOT_VERIFY}, got 12"),
+        ({"experiment": "verify", "trunc": 13},
+         f"trunc: must be 40 for verify, since it is read only by {_NOT_VERIFY}, got 13"),
         ({"experiment": "verify", "eta": 0.5},
          f"eta: must be 1.0 for verify, since it is read only by {_NOT_VERIFY}, got 0.5"),
         # route and herald: only orthogonalize has a heralded route, which is the creation scheme
@@ -255,13 +254,31 @@ class TestValidate:
             assert validate_config({**config, "herald": {"theta": 0.5}}) == []
 
     def test_tomography_rejects_reconstruction_dim_above_trunc(self, tmp_path):
-        config = {"experiment": "tomography", "trunc": 12}
+        config = {"experiment": "tomography", "trunc": 12, "input_state": {"alpha": [0.5, 0.0]}}
         assert validate_config(config) == ["reconstruction.dim: must be at most the source dim 12, got 15"]
         assert validate_config({**config, "reconstruction": {"dim": 12}}) == []
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("alpha, trunc, refused", [
+        (1.0, 12, True), (1.0, 13, False), ([5.0, 0.0], 40, True), ([0.0, 5.0], 60, False), (37.6, 40, True),
+        ([0.0, 37.7], 2000, True), (1e200, 40, True), ([1e308, 1e308], 40, True)])
+    def test_coherent_input_is_checked_on_alpha_by_the_library_rule(self, tmp_path, alpha, trunc, refused):
+        # exp(-|alpha|^2/2) underflows from |alpha| = 37.6 on, and no basis holds the state there
+        config = {"experiment": "orthogonalize", "trunc": trunc, "input_state": {"alpha": alpha}}
+        try:
+            coherent_state(cli._as_complex(alpha), Truncation(trunc))
+            expected = []
+        except ValueError as err:
+            expected = [f"input_state.alpha: {err}"]
+        assert validate_config(config) == expected and bool(expected) == refused
+        if expected:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("config, message", [
         ({"experiment": "tomography", "sampling": {"phases": [0.0, -0.0]}},
@@ -515,8 +532,9 @@ _ANGLES = st.one_of(
               st.sampled_from([0.0, 1e-13, -1e-13, 1e-12, -1e-12, 2e-12, 1e-6])).map(sum),
     st.just(-0.0), st.floats(-4.0, 4.0))
 _GRID = DEFAULTS["grid"]
-_SAMPLES = QuadratureSamples([0.0, 0.0, 1.0], [0.1, -0.2, 0.3])
+_SAMPLES = np.array([[0.0, 0.1], [0.0, -0.2], [1.0, 0.3]])
 _PSI = coherent_state(0.5, Truncation(12))
+_RHO = _PSI.to_density()
 
 
 def _grid_bounds(axis, bounds):
@@ -540,15 +558,15 @@ _AGREEMENT = [
      lambda v: _grid_bounds("x", v)),
     ("marginal_xs", _SQUARE_BOUNDS,
      lambda v: {"experiment": "orthogonalize", "marginal_xs": {"x_min": v[0], "x_max": v[1], "n": 11}},
-     lambda v: marginal([_PSI.to_density()], (0.0,), np.linspace(v[0], v[1], 11))[0]),
-    ("eta", _FRACTIONS, lambda v: {"experiment": "tomography", "eta": v}, LossChannel),
+     lambda v: marginal([_RHO], (0.0,), np.linspace(v[0], v[1], 11))[0]),
+    ("eta", _FRACTIONS, lambda v: {"experiment": "tomography", "eta": v}, lambda v: apply_loss(_RHO, v)),
     ("sampling.phases", _PHASE_LISTS, lambda v: {"experiment": "tomography", "sampling": {"phases": v}},
-     lambda v: SamplingPlan(v, 1, 0)),
+     lambda v: sample_quadratures(_RHO, v, 1, 0)),
     ("sampling.phases", _INTS, lambda v: {"experiment": "tomography", "sampling": {"phases": v}}, uniform_phases),
     ("sampling.samples_per_phase", _INTS, lambda v: {"experiment": "tomography", "sampling": {"samples_per_phase": v}},
-     lambda v: SamplingPlan((0.0,), v, 0)),
+     lambda v: sample_quadratures(_RHO, (0.0,), v, 0)),
     ("sampling.seed", _INTS, lambda v: {"experiment": "tomography", "sampling": {"seed": v}},
-     lambda v: SamplingPlan((0.0,), 1, v)),
+     lambda v: sample_quadratures(_RHO, (0.0,), 1, v)),
     # beam_splitter_op's sector reads the seed's rule, an integer >= 0
     ("sampling.seed", _INTS, lambda v: {"experiment": "tomography", "sampling": {"seed": v}},
      lambda v: beam_splitter_op(0.3, v)),
@@ -833,18 +851,30 @@ class TestRunTomography:
         manifest = run(config, output_dir=tmp_path)
         kinds = {e["path"]: e["kind"] for e in manifest["files"]}
         assert kinds["samples.npy"] == "samples-npy" and kinds["likelihood.npy"] == "likelihood-npy"
-        rho = apply_loss(coherent_state(1.0, Truncation(16)).to_density(), LossChannel(0.9))
-        drawn = sample_quadratures(rho, SamplingPlan(phases=(-0.0, 1.0), samples_per_phase=40, seed=3))
-        assert math.copysign(1.0, drawn.phase[0]) == -1.0
+        rho = apply_loss(coherent_state(1.0, Truncation(16)).to_density(), 0.9)
+        drawn = sample_quadratures(rho, (-0.0, 1.0), 40, 3)
+        assert math.copysign(1.0, drawn[0, 0]) == -1.0
         samples = np.load(tmp_path / "samples.npy", allow_pickle=False)
         assert samples.dtype.str == "<f8" and samples.shape == (80, 2)
-        for column, values in zip(samples.T, (drawn.phase, drawn.x)):
-            assert np.array_equal(column.view(np.int64), values.view(np.int64))
+        assert np.array_equal(samples.view(np.int64), drawn.view(np.int64))
         trace = maxlik_reconstruct(drawn, dim=5, max_iter=4).log_likelihood_trace
         likelihood = np.load(tmp_path / "likelihood.npy", allow_pickle=False)
         assert likelihood.dtype.str == "<f8" and likelihood.shape == (trace.size, 2)
         assert likelihood[:, 0].tolist() == list(range(trace.size))
         assert np.array_equal(likelihood[:, 1].view(np.int64), trace.view(np.int64))
+
+    def test_the_sample_file_is_the_reconstruction_input(self, tmp_path):
+        # the default tomography's samples, reloaded from samples.npy, give the run's estimate and trace byte for byte
+        config = {"experiment": "tomography", "reconstruction": {"max_iter": 25}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
+        recon = cli._merged(config)["reconstruction"]
+        result = maxlik_reconstruct(np.load(tmp_path / "out" / "samples.npy", allow_pickle=False), **recon)
+        assert density_json_text(result.rho_hat) == (tmp_path / "out" / "rho_hat.json").read_text(encoding="utf-8")
+        trace = result.log_likelihood_trace
+        likelihood = b"".join(npy_buffers(np.column_stack([np.arange(trace.size), trace])))
+        assert likelihood == (tmp_path / "out" / "likelihood.npy").read_bytes()
 
     def test_report_states_stop_reason(self, tmp_path):
         config = {
@@ -887,7 +917,7 @@ class TestRunTomography:
         }
         run(config, output_dir=tmp_path)
         rho_true = coherent_state(2.0, Truncation(30)).to_density()
-        expected = project_density(apply_loss(rho_true, LossChannel(0.9)), Truncation(8))
+        expected = project_density(apply_loss(rho_true, 0.9), Truncation(8))
         rho_lossy = density_from_json(json.loads((tmp_path / "rho_lossy.json").read_text()))
         assert np.max(np.abs(rho_lossy.elems - expected.elems)) < 1e-12
 
@@ -1088,7 +1118,7 @@ def test_explicit_herald_beta_past_the_ancilla_basis_is_refused(tmp_path, capsys
     assert validate_config({**config, "herald": {"beta": [3.0, 0.0], "dim": 20}}) == []
     # the herald basis defaults to min(trunc, 12) levels: |beta| = 2 fits 12, not 10
     assert validate_config({**config, "herald": {"beta": 2.0}}) == []
-    assert validate_config({**config, "trunc": 10, "herald": {"beta": 2.0}}) == [
+    assert validate_config({**config, "trunc": 10, "input_state": {"alpha": 0.5}, "herald": {"beta": 2.0}}) == [
         "herald.beta: a coherent ancilla of |beta|=2 needs herald.dim >= 12 at tail_tol 0.005, got 10"]
     # |beta|^2 past the float range is reported, not raised
     (huge,) = validate_config({**config, "herald": {"beta": [1e308, 1e308]}})
@@ -1102,7 +1132,8 @@ def test_explicit_herald_beta_past_the_ancilla_basis_is_refused(tmp_path, capsys
 
 
 @pytest.mark.parametrize("config", [
-    {"experiment": "orthogonalize", "trunc": 12},  # alpha = 1 needs dim >= 13
+    # a_dag of the truncated basis sends |39> to 0, so the input's top level is refused
+    {"experiment": "orthogonalize", "trunc": 40, "input_state": {"kind": "fock", "n": 39}},
     {"experiment": "orthogonalize", "route": "heralded", "herald": {"dim": 3}},  # ancilla basis too small
 ])
 def test_run_failing_before_its_first_artifact_leaves_no_directory(tmp_path, capsys, config):
@@ -1110,6 +1141,21 @@ def test_run_failing_before_its_first_artifact_leaves_no_directory(tmp_path, cap
     cfg.write_text(json.dumps(config))
     assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
     assert "run failed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config, weight", [
+    ({"experiment": "orthogonalize", "trunc": 12, "input_state": {"kind": "custom", "amps": [1] + [0] * 10 + [1]}},
+     "5.000e-01"),
+    ({"experiment": "orthogonalize", "trunc": 40, "input_state": {"kind": "fock", "n": 39}}, "1.000e+00"),
+])
+def test_creation_orthogonalizer_input_on_the_top_level_is_refused(tmp_path, config, weight):
+    # the truncated a_dag sends the top level to 0: the first config would write |1> at overlap 0, the second
+    # report an eigenstate, where on a wider basis both outputs keep the top level's share
+    assert validate_config(config) == []
+    with pytest.raises(TruncationError, match=rf"^top-level weight {re.escape(weight)} exceeds tail_tol 1e-08 "
+                                              r"\(creation-operator input\)"):
+        run(config, tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -11,10 +12,7 @@ from scipy.stats import kstest
 
 from cvortho import (
     DataError,
-    LossChannel,
-    QuadratureSamples,
     ReconstructionResult,
-    SamplingPlan,
     Truncation,
     apply_loss,
     coherent_state,
@@ -39,19 +37,19 @@ from conftest import mixed_states, random_mixed_state, random_state
 
 
 def samples_npy(samples) -> bytes:
-    """The bytes of ``samples.npy`` for ``samples``: ``npy_buffers`` of its (phase, x) columns, as the runner writes."""
-    return b"".join(npy_buffers(np.column_stack([samples.phase, samples.x])))
+    """The bytes of ``samples.npy`` for the (K, 2) ``samples``: ``npy_buffers`` of them, as the runner writes."""
+    return b"".join(npy_buffers(samples))
 
 
-def unsorted_sampler(rho, plan):
+def unsorted_sampler(rho, phases, per_phase, seed):
     """Reference inverse-CDF sampler: each phase's uniforms interpolated in draw order, one binary search each."""
     xs = np.linspace(SAMPLING_X_MIN, SAMPLING_X_MAX, SAMPLING_POINTS)
     draws = []
-    for i, dens in enumerate(marginal([rho], plan.phases, xs)[0]):
+    for i, dens in enumerate(marginal([rho], phases, xs)[0]):
         cdf = np.concatenate(([0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(xs))))
         cdf /= cdf[-1]
-        draws.append(np.interp(np.random.default_rng(plan.seed + i).random(plan.samples_per_phase), cdf, xs))
-    return QuadratureSamples(np.repeat(plan.phases, plan.samples_per_phase), np.concatenate(draws))
+        draws.append(np.interp(np.random.default_rng(seed + i).random(per_phase), cdf, xs))
+    return np.column_stack([np.repeat(np.array(phases, dtype=np.float64), per_phase), np.concatenate(draws)])
 
 
 @st.composite
@@ -71,7 +69,7 @@ def dense_maxlik(samples, dim, max_iter, tol):
     of first appearance; returns the estimate and the log-likelihood trace.
     """
     buckets = {}
-    for phase, x in zip(samples.phase.tolist(), samples.x.tolist()):
+    for phase, x in samples.tolist():
         buckets.setdefault(phase, []).append(x)
     groups = []
     for phase, xs in buckets.items():
@@ -114,7 +112,7 @@ def unblocked_maxlik(samples, dim, max_iter, tol):
     coeffs = product_coefficients(dim)
     flat = coeffs.reshape(dim * dim, -1)
     buckets = {}
-    for phase, x in zip(samples.phase.tolist(), samples.x.tolist()):
+    for phase, x in samples.tolist():
         buckets.setdefault(phase, []).append(x)
     groups = [(hermite_functions(math.sqrt(2.0) * np.array(xs), 2 * dim - 1), _phase_matrix(phase, dim))
               for phase, xs in buckets.items()]
@@ -144,8 +142,8 @@ def unblocked_maxlik(samples, dim, max_iter, tol):
 def snapped(samples):
     """``samples`` with each x moved to the midpoint of its sampling-grid cell [x_min + k h, x_min + (k+1) h)."""
     h = (SAMPLING_X_MAX - SAMPLING_X_MIN) / (SAMPLING_POINTS - 1)
-    k = np.floor((samples.x - SAMPLING_X_MIN) / h)
-    return QuadratureSamples(samples.phase, SAMPLING_X_MIN + (k + 0.5) * h)
+    k = np.floor((samples[:, 1] - SAMPLING_X_MIN) / h)
+    return np.column_stack([samples[:, 0], SAMPLING_X_MIN + (k + 0.5) * h])
 
 
 def single_photon_cdf(x):
@@ -153,14 +151,17 @@ def single_photon_cdf(x):
     return 0.5 + 0.5 * erf(x) - x * np.exp(-(x**2)) / math.sqrt(math.pi)
 
 
-class TestSamplingPlan:
+class TestSamplingArguments:
     def test_phase_validation(self):
-        with pytest.raises(ValueError):
-            SamplingPlan(phases=(0.1, 0.1), samples_per_phase=10, seed=0)
-        with pytest.raises(ValueError):
-            SamplingPlan(phases=(), samples_per_phase=10, seed=0)
-        with pytest.raises(ValueError):
-            SamplingPlan(phases=(0.0,), samples_per_phase=0, seed=0)
+        rho = fock_state(0, Truncation(4)).to_density()
+        with pytest.raises(ValueError, match="^phases: must be"):
+            sample_quadratures(rho, (0.1, 0.1), 10, 0)
+        with pytest.raises(ValueError, match="^phases: must be"):
+            sample_quadratures(rho, (), 10, 0)
+        with pytest.raises(ValueError, match="^samples_per_phase: must be"):
+            sample_quadratures(rho, (0.0,), 0, 0)
+        with pytest.raises(ValueError, match="^seed: must be"):
+            sample_quadratures(rho, (0.0,), 1, -1)
 
     def test_uniform_phases(self):
         phases = uniform_phases(10)
@@ -172,31 +173,28 @@ class TestSamplingPlan:
 class TestSampleQuadratures:
     def test_seeded_determinism(self):
         rho = coherent_state(0.5, Truncation(15)).to_density()
-        plan = SamplingPlan(phases=uniform_phases(3), samples_per_phase=200, seed=42)
-        assert sample_quadratures(rho, plan) == sample_quadratures(rho, plan)
+        assert samples_npy(sample_quadratures(rho, uniform_phases(3), 200, 42)) == samples_npy(
+            sample_quadratures(rho, uniform_phases(3), 200, 42))
 
     def test_coherent_sample_mean(self):
         # Gaussian with mean sqrt(2) and sigma 1/sqrt(2): a five-sigma
         # standard-error bound on the sample mean
         n = 100_000
         rho = coherent_state(1.0, Truncation(25)).to_density()
-        plan = SamplingPlan(phases=(0.0,), samples_per_phase=n, seed=9)
-        xs = sample_quadratures(rho, plan).x
+        xs = sample_quadratures(rho, (0.0,), n, 9)[:, 1]
         assert abs(xs.mean() - math.sqrt(2.0)) < 5 * (1 / math.sqrt(2.0)) / math.sqrt(n)
 
     @pytest.mark.parametrize("phase", [0.0, 1.1])
     def test_single_photon_ks(self, phase):
         rho = fock_state(1, Truncation(12)).to_density()
-        plan = SamplingPlan(phases=(phase,), samples_per_phase=100_000, seed=17)
-        xs = sample_quadratures(rho, plan).x
+        xs = sample_quadratures(rho, (phase,), 100_000, 17)[:, 1]
         stat = kstest(xs, single_photon_cdf).statistic
         assert stat < 0.01
 
     def test_loss_applied_before_sampling(self):
         # eta=0 collapses any state to vacuum statistics
         rho = coherent_state(1.5, Truncation(30)).to_density()
-        plan = SamplingPlan(phases=(0.0,), samples_per_phase=50_000, seed=3)
-        xs = sample_quadratures(apply_loss(rho, LossChannel(0.0)), plan).x
+        xs = sample_quadratures(apply_loss(rho, 0.0), (0.0,), 50_000, 3)[:, 1]
         assert abs(xs.mean()) < 5 * (1 / math.sqrt(2.0)) / math.sqrt(50_000)
 
     @settings(max_examples=40, deadline=None)
@@ -204,8 +202,8 @@ class TestSampleQuadratures:
            per_phase=st.one_of(st.just(1), st.integers(0, 2000).map(lambda n: 2 * n + 1)),
            seed=st.integers(0, 2**32 - 1))
     def test_sorted_draws_match_the_unsorted_sampler(self, rho, phases, per_phase, seed):
-        plan = SamplingPlan(phases=phases, samples_per_phase=per_phase, seed=seed)
-        assert samples_npy(sample_quadratures(rho, plan)) == samples_npy(unsorted_sampler(rho, plan))
+        assert samples_npy(sample_quadratures(rho, phases, per_phase, seed)) == samples_npy(
+            unsorted_sampler(rho, phases, per_phase, seed))
 
     @settings(max_examples=200, deadline=None)
     @given(curve=staircase_cdfs(), data=st.data())
@@ -225,8 +223,7 @@ class TestSampleQuadratures:
 class TestMaxLikReconstruct:
     def test_vacuum_round_trip(self):
         rho = fock_state(0, Truncation(12)).to_density()
-        plan = SamplingPlan(phases=uniform_phases(10), samples_per_phase=5000, seed=1)
-        res = maxlik_reconstruct(sample_quadratures(rho, plan), dim=10, max_iter=200, tol=1e-9)
+        res = maxlik_reconstruct(sample_quadratures(rho, uniform_phases(10), 5000, 1), dim=10, max_iter=200, tol=1e-9)
         assert fidelity(res.rho_hat, project_density(rho, Truncation(10))) >= 0.99
 
     def test_qubit_round_trip(self):
@@ -236,15 +233,13 @@ class TestMaxLikReconstruct:
         psi = coherent_state(1.0, t)
         spec = OrthogonalizerSpec.from_state(OperatorKind.CREATION, psi)
         state = StateVector(qubit_operator(spec, 1.0, t) @ psi.amps, psi.trunc).normalized()
-        plan = SamplingPlan(phases=uniform_phases(10), samples_per_phase=5000, seed=2)
-        res = maxlik_reconstruct(sample_quadratures(state.to_density(), plan), dim=15,
+        res = maxlik_reconstruct(sample_quadratures(state.to_density(), uniform_phases(10), 5000, 2), dim=15,
                                  max_iter=250, tol=1e-9)
         assert fidelity(res.rho_hat, project_density(state.to_density(), Truncation(15))) >= 0.98
 
     def test_likelihood_monotone_and_invariants(self):
         rho = coherent_state(0.7, Truncation(15)).to_density()
-        plan = SamplingPlan(phases=uniform_phases(5), samples_per_phase=2000, seed=4)
-        res = maxlik_reconstruct(sample_quadratures(rho, plan), dim=8, max_iter=120, tol=1e-12)
+        res = maxlik_reconstruct(sample_quadratures(rho, uniform_phases(5), 2000, 4), dim=8, max_iter=120, tol=1e-12)
         assert np.all(np.diff(res.log_likelihood_trace) > -1e-9)
         assert len(res.log_likelihood_trace) == res.iterations_used + 1
         elems = res.rho_hat.elems
@@ -254,23 +249,22 @@ class TestMaxLikReconstruct:
 
     def test_stops_on_small_gain(self):
         rho = fock_state(0, Truncation(8)).to_density()
-        plan = SamplingPlan(phases=uniform_phases(4), samples_per_phase=1000, seed=5)
-        res = maxlik_reconstruct(sample_quadratures(rho, plan), dim=6, max_iter=2000, tol=1e-2)
+        res = maxlik_reconstruct(sample_quadratures(rho, uniform_phases(4), 1000, 5), dim=6, max_iter=2000, tol=1e-2)
         assert res.iterations_used < 2000
 
     def test_empty_samples_rejected(self):
-        with pytest.raises(ValueError):
-            maxlik_reconstruct(QuadratureSamples([], []), dim=5)
+        with pytest.raises(ValueError, match="^at least one sample is required$"):
+            maxlik_reconstruct(np.empty((0, 2)), dim=5)
 
     def test_dim_range(self):
-        samples = QuadratureSamples([0.0], [0.1])
+        samples = [[0.0, 0.1]]
         with pytest.raises(ValueError):
             maxlik_reconstruct(samples, dim=1)
         with pytest.raises(ValueError):
             maxlik_reconstruct(samples, dim=31)
 
     def test_data_error_names_sample(self):
-        samples = QuadratureSamples([0.0, 0.0], [0.1, 1e6])
+        samples = [[0.0, 0.1], [0.0, 1e6]]
         with pytest.raises(DataError, match="sample 1"):
             maxlik_reconstruct(samples, dim=5, max_iter=5)
 
@@ -278,7 +272,7 @@ class TestMaxLikReconstruct:
         # phases interleave; the bad sample is the third of the second phase
         xs = [0.1, -0.2, 0.3, 0.4, -0.5, 1e6, 0.7]
         phases = [0.0, 0.5, 0.0, 0.5, 0.0, 0.5, 0.0]
-        samples = QuadratureSamples(phases, xs)
+        samples = np.column_stack([phases, xs])
         with pytest.raises(DataError, match=r"sample 5 \(phase=0\.5000000000, x=1e\+06\)"):
             maxlik_reconstruct(samples, dim=5, max_iter=5)
 
@@ -288,7 +282,7 @@ class TestMaxLikReconstruct:
         xs = [0.1, 0.2, 0.3, 1e6, 1e6, 0.4]
         phases = [0.5, 0.0, 0.5, 0.0, 0.5, 0.0]
         with pytest.raises(DataError, match=r"sample 4 \(phase=0\.5000000000, x=1e\+06\)"):
-            maxlik_reconstruct(QuadratureSamples(phases, xs), dim=5, max_iter=5)
+            maxlik_reconstruct(np.column_stack([phases, xs]), dim=5, max_iter=5)
 
     def test_data_error_deep_in_a_phase_names_caller_position(self):
         # two interleaved phases of 4106 samples; the bad one is phase 0.5's 4100th
@@ -297,13 +291,13 @@ class TestMaxLikReconstruct:
         bad = 2 * 4099 + 1
         xs[bad] = 1e6
         with pytest.raises(DataError, match=rf"sample {bad} \(phase=0\.5000000000, x=1e\+06\)"):
-            maxlik_reconstruct(QuadratureSamples(phases, xs), dim=5, max_iter=5)
+            maxlik_reconstruct(np.column_stack([phases, xs]), dim=5, max_iter=5)
 
     @pytest.mark.parametrize("x", [1e6, 1e200, -1e200, 1.7e308, math.inf, -math.inf, math.nan])
     def test_zero_likelihood_raises_without_warning(self, x):
         # every feature of x = 1e6 underflows to 0, so p = 0 exactly: log(p) and 1/p must not warn; sqrt2 x overflows
         # when squared from 1e200 on, and inf and nan give inf * 0 or nan in the recurrence, so p is 0 or nan there
-        samples = QuadratureSamples([0.0, 0.0, 0.0], [0.1, x, -0.2])
+        samples = [[0.0, 0.1], [0.0, x], [0.0, -0.2]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError) as raised:
@@ -316,13 +310,13 @@ class TestMaxLikReconstruct:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match=r"^sample 0 \(phase=0\.0000000000, x="):
-                maxlik_reconstruct(QuadratureSamples([0.0] * len(xs), xs), dim=5, max_iter=5)
+                maxlik_reconstruct([[0.0, x] for x in xs], dim=5, max_iter=5)
 
     def test_set_up_peaks_below_two_and_a_half_sample_columns(self):
         # K = 200,000 in blocks, as the sampler writes them: beside the samples, MaxLik holds at most the cell column
         # and one more per-sample array at a time
-        rho = apply_loss(coherent_state(1.0, Truncation(20)).to_density(), LossChannel(0.6))
-        samples = sample_quadratures(rho, SamplingPlan(phases=uniform_phases(4), samples_per_phase=50_000, seed=1))
+        rho = apply_loss(coherent_state(1.0, Truncation(20)).to_density(), 0.6)
+        samples = sample_quadratures(rho, uniform_phases(4), 50_000, 1)
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
@@ -332,21 +326,27 @@ class TestMaxLikReconstruct:
             tracemalloc.stop()
         assert peak <= 2.5 * 8 * len(samples)
 
-    def test_only_the_container_is_accepted(self):
-        pairs = [(0.0, 0.1), (0.5, -0.2)]
-        with pytest.raises(TypeError, match="QuadratureSamples, got list"):
-            maxlik_reconstruct(pairs, dim=5)
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 2, 2), (0,), (0, 3)])
+    def test_other_shapes_are_refused_by_shape(self, shape):
+        with pytest.raises(ValueError, match=rf"^samples must be a \(K, 2\) array of \(phase, x\) rows, got shape "
+                                             rf"{re.escape(str(shape))}$"):
+            maxlik_reconstruct(np.zeros(shape), dim=5)
+
+    def test_any_array_like_of_rows_is_read_as_the_array(self):
+        rows = [(0.0, 0.1), (0.5, -0.2), (0, 1), (-0.0, 0.3)]
+        a = maxlik_reconstruct(rows, dim=5, max_iter=5, tol=-np.inf)
+        b = maxlik_reconstruct(np.array(rows, dtype=">f8"), dim=5, max_iter=5, tol=-np.inf)
+        assert np.array_equal(a.rho_hat.elems, b.rho_hat.elems)
+        assert np.array_equal(a.log_likelihood_trace, b.log_likelihood_trace)
 
     def test_stop_reason_tol(self):
         rho = fock_state(0, Truncation(8)).to_density()
-        plan = SamplingPlan(phases=uniform_phases(4), samples_per_phase=1000, seed=5)
-        res = maxlik_reconstruct(sample_quadratures(rho, plan), dim=6, max_iter=2000, tol=1e-2)
+        res = maxlik_reconstruct(sample_quadratures(rho, uniform_phases(4), 1000, 5), dim=6, max_iter=2000, tol=1e-2)
         assert res.stop_reason == "tol"
 
     def test_stop_reason_max_iter(self):
         rho = coherent_state(0.7, Truncation(15)).to_density()
-        plan = SamplingPlan(phases=uniform_phases(5), samples_per_phase=2000, seed=4)
-        res = maxlik_reconstruct(sample_quadratures(rho, plan), dim=8, max_iter=7, tol=1e-12)
+        res = maxlik_reconstruct(sample_quadratures(rho, uniform_phases(5), 2000, 4), dim=8, max_iter=7, tol=1e-12)
         assert res.iterations_used == 7
         assert res.stop_reason == "max_iter"
 
@@ -369,10 +369,8 @@ class TestMomentKernel:
     def test_matches_dense_oracle(self, dim, phases, per_phase, seed):
         rng = np.random.default_rng(seed)
         rho = random_state(Truncation(20), rng, support=dim).to_density()
-        plan = SamplingPlan(phases=uniform_phases(phases), samples_per_phase=per_phase, seed=seed)
-        drawn = sample_quadratures(apply_loss(rho, LossChannel(0.7)), plan)
-        perm = rng.permutation(len(drawn))  # interleave the phases
-        samples = QuadratureSamples(drawn.phase[perm], drawn.x[perm])
+        drawn = sample_quadratures(apply_loss(rho, 0.7), uniform_phases(phases), per_phase, seed)
+        samples = drawn[rng.permutation(len(drawn))]  # interleave the phases
         rho_ref, trace_ref = dense_maxlik(snapped(samples), dim, max_iter=40, tol=-np.inf)
         res = maxlik_reconstruct(samples, dim=dim, max_iter=40, tol=-np.inf)
         assert res.iterations_used == 40
@@ -384,13 +382,11 @@ class TestMomentKernel:
         # three phases of unequal size; ``outside`` adds samples on the window's edges and in cells past it
         rng = np.random.default_rng(11)
         rho = random_state(Truncation(20), rng, support=8).to_density()
-        draws = [sample_quadratures(apply_loss(rho, LossChannel(0.8)),
-                                    SamplingPlan(phases=(phase,), samples_per_phase=count, seed=7 + i))
+        draws = [sample_quadratures(apply_loss(rho, 0.8), (phase,), count, 7 + i)
                  for i, (phase, count) in enumerate(zip((0.3, 1.4, 2.6), (9000, 4097, 1000)))]
-        phase = np.concatenate([d.phase for d in draws] + [np.repeat((0.3, 1.4, 2.6), len(outside))])
-        x = np.concatenate([d.x for d in draws] + [np.tile(outside, 3)])
-        perm = rng.permutation(x.size)  # interleave the phases
-        samples = QuadratureSamples(phase[perm], x[perm])
+        edges = np.column_stack([np.repeat((0.3, 1.4, 2.6), len(outside)), np.tile(outside, 3)])
+        samples = np.concatenate(draws + [edges])
+        samples = samples[rng.permutation(len(samples))]  # interleave the phases
         rho_ref, trace_ref = unblocked_maxlik(snapped(samples), 8, max_iter=30, tol=-np.inf)
         res = maxlik_reconstruct(samples, dim=8, max_iter=30, tol=-np.inf)
         assert res.iterations_used == 30
@@ -400,8 +396,8 @@ class TestMomentKernel:
     @settings(max_examples=30, deadline=None)
     @given(rho=mixed_states(12), phases=st.integers(1, 4), seed=st.integers(0, 2**31))
     def test_trace_is_monotone(self, rho, phases, seed):
-        plan = SamplingPlan(phases=uniform_phases(phases), samples_per_phase=300, seed=seed)
-        res = maxlik_reconstruct(sample_quadratures(rho, plan), dim=rho.trunc.dim, max_iter=30, tol=-np.inf)
+        samples = sample_quadratures(rho, uniform_phases(phases), 300, seed)
+        res = maxlik_reconstruct(samples, dim=rho.trunc.dim, max_iter=30, tol=-np.inf)
         trace = res.log_likelihood_trace
         assert np.all(np.diff(trace) >= -1e-12 * np.abs(trace[1:]))  # a step may round down once converged
 
@@ -411,16 +407,15 @@ class TestMomentKernel:
         # the phases interleave in a random first-use order; each keeps its positions while its x values are shuffled
         rng = np.random.default_rng(seed)
         rho = random_mixed_state(6, 2, seed)
-        drawn = sample_quadratures(rho, SamplingPlan(phases=uniform_phases(phases), samples_per_phase=150, seed=seed))
-        perm = rng.permutation(len(drawn))
-        phase, x = drawn.phase[perm], drawn.x[perm]
+        drawn = sample_quadratures(rho, uniform_phases(phases), 150, seed)
+        phase, x = drawn[rng.permutation(len(drawn))].T
         shuffled = x.copy()
         for value in np.unique(phase):
             at = np.flatnonzero(phase == value)
             shuffled[at] = x[rng.permutation(at)]
         assert not np.array_equal(shuffled, x)
-        a = maxlik_reconstruct(QuadratureSamples(phase, x), dim=6, max_iter=20, tol=-np.inf)
-        b = maxlik_reconstruct(QuadratureSamples(phase, shuffled), dim=6, max_iter=20, tol=-np.inf)
+        a = maxlik_reconstruct(np.column_stack([phase, x]), dim=6, max_iter=20, tol=-np.inf)
+        b = maxlik_reconstruct(np.column_stack([phase, shuffled]), dim=6, max_iter=20, tol=-np.inf)
         assert np.array_equal(a.rho_hat.elems, b.rho_hat.elems)
         assert np.array_equal(a.log_likelihood_trace, b.log_likelihood_trace) and a.loglik_gap == b.loglik_gap
 
@@ -430,7 +425,7 @@ class TestMomentKernel:
         # per run; regrouped stably into one run per phase in first-use order, they take the per-run path
         rng = np.random.default_rng(changes)
         rho = random_mixed_state(6, 2, changes)
-        drawn = sample_quadratures(rho, SamplingPlan(phases=(2.0, -0.0, 1.0), samples_per_phase=400, seed=changes))
+        drawn = sample_quadratures(rho, (2.0, -0.0, 1.0), 400, changes)
         run_phase = rng.permutation(3)[np.arange(changes + 1) % 3]  # consecutive runs differ in phase
         run_of = np.empty(len(drawn), dtype=np.intp)
         for k in range(3):  # the samples of phase k, in draw order, cut into as many pieces as it has runs
@@ -438,19 +433,20 @@ class TestMomentKernel:
             cuts = np.sort(rng.choice(np.arange(1, 400), runs.size - 1, replace=False))
             run_of[k * 400:(k + 1) * 400] = np.repeat(runs, np.diff(cuts, prepend=0, append=400))
         order = np.argsort(run_of, kind="stable")
-        phase, x = drawn.phase[order], drawn.x[order]
+        samples = drawn[order]
+        phase = samples[:, 0]
         assert np.count_nonzero(phase[1:] != phase[:-1]) == changes
         _, first, inverse = np.unique(phase, return_index=True, return_inverse=True)
         grouped = np.argsort(first.argsort().argsort()[inverse], kind="stable")  # one run per phase, first-use order
-        a = maxlik_reconstruct(QuadratureSamples(phase, x), dim=6, max_iter=20, tol=-np.inf)
-        b = maxlik_reconstruct(QuadratureSamples(phase[grouped], x[grouped]), dim=6, max_iter=20, tol=-np.inf)
+        a = maxlik_reconstruct(samples, dim=6, max_iter=20, tol=-np.inf)
+        b = maxlik_reconstruct(samples[grouped], dim=6, max_iter=20, tol=-np.inf)
         assert np.array_equal(a.rho_hat.elems, b.rho_hat.elems)
         assert np.array_equal(a.log_likelihood_trace, b.log_likelihood_trace) and a.loglik_gap == b.loglik_gap
 
     def test_a_step_that_would_lower_the_likelihood_is_diluted(self):
         # one phase of a pure d = 11 state, where the plain RrhoR step overshoots and the plain trace zigzags
         rho = random_mixed_state(11, 1, 1395957989)
-        samples = sample_quadratures(rho, SamplingPlan(phases=(0.0,), samples_per_phase=300, seed=820925148))
+        samples = sample_quadratures(rho, (0.0,), 300, 820925148)
         _, plain = unblocked_maxlik(snapped(samples), 11, max_iter=60, tol=-np.inf)
         first_drop = int(np.argmax(np.diff(plain) < 0.0))
         assert np.min(np.diff(plain)) < -1e-3 and first_drop > 0
@@ -461,8 +457,7 @@ class TestMomentKernel:
 
     def test_loglik_gap_bounds_the_gain_still_to_come(self):
         rho = coherent_state(0.7, Truncation(15)).to_density()
-        samples = sample_quadratures(apply_loss(rho, LossChannel(0.8)),
-                                     SamplingPlan(phases=uniform_phases(4), samples_per_phase=2000, seed=6))
+        samples = sample_quadratures(apply_loss(rho, 0.8), uniform_phases(4), 2000, 6)
         short = maxlik_reconstruct(samples, dim=8, max_iter=50, tol=-np.inf)
         long = maxlik_reconstruct(samples, dim=8, max_iter=3000, tol=-np.inf)
         assert np.array_equal(long.log_likelihood_trace[:51], short.log_likelihood_trace)
@@ -471,42 +466,17 @@ class TestMomentKernel:
         assert 0.0 <= long.loglik_gap < short.loglik_gap
 
 
-class TestQuadratureSamples:
-    def test_columns(self):
+class TestSampleArray:
+    def test_layout(self):
         rho = coherent_state(0.5, Truncation(15)).to_density()
-        plan = SamplingPlan(phases=uniform_phases(3), samples_per_phase=4, seed=8)
-        samples = sample_quadratures(rho, plan)
-        assert isinstance(samples, QuadratureSamples)
-        assert len(samples) == 12
-        assert samples.phase.tolist() == [p for p in plan.phases for _ in range(4)]
-        assert samples.x.shape == (12,)
-        assert not samples.phase.flags.writeable and not samples.x.flags.writeable
+        samples = sample_quadratures(rho, uniform_phases(3), 4, 8)
+        assert type(samples) is np.ndarray and samples.dtype == np.float64 and samples.shape == (12, 2)
+        assert samples.flags.c_contiguous and not samples.flags.writeable
+        assert samples[:, 0].tolist() == [p for p in uniform_phases(3) for _ in range(4)]
 
-    def test_caller_columns_are_copied(self):
-        phase, x = np.array([0.0, 1.0]), np.array([1.0, 2.0])
-        samples = QuadratureSamples(phase, x)
-        phase[0] = x[0] = 5.0
-        assert samples.phase.tolist() == [0.0, 1.0] and samples.x.tolist() == [1.0, 2.0]
-
-    def test_equality_compares_samples_in_order(self):
-        a = QuadratureSamples([0.0, 1.0], [1.0, 2.0])
-        b = QuadratureSamples((0, 1), np.array([1.0, 2.0]))
-        assert a == b
-        assert a != QuadratureSamples([1.0, 0.0], [2.0, 1.0])
-        assert a != QuadratureSamples([0.0], [1.0])
-
-    def test_equality_tells_signed_zeros_apart_as_the_file_does(self):
-        for plus, minus in ((QuadratureSamples([0.0], [1.0]), QuadratureSamples([-0.0], [1.0])),
-                            (QuadratureSamples([1.0], [0.0]), QuadratureSamples([1.0], [-0.0]))):
-            assert samples_npy(plus) != samples_npy(minus)
-            assert plus != minus and not plus == minus
-            assert plus == QuadratureSamples(plus.phase.copy(), plus.x.copy())
-
-    def test_invalid_columns_rejected(self):
-        with pytest.raises(ValueError):
-            QuadratureSamples((0.0,), (1.0, 2.0))
-        with pytest.raises(ValueError):
-            QuadratureSamples((0.0, 1.0, 2.0), (1.0, 2.0))
+    def test_the_file_is_written_without_a_copy(self):
+        samples = sample_quadratures(fock_state(1, Truncation(6)).to_density(), (0.0, 1.0), 50, 2)
+        assert np.shares_memory(npy_buffers(samples)[1], samples)
 
 
 class TestSampleFiles:
@@ -520,32 +490,29 @@ class TestSampleFiles:
         return back
 
     def test_round_trip(self, tmp_path):
-        samples = QuadratureSamples([0.3141592653, 1.0], [-1.25, 0.5])
-        phase, x = self.loaded(samples, tmp_path).T
+        phase, x = self.loaded(np.array([[0.3141592653, -1.25], [1.0, 0.5]]), tmp_path).T
         assert phase.tolist() == [0.3141592653, 1.0]
         assert x.tolist() == [-1.25, 0.5]
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         rho = coherent_state(0.8, Truncation(15)).to_density()
-        plan = SamplingPlan(phases=uniform_phases(3), samples_per_phase=50, seed=12)
-        drawn = sample_quadratures(rho, plan)
+        drawn = sample_quadratures(rho, uniform_phases(3), 50, 12)
         # interleaved phases give many short runs of a shared phase
-        perm = np.random.default_rng(0).permutation(len(drawn))
-        mixed = QuadratureSamples(drawn.phase[perm], drawn.x[perm])
-        back = QuadratureSamples(*self.loaded(mixed, tmp_path).T)
-        assert back == mixed
+        mixed = drawn[np.random.default_rng(0).permutation(len(drawn))]
+        back = self.loaded(mixed, tmp_path)
+        assert np.array_equal(back.view(np.int64), mixed.view(np.int64))
         assert samples_npy(back) == samples_npy(mixed)
 
     @settings(max_examples=100, deadline=None)
     @given(rows=st.lists(st.tuples(st.sampled_from([0.0, -0.0, 0.5, 1.2345678901, -2.75]),
-                                   st.floats(allow_nan=False)), max_size=40))
+                                   st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False))), max_size=40))
     def test_round_trip_keeps_interleaved_signed_zero_phases(self, tmp_path_factory, rows):
-        samples = QuadratureSamples([p for p, _ in rows], [x for _, x in rows])
-        back = QuadratureSamples(*self.loaded(samples, tmp_path_factory.mktemp("samples")).T)
-        assert back == samples
-        assert np.array_equal(back.phase.view(np.int64), samples.phase.view(np.int64))  # -0.0 stays -0.0
+        samples = np.array(rows, dtype=np.float64).reshape(-1, 2)
+        back = self.loaded(samples, tmp_path_factory.mktemp("samples"))
+        assert np.array_equal(back.view(np.int64), samples.view(np.int64))  # -0.0 stays -0.0
 
     def test_empty_samples_file(self, tmp_path):
-        back = self.loaded(QuadratureSamples([], []), tmp_path)
+        back = self.loaded(np.empty((0, 2)), tmp_path)
         assert back.shape == (0, 2)
-        assert len(QuadratureSamples(*back.T)) == 0
+        with pytest.raises(ValueError, match="^at least one sample is required$"):
+            maxlik_reconstruct(back, dim=5)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cvortho import (
-    LossChannel,
     PhaseGrid,
     StateVector,
     Truncation,
@@ -269,15 +268,15 @@ class TestStacks:
             call([])
 
 
-class TestLossChannel:
+class TestApplyLoss:
     def test_eta_one_is_identity(self, rng):
         # DensityMatrix is immutable, so the lossless channel hands back its input unchanged
         rho = random_state(Truncation(12), rng).to_density()
-        assert apply_loss(rho, LossChannel(1.0)) is rho
+        assert apply_loss(rho, 1.0) is rho
 
     def test_single_photon_bernoulli(self):
         rho = fock_state(1, Truncation(8)).to_density()
-        out = apply_loss(rho, LossChannel(0.37))
+        out = apply_loss(rho, 0.37)
         expected = np.zeros((8, 8))
         expected[0, 0] = 0.63
         expected[1, 1] = 0.37
@@ -287,20 +286,20 @@ class TestLossChannel:
     def test_coherent_stays_coherent(self, eta):
         trunc = Truncation(30)
         rho = coherent_state(1.3, trunc).to_density()
-        out = apply_loss(rho, LossChannel(eta))
+        out = apply_loss(rho, eta)
         target = coherent_state(math.sqrt(eta) * 1.3, trunc)
         assert fidelity(target, out) > 1 - 1e-10
 
     def test_trace_and_positivity(self, rng):
         for _ in range(5):
             rho = random_state(Truncation(15), rng).to_density()
-            out = apply_loss(rho, LossChannel(0.55))
+            out = apply_loss(rho, 0.55)
             assert abs(np.trace(out.elems).real - 1.0) < 1e-12
             assert np.min(np.linalg.eigvalsh(out.elems)) > -1e-10
 
     def test_eta_zero_maps_to_vacuum(self, rng):
         rho = random_state(Truncation(10), rng).to_density()
-        out = apply_loss(rho, LossChannel(0.0))
+        out = apply_loss(rho, 0.0)
         expected = np.zeros((10, 10))
         expected[0, 0] = 1.0
         assert_allclose(out.elems, expected, atol=1e-14)
@@ -318,21 +317,22 @@ class TestLossChannel:
         ]
         for rho in states:
             minima = [
-                wigner([apply_loss(rho, LossChannel(eta))], grid)[0].min()
+                wigner([apply_loss(rho, eta)], grid)[0].min()
                 for eta in (1.0, 0.8, 0.6, 0.4)
             ]
             assert all(m2 > m1 for m1, m2 in zip(minima, minima[1:]))
 
     def test_eta_range_validated(self):
-        with pytest.raises(ValueError):
-            LossChannel(1.2)
+        rho = fock_state(1, Truncation(4)).to_density()
+        with pytest.raises(ValueError, match=r"^eta: must be a number in \[0, 1\], got 1\.2$"):
+            apply_loss(rho, 1.2)
 
     @settings(max_examples=60, deadline=None)
     @given(rho=mixed_states(max_dim=20), eta1=st.floats(0.0, 1.0), eta2=st.floats(0.0, 1.0))
     def test_losses_compose(self, rho, eta1, eta2):
         # exact on the truncated space: loss only moves weight to lower photon numbers
-        twice = apply_loss(apply_loss(rho, LossChannel(eta1)), LossChannel(eta2))
-        once = apply_loss(rho, LossChannel(eta1 * eta2))
+        twice = apply_loss(apply_loss(rho, eta1), eta2)
+        once = apply_loss(rho, eta1 * eta2)
         assert np.max(np.abs(twice.elems - once.elems)) <= 1e-12
         for out in (twice, once):
             assert abs(np.trace(out.elems) - 1.0) <= 1e-12

@@ -132,6 +132,22 @@ class TestOrthogonalize:
             out = orthogonalize(psi, spec)
             assert abs(inner_product(psi, out)) < 1e-10
 
+    def test_creation_input_on_the_top_level_is_refused(self):
+        # (|0> + |11>)/sqrt2 goes to (|1> + sqrt12 |12>)/sqrt13 on 20 levels; on 12 the truncated a_dag would drop
+        # |11>'s share and give |1> alone, so the input is refused there
+        amps = np.zeros(20)
+        amps[[0, 11]] = 1.0 / math.sqrt(2.0)
+        wide = StateVector(amps, Truncation(20))
+        out = orthogonalize(wide, OrthogonalizerSpec.from_state(OperatorKind.CREATION, wide))
+        assert_allclose(np.abs(out.amps[[1, 12]]) ** 2, [1 / 13, 12 / 13], atol=1e-12)
+        narrow = StateVector(amps[:12], Truncation(12))
+        spec = OrthogonalizerSpec.from_state(OperatorKind.CREATION, narrow)
+        for call in (lambda: orthogonalize(narrow, spec), lambda: orthogonalize(narrow, spec, 1.0),
+                     lambda: orthogonal_family(narrow, spec, 1)):
+            with pytest.raises(TruncationError, match=r"^top-level weight 5\.000e-01 exceeds tail_tol 1e-08 "
+                                                      r"\(creation-operator input\)"):
+                call()
+
 
 def overlap_bound_holds(psi, out):
     """|<psi|out>| <= 1e-10 ||out|| for an unnormalized ``out = C psi``."""
