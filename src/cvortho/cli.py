@@ -5,7 +5,8 @@ Subcommands: ``run <config.json> [--output-dir DIR]``, ``validate <config.json>`
 manifest listing each artifact with a sha256 checksum.  Every artifact is
 UTF-8 text except the ``.npy`` arrays of little-endian float64: the Wigner
 grids, of shape ``(nx, np)`` on the ``grid`` of the run's ``report.json``,
-the marginals, of shape ``(n, 2)`` with columns x and density, the
+the marginals, one file per state of shape ``(P, n)``, a density row for
+each of the report's ``phases`` on its ``marginal_xs`` points, the
 tomography samples, ``(K, 2)`` with columns phase and x, and the likelihood
 trace, ``(k, 2)`` with columns iteration and log-likelihood.
 Identical configs (including seed) produce identical checksums at a fixed
@@ -59,7 +60,6 @@ from .phasespace import (
     _WIGNER_BOUNDS,
     apply_loss,
     marginal,
-    marginal_filename,
     npy_buffers,
     wigner,
 )
@@ -152,6 +152,10 @@ def _input(cfg: dict):
     else:
         padded = np.zeros(trunc.dim, dtype=complex)
         padded[: len(state["amps"])] = [_as_complex(a) for a in state["amps"]]
+        # first scaled exactly, by the power of two that brings the largest part into [0.5, 1), so that the norm
+        # neither overflows nor underflows
+        parts = padded.view(np.float64)
+        np.ldexp(parts, -np.frexp(np.max(np.abs(parts)))[1], out=parts)
         psi = StateVector(padded / np.linalg.norm(padded), trunc)
     return trunc, psi
 
@@ -195,20 +199,20 @@ def _complex_pair(z: complex):
     return [float(z.real), float(z.imag)]
 
 
-def _write_state(writer: _ArtifactWriter, cfg: dict, states: dict, phases=(), grid=None, masses=None):
+def _write_state(writer: _ArtifactWriter, cfg: dict, states: dict, phases=(), grid=None, report=None):
     """Write ``states`` (label -> state, on one basis) after the configured loss, each file named with its label:
-    marginals at ``phases`` (with each file's trapezoid integral in ``masses``, by file name), Wigner map on ``grid``
-    and density JSON, through one ``marginal`` and one ``wigner`` call.  Returns the maps (None without ``grid``).
+    the (P, n) marginals at ``phases``, Wigner map on ``grid`` and density JSON, through one ``marginal`` and one
+    ``wigner`` call.  With ``phases``, ``report`` gets the marginals' axes, ``marginal_xs`` and ``phases``, and
+    ``marginal_mass``, each row's trapezoid integral by label.  Returns the maps (None without ``grid``).
     """
     rhos = [apply_loss(state.to_density(), cfg["eta"]) for state in states.values()]
     if phases:
-        m = cfg["marginal_xs"]
+        m = report["marginal_xs"] = dict(cfg["marginal_xs"])
         xs = np.linspace(m["x_min"], m["x_max"], m["n"])
+        report["phases"], report["marginal_mass"] = list(phases), {}
         for label, rows in zip(states, marginal(rhos, phases, xs)):
-            for phase, dens in zip(phases, rows):
-                name = marginal_filename(f"marginal_{label}", phase)
-                writer.write(name, "marginal-npy", npy_buffers(np.column_stack([xs, dens])))
-                masses[name] = float(np.trapezoid(dens, xs))
+            writer.write(f"marginal_{label}.npy", "marginal-npy", npy_buffers(rows))
+            report["marginal_mass"][label] = np.trapezoid(rows, xs, axis=-1).tolist()
     maps = None if grid is None else wigner(rhos, grid)
     for s, (label, rho) in enumerate(zip(states, rhos)):
         if maps is not None:
@@ -223,7 +227,7 @@ def _write_state(writer: _ArtifactWriter, cfg: dict, states: dict, phases=(), gr
 
 def _run_orthogonalize(cfg: dict, writer: _ArtifactWriter) -> dict:
     trunc, psi, spec = _prepared(cfg, OperatorKind.CREATION if cfg["route"] == "heralded" else None)
-    report = {"scheme": spec.kind.value, "route": cfg["route"], "marginal_mass": {}}
+    report = {"scheme": spec.kind.value, "route": cfg["route"]}
     out = _transformed(cfg, psi, spec, report)
     report["overlap_with_input"] = abs(inner_product(psi, out))
     if cfg["input_state"]["kind"] == "coherent" and spec.kind is OperatorKind.CREATION:
@@ -232,7 +236,7 @@ def _run_orthogonalize(cfg: dict, writer: _ArtifactWriter) -> dict:
         ref = StateVector(raised - np.conj(_as_complex(cfg["input_state"]["alpha"])) * psi.amps, trunc).normalized()
         report["displaced_fock_fidelity"] = fidelity(out, ref)
 
-    _write_state(writer, cfg, {"input": psi, "output": out}, phases=(0.0,), masses=report["marginal_mass"])
+    _write_state(writer, cfg, {"input": psi, "output": out}, phases=(0.0,), report=report)
     return report
 
 
@@ -254,12 +258,11 @@ def _run_number_scheme(cfg: dict, writer: _ArtifactWriter) -> dict:
     report = {
         "mean_photon_number": float(complex(spec.mean_value).real),
         "grid": dataclasses.asdict(grid),
-        "marginal_mass": {},
     }
     out = _transformed(cfg, psi, spec, report)
     report["overlap_with_input"] = abs(inner_product(psi, out))
 
-    _write_state(writer, cfg, {"input": psi, "output": out}, _phases(cfg), grid, report["marginal_mass"])
+    _write_state(writer, cfg, {"input": psi, "output": out}, _phases(cfg), grid, report)
     return report
 
 
@@ -348,8 +351,6 @@ def _nonempty_list_of(check, value) -> bool:
 _FINITE = _is_finite, "a finite number"
 _COMPLEX = _is_complex, "a finite number or [re, im] pair"
 _PHASE_LIST = _guarded(lambda v: isinstance(v, list) and all(map(_is_finite, v)), homodyne._PHASES)
-# the most uniform_phases with distinct marginal file names: pi/count > 1e-4 up to 31415, and 31416 still differ
-_MAX_NAMED_PHASE_COUNT = 31416
 
 # Every config leaf, by dotted path: (default, check, description); a range rule's pair is the library owner's, behind a
 # JSON type guard where one is needed.  A leaf that fails its check is reported as "<path>: must be <description>, got
@@ -383,7 +384,6 @@ SCHEMA = {
     "marginal_xs.x_min": (-8.0, *_FINITE),
     "marginal_xs.x_max": (8.0, *_FINITE),
     "marginal_xs.n": (1601, *PhaseGrid.SIZE),
-    # number_scheme's marginal file names need more: see validate_config
     "sampling.phases": (10, (lambda v: homodyne._PHASE_COUNT[0](v) or _PHASE_LIST[0](v)),
                         f"{homodyne._PHASE_COUNT[1]} or {_PHASE_LIST[1]}"),
     "sampling.samples_per_phase": (5000, *homodyne._SAMPLES),
@@ -467,8 +467,9 @@ def _largest_array(cfg: dict, clean):
 
     Sizes a dense complex trunc x trunc operator, the real S x nx x np stack of a run's S Wigner maps with their
     complex coefficient matrices C on 2 trunc - 1 levels and the two Hermite tables of those levels on the grid
-    axes, the n x trunc Hermite table of a marginal, the quadrature samples and MaxLik's phases x cells table, each only from leaves
-    that ``clean`` passes (those the run reads and no rule has reported).  A run needs at least this much memory.
+    axes, the n x trunc Hermite table of a marginal, number_scheme's 2 x P x n stack of marginals at P phases, the
+    quadrature samples and MaxLik's phases x cells table, each only from leaves that ``clean`` passes (those the run
+    reads and no rule has reported).  A run needs at least this much memory.
     """
     trunc, grid, n = cfg["trunc"], cfg["grid"], cfg["marginal_xs"]["n"]
     arrays = []
@@ -487,8 +488,12 @@ def _largest_array(cfg: dict, clean):
     if clean("trunc", "marginal_xs.n"):
         arrays.append((8 * n * trunc, "marginal_xs", f"the {_shown(n)} x {_shown(trunc)} Hermite table of a marginal"))
     count = cfg["sampling"]["phases"]
+    phases = len(count) if isinstance(count, list) else count
+    if clean("sampling.phases", "marginal_xs.n"):  # number_scheme, the one run that reads both, has 2 states
+        arrays.append((8 * 2 * phases * n, "marginal_xs",
+                       f"the 2 x {_shown(phases)} x {_shown(n)} stack of marginals"))
     if clean("sampling.phases", "sampling.samples_per_phase"):
-        phases, per_phase = (count if _is_int(count) else len(count)), cfg["sampling"]["samples_per_phase"]
+        per_phase = cfg["sampling"]["samples_per_phase"]
         arrays.append((16 * phases * per_phase, "sampling",
                        f"the phase and x columns of {_shown(phases)} x {_shown(per_phase)} samples (16 bytes each)"))
         cells = min(phases * per_phase, homodyne.SAMPLING_POINTS)  # sampler data occupies at most this many cells
@@ -567,14 +572,6 @@ def validate_config(config: dict) -> list:
     if clean("herald.beta", "herald.dim", "trunc") and beta != "auto":
         _, misfit = schemes._ancilla_basis(_as_complex(beta), cfg["trunc"], cfg["herald"]["dim"])
         problems += [f"herald.beta: {misfit}"] if misfit else []
-    phases = cfg["sampling"]["phases"]
-    if clean("sampling.phases") and run == "number_scheme":
-        if _is_int(phases) and phases > _MAX_NAMED_PHASE_COUNT:
-            problems.append(f"sampling.phases: must be at most {_MAX_NAMED_PHASE_COUNT} for number_scheme, "
-                            f"whose marginal file names give each phase to 4 decimals, got {_shown(phases)}")
-        elif not _is_int(phases) and len({marginal_filename("", p) for p in phases}) < len(phases):
-            problems.append("sampling.phases: must be distinct to 4 decimals for number_scheme, "
-                            f"whose marginal file names give each phase to 4 decimals, got {_shown(phases)}")
     if clean("reconstruction.dim", "trunc"):
         problems += _breach("reconstruction.dim", fock._fits_rule(cfg["trunc"]), cfg["reconstruction"]["dim"])
     largest = _largest_array(cfg, clean)

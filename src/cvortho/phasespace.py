@@ -26,7 +26,6 @@ __all__ = [
     "marginal",
     "apply_loss",
     "npy_buffers",
-    "marginal_filename",
 ]
 
 
@@ -211,7 +210,3 @@ def npy_buffers(array) -> tuple:
     array, buf = np.ascontiguousarray(array, dtype="<f8"), io.BytesIO()
     np.lib.format.write_array_header_1_0(buf, np.lib.format.header_data_from_array_1_0(array))
     return buf.getvalue(), array
-
-
-def marginal_filename(prefix: str, phase: float) -> str:
-    return f"{prefix}_phi{phase:.4f}.npy"

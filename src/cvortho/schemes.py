@@ -278,7 +278,7 @@ def _herald_one_zero(theta: float, from_one_zero: np.ndarray, from_zero_one: np.
 def _ancilla_basis(beta: complex, signal_dim: int, herald_dim: int | None):
     """The herald basis size D of the coherent ancilla |beta>, ``herald_dim`` or else min(signal dim, 12), and
     '' if the ancilla fits D levels under the herald tail guard, else what it needs."""
-    dim, size = herald_dim or min(signal_dim, _HERALD_DIM_CAP), abs(beta)
+    dim, size = herald_dim or min(signal_dim, _HERALD_DIM_CAP), math.hypot(beta.real, beta.imag)  # abs() can overflow
     # past |beta| = 1e150 the need exceeds any basis that fits in memory, and |beta|^2 nears the float range
     needed = min_dim_for_coherent(min(size, 1e150), _HERALD_TAIL_TOL)
     return dim, "" if needed <= dim else (f"a coherent ancilla of |beta|={size:.4g} needs herald.dim >= {needed} "

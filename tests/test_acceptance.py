@@ -5,6 +5,7 @@ lines and timings.  The tomography round trip dominates the runtime.
 """
 
 import cmath
+import json
 import math
 import time
 
@@ -112,7 +113,9 @@ def test_criterion_2_displaced_fock_and_marginals(tmp_path):
                 },
                 output_dir=outdir,
             )
-            xs, dens = np.load(outdir / "marginal_output_phi0.0000.npy", allow_pickle=False).T
+            axis = json.loads((outdir / "report.json").read_text())["marginal_xs"]
+            xs = np.linspace(axis["x_min"], axis["x_max"], axis["n"])
+            dens = np.load(outdir / "marginal_output.npy", allow_pickle=False)[0]
             u = xs - math.sqrt(2.0) * alpha
             closed = 2.0 * u**2 * np.exp(-(u**2)) / math.sqrt(math.pi)
             worst_sup = max(worst_sup, float(np.max(np.abs(dens - closed))))

@@ -75,6 +75,13 @@ def run_at_one_and_two_blas_threads(tmp_path, config):
 _NOT_VERIFY = ("ideal orthogonalize, heralded orthogonalize, qubit_wigner, number_scheme, plain tomography, "
                "orthogonalized tomography and qubit tomography")
 _TOMOGRAPHY = "plain tomography, orthogonalized tomography and qubit tomography"
+_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def marginal_axis(report):
+    """The points of a run's marginal rows, rebuilt from its report's ``marginal_xs``."""
+    axis = report["marginal_xs"]
+    return np.linspace(axis["x_min"], axis["x_max"], axis["n"])
 
 
 class TestValidate:
@@ -284,15 +291,10 @@ class TestValidate:
         ({"experiment": "tomography", "sampling": {"phases": [0.0, -0.0]}},
          "sampling.phases: must be a count >= 1 or a nonempty list of finite numbers, "
          "distinct as numbers, got [0.0, -0.0]"),
-        ({"experiment": "number_scheme", "sampling": {"phases": 31417}},
-         "sampling.phases: must be at most 31416 for number_scheme, "
-         "whose marginal file names give each phase to 4 decimals, got 31417"),
+        # number_scheme holds its 2 states' marginals at every phase at once
         ({"experiment": "number_scheme", "sampling": {"phases": 10**12}},
-         "sampling.phases: must be at most 31416 for number_scheme, "
-         "whose marginal file names give each phase to 4 decimals, got 1000000000000"),
-        ({"experiment": "number_scheme", "sampling": {"phases": [0.1, 0.10001]}},
-         "sampling.phases: must be distinct to 4 decimals for number_scheme, "
-         "whose marginal file names give each phase to 4 decimals, got [0.1, 0.10001]"),
+         "marginal_xs: number_scheme builds the 2 x 1000000000000 x 1601 stack of marginals, "
+         f"{8 * 2 * 10**12 * 1601} bytes, more than the {_MEMORY} bytes of physical memory"),
     ])
     def test_phase_collisions_rejected_before_the_run(self, tmp_path, config, message):
         assert validate_config(config) == [message]
@@ -300,17 +302,6 @@ class TestValidate:
         cfg.write_text(json.dumps(config))
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
-
-    def test_phase_count_limit_is_the_last_with_distinct_marginal_names(self):
-        limit = cli._MAX_NAMED_PHASE_COUNT
-        for count, distinct in ((limit, True), (limit + 1, False)):
-            names = {cli.marginal_filename("", p) for p in cli.uniform_phases(count)}
-            assert (len(names) == count) is distinct
-        assert validate_config({"experiment": "number_scheme", "sampling": {"phases": limit}}) == []
-        # one sample per phase keeps the tomography's largest array, MaxLik's 31417 x 4001 table (1.0 GB), inside
-        # physical memory
-        tomography = {"experiment": "tomography", "sampling": {"phases": limit + 1, "samples_per_phase": 1}}
-        assert validate_config(tomography) == []
 
     @pytest.mark.parametrize("sampling", [{"phases": 10**12}, {"samples_per_phase": 10**12}])
     def test_sample_count_bounded_by_physical_memory(self, sampling):
@@ -346,6 +337,9 @@ class TestValidate:
         ({"experiment": "orthogonalize", "marginal_xs": {"n": 10**12}},
          "the 1000000000000 x 40 Hermite table of a marginal", 8 * 10**12 * 40),
         ({"experiment": "orthogonalize", "trunc": 10**6}, "a dense complex 1000000 x 1000000 operator", 16 * 10**12),
+        # number_scheme holds both states' rows at every phase at once, though one row and one phase table are small
+        ({"experiment": "number_scheme", "marginal_xs": {"n": 10**6}, "sampling": {"phases": 10**6}},
+         "the 2 x 1000000 x 1000000 stack of marginals", 16 * 10**12),
         # one sample per phase: the samples take 16 bytes each, the table 8 bytes for each of 4001 cells per phase
         ({"experiment": "tomography", "sampling": {"phases": 10**7, "samples_per_phase": 1}},
          "MaxLik's 10000000 phases x 4001 cells table", 8 * 10**7 * 4001),
@@ -407,8 +401,8 @@ class TestValidate:
         ({"experiment": "orthogonalize", "herald": {"phi": {"re": -10**5000}}},
          "herald.phi: must be a finite number, got {'re': under -2^16609}"),
         ({"experiment": "number_scheme", "sampling": {"phases": 10**5000}},
-         "sampling.phases: must be at most 31416 for number_scheme, "
-         "whose marginal file names give each phase to 4 decimals, got over 2^16609"),
+         "marginal_xs: number_scheme builds the 2 x over 2^16609 x 1601 stack of marginals, over 2^16624 bytes, "
+         f"more than the {_MEMORY} bytes of physical memory"),
     ])
     def test_huge_int_reported_by_its_size(self, config, message):
         assert validate_config(config) == [message]
@@ -438,12 +432,30 @@ class TestValidate:
         problems = validate_config({"experiment": name})
         assert len(problems) == 1 and problems[0].startswith("experiment:"), problems
 
-    def test_phases_equal_to_four_decimals_pass_tomography(self, tmp_path):
-        # tomography names no file by its phases, so only number_scheme needs them distinct to 4 decimals
-        config = {"experiment": "tomography", "sampling": {"phases": [0.0, 1e-5]}}
+    @pytest.mark.parametrize("experiment", ["tomography", "number_scheme"])
+    def test_phases_equal_to_four_decimals_pass_tomography(self, tmp_path, experiment):
+        # no file is named by its phase: phases that agree to 4 decimals are distinct phases, and number_scheme writes
+        # a row for each, with the bits of a one-phase marginal call
+        phases = [0.0, 1e-5] if experiment == "tomography" else [0.1, 0.10001]
+        config = {"experiment": experiment, "sampling": {"phases": phases}}
+        if experiment == "number_scheme":
+            config = {**SMALL_CONFIGS["number_scheme"], **config}
         assert validate_config(config) == []
         run(config, output_dir=tmp_path)
-        assert (tmp_path / "samples.npy").exists()
+        if experiment == "tomography":
+            assert (tmp_path / "samples.npy").exists()
+            return
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["phases"] == phases
+        xs = marginal_axis(report)
+        for label in ("input", "output"):
+            rows = np.load(tmp_path / f"marginal_{label}.npy", allow_pickle=False)
+            rho = density_from_json(json.loads((tmp_path / f"density_{label}.json").read_text()))
+            assert rows.shape == (2, xs.size)
+            for row, phase in zip(rows, phases):
+                assert np.array_equal(row.view(np.int64), marginal([rho], (phase,), xs)[0, 0].view(np.int64))
+        # nor is a phase count capped by names: 31417 phases are 0.8 GB of marginals
+        assert validate_config({"experiment": "number_scheme", "sampling": {"phases": 31417}}) == []
 
 
 def _leaf_config(path, value, experiment="orthogonalize"):
@@ -623,10 +635,11 @@ class TestRunOrthogonalize:
         }
         manifest = run(config, output_dir=tmp_path)
         paths = {e["path"] for e in manifest["files"]}
-        assert "marginal_input_phi0.0000.npy" in paths
-        assert "marginal_output_phi0.0000.npy" in paths
+        assert "marginal_input.npy" in paths
+        assert "marginal_output.npy" in paths
         assert "report.json" in paths
         report = json.loads((tmp_path / "report.json").read_text())
+        assert report["phases"] == [0.0] and report["marginal_xs"] == DEFAULTS["marginal_xs"]
         assert report["overlap_with_input"] < 1e-10
         assert report["displaced_fock_fidelity"] > 1 - 1e-8
 
@@ -637,10 +650,12 @@ class TestRunOrthogonalize:
         config = {"experiment": "orthogonalize", "scheme": {"kind": "number"}, "trunc": trunc,
                   "input_state": {"kind": "coherent", "alpha": [alpha, 0.0]}}
         manifest = run(config, output_dir=tmp_path)
-        masses = json.loads((tmp_path / "report.json").read_text())["marginal_mass"]
-        assert sorted(masses) == sorted(e["path"] for e in manifest["files"] if e["kind"] == "marginal-npy")
-        for name, mass in masses.items():
-            xs, density = np.load(tmp_path / name, allow_pickle=False).T
+        report = json.loads((tmp_path / "report.json").read_text())
+        masses, xs = report["marginal_mass"], marginal_axis(report)
+        assert sorted(f"marginal_{label}.npy" for label in masses) == sorted(
+            e["path"] for e in manifest["files"] if e["kind"] == "marginal-npy")
+        for label, (mass,) in masses.items():
+            (density,) = np.load(tmp_path / f"marginal_{label}.npy", allow_pickle=False)
             assert mass == np.trapezoid(density, xs)
             assert (mass < 1e-10) if alpha == 28.0 else (abs(mass - 1.0) <= 1e-6)
 
@@ -818,11 +833,15 @@ class TestRunNumberScheme:
             "marginal_xs": {"n": 201},
         }
         run(config, output_dir=tmp_path)
+        # one marginal file per state, whatever the phase count
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "density_input.json", "density_output.json", "manifest.json", "marginal_input.npy", "marginal_output.npy",
+            "report.json", "wigner_input.npy", "wigner_output.npy"]
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["overlap_with_input"] < 1e-8
         assert report["beam_splitter_theta"] == pytest.approx(math.atan(0.5), abs=1e-6)
-        assert len(report["marginal_mass"]) == 6
-        assert all(abs(mass - 1.0) <= 1e-6 for mass in report["marginal_mass"].values())
+        assert {label: len(masses) for label, masses in report["marginal_mass"].items()} == {"input": 3, "output": 3}
+        assert all(abs(mass - 1.0) <= 1e-6 for masses in report["marginal_mass"].values() for mass in masses)
 
 
 class TestRunTomography:
@@ -939,8 +958,8 @@ class TestDeterminism:
         # Two fresh processes run the same four configs, each through the CLI into its default directory, out.  The
         # "warm" one runs them in another order, number_scheme first, so a run that kept state for the next would show.
         # Every file of each manifest, and the manifest, must match byte for byte.  Every .npy must load without
-        # pickles as C-order <f8 in the shape that the report states: a marginal (n, 2) with the report's
-        # marginal_mass as its trapezoid integral, a Wigner grid (nx, np) with the report's grid_integral,
+        # pickles as C-order <f8 in the shape that the report states: a marginal (P, n) with the report's
+        # marginal_mass as its rows' trapezoid integrals, a Wigner grid (nx, np) with the report's grid_integral,
         # samples.npy one (phase, x) row per sample and likelihood.npy one (iteration, log-likelihood) row per sweep.
         configs = {
             "qubit_wigner": {"trunc": 20, "grid": {"nx": 21, "np": 17}},
@@ -978,11 +997,15 @@ class TestDeterminism:
             for path, array in arrays.items():
                 assert array.dtype.str == "<f8" and array.flags.c_contiguous, (name, path)
             masses = report.get("marginal_mass", {})
-            assert sorted(path for path in arrays if path.startswith("marginal_")) == sorted(masses)
-            n = {**DEFAULTS["marginal_xs"], **config.get("marginal_xs", {})}["n"]
-            for path, mass in masses.items():
-                xs, density = arrays[path].T
-                assert arrays[path].shape == (n, 2) and np.trapezoid(density, xs) == mass, (name, path)
+            assert sorted(path for path in arrays if path.startswith("marginal_")) == sorted(
+                f"marginal_{label}.npy" for label in masses)
+            if masses:
+                xs, phases = marginal_axis(report), report["phases"]
+                assert xs.size == {**DEFAULTS["marginal_xs"], **config.get("marginal_xs", {})}["n"]
+            for label, mass in masses.items():
+                rows = arrays[f"marginal_{label}.npy"]
+                assert rows.shape == (len(phases), xs.size), (name, label)
+                assert np.trapezoid(rows, xs, axis=-1).tolist() == mass, (name, label)
             if "maps" in report:
                 grid = PhaseGrid(**report["grid"])
                 maps = {entry["file"]: entry["grid_integral"] for entry in report["maps"]}
@@ -1008,17 +1031,17 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("config, grid_count, marginal_count", [
         ({"experiment": "qubit_wigner", "eta": 0.6}, 4, 0),
-        ({"experiment": "number_scheme"}, 2, 20),
+        ({"experiment": "number_scheme"}, 2, 2),
     ], ids=["qubit_wigner", "number_scheme"])
     def test_wigner_grids_agree_across_thread_counts(self, tmp_path, config, grid_count, marginal_count):
         # The default 241 x 241 grid takes the map's two real matrix products past the BLAS threading threshold, and
         # the marginal's real product over its 1601 points does the same.  On a 2-core Xeon the qubit_wigner grids at
         # 1 and 2 OpenBLAS threads differed in 65-88 of 58,081 entries per map, all in the last p column, by at most 4
         # units in the last place of the entry (1.2e-30 absolute): a GEMM kernel rounds a tile edge differently.  In
-        # the default number_scheme run 17 of its 20 marginal files differed, by at most 1.5e-33 absolute, 3e-17 of a
-        # rounding step at the file's largest density, and its x columns not at all.  Where the edges fall depends on
-        # the CPU, so the bound is 4 rounding steps at the map's largest entry or the file's largest density.
-        # Everything but the grids and the marginal densities is byte-identical.
+        # the default number_scheme run 17 of its 20 marginal rows differed, by at most 1.5e-33 absolute, 3e-17 of a
+        # rounding step at the row's largest density.  Where the edges fall depends on the CPU, so the bound is 4
+        # rounding steps at the map's largest entry or the row's largest density.  Everything but the grids and the
+        # marginal densities is byte-identical, the report with its marginal_xs, from which x is rebuilt, too.
         one, two = run_at_one_and_two_blas_threads(tmp_path, config)
         kinds = [entry["kind"] for entry in one["files"]]
         assert (kinds.count("wigner-grid"), kinds.count("marginal-npy")) == (grid_count, marginal_count)
@@ -1029,10 +1052,11 @@ class TestDeterminism:
                 assert first == second, path
                 continue
             first, second = np.load(tmp_path / "threads1" / path), np.load(tmp_path / "threads2" / path)
-            if entry["kind"] == "marginal-npy":
-                assert np.array_equal(first[:, 0], second[:, 0]), path
-                first, second = first[:, 1], second[:, 1]
-            assert np.max(np.abs(first - second)) <= 4 * np.spacing(np.max(np.abs(first))), path
+            if entry["kind"] == "marginal-npy":  # each row at its own largest density
+                bound = 4 * np.spacing(np.max(np.abs(first), axis=1, keepdims=True))
+                assert np.all(np.abs(first - second) <= bound), path
+            else:
+                assert np.max(np.abs(first - second)) <= 4 * np.spacing(np.max(np.abs(first))), path
 
     def test_seed_changes_samples(self, tmp_path):
         base = {
@@ -1056,13 +1080,6 @@ def test_artifact_path_written_twice_is_refused(tmp_path):
         writer.write("a.csv", "marginal-csv", "second\n")
     assert (tmp_path / "a.csv").read_text() == "first\n"
     assert [e["path"] for e in writer.manifest({})["files"]] == ["a.csv"]
-
-
-def test_phases_equal_to_four_decimals_stop_the_run(tmp_path, monkeypatch):
-    # validate refuses a count whose phases share a marginal file name; two such phases test the writer's own guard
-    monkeypatch.setattr(cli, "uniform_phases", lambda count: (0.1, 0.10001))
-    with pytest.raises(ValueError, match="'marginal_input_phi0.1000.npy' was already written"):
-        run({"experiment": "number_scheme", **SMALL_CONFIGS["number_scheme"]}, output_dir=tmp_path)
 
 
 def test_marginal_points_with_overflowing_squares_are_refused(tmp_path, capsys):
@@ -1124,6 +1141,10 @@ def test_explicit_herald_beta_past_the_ancilla_basis_is_refused(tmp_path, capsys
     (huge,) = validate_config({**config, "herald": {"beta": [1e308, 1e308]}})
     assert re.fullmatch(r"herald\.beta: a coherent ancilla of \|beta\|=1\.414e\+308 needs herald\.dim >= \d+ "
                         r"at tail_tol 0\.005, got 12", huge)
+    # and so is a |beta| that is itself past it, where abs() of the complex number would raise
+    (huge,) = validate_config({**config, "herald": {"beta": [1.7e308, 1.7e308]}})
+    assert re.fullmatch(r"herald\.beta: a coherent ancilla of \|beta\|=inf needs herald\.dim >= \d+ "
+                        r"at tail_tol 0\.005, got 12", huge)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
@@ -1142,6 +1163,35 @@ def test_run_failing_before_its_first_artifact_leaves_no_directory(tmp_path, cap
     assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
     assert "run failed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _json_leaves(value):
+    """The leaves of a JSON value, depth first, dict keys in sorted order."""
+    if isinstance(value, dict):
+        return [leaf for key in sorted(value) for leaf in [key, *_json_leaves(value[key])]]
+    return [leaf for item in value for leaf in _json_leaves(item)] if isinstance(value, list) else [value]
+
+
+@pytest.mark.parametrize("amps", [[1e200, 1e200], [1e-200, [1e-200, 0.0]]])
+def test_custom_amplitudes_near_the_float_range_give_the_unit_state(tmp_path, amps):
+    # the norm of the first overflows and that of the second underflows, unless the amplitudes are scaled first:
+    # each writes what [1, 1] writes, to 1e-15
+    outdirs = (tmp_path / "unit", tmp_path / "scaled")
+    for outdir, values in zip(outdirs, ([1, 1], amps)):
+        config = {"experiment": "orthogonalize", "input_state": {"kind": "custom", "amps": values}, "trunc": 8}
+        assert validate_config(config) == []
+        manifest = run(config, outdir)
+    for entry in manifest["files"]:
+        path = entry["path"]
+        if path.endswith(".npy"):
+            first, second = (np.load(outdir / path, allow_pickle=False) for outdir in outdirs)
+        elif entry["kind"] == "density-json":
+            first, second = (density_from_json(json.loads((outdir / path).read_text())).elems for outdir in outdirs)
+        else:
+            first, second = (_json_leaves(json.loads((outdir / path).read_text())) for outdir in outdirs)
+            assert [v for v in first if isinstance(v, str)] == [v for v in second if isinstance(v, str)], path
+            first, second = ([v for v in values if not isinstance(v, str)] for values in (first, second))
+        assert np.max(np.abs(np.subtract(first, second))) <= 1e-15, path
 
 
 @pytest.mark.parametrize("config, weight", [

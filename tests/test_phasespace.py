@@ -22,7 +22,7 @@ from cvortho import (
     wigner,
 )
 from cvortho.cli import DEFAULTS
-from cvortho.phasespace import marginal_filename, npy_buffers
+from cvortho.phasespace import npy_buffers
 
 
 @st.composite
@@ -366,13 +366,12 @@ class TestFileFormats:
             assert np.array_equal(self.loaded(values).view(np.int64), values.view(np.int64))
 
     def test_marginal_npy(self, tmp_path):
+        # a state's marginals at P phases are one (P, n) file, row k the density at phase k
         xs = np.linspace(-1, 1, 5)
-        (written,) = marginal([fock_state(0, Truncation(4)).to_density()], (0.25,), xs)[0]
-        name = marginal_filename("marginal_out", 0.25)
-        assert name == "marginal_out_phi0.2500.npy"
-        (tmp_path / name).write_bytes(b"".join(npy_buffers(np.column_stack([xs, written]))))
-        x, density = np.load(tmp_path / name, allow_pickle=False).T
-        assert np.array_equal(x, xs) and np.array_equal(density, written)
+        (written,) = marginal([coherent_state(0.5 + 0.3j, Truncation(12)).to_density()], (0.0, 0.25, 2.0), xs)
+        (tmp_path / "marginal_out.npy").write_bytes(b"".join(npy_buffers(written)))
+        rows = np.load(tmp_path / "marginal_out.npy", allow_pickle=False)
+        assert rows.shape == (3, 5) and np.array_equal(rows.view(np.int64), written.view(np.int64))
 
     def test_marginal_npy_keeps_every_bit(self):
         xs = self.awkward_values(13)
