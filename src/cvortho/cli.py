@@ -1,8 +1,10 @@
 """Config-driven experiment runner emitting reproducible data artifacts.
 
 Subcommands: ``run <config.json> [--output-dir DIR]``, ``validate <config.json>``,
-``verify``.  Every run writes its files into DIR (``out`` by default) plus a
-manifest listing each artifact with a sha256 checksum.  Every artifact is
+``verify``.  ``validate`` prepares the run's states as the run does, so a
+config that validates does not fail on its physics in the run.  Every run
+writes its files into DIR (``out`` by default) plus a manifest listing each
+artifact with a sha256 checksum.  Every artifact is
 UTF-8 text except the ``.npy`` arrays of little-endian float64: the Wigner
 grids, of shape ``(nx, np)`` on the ``grid`` of the run's ``report.json``,
 the marginals, one file per state of shape ``(P, n)``, a density row for
@@ -32,11 +34,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, fock, homodyne, schemes
+from . import __version__, homodyne
 from .fock import (
     DensityMatrix,
     StateVector,
     Truncation,
+    TruncationError,
     beam_splitter_op,
     coherent_state,
     density_json_text,
@@ -135,34 +138,42 @@ class _ArtifactWriter:
         }
 
 
-def _prepared(cfg: dict, kind: OperatorKind | None = None):
-    """The truncation, the input state and its orthogonalizer spec (``kind`` defaults to ``scheme.kind``)."""
-    trunc, psi = _input(cfg)
-    return trunc, psi, OrthogonalizerSpec.from_state(kind or OperatorKind(cfg["scheme"]["kind"]), psi)
-
-
-def _input(cfg: dict):
-    """The truncation and the input state."""
+def _input(cfg: dict) -> StateVector:
+    """The input state."""
     trunc = Truncation(cfg["trunc"])
     state = cfg["input_state"]
     if state["kind"] == "coherent":
-        psi = coherent_state(_as_complex(state["alpha"]), trunc)
-    elif state["kind"] == "fock":
-        psi = fock_state(state["n"], trunc)
-    else:
-        padded = np.zeros(trunc.dim, dtype=complex)
-        padded[: len(state["amps"])] = [_as_complex(a) for a in state["amps"]]
-        # first scaled exactly, by the power of two that brings the largest part into [0.5, 1), so that the norm
-        # neither overflows nor underflows
-        parts = padded.view(np.float64)
-        np.ldexp(parts, -np.frexp(np.max(np.abs(parts)))[1], out=parts)
-        psi = StateVector(padded / np.linalg.norm(padded), trunc)
-    return trunc, psi
+        return coherent_state(_as_complex(state["alpha"]), trunc)
+    if state["kind"] == "fock":
+        return fock_state(state["n"], trunc)
+    padded = np.zeros(trunc.dim, dtype=complex)
+    padded[: len(state["amps"])] = [_as_complex(a) for a in state["amps"]]
+    # first scaled exactly, by the power of two that brings the largest part into [0.5, 1), so that the norm neither
+    # overflows nor underflows
+    parts = padded.view(np.float64)
+    np.ldexp(parts, -np.frexp(np.max(np.abs(parts)))[1], out=parts)
+    return StateVector(padded / np.linalg.norm(padded), trunc)
 
 
 def _phases(cfg: dict) -> tuple:
     count = cfg["sampling"]["phases"]
     return uniform_phases(count) if isinstance(count, int) else tuple(count)
+
+
+_INPUT_LEAF = {"coherent": "input_state.alpha", "fock": "input_state.n", "custom": "input_state.amps"}
+
+
+def _stage(leaf: str, call, *args):
+    """``call(*args)``, one stage of a run's preparation, with a ValueError it raises (the base of every library
+    error) raised again as ``<leaf>: <library text>``.  The library's own argument name (``n``, ``theta``,
+    ``trunc.dim``) gives way to the leaf, and a tail-guard TruncationError after the input stage names ``trunc``."""
+    try:
+        return call(*args)
+    except ValueError as err:
+        if isinstance(err, TruncationError) and err.suggested_dim is not None and leaf not in _INPUT_LEAF.values():
+            leaf = "trunc"
+        name, must, rule = str(err).partition(": must be ")
+        raise ValueError(f"{leaf}: must be {rule}" if must and " " not in name else f"{leaf}: {err}") from err
 
 
 def _transformed(cfg: dict, psi: StateVector, spec: OrthogonalizerSpec, report: dict) -> StateVector:
@@ -171,28 +182,73 @@ def _transformed(cfg: dict, psi: StateVector, spec: OrthogonalizerSpec, report: 
     The ``number_scheme`` experiment is the number scheme's heralded route.  A
     heralded route writes its herald weight (the squared norm of the heralded
     signal before normalization, not a probability), beam-splitter angle and,
-    for the creation scheme, ancilla amplitude into ``report``.
+    for the creation scheme, ancilla amplitude into ``report``.  Its stage
+    names ``herald.theta`` with auto beta or for the number scheme, else
+    ``herald.beta``.
     """
     if cfg["experiment"] != "number_scheme" and cfg["route"] == "ideal":
-        return orthogonalize(psi, spec)
+        return _stage("scheme.kind", orthogonalize, psi, spec)
     h, creation = cfg["herald"], spec.kind is OperatorKind.CREATION
     theta = h["theta"]
     if theta == "auto":  # the creation scheme's balanced splitter keeps the tuned ancilla amplitude at |<a_dag>|
         theta = math.pi / 4 if creation else theta_for_number_orthogonalizer(float(complex(spec.mean_value).real))
-    report["beam_splitter_theta"] = theta = float(theta)
+    report["beam_splitter_theta"] = float(theta)
     if not creation:  # the number scheme has no ancilla
-        out, report["herald_weight"] = number_scheme_model(psi, theta, float(h["phi"]))
+        out, report["herald_weight"] = _stage("herald.theta", number_scheme_model, psi, theta, float(h["phi"]))
         return out
     if h["beta"] != "auto":
-        beta = _as_complex(h["beta"])
-    else:
-        beta = beta_for_addition_orthogonalizer(complex(spec.mean_value), theta)
-        _, misfit = schemes._ancilla_basis(beta, cfg["trunc"], h["dim"])
-        if misfit:  # the tuned amplitude is cot(theta) |<a_dag>|
-            raise fock.TruncationError(f"herald.theta {theta:.6g} with auto beta: {misfit}")
+        leaf, beta = "herald.beta", _as_complex(h["beta"])
+    else:  # the tuned amplitude is cot(theta) <a_dag>
+        leaf = "herald.theta"
+        beta = _stage(leaf, beta_for_addition_orthogonalizer, complex(spec.mean_value), theta)
     report["ancilla_beta"] = _complex_pair(beta)
-    out, report["herald_weight"] = heralded_addition_model(psi, beta, theta, h["dim"])
+    out, report["herald_weight"] = _stage(leaf, heralded_addition_model, psi, beta, theta, h["dim"])
     return out
+
+
+def _prepare(cfg: dict) -> dict:
+    """A run's first stage, preparation: vectors and a few d x d matrices, by name, and the ``report`` entries so far.
+
+    The ``states`` to write are the input and its output, or a qubit per ``qubit_c``; tomography's are the
+    ``detected`` state, the projected truth ``target`` and, below eta = 1, its ``lossy`` projection.  Each library
+    call is a ``_stage`` under its leaf: the input kind's, ``scheme.kind``, ``qubit_c`` or ``qubit_c_single`` for a
+    transform, ``_transformed``'s herald leaf and ``reconstruction.dim`` for the projection.
+    """
+    experiment, report = cfg["experiment"], {}
+    prepared = {"report": report}
+    if experiment == "verify":
+        return prepared
+    psi = _stage(_INPUT_LEAF[cfg["input_state"]["kind"]], _input, cfg)
+    if experiment == "qubit_wigner":
+        spec = OrthogonalizerSpec.from_state(OperatorKind(cfg["scheme"]["kind"]), psi)
+        given = cfg["qubit_c"]
+        cs = prepared["cs"] = [_as_complex(c) for c in ([given] if _is_complex(given) else given)]
+        prepared["states"] = {f"{i:02d}": _stage("qubit_c", orthogonalize, psi, spec, c) for i, c in enumerate(cs)}
+    elif experiment == "tomography":
+        if cfg["transform"] != "none":
+            qubit = cfg["transform"] == "qubit"
+            spec = OrthogonalizerSpec.from_state(OperatorKind(cfg["scheme"]["kind"]), psi)
+            c = _as_complex(cfg["qubit_c_single"]) if qubit else 0.0
+            psi = _stage("qubit_c_single" if qubit else "scheme.kind", orthogonalize, psi, spec, c)
+        rho_true, dim = psi.to_density(), Truncation(cfg["reconstruction"]["dim"])
+        detected = prepared["detected"] = apply_loss(rho_true, cfg["eta"])
+        prepared["target"] = _stage("reconstruction.dim", project_density, rho_true, dim)
+        # the share of the state that the target keeps, before project_density renormalizes it
+        report["target_mass"] = float(np.trace(rho_true.elems[: dim.dim, : dim.dim]).real)
+        if cfg["eta"] < 1.0:
+            prepared["lossy"] = _stage("reconstruction.dim", project_density, detected, dim)
+    else:  # orthogonalize and number_scheme: the input and its orthogonal, on the configured route
+        if experiment == "number_scheme":
+            spec = OrthogonalizerSpec.from_state(OperatorKind.NUMBER, psi)
+            report["mean_photon_number"] = float(complex(spec.mean_value).real)
+        else:
+            kind = OperatorKind.CREATION if cfg["route"] == "heralded" else OperatorKind(cfg["scheme"]["kind"])
+            spec = OrthogonalizerSpec.from_state(kind, psi)
+            report.update(scheme=spec.kind.value, route=cfg["route"])
+        out = _transformed(cfg, psi, spec, report)
+        report["overlap_with_input"] = abs(inner_product(psi, out))
+        prepared["states"] = {"input": psi, "output": out}
+    return prepared
 
 
 def _complex_pair(z: complex):
@@ -225,57 +281,37 @@ def _write_state(writer: _ArtifactWriter, cfg: dict, states: dict, phases=(), gr
 # experiments
 
 
-def _run_orthogonalize(cfg: dict, writer: _ArtifactWriter) -> dict:
-    trunc, psi, spec = _prepared(cfg, OperatorKind.CREATION if cfg["route"] == "heralded" else None)
-    report = {"scheme": spec.kind.value, "route": cfg["route"]}
-    out = _transformed(cfg, psi, spec, report)
-    report["overlap_with_input"] = abs(inner_product(psi, out))
-    if cfg["input_state"]["kind"] == "coherent" and spec.kind is OperatorKind.CREATION:
+def _run_orthogonalize(cfg: dict, prepared: dict, writer: _ArtifactWriter) -> dict:
+    report, (psi, out) = prepared["report"], prepared["states"].values()
+    if cfg["input_state"]["kind"] == "coherent" and report["scheme"] == OperatorKind.CREATION.value:
         # D(alpha)|1> = D(alpha) a_dag |0> = (a_dag - conj(alpha)) |alpha>, from the coherent input already built
-        raised = ladder_operators(trunc)[1] @ psi.amps
-        ref = StateVector(raised - np.conj(_as_complex(cfg["input_state"]["alpha"])) * psi.amps, trunc).normalized()
-        report["displaced_fock_fidelity"] = fidelity(out, ref)
+        raised = ladder_operators(psi.trunc)[1] @ psi.amps
+        ref = StateVector(raised - np.conj(_as_complex(cfg["input_state"]["alpha"])) * psi.amps, psi.trunc)
+        report["displaced_fock_fidelity"] = fidelity(out, ref.normalized())
 
-    _write_state(writer, cfg, {"input": psi, "output": out}, phases=(0.0,), report=report)
+    _write_state(writer, cfg, prepared["states"], phases=(0.0,), report=report)
     return report
 
 
-def _run_qubit_wigner(cfg: dict, writer: _ArtifactWriter) -> dict:
-    _, psi, spec = _prepared(cfg)
+def _run_qubit_wigner(cfg: dict, prepared: dict, writer: _ArtifactWriter) -> dict:
     grid = PhaseGrid(**cfg["grid"])
-
-    cs = [_as_complex(c) for c in ([cfg["qubit_c"]] if _is_complex(cfg["qubit_c"]) else cfg["qubit_c"])]
-    maps = _write_state(writer, cfg, {f"{i:02d}": orthogonalize(psi, spec, c) for i, c in enumerate(cs)}, grid=grid)
+    maps = _write_state(writer, cfg, prepared["states"], grid=grid)
     entries = [{"file": f"wigner_{i:02d}.npy", "c": _complex_pair(c), "wigner_min": float(wmap.min()),
                 "wigner_max": float(wmap.max()), "grid_integral": grid.integral(wmap)}
-               for i, (c, wmap) in enumerate(zip(cs, maps))]
+               for i, (c, wmap) in enumerate(zip(prepared["cs"], maps))]
     return {"eta": cfg["eta"], "grid": dataclasses.asdict(grid), "maps": entries}
 
 
-def _run_number_scheme(cfg: dict, writer: _ArtifactWriter) -> dict:
-    _, psi, spec = _prepared(cfg, OperatorKind.NUMBER)
+def _run_number_scheme(cfg: dict, prepared: dict, writer: _ArtifactWriter) -> dict:
     grid = PhaseGrid(**cfg["grid"])
-    report = {
-        "mean_photon_number": float(complex(spec.mean_value).real),
-        "grid": dataclasses.asdict(grid),
-    }
-    out = _transformed(cfg, psi, spec, report)
-    report["overlap_with_input"] = abs(inner_product(psi, out))
-
-    _write_state(writer, cfg, {"input": psi, "output": out}, _phases(cfg), grid, report)
+    report = {**prepared["report"], "grid": dataclasses.asdict(grid)}
+    _write_state(writer, cfg, prepared["states"], _phases(cfg), grid, report)
     return report
 
 
-def _run_tomography(cfg: dict, writer: _ArtifactWriter) -> dict:
-    _, psi = _input(cfg)
-    if cfg["transform"] != "none":
-        c = _as_complex(cfg["qubit_c_single"]) if cfg["transform"] == "qubit" else 0.0
-        psi = orthogonalize(psi, OrthogonalizerSpec.from_state(OperatorKind(cfg["scheme"]["kind"]), psi), c)
-
-    rho_true = psi.to_density()
-    rho_detected = apply_loss(rho_true, cfg["eta"])
+def _run_tomography(cfg: dict, prepared: dict, writer: _ArtifactWriter) -> dict:
     s = cfg["sampling"]
-    samples = sample_quadratures(rho_detected, _phases(cfg), s["samples_per_phase"], s["seed"])
+    samples = sample_quadratures(prepared["detected"], _phases(cfg), s["samples_per_phase"], s["seed"])
     writer.write("samples.npy", "samples-npy", npy_buffers(samples))
 
     recon = cfg["reconstruction"]
@@ -284,24 +320,23 @@ def _run_tomography(cfg: dict, writer: _ArtifactWriter) -> dict:
     trace = result.log_likelihood_trace
     writer.write("likelihood.npy", "likelihood-npy", npy_buffers(np.column_stack([np.arange(trace.size), trace])))
 
-    target = project_density(rho_true, Truncation(recon["dim"]))
     report = {
+        **prepared["report"],
         "iterations_used": result.iterations_used,
         "stop_reason": result.stop_reason,
         "loglik_gap": result.loglik_gap,
         "eta": cfg["eta"],
-        "fidelity_vs_true": fidelity(result.rho_hat, target),
+        "fidelity_vs_true": fidelity(result.rho_hat, prepared["target"]),
         "final_log_likelihood": float(result.log_likelihood_trace[-1]),
     }
-    writer.write("rho_true.json", "density-json", density_json_text(target))
-    if cfg["eta"] < 1.0:
-        lossy = project_density(rho_detected, target.trunc)
-        report["fidelity_vs_lossy_true"] = fidelity(result.rho_hat, lossy)
-        writer.write("rho_lossy.json", "density-json", density_json_text(lossy))
+    writer.write("rho_true.json", "density-json", density_json_text(prepared["target"]))
+    if "lossy" in prepared:
+        report["fidelity_vs_lossy_true"] = fidelity(result.rho_hat, prepared["lossy"])
+        writer.write("rho_lossy.json", "density-json", density_json_text(prepared["lossy"]))
     return report
 
 
-def _run_verify(cfg: dict, writer: _ArtifactWriter) -> dict:
+def _run_verify(cfg: dict, prepared: dict, writer: _ArtifactWriter) -> dict:
     results = run_battery()
     ok = all(passed for _, passed, _ in results)
     report = {
@@ -359,7 +394,7 @@ SCHEMA = {
     "experiment": (None, *_one_of(*EXPERIMENTS)),
     "input_state.kind": ("coherent", *_one_of("coherent", "fock", "custom")),
     "input_state.alpha": ([1.0, 0.0], *_COMPLEX),
-    "input_state.n": (0, _is_int, "an integer"),  # fock_state's range for it depends on trunc: see validate_config
+    "input_state.n": (0, _is_int, "an integer"),  # fock_state's range for it depends on trunc: see _prepare
     "input_state.amps": (None, *_or(None, ((lambda v: _nonempty_list_of(_is_complex, v) and any(map(_as_complex, v))),
                                            "a nonempty list of numbers or [re, im] pairs, not all zero"))),
     "scheme.kind": ("creation", *_one_of("creation", "number")),
@@ -502,14 +537,23 @@ def _largest_array(cfg: dict, clean):
 
 
 def validate_config(config: dict) -> list:
-    """Schema and range report; returns one message per violated precondition.
+    """Schema, range and preparation report; returns one message per violated precondition.
 
     Checks each SCHEMA leaf (an omitted leaf takes its DEFAULTS value), refuses a value but the default for a leaf
-    outside the run's READS rows, then checks the rules that relate several leaves, each skipped when a leaf it reads
-    is reported or unread, and names every key outside the schema with the nearest known one.  Never raises.
+    outside the run's READS rows, then checks the rules that relate several leaves and no library call owns, each
+    skipped when a leaf it reads is reported or unread: the custom-amplitude count, the bound order and the memory
+    rule, and names every key outside the schema with the nearest known one.  A config that passes all of these is
+    prepared as its run prepares it (``_prepare``), and a library error there is reported once, as
+    ``<leaf>: <library text>``.  Raises only what a bug raises: an error class that is not a ValueError.
     """
+    return _checked(config)[0]
+
+
+def _checked(config):
+    """``validate_config``'s problems, the leaves that the run reads (its READS rows' and ``experiment``, each
+    default filled in) and their preparation; the last two are None where there is a problem."""
     if not isinstance(config, dict):
-        return [f"config: must be a JSON object, got {type(config).__name__}"]
+        return [f"config: must be a JSON object, got {type(config).__name__}"], None, None
     broken = [key for key, default in DEFAULTS.items()
               if isinstance(default, dict) and not isinstance(config.get(key, {}), dict)]
     problems = [f"{key}: must be an object, got {_shown(config[key])}" for key in broken]
@@ -536,11 +580,6 @@ def validate_config(config: dict) -> list:
                             f"got {_shown(leaves[path])}")
 
     amps = leaves["input_state.amps"]
-    if clean("input_state.n", "trunc"):
-        problems += _breach("input_state.n", fock._level_rule(leaves["trunc"]), leaves["input_state.n"])
-    if clean("input_state.alpha", "trunc"):
-        misfit, _ = fock._coherent_misfit(_as_complex(leaves["input_state.alpha"]), leaves["trunc"])
-        problems += [f"input_state.alpha: {misfit}"] if misfit else []
     if clean("input_state.amps", "trunc") and not 1 <= len(amps or ()) <= leaves["trunc"]:
         problems.append(f"input_state.amps: a custom state needs 1..trunc amplitudes, got {_shown(amps)}")
     for section, axis in (("grid", "x"), ("grid", "p"), ("marginal_xs", "x")):
@@ -551,29 +590,6 @@ def validate_config(config: dict) -> list:
                                 ("grid", _WIGNER_BOUNDS, ("x_min", "x_max", "p_min", "p_max"))):
         if clean(*(f"{section}.{end}" for end in ends)):
             problems += _breach(section, rule, [cfg[section][end] for end in ends])
-    theta = cfg["herald"]["theta"]
-    if clean("herald.theta") and run == "number_scheme" and theta != "auto":
-        problems += _breach("herald.theta", schemes._NUMBER_SCHEME_THETA, theta)
-    # the number orthogonalizer n - <n> maps a number eigenstate to 0, so the run would find nothing to normalize
-    kind, alpha = leaves["input_state.kind"], leaves["input_state.alpha"]
-    why = f"for {run}, whose n - <n> maps a number eigenstate to 0"
-    if (clean("herald.theta") and run == "number_scheme" and theta == "auto") or (
-            clean("scheme.kind") and run in ("ideal orthogonalize", "orthogonalized tomography")
-            and cfg["scheme"]["kind"] == "number"):
-        if kind == "fock":
-            problems.append(f'input_state.kind: must be "coherent" or "custom" {why}, got \'fock\'')
-        elif kind == "custom" and clean("input_state.amps") and sum(_as_complex(a) != 0 for a in amps) == 1:
-            problems.append(f"input_state.amps: must have two or more nonzero amplitudes {why}, got {_shown(amps)}")
-        elif kind == "coherent" and clean("input_state.alpha") and _as_complex(alpha) == 0:
-            problems.append(f"input_state.alpha: must be nonzero {why}, got {_shown(alpha)}")
-    beta = cfg["herald"]["beta"]
-    if clean("herald.theta", "herald.beta") and theta != "auto" and beta == "auto":
-        problems += _breach("herald.theta", schemes._AUTO_BETA_THETA, theta)
-    if clean("herald.beta", "herald.dim", "trunc") and beta != "auto":
-        _, misfit = schemes._ancilla_basis(_as_complex(beta), cfg["trunc"], cfg["herald"]["dim"])
-        problems += [f"herald.beta: {misfit}"] if misfit else []
-    if clean("reconstruction.dim", "trunc"):
-        problems += _breach("reconstruction.dim", fock._fits_rule(cfg["trunc"]), cfg["reconstruction"]["dim"])
     largest = _largest_array(cfg, clean)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if largest is not None and largest[0] > memory:
@@ -586,25 +602,31 @@ def validate_config(config: dict) -> list:
             problems.append(_unknown_key("", key, cfg))
         elif key not in broken and isinstance(DEFAULTS.get(key), dict):
             problems.extend(_unknown_key(key, sub, cfg[key]) for sub in value if sub not in cfg[key])
-    return problems
+    if problems:  # the memory rule among them, so preparation never allocates past it
+        return problems, None, None
+    cfg = _merged(config, read)  # a stage that reads a leaf outside the run's rows fails on it
+    try:
+        return problems, cfg, _prepare(cfg)
+    except ValueError as err:  # the base of every library error; any other class is a bug, and propagates
+        return [str(err)], None, None
 
 
 def run(config: dict, output_dir) -> dict:
     """Execute the configured experiment, writing its artifacts and manifest into ``output_dir``."""
-    problems = validate_config(config)
+    problems, cfg, prepared = _checked(config)
     if problems:
         raise ValueError("invalid config: " + "; ".join(problems))
-    return _execute(config, output_dir)
+    return _execute(cfg, prepared, output_dir)
 
 
-def _execute(config: dict, output_dir) -> dict:
-    """``run`` for a config that ``validate_config`` has passed; the runner returns the report written as report.json."""
-    cfg = _merged(config, _reads(_merged(config))[1])  # a runner that reads any other leaf fails on it
+def _execute(cfg: dict, prepared: dict, output_dir) -> dict:
+    """A run's artifact stage, after ``_checked``: the runner writes the artifacts of the ``prepared`` states and
+    returns the report written as report.json.  The manifest echoes ``cfg``, the leaves the runner is handed."""
     outdir = Path(output_dir)
     writer = _ArtifactWriter(outdir)
-    writer.write_json("report.json", _RUNNERS[cfg["experiment"]](cfg, writer), "report-json")
+    writer.write_json("report.json", _RUNNERS[cfg["experiment"]](cfg, prepared, writer), "report-json")
 
-    manifest = writer.manifest(config_echo=config)
+    manifest = writer.manifest(config_echo=cfg)
     (outdir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -806,7 +828,7 @@ def main(argv=None) -> int:
         print(f"config is not valid JSON: {err}", file=sys.stderr)
         return 2
 
-    problems = validate_config(config)
+    problems, cfg, prepared = _checked(config)
     if args.command == "validate":
         print("\n".join(problems) or "OK")
         return 1 if problems else 0
@@ -814,7 +836,7 @@ def main(argv=None) -> int:
         print("\n".join(problems), file=sys.stderr)
         return 2
     try:
-        manifest = _execute(config, args.output_dir)
+        manifest = _execute(cfg, prepared, args.output_dir)
     except Exception as err:  # propagate module errors with context
         print(f"run failed: {err}", file=sys.stderr)
         return 1

@@ -197,13 +197,9 @@ def _require_operator_on(op: np.ndarray, trunc: Truncation) -> None:
 # constructors
 
 
-def _level_rule(dim: int):  # fock_state's rule for a level of a dim-level basis
-    return _int_rule(0, dim - 1)
-
-
 def fock_state(n: int, trunc: Truncation) -> StateVector:
     """Number state |n>."""
-    _require("n", _level_rule(trunc.dim), n)
+    _require("n", _int_rule(0, trunc.dim - 1), n)
     amps = np.zeros(trunc.dim, dtype=np.complex128)
     amps[n] = 1.0
     return StateVector(amps, trunc)
@@ -227,17 +223,6 @@ def min_dim_for_coherent(alpha: complex, tail_tol: float) -> int:
     return high + 2
 
 
-def _coherent_misfit(alpha: complex, dim: int):
-    """Why coherent_state(alpha) does not fit ``dim`` levels ('' if it does), and the dim it needs (None if none)."""
-    size = math.hypot(complex(alpha).real, complex(alpha).imag)  # abs() raises past the float range
-    vacuum = math.exp(-min(size, 1e150) ** 2 / 2.0)
-    if vacuum < np.finfo(np.float64).tiny:
-        return f"coherent amplitude |alpha|={size:.4g} underflows exp(-|alpha|^2/2) = {vacuum:.3g}", None
-    needed = min_dim_for_coherent(alpha, _TAIL_TOL)
-    why = f"coherent amplitude |alpha|={size:.4g} needs dim >= {needed} at tail_tol {_TAIL_TOL:g}, got {dim}"
-    return why if dim < needed else "", needed
-
-
 def coherent_state(alpha: complex, trunc: Truncation) -> StateVector:
     """Coherent state with amplitude ``alpha``, renormalized on the basis.
 
@@ -245,9 +230,14 @@ def coherent_state(alpha: complex, trunc: Truncation) -> StateVector:
     Raises ``ValueError`` when exp(-|a|^2/2) is not a normal double (|a| > 37.6),
     and else :class:`TruncationError` when the truncation cannot hold the state.
     """
-    misfit, needed = _coherent_misfit(alpha, trunc.dim)
-    if misfit:
-        raise ValueError(misfit) if needed is None else TruncationError(misfit, suggested_dim=needed)
+    size = math.hypot(complex(alpha).real, complex(alpha).imag)  # abs() raises past the float range
+    vacuum = math.exp(-min(size, 1e150) ** 2 / 2.0)
+    if vacuum < np.finfo(np.float64).tiny:
+        raise ValueError(f"coherent amplitude |alpha|={size:.4g} underflows exp(-|alpha|^2/2) = {vacuum:.3g}")
+    needed = min_dim_for_coherent(alpha, _TAIL_TOL)
+    if trunc.dim < needed:
+        raise TruncationError(f"coherent amplitude |alpha|={size:.4g} needs dim >= {needed} at tail_tol "
+                              f"{_TAIL_TOL:g}, got {trunc.dim}", suggested_dim=needed)
     amps = np.zeros(trunc.dim, dtype=np.complex128)
     amps[0] = math.exp(-abs(alpha) ** 2 / 2.0)
     for n in range(1, trunc.dim):
@@ -395,13 +385,9 @@ def check_tail(state: StateVector, context: str = "") -> None:
         )
 
 
-def _fits_rule(source_dim: int):  # project_density's rule for the target dim
-    return (lambda v: v <= source_dim), f"at most the source dim {source_dim}"
-
-
 def project_density(rho: DensityMatrix, trunc: Truncation) -> DensityMatrix:
     """Cut a density matrix down to a smaller truncation and renormalize."""
-    _require("trunc.dim", _fits_rule(rho.trunc.dim), trunc.dim)
+    _require("trunc.dim", ((lambda v: v <= rho.trunc.dim), f"at most the source dim {rho.trunc.dim}"), trunc.dim)
     block = rho.elems[: trunc.dim, : trunc.dim]
     tr = float(np.real(np.trace(block)))
     if tr < ZERO_NORM_TOL:

@@ -233,18 +233,15 @@ def ideal_number_operator(theta: float, phi: float, trunc: Truncation) -> np.nda
     return _read_only(math.cos(theta) * cmath.exp(1j * phi) * n_op - math.sin(theta) * (a @ a_dag))
 
 
-# beta_for_addition_orthogonalizer's rule: r = 0 leaves no ancilla path, and at t = 0 the tuned t a_dag - r beta is 0
-_AUTO_BETA_THETA = ((lambda theta: min(abs(math.sin(theta)), abs(math.cos(theta))) >= _ANGLE_TOL),
-                    "an angle with sin(theta) and cos(theta) nonzero")
-
-
 def beta_for_addition_orthogonalizer(mean_creation: complex, theta: float) -> complex:
     """Ancilla amplitude that tunes the addition scheme into an orthogonalizer.
 
     Solves r beta = t <a_dag> for beta at fixed theta, so that
     t a_dag - r beta 1 is t (a_dag - <a_dag>) 1.
     """
-    _require("theta", _AUTO_BETA_THETA, theta)
+    # r = 0 leaves no ancilla path, and at t = 0 the tuned t a_dag - r beta is 0
+    _require("theta", ((lambda v: min(abs(math.sin(v)), abs(math.cos(v))) >= _ANGLE_TOL),
+                       "an angle with sin(theta) and cos(theta) nonzero"), theta)
     return (math.cos(theta) / math.sin(theta)) * complex(mean_creation)
 
 
@@ -275,16 +272,6 @@ def _herald_one_zero(theta: float, from_one_zero: np.ndarray, from_zero_one: np.
     return StateVector(amps / nrm, signal_trunc), weight
 
 
-def _ancilla_basis(beta: complex, signal_dim: int, herald_dim: int | None):
-    """The herald basis size D of the coherent ancilla |beta>, ``herald_dim`` or else min(signal dim, 12), and
-    '' if the ancilla fits D levels under the herald tail guard, else what it needs."""
-    dim, size = herald_dim or min(signal_dim, _HERALD_DIM_CAP), math.hypot(beta.real, beta.imag)  # abs() can overflow
-    # past |beta| = 1e150 the need exceeds any basis that fits in memory, and |beta|^2 nears the float range
-    needed = min_dim_for_coherent(min(size, 1e150), _HERALD_TAIL_TOL)
-    return dim, "" if needed <= dim else (f"a coherent ancilla of |beta|={size:.4g} needs herald.dim >= {needed} "
-                                          f"at tail_tol {_HERALD_TAIL_TOL:g}, got {dim}")
-
-
 def heralded_addition_model(psi: StateVector, beta: complex, theta: float, herald_dim: int | None = None):
     """Physical realization of t a_dag - r beta 1 on the signal.
 
@@ -307,17 +294,15 @@ def heralded_addition_model(psi: StateVector, beta: complex, theta: float, heral
     check_tail(added, context="photon-added branch")
 
     beta = complex(beta)
-    dim, misfit = _ancilla_basis(beta, psi.trunc.dim, herald_dim)
+    dim, size = herald_dim or min(psi.trunc.dim, _HERALD_DIM_CAP), math.hypot(beta.real, beta.imag)  # abs() can overflow
     _require("herald_dim", Truncation.DIM, dim)
-    if misfit:
-        raise TruncationError(misfit)
+    # past |beta| = 1e150 the need exceeds any basis that fits in memory, and |beta|^2 nears the float range
+    needed = min_dim_for_coherent(min(size, 1e150), _HERALD_TAIL_TOL)
+    if needed > dim:
+        raise TruncationError(f"a coherent ancilla of |beta|={size:.4g} needs herald.dim >= {needed} "
+                              f"at tail_tol {_HERALD_TAIL_TOL:g}, got {dim}")
     anc0 = math.exp(-abs(beta) ** 2 / 2.0) / math.sqrt(pdtr(dim - 1, abs(beta) ** 2))
     return _herald_one_zero(theta, anc0 * added.amps, anc0 * beta * psi.amps, psi.trunc)
-
-
-# number_scheme_model's rule: at t = r the identity weight r/(t - r) diverges
-_NUMBER_SCHEME_THETA = ((lambda theta: abs(math.cos(theta) - math.sin(theta)) >= _ANGLE_TOL),
-                        "an angle with cos(theta) != sin(theta) (t = r is singular)")
 
 
 def number_scheme_model(psi: StateVector, theta: float, phi: float = 0.0):
@@ -329,7 +314,9 @@ def number_scheme_model(psi: StateVector, theta: float, phi: float = 0.0):
     the conditional operator is proportional to n - r/(t-r) 1 on the
     commutator-valid subspace.
     """
-    _require("theta", _NUMBER_SCHEME_THETA, theta, SingularConfigurationError)
+    # at t = r the identity weight r/(t - r) diverges
+    _require("theta", ((lambda v: abs(math.cos(v) - math.sin(v)) >= _ANGLE_TOL),
+                       "an angle with cos(theta) != sin(theta) (t = r is singular)"), theta, SingularConfigurationError)
     check_tail(psi, context="number-scheme input")
     a, a_dag, n_op = ladder_operators(psi.trunc)
     branch_n = cmath.exp(1j * phi) * (n_op @ psi.amps)

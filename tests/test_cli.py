@@ -7,6 +7,7 @@ import platform
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from collections.abc import Mapping
 from pathlib import Path
@@ -15,16 +16,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import pdtr
 
 import cvortho.cli as cli
 from cvortho import (
-    EigenstateError,
-    HeraldImpossibleError,
     OperatorKind,
     OrthogonalizerSpec,
     PhaseGrid,
     Truncation,
-    TruncationError,
     apply_loss,
     beam_splitter_op,
     beta_for_addition_orthogonalizer,
@@ -33,6 +32,7 @@ from cvortho import (
     density_json_text,
     fidelity,
     fock_state,
+    heralded_addition_model,
     ladder_operators,
     marginal,
     maxlik_reconstruct,
@@ -76,6 +76,7 @@ _NOT_VERIFY = ("ideal orthogonalize, heralded orthogonalize, qubit_wigner, numbe
                "orthogonalized tomography and qubit tomography")
 _TOMOGRAPHY = "plain tomography, orthogonalized tomography and qubit tomography"
 _MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+_VANISHING = "herald.theta: herald outcome (1, 0) has vanishing weight ("
 
 
 def marginal_axis(report):
@@ -169,8 +170,8 @@ class TestValidate:
         ({"experiment": "number_scheme", "scheme": {"kind": "number"}}, "scheme.kind: must be \"creation\" for "
          "number_scheme, since it is read only by ideal orthogonalize, qubit_wigner, orthogonalized tomography and "
          "qubit tomography, got 'number'"),
-        ({"experiment": "verify", "trunc": 13},
-         f"trunc: must be 40 for verify, since it is read only by {_NOT_VERIFY}, got 13"),
+        ({"experiment": "verify", "trunc": 20},
+         f"trunc: must be 40 for verify, since it is read only by {_NOT_VERIFY}, got 20"),
         ({"experiment": "verify", "eta": 0.5},
          f"eta: must be 1.0 for verify, since it is read only by {_NOT_VERIFY}, got 0.5"),
         # route and herald: only orthogonalize has a heralded route, which is the creation scheme
@@ -234,27 +235,25 @@ class TestValidate:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("config, must", [
-        ({"experiment": "number_scheme", "input_state": {"kind": "fock", "n": 1}},
-         'input_state.kind: must be "coherent" or "custom" for number_scheme'),
-        ({"experiment": "number_scheme", "input_state": {"kind": "fock", "n": 0}},
-         'input_state.kind: must be "coherent" or "custom" for number_scheme'),
-        ({"experiment": "number_scheme", "input_state": {"kind": "custom", "amps": [0.0, [0.0, 1.0]]}},
-         "input_state.amps: must have two or more nonzero amplitudes for number_scheme"),
-        ({"experiment": "number_scheme", "input_state": {"kind": "coherent", "alpha": [0.0, 0.0]}},
-         "input_state.alpha: must be nonzero for number_scheme"),
+        ({"experiment": "number_scheme", "input_state": {"kind": "fock", "n": 1}}, _VANISHING),
+        ({"experiment": "number_scheme", "input_state": {"kind": "fock", "n": 0}}, _VANISHING),
+        ({"experiment": "number_scheme", "input_state": {"kind": "custom", "amps": [0.0, [0.0, 1.0]]}}, _VANISHING),
+        ({"experiment": "number_scheme", "input_state": {"kind": "coherent", "alpha": [0.0, 0.0]}}, _VANISHING),
         ({"experiment": "orthogonalize", "scheme": {"kind": "number"}, "input_state": {"kind": "fock", "n": 2}},
-         'input_state.kind: must be "coherent" or "custom" for ideal orthogonalize'),
+         "scheme.kind: the input is an eigenstate of the operator with eigenvalue 2+0j; "),
         ({"experiment": "tomography", "transform": "orthogonalize", "scheme": {"kind": "number"},
           "input_state": {"kind": "custom", "amps": [0.0, 0.0, 2.0]}},
-         "input_state.amps: must have two or more nonzero amplitudes for orthogonalized tomography"),
+         "scheme.kind: the input is an eigenstate of the operator with eigenvalue 2+0j; "),
     ])
     def test_number_orthogonalizer_refuses_a_number_eigenstate(self, tmp_path, config, must):
-        state = config["input_state"]
-        got = repr(state.get("amps", state.get("alpha", state["kind"])))
-        assert validate_config(config) == [f"{must}, whose n - <n> maps a number eigenstate to 0, got {got}"]
-        # the run would have failed: the number orthogonalizer leaves nothing to normalize
-        with pytest.raises((EigenstateError, HeraldImpossibleError)):
-            cli._execute(config, tmp_path / "out")
+        # the number orthogonalizer n - <n> maps a number eigenstate to 0, so preparation finds nothing to normalize,
+        # and validate gives the library's words under the leaf of that stage
+        (message,) = validate_config(config)
+        assert message.startswith(must), message
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
         # an input on two levels, or the number scheme at an explicit angle, still validates
         assert validate_config({**config, "input_state": {"kind": "custom", "amps": [0.0, 1.0, 1.0]}}) == []
         if config["experiment"] == "number_scheme":
@@ -273,8 +272,10 @@ class TestValidate:
         (1.0, 12, True), (1.0, 13, False), ([5.0, 0.0], 40, True), ([0.0, 5.0], 60, False), (37.6, 40, True),
         ([0.0, 37.7], 2000, True), (1e200, 40, True), ([1e308, 1e308], 40, True)])
     def test_coherent_input_is_checked_on_alpha_by_the_library_rule(self, tmp_path, alpha, trunc, refused):
-        # exp(-|alpha|^2/2) underflows from |alpha| = 37.6 on, and no basis holds the state there
-        config = {"experiment": "orthogonalize", "trunc": trunc, "input_state": {"alpha": alpha}}
+        # exp(-|alpha|^2/2) underflows from |alpha| = 37.6 on, and no basis holds the state there; plain tomography
+        # applies no operator, so no tail guard refuses a state that fits
+        config = {"experiment": "tomography", "trunc": trunc, "input_state": {"alpha": alpha},
+                  "reconstruction": {"dim": 2}}
         try:
             coherent_state(cli._as_complex(alpha), Truncation(trunc))
             expected = []
@@ -547,6 +548,10 @@ _GRID = DEFAULTS["grid"]
 _SAMPLES = np.array([[0.0, 0.1], [0.0, -0.2], [1.0, 0.3]])
 _PSI = coherent_state(0.5, Truncation(12))
 _RHO = _PSI.to_density()
+_VACUUM = {"kind": "fock", "n": 0}
+# the default input, on which heralded orthogonalize tunes its auto beta
+_DEFAULT_INPUT = coherent_state(1.0, Truncation(40))
+_MEAN_CREATION = OrthogonalizerSpec.from_state(OperatorKind.CREATION, _DEFAULT_INPUT).mean_value
 
 
 def _grid_bounds(axis, bounds):
@@ -555,7 +560,9 @@ def _grid_bounds(axis, bounds):
 
 # (leaf, values, a config that sets the leaf to a value, the library call that owns the leaf's rule)
 _AGREEMENT = [
-    ("trunc", _INTS, lambda v: {"experiment": "orthogonalize", "trunc": v}, Truncation),
+    # plain tomography of the vacuum applies no operator, so no tail guard refuses a trunc
+    ("trunc", _INTS, lambda v: {"experiment": "tomography", "trunc": v, "input_state": _VACUUM,
+                                "reconstruction": {"dim": 2}}, Truncation),
     ("herald.dim", _INTS, lambda v: {"experiment": "orthogonalize", "route": "heralded", "herald": {"dim": v}},
      Truncation),
     ("grid.nx", _INTS, lambda v: {"experiment": "qubit_wigner", "grid": {"nx": v}}, lambda v: PhaseGrid(**{**_GRID, "nx": v})),
@@ -589,12 +596,13 @@ _AGREEMENT = [
     ("input_state.n", _INTS, lambda v: {"experiment": "orthogonalize", "trunc": 12, "input_state": {"kind": "fock", "n": v}},
      lambda v: fock_state(v, Truncation(12))),
     ("reconstruction.dim", st.tuples(st.integers(2, 30), st.integers(2, 30)),
-     lambda v: {"experiment": "tomography", "trunc": v[0], "reconstruction": {"dim": v[1]}},
+     lambda v: {"experiment": "tomography", "trunc": v[0], "input_state": _VACUUM, "reconstruction": {"dim": v[1]}},
      lambda v: project_density(fock_state(0, Truncation(v[0])).to_density(), Truncation(v[1]))),
     ("herald.theta", _ANGLES, lambda v: {"experiment": "number_scheme", "herald": {"theta": v}},
      lambda v: number_scheme_model(_PSI, v)),
+    # the auto beta of a small angle is large, and its ancilla can outgrow the herald basis
     ("herald.theta", _ANGLES, lambda v: {"experiment": "orthogonalize", "route": "heralded", "herald": {"theta": v}},
-     lambda v: beta_for_addition_orthogonalizer(1.0, v)),
+     lambda v: heralded_addition_model(_DEFAULT_INPUT, beta_for_addition_orthogonalizer(_MEAN_CREATION, v), v)),
 ]
 
 
@@ -622,8 +630,62 @@ def test_validate_reads_the_library_rules(leaf, values, config, call, data):
     if leaf == "input_state.n" and not cli._is_int(value):
         # a level's range depends on trunc, so the leaf's own check is the JSON type alone
         assert reported == [f"input_state.n: must be an integer, got {value!r}"]
+    elif "must be " not in raised:  # a library error without a rule's description keeps all its words
+        assert reported == [f"{leaf}: {raised}"]
     else:
         assert _described(raised) in _described(reported[0]), (reported, raised)
+
+
+_EDGE_THETAS = st.sampled_from([0, 1e-6, math.pi / 4, math.pi / 2, 3, "auto"])
+_EDGE_AMPS = st.lists(st.sampled_from([0.0, 1.0, -1.0, 1e300, -1e300, [0.0, 1e300], [1e-300, 0.0]]), min_size=1,
+                      max_size=12)
+
+
+@st.composite
+def _edge_configs(draw):
+    """A config of small sizes that sets only leaves its run reads, each from its edge values."""
+    experiment = draw(st.sampled_from([e for e in EXPERIMENTS if e != "verify"]))
+    kind, leaf, values = draw(st.sampled_from([("coherent", "alpha", st.sampled_from([0.0, 0.5, [0.0, 1.0], 3.0])),
+                                               ("fock", "n", st.integers(0, 12)), ("custom", "amps", _EDGE_AMPS)]))
+    config = {"experiment": experiment, "trunc": draw(st.integers(2, 12)), "eta": draw(st.sampled_from([1.0, 0.5, 0.0])),
+              "input_state": {"kind": kind, leaf: draw(values)}}
+    small_grid = {"nx": draw(st.integers(2, 4)), "np": draw(st.integers(2, 4))}
+    herald = {"theta": draw(_EDGE_THETAS)}
+    if experiment == "orthogonalize":
+        config.update(route=draw(st.sampled_from(["ideal", "heralded"])), marginal_xs={"n": 11})
+        if config["route"] == "ideal":
+            config["scheme"] = {"kind": draw(st.sampled_from(["creation", "number"]))}
+        else:
+            config["herald"] = {**herald, "beta": draw(st.sampled_from(["auto", 0.0, 3.0, [1.7e308, 1.7e308]])),
+                                "dim": draw(st.sampled_from([None, 2, 3, 20]))}
+    elif experiment == "qubit_wigner":
+        config.update(scheme={"kind": draw(st.sampled_from(["creation", "number"]))}, grid=small_grid,
+                      qubit_c=draw(st.sampled_from([0.0, 1.0, [0.0, 1.0], [[1.0, 0.0], [0.0, -1.0]]])))
+    elif experiment == "number_scheme":
+        config.update(herald={**herald, "phi": draw(st.sampled_from([0.0, 3.0]))}, grid=small_grid,
+                      sampling={"phases": draw(st.integers(1, 2))}, marginal_xs={"n": 11})
+    else:
+        config.update(transform=draw(st.sampled_from(["none", "orthogonalize", "qubit"])),
+                      sampling={"phases": draw(st.integers(1, 2)), "samples_per_phase": draw(st.integers(1, 20))},
+                      reconstruction={"dim": draw(st.integers(2, 16)), "max_iter": draw(st.integers(1, 3))})
+        if config["transform"] != "none":
+            config["scheme"] = {"kind": draw(st.sampled_from(["creation", "number"]))}
+        if config["transform"] == "qubit":
+            config["qubit_c_single"] = draw(st.sampled_from([0.0, 1.0, [0.0, -1.0]]))
+    return config
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=_edge_configs())
+def test_a_config_that_validates_runs(config):
+    # validate prepares each run's states, so at the edge values of each leaf it refuses what its run cannot
+    # represent, and a config that it passes runs without error
+    problems = validate_config(config)
+    read = cli._reads(cli._merged(config))[1]
+    assert all(problem.partition(":")[0] in read for problem in problems), problems
+    if not problems:
+        with tempfile.TemporaryDirectory() as outdir:
+            run(config, outdir)
 
 
 class TestRunOrthogonalize:
@@ -771,12 +833,15 @@ def test_the_runs_with_a_row_cover_every_row():
 
 @pytest.mark.parametrize("name", _ROW_CONFIGS)
 def test_each_run_reads_exactly_its_rows(tmp_path, monkeypatch, name):
-    # Each branch's runner reads its input kind's whole row and, beside it, only leaves of the run's READS row and
-    # experiment (it gets no other, so it could not read one); over all branches it reads every leaf of the run's row.
+    # Each branch's preparation and runner read its input kind's whole row and, beside it, only leaves of the run's
+    # READS row and experiment (they get no other, so they could not read one); over all branches they read every
+    # leaf of the run's row.
     seen = set()
     for experiment, runner in cli._RUNNERS.items():
-        monkeypatch.setitem(cli._RUNNERS, experiment,
-                            lambda cfg, writer, runner=runner: runner(_Recording(cfg, seen), writer))
+        monkeypatch.setitem(cli._RUNNERS, experiment, lambda cfg, prepared, writer, runner=runner:
+                            runner(_Recording(cfg, seen), prepared, writer))
+    prepare = cli._prepare
+    monkeypatch.setattr(cli, "_prepare", lambda cfg: prepare(_Recording(cfg, seen)))
     monkeypatch.setattr(cli, "run_battery", lambda: [])
     read = set()
     for i, config in enumerate(_branches(name)):
@@ -786,6 +851,16 @@ def test_each_run_reads_exactly_its_rows(tmp_path, monkeypatch, name):
         assert kind <= seen <= READS[name] | kind | {"experiment"}, config
         read |= seen - kind - {"experiment"}
     assert read == READS[name]
+
+
+def test_manifest_echoes_the_leaves_that_the_run_used(tmp_path):
+    # each leaf that the runner was handed, a default filled in, and none that the run does not read
+    manifest = run({"experiment": "orthogonalize", "marginal_xs": {"n": 11}}, output_dir=tmp_path)
+    assert manifest["config_echo"] == {
+        "experiment": "orthogonalize", "input_state": {"kind": "coherent", "alpha": [1.0, 0.0]},
+        "scheme": {"kind": "creation"}, "route": "ideal", "trunc": 40, "eta": 1.0,
+        "marginal_xs": {"x_min": -8.0, "x_max": 8.0, "n": 11}}
+    assert read_manifest(tmp_path) == manifest
 
 
 def test_manifest_records_the_environment(tmp_path, monkeypatch):
@@ -845,6 +920,16 @@ class TestRunNumberScheme:
 
 
 class TestRunTomography:
+    def test_report_states_the_mass_that_the_target_keeps(self, tmp_path):
+        # project_density renormalizes the top-left dim x dim block of the true state: at alpha = 5 the 30 levels
+        # of the target keep P(n < 30) of the coherent state that the 60-level basis renormalizes
+        config = {"experiment": "tomography", "trunc": 60, "input_state": {"alpha": [5.0, 0.0]},
+                  "sampling": {"phases": 2, "samples_per_phase": 100}, "reconstruction": {"dim": 30, "max_iter": 1}}
+        run(config, output_dir=tmp_path)
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert abs(report["target_mass"] - pdtr(29, 25) / pdtr(59, 25)) <= 1e-12
+        assert abs(report["target_mass"] - 0.8179) <= 1e-4
+
     def test_round_trip_artifacts(self, tmp_path):
         config = {
             "experiment": "tomography",
@@ -1111,20 +1196,23 @@ def test_heralded_auto_beta_at_a_degenerate_angle_is_refused(tmp_path, capsys, t
 
 @pytest.mark.parametrize("config, found", [
     # auto beta = cot(pi/4) <a_dag> = 3 at alpha = 3, whose coherent ancilla needs 20 levels
-    ({"input_state": {"alpha": [3.0, 0.0]}}, "herald.theta 0.785398 with auto beta: a coherent ancilla of |beta|=3 "
+    ({"input_state": {"alpha": [3.0, 0.0]}}, "herald.theta: a coherent ancilla of |beta|=3 "
      "needs herald.dim >= 20 at tail_tol 0.005, got 12"),
     # auto beta = cot(1e-6) <a_dag> is about 1e6, and its coherent ancilla needs about |beta|^2 = 1e12 levels
-    ({"herald": {"theta": 1e-6}}, "herald.theta 1e-06 with auto beta: a coherent ancilla of |beta|=1e+06 "
+    ({"herald": {"theta": 1e-6}}, "herald.theta: a coherent ancilla of |beta|=1e+06 "
      "needs herald.dim >= 1000002575832 at tail_tol 0.005, got 12"),
+    # auto beta = 1 at alpha = 1 needs 6 levels
+    ({"herald": {"dim": 3}}, "herald.theta: a coherent ancilla of |beta|=1 needs herald.dim >= 6 at tail_tol 0.005, "
+     "got 3"),
 ])
 def test_heralded_auto_beta_past_the_ancilla_basis_names_the_herald_leaves(tmp_path, capsys, config, found):
-    # auto beta depends on the input state's <a_dag>, so the run, not validate, finds that the ancilla does not fit
+    # auto beta depends on the input state's <a_dag>, which validate finds by preparing the heralded state
     config = {"experiment": "orthogonalize", "route": "heralded", **config}
-    assert validate_config(config) == []
+    assert validate_config(config) == [found]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.strip() == f"run failed: {found}"
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.strip() == found
     assert not (tmp_path / "out").exists()
 
 
@@ -1152,12 +1240,15 @@ def test_explicit_herald_beta_past_the_ancilla_basis_is_refused(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("config", [
-    # a_dag of the truncated basis sends |39> to 0, so the input's top level is refused
-    {"experiment": "orthogonalize", "trunc": 40, "input_state": {"kind": "fock", "n": 39}},
-    {"experiment": "orthogonalize", "route": "heralded", "herald": {"dim": 3}},  # ancilla basis too small
-])
-def test_run_failing_before_its_first_artifact_leaves_no_directory(tmp_path, capsys, config):
+@pytest.mark.parametrize("config", [{"experiment": "orthogonalize"}, {"experiment": "number_scheme"},
+                                    {"experiment": "orthogonalize", "route": "heralded"}])
+def test_run_failing_before_its_first_artifact_leaves_no_directory(tmp_path, capsys, monkeypatch, config):
+    # a config that validates has no physics failure left for its run, so one is injected into the artifact stage,
+    # in the marginals that come before its first file
+    def failing(*args):
+        raise ValueError("injected")
+
+    monkeypatch.setattr(cli, "marginal", failing)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
@@ -1199,13 +1290,18 @@ def test_custom_amplitudes_near_the_float_range_give_the_unit_state(tmp_path, am
      "5.000e-01"),
     ({"experiment": "orthogonalize", "trunc": 40, "input_state": {"kind": "fock", "n": 39}}, "1.000e+00"),
 ])
-def test_creation_orthogonalizer_input_on_the_top_level_is_refused(tmp_path, config, weight):
+def test_creation_orthogonalizer_input_on_the_top_level_is_refused(tmp_path, capsys, config, weight):
     # the truncated a_dag sends the top level to 0: the first config would write |1> at overlap 0, the second
     # report an eigenstate, where on a wider basis both outputs keep the top level's share
-    assert validate_config(config) == []
-    with pytest.raises(TruncationError, match=rf"^top-level weight {re.escape(weight)} exceeds tail_tol 1e-08 "
-                                              r"\(creation-operator input\)"):
+    (message,) = validate_config(config)
+    assert re.match(rf"^trunc: top-level weight {re.escape(weight)} exceeds tail_tol 1e-08 "
+                    r"\(creation-operator input\); retry with dim >= \d+$", message), message
+    with pytest.raises(ValueError, match=re.escape(f"invalid config: {message}")):
         run(config, tmp_path / "out")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.strip() == message
     assert not (tmp_path / "out").exists()
 
 
@@ -1218,13 +1314,14 @@ def test_qubit_output_on_the_top_level_is_refused(tmp_path, capsys, config):
     # c = 1 on |8> of a 10-level basis gives (3|9> + |8>) / sqrt(10): 90% of the output on the top level, which
     # orthogonalize's tail guard refuses for a qubit as for an orthogonalized state
     config = {**config, "trunc": 10, "input_state": {"kind": "fock", "n": 8}}
-    assert validate_config(config) == []
-    with pytest.raises(TruncationError, match=r"^top-level weight 9\.000e-01 exceeds tail_tol 1e-08"):
+    message = "trunc: top-level weight 9.000e-01 exceeds tail_tol 1e-08 (transformed output); retry with dim >= 18"
+    assert validate_config(config) == [message]
+    with pytest.raises(ValueError, match=re.escape(f"invalid config: {message}")):
         run(config, tmp_path / "out")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
-    assert "run failed: top-level weight 9.000e-01" in capsys.readouterr().err
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.strip() == message
     assert not (tmp_path / "out").exists()
 
 
@@ -1273,13 +1370,28 @@ class TestCliEntry:
         assert not (tmp_path / "out").exists()
 
     def test_run_validates_once(self, tmp_path, monkeypatch):
+        # validation prepares the states, and the runner takes them as they are: nothing is prepared twice
         calls = []
-        validate = cli.validate_config
-        monkeypatch.setattr(cli, "validate_config", lambda config: calls.append(1) or validate(config))
+        checked, prepare = cli._checked, cli._prepare
+        monkeypatch.setattr(cli, "_checked", lambda config: calls.append("validate") or checked(config))
+        monkeypatch.setattr(cli, "_prepare", lambda cfg: calls.append("prepare") or prepare(cfg))
+        config = {"experiment": "orthogonalize", "trunc": 20}
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"experiment": "orthogonalize", "trunc": 20}))
+        cfg.write_text(json.dumps(config))
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
-        assert len(calls) == 1
+        assert calls == ["validate", "prepare"]
+        calls.clear()
+        run(config, tmp_path / "again")
+        assert calls == ["validate", "prepare"]
+
+    def test_validate_raises_what_is_not_a_library_error(self, monkeypatch):
+        # only a ValueError, the base of every library error, is a config's fault; any other class is a bug
+        def broken(cfg):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(cli, "_input", broken)
+        with pytest.raises(TypeError, match="injected"):
+            validate_config({"experiment": "orthogonalize"})
 
     def test_run_has_no_seed_option(self, tmp_path, capsys):
         # the seed has one spelling, sampling.seed
