@@ -11,12 +11,11 @@ the marginals, one file per state of shape ``(P, n)``, a density row for
 each of the report's ``phases`` on its ``marginal_xs`` points, the
 tomography samples, ``(K, 2)`` with columns phase and x, and the likelihood
 trace, ``(k, 2)`` with columns iteration and log-likelihood.
-Identical configs (including seed) produce identical checksums at a fixed
-BLAS thread count, and identical tomography artifacts at any; across thread
-counts the Wigner grid and marginal files can differ in the last bits, where
-a BLAS kernel rounds a tile edge differently.  The manifest's ``versions``
-records the numpy version, which writes each ``.npy`` header, the BLAS, its
-thread variables and the platform.
+Identical configs (including seed) give identical bytes at any BLAS thread
+count on one machine and numpy, except MaxLik's files past criterion 8's
+size (see the README).  The manifest's ``versions`` records the numpy
+version, which writes each ``.npy`` header, the BLAS, its thread variables
+(a record only: no byte depends on them) and the platform.
 """
 
 from __future__ import annotations
@@ -501,10 +500,10 @@ def _largest_array(cfg: dict, clean):
     """(bytes, section, array) for the largest array that a run builds at sizes read from ``cfg``, or None.
 
     Sizes a dense complex trunc x trunc operator, the real S x nx x np stack of a run's S Wigner maps with their
-    complex coefficient matrices C on 2 trunc - 1 levels and the two Hermite tables of those levels on the grid
-    axes, the n x trunc Hermite table of a marginal, number_scheme's 2 x P x n stack of marginals at P phases, the
-    quadrature samples and MaxLik's phases x cells table, each only from leaves that ``clean`` passes (those the run
-    reads and no rule has reported).  A run needs at least this much memory.
+    complex coefficient matrices C on 2 trunc - 1 levels, their S x nx x (2 trunc - 1) sums over x levels only and
+    the p axis's Hermite table, the n x trunc Hermite table of a marginal, number_scheme's 2 x P x n stack of
+    marginals at P phases, the quadrature samples and MaxLik's phases x cells table, each only from leaves that
+    ``clean`` passes (those the run reads and no rule has reported).  A run needs at least this much memory.
     """
     trunc, grid, n = cfg["trunc"], cfg["grid"], cfg["marginal_xs"]["n"]
     arrays = []
@@ -513,13 +512,13 @@ def _largest_array(cfg: dict, clean):
     if clean("trunc", "grid.nx", "grid.np"):
         levels, c = 2 * trunc - 1, cfg["qubit_c"]  # qubit_wigner maps each qubit_c coefficient, number_scheme 2 states
         maps = 2 if cfg["experiment"] == "number_scheme" else len(c) if clean("qubit_c") and not _is_complex(c) else 1
-        arrays.append((8 * maps * grid["nx"] * grid["np"], "grid",
-                       f"the {maps} x {_shown(grid['nx'])} x {_shown(grid['np'])} stack of Wigner maps"))
+        arrays += [(8 * maps * grid["nx"] * width, "grid",
+                    f"the {maps} x {_shown(grid['nx'])} x {_shown(width)} stack of {name}")
+                   for width, name in ((grid["np"], "Wigner maps"), (levels, "half-summed Wigner maps"))]
+        arrays.append((8 * levels * grid["np"], "grid",  # the x axis's table is no larger than the half-summed maps
+                       f"the {_shown(levels)} x {_shown(grid['np'])} Hermite table of the Wigner p axis"))
         arrays.append((16 * maps * levels * levels, "trunc",
                        f"the complex {maps} x {_shown(levels)} x {_shown(levels)} stack of Wigner coefficients"))
-        arrays += [(8 * levels * grid[size], "grid",
-                    f"the {_shown(levels)} x {_shown(grid[size])} Hermite table of the Wigner {size[1]} axis")
-                   for size in ("nx", "np")]
     if clean("trunc", "marginal_xs.n"):
         arrays.append((8 * n * trunc, "marginal_xs", f"the {_shown(n)} x {_shown(trunc)} Hermite table of a marginal"))
     count = cfg["sampling"]["phases"]

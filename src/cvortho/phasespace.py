@@ -85,6 +85,22 @@ def hermite_functions(xs, dim: int) -> np.ndarray:
     return out
 
 
+# OpenBLAS runs a gemm of m * n * k <= 4 * 65536 (GEMM_MULTITHREAD_THRESHOLD times SMP_THRESHOLD_MIN) on one thread,
+# whose bits no thread count changes; blocks keep 2 rows and 2 columns: numpy gives 1 to gemv, which threads sooner
+def _matmul(a, b) -> np.ndarray:
+    """Read-only ``a @ b`` over leading axes, as gemms of that size on blocks of ``a``'s rows and ``b``'s columns."""
+    (m, k), n = a.shape[-2:], b.shape[-1]
+    side = min(m, n, max(3, 4 * 65536 // (3 * k)))  # the shorter side, whole where 3 lines of the longer fit beside it
+    other = max(3, 4 * 65536 // (k * side))  # so that the operand with the shorter side is the one packed per block
+    rows, cols = (-(-m // side), -(-n // other)) if m < n else (-(-m // other), -(-n // side))
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, n))
+    for i, j in np.ndindex(rows, cols):  # even splits: with at least 3 lines per block, none has 1
+        r, c = slice(i * m // rows, (i + 1) * m // rows), slice(j * n // cols, (j + 1) * n // cols)
+        np.matmul(a[..., r, :], b[..., c], out=out[..., r, c])
+    out.flags.writeable = False
+    return out
+
+
 def _phase_matrix(phase: float, dim: int) -> np.ndarray:
     """F_ab = e^{i(b-a) phase}; |x_phase> has Fock amplitudes psi_n(x) e^{i n phase}."""
     m = np.exp(1j * phase * np.arange(dim))
@@ -101,8 +117,8 @@ def _basis_dim(rhos) -> int:
 def marginal(rhos, phases, xs) -> np.ndarray:
     """Quadrature densities <x_phase| rho |x_phase> = sum_ab psi_a(x) psi_b(x) Re(rho_ab F_ab), read-only.
 
-    Row [s, k] is the density of ``rhos[s]`` at ``phases[k]`` on the points ``xs``, clipped at 0; all read
-    one table of Hermite functions, and each has the bits of the one-density, one-phase call.
+    Row [s, k] is the density of ``rhos[s]`` at ``phases[k]`` on the points ``xs``, clipped at 0; all read one table
+    of Hermite functions through ``_matmul``, with the bits of the one-density, one-phase call at any thread count.
     """
     _require("xs", _SQUARABLE, xs)
     d = _basis_dim(rhos)
@@ -110,7 +126,7 @@ def marginal(rhos, phases, xs) -> np.ndarray:
     dens = np.empty((len(rhos), len(phases), herm.shape[1]))
     for s, rho in enumerate(rhos):
         for k, phase in enumerate(phases):
-            dens[s, k] = np.einsum("ax,ax->x", herm, np.real(rho.elems * _phase_matrix(phase, d)) @ herm)
+            dens[s, k] = np.einsum("ax,ax->x", herm, _matmul(np.real(rho.elems * _phase_matrix(phase, d)), herm))
     np.clip(dens, 0.0, None, out=dens)
     dens.flags.writeable = False
     return dens
@@ -140,25 +156,21 @@ def wigner(rhos, grid: PhaseGrid) -> np.ndarray:
     basis beyond 2d-1 levels enters.  Sector N of ``beam_splitter_op(pi/4, N)``
     maps v_k = rho[N-k, k] to C[j, N-j] = <N-j, j| B |rho>>.  One recurrence pass and
     one pair of Hermite tables, O(d^3 + (2d-1)(nx + np)), serve all of ``rhos``, which
-    share one basis; each map then costs O(d^3 + (2d-1)^2 nx + (2d-1) nx np), with
-    the bits of the one-density call, and nothing is kept between calls.
+    share one basis; each map then costs O(d^3 + (2d-1)^2 nx + (2d-1) nx np) through ``_matmul``,
+    with the bits of the one-density call at any BLAS thread count; nothing is kept between calls.
     """
     _require("grid bounds", _WIGNER_BOUNDS, [grid.x_min, grid.x_max, grid.p_min, grid.p_max])
     d = _basis_dim(rhos)
     m = 2 * d - 1
     levels = np.arange(m)
     coeffs = np.zeros((len(rhos), m, m), dtype=np.complex128)  # C[s, j, N - j]
+    flipped = np.stack([rho.elems for rho in rhos])[:, ::-1]  # diagonal N - d + 1: rho[N - k, k] over the k both allow
     for n, block in enumerate(_sector_blocks(math.pi / 4, d)):
         j = levels[: n + 1]
-        for c, rho in zip(coeffs, rhos):  # rho.elems[::-1].diagonal(N - d + 1) is rho[N - k, k] over the k both allow
-            c[j, n - j] = block @ rho.elems[::-1].diagonal(n - d + 1)
+        coeffs[:, j, n - j] = (block @ flipped.diagonal(n - d + 1, axis1=1, axis2=2)[..., None])[..., 0]
     real = np.multiply(coeffs, np.array([1.0, -1j, -1.0, 1j])[levels % 4], out=coeffs).real / math.sqrt(math.pi)
     hx, hp = (hermite_functions(math.sqrt(2.0) * axis, m) for axis in (grid.xs(), grid.ps()))
-    w = np.empty((len(rhos), grid.nx, grid.np))
-    for s, r in enumerate(real):
-        np.matmul(hx.T @ r, hp, out=w[s])  # at the one-density shapes, so with that call's bits, and no map copied
-    w.flags.writeable = False
-    return w
+    return _matmul(_matmul(hx.T, real), hp)
 
 
 # ---------------------------------------------------------------------------

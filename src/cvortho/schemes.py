@@ -147,9 +147,10 @@ def qubit_operator(spec: OrthogonalizerSpec, c: complex, trunc: Truncation) -> n
 
 def _shifted(base: np.ndarray, shift: complex, psi: StateVector, context: str | None) -> StateVector:
     """(base - shift 1)|psi>, normalized, as one vector step; with a ``context``, tail-guarded under that name."""
-    raw = base @ psi.amps - shift * psi.amps
+    scale = 2.0 ** -max(0, math.frexp(max(abs(shift.real), abs(shift.imag)))[1])  # exact; a huge shift stays finite
+    raw = scale * (base @ psi.amps) - (scale * shift) * psi.amps
     nrm = float(np.linalg.norm(raw))
-    if nrm < ZERO_NORM_TOL:
+    if nrm < ZERO_NORM_TOL * scale:
         raise EigenstateError(f"the input is an eigenstate of the operator with eigenvalue {shift:.6g}; "
                               "the output norm, hence the success probability, drops to zero")
     out = StateVector(raw / nrm, psi.trunc)
