@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import pdtrc
 
 __all__ = [
     "ZERO_NORM_TOL",
@@ -205,21 +203,76 @@ def fock_state(n: int, trunc: Truncation) -> StateVector:
     return StateVector(amps, trunc)
 
 
+# Taylor coefficients in eta of Temme's c0 and c1 (DLMF 8.12.12), whose closed forms cancel as eta -> 0
+_TEMME_C0 = (-1 / 3, 1 / 12, -2 / 135, 1 / 864, 1 / 2835, -139 / 777600, 1 / 25515)
+_TEMME_C1 = (-1 / 540, -1 / 288, 1 / 378, -77 / 77760, 1 / 4860)
+
+
+def _log_poisson_pmf(j: int, lam: float) -> float:
+    """log P(X = j) for X Poisson of mean lam > 0; from j = 50 on by Stirling's series, since lgamma(j + 1)
+    itself rounds by up to 1.5e-11 at j = 1e4."""
+    if j < 50:
+        return j * math.log(lam) - lam - math.lgamma(j + 1)
+    return (j * math.log1p((lam - j) / j) - (lam - j) - 0.5 * math.log(2 * math.pi * j)
+            - (1 / 12 - (1 / 360 - 1 / (1260 * j * j)) / (j * j)) / j)
+
+
+def _poisson_tail(k: int, lam: float) -> float:
+    """P(X > k) for X Poisson of mean lam >= 0: up to a mean of 1e4 an exact sum in term ratios outward from the
+    mode (from level k + 1 up, or 1 - P(X <= k) from level k down for k + 1 < lam); past it Temme's uniform
+    expansion of the regularized incomplete gamma function P(k + 1, lam) (DLMF 8.12) to its 1/a term."""
+    if k < 0 or lam == 0.0:
+        return float(k < 0)
+    if lam > 1e4:
+        a, mu = k + 1, (lam - k - 1) / (k + 1)
+        half_eta2 = mu - math.log1p(mu) if abs(mu) > 0.1 else math.fsum((-mu) ** n / n for n in range(2, 20))
+        eta = math.copysign(math.sqrt(2.0 * half_eta2), mu)
+        if abs(eta) < 0.05:
+            c0, c1 = (sum(c * eta**i for i, c in enumerate(coefs)) for coefs in (_TEMME_C0, _TEMME_C1))
+        else:
+            c0, c1 = 1 / mu - 1 / eta, 1 / eta**3 - 1 / mu**3 - 1 / mu**2 - 1 / (12 * mu)
+        return (0.5 * math.erfc(-eta * math.sqrt(a / 2.0))
+                - math.exp(-a * half_eta2) / math.sqrt(2.0 * math.pi * a) * (c0 + c1 / a))
+    below = k + 1 < lam
+    j = k if below else k + 1
+    term, total = math.exp(_log_poisson_pmf(j, lam)), 0.0
+    while term > total * 1e-17:
+        total += term
+        j += -1 if below else 1
+        term *= (j + 1) / lam if below else lam / j
+    return 1.0 - total if below else total
+
+
 def min_dim_for_coherent(alpha: complex, tail_tol: float) -> int:
     """Smallest dim such that a coherent state fits under the tail guard.
 
     The returned N keeps the Poisson weight at and beyond level N-1,
-    ``pdtrc(N-2, |alpha|^2)`` in closed form, at most ``tail_tol``, so the
-    constructed state satisfies the admission invariant.  N is found by
-    bisection, so it holds at any |alpha|, also where exp(-|alpha|^2) underflows.
+    ``_poisson_tail(N-2, |alpha|^2)``, at most ``tail_tol``, so the
+    constructed state satisfies the admission invariant.  Up to a mean of 1e4 one
+    walk up from the mode and back down finds N; past it a bisection on Temme's
+    expansion, which holds where exp(-|alpha|^2) underflows.
     """
+    _require("tail_tol", ((lambda v: v > 0.0), "a positive number"), tail_tol)
     lam = abs(alpha) ** 2
+    if 0.0 < lam <= 1e4:
+        mode = j = int(lam)
+        up = [term := math.exp(_log_poisson_pmf(mode, lam))]  # P(X = mode), P(X = mode + 1), ...
+        while term > tail_tol * 1e-17:
+            j += 1
+            up.append(term := term * lam / j)
+        tail = 0.0
+        for j in range(j, -1, -1):
+            term = up[j - mode] if j >= mode else term * (j + 1) / lam
+            tail += term  # P(X > j - 1)
+            if tail > tail_tol:
+                return j + 2
+        return 2
     low, high = -1, math.ceil(lam)  # the tail beyond level low is above tail_tol; beyond high it is not
-    while pdtrc(high, lam) > tail_tol:
+    while _poisson_tail(high, lam) > tail_tol:
         low, high = high, 2 * high
     while high - low > 1:
         mid = (low + high) // 2
-        low, high = (mid, high) if pdtrc(mid, lam) > tail_tol else (low, mid)
+        low, high = (mid, high) if _poisson_tail(mid, lam) > tail_tol else (low, mid)
     return high + 2
 
 
@@ -266,6 +319,7 @@ def displacement_op(alpha: complex, trunc: Truncation) -> np.ndarray:
     the low-excitation subspace up to truncation error (see
     :func:`unitarity_defect` for the diagnostic norm).
     """
+    from scipy.linalg import expm  # imported here: no other run path needs scipy.linalg, whose import takes 0.3 s
     a, a_dag, _ = ladder_operators(trunc)
     return _read_only(expm(alpha * a_dag - np.conj(alpha) * a))
 

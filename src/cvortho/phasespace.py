@@ -15,7 +15,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .fock import DensityMatrix, _int_rule, _require, _sector_blocks
 
@@ -195,13 +194,12 @@ def apply_loss(rho: DensityMatrix, eta: float) -> DensityMatrix:
     if eta == 0.0:
         out[0, 0] = 1.0
         return DensityMatrix(out, rho.trunc)
-    idx = np.arange(n, dtype=np.float64)
-    log_eta = math.log(eta)
+    half_m_log_eta = 0.5 * math.log(eta) * np.arange(n, dtype=np.float64)
     log_loss = math.log1p(-eta)
+    log_fact = np.array([math.lgamma(i + 1) for i in range(n)])  # log i!
     for k in range(n):
-        m = idx[: n - k]
-        # 0.5*log C(m+k, k) + 0.5*m*log(eta), combined pairwise below
-        half = 0.5 * (gammaln(m + k + 1) - gammaln(m + 1) - gammaln(k + 1)) + 0.5 * m * log_eta
+        # 0.5*log C(m+k, k) + 0.5*m*log(eta) over m = 0..n-k-1, combined pairwise below
+        half = 0.5 * (log_fact[k:] - log_fact[: n - k] - log_fact[k]) + half_m_log_eta[: n - k]
         coef = np.exp(half[:, None] + half[None, :] + k * log_loss)
         out[: n - k, : n - k] += coef * rho.elems[k:, k:]
     out = (out + out.conj().T) / 2.0

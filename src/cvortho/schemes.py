@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import pdtr
 
 from .fock import (
     ZERO_NORM_TOL,
@@ -34,6 +33,7 @@ from .fock import (
     min_dim_for_coherent,
     _freeze,
     _int_rule,
+    _poisson_tail,
     _read_only,
     _require,
     _require_operator_on,
@@ -302,7 +302,7 @@ def heralded_addition_model(psi: StateVector, beta: complex, theta: float, heral
     if needed > dim:
         raise TruncationError(f"a coherent ancilla of |beta|={size:.4g} needs herald.dim >= {needed} "
                               f"at tail_tol {_HERALD_TAIL_TOL:g}, got {dim}")
-    anc0 = math.exp(-abs(beta) ** 2 / 2.0) / math.sqrt(pdtr(dim - 1, abs(beta) ** 2))
+    anc0 = math.exp(-abs(beta) ** 2 / 2.0) / math.sqrt(1.0 - _poisson_tail(dim - 1, abs(beta) ** 2))
     return _herald_one_zero(theta, anc0 * added.amps, anc0 * beta * psi.amps, psi.trunc)
 
 

@@ -1026,6 +1026,28 @@ class TestRunTomography:
         assert np.max(np.abs(rho_lossy.elems - expected.elems)) < 1e-12
 
 
+def test_runs_but_verify_import_neither_scipy_special_nor_linalg(tmp_path):
+    # their import took about 0.3 s of each run's start-up (with numpy.f2py, numpy.testing and numpy.ma), for three
+    # Poisson calls and an expm that only verify needs: displacement_op imports scipy.linalg when it is called
+    script = (
+        "import json, sys\nimport cvortho.cli as cli\n"
+        "configs = [{'experiment': e} for e in cli.EXPERIMENTS if e != 'verify']\n"
+        "configs += [{'experiment': 'qubit_wigner', 'eta': 0.6}, {'experiment': 'orthogonalize', 'route': 'heralded'}]\n"
+        "loaded = lambda: sorted({m.split('.')[1] for m in sys.modules\n"
+        "                         if m.startswith('scipy.') and not m.startswith('scipy._')})\n"
+        "for i, config in enumerate(configs):\n    cli.run(config, str(i))\n"
+        "before = loaded()\ncli.run({'experiment': 'verify'}, 'verify')\nprint(json.dumps([before, loaded()]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    before, after = json.loads(done.stdout)
+    assert "special" not in before and "linalg" not in before, before
+    assert set(after) - set(before) == {"linalg"}, after
+
+
 class TestDeterminism:
     def test_identical_manifests(self, tmp_path):
         config = {

@@ -5,10 +5,11 @@ import warnings
 import numpy as np
 import pytest
 from conftest import dense_beam_splitter, mixed_states, random_state
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
+from scipy.special import pdtrc
 
 from cvortho import (
     DensityMatrix,
@@ -32,6 +33,7 @@ from cvortho import (
     qubit_operator,
     unitarity_defect,
 )
+from cvortho.fock import _poisson_tail
 
 
 def unchecked_density(elems):
@@ -86,6 +88,13 @@ def running_sum_min_dim(alpha, tail_tol):
         p *= lam / m
         cum += p
     return m + 2
+
+
+def fsum_poisson_tail(k, lam):
+    """P(X > k) for X Poisson of mean lam: one math.fsum of exp(j log(lam) - lam - lgamma(j + 1)) over j > k, out to
+    12 standard deviations past the mean, where the terms are below 1e-31 of the largest."""
+    return math.fsum(math.exp(j * math.log(lam) - lam - math.lgamma(j + 1))
+                     for j in range(k + 1, int(lam + 12 * math.sqrt(lam)) + 40))
 
 
 class TestFockState:
@@ -162,6 +171,30 @@ class TestCoherentState:
     def test_min_dim_is_monotone_where_the_running_sum_was_not(self):
         dims = [min_dim_for_coherent(alpha, 1e-8) for alpha in (26.949, 26.952, 26.955)]
         assert dims == sorted(dims)
+
+    @pytest.mark.parametrize("alpha, dim", [(math.sqrt(7617677.4192331815), 7633174), (316.3, 101828)])
+    def test_min_dim_at_large_means_matches_a_log_space_sum(self, alpha, dim):
+        # at the first mean scipy's pdtrc puts the tail beyond level 7,633,172 at 9.866e-9, 1.2% below this sum's
+        # 9.983e-9, so a bisection on pdtrc gave 7,633,168; near 1e5 the two agree
+        lam = abs(alpha) ** 2
+        assert min_dim_for_coherent(alpha, 1e-8) == dim
+        assert fsum_poisson_tail(dim - 2, lam) <= 1e-8 < fsum_poisson_tail(dim - 3, lam)
+
+    @pytest.mark.parametrize("tol", [-1e-3, 0.0, math.nan])
+    def test_min_dim_refuses_a_tail_tolerance_that_no_dim_meets(self, tol):
+        # a Poisson tail is positive, so no dim meets these, and a search for one would not end
+        with pytest.raises(ValueError, match=r"^tail_tol: must be a positive number"):
+            min_dim_for_coherent(1.0, tol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lam=st.floats(0.0, 1e4), spread=st.floats(-40.0, 40.0))
+    def test_poisson_tail_matches_pdtrc(self, lam, spread):
+        # pdtrc's own error grows with the tail's depth: against a 40-digit sum it reaches 1.0e-11 near 1e-250,
+        # where this sum's stays below 1e-12, and the two differ by up to 1.6e-11 there; hence the looser bound
+        k = max(0, math.floor(lam + spread * math.sqrt(lam + 1)))
+        want = pdtrc(k, lam)
+        assume(want >= 1e-250)
+        assert abs(_poisson_tail(k, lam) - want) <= (1e-11 if want >= 1e-100 else 3e-11) * want
 
     def test_alpha_28_builds_within_its_tail_tolerance(self):
         dim = min_dim_for_coherent(28.0, 1e-8)

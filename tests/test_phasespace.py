@@ -322,6 +322,22 @@ class TestApplyLoss:
             ]
             assert all(m2 > m1 for m1, m2 in zip(minima, minima[1:]))
 
+    @pytest.mark.parametrize("trunc", [40, 200])
+    def test_matches_the_gammaln_binomials(self, trunc):
+        # the log-factorial table against the scipy.special.gammaln form it replaced, on a state whose weight sits at
+        # low levels, as the default runs' does; near level 1000 both forms round log i! (about 5900) to its ulp, so a
+        # state there moves by up to 1e-12, and trunc 1200 (9 s per channel) would add only that
+        from scipy.special import gammaln
+
+        rho, eta, n = coherent_state(1.0, Truncation(trunc)).to_density(), 0.6, trunc
+        want = np.zeros((n, n), dtype=np.complex128)
+        for k in range(n):
+            m = np.arange(n - k, dtype=np.float64)
+            half = 0.5 * (gammaln(m + k + 1) - gammaln(m + 1) - gammaln(k + 1)) + 0.5 * m * math.log(eta)
+            want[: n - k, : n - k] += np.exp(half[:, None] + half[None, :] + k * math.log1p(-eta)) * rho.elems[k:, k:]
+        got = apply_loss(rho, eta).elems
+        assert np.max(np.abs(got - (want + want.conj().T) / 2.0)) <= 1e-14 * np.max(np.abs(got))
+
     def test_eta_range_validated(self):
         rho = fock_state(1, Truncation(4)).to_density()
         with pytest.raises(ValueError, match=r"^eta: must be a number in \[0, 1\], got 1\.2$"):
