@@ -31,9 +31,8 @@ _MAX_RECON_DIM = 30
 _RECON_DIM, _MAX_ITER = _int_rule(2, _MAX_RECON_DIM), _int_rule(1)  # maxlik_reconstruct's rules
 # Width of a sampling-grid cell, on which the sampled density is constant and MaxLik counts samples
 _CELL_WIDTH = (SAMPLING_X_MAX - SAMPLING_X_MIN) / (SAMPLING_POINTS - 1)
-# MaxLik finds table rows per run of one phase where the phase changes less often than once per this many samples
-# (the sampler writes one run per phase); a search per sample gets cheaper only near one change per sample
-_SAMPLES_PER_CHANGE = 4
+# MaxLik reads the samples this many rows at a time, so it holds no per-sample array beside them
+_BLOCK = 16_384
 
 STOP_REASONS = ("tol", "max_iter")
 _TRACE_SLACK = 1e-9  # the log-likelihood decrease that a step may show from rounding alone
@@ -153,12 +152,12 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
     this is a midpoint rule.  The counts form one dense table, a row per phase
     (told apart by its bits, in order of first use) and a column per cell that
     any phase occupies, so a distinct phase per sample costs memory quadratic
-    in K.  Rows come from runs of one phase: the sampler's one run per phase
-    needs one lookup per run, and samples whose phase changes at least once
-    per 4 samples are looked up one by one, into the same table.  Beside the
-    samples, the set-up then holds at most two per-sample arrays of 8 bytes
-    at a time.  psi_a psi_b expands over 2 dim - 1 features at those cells
-    (:func:`product_coefficients`): a sweep is two matrix products each way.
+    in K.  The set-up counts the samples 16,384 rows at a time, with one
+    lookup per run of one phase in a block whatever the phase order, so
+    beside the samples it holds no per-sample array: only a block's arrays
+    and the table.  psi_a psi_b expands over 2 dim - 1 features at those
+    cells (:func:`product_coefficients`): a sweep is two matrix products
+    each way.
     ``samples`` is any (K, 2) array-like of (phase, x) rows, such as
     ``np.load("samples.npy")``.  A :class:`DataError` names, in the first
     phase with occupied cells of p <= 0, the lowest row among its samples
@@ -173,47 +172,53 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
     _require("max_iter", _MAX_ITER, max_iter)
 
     flat = product_coefficients(dim).reshape(dim * dim, -1)
-    bits = samples[:, 0].view(np.int64)  # tells -0.0 from 0.0
-    change = bits[1:] != bits[:-1]
-    if _SAMPLES_PER_CHANGE * np.count_nonzero(change) < bits.size:  # few runs of one phase: rows found per run
-        starts = np.concatenate(([0], np.flatnonzero(change) + 1))  # each run's first sample
-        lengths, keys = np.diff(starts, append=bits.size), bits[starts]
-    else:  # interleaved phases: each sample is its own run
-        starts, keys = None, bits
-    del change
-    uniq, first = np.unique(keys, return_index=True)
-    first = first if starts is None else starts[first]  # each phase's first sample
-    rank = np.argsort(np.argsort(first))  # each phase's table row: rows in order of first use
 
-    def table():
-        """The occupied cells, sorted, and each sample's entry of the flattened table; a DataError recomputes it."""
-        with np.errstate(over="ignore", invalid="ignore"):  # an x past the float range has a cell of inf, a nan x nan
-            col = samples[:, 1] - SAMPLING_X_MIN  # each sample's cell, then its column, in place
-            col /= _CELL_WIDTH
-            np.floor(col, out=col)
-            lo, span = col.min(), np.ptp(col)
-        if span < col.size + SAMPLING_POINTS:  # finite, and a flag per cell in the span costs no more than the samples
-            col -= lo
-            col = col.astype(np.intp)
-            used = np.bincount(col) > 0
-            cell, col = lo + np.flatnonzero(used), (np.cumsum(used) - 1)[col]
-        else:
-            cell, col = np.unique(col, return_inverse=True)
-        offset = rank[np.searchsorted(uniq, keys)] * cell.size  # each run's row, as an offset into the table
-        col += offset if starts is None else np.repeat(offset, lengths)
-        return cell, col
+    def blocks():
+        """Each block's first row, its runs of one phase (bits, lengths) and each sample's cell k: x_min + k h <= x."""
+        for at in range(0, len(samples), _BLOCK):
+            block = samples[at:at + _BLOCK]
+            bits = block[:, 0].view(np.int64)  # tells -0.0 from 0.0
+            starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+            with np.errstate(over="ignore"):  # an x past the float range has a cell of inf, a nan x nan
+                col = np.floor((block[:, 1] - SAMPLING_X_MIN) / _CELL_WIDTH)
+            yield at, bits[starts], np.diff(starts, append=bits.size), col
 
-    cell, entry = table()
-    counts = np.bincount(entry, minlength=first.size * cell.size)
-    del entry  # no per-sample array outlives the count
+    keys, ends = np.empty(0, np.int64), []  # the phases' bits in order of first use; each block's lowest, highest cell
+    for _, runs, _, col in blocks():
+        uniq, first = np.unique(runs, return_index=True)
+        fresh = ~np.isin(uniq, keys)
+        keys = np.concatenate((keys, uniq[fresh][np.argsort(first[fresh])]))
+        ends.append((col.min(), col.max()))
+    lo, hi = np.array(ends).T
+    lo = lo.min()
+    with np.errstate(invalid="ignore"):  # the span from -inf or to inf is nan or inf
+        span = hi.max() - lo
+    if keys.size * span < len(samples) + SAMPLING_POINTS:  # finite, and a table over it is no longer than the samples
+        cells, column = lo + np.arange(int(span) + 1), lambda col: (col - lo).astype(np.intp)
+    else:
+        cells = np.unique(np.concatenate([np.unique(col) for *_, col in blocks()]))
+        column = lambda col: np.searchsorted(cells, col)
+
+    def entries():
+        """Each block's first row and its samples' entries of the flattened (phase, cell) table; a DataError rereads."""
+        order = np.argsort(keys)
+        for at, runs, lengths, col in blocks():
+            yield at, column(col) + np.repeat(order[np.searchsorted(keys, runs, sorter=order)] * cells.size, lengths)
+
+    counts = np.zeros(keys.size * cells.size, dtype=np.intp)
+    for _, entry in entries():
+        counts += np.bincount(entry, minlength=counts.size)
+    counts = counts.reshape(keys.size, -1)
+    columns = np.flatnonzero(counts.any(axis=0))  # the cells that any phase occupies
+    cell, counts = cells[columns], counts[:, columns].ravel()
     occupied = np.flatnonzero(counts)
     counts = counts[occupied].astype(np.float64)
     # a cell of inf or nan, or a huge or infinite phase, gives features or F of 0 or nan: the sweep's DataError
     with np.errstate(over="ignore", invalid="ignore"):
         feats = hermite_functions(math.sqrt(2.0) * (SAMPLING_X_MIN + (cell + 0.5) * _CELL_WIDTH), 2 * dim - 1)
-        phase_mats = np.stack([_phase_matrix(samples[j, 0], dim).ravel() for j in np.sort(first)])
+        phase_mats = np.stack([_phase_matrix(phase, dim).ravel() for phase in keys.view(np.float64)])
 
-    q = np.zeros((first.size, cell.size))  # counts / p on the occupied entries, 0 elsewhere: only those entries change
+    q = np.zeros((keys.size, cell.size))  # counts / p on the occupied entries, 0 elsewhere: only those entries change
     q_flat = q.reshape(-1)
 
     def sweep(rho):
@@ -221,7 +226,9 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
         p = ((np.real(phase_mats * rho.ravel()) @ flat) @ feats).ravel()[occupied]
         if not np.all(p > 0.0):  # before log and 1/p, so a p of 0 or nan raises without a warning
             bad = occupied[~(p > 0.0)]
-            j = int(np.flatnonzero(np.isin(table()[1], bad[bad // cell.size == bad[0] // cell.size]))[0])
+            bad = bad[bad // cell.size == bad[0] // cell.size]  # in the first phase that has any
+            bad = bad // cell.size * cells.size + columns[bad % cell.size]  # as entries of the table over ``cells``
+            j = next(at + int(np.argmax(hit)) for at, entry in entries() if (hit := np.isin(entry, bad)).any())
             raise DataError(f"sample {j} (phase={samples[j, 0]:.10f}, x={samples[j, 1]:.6g}) "
                             "has non-positive likelihood under the current state")
         q_flat[occupied] = counts / p

@@ -194,14 +194,12 @@ def apply_loss(rho: DensityMatrix, eta: float) -> DensityMatrix:
     if eta == 0.0:
         out[0, 0] = 1.0
         return DensityMatrix(out, rho.trunc)
-    half_m_log_eta = 0.5 * math.log(eta) * np.arange(n, dtype=np.float64)
-    log_loss = math.log1p(-eta)
-    log_fact = np.array([math.lgamma(i + 1) for i in range(n)])  # log i!
-    for k in range(n):
-        # 0.5*log C(m+k, k) + 0.5*m*log(eta) over m = 0..n-k-1, combined pairwise below
-        half = 0.5 * (log_fact[k:] - log_fact[: n - k] - log_fact[k]) + half_m_log_eta[: n - k]
-        coef = np.exp(half[:, None] + half[None, :] + k * log_loss)
-        out[: n - k, : n - k] += coef * rho.elems[k:, k:]
+    k, m = np.arange(n)[:, None], np.arange(n)
+    log_fact = np.array([math.lgamma(i + 1) for i in range(2 * n - 1)])  # log i!
+    # the Kraus vectors of losing k photons: kraus[k, m] = sqrt(C(m+k, k) eta^m (1-eta)^k), each at most 1/sqrt(eta)
+    kraus = np.exp(0.5 * (log_fact[m + k] - log_fact[m] - log_fact[k] + m * math.log(eta) + k * math.log1p(-eta)))
+    for k, v in enumerate(kraus):
+        out[: n - k, : n - k] += np.outer(v[: n - k], v[: n - k]) * rho.elems[k:, k:]
     out = (out + out.conj().T) / 2.0
     return DensityMatrix(out, rho.trunc)
 

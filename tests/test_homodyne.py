@@ -23,9 +23,9 @@ from cvortho import (
     sample_quadratures,
     uniform_phases,
 )
+from cvortho import homodyne
 from cvortho.homodyne import (
     _MAX_RECON_DIM,
-    _SAMPLES_PER_CHANGE,
     SAMPLING_POINTS,
     SAMPLING_X_MAX,
     SAMPLING_X_MIN,
@@ -144,6 +144,26 @@ def snapped(samples):
     h = (SAMPLING_X_MAX - SAMPLING_X_MIN) / (SAMPLING_POINTS - 1)
     k = np.floor((samples[:, 1] - SAMPLING_X_MIN) / h)
     return np.column_stack([samples[:, 0], SAMPLING_X_MIN + (k + 0.5) * h])
+
+
+@st.composite
+def run_sample_sets(draw):
+    """(K, 2) samples in runs of one phase, 1 to 9 long, from a pool with both signed zeros; some x past [-8, 8]."""
+    runs = draw(st.lists(st.tuples(st.sampled_from((0.0, -0.0, 0.7, 2.1)), st.integers(1, 9)), min_size=1, max_size=12))
+    phases = np.concatenate([np.full(length, phase) for phase, length in runs])
+    xs = draw(st.lists(st.one_of(st.floats(-4.0, 4.0), st.sampled_from((-9.5, -8.0, 8.0, 8.5, 12.0))),
+                       min_size=phases.size, max_size=phases.size))
+    return np.column_stack([phases, xs])
+
+
+def maxlik_outcome(samples, **kwargs):
+    """Every bit of what ``maxlik_reconstruct(samples, **kwargs)`` returns, or the text of its DataError."""
+    try:
+        res = maxlik_reconstruct(samples, **kwargs)
+    except DataError as error:
+        return str(error)
+    return (res.rho_hat.elems.tobytes(), res.log_likelihood_trace.tobytes(), res.iterations_used, res.stop_reason,
+            res.loglik_gap.hex())
 
 
 def single_photon_cdf(x):
@@ -312,19 +332,43 @@ class TestMaxLikReconstruct:
             with pytest.raises(DataError, match=r"^sample 0 \(phase=0\.0000000000, x="):
                 maxlik_reconstruct([[0.0, x] for x in xs], dim=5, max_iter=5)
 
-    def test_set_up_peaks_below_two_and_a_half_sample_columns(self):
-        # K = 200,000 in blocks, as the sampler writes them: beside the samples, MaxLik holds at most the cell column
-        # and one more per-sample array at a time
+    @pytest.mark.parametrize("order", ["sampler", "permuted"])
+    def test_set_up_peaks_below_two_megabytes(self, order):
+        # K = 500,000 at dim 15, as the sampler writes them or with the phases interleaved: beside the samples (8 MB),
+        # MaxLik holds a block's arrays, the table and the features, and no per-sample array
         rho = apply_loss(coherent_state(1.0, Truncation(20)).to_density(), 0.6)
-        samples = sample_quadratures(rho, uniform_phases(4), 50_000, 1)
+        samples = sample_quadratures(rho, uniform_phases(10), 50_000, 1)
+        if order == "permuted":
+            samples = samples[np.random.default_rng(1).permutation(len(samples))]
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            maxlik_reconstruct(samples, dim=8, max_iter=1)
+            maxlik_reconstruct(samples, dim=15, max_iter=1)
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * 8 * len(samples)
+        assert peak < 2e6
+
+    @settings(max_examples=60, deadline=None)
+    @given(samples=run_sample_sets())
+    def test_every_block_size_gives_the_same_bits(self, samples):
+        # blocks of 1, 2, 3 and 7 rows cut runs of one phase anywhere, and a row's phase may be new to its block
+        expected = maxlik_outcome(samples, dim=5, max_iter=8, tol=1e-4)
+        for size in (1, 2, 3, 7):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(homodyne, "_BLOCK", size)
+                assert maxlik_outcome(samples, dim=5, max_iter=8, tol=1e-4) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(samples=run_sample_sets(), at=st.integers(0, 107), x=st.sampled_from((1e6, -1e200, math.inf, math.nan)))
+    def test_every_block_size_names_the_same_bad_sample(self, samples, at, x):
+        samples[at % len(samples), 1] = x
+        expected = maxlik_outcome(samples, dim=5, max_iter=8)
+        assert expected.startswith(f"sample {at % len(samples)} (phase=")
+        for size in (1, 2, 3, 7):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(homodyne, "_BLOCK", size)
+                assert maxlik_outcome(samples, dim=5, max_iter=8) == expected
 
     @pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 2, 2), (0,), (0, 3)])
     def test_other_shapes_are_refused_by_shape(self, shape):
@@ -419,10 +463,10 @@ class TestMomentKernel:
         assert np.array_equal(a.rho_hat.elems, b.rho_hat.elems)
         assert np.array_equal(a.log_likelihood_trace, b.log_likelihood_trace) and a.loglik_gap == b.loglik_gap
 
-    @pytest.mark.parametrize("changes", [1199 // _SAMPLES_PER_CHANGE, -(-1200 // _SAMPLES_PER_CHANGE), 1199])
+    @pytest.mark.parametrize("changes", [299, 300, 1199])
     def test_regrouping_the_phases_into_runs_keeps_every_bit(self, changes):
-        # 1200 samples whose phase changes ``changes`` times, either side of where MaxLik stops finding table rows
-        # per run; regrouped stably into one run per phase in first-use order, they take the per-run path
+        # 1200 samples whose phase changes ``changes`` times, in runs of about 4 samples or of one; regrouped stably
+        # into one run per phase in first-use order, they count into the same table
         rng = np.random.default_rng(changes)
         rho = random_mixed_state(6, 2, changes)
         drawn = sample_quadratures(rho, (2.0, -0.0, 1.0), 400, changes)

@@ -326,7 +326,7 @@ class TestApplyLoss:
     def test_matches_the_gammaln_binomials(self, trunc):
         # the log-factorial table against the scipy.special.gammaln form it replaced, on a state whose weight sits at
         # low levels, as the default runs' does; near level 1000 both forms round log i! (about 5900) to its ulp, so a
-        # state there moves by up to 1e-12, and trunc 1200 (9 s per channel) would add only that
+        # state there moves by up to 1e-12, and trunc 1200 (6 s per channel) would add only that
         from scipy.special import gammaln
 
         rho, eta, n = coherent_state(1.0, Truncation(trunc)).to_density(), 0.6, trunc
