@@ -19,7 +19,6 @@ from .fock import (
     coherent_state,
     density_from_json,
     density_json_text,
-    displacement_op,
     expectation,
     fidelity,
     fock_state,
@@ -27,7 +26,6 @@ from .fock import (
     ladder_operators,
     min_dim_for_coherent,
     project_density,
-    unitarity_defect,
 )
 from .homodyne import (
     DataError,

@@ -30,12 +30,10 @@ __all__ = [
     "coherent_state",
     "min_dim_for_coherent",
     "ladder_operators",
-    "displacement_op",
     "beam_splitter_op",
     "inner_product",
     "expectation",
     "fidelity",
-    "unitarity_defect",
     "check_tail",
     "project_density",
     "density_from_json",
@@ -310,23 +308,6 @@ def ladder_operators(trunc: Truncation):
     offdiag = np.sqrt(np.arange(1, trunc.dim, dtype=np.float64))
     a = _read_only(np.diag(offdiag, k=1).astype(np.complex128))
     return a, a.T, _read_only(np.diag(np.concatenate(([0.0], offdiag * offdiag))).astype(np.complex128))
-
-
-def displacement_op(alpha: complex, trunc: Truncation) -> np.ndarray:
-    """Displacement exp(alpha a_dag - conj(alpha) a) on the finite matrix.
-
-    Computed by scaling-and-squaring of the truncated generator; unitary on
-    the low-excitation subspace up to truncation error (see
-    :func:`unitarity_defect` for the diagnostic norm).
-    """
-    from scipy.linalg import expm  # imported here: no other run path needs scipy.linalg, whose import takes 0.3 s
-    a, a_dag, _ = ladder_operators(trunc)
-    return _read_only(expm(alpha * a_dag - np.conj(alpha) * a))
-
-
-def unitarity_defect(u: np.ndarray) -> float:
-    """sup-norm of U_dag U - 1; reports truncation-induced degradation."""
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
 def _sector_blocks(theta: float, dim: int):

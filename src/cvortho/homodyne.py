@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, Truncation, _int_rule, _require
+from .fock import DensityMatrix, Truncation, _int_rule, _require, _sector_blocks
 from .phasespace import _phase_matrix, hermite_functions, marginal
 
 __all__ = [
@@ -120,18 +120,18 @@ def sample_quadratures(rho: DensityMatrix, phases, samples_per_phase: int, seed:
 def product_coefficients(dim: int) -> np.ndarray:
     """Exact expansion psi_a(x) psi_b(x) = sum_m L[a, b, m] psi_m(sqrt2 x), m < 2 dim - 1.
 
-    A product of two oscillator eigenfunctions is exp(-x^2) times a
-    polynomial of degree a + b, and the psi_m(sqrt2 x) span exactly those
-    functions.  Their norm is 2^(-1/4), so with t = sqrt2 x,
-    L[a, b, m] = int psi_a(t/sqrt2) psi_b(t/sqrt2) psi_m(t) dt, an integral
-    of exp(-t^2) times a polynomial of degree below 4 dim that a 4 dim-node
-    Gauss-Hermite rule evaluates exactly.
+    psi_a(x) psi_b(x) is the wave function of |a, b> at (x, x), a point that
+    the balanced beam splitter turns to 0 in the first mode and sqrt2 x in
+    the second.  With B_N the pi/4 block of sector N = a + b (the blocks that
+    :func:`~cvortho.phasespace.wigner` reads),
+    L[a, b, m] = B_N[<N-m, m| <- |a, b>] psi_{N-m}(0), which is 0 for m > N.
     """
-    nodes, weights = np.polynomial.hermite.hermgauss(4 * dim)
-    half = hermite_functions(nodes / math.sqrt(2.0), dim)
-    full = hermite_functions(nodes, 2 * dim - 1)
-    pairs = half[:, None, :] * half[None, :, :] * (weights * np.exp(nodes**2))
-    return pairs @ full.T
+    at_zero = hermite_functions([0.0], 2 * dim - 1)[:, 0]
+    coeffs = np.zeros((dim, dim, 2 * dim - 1))
+    for n, block in enumerate(_sector_blocks(math.pi / 4, dim)):
+        b = np.arange(max(0, n - dim + 1), min(n, dim - 1) + 1)
+        coeffs[n - b, b, : n + 1] = (block * at_zero[n::-1, None]).T
+    return coeffs
 
 
 def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-10) -> ReconstructionResult:

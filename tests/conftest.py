@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from cvortho import DensityMatrix, StateVector, Truncation, displacement_op
+from cvortho import DensityMatrix, StateVector, Truncation, ladder_operators
 from cvortho.phasespace import hermite_functions
 
 
@@ -54,6 +54,22 @@ def kernel_marginal(rho, phase, xs):
     """
     u = hermite_functions(xs, rho.trunc.dim) * np.exp(1j * phase * np.arange(rho.trunc.dim))[:, None]
     return np.clip(np.real(np.einsum("nx,nx->x", u.conj(), rho.elems @ u)), 0.0, None)
+
+
+def displacement_op(alpha: complex, trunc: Truncation) -> np.ndarray:
+    """Displacement exp(alpha a_dag - conj(alpha) a) on the finite matrix (test oracle).
+
+    Computed by scaling-and-squaring of the truncated generator; unitary on
+    the low-excitation subspace up to truncation error (see
+    :func:`unitarity_defect` for the diagnostic norm).
+    """
+    a, a_dag, _ = ladder_operators(trunc)
+    return expm(alpha * a_dag - np.conj(alpha) * a)
+
+
+def unitarity_defect(u: np.ndarray) -> float:
+    """sup-norm of U_dag U - 1; reports truncation-induced degradation."""
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
 def dense_beam_splitter(theta, truncs):
@@ -131,7 +147,7 @@ def wigner_point(rho, x, p):
     """Wigner value at one point through the displacement operator directly (test oracle).
 
     Evaluates Tr[rho D(g) P D(g)_dag] / pi, g = (x + i p)/sqrt2, with the
-    matrix exponential of :func:`cvortho.displacement_op`, on a basis that
+    matrix exponential of :func:`displacement_op`, on a basis that
     ``_parity_dim`` sizes for the point; it shares nothing with
     :func:`cvortho.wigner`'s beam-splitter form.
     """

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import random_state
+from conftest import displacement_op, random_state
 
 from cvortho import (
     EigenstateError,
@@ -22,7 +22,6 @@ from cvortho import (
     Truncation,
     apply_loss,
     coherent_state,
-    displacement_op,
     fidelity,
     fock_state,
     heralded_addition_model,

@@ -868,7 +868,7 @@ def test_manifest_records_the_environment(tmp_path, monkeypatch):
     manifest = run({"experiment": "tomography", **SMALL_CONFIGS["tomography"]}, output_dir=tmp_path)
     versions = manifest["versions"]
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    assert sorted(versions) == ["blas", "blas_threads", "cvortho", "numpy", "platform", "scipy"]
+    assert sorted(versions) == ["blas", "blas_threads", "cvortho", "numpy", "platform"]
     assert versions["blas"] == f"{blas['name']} {blas['version']}"
     assert versions["platform"] == f"{platform.system()}-{platform.release()}-{platform.machine()}"
     threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -1026,26 +1026,22 @@ class TestRunTomography:
         assert np.max(np.abs(rho_lossy.elems - expected.elems)) < 1e-12
 
 
-def test_runs_but_verify_import_neither_scipy_special_nor_linalg(tmp_path):
-    # their import took about 0.3 s of each run's start-up (with numpy.f2py, numpy.testing and numpy.ma), for three
-    # Poisson calls and an expm that only verify needs: displacement_op imports scipy.linalg when it is called
+def test_every_default_run_and_verify_need_no_scipy(tmp_path):
+    # the package needs numpy alone: with scipy made unimportable, each experiment's default config, a lossy map and
+    # a heralded run write their files, and the battery passes
     script = (
-        "import json, sys\nimport cvortho.cli as cli\n"
+        "import sys\nsys.modules['scipy'] = None\nimport cvortho.cli as cli\n"
         "configs = [{'experiment': e} for e in cli.EXPERIMENTS if e != 'verify']\n"
         "configs += [{'experiment': 'qubit_wigner', 'eta': 0.6}, {'experiment': 'orthogonalize', 'route': 'heralded'}]\n"
-        "loaded = lambda: sorted({m.split('.')[1] for m in sys.modules\n"
-        "                         if m.startswith('scipy.') and not m.startswith('scipy._')})\n"
         "for i, config in enumerate(configs):\n    cli.run(config, str(i))\n"
-        "before = loaded()\ncli.run({'experiment': 'verify'}, 'verify')\nprint(json.dumps([before, loaded()]))\n"
+        "raise SystemExit(cli.main(['verify']))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    before, after = json.loads(done.stdout)
-    assert "special" not in before and "linalg" not in before, before
-    assert set(after) - set(before) == {"linalg"}, after
+    assert "16/16 checks passed" in done.stdout
 
 
 class TestDeterminism:
@@ -1403,4 +1399,4 @@ class TestVerifyBattery:
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
-        assert "19/19 checks passed" in out
+        assert "16/16 checks passed" in out

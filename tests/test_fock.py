@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import dense_beam_splitter, mixed_states, random_state
+from conftest import dense_beam_splitter, displacement_op, mixed_states, random_state, unitarity_defect
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -22,7 +22,6 @@ from cvortho import (
     coherent_state,
     density_from_json,
     density_json_text,
-    displacement_op,
     expectation,
     fidelity,
     fock_state,
@@ -31,7 +30,6 @@ from cvortho import (
     min_dim_for_coherent,
     orthogonalize,
     qubit_operator,
-    unitarity_defect,
 )
 from cvortho.fock import _poisson_tail
 
@@ -436,8 +434,7 @@ class TestInvariantsAndTypes:
         with pytest.raises(ValueError):
             psi.amps[0] = 2.0
 
-    @pytest.mark.parametrize("name, op", [*zip(("a", "a_dag", "n"), ladder_operators(Truncation(4))),
-                                          ("displacement", displacement_op(0.5, Truncation(4)))])
+    @pytest.mark.parametrize("name, op", [*zip(("a", "a_dag", "n"), ladder_operators(Truncation(4)))])
     def test_operators_are_read_only_complex_arrays(self, name, op):
         assert op.dtype == np.complex128 and op.shape == (4, 4)
         with pytest.raises(ValueError, match="read-only"):

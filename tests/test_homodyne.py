@@ -409,6 +409,10 @@ class TestMomentKernel:
         expanded = product_coefficients(dim) @ feats
         assert np.max(np.abs(expanded - np.outer(psi, psi))) <= 1e-13
 
+    def test_finite_far_past_the_reconstruction_cap(self):
+        coeffs = product_coefficients(120)
+        assert coeffs.shape == (120, 120, 239) and np.all(np.isfinite(coeffs))
+
     @pytest.mark.parametrize("dim, phases, per_phase, seed", [(4, 3, 300, 1), (9, 5, 400, 2), (15, 7, 250, 3)])
     def test_matches_dense_oracle(self, dim, phases, per_phase, seed):
         rng = np.random.default_rng(seed)

@@ -3,7 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from conftest import eigvec_wigner, kernel_marginal, mixed_state_stacks, mixed_states, random_state, wigner_point
+from conftest import (
+    displacement_op,
+    eigvec_wigner,
+    kernel_marginal,
+    mixed_state_stacks,
+    mixed_states,
+    random_state,
+    wigner_point,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -14,7 +22,6 @@ from cvortho import (
     Truncation,
     apply_loss,
     coherent_state,
-    displacement_op,
     fidelity,
     fock_state,
     hermite_functions,

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dense_beam_splitter, random_state
+from conftest import dense_beam_splitter, displacement_op, random_state
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -20,7 +20,6 @@ from cvortho import (
     TruncationError,
     beta_for_addition_orthogonalizer,
     coherent_state,
-    displacement_op,
     expectation,
     fidelity,
     fock_state,
