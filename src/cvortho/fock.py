@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,11 +140,16 @@ class StateVector:
         return StateVector(self.amps / n, self.trunc)
 
     def to_density(self) -> "DensityMatrix":
+        """|psi><psi| of the normalized state, Hermitian bit for bit: a fused complex multiply rounds psi_i psi_j*
+        and psi_j psi_i* apart, so the upper triangle is mirrored, conjugated, and the diagonal made real."""
         psi = self.normalized()
+        elems = np.outer(psi.amps, psi.amps.conj())
+        np.copyto(elems, elems.T.conj(), where=np.tri(self.trunc.dim, k=-1, dtype=bool))
+        np.fill_diagonal(elems.imag, 0.0)
         # |psi><psi| is rank one and positive semidefinite by construction, so only its eigensolve is skipped
         rho = object.__new__(DensityMatrix)
         object.__setattr__(rho, "trunc", self.trunc)
-        rho._check(np.outer(psi.amps, psi.amps.conj()), eigensolve=False)
+        rho._check(elems, eigensolve=False)
         return rho
 
 
@@ -437,11 +443,11 @@ def project_density(rho: DensityMatrix, trunc: Truncation) -> DensityMatrix:
 def density_json_text(rho: DensityMatrix) -> str:
     """``json.dumps({"dim": N, "data": pairs}, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
-    ``pairs`` holds each entry's ``[re, im]``, row-major.  json writes a finite float as its ``repr``, so one
-    ``%s`` template of reprs gives the same text without json's pure-Python indenting encoder.  A finite x >= 0
-    has ``repr(-x) == "-" + repr(x)``, -0.0 included, so each distinct magnitude is written once and signed where
-    the value's sign bit is set; a Hermitian density repeats most of its magnitudes.  Raises ``ValueError``
-    naming the first nan or inf entry.
+    ``pairs`` holds each entry's ``[re, im]``, row-major.  json writes a finite float as its ``repr``, so one join
+    of the fixed separators and the reprs gives the same text without json's pure-Python indenting encoder.  A
+    finite x >= 0 has ``repr(-x) == "-" + repr(x)``, -0.0 included, so each distinct magnitude is written once and
+    signed where the value's sign bit is set; a density from ``to_density`` or ``apply_loss`` is Hermitian bit for
+    bit, repeating each off-diagonal magnitude.  Raises ``ValueError`` naming the first nan or inf entry.
     """
     dim = rho.trunc.dim
     flat = rho.elems.reshape(-1)
@@ -449,13 +455,15 @@ def density_json_text(rho: DensityMatrix) -> str:
     if bad.size:
         i, j = divmod(int(bad[0]), dim)
         raise ValueError(f"density entry [{i}, {j}] is not finite: {flat[bad[0]]}")
-    pairs = ",\n".join(["    [\n      %s,\n      %s\n    ]"] * (dim * dim))
     values = np.column_stack([flat.real, flat.imag]).ravel()
     magnitudes, which = np.unique(np.abs(values), return_inverse=True)
     texts = [repr(m) for m in magnitudes.tolist()]
     texts += ["-" + text for text in texts]  # entry i + len(magnitudes) is magnitude i with its sign
     signed = (which.reshape(-1) + magnitudes.size * np.signbit(values)).tolist()
-    return ('{\n  "data": [\n' + pairs + '\n  ],\n  "dim": %d\n}\n') % (*[texts[i] for i in signed], dim)
+    parts = ['{\n  "data": [\n    [\n      ', *[None, ",\n      ", None, "\n    ],\n    [\n      "] * (dim * dim)]
+    parts[-1] = '\n    ]\n  ],\n  "dim": %d\n}\n' % dim
+    parts[1::2] = operator.itemgetter(*signed)(texts)  # between the separators, each entry's re and im
+    return "".join(parts)
 
 
 def density_from_json(obj: dict) -> DensityMatrix:

@@ -92,8 +92,8 @@ def sample_quadratures(rho: DensityMatrix, phases, samples_per_phase: int, seed:
     draws by inverse-CDF, with linear interpolation, over its row of one
     ``marginal`` call for all phases on a 4001-point grid spanning [-8, 8].
     Phase i uses the derived seed ``seed + i``.  The uniforms are interpolated
-    in sorted order and put back in draw order, so each value is the one that
-    interpolating the unsorted draws gives, bit for bit.  A detector of
+    in nearly sorted order and put back in draw order, so each value is the one
+    that interpolating the unsorted draws gives, bit for bit.  A detector of
     efficiency eta is modelled by sampling ``apply_loss(rho, eta)``.
     """
     _require("phases", _PHASES, phases)
@@ -106,10 +106,11 @@ def sample_quadratures(rho: DensityMatrix, phases, samples_per_phase: int, seed:
         cdf = np.concatenate(([0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(xs))))
         cdf /= cdf[-1]
         u = np.random.default_rng(seed + i).random(count)
-        # np.interp gives u the value at the largest j with cdf[j] <= u, an index that is unique even where cdf
-        # repeats, so the value does not depend on the order of the points; on sorted points it walks forward from
-        # its last index instead of searching.  Equal draws get equal values, so the sort need not be stable.
-        order = np.argsort(u)
+        # np.interp gives u the value at the largest j with cdf[j] <= u, unique even where cdf repeats, so the value
+        # does not depend on the order of the points; on sorted points it walks forward instead of searching.  The
+        # order sorts one key per draw: u's bits, which sort as u >= 0 does, with the draw's index in the low ones.
+        low = max(1, (count - 1).bit_length())
+        order = np.sort(u.view(np.uint64) >> low << low | np.arange(count, dtype=np.uint64)) & ((1 << low) - 1)
         u[order] = np.interp(u[order], cdf, xs)  # scattered where the values lie contiguous, then copied once
         block = samples[i * count: (i + 1) * count]
         block[:, 0], block[:, 1] = phases[i], u

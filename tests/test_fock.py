@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import dense_beam_splitter, displacement_op, mixed_states, random_state, unitarity_defect
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
@@ -62,6 +62,15 @@ def text_mismatch(rho):
     k = next((i for i, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
              min(len(got_lines), len(want_lines)))
     return k, got_lines[k:k + 1], want_lines[k:k + 1]
+
+
+# Complex amplitudes of a pure state on 2 to 40 levels, not all (numerically) zero
+amplitudes = st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+                      min_size=2, max_size=40).filter(lambda amps: np.linalg.norm(amps) > 1e-6)
+
+
+def pure_density(amps):
+    return StateVector(amps, Truncation(len(amps))).to_density()
 
 
 def brute_poisson_weights(lam, count):
@@ -447,6 +456,14 @@ class TestInvariantsAndTypes:
 
             DensityMatrix(np.array([[1, 1e-6, 0], [0, 0, 0], [0, 0, 0]]), t)
 
+    @settings(max_examples=100, deadline=None)
+    @given(amps=amplitudes)
+    @example(amps=coherent_state(0.8 + 0.6j, Truncation(40)).amps.tolist())
+    def test_pure_densities_are_exactly_hermitian(self, amps):
+        # a complex multiply that fuses its products rounds psi_i psi_j* and psi_j psi_i* apart
+        rho = pure_density(amps)
+        assert np.array_equal(rho.elems, rho.elems.conj().T)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     @pytest.mark.parametrize("i, j", [(0, 1), (2, 2)])
     def test_density_refuses_non_finite(self, bad, i, j):
@@ -471,7 +488,7 @@ class TestSerialization:
         assert obj["data"][4] == [1.0, 0.0]  # row-major: entry [1, 1]
 
     @settings(max_examples=40, deadline=None)
-    @given(rho=mixed_states(max_dim=40))
+    @given(rho=st.one_of(mixed_states(max_dim=40), amplitudes.map(pure_density)))
     def test_density_text_matches_indented_json(self, rho):
         assert text_mismatch(rho) is None
 

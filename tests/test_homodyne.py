@@ -219,7 +219,7 @@ class TestSampleQuadratures:
 
     @settings(max_examples=40, deadline=None)
     @given(rho=mixed_states(10), phases=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=5, unique=True),
-           per_phase=st.one_of(st.just(1), st.integers(0, 2000).map(lambda n: 2 * n + 1)),
+           per_phase=st.one_of(st.sampled_from([1, 2, 4096, 4097]), st.integers(1, 4001)),
            seed=st.integers(0, 2**32 - 1))
     def test_sorted_draws_match_the_unsorted_sampler(self, rho, phases, per_phase, seed):
         assert samples_npy(sample_quadratures(rho, phases, per_phase, seed)) == samples_npy(
