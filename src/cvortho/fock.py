@@ -13,6 +13,7 @@ arrays.  So values can be shared freely across threads.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import operator
@@ -222,11 +223,14 @@ def _log_poisson_pmf(j: int, lam: float) -> float:
 
 
 def _poisson_tail(k: int, lam: float) -> float:
-    """P(X > k) for X Poisson of mean lam >= 0: up to a mean of 1e4 an exact sum in term ratios outward from the
-    mode (from level k + 1 up, or 1 - P(X <= k) from level k down for k + 1 < lam); past it Temme's uniform
-    expansion of the regularized incomplete gamma function P(k + 1, lam) (DLMF 8.12) to its 1/a term."""
+    """P(X > k) for X Poisson of mean lam >= 0, at any integer k: up to a mean of 1e4 an exact sum in term ratios
+    outward from the mode (from level k + 1 up, or 1 - P(X <= k) from level k down for k + 1 < lam); past it Temme's
+    uniform expansion of the regularized incomplete gamma function P(k + 1, lam) (DLMF 8.12) to its 1/a term; 0.0
+    from k >= max(745, e^2 lam) on, where Chernoff's bound e^-lam (e lam / (k + 1))^(k + 1) is below e^-746."""
     if k < 0 or lam == 0.0:
         return float(k < 0)
+    if k >= max(745, math.e**2 * lam):
+        return 0.0
     if lam > 1e4:
         a, mu = k + 1, (lam - k - 1) / (k + 1)
         half_eta2 = mu - math.log1p(mu) if abs(mu) > 0.1 else math.fsum((-mu) ** n / n for n in range(2, 20))
@@ -252,25 +256,12 @@ def min_dim_for_coherent(alpha: complex, tail_tol: float) -> int:
 
     The returned N keeps the Poisson weight at and beyond level N-1,
     ``_poisson_tail(N-2, |alpha|^2)``, at most ``tail_tol``, so the
-    constructed state satisfies the admission invariant.  Up to a mean of 1e4 one
-    walk up from the mode and back down finds N; past it a bisection on Temme's
-    expansion, which holds where exp(-|alpha|^2) underflows.
+    constructed state satisfies the admission invariant.  One bisection on
+    ``_poisson_tail`` finds N at every mean.
     """
+    _require("alpha", ((lambda v: cmath.isfinite(complex(v))), "a finite number"), alpha)
     _require("tail_tol", ((lambda v: v > 0.0), "a positive number"), tail_tol)
     lam = abs(alpha) ** 2
-    if 0.0 < lam <= 1e4:
-        mode = j = int(lam)
-        up = [term := math.exp(_log_poisson_pmf(mode, lam))]  # P(X = mode), P(X = mode + 1), ...
-        while term > tail_tol * 1e-17:
-            j += 1
-            up.append(term := term * lam / j)
-        tail = 0.0
-        for j in range(j, -1, -1):
-            term = up[j - mode] if j >= mode else term * (j + 1) / lam
-            tail += term  # P(X > j - 1)
-            if tail > tail_tol:
-                return j + 2
-        return 2
     low, high = -1, math.ceil(lam)  # the tail beyond level low is above tail_tol; beyond high it is not
     while _poisson_tail(high, lam) > tail_tol:
         low, high = high, 2 * high

@@ -135,8 +135,10 @@ def marginal(rhos, phases, xs) -> np.ndarray:
 # Wigner function through one balanced beam splitter
 
 
-# wigner's rule for its grid bounds, at sqrt(2) times which it evaluates hermite_functions
-_WIGNER_BOUNDS = ((lambda bounds: _SQUARABLE[0](math.sqrt(2.0) * np.asarray(bounds, dtype=np.float64))),
+# wigner's rule for its grid bounds, at sqrt(2) times which it evaluates hermite_functions; each bound is compared
+# with sqrt(max) / sqrt(2), which admits the same floats as checking the product and cannot overflow
+_WIGNER_BOUNDS = ((lambda bounds: bool(np.all(np.abs(np.asarray(bounds, dtype=np.float64))
+                                              <= math.sqrt(sys.float_info.max) / math.sqrt(2.0)))),
                   "bounds whose sqrt(2) multiples have finite squares")
 
 

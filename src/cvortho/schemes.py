@@ -297,12 +297,15 @@ def heralded_addition_model(psi: StateVector, beta: complex, theta: float, heral
     beta = complex(beta)
     dim, size = herald_dim or min(psi.trunc.dim, _HERALD_DIM_CAP), math.hypot(beta.real, beta.imag)  # abs() can overflow
     _require("herald_dim", Truncation.DIM, dim)
-    # past |beta| = 1e150 the need exceeds any basis that fits in memory, and |beta|^2 nears the float range
-    needed = min_dim_for_coherent(min(size, 1e150), _HERALD_TAIL_TOL)
+    # past |beta| = 1e150 the need exceeds any basis that fits in memory, and |beta|^2 nears the float range; below it
+    # abs(), which can differ from hypot in the last bit, sizes the ancilla
+    fit = abs(beta) if size <= 1e150 else 1e150
+    needed = min_dim_for_coherent(fit, _HERALD_TAIL_TOL)
     if needed > dim:
         raise TruncationError(f"a coherent ancilla of |beta|={size:.4g} needs herald.dim >= {needed} "
                               f"at tail_tol {_HERALD_TAIL_TOL:g}, got {dim}")
-    anc0 = math.exp(-abs(beta) ** 2 / 2.0) / math.sqrt(1.0 - _poisson_tail(dim - 1, abs(beta) ** 2))
+    lam = fit**2
+    anc0 = math.exp(-lam / 2.0) / math.sqrt(1.0 - _poisson_tail(dim - 1, lam))
     return _herald_one_zero(theta, anc0 * added.amps, anc0 * beta * psi.amps, psi.trunc)
 
 

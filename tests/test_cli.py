@@ -360,7 +360,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("experiment", ["qubit_wigner", "number_scheme"])
     @pytest.mark.parametrize("grid", [{"x_max": 1e300, "nx": 2, "np": 2}, {"x_max": 10**300},
-                                      {"x_max": 1e154, "p_max": 1e154}])
+                                      {"x_max": 1e154, "p_max": 1e154}, {"x_max": 1.7e308}, {"p_min": -1.7e308}])
     def test_grid_bounds_past_the_float_range_reported(self, experiment, grid):
         config = {"experiment": experiment, "grid": grid}
         bounds = ", ".join(repr({**DEFAULTS["grid"], **grid}[key]) for key in ("x_min", "x_max", "p_min", "p_max"))
@@ -639,7 +639,7 @@ def _edge_configs(draw):
             config["scheme"] = {"kind": draw(st.sampled_from(["creation", "number"]))}
         else:
             config["herald"] = {**herald, "beta": draw(st.sampled_from(["auto", 0.0, 3.0, [1.7e308, 1.7e308]])),
-                                "dim": draw(st.sampled_from([None, 2, 3, 20]))}
+                                "dim": draw(st.sampled_from([None, 2, 3, 20, 10**20, 10**400]))}
     elif experiment == "qubit_wigner":
         config.update(scheme={"kind": draw(st.sampled_from(["creation", "number"]))}, grid=small_grid,
                       qubit_c=draw(st.sampled_from([0.0, 1.0, [0.0, 1.0], [[1.0, 0.0], [0.0, -1.0]], 1e300,
@@ -1200,6 +1200,17 @@ def test_heralded_auto_beta_past_the_ancilla_basis_names_the_herald_leaves(tmp_p
     assert not (tmp_path / "out").exists()
 
 
+def test_a_herald_basis_past_the_ancilla_tail_writes_the_same_bytes(tmp_path):
+    # auto beta is 1 on the default input, whose Poisson tail past 20 levels is below half an ulp of 1, so every larger
+    # basis renormalizes the ancilla by the same float; 10**20 is past 2^53 levels, and 10**400 past the float range
+    def digests(dim):
+        config = {"experiment": "orthogonalize", "route": "heralded", "herald": {"dim": dim}}
+        assert validate_config(config) == []
+        return {entry["path"]: entry["sha256"] for entry in run(config, tmp_path / str(len(str(dim))))["files"]}
+
+    assert digests(10**20) == digests(10**400) == digests(20)
+
+
 def test_explicit_herald_beta_past_the_ancilla_basis_is_refused(tmp_path, capsys):
     config = {"experiment": "orthogonalize", "route": "heralded", "herald": {"beta": [3.0, 0.0]}}
     message = "herald.beta: a coherent ancilla of |beta|=3 needs herald.dim >= 20 at tail_tol 0.005, got 12"
@@ -1217,6 +1228,9 @@ def test_explicit_herald_beta_past_the_ancilla_basis_is_refused(tmp_path, capsys
     (huge,) = validate_config({**config, "herald": {"beta": [1.7e308, 1.7e308]}})
     assert re.fullmatch(r"herald\.beta: a coherent ancilla of \|beta\|=inf needs herald\.dim >= \d+ "
                         r"at tail_tol 0\.005, got 12", huge)
+    # a basis of 10**400 levels holds the need found at |beta| = 1e150, and the ancilla's |0> amplitude then underflows
+    (huge,) = validate_config({**config, "herald": {"beta": [1e200, 0.0], "dim": 10**400}})
+    assert huge.startswith("herald.beta: ")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2

@@ -203,6 +203,22 @@ class TestCoherentState:
         assume(want >= 1e-250)
         assert abs(_poisson_tail(k, lam) - want) <= (1e-11 if want >= 1e-100 else 3e-11) * want
 
+    @pytest.mark.parametrize("k", [10**17, 10**400], ids=["10**17", "10**400"])
+    @pytest.mark.parametrize("lam", [0.5, 1e4, 1e12])
+    def test_poisson_tail_far_past_the_mean_is_zero(self, k, lam):
+        # Chernoff's bound puts these tails below e^-746, which rounds to 0; 10**17 is past 2^53, where (lam - k) / k
+        # rounds to -1, and 10**400 is past the float range
+        assert _poisson_tail(k, lam) == 0.0
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(1.0, math.nan)])
+    def test_non_finite_amplitude_refused_by_name(self, alpha):
+        with pytest.raises(ValueError, match=r"^alpha: must be a finite number, got "):
+            min_dim_for_coherent(alpha, 1e-8)
+        # an infinite amplitude keeps coherent_state's underflow message, which it finds before the search
+        match = r"\|alpha\|=inf underflows" if alpha == math.inf else r"^alpha: must be a finite number, got "
+        with pytest.raises(ValueError, match=match):
+            coherent_state(alpha, Truncation(40))
+
     def test_alpha_28_builds_within_its_tail_tolerance(self):
         dim = min_dim_for_coherent(28.0, 1e-8)
         psi = coherent_state(28.0, Truncation(dim))
