@@ -208,11 +208,6 @@ def fock_state(n: int, trunc: Truncation) -> StateVector:
     return StateVector(amps, trunc)
 
 
-# Taylor coefficients in eta of Temme's c0 and c1 (DLMF 8.12.12), whose closed forms cancel as eta -> 0
-_TEMME_C0 = (-1 / 3, 1 / 12, -2 / 135, 1 / 864, 1 / 2835, -139 / 777600, 1 / 25515)
-_TEMME_C1 = (-1 / 540, -1 / 288, 1 / 378, -77 / 77760, 1 / 4860)
-
-
 def _log_poisson_pmf(j: int, lam: float) -> float:
     """log P(X = j) for X Poisson of mean lam > 0; from j = 50 on by Stirling's series, since lgamma(j + 1)
     itself rounds by up to 1.5e-11 at j = 1e4."""
@@ -223,24 +218,14 @@ def _log_poisson_pmf(j: int, lam: float) -> float:
 
 
 def _poisson_tail(k: int, lam: float) -> float:
-    """P(X > k) for X Poisson of mean lam >= 0, at any integer k: up to a mean of 1e4 an exact sum in term ratios
-    outward from the mode (from level k + 1 up, or 1 - P(X <= k) from level k down for k + 1 < lam); past it Temme's
-    uniform expansion of the regularized incomplete gamma function P(k + 1, lam) (DLMF 8.12) to its 1/a term; 0.0
-    from k >= max(745, e^2 lam) on, where Chernoff's bound e^-lam (e lam / (k + 1))^(k + 1) is below e^-746."""
+    """P(X > k) for X Poisson of mean lam >= 0, at any integer k: an exact sum in term ratios outward from the mode
+    (from level k + 1 up, or 1 - P(X <= k) from level k down for k + 1 < lam), of O(sqrt(lam)) terms, as fits the
+    means up to 37.6^2 that ``min_dim_for_coherent`` passes; 0.0 from k >= max(745, e^2 lam) on, where Chernoff's
+    bound e^-lam (e lam / (k + 1))^(k + 1) is below e^-746."""
     if k < 0 or lam == 0.0:
         return float(k < 0)
     if k >= max(745, math.e**2 * lam):
         return 0.0
-    if lam > 1e4:
-        a, mu = k + 1, (lam - k - 1) / (k + 1)
-        half_eta2 = mu - math.log1p(mu) if abs(mu) > 0.1 else math.fsum((-mu) ** n / n for n in range(2, 20))
-        eta = math.copysign(math.sqrt(2.0 * half_eta2), mu)
-        if abs(eta) < 0.05:
-            c0, c1 = (sum(c * eta**i for i, c in enumerate(coefs)) for coefs in (_TEMME_C0, _TEMME_C1))
-        else:
-            c0, c1 = 1 / mu - 1 / eta, 1 / eta**3 - 1 / mu**3 - 1 / mu**2 - 1 / (12 * mu)
-        return (0.5 * math.erfc(-eta * math.sqrt(a / 2.0))
-                - math.exp(-a * half_eta2) / math.sqrt(2.0 * math.pi * a) * (c0 + c1 / a))
     below = k + 1 < lam
     j = k if below else k + 1
     term, total = math.exp(_log_poisson_pmf(j, lam)), 0.0
@@ -251,17 +236,27 @@ def _poisson_tail(k: int, lam: float) -> float:
     return 1.0 - total if below else total
 
 
+def _coherent_size(alpha: complex) -> float:
+    """|alpha|, refused where exp(-|alpha|^2/2) is no normal double (|alpha| > 37.6), as no basis holds the state."""
+    size = math.hypot(complex(alpha).real, complex(alpha).imag)  # past the float range abs() raises, hypot gives inf
+    if (vacuum := math.exp(-size * size / 2.0)) < np.finfo(np.float64).tiny:  # where size ** 2 would raise
+        raise ValueError(f"coherent amplitude |alpha|={size:.4g} underflows exp(-|alpha|^2/2) = {vacuum:.3g}")
+    return size
+
+
 def min_dim_for_coherent(alpha: complex, tail_tol: float) -> int:
     """Smallest dim such that a coherent state fits under the tail guard.
 
     The returned N keeps the Poisson weight at and beyond level N-1,
     ``_poisson_tail(N-2, |alpha|^2)``, at most ``tail_tol``, so the
     constructed state satisfies the admission invariant.  One bisection on
-    ``_poisson_tail`` finds N at every mean.
+    ``_poisson_tail`` finds N.  Raises ``ValueError`` when exp(-|alpha|^2/2)
+    is not a normal double (|alpha| > 37.6), in :func:`coherent_state`'s
+    words: no basis holds that state.
     """
     _require("alpha", ((lambda v: cmath.isfinite(complex(v))), "a finite number"), alpha)
     _require("tail_tol", ((lambda v: v > 0.0), "a positive number"), tail_tol)
-    lam = abs(alpha) ** 2
+    lam = _coherent_size(alpha) ** 2
     low, high = -1, math.ceil(lam)  # the tail beyond level low is above tail_tol; beyond high it is not
     while _poisson_tail(high, lam) > tail_tol:
         low, high = high, 2 * high
@@ -278,10 +273,7 @@ def coherent_state(alpha: complex, trunc: Truncation) -> StateVector:
     Raises ``ValueError`` when exp(-|a|^2/2) is not a normal double (|a| > 37.6),
     and else :class:`TruncationError` when the truncation cannot hold the state.
     """
-    size = math.hypot(complex(alpha).real, complex(alpha).imag)  # abs() raises past the float range
-    vacuum = math.exp(-min(size, 1e150) ** 2 / 2.0)
-    if vacuum < np.finfo(np.float64).tiny:
-        raise ValueError(f"coherent amplitude |alpha|={size:.4g} underflows exp(-|alpha|^2/2) = {vacuum:.3g}")
+    size = _coherent_size(alpha)  # an infinite alpha is refused here, as an underflow, before the search
     needed = min_dim_for_coherent(alpha, _TAIL_TOL)
     if trunc.dim < needed:
         raise TruncationError(f"coherent amplitude |alpha|={size:.4g} needs dim >= {needed} at tail_tol "

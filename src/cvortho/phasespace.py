@@ -86,16 +86,27 @@ def hermite_functions(xs, dim: int) -> np.ndarray:
 
 # OpenBLAS runs a gemm of m * n * k <= 4 * 65536 (GEMM_MULTITHREAD_THRESHOLD times SMP_THRESHOLD_MIN) on one thread,
 # whose bits no thread count changes; blocks keep 2 rows and 2 columns: numpy gives 1 to gemv, which threads sooner
-def _matmul(a, b) -> np.ndarray:
-    """Read-only ``a @ b`` over leading axes, as gemms of that size on blocks of ``a``'s rows and ``b``'s columns."""
+def _column_blocks(a, b, out=None):
+    """``(c, a @ b[..., c])`` over leading axes for each column block ``c`` of the product in turn, as gemms of that
+    size on blocks of ``a``'s rows, into ``out[..., c]``; without ``out``, of matrices into a new block to reduce."""
     (m, k), n = a.shape[-2:], b.shape[-1]
     side = min(m, n, max(3, 4 * 65536 // (3 * k)))  # the shorter side, whole where 3 lines of the longer fit beside it
     other = max(3, 4 * 65536 // (k * side))  # so that the operand with the shorter side is the one packed per block
     rows, cols = (-(-m // side), -(-n // other)) if m < n else (-(-m // other), -(-n // side))
-    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, n))
-    for i, j in np.ndindex(rows, cols):  # even splits: with at least 3 lines per block, none has 1
-        r, c = slice(i * m // rows, (i + 1) * m // rows), slice(j * n // cols, (j + 1) * n // cols)
-        np.matmul(a[..., r, :], b[..., c], out=out[..., r, c])
+    for j in range(cols):  # even splits: with at least 3 lines per block, none has 1
+        c = slice(j * n // cols, (j + 1) * n // cols)
+        block = np.empty((m, c.stop - c.start)) if out is None else out[..., c]
+        for i in range(rows):
+            r = slice(i * m // rows, (i + 1) * m // rows)
+            np.matmul(a[..., r, :], b[..., c], out=block[..., r, :])
+        yield c, block
+
+
+def _matmul(a, b) -> np.ndarray:
+    """Read-only ``a @ b`` over leading axes, as :func:`_column_blocks` writes it."""
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1]))
+    for _ in _column_blocks(a, b, out):
+        pass
     out.flags.writeable = False
     return out
 
@@ -117,7 +128,8 @@ def marginal(rhos, phases, xs) -> np.ndarray:
     """Quadrature densities <x_phase| rho |x_phase> = sum_ab psi_a(x) psi_b(x) Re(rho_ab F_ab), read-only.
 
     Row [s, k] is the density of ``rhos[s]`` at ``phases[k]`` on the points ``xs``, clipped at 0; all read one table
-    of Hermite functions through ``_matmul``, with the bits of the one-density, one-phase call at any thread count.
+    of Hermite functions, summing their product with Re(rho F) over a one ``_column_blocks`` block at a time, with
+    the bits of the one-density, one-phase call at any thread count.
     """
     _require("xs", _SQUARABLE, xs)
     d = _basis_dim(rhos)
@@ -125,7 +137,8 @@ def marginal(rhos, phases, xs) -> np.ndarray:
     dens = np.empty((len(rhos), len(phases), herm.shape[1]))
     for s, rho in enumerate(rhos):
         for k, phase in enumerate(phases):
-            dens[s, k] = np.einsum("ax,ax->x", herm, _matmul(np.real(rho.elems * _phase_matrix(phase, d)), herm))
+            for c, block in _column_blocks(np.real(rho.elems * _phase_matrix(phase, d)), herm):
+                dens[s, k, c] = np.einsum("ax,ax->x", herm[:, c], block)
     np.clip(dens, 0.0, None, out=dens)
     dens.flags.writeable = False
     return dens

@@ -33,7 +33,6 @@ from .fock import (
     min_dim_for_coherent,
     _freeze,
     _int_rule,
-    _poisson_tail,
     _read_only,
     _require,
     _require_operator_on,
@@ -61,12 +60,9 @@ _MEAN_MATCH_TOL = 1e-8
 _DENOMINATOR_TOL = 1e-12
 _ANGLE_TOL = 1e-12  # sin and cos of a beam-splitter angle this close to each other, or to 0, count as equal
 
-# The herald truncation only has to hold the addition scheme's coherent
-# ancilla well enough to calibrate herald weights: the |1>|0> click
-# reads the one-photon sector, so only the ancilla's |0> and |1> amplitudes
-# enter, and the truncation acts only through the ancilla's renormalization,
-# which scales the herald weight by at most 1 / (1 - tail_tol).  A
-# looser tail guard than the signal default is therefore safe.
+# The refusal gate on the addition scheme's coherent ancilla: a herald basis of herald_dim levels, by default
+# min(signal dim, 12), must hold it at this tail tolerance.  The |1>|0> click reads only the ancilla's |0> and |1>
+# amplitudes, which come in closed form, so the basis changes no output, only which betas are refused.
 _HERALD_DIM_CAP = 12
 _HERALD_TAIL_TOL = 5e-3
 
@@ -280,14 +276,14 @@ def heralded_addition_model(psi: StateVector, beta: complex, theta: float, heral
     |1>|beta> x a_dag|psi> and an identity branch |0>|beta> x |psi>; the
     complex ``beta`` sets the ancilla's phase too.  They meet on the beam
     splitter and are heralded on |1>|0>, which keeps the parts
-    |1>|0> x anc_0 a_dag|psi> and |0>|1> x anc_1 |psi>.  anc_0 and anc_1 are
-    the ancilla's amplitudes renormalized on its herald basis of D levels
-    (``herald_dim``, by default min(signal dim, 12)), in closed form:
-    anc_0 = e^{-|beta|^2/2} / sqrt(P(X <= D-1)) for X Poisson of mean |beta|^2,
-    and anc_1 = anc_0 beta.  Raises :class:`TruncationError` when |beta> does
-    not fit D levels.  Returns the normalized conditional signal state and the
-    herald weight ||t anc_0 a_dag|psi> - r anc_1 |psi>||^2, which is not a
-    probability: at beta = 0 and theta = pi/4 it is (|alpha|^2 + 1) / 2 on a coherent |alpha>.
+    |1>|0> x anc_0 a_dag|psi> and |0>|1> x anc_1 |psi>, with the ancilla's exact
+    amplitudes anc_0 = e^{-|beta|^2/2} and anc_1 = anc_0 beta.  Raises
+    :class:`HeraldImpossibleError` when the herald weight vanishes, as it does at
+    large |beta|, and only then :class:`TruncationError` when |beta> does not fit
+    ``herald_dim`` levels (by default min(signal dim, 12)), a gate that changes no
+    output.  Returns the normalized conditional signal state and the herald weight
+    ||t anc_0 a_dag|psi> - r anc_1 |psi>||^2, which is not a probability: at
+    beta = 0 and theta = pi/4 it is (|alpha|^2 + 1) / 2 on a coherent |alpha>.
     """
     check_tail(psi, context="addition-scheme input")
     _, a_dag, _ = ladder_operators(psi.trunc)
@@ -295,18 +291,16 @@ def heralded_addition_model(psi: StateVector, beta: complex, theta: float, heral
     check_tail(added, context="photon-added branch")
 
     beta = complex(beta)
-    dim, size = herald_dim or min(psi.trunc.dim, _HERALD_DIM_CAP), math.hypot(beta.real, beta.imag)  # abs() can overflow
+    dim = herald_dim or min(psi.trunc.dim, _HERALD_DIM_CAP)
     _require("herald_dim", Truncation.DIM, dim)
-    # past |beta| = 1e150 the need exceeds any basis that fits in memory, and |beta|^2 nears the float range; below it
-    # abs(), which can differ from hypot in the last bit, sizes the ancilla
-    fit = abs(beta) if size <= 1e150 else 1e150
-    needed = min_dim_for_coherent(fit, _HERALD_TAIL_TOL)
+    size = math.hypot(beta.real, beta.imag)  # abs() raises past the float range, and size * size gives inf there
+    anc0 = math.exp(-size * size / 2.0)
+    heralded = _herald_one_zero(theta, anc0 * added.amps, anc0 * beta * psi.amps, psi.trunc)
+    needed = min_dim_for_coherent(beta, _HERALD_TAIL_TOL)
     if needed > dim:
         raise TruncationError(f"a coherent ancilla of |beta|={size:.4g} needs herald.dim >= {needed} "
                               f"at tail_tol {_HERALD_TAIL_TOL:g}, got {dim}")
-    lam = fit**2
-    anc0 = math.exp(-lam / 2.0) / math.sqrt(1.0 - _poisson_tail(dim - 1, lam))
-    return _herald_one_zero(theta, anc0 * added.amps, anc0 * beta * psi.amps, psi.trunc)
+    return heralded
 
 
 def number_scheme_model(psi: StateVector, theta: float, phi: float = 0.0):

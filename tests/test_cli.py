@@ -735,13 +735,11 @@ class TestRunOrthogonalize:
         if "herald" not in config:  # auto beta tunes the scheme into the orthogonalizer
             assert report["overlap_with_input"] < 1e-8
         # the herald weight is the heralded signal's squared norm, ||t anc_0 a_dag psi - r anc_1 psi||^2, with anc_0
-        # and anc_1 the |0> and |1> amplitudes of the ancilla renormalized on its basis of herald.dim levels (12 by
-        # default), here from beta^n / sqrt(n!) directly
+        # and anc_1 the exact |0> and |1> amplitudes of the ancilla, e^{-|beta|^2/2} (1, beta), whatever herald.dim
         trunc = Truncation(40)
         psi = coherent_state(complex(*config.get("input_state", {"alpha": [1.0, 0.0]})["alpha"]), trunc)
         theta, beta = report["beam_splitter_theta"], complex(*report["ancilla_beta"])
-        anc = np.array([beta**n / math.sqrt(math.factorial(n)) for n in range(config.get("herald", {}).get("dim", 12))])
-        anc /= np.linalg.norm(anc)
+        anc = math.exp(-abs(beta) ** 2 / 2) * np.array([1.0, beta])
         heralded = math.cos(theta) * anc[0] * (ladder_operators(trunc)[1] @ psi.amps) - math.sin(theta) * anc[1] * psi.amps
         assert report["herald_weight"] == pytest.approx(float(np.vdot(heralded, heralded).real), rel=1e-14, abs=0)
         if beta == 0:
@@ -1182,9 +1180,9 @@ def test_heralded_auto_beta_at_a_degenerate_angle_is_refused(tmp_path, capsys, t
     # auto beta = cot(pi/4) <a_dag> = 3 at alpha = 3, whose coherent ancilla needs 20 levels
     ({"input_state": {"alpha": [3.0, 0.0]}}, "herald.theta: a coherent ancilla of |beta|=3 "
      "needs herald.dim >= 20 at tail_tol 0.005, got 12"),
-    # auto beta = cot(1e-6) <a_dag> is about 1e6, and its coherent ancilla needs about |beta|^2 = 1e12 levels
-    ({"herald": {"theta": 1e-6}}, "herald.theta: a coherent ancilla of |beta|=1e+06 "
-     "needs herald.dim >= 1000002575832 at tail_tol 0.005, got 12"),
+    # auto beta = cot(1e-6) <a_dag> is about 1e6, whose ancilla amplitudes e^{-|beta|^2/2} (1, beta) are 0, so the
+    # herald is refused before any basis is sized
+    ({"herald": {"theta": 1e-6}}, "herald.theta: herald outcome (1, 0) has vanishing weight (0.000e+00)"),
     # auto beta = 1 at alpha = 1 needs 6 levels
     ({"herald": {"dim": 3}}, "herald.theta: a coherent ancilla of |beta|=1 needs herald.dim >= 6 at tail_tol 0.005, "
      "got 3"),
@@ -1200,15 +1198,16 @@ def test_heralded_auto_beta_past_the_ancilla_basis_names_the_herald_leaves(tmp_p
     assert not (tmp_path / "out").exists()
 
 
-def test_a_herald_basis_past_the_ancilla_tail_writes_the_same_bytes(tmp_path):
-    # auto beta is 1 on the default input, whose Poisson tail past 20 levels is below half an ulp of 1, so every larger
-    # basis renormalizes the ancilla by the same float; 10**20 is past 2^53 levels, and 10**400 past the float range
-    def digests(dim):
+def test_every_herald_basis_that_holds_the_ancilla_writes_the_same_bytes(tmp_path):
+    # the herald reads the ancilla's exact |0> and |1> amplitudes, so herald.dim only gates which betas run: auto beta
+    # is 1 on the default input, which 12 and 40 levels both hold; 10**20 is past 2^53 levels, 10**400 the float range
+    def digests(i, dim):
         config = {"experiment": "orthogonalize", "route": "heralded", "herald": {"dim": dim}}
         assert validate_config(config) == []
-        return {entry["path"]: entry["sha256"] for entry in run(config, tmp_path / str(len(str(dim))))["files"]}
+        return {entry["path"]: entry["sha256"] for entry in run(config, tmp_path / str(i))["files"]}
 
-    assert digests(10**20) == digests(10**400) == digests(20)
+    first, *others = (digests(i, dim) for i, dim in enumerate((12, 40, 10**20, 10**400)))
+    assert others == [first] * 3
 
 
 def test_explicit_herald_beta_past_the_ancilla_basis_is_refused(tmp_path, capsys):
@@ -1220,17 +1219,13 @@ def test_explicit_herald_beta_past_the_ancilla_basis_is_refused(tmp_path, capsys
     assert validate_config({**config, "herald": {"beta": 2.0}}) == []
     assert validate_config({**config, "trunc": 10, "input_state": {"alpha": 0.5}, "herald": {"beta": 2.0}}) == [
         "herald.beta: a coherent ancilla of |beta|=2 needs herald.dim >= 12 at tail_tol 0.005, got 10"]
-    # |beta|^2 past the float range is reported, not raised
-    (huge,) = validate_config({**config, "herald": {"beta": [1e308, 1e308]}})
-    assert re.fullmatch(r"herald\.beta: a coherent ancilla of \|beta\|=1\.414e\+308 needs herald\.dim >= \d+ "
-                        r"at tail_tol 0\.005, got 12", huge)
-    # and so is a |beta| that is itself past it, where abs() of the complex number would raise
-    (huge,) = validate_config({**config, "herald": {"beta": [1.7e308, 1.7e308]}})
-    assert re.fullmatch(r"herald\.beta: a coherent ancilla of \|beta\|=inf needs herald\.dim >= \d+ "
-                        r"at tail_tol 0\.005, got 12", huge)
-    # a basis of 10**400 levels holds the need found at |beta| = 1e150, and the ancilla's |0> amplitude then underflows
-    (huge,) = validate_config({**config, "herald": {"beta": [1e200, 0.0], "dim": 10**400}})
-    assert huge.startswith("herald.beta: ")
+    # the herald comes before the basis: from |beta| near 8 on, e^{-|beta|^2/2} empties both branches, at any basis,
+    # |beta|^2 past the float range and a |beta| that is itself past it (where abs() of the complex number raises) too
+    assert validate_config({**config, "herald": {"beta": [10.0, 0.0]}}) == [
+        "herald.beta: herald outcome (1, 0) has vanishing weight (1.525e-42)"]
+    for beta, dim in (([1e308, 1e308], None), ([1.7e308, 1.7e308], None), ([1e200, 0.0], 10**400)):
+        assert validate_config({**config, "herald": {"beta": beta, "dim": dim}}) == [
+            "herald.beta: herald outcome (1, 0) has vanishing weight (0.000e+00)"]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2

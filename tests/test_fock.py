@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -97,13 +98,6 @@ def running_sum_min_dim(alpha, tail_tol):
     return m + 2
 
 
-def fsum_poisson_tail(k, lam):
-    """P(X > k) for X Poisson of mean lam: one math.fsum of exp(j log(lam) - lam - lgamma(j + 1)) over j > k, out to
-    12 standard deviations past the mean, where the terms are below 1e-31 of the largest."""
-    return math.fsum(math.exp(j * math.log(lam) - lam - math.lgamma(j + 1))
-                     for j in range(k + 1, int(lam + 12 * math.sqrt(lam)) + 40))
-
-
 class TestFockState:
     def test_basis_vector(self):
         psi = fock_state(1, Truncation(10))
@@ -179,13 +173,15 @@ class TestCoherentState:
         dims = [min_dim_for_coherent(alpha, 1e-8) for alpha in (26.949, 26.952, 26.955)]
         assert dims == sorted(dims)
 
-    @pytest.mark.parametrize("alpha, dim", [(math.sqrt(7617677.4192331815), 7633174), (316.3, 101828)])
-    def test_min_dim_at_large_means_matches_a_log_space_sum(self, alpha, dim):
-        # at the first mean scipy's pdtrc puts the tail beyond level 7,633,172 at 9.866e-9, 1.2% below this sum's
-        # 9.983e-9, so a bisection on pdtrc gave 7,633,168; near 1e5 the two agree
-        lam = abs(alpha) ** 2
-        assert min_dim_for_coherent(alpha, 1e-8) == dim
-        assert fsum_poisson_tail(dim - 2, lam) <= 1e-8 < fsum_poisson_tail(dim - 3, lam)
+    @pytest.mark.parametrize("alpha, shown", [(37.7, "37.7"), (316.3, "316.3"), (1e200, "1e+200"),
+                                              (1e154 + 1e154j, "1.414e+154")],
+                             ids=["37.7", "316.3", "1e200", "1e154+1e154j"])
+    def test_min_dim_refuses_an_amplitude_whose_vacuum_underflows(self, alpha, shown):
+        # no basis holds a state whose exp(-|alpha|^2/2) is no normal double; |alpha|^2 of the last two is past the
+        # float range, where abs() of the complex number or squaring it would raise OverflowError
+        with pytest.raises(ValueError, match=rf"^coherent amplitude \|alpha\|={re.escape(shown)} underflows "):
+            min_dim_for_coherent(alpha, 5e-3)
+        assert min_dim_for_coherent(37.6, 1e-8) == min_dim_for_coherent(37.6 + 0j, 1e-8) > 37.6**2
 
     @pytest.mark.parametrize("tol", [-1e-3, 0.0, math.nan])
     def test_min_dim_refuses_a_tail_tolerance_that_no_dim_meets(self, tol):

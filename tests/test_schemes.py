@@ -41,10 +41,9 @@ def displaced_fock(alpha, n, trunc):
     return StateVector(displacement_op(alpha, trunc) @ fock_state(n, trunc).amps, trunc).normalized()
 
 
-def renormalized_coherent(beta, dim):
-    """Test oracle: the coherent amplitudes beta^n / sqrt(n!), n < dim, divided by their norm on the dim levels."""
-    amps = np.array([beta**n / math.sqrt(math.factorial(n)) for n in range(dim)], dtype=complex)
-    return amps / np.linalg.norm(amps)
+def truncated_coherent(beta, dim):
+    """Test oracle: the exact coherent amplitudes e^{-|beta|^2/2} beta^n / sqrt(n!), n < dim, not renormalized."""
+    return np.array([math.exp(-abs(beta) ** 2 / 2) * beta**n / math.sqrt(math.factorial(n)) for n in range(dim)])
 
 
 def dense_herald_one_zero(joint, herald_trunc, signal_trunc, theta):
@@ -353,7 +352,7 @@ class TestHeraldedAdditionModel:
         st, ht = Truncation(40), Truncation(herald_dim)
         psi = coherent_state(0.8, st)
         _, a_dag, _ = ladder_operators(st)
-        ancilla = renormalized_coherent(beta, herald_dim)
+        ancilla = truncated_coherent(beta, herald_dim)
         one, vac = fock_state(1, ht).amps, fock_state(0, ht).amps
         joint = (np.kron(one, np.kron(ancilla, a_dag @ psi.amps))
                  + np.kron(vac, np.kron(ancilla, psi.amps)))
