@@ -12,8 +12,7 @@ each of the report's ``phases`` on its ``marginal_xs`` points, the
 tomography samples, ``(K, 2)`` with columns phase and x, and the likelihood
 trace, ``(k, 2)`` with columns iteration and log-likelihood.
 Identical configs (including seed) give identical bytes at any BLAS thread
-count on one machine and numpy, except MaxLik's files past criterion 8's
-size (see the README).  The manifest's ``versions`` records the numpy
+count on one machine and numpy.  The manifest's ``versions`` records the numpy
 version, which writes each ``.npy`` header, the BLAS, its thread variables
 (a record only: no byte depends on them) and the platform.
 """
@@ -310,8 +309,7 @@ def _run_tomography(cfg: dict, prepared: dict, writer: _ArtifactWriter) -> dict:
     samples = sample_quadratures(prepared["detected"], _phases(cfg), s["samples_per_phase"], s["seed"])
     writer.write("samples.npy", "samples-npy", npy_buffers(samples))
 
-    recon = cfg["reconstruction"]
-    result = maxlik_reconstruct(samples, dim=recon["dim"], max_iter=recon["max_iter"], tol=recon["tol"])
+    result = maxlik_reconstruct(samples, **cfg["reconstruction"])  # dim, max_iter and tol
     writer.write("rho_hat.json", "density-json", density_json_text(result.rho_hat))
     trace = result.log_likelihood_trace
     writer.write("likelihood.npy", "likelihood-npy", npy_buffers(np.column_stack([np.arange(trace.size), trace])))
@@ -321,6 +319,7 @@ def _run_tomography(cfg: dict, prepared: dict, writer: _ArtifactWriter) -> dict:
         "iterations_used": result.iterations_used,
         "stop_reason": result.stop_reason,
         "loglik_gap": result.loglik_gap,
+        "cell_width": result.cell_width,
         "eta": cfg["eta"],
         "fidelity_vs_true": fidelity(result.rho_hat, prepared["target"]),
         "final_log_likelihood": float(result.log_likelihood_trace[-1]),
@@ -527,7 +526,8 @@ def _largest_array(cfg: dict, clean):
         per_phase = cfg["sampling"]["samples_per_phase"]
         arrays.append((16 * phases * per_phase, "sampling",
                        f"the phase and x columns of {_shown(phases)} x {_shown(per_phase)} samples (16 bytes each)"))
-        cells = min(phases * per_phase, homodyne.SAMPLING_POINTS)  # sampler data occupies at most this many cells
+        span = homodyne._cell_span(cfg["reconstruction"]["dim"]) if clean("reconstruction.dim") else 1
+        cells = min(phases * per_phase, -(-homodyne.SAMPLING_POINTS // span))  # one per k of the sampler's points
         arrays.append((8 * phases * cells, "sampling", f"MaxLik's {_shown(phases)} phases x {_shown(cells)} cells table"))
     return max(arrays, default=None)
 

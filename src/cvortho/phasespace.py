@@ -21,6 +21,7 @@ from .fock import DensityMatrix, _int_rule, _require, _sector_blocks
 __all__ = [
     "PhaseGrid",
     "hermite_functions",
+    "hermite_integrals",
     "wigner",
     "marginal",
     "apply_loss",
@@ -84,6 +85,21 @@ def hermite_functions(xs, dim: int) -> np.ndarray:
     return out
 
 
+def hermite_integrals(lo, hi, dim: int) -> np.ndarray:
+    """int psi_n over each [lo_j, hi_j], rows n = 0..dim-1, from one table of U_n(X) = int_X^inf psi_n at |X|:
+    U_0 = pi^(-1/4) sqrt(pi/2) erfc(X/sqrt2), U_1 = sqrt2 psi_0(X), U_{n+1} = sqrt(n/(n+1)) U_{n-1} + sqrt(2/(n+1))
+    psi_n(X), and int_-inf^X psi_n = (-1)^n U_n(-X) for X < 0.  An interval on one side of 0 is the difference of two
+    tails on that side, so a far one keeps its relative accuracy; one across 0 adds int psi_n over the line."""
+    far = np.abs(ends := np.concatenate((np.ravel(lo), np.ravel(hi), [0.0])))
+    psi, tails = hermite_functions(far, dim), np.zeros((dim, ends.size))
+    tails[0] = [math.pi ** -0.25 * math.sqrt(math.pi / 2.0) * math.erfc(x / math.sqrt(2.0)) for x in far.tolist()]
+    for n in range(dim - 1):  # n = 0 reads the last row, still 0, so U_1 = sqrt2 psi_0
+        tails[n + 1] = math.sqrt(n / (n + 1)) * tails[n - 1] + math.sqrt(2.0 / (n + 1)) * psi[n]
+    left, k, whole = ends < 0.0, np.size(lo), tails[:, -1] * (1.0 + (-1.0) ** np.arange(dim))  # int psi_n on the line
+    tails[::2, left] *= -1.0  # U_n(X) - [X < 0] int psi_n, whose difference over a one-sided interval is the integral
+    return tails[:, :k] - tails[:, k:-1] + np.outer(whole, left[:k] & ~left[k:-1])
+
+
 # OpenBLAS runs a gemm of m * n * k <= 4 * 65536 (GEMM_MULTITHREAD_THRESHOLD times SMP_THRESHOLD_MIN) on one thread,
 # whose bits no thread count changes; blocks keep 2 rows and 2 columns: numpy gives 1 to gemv, which threads sooner
 def _column_blocks(a, b, out=None):
@@ -103,9 +119,10 @@ def _column_blocks(a, b, out=None):
 
 
 def _matmul(a, b) -> np.ndarray:
-    """Read-only ``a @ b`` over leading axes, as :func:`_column_blocks` writes it."""
-    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1]))
-    for _ in _column_blocks(a, b, out):
+    """Read-only ``a @ b`` over leading axes, as :func:`_column_blocks` writes it; its one block is ``a @ b``."""
+    one = a.shape[-2] * a.shape[-1] * b.shape[-1] <= 4 * 65536  # the same gemm call, without the generator's cost
+    out = a @ b if one else np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1]))
+    for _ in () if one else _column_blocks(a, b, out):
         pass
     out.flags.writeable = False
     return out

@@ -320,9 +320,10 @@ class TestValidate:
         # number_scheme holds both states' rows at every phase at once, though one row and one phase table are small
         ({"experiment": "number_scheme", "marginal_xs": {"n": 10**6}, "sampling": {"phases": 10**6}},
          "the 2 x 1000000 x 1000000 stack of marginals", 16 * 10**12),
-        # one sample per phase: the samples take 16 bytes each, the table 8 bytes for each of 4001 cells per phase
+        # one sample per phase: the samples take 16 bytes each, the table 8 bytes for each of the 445 cells per phase
+        # that the sampler's 4001 points fill at the default reconstruction.dim of 15, 9 points to a cell
         ({"experiment": "tomography", "sampling": {"phases": 10**7, "samples_per_phase": 1}},
-         "MaxLik's 10000000 phases x 4001 cells table", 8 * 10**7 * 4001),
+         "MaxLik's 10000000 phases x 445 cells table", 8 * 10**7 * 445),
         # 16 trunc^2 has more digits than str() converts (4300), though trunc itself is a valid JSON number
         ({"experiment": "orthogonalize", "trunc": 10**2200}, f"a dense complex {10**2200} x {10**2200} operator",
          "over 2^14620"),
@@ -347,6 +348,14 @@ class TestValidate:
         problems = validate_config({**config, "experiment": "verify"})
         assert [p.partition(":")[0] for p in problems] == set_leaves
         assert all(": must be " in p and " for verify, since it is read only by " in p for p in problems), problems
+
+    def test_a_maxlik_table_that_fits_at_its_cells_validates(self):
+        # one sample per phase at the default reconstruction.dim of 15: the table holds 445 cells per phase, 9 of the
+        # sampler's 4001 points to a cell, so a table that takes half of physical memory validates, though one of
+        # 4001 columns per phase would take 4.5 times it
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        config = {"experiment": "tomography", "sampling": {"phases": memory // (2 * 8 * 445), "samples_per_phase": 1}}
+        assert validate_config(config) == []
 
     def test_wide_wigner_grid_validates_and_runs(self, tmp_path):
         # the map's arrays do not grow with the grid bounds: at +-100 the largest is the 241 x 241 map itself
@@ -1056,11 +1065,12 @@ class TestDeterminism:
         assert m1["files"] == m2["files"]
 
     def test_two_processes_write_the_same_bytes(self, tmp_path):
-        # Two fresh processes run the same four configs, each through the CLI into its default directory, out: the
+        # Two fresh processes run the same five configs, each through the CLI into its default directory, out: the
         # "cold" one at OPENBLAS_NUM_THREADS=1, the "warm" one at 2 and in another order, number_scheme first, so a
         # run that kept state for the next would show.  Each config takes products past the size below which OpenBLAS
         # runs a gemm on one thread: the default 241 x 241 maps and 1601-point marginals, 100,000 marginal points
-        # (one row of the marginal's product passes it) and criterion 8's 500,000 samples.  Every file of each
+        # (one row of the marginal's product passes it), criterion 8's 500,000 samples, and 40 phases of 20,000
+        # samples at reconstruction.dim 20, whose four MaxLik products each pass it.  Every file of each
         # manifest must match byte for byte, and the manifests too but for versions.blas_threads, each side's count.
         # Every .npy must load without pickles as C-order <f8 in the shape that the report states: a marginal (P, n)
         # with the report's marginal_mass as its rows' trapezoid integrals, a Wigner grid (nx, np) with the report's
@@ -1073,6 +1083,10 @@ class TestDeterminism:
             "tomography": {"transform": "qubit", "input_state": {"kind": "coherent", "alpha": [1.0, 0.0]}, "trunc": 30,
                            "eta": 0.6, "sampling": {"phases": 10, "samples_per_phase": 50000, "seed": 202},
                            "reconstruction": {"dim": 15, "max_iter": 5, "tol": 1e-9}},
+            "tomography_past_criterion_8": {"experiment": "tomography", "trunc": 30, "eta": 0.6,
+                                            "input_state": {"kind": "coherent", "alpha": [1.0, 0.0]},
+                                            "sampling": {"phases": 40, "samples_per_phase": 20000, "seed": 34},
+                                            "reconstruction": {"dim": 20, "max_iter": 5, "tol": 1e-9}},
         }
         for name, config in configs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps({"experiment": name, **config}))
@@ -1081,7 +1095,8 @@ class TestDeterminism:
                   "    os.chdir('..')\n")
         src = str(Path(cli.__file__).resolve().parents[1])
         orders = {"cold": ("1", list(configs)),
-                  "warm": ("2", ["number_scheme", "qubit_wigner", "orthogonalize", "tomography"])}
+                  "warm": ("2", ["number_scheme", "qubit_wigner", "orthogonalize", "tomography_past_criterion_8",
+                                 "tomography"])}
         processes = []
         for label, (threads, order) in orders.items():
             (tmp_path / label).mkdir()
@@ -1121,8 +1136,9 @@ class TestDeterminism:
                 assert sorted(path for path in arrays if path.startswith("wigner_")) == sorted(maps)
                 for path, integral in maps.items():
                     assert arrays[path].shape == (grid.nx, grid.np) and grid.integral(arrays[path]) == integral, path
-            if name == "tomography":
-                assert arrays["samples.npy"].shape == (10 * 50000, 2)
+            if "sampling" in config:
+                sampling = config["sampling"]
+                assert arrays["samples.npy"].shape == (sampling["phases"] * sampling["samples_per_phase"], 2)
                 assert arrays["likelihood.npy"].shape == (report["iterations_used"] + 1, 2)
 
     def test_seed_changes_samples(self, tmp_path):

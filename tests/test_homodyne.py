@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import tracemalloc
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import erf
 from scipy.stats import kstest
 
@@ -31,7 +33,7 @@ from cvortho.homodyne import (
     SAMPLING_X_MIN,
     product_coefficients,
 )
-from cvortho.phasespace import _phase_matrix, hermite_functions, marginal, npy_buffers
+from cvortho.phasespace import _phase_matrix, hermite_functions, hermite_integrals, marginal, npy_buffers
 
 from conftest import mixed_states, random_mixed_state, random_state
 
@@ -62,36 +64,37 @@ def staircase_cdfs(draw):
     return cdf, knots
 
 
-def dense_maxlik(samples, dim, max_iter, tol):
+def dense_maxlik(cells, dim, max_iter, tol):
     """Reference RrhoR iteration on the dense per-sample d x d kernel.
 
-    Builds psi_a(x_j) psi_b(x_j) for every sample, phase by phase in order
-    of first appearance; returns the estimate and the log-likelihood trace.
+    Takes the (phase, lo, hi) rows of :func:`snapped`.  Each sample's kernel is
+    the mean of psi_a psi_b over its cell, each entry by ``scipy.integrate.quad``,
+    and the samples group phase by phase in order of first appearance; returns
+    the estimate and the log-likelihood trace.
     """
+    psi = functools.lru_cache(maxsize=None)(lambda x: hermite_functions([x], dim)[:, 0])
+    kernels = {}
+    for lo, hi in {(lo, hi) for _, lo, hi in cells.tolist()}:
+        kernel = kernels[lo, hi] = np.empty((dim, dim))
+        for a in range(dim):
+            for b in range(a, dim):
+                kernel[a, b] = kernel[b, a] = quad(lambda x: psi(x)[a] * psi(x)[b], lo, hi)[0] / (hi - lo)
     buckets = {}
-    for phase, x in samples.tolist():
-        buckets.setdefault(phase, []).append(x)
-    groups = []
-    for phase, xs in buckets.items():
-        m = np.exp(1j * phase * np.arange(dim))
-        groups.append((hermite_functions(np.array(xs), dim).T, m))
-    k_total = sum(psi.shape[0] for psi, _ in groups)
+    for phase, lo, hi in cells.tolist():
+        buckets.setdefault(phase, []).append(kernels[lo, hi])
+    groups = [(np.array(kerns), np.exp(1j * phase * np.arange(dim))) for phase, kerns in buckets.items()]
 
     def probabilities(rho):
-        out = []
-        for psi, m in groups:
-            rho_rot = np.real(np.conj(m)[:, None] * rho * m[None, :])
-            out.append(np.einsum("kd,kd->k", psi @ rho_rot, psi))
-        return out
+        return [np.einsum("kab,ab->k", kerns, np.real(np.conj(m)[:, None] * rho * m[None, :])) for kerns, m in groups]
 
     rho = np.eye(dim, dtype=np.complex128) / dim
     probs = probabilities(rho)
     loglik = [float(sum(np.sum(np.log(p)) for p in probs))]
     for _ in range(max_iter):
         r_op = np.zeros((dim, dim), dtype=np.complex128)
-        for (psi, m), p in zip(groups, probs):
-            r_op += (m[:, None] * np.conj(m)[None, :]) * (psi.T @ (psi / p[:, None]))
-        r_op /= k_total
+        for (kerns, m), p in zip(groups, probs):
+            r_op += (m[:, None] * np.conj(m)[None, :]) * np.einsum("kab,k->ab", kerns, 1.0 / p)
+        r_op /= len(cells)
         rho = r_op @ rho @ r_op
         rho = (rho + rho.conj().T) / 2.0
         rho /= np.trace(rho).real
@@ -102,20 +105,24 @@ def dense_maxlik(samples, dim, max_iter, tol):
     return rho, np.asarray(loglik)
 
 
-def unblocked_maxlik(samples, dim, max_iter, tol):
+def unblocked_maxlik(cells, dim, max_iter, tol):
     """Reference sweep over each phase's whole (2 dim - 1) x K_i per-sample feature matrix, two products per sweep.
 
-    The same RrhoR iteration as maxlik_reconstruct, phases in order of first
-    appearance, but with one feature column per sample rather than per cell;
+    The same RrhoR iteration as maxlik_reconstruct on the (phase, lo, hi) rows of
+    :func:`snapped`, phases in order of first appearance, but with one feature
+    column per sample, the features' means over its cell, rather than per cell;
     returns the estimate and the log-likelihood trace.
     """
     coeffs = product_coefficients(dim)
     flat = coeffs.reshape(dim * dim, -1)
     buckets = {}
-    for phase, x in samples.tolist():
-        buckets.setdefault(phase, []).append(x)
-    groups = [(hermite_functions(math.sqrt(2.0) * np.array(xs), 2 * dim - 1), _phase_matrix(phase, dim))
-              for phase, xs in buckets.items()]
+    for phase, lo, hi in cells.tolist():
+        buckets.setdefault(phase, []).append((lo, hi))
+    groups = []
+    for phase, ends in buckets.items():
+        lo, hi = np.array(ends).T
+        feats = hermite_integrals(math.sqrt(2.0) * lo, math.sqrt(2.0) * hi, 2 * dim - 1) / (math.sqrt(2.0) * (hi - lo))
+        groups.append((feats, _phase_matrix(phase, dim)))
 
     def sweep(rho):
         loglik, r_op = 0.0, np.zeros((dim, dim), dtype=np.complex128)
@@ -123,7 +130,7 @@ def unblocked_maxlik(samples, dim, max_iter, tol):
             p = (flat.T @ np.real(rho * phase_mat).ravel()) @ feats
             loglik += float(np.sum(np.log(p)))
             r_op += phase_mat.conj() * (coeffs @ (feats @ (1.0 / p)))
-        return loglik, r_op / len(samples)
+        return loglik, r_op / len(cells)
 
     rho = np.eye(dim, dtype=np.complex128) / dim
     loglik, r_op = sweep(rho)
@@ -139,11 +146,21 @@ def unblocked_maxlik(samples, dim, max_iter, tol):
     return rho, np.asarray(trace)
 
 
-def snapped(samples):
-    """``samples`` with each x moved to the midpoint of its sampling-grid cell [x_min + k h, x_min + (k+1) h)."""
+def cell_span(dim):
+    """The sampling-grid cells in a MaxLik cell: the most whose width is at most 1/16 of the fastest feature's
+    wavelength at x = 0, 2 pi / sqrt(2 (4 dim - 3))."""
     h = (SAMPLING_X_MAX - SAMPLING_X_MIN) / (SAMPLING_POINTS - 1)
-    k = np.floor((samples[:, 1] - SAMPLING_X_MIN) / h)
-    return np.column_stack([samples[:, 0], SAMPLING_X_MIN + (k + 0.5) * h])
+    return math.floor(2.0 * math.pi / math.sqrt(2.0 * (4 * dim - 3)) / (16.0 * h))
+
+
+def snapped(samples, dim):
+    """(phase, lo, hi) rows: each sample's MaxLik cell [x_min + c w, x_min + (c+1) w) at ``dim``, w = k h, where
+    c = col // k for its sampling-grid column col = floor((x - x_min) / h)."""
+    h = (SAMPLING_X_MAX - SAMPLING_X_MIN) / (SAMPLING_POINTS - 1)
+    k = cell_span(dim)
+    c = np.floor((samples[:, 1] - SAMPLING_X_MIN) / h) // k
+    w = k * (SAMPLING_X_MAX - SAMPLING_X_MIN) / (SAMPLING_POINTS - 1)
+    return np.column_stack([samples[:, 0], SAMPLING_X_MIN + c * w, SAMPLING_X_MIN + (c + 1) * w])
 
 
 @st.composite
@@ -163,7 +180,7 @@ def maxlik_outcome(samples, **kwargs):
     except DataError as error:
         return str(error)
     return (res.rho_hat.elems.tobytes(), res.log_likelihood_trace.tobytes(), res.iterations_used, res.stop_reason,
-            res.loglik_gap.hex())
+            res.loglik_gap.hex(), res.cell_width.hex())
 
 
 def single_photon_cdf(x):
@@ -397,7 +414,7 @@ class TestMaxLikReconstruct:
     def test_unknown_stop_reason_rejected(self):
         rho = fock_state(0, Truncation(4)).to_density()
         with pytest.raises(ValueError, match="stop_reason"):
-            ReconstructionResult(rho, np.zeros(1), 0, "gave_up", 0.0)
+            ReconstructionResult(rho, np.zeros(1), 0, "gave_up", 0.0, 0.004)
 
 
 class TestMomentKernel:
@@ -419,7 +436,7 @@ class TestMomentKernel:
         rho = random_state(Truncation(20), rng, support=dim).to_density()
         drawn = sample_quadratures(apply_loss(rho, 0.7), uniform_phases(phases), per_phase, seed)
         samples = drawn[rng.permutation(len(drawn))]  # interleave the phases
-        rho_ref, trace_ref = dense_maxlik(snapped(samples), dim, max_iter=40, tol=-np.inf)
+        rho_ref, trace_ref = dense_maxlik(snapped(samples, dim), dim, max_iter=40, tol=-np.inf)
         res = maxlik_reconstruct(samples, dim=dim, max_iter=40, tol=-np.inf)
         assert res.iterations_used == 40
         assert np.max(np.abs(res.rho_hat.elems - rho_ref)) <= 1e-12
@@ -435,11 +452,42 @@ class TestMomentKernel:
         edges = np.column_stack([np.repeat((0.3, 1.4, 2.6), len(outside)), np.tile(outside, 3)])
         samples = np.concatenate(draws + [edges])
         samples = samples[rng.permutation(len(samples))]  # interleave the phases
-        rho_ref, trace_ref = unblocked_maxlik(snapped(samples), 8, max_iter=30, tol=-np.inf)
+        rho_ref, trace_ref = unblocked_maxlik(snapped(samples, 8), 8, max_iter=30, tol=-np.inf)
         res = maxlik_reconstruct(samples, dim=8, max_iter=30, tol=-np.inf)
         assert res.iterations_used == 30
         assert np.linalg.norm(res.rho_hat.elems - rho_ref) <= 1e-12 * np.linalg.norm(rho_ref)
         assert np.max(np.abs(res.log_likelihood_trace - trace_ref) / np.abs(trace_ref)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(rho=mixed_states(_MAX_RECON_DIM), phase=st.floats(0.0, math.pi), data=st.data())
+    def test_exact_integrals_match_the_trapezoid_integral_of_marginal(self, rho, phase, data):
+        # sum_m c_m(theta) int_a^b f_m from hermite_integrals, on intervals at least a sampling-grid cell wide out to
+        # |x| = 9, where the density falls below 1e-30 at low dim, against the trapezoid integral of marginal over
+        # 40,001 points, Richardson-extrapolated from 20,001.  The error is measured against sum_m |c_m| |int f_m|, the
+        # scale of the sum's rounding, which is as small as the tail's own integrals there: at most 4.3e-13 of it in a
+        # scratch run of 400 cases at widths 0.004 to 1
+        a = data.draw(st.one_of(st.floats(-9.0, 9.0 - 0.004), st.sampled_from((-9.0, 7.5, 8.9))))
+        b = data.draw(st.one_of(st.floats(min(a + 0.004, 9.0), 9.0), st.just(9.0)))
+        d = rho.trunc.dim
+        c = np.real(rho.elems * _phase_matrix(phase, d)).ravel() @ product_coefficients(d).reshape(d * d, -1)
+        integrals = hermite_integrals([math.sqrt(2.0) * a], [math.sqrt(2.0) * b], 2 * d - 1)[:, 0] / math.sqrt(2.0)
+        xs = np.linspace(a, b, 40_001)
+        dens = marginal([rho], [phase], xs)[0, 0]
+        fine, coarse = np.trapezoid(dens, xs), np.trapezoid(dens[::2], xs[::2])
+        assert abs(c @ integrals - (fine + (fine - coarse) / 3.0)) <= 1e-11 * (np.abs(c) @ np.abs(integrals))
+
+    @settings(max_examples=30, deadline=None)
+    @given(rho=mixed_states(_MAX_RECON_DIM), phases=st.integers(1, 3), seed=st.integers(0, 2**31))
+    def test_no_sampler_sample_straddles_a_cell(self, rho, phases, seed):
+        # moving each sample to the middle of the sampling-grid cell it was drawn in keeps every bit: each MaxLik cell
+        # is a union of whole sampling-grid cells, so the sample and that middle count in the same one
+        samples = sample_quadratures(rho, uniform_phases(phases), 400, seed)
+        xs = np.linspace(SAMPLING_X_MIN, SAMPLING_X_MAX, SAMPLING_POINTS)
+        j = np.searchsorted(xs, samples[:, 1], side="right") - 1
+        middles = np.column_stack([samples[:, 0], (xs[j] + xs[j + 1]) / 2.0])
+        assert not np.array_equal(middles, samples)
+        dim = rho.trunc.dim
+        assert maxlik_outcome(middles, dim=dim, max_iter=3) == maxlik_outcome(samples, dim=dim, max_iter=3)
 
     @settings(max_examples=30, deadline=None)
     @given(rho=mixed_states(12), phases=st.integers(1, 4), seed=st.integers(0, 2**31))
@@ -493,9 +541,9 @@ class TestMomentKernel:
 
     def test_a_step_that_would_lower_the_likelihood_is_diluted(self):
         # one phase of a pure d = 11 state, where the plain RrhoR step overshoots and the plain trace zigzags
-        rho = random_mixed_state(11, 1, 1395957989)
-        samples = sample_quadratures(rho, (0.0,), 300, 820925148)
-        _, plain = unblocked_maxlik(snapped(samples), 11, max_iter=60, tol=-np.inf)
+        rho = random_mixed_state(11, 1, 2132991553)
+        samples = sample_quadratures(rho, (0.0,), 300, 25327476)
+        _, plain = unblocked_maxlik(snapped(samples, 11), 11, max_iter=60, tol=-np.inf)
         first_drop = int(np.argmax(np.diff(plain) < 0.0))
         assert np.min(np.diff(plain)) < -1e-3 and first_drop > 0
         trace = maxlik_reconstruct(samples, dim=11, max_iter=60, tol=-np.inf).log_likelihood_trace
