@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .fock import (
     DensityMatrix,
-    HeraldImpossibleError,
     StateVector,
     Truncation,
     TruncationError,
@@ -28,7 +27,6 @@ from .fock import (
     project_density,
 )
 from .homodyne import (
-    DataError,
     ReconstructionResult,
     maxlik_reconstruct,
     sample_quadratures,
@@ -42,11 +40,8 @@ from .phasespace import (
     wigner,
 )
 from .schemes import (
-    DegenerateDenominatorError,
-    EigenstateError,
     OperatorKind,
     OrthogonalizerSpec,
-    SingularConfigurationError,
     beta_for_addition_orthogonalizer,
     heralded_addition_model,
     ideal_addition_operator,
@@ -54,7 +49,6 @@ from .schemes import (
     number_scheme_model,
     orthogonal_family,
     orthogonalize,
-    qubit_operator,
     theta_for_number_orthogonalizer,
     two_operator_orthogonalizer,
 )

@@ -435,7 +435,7 @@ READS = {run: frozenset(p for p in SCHEMA if {p, p.partition(".")[0]} & set(name
     "orthogonalized tomography": "input_state.kind scheme trunc eta transform sampling reconstruction",
     "qubit tomography": "input_state.kind scheme trunc eta transform qubit_c_single sampling reconstruction",
     "verify": "",
-    "a coherent input": "input_state.alpha", "a fock input": "input_state.n", "a custom input": "input_state.amps",
+    **{f"a {kind} input": leaf for kind, leaf in _INPUT_LEAF.items()},
 }.items()}
 
 

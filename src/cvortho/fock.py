@@ -27,7 +27,6 @@ __all__ = [
     "StateVector",
     "DensityMatrix",
     "TruncationError",
-    "HeraldImpossibleError",
     "fock_state",
     "coherent_state",
     "min_dim_for_coherent",
@@ -66,15 +65,11 @@ class TruncationError(ValueError):
         self.suggested_dim = suggested_dim
 
 
-class HeraldImpossibleError(ValueError):
-    """The requested herald outcome has (numerically) zero probability."""
-
-
-def _require(name: str, rule, value, error=ValueError) -> None:
-    """Raise ``error("<name>: must be <description>, got <value>")`` unless ``rule = (check, description)`` passes."""
+def _require(name: str, rule, value) -> None:
+    """Raise ValueError("<name>: must be <description>, got <value>") unless ``rule = (check, description)`` passes."""
     check, description = rule
     if not check(value):
-        raise error(f"{name}: must be {description}, got {value!r}")
+        raise ValueError(f"{name}: must be {description}, got {value!r}")
 
 
 def _int_rule(low: int, high: int | None = None):
@@ -120,6 +115,9 @@ class StateVector:
             raise ValueError(
                 f"amplitude count {amps.shape[0]} does not match truncation dim {self.trunc.dim}"
             )
+        if not np.all(np.isfinite(amps)):
+            i = int(np.argmin(np.isfinite(amps)))
+            raise ValueError(f"amplitude {i} is not finite: {amps[i]}")
         _freeze(self, "amps", amps)
 
     @property
@@ -135,9 +133,12 @@ class StateVector:
         return float(abs(self.amps[-1]) ** 2 / n2)
 
     def normalized(self) -> "StateVector":
-        n = self.norm
+        with np.errstate(over="ignore"):  # finite amplitudes whose squares sum past the float range: refused below
+            n = self.norm
         if n < ZERO_NORM_TOL:
             raise ValueError("cannot normalize a (numerically) zero state")
+        if n == math.inf:
+            raise ValueError("cannot normalize a state whose norm overflows")
         return StateVector(self.amps / n, self.trunc)
 
     def to_density(self) -> "DensityMatrix":
@@ -147,10 +148,10 @@ class StateVector:
         elems = np.outer(psi.amps, psi.amps.conj())
         np.copyto(elems, elems.T.conj(), where=np.tri(self.trunc.dim, k=-1, dtype=bool))
         np.fill_diagonal(elems.imag, 0.0)
-        # |psi><psi| is rank one and positive semidefinite by construction, so only its eigensolve is skipped
+        # finite, Hermitian, unit-trace and positive semidefinite by construction, so frozen unchecked and uncopied
         rho = object.__new__(DensityMatrix)
         object.__setattr__(rho, "trunc", self.trunc)
-        rho._check(elems, eigensolve=False)
+        _freeze(rho, "elems", elems)
         return rho
 
 
@@ -162,12 +163,7 @@ class DensityMatrix:
     trunc: Truncation
 
     def __post_init__(self):
-        self._check(self.elems)
-
-    def _check(self, elems, eigensolve: bool = True):
-        """Check ``elems`` as a density over ``self.trunc`` and freeze a complex copy as ``self.elems``;
-        ``eigensolve=False`` skips only the eigenvalue floor, for a matrix that is PSD by construction."""
-        elems = np.array(elems, dtype=np.complex128)
+        elems = np.array(self.elems, dtype=np.complex128)
         if elems.shape != (self.trunc.dim, self.trunc.dim):
             raise ValueError(
                 f"matrix shape {elems.shape} does not match truncation dim {self.trunc.dim}"
@@ -181,7 +177,7 @@ class DensityMatrix:
         tr = complex(np.trace(elems))
         if abs(tr - 1.0) > _TRACE_TOL:
             raise ValueError(f"trace {tr:.12g} deviates from 1 beyond {_TRACE_TOL:g}")
-        if eigensolve and (lo := float(np.min(np.linalg.eigvalsh(elems)))) < _EIGENVALUE_FLOOR:
+        if (lo := float(np.min(np.linalg.eigvalsh(elems)))) < _EIGENVALUE_FLOOR:
             raise ValueError(f"matrix has negative eigenvalue {lo:.3e}")
         _freeze(self, "elems", elems)
 

@@ -15,7 +15,6 @@ from .phasespace import _matmul, _phase_matrix, hermite_functions, hermite_integ
 
 __all__ = [
     "ReconstructionResult",
-    "DataError",
     "uniform_phases",
     "sample_quadratures",
     "product_coefficients",
@@ -39,10 +38,6 @@ _TRACE_SLACK = 1e-9  # the log-likelihood decrease that a step may show from rou
 # Step operators R + eps 1: eps = 0 is RrhoR; where that lowers the log-likelihood, eps = 1, 3, 7, ... dilute the
 # step (Rehacek et al., PRA 75, 042108, 2007), which gains once eps is large enough
 _DILUTIONS = (0.0, *(2.0**n - 1.0 for n in range(1, 31)))
-
-
-class DataError(ValueError):
-    """A quadrature sample falls outside the numerical support of the model."""
 
 
 # sample_quadratures's rules
@@ -170,7 +165,7 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
     cells (:func:`product_coefficients`): a sweep is two ``_matmul`` products
     each way, so no bit depends on the thread count.
     ``samples`` is any (K, 2) array-like of (phase, x) rows, such as
-    ``np.load("samples.npy")``.  A :class:`DataError` names, in the first
+    ``np.load("samples.npy")``.  A ``ValueError`` names, in the first
     phase with occupied cells of p <= 0, the lowest row among its samples
     in those cells.
     """
@@ -212,7 +207,7 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
         column = lambda col: np.searchsorted(cells, col)
 
     def entries():
-        """Each block's first row and its samples' entries of the flattened (phase, cell) table; a DataError rereads."""
+        """Each block's first row and its samples' entries of the flattened (phase, cell) table; a refusal rereads."""
         order = np.argsort(keys)
         for at, runs, lengths, col in blocks():
             yield at, column(col) + np.repeat(order[np.searchsorted(keys, runs, sorter=order)] * cells.size, lengths)
@@ -225,7 +220,7 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
     cell, counts = cells[columns], counts[:, columns].ravel()
     occupied = np.flatnonzero(counts)
     counts = counts[occupied].astype(np.float64)
-    # a cell of inf or nan, or a huge or infinite phase, gives features or F of 0 or nan: the sweep's DataError
+    # a cell of inf or nan, or a huge or infinite phase, gives features or F of 0 or nan: the sweep refuses it
     with np.errstate(over="ignore", invalid="ignore"):
         edges = math.sqrt(2.0) * (SAMPLING_X_MIN + np.stack((cell, cell + 1.0)) * width)
         feats = hermite_integrals(*edges, 2 * dim - 1) / (math.sqrt(2.0) * width)  # each feature's mean over each cell
@@ -242,8 +237,8 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
             bad = bad[bad // cell.size == bad[0] // cell.size]  # in the first phase that has any
             bad = bad // cell.size * cells.size + columns[bad % cell.size]  # as entries of the table over ``cells``
             j = next(at + int(np.argmax(hit)) for at, entry in entries() if (hit := np.isin(entry, bad)).any())
-            raise DataError(f"sample {j} (phase={samples[j, 0]:.10f}, x={samples[j, 1]:.6g}) "
-                            "has non-positive likelihood under the current state")
+            raise ValueError(f"sample {j} (phase={samples[j, 0]:.10f}, x={samples[j, 1]:.6g}) "
+                             "has non-positive likelihood under the current state")
         q_flat[occupied] = counts / p
         r_op = np.sum(phase_mats.conj() * _matmul(_matmul(q, feats.T), flat.T), axis=0).reshape(dim, dim) / len(samples)
         return float(np.sum(counts * np.log(p))), r_op  # np.sum: a BLAS dot this long rounds by its thread count

@@ -22,7 +22,6 @@ import numpy as np
 
 from .fock import (
     ZERO_NORM_TOL,
-    HeraldImpossibleError,
     StateVector,
     Truncation,
     TruncationError,
@@ -41,12 +40,8 @@ from .fock import (
 __all__ = [
     "OperatorKind",
     "OrthogonalizerSpec",
-    "EigenstateError",
-    "SingularConfigurationError",
-    "DegenerateDenominatorError",
     "orthogonalize",
     "orthogonal_family",
-    "qubit_operator",
     "two_operator_orthogonalizer",
     "heralded_addition_model",
     "number_scheme_model",
@@ -65,18 +60,6 @@ _ANGLE_TOL = 1e-12  # sin and cos of a beam-splitter angle this close to each ot
 # amplitudes, which come in closed form, so the basis changes no output, only which betas are refused.
 _HERALD_DIM_CAP = 12
 _HERALD_TAIL_TOL = 5e-3
-
-
-class EigenstateError(ValueError):
-    """Input is an eigenstate of the chosen operator; success probability is zero."""
-
-
-class SingularConfigurationError(ValueError):
-    """Beam-splitter setting t = r leaves the number scheme undefined."""
-
-
-class DegenerateDenominatorError(ValueError):
-    """<C2> vanishes on the input, so the two-operator ratio is undefined."""
 
 
 class OperatorKind(Enum):
@@ -131,24 +114,14 @@ def _base_operator(spec: OrthogonalizerSpec, trunc: Truncation) -> np.ndarray:
 # ideal operators
 
 
-def qubit_operator(spec: OrthogonalizerSpec, c: complex, trunc: Truncation) -> np.ndarray:
-    """C + (c - <C>) 1 as a dense matrix: the reference that ``orthogonalize(psi, spec, c)`` is checked against.
-
-    On coherent input with the creation operator it gives the displaced
-    qubit D(alpha)(|1> + c|0>) up to normalization.
-    """
-    base = _base_operator(spec, trunc)
-    return _read_only(base + (complex(c) - complex(spec.mean_value)) * np.eye(trunc.dim))
-
-
 def _shifted(base: np.ndarray, shift: complex, psi: StateVector, context: str | None) -> StateVector:
     """(base - shift 1)|psi>, normalized, as one vector step; with a ``context``, tail-guarded under that name."""
     scale = 2.0 ** -max(0, math.frexp(max(abs(shift.real), abs(shift.imag)))[1])  # exact; a huge shift stays finite
     raw = scale * (base @ psi.amps) - (scale * shift) * psi.amps
     nrm = float(np.linalg.norm(raw))
     if nrm < ZERO_NORM_TOL * scale:
-        raise EigenstateError(f"the input is an eigenstate of the operator with eigenvalue {shift:.6g}; "
-                              "the output norm, hence the success probability, drops to zero")
+        raise ValueError(f"the input is an eigenstate of the operator with eigenvalue {shift:.6g}; "
+                         "the output norm, hence the success probability, drops to zero")
     out = StateVector(raw / nrm, psi.trunc)
     if context:
         check_tail(out, context=context)
@@ -208,9 +181,7 @@ def two_operator_orthogonalizer(c1: np.ndarray, c2: np.ndarray, psi: StateVector
     mean1 = expectation(c1, psi)
     mean2 = expectation(c2, psi)
     if abs(mean2) <= _DENOMINATOR_TOL:
-        raise DegenerateDenominatorError(
-            f"<C2> = {mean2:.3e} vanishes on the input; the operator ratio is undefined"
-        )
+        raise ValueError(f"<C2> = {mean2:.3e} vanishes on the input; the operator ratio is undefined")
     return _read_only(c1 - (mean1 / mean2) * c2)
 
 
@@ -265,7 +236,7 @@ def _herald_one_zero(theta: float, from_one_zero: np.ndarray, from_zero_one: np.
     weight = float(np.real(np.vdot(amps, amps)))
     nrm = math.sqrt(weight)
     if nrm < ZERO_NORM_TOL:
-        raise HeraldImpossibleError(f"herald outcome (1, 0) has vanishing weight ({weight:.3e})")
+        raise ValueError(f"herald outcome (1, 0) has vanishing weight ({weight:.3e})")
     return StateVector(amps / nrm, signal_trunc), weight
 
 
@@ -278,8 +249,8 @@ def heralded_addition_model(psi: StateVector, beta: complex, theta: float, heral
     splitter and are heralded on |1>|0>, which keeps the parts
     |1>|0> x anc_0 a_dag|psi> and |0>|1> x anc_1 |psi>, with the ancilla's exact
     amplitudes anc_0 = e^{-|beta|^2/2} and anc_1 = anc_0 beta.  Raises
-    :class:`HeraldImpossibleError` when the herald weight vanishes, as it does at
-    large |beta|, and only then :class:`TruncationError` when |beta> does not fit
+    ``ValueError`` when the herald weight vanishes, as it does at large |beta|,
+    and only then :class:`TruncationError` when |beta> does not fit
     ``herald_dim`` levels (by default min(signal dim, 12)), a gate that changes no
     output.  Returns the normalized conditional signal state and the herald weight
     ||t anc_0 a_dag|psi> - r anc_1 |psi>||^2, which is not a probability: at
@@ -314,7 +285,7 @@ def number_scheme_model(psi: StateVector, theta: float, phi: float = 0.0):
     """
     # at t = r the identity weight r/(t - r) diverges
     _require("theta", ((lambda v: abs(math.cos(v) - math.sin(v)) >= _ANGLE_TOL),
-                       "an angle with cos(theta) != sin(theta) (t = r is singular)"), theta, SingularConfigurationError)
+                       "an angle with cos(theta) != sin(theta) (t = r is singular)"), theta)
     check_tail(psi, context="number-scheme input")
     a, a_dag, n_op = ladder_operators(psi.trunc)
     branch_n = cmath.exp(1j * phi) * (n_op @ psi.amps)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from cvortho import DensityMatrix, StateVector, Truncation, ladder_operators
+from cvortho import DensityMatrix, OperatorKind, StateVector, Truncation, ladder_operators
 from cvortho.phasespace import hermite_functions
 
 
@@ -65,6 +65,18 @@ def displacement_op(alpha: complex, trunc: Truncation) -> np.ndarray:
     """
     a, a_dag, _ = ladder_operators(trunc)
     return expm(alpha * a_dag - np.conj(alpha) * a)
+
+
+def qubit_operator(spec, c: complex, trunc: Truncation) -> np.ndarray:
+    """C + (c - <C>) 1 as a dense matrix (test oracle): the reference that ``orthogonalize(psi, spec, c)`` is
+    checked against.
+
+    On coherent input with the creation operator it gives the displaced
+    qubit D(alpha)(|1> + c|0>) up to normalization.
+    """
+    _, a_dag, n_op = ladder_operators(trunc)
+    base = {OperatorKind.CREATION: a_dag, OperatorKind.NUMBER: n_op}.get(spec.kind, spec.operator)
+    return base + (complex(c) - complex(spec.mean_value)) * np.eye(trunc.dim)
 
 
 def unitarity_defect(u: np.ndarray) -> float:

@@ -1347,8 +1347,14 @@ class TestCliEntry:
         assert main(["validate", str(cfg)]) == 1
         assert "trunc" in capsys.readouterr().out
 
-    def test_validate_unreadable_file(self, tmp_path):
-        assert main(["validate", str(tmp_path / "missing.json")]) == 2
+    @pytest.mark.parametrize("text, error", [(None, "cannot read config: "), ("{", "config is not valid JSON: ")],
+                             ids=["missing", "not_json"])
+    def test_validate_unreadable_file(self, tmp_path, capsys, text, error):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        assert main(["validate", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(error)
 
     def test_run_with_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -1419,6 +1425,16 @@ class TestVerifyBattery:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["all_passed"] is True
         assert all(check["passed"] for check in report["checks"])
+
+    def test_failed_battery_leaves_its_report_and_names_the_failed_checks(self, tmp_path, monkeypatch):
+        rows = [("kept", True, "fine"), ("first", False, "off"), ("second", False, "off")]
+        monkeypatch.setattr(cli, "run_battery", lambda: rows)
+        with pytest.raises(RuntimeError, match="^verification battery failed: first, second$"):
+            run({"experiment": "verify"}, output_dir=tmp_path)
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["all_passed"] is False
+        assert [check["passed"] for check in report["checks"]] == [True, False, False]
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_cli_verify_exit_code(self, capsys):
         assert main(["verify"]) == 0

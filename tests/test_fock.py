@@ -30,7 +30,7 @@ from cvortho import (
     ladder_operators,
     min_dim_for_coherent,
     orthogonalize,
-    qubit_operator,
+    project_density,
 )
 from cvortho.fock import _poisson_tail
 
@@ -405,7 +405,13 @@ class TestScalars:
         x, y = random_state(t, rng), random_state(t, rng)
         pure = fidelity(x, y)
         assert fidelity(x, y.to_density()) == pytest.approx(pure, abs=1e-12)
+        assert fidelity(x.to_density(), y) == pytest.approx(pure, abs=1e-12)
         assert fidelity(x.to_density(), y.to_density()) == pytest.approx(pure, abs=1e-10)
+
+    def test_fidelity_refuses_other_types(self):
+        psi = fock_state(0, Truncation(3))
+        with pytest.raises(TypeError, match="^fidelity expects StateVector or DensityMatrix arguments$"):
+            fidelity(psi, psi.amps)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -431,10 +437,7 @@ class TestScalars:
         lambda four, five: expectation(ladder_operators(four)[2], five.to_density()),
         lambda four, five: OrthogonalizerSpec.from_state(OperatorKind.CUSTOM, five, ladder_operators(four)[2]),
         lambda four, five: orthogonalize(five, OrthogonalizerSpec(OperatorKind.CUSTOM, 1.0, ladder_operators(four)[2])),
-        lambda four, five: qubit_operator(OrthogonalizerSpec(OperatorKind.CUSTOM, 1.0, ladder_operators(four)[2]), 0.5,
-                                          five.trunc),
-    ], ids=["inner_product", "expectation_state", "expectation_density", "from_state", "orthogonalize",
-            "qubit_operator"])
+    ], ids=["inner_product", "expectation_state", "expectation_density", "from_state", "orthogonalize"])
     def test_dimension_mismatch(self, call):
         # a state or an operator on 4 levels meets a 5-level state
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -450,6 +453,26 @@ class TestInvariantsAndTypes:
         with pytest.raises(ValueError):
             Truncation(1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_state_refuses_non_finite(self, bad):
+        amps = np.full(4, 0.5, dtype=np.complex128)
+        amps[2], amps[3] = bad, np.nan
+        with pytest.raises(ValueError, match=r"^amplitude 2 is not finite"):
+            StateVector(amps, Truncation(4))
+
+    @pytest.mark.parametrize("amps, message", [
+        ([0.0, 0.0], r"^cannot normalize a \(numerically\) zero state$"),
+        ([1e200, 1e200], "^cannot normalize a state whose norm overflows$"),
+    ], ids=["zero", "overflow"])
+    def test_normalized_refuses_a_state_without_a_unit_form(self, amps, message):
+        state = StateVector(amps, Truncation(2))
+        for call in (state.normalized, state.to_density):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_zero_state_has_no_top_weight(self):
+        assert StateVector([0.0, 0.0, 0.0], Truncation(3)).top_weight == 0.0
+
     def test_states_are_immutable(self):
         psi = fock_state(0, Truncation(4))
         with pytest.raises(ValueError):
@@ -461,12 +484,19 @@ class TestInvariantsAndTypes:
         with pytest.raises(ValueError, match="read-only"):
             op[1, 0] = 2.0
 
-    def test_density_validation(self):
-        t = Truncation(3)
-        with pytest.raises(ValueError, match="Hermitian"):
-            from cvortho import DensityMatrix
+    @pytest.mark.parametrize("elems, message", [
+        ([[1, 1e-6, 0], [0, 0, 0], [0, 0, 0]], "Hermitian"),
+        (np.eye(2) / 2, r"^matrix shape \(2, 2\) does not match truncation dim 3$"),
+        (np.diag([0.5, 0.5, 1e-9]), r"^trace 1\.000000001\+0j deviates from 1 beyond 1e-10$"),
+        (np.diag([0.6, 0.6, -0.2]), "^matrix has negative eigenvalue -2.000e-01$"),
+    ], ids=["hermitian", "shape", "trace", "eigenvalue"])
+    def test_density_validation(self, elems, message):
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(np.array(elems), Truncation(3))
 
-            DensityMatrix(np.array([[1, 1e-6, 0], [0, 0, 0], [0, 0, 0]]), t)
+    def test_projection_onto_a_block_without_weight_refused(self):
+        with pytest.raises(ValueError, match="^density matrix has no weight inside the projection target$"):
+            project_density(fock_state(3, Truncation(5)).to_density(), Truncation(2))
 
     @settings(max_examples=100, deadline=None)
     @given(amps=amplitudes)
@@ -517,6 +547,10 @@ class TestSerialization:
         text = density_json_text(rho)
         assert "-0.0," in text and "5e-324" in text and "1e-05" in text
         assert "-0.3333333333333333," in text and "-1e+300," in text and "-0.1," in text
+
+    def test_density_from_json_refuses_data_of_the_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"^density data shape \(3, 2\) does not match dim 2$"):
+            density_from_json({"dim": 2, "data": [[0.5, 0.0]] * 3})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_density_text_refuses_non_finite(self, bad):

@@ -325,7 +325,9 @@ class TestApplyLoss:
         assert_allclose(out.elems, expected, atol=1e-14)
 
     def test_wigner_minimum_rises_with_loss(self):
-        from cvortho import OperatorKind, OrthogonalizerSpec, qubit_operator
+        from conftest import qubit_operator
+
+        from cvortho import OperatorKind, OrthogonalizerSpec
 
         grid = PhaseGrid(-4, 4, -4, 4, 81, 81)
         trunc = Truncation(25)
