@@ -10,11 +10,11 @@ Core layers: ``fock`` (states, operators, the sector beam splitter), ``schemes``
 __version__ = "0.1.0"
 
 from .fock import (
-    DensityMatrix,
     StateVector,
     Truncation,
     TruncationError,
     beam_splitter_op,
+    check_density,
     coherent_state,
     density_from_json,
     density_json_text,

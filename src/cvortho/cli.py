@@ -34,11 +34,11 @@ import numpy as np
 
 from . import __version__, homodyne
 from .fock import (
-    DensityMatrix,
     StateVector,
     Truncation,
     TruncationError,
     beam_splitter_op,
+    check_density,
     coherent_state,
     density_json_text,
     fidelity,
@@ -229,7 +229,7 @@ def _prepare(cfg: dict) -> dict:
         detected = prepared["detected"] = apply_loss(rho_true, cfg["eta"])
         prepared["target"] = _stage("reconstruction.dim", project_density, rho_true, dim)
         # the share of the state that the target keeps, before project_density renormalizes it
-        report["target_mass"] = float(np.trace(rho_true.elems[: dim.dim, : dim.dim]).real)
+        report["target_mass"] = float(np.trace(rho_true[: dim.dim, : dim.dim]).real)
         if cfg["eta"] < 1.0:
             prepared["lossy"] = _stage("reconstruction.dim", project_density, detected, dim)
     else:  # orthogonalize and number_scheme: the input and its orthogonal, on the configured route
@@ -737,13 +737,13 @@ def run_battery() -> list:
     # the definition itself, W = (1/pi) int du <x-u|rho|x+u> e^{2ipu}, by the trapezoid rule on 201 points of
     # [-12, 12], at 4 points of a random rank-4 state on 12 levels
     vecs = rng.normal(size=(12, 4)) + 1j * rng.normal(size=(12, 4))
-    rho_mix = DensityMatrix(vecs @ vecs.conj().T / np.sum(np.abs(vecs) ** 2), Truncation(12))
+    rho_mix = check_density(vecs @ vecs.conj().T / np.sum(np.abs(vecs) ** 2))
     small = PhaseGrid(-2.0, 2.0, -1.5, 1.5, 5, 7)
     (w_mix,), us = wigner([rho_mix], small), np.linspace(-12.0, 12.0, 201)
     dev_def = 0.0
     for i, j in ((0, 0), (1, 5), (2, 3), (4, 6)):
         x, p = small.xs()[i], small.ps()[j]
-        kernel = np.sum(hermite_functions(x - us, 12) * (rho_mix.elems @ hermite_functions(x + us, 12)), axis=0)
+        kernel = np.sum(hermite_functions(x - us, 12) * (rho_mix @ hermite_functions(x + us, 12)), axis=0)
         direct = float(np.trapezoid(kernel * np.exp(2j * p * us), us).real) / math.pi
         dev_def = max(dev_def, abs(w_mix[i, j] - direct))
     checks.append(("wigner_vs_integral_definition", bool(dev_def < 1e-12), f"sup dev {dev_def:.2e} at 4 points"))
@@ -752,7 +752,7 @@ def run_battery() -> list:
     lossy = apply_loss(rho_coh, 0.6)
     target = coherent_state(math.sqrt(0.6), Truncation(30))
     f_loss = fidelity(target, lossy)
-    trace_dev = abs(float(np.real(np.trace(lossy.elems))) - 1.0)
+    trace_dev = abs(float(np.real(np.trace(lossy))) - 1.0)
     checks.append(("loss_channel", bool(f_loss > 1 - 1e-10 and trace_dev < 1e-12),
                    f"fidelity {f_loss:.12f}, trace dev {trace_dev:.2e}"))
 

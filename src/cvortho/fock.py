@@ -6,9 +6,10 @@ One tail guard holds on every basis: a coherent state, and any state that
 The two-mode beam splitter conserves the total photon number, so it is
 given one photon-number sector at a time; no truncation enters there.
 
-States and densities are immutable: their arrays are copied on construction
-and marked read-only.  Operators are frozen (read-only) complex128 (d, d)
-arrays.  So values can be shared freely across threads.
+States copy their amplitudes and mark them read-only; densities and operators
+are read-only complex128 (d, d) arrays, d >= 2, so values can be shared across
+threads.  ``to_density`` checks nothing, as its density is valid by
+construction; ``check_density`` freezes a checked copy of any other density.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ __all__ = [
     "ZERO_NORM_TOL",
     "Truncation",
     "StateVector",
-    "DensityMatrix",
     "TruncationError",
+    "check_density",
     "fock_state",
     "coherent_state",
     "min_dim_for_coherent",
@@ -94,10 +95,6 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _freeze(obj, name, arr):
-    object.__setattr__(obj, name, _read_only(arr))
-
-
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Pure state of one mode: complex amplitudes over the number basis.
@@ -118,7 +115,7 @@ class StateVector:
         if not np.all(np.isfinite(amps)):
             i = int(np.argmin(np.isfinite(amps)))
             raise ValueError(f"amplitude {i} is not finite: {amps[i]}")
-        _freeze(self, "amps", amps)
+        object.__setattr__(self, "amps", _read_only(amps))
 
     @property
     def norm(self) -> float:
@@ -126,11 +123,12 @@ class StateVector:
 
     @property
     def top_weight(self) -> float:
-        """Probability weight at the top retained level, relative to the norm."""
-        n2 = self.norm**2
-        if n2 == 0.0:
-            return 0.0
-        return float(abs(self.amps[-1]) ** 2 / n2)
+        """Probability weight at the top retained level, relative to the norm, read from the amplitudes scaled
+        exactly, by the power of two that brings their largest part into [0.5, 1), so that no square overflows."""
+        parts = self.amps.view(np.float64)
+        amps = np.ldexp(parts, -np.frexp(np.max(np.abs(parts)))[1]).view(np.complex128)
+        n2 = float(np.linalg.norm(amps)) ** 2
+        return float(abs(amps[-1]) ** 2 / n2) if n2 else 0.0
 
     def normalized(self) -> "StateVector":
         with np.errstate(over="ignore"):  # finite amplitudes whose squares sum past the float range: refused below
@@ -141,55 +139,56 @@ class StateVector:
             raise ValueError("cannot normalize a state whose norm overflows")
         return StateVector(self.amps / n, self.trunc)
 
-    def to_density(self) -> "DensityMatrix":
+    def to_density(self) -> np.ndarray:
         """|psi><psi| of the normalized state, Hermitian bit for bit: a fused complex multiply rounds psi_i psi_j*
         and psi_j psi_i* apart, so the upper triangle is mirrored, conjugated, and the diagonal made real."""
         psi = self.normalized()
-        elems = np.outer(psi.amps, psi.amps.conj())
-        np.copyto(elems, elems.T.conj(), where=np.tri(self.trunc.dim, k=-1, dtype=bool))
-        np.fill_diagonal(elems.imag, 0.0)
+        rho = np.outer(psi.amps, psi.amps.conj())
+        np.copyto(rho, rho.T.conj(), where=np.tri(self.trunc.dim, k=-1, dtype=bool))
+        np.fill_diagonal(rho.imag, 0.0)
         # finite, Hermitian, unit-trace and positive semidefinite by construction, so frozen unchecked and uncopied
-        rho = object.__new__(DensityMatrix)
-        object.__setattr__(rho, "trunc", self.trunc)
-        _freeze(rho, "elems", elems)
-        return rho
+        return _read_only(rho)
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Hermitian, positive-semidefinite, unit-trace matrix over the basis."""
+def _density(rho) -> np.ndarray:
+    """``rho`` as a complex128 array, uncopied where it is one; the one shape rule of every function that takes a
+    density refuses any shape but (d, d) with d >= 2."""
+    rho = np.asarray(rho, dtype=np.complex128)
+    _require("density shape", ((lambda s: len(s) == 2 and s[0] == s[1] >= 2), "(d, d) with d >= 2"), rho.shape)
+    return rho
 
-    elems: np.ndarray
-    trunc: Truncation
 
-    def __post_init__(self):
-        elems = np.array(self.elems, dtype=np.complex128)
-        if elems.shape != (self.trunc.dim, self.trunc.dim):
-            raise ValueError(
-                f"matrix shape {elems.shape} does not match truncation dim {self.trunc.dim}"
-            )
-        if not np.all(np.isfinite(elems)):
-            i, j = np.argwhere(~np.isfinite(elems))[0]
-            raise ValueError(f"density entry [{i}, {j}] is not finite: {elems[i, j]}")
-        herm_defect = float(np.max(np.abs(elems - elems.conj().T)))
-        if herm_defect > _HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
-        tr = complex(np.trace(elems))
-        if abs(tr - 1.0) > _TRACE_TOL:
-            raise ValueError(f"trace {tr:.12g} deviates from 1 beyond {_TRACE_TOL:g}")
-        if (lo := float(np.min(np.linalg.eigvalsh(elems)))) < _EIGENVALUE_FLOOR:
-            raise ValueError(f"matrix has negative eigenvalue {lo:.3e}")
-        _freeze(self, "elems", elems)
+def check_density(rho) -> np.ndarray:
+    """A frozen complex128 copy of ``rho``, refused unless it is a density: a finite (d, d) array, d >= 2, Hermitian
+    to 1e-12, of trace 1 to 1e-10 and with no eigenvalue below -1e-10."""
+    rho = _density(np.array(rho, dtype=np.complex128))
+    if not np.all(np.isfinite(rho)):
+        i, j = np.argwhere(~np.isfinite(rho))[0]
+        raise ValueError(f"density entry [{i}, {j}] is not finite: {rho[i, j]}")
+    herm_defect = float(np.max(np.abs(rho - rho.conj().T)))
+    if herm_defect > _HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
+    tr = complex(np.trace(rho))
+    if abs(tr - 1.0) > _TRACE_TOL:
+        raise ValueError(f"trace {tr:.12g} deviates from 1 beyond {_TRACE_TOL:g}")
+    if (lo := float(np.min(np.linalg.eigvalsh(rho)))) < _EIGENVALUE_FLOOR:
+        raise ValueError(f"matrix has negative eigenvalue {lo:.3e}")
+    return _read_only(rho)
+
+
+def _dim(state) -> int:
+    """The basis size of a StateVector or a density."""
+    return state.trunc.dim if isinstance(state, StateVector) else len(_density(state))
 
 
 def _require_same_dim(x, y):
-    if x.trunc.dim != y.trunc.dim:
-        raise ValueError(f"dimension mismatch: {x.trunc.dim} vs {y.trunc.dim}")
+    if (dx := _dim(x)) != (dy := _dim(y)):
+        raise ValueError(f"dimension mismatch: {dx} vs {dy}")
 
 
-def _require_operator_on(op: np.ndarray, trunc: Truncation) -> None:
-    if op.shape != (trunc.dim, trunc.dim):
-        raise ValueError(f"dimension mismatch: operator of shape {op.shape} on {trunc.dim} levels")
+def _require_operator_on(op: np.ndarray, dim: int) -> None:
+    if op.shape != (dim, dim):
+        raise ValueError(f"dimension mismatch: operator of shape {op.shape} on {dim} levels")
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +353,11 @@ def inner_product(u: StateVector, v: StateVector) -> complex:
 
 
 def expectation(op: np.ndarray, state) -> complex:
-    """<O> for an (N, N) operator array on a StateVector (assumed normalized) or a DensityMatrix over N levels."""
-    _require_operator_on(op, state.trunc)
-    if isinstance(state, DensityMatrix):
-        return complex(np.trace(state.elems @ op))
-    return complex(np.vdot(state.amps, op @ state.amps))
+    """<O> for an (N, N) operator array on a StateVector (assumed normalized) or a density, an (N, N) array."""
+    _require_operator_on(op, _dim(state))
+    if isinstance(state, StateVector):
+        return complex(np.vdot(state.amps, op @ state.amps))
+    return complex(np.trace(_density(state) @ op))
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -369,21 +368,21 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
 
 
 def fidelity(x, y) -> float:
-    """Fidelity in [0, 1]: |<x|y>|^2 for pure states, Uhlmann for mixed."""
-    if isinstance(x, StateVector) and isinstance(y, StateVector):
+    """Fidelity in [0, 1] of two states, each a StateVector or a density (a numpy array): |<x|y>|^2 for two pure
+    states, <x|y|x> for a pure x and a density y, in either order, and Uhlmann's for two densities."""
+    if not all(isinstance(s, (StateVector, np.ndarray)) for s in (x, y)):
+        raise TypeError("fidelity expects StateVector or numpy array arguments")
+    if isinstance(y, StateVector) and not isinstance(x, StateVector):
+        x, y = y, x
+    _require_same_dim(x, y)
+    if isinstance(y, StateVector):
         val = abs(inner_product(x, y)) ** 2
-    elif isinstance(x, StateVector) and isinstance(y, DensityMatrix):
-        _require_same_dim(x, y)
-        val = float(np.real(np.vdot(x.amps, y.elems @ x.amps)))
-    elif isinstance(x, DensityMatrix) and isinstance(y, StateVector):
-        return fidelity(y, x)
-    elif isinstance(x, DensityMatrix) and isinstance(y, DensityMatrix):
-        _require_same_dim(x, y)
+    elif isinstance(x, StateVector):
+        val = float(np.real(np.vdot(x.amps, _density(y) @ x.amps)))
+    else:
         # Uhlmann's (sum_i sigma_i(sqrt(x) sqrt(y)))^2: symmetric in x and y, and it takes no square root
         # of the near-zero eigenvalues of sqrt(x) y sqrt(x), which amplifies their rounding
-        val = float(np.sum(np.linalg.svd(_psd_sqrt(x.elems) @ _psd_sqrt(y.elems), compute_uv=False)) ** 2)
-    else:
-        raise TypeError("fidelity expects StateVector or DensityMatrix arguments")
+        val = float(np.sum(np.linalg.svd(_psd_sqrt(_density(x)) @ _psd_sqrt(_density(y)), compute_uv=False)) ** 2)
     return float(min(max(val, 0.0), 1.0))
 
 
@@ -393,33 +392,30 @@ def fidelity(x, y) -> float:
 
 def check_tail(state: StateVector, context: str = "") -> None:
     """Raise :class:`TruncationError` when the top-level weight is above the tail guard's 1e-8."""
-    w = state.top_weight
-    if w > _TAIL_TOL:
+    if (w := state.top_weight) > _TAIL_TOL:
         dim = state.trunc.dim
         suggested = dim + max(8, dim // 2)
         where = f" ({context})" if context else ""
-        raise TruncationError(
-            f"top-level weight {w:.3e} exceeds tail_tol {_TAIL_TOL:g}{where}; "
-            f"retry with dim >= {suggested}",
-            suggested_dim=suggested,
-        )
+        raise TruncationError(f"top-level weight {w:.3e} exceeds tail_tol {_TAIL_TOL:g}{where}; retry with dim >= "
+                              f"{suggested}", suggested_dim=suggested)
 
 
-def project_density(rho: DensityMatrix, trunc: Truncation) -> DensityMatrix:
-    """Cut a density matrix down to a smaller truncation and renormalize."""
-    _require("trunc.dim", ((lambda v: v <= rho.trunc.dim), f"at most the source dim {rho.trunc.dim}"), trunc.dim)
-    block = rho.elems[: trunc.dim, : trunc.dim]
+def project_density(rho: np.ndarray, trunc: Truncation) -> np.ndarray:
+    """Cut a density down to a smaller truncation and renormalize; the result is checked (``check_density``)."""
+    rho = _density(rho)
+    _require("trunc.dim", ((lambda v: v <= len(rho)), f"at most the source dim {len(rho)}"), trunc.dim)
+    block = rho[: trunc.dim, : trunc.dim]
     tr = float(np.real(np.trace(block)))
     if tr < ZERO_NORM_TOL:
         raise ValueError("density matrix has no weight inside the projection target")
-    return DensityMatrix(block / tr, trunc)
+    return check_density(block / tr)
 
 
 # ---------------------------------------------------------------------------
 # density serialization: {"dim": N, "data": row-major [re, im] pairs}
 
 
-def density_json_text(rho: DensityMatrix) -> str:
+def density_json_text(rho: np.ndarray) -> str:
     """``json.dumps({"dim": N, "data": pairs}, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
     ``pairs`` holds each entry's ``[re, im]``, row-major.  json writes a finite float as its ``repr``, so one join
@@ -428,8 +424,8 @@ def density_json_text(rho: DensityMatrix) -> str:
     signed where the value's sign bit is set; a density from ``to_density`` or ``apply_loss`` is Hermitian bit for
     bit, repeating each off-diagonal magnitude.  Raises ``ValueError`` naming the first nan or inf entry.
     """
-    dim = rho.trunc.dim
-    flat = rho.elems.reshape(-1)
+    dim = len(rho := _density(rho))
+    flat = rho.reshape(-1)
     bad = np.flatnonzero(~np.isfinite(flat))
     if bad.size:
         i, j = divmod(int(bad[0]), dim)
@@ -445,10 +441,11 @@ def density_json_text(rho: DensityMatrix) -> str:
     return "".join(parts)
 
 
-def density_from_json(obj: dict) -> DensityMatrix:
-    dim = int(obj["dim"])
+def density_from_json(obj: dict) -> np.ndarray:
+    """The density that ``obj`` holds in the file format above, checked (``check_density``)."""
+    dim = obj["dim"]
+    _require("dim", Truncation.DIM, dim)
     data = np.asarray(obj["data"], dtype=np.float64)
     if data.shape != (dim * dim, 2):
         raise ValueError(f"density data shape {data.shape} does not match dim {dim}")
-    elems = (data[:, 0] + 1j * data[:, 1]).reshape(dim, dim)
-    return DensityMatrix(elems, Truncation(dim))
+    return check_density((data[:, 0] + 1j * data[:, 1]).reshape(dim, dim))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, Truncation, _int_rule, _require, _sector_blocks
+from .fock import _int_rule, _require, _sector_blocks, check_density
 from .phasespace import _matmul, _phase_matrix, hermite_functions, hermite_integrals, marginal
 
 __all__ = [
@@ -64,7 +64,7 @@ class ReconstructionResult:
     trace entry by more (Glancy, Knill, Girard, NJP 14, 095017, 2012).
     """
 
-    rho_hat: DensityMatrix
+    rho_hat: np.ndarray
     log_likelihood_trace: np.ndarray
     iterations_used: int
     stop_reason: str
@@ -80,7 +80,7 @@ class ReconstructionResult:
         object.__setattr__(self, "log_likelihood_trace", trace)
 
 
-def sample_quadratures(rho: DensityMatrix, phases, samples_per_phase: int, seed: int) -> np.ndarray:
+def sample_quadratures(rho: np.ndarray, phases, samples_per_phase: int, seed: int) -> np.ndarray:
     """Draw ideal (lossless) homodyne samples of ``rho``, phase by phase, deterministically per seed.
 
     Returns a read-only, C-ordered (K, 2) float64 array of (phase, x) rows,
@@ -262,5 +262,4 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
             break
 
     gap = len(samples) * (float(np.linalg.eigvalsh(r_op)[-1]) - 1.0)
-    return ReconstructionResult(DensityMatrix(rho, Truncation(dim)), np.asarray(trace), len(trace) - 1, stop_reason, gap,
-                                width)
+    return ReconstructionResult(check_density(rho), np.asarray(trace), len(trace) - 1, stop_reason, gap, width)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, _int_rule, _require, _sector_blocks
+from .fock import _density, _int_rule, _require, _sector_blocks, check_density
 
 __all__ = [
     "PhaseGrid",
@@ -134,11 +134,11 @@ def _phase_matrix(phase: float, dim: int) -> np.ndarray:
     return np.outer(m.conj(), m)
 
 
-def _basis_dim(rhos) -> int:
-    """The one basis size of the densities ``rhos``; refuses an empty sequence or one that mixes sizes."""
-    dims = list(dict.fromkeys(rho.trunc.dim for rho in rhos))
-    _require("density dims", ((lambda dims: len(dims) == 1), "one basis size"), dims)
-    return dims[0]
+def _basis(rhos):
+    """``rhos`` as arrays (``_density``) and their one basis size; refuses an empty sequence or one that mixes sizes."""
+    rhos = [_density(rho) for rho in rhos]
+    _require("density dims", ((lambda dims: len(dims) == 1), "one basis size"), list(dict.fromkeys(map(len, rhos))))
+    return rhos, len(rhos[0])
 
 
 def marginal(rhos, phases, xs) -> np.ndarray:
@@ -149,12 +149,12 @@ def marginal(rhos, phases, xs) -> np.ndarray:
     the bits of the one-density, one-phase call at any thread count.
     """
     _require("xs", _SQUARABLE, xs)
-    d = _basis_dim(rhos)
+    rhos, d = _basis(rhos)
     herm = hermite_functions(xs, d)
     dens = np.empty((len(rhos), len(phases), herm.shape[1]))
     for s, rho in enumerate(rhos):
         for k, phase in enumerate(phases):
-            for c, block in _column_blocks(np.real(rho.elems * _phase_matrix(phase, d)), herm):
+            for c, block in _column_blocks(np.real(rho * _phase_matrix(phase, d)), herm):
                 dens[s, k, c] = np.einsum("ax,ax->x", herm[:, c], block)
     np.clip(dens, 0.0, None, out=dens)
     dens.flags.writeable = False
@@ -191,11 +191,11 @@ def wigner(rhos, grid: PhaseGrid) -> np.ndarray:
     with the bits of the one-density call at any BLAS thread count; nothing is kept between calls.
     """
     _require("grid bounds", _WIGNER_BOUNDS, [grid.x_min, grid.x_max, grid.p_min, grid.p_max])
-    d = _basis_dim(rhos)
+    rhos, d = _basis(rhos)
     m = 2 * d - 1
     levels = np.arange(m)
     coeffs = np.zeros((len(rhos), m, m), dtype=np.complex128)  # C[s, j, N - j]
-    flipped = np.stack([rho.elems for rho in rhos])[:, ::-1]  # diagonal N - d + 1: rho[N - k, k] over the k both allow
+    flipped = np.stack(rhos)[:, ::-1]  # diagonal N - d + 1: rho[N - k, k] over the k both allow
     for n, block in enumerate(_sector_blocks(math.pi / 4, d)):
         j = levels[: n + 1]
         coeffs[:, j, n - j] = (block @ flipped.diagonal(n - d + 1, axis1=1, axis2=2)[..., None])[..., 0]
@@ -211,29 +211,31 @@ def wigner(rhos, grid: PhaseGrid) -> np.ndarray:
 _ETA = (lambda v: 0.0 <= v <= 1.0), "a number in [0, 1]"  # apply_loss's rule
 
 
-def apply_loss(rho: DensityMatrix, eta: float) -> DensityMatrix:
+def apply_loss(rho: np.ndarray, eta: float) -> np.ndarray:
     """Generalized Bernoulli loss map at efficiency eta: a fraction eta of the signal survives.
 
     rho'_{mn} = sum_k sqrt(C(m+k,k) C(n+k,k)) eta^{(m+n)/2} (1-eta)^k rho_{m+k,n+k};
     trace-preserving and completely positive.  Coherent states map to
-    coherent states with amplitude scaled by sqrt(eta).
+    coherent states with amplitude scaled by sqrt(eta).  Below eta = 1 the result is checked (``check_density``); at
+    eta = 1 the lossless map returns its input unchanged.
     """
     _require("eta", _ETA, eta)
-    if eta == 1.0:  # DensityMatrix is immutable, so the lossless map returns its input
+    rho = _density(rho)
+    if eta == 1.0:
         return rho
-    n = rho.trunc.dim
+    n = len(rho)
     out = np.zeros((n, n), dtype=np.complex128)
     if eta == 0.0:
         out[0, 0] = 1.0
-        return DensityMatrix(out, rho.trunc)
+        return check_density(out)
     k, m = np.arange(n)[:, None], np.arange(n)
     log_fact = np.array([math.lgamma(i + 1) for i in range(2 * n - 1)])  # log i!
     # the Kraus vectors of losing k photons: kraus[k, m] = sqrt(C(m+k, k) eta^m (1-eta)^k), each at most 1/sqrt(eta)
     kraus = np.exp(0.5 * (log_fact[m + k] - log_fact[m] - log_fact[k] + m * math.log(eta) + k * math.log1p(-eta)))
     for k, v in enumerate(kraus):
-        out[: n - k, : n - k] += np.outer(v[: n - k], v[: n - k]) * rho.elems[k:, k:]
+        out[: n - k, : n - k] += np.outer(v[: n - k], v[: n - k]) * rho[k:, k:]
     out = (out + out.conj().T) / 2.0
-    return DensityMatrix(out, rho.trunc)
+    return check_density(out)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from .fock import (
     expectation,
     ladder_operators,
     min_dim_for_coherent,
-    _freeze,
     _int_rule,
     _read_only,
     _require,
@@ -92,7 +91,7 @@ class OrthogonalizerSpec:
         if self.operator is not None:
             operator = np.array(self.operator, dtype=np.complex128)
             _require("operator shape", self.OPERATOR_SHAPE, operator.shape)
-            _freeze(self, "operator", operator)
+            object.__setattr__(self, "operator", _read_only(operator))
 
     @classmethod
     def from_state(cls, kind: OperatorKind, psi: StateVector, operator: np.ndarray | None = None):
@@ -106,7 +105,7 @@ def _base_operator(spec: OrthogonalizerSpec, trunc: Truncation) -> np.ndarray:
         return ladder_operators(trunc)[1]
     if spec.kind is OperatorKind.NUMBER:
         return ladder_operators(trunc)[2]
-    _require_operator_on(spec.operator, trunc)  # a spec built for another basis fails at its first use
+    _require_operator_on(spec.operator, trunc.dim)  # a spec built for another basis fails at its first use
     return spec.operator
 
 

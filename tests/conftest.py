@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from cvortho import DensityMatrix, OperatorKind, StateVector, Truncation, ladder_operators
+from cvortho import OperatorKind, StateVector, Truncation, check_density, ladder_operators
 from cvortho.phasespace import hermite_functions
 
 
@@ -28,7 +28,7 @@ def random_mixed_state(dim, rank, seed):
     rng = np.random.default_rng(seed)
     vecs = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = vecs @ vecs.conj().T
-    return DensityMatrix(rho / np.trace(rho).real, Truncation(dim))
+    return check_density(rho / np.trace(rho).real)
 
 
 @st.composite
@@ -52,8 +52,8 @@ def kernel_marginal(rho, phase, xs):
     (rho u)_n clipped at 0.  It shares only the Hermite functions with
     :func:`cvortho.marginal`.
     """
-    u = hermite_functions(xs, rho.trunc.dim) * np.exp(1j * phase * np.arange(rho.trunc.dim))[:, None]
-    return np.clip(np.real(np.einsum("nx,nx->x", u.conj(), rho.elems @ u)), 0.0, None)
+    u = hermite_functions(xs, len(rho)) * np.exp(1j * phase * np.arange(len(rho)))[:, None]
+    return np.clip(np.real(np.einsum("nx,nx->x", u.conj(), rho @ u)), 0.0, None)
 
 
 def displacement_op(alpha: complex, trunc: Truncation) -> np.ndarray:
@@ -130,12 +130,12 @@ def eigvec_wigner(rho, grid):
     nothing with :func:`cvortho.wigner`.
     """
     xs, ps = grid.xs(), grid.ps()
-    evals, evecs = np.linalg.eigh(rho.elems)
+    evals, evecs = np.linalg.eigh(rho)
     keep = evals > 1e-12
-    support = _support_level(np.real(np.diag(rho.elems)))
+    support = _support_level(np.real(np.diag(rho)))
     reach2 = 2.0 * (max(abs(grid.x_min), abs(grid.x_max)) ** 2
                     + max(abs(grid.p_min), abs(grid.p_max)) ** 2)
-    n = max(rho.trunc.dim, _parity_dim(reach2, support))
+    n = max(len(rho), _parity_dim(reach2, support))
 
     a = np.diag(np.sqrt(np.arange(1, n, dtype=np.float64)), k=1)
     w_x, v_x = np.linalg.eigh(1j * (a.T - a) / math.sqrt(2.0))
@@ -163,10 +163,10 @@ def wigner_point(rho, x, p):
     ``_parity_dim`` sizes for the point; it shares nothing with
     :func:`cvortho.wigner`'s beam-splitter form.
     """
-    support = _support_level(np.real(np.diag(rho.elems)))
-    n = max(rho.trunc.dim, _parity_dim((x * x + p * p) / 2.0, support))
+    support = _support_level(np.real(np.diag(rho)))
+    n = max(len(rho), _parity_dim((x * x + p * p) / 2.0, support))
     elems = np.zeros((n, n), dtype=np.complex128)
-    elems[: rho.trunc.dim, : rho.trunc.dim] = rho.elems
+    elems[: len(rho), : len(rho)] = rho
     gamma = (x + 1j * p) / math.sqrt(2.0)
     d = displacement_op(gamma, Truncation(n))
     parity = (-1.0) ** np.arange(n)

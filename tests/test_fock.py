@@ -13,13 +13,15 @@ from scipy.linalg import expm
 from scipy.special import pdtrc
 
 from cvortho import (
-    DensityMatrix,
     OperatorKind,
     OrthogonalizerSpec,
+    PhaseGrid,
     StateVector,
     Truncation,
     TruncationError,
+    apply_loss,
     beam_splitter_op,
+    check_density,
     coherent_state,
     density_from_json,
     density_json_text,
@@ -28,25 +30,20 @@ from cvortho import (
     fock_state,
     inner_product,
     ladder_operators,
+    marginal,
     min_dim_for_coherent,
     orthogonalize,
     project_density,
+    sample_quadratures,
+    wigner,
 )
-from cvortho.fock import _poisson_tail
-
-
-def unchecked_density(elems):
-    """A DensityMatrix holding ``elems`` as given, past the constructor's checks."""
-    rho = object.__new__(DensityMatrix)
-    object.__setattr__(rho, "elems", np.asarray(elems, dtype=np.complex128))
-    object.__setattr__(rho, "trunc", Truncation(len(elems)))
-    return rho
+from cvortho.fock import _poisson_tail, check_tail
 
 
 def density_to_json(rho):
     """The density file format as a JSON object, row-major ``[re, im]`` pairs: ``density_json_text``'s oracle."""
-    flat = rho.elems.reshape(-1)
-    return {"dim": rho.trunc.dim, "data": np.column_stack([flat.real, flat.imag]).tolist()}
+    flat = rho.reshape(-1)
+    return {"dim": len(rho), "data": np.column_stack([flat.real, flat.imag]).tolist()}
 
 
 def text_mismatch(rho):
@@ -410,17 +407,18 @@ class TestScalars:
 
     def test_fidelity_refuses_other_types(self):
         psi = fock_state(0, Truncation(3))
-        with pytest.raises(TypeError, match="^fidelity expects StateVector or DensityMatrix arguments$"):
-            fidelity(psi, psi.amps)
+        with pytest.raises(TypeError, match="^fidelity expects StateVector or numpy array arguments$"):
+            fidelity(psi, psi.amps.tolist())
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_mixed_fidelity_symmetric_with_pure_limit(self, data):
         x = data.draw(mixed_states(max_dim=20))
-        y = data.draw(mixed_states(min_dim=x.trunc.dim, max_dim=x.trunc.dim))
+        y = data.draw(mixed_states(min_dim=len(x), max_dim=len(x)))
         assert abs(fidelity(x, y) - fidelity(y, x)) <= 1e-12
-        psi = random_state(x.trunc, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), support=x.trunc.dim)
-        expected = float(np.real(np.vdot(psi.amps, x.elems @ psi.amps)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        psi = random_state(Truncation(len(x)), rng, support=len(x))
+        expected = float(np.real(np.vdot(psi.amps, x @ psi.amps)))
         assert abs(fidelity(x, psi.to_density()) - expected) <= 1e-12
 
     def test_expectation_matches_quadratic_form(self, rng):
@@ -473,26 +471,56 @@ class TestInvariantsAndTypes:
     def test_zero_state_has_no_top_weight(self):
         assert StateVector([0.0, 0.0, 0.0], Truncation(3)).top_weight == 0.0
 
+    def test_tail_guard_reads_amplitudes_whose_squares_overflow(self):
+        # |1e200|^2 overflows, so an unscaled weight is inf / inf, nan, and passes the guard
+        state = StateVector([0.0, 1e200, 1e200], Truncation(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TruncationError, match=r"^top-level weight 5\.000e-01 exceeds tail_tol 1e-08; "):
+                check_tail(state)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (4,), (1, 1)])
+    @pytest.mark.parametrize("call", [
+        lambda rho: wigner([rho], PhaseGrid(-1.0, 1.0, -1.0, 1.0, 3, 3)),
+        lambda rho: marginal([rho], (0.0,), np.linspace(-1.0, 1.0, 3)),
+        lambda rho: apply_loss(rho, 0.5),
+        lambda rho: sample_quadratures(rho, (0.0,), 10, 0),
+        lambda rho: fidelity(fock_state(0, Truncation(3)), rho),
+        lambda rho: expectation(ladder_operators(Truncation(3))[2], rho),
+        lambda rho: project_density(rho, Truncation(2)),
+        density_json_text,
+    ], ids=["wigner", "marginal", "apply_loss", "sample_quadratures", "fidelity", "expectation", "project_density",
+            "density_json_text"])
+    def test_functions_taking_a_density_share_one_shape_rule(self, call, shape):
+        message = rf"^density shape: must be \(d, d\) with d >= 2, got {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            call(np.full(shape, 0.5 + 0.0j))
+
     def test_states_are_immutable(self):
         psi = fock_state(0, Truncation(4))
         with pytest.raises(ValueError):
             psi.amps[0] = 2.0
 
-    @pytest.mark.parametrize("name, op", [*zip(("a", "a_dag", "n"), ladder_operators(Truncation(4)))])
-    def test_operators_are_read_only_complex_arrays(self, name, op):
+    @pytest.mark.parametrize("name, op", [
+        *zip(("a", "a_dag", "n"), ladder_operators(Truncation(4))),
+        ("to_density", fock_state(1, Truncation(4)).to_density()),
+        ("check_density", check_density(np.eye(4) / 4)),
+        ("density_from_json", density_from_json({"dim": 4, "data": [[0.25 * (i % 5 == 0), 0.0] for i in range(16)]})),
+    ])
+    def test_operators_and_densities_are_read_only_complex_arrays(self, name, op):
         assert op.dtype == np.complex128 and op.shape == (4, 4)
         with pytest.raises(ValueError, match="read-only"):
             op[1, 0] = 2.0
 
     @pytest.mark.parametrize("elems, message", [
         ([[1, 1e-6, 0], [0, 0, 0], [0, 0, 0]], "Hermitian"),
-        (np.eye(2) / 2, r"^matrix shape \(2, 2\) does not match truncation dim 3$"),
+        (np.ones((3, 2)) / 2, r"^density shape: must be \(d, d\) with d >= 2, got \(3, 2\)$"),
         (np.diag([0.5, 0.5, 1e-9]), r"^trace 1\.000000001\+0j deviates from 1 beyond 1e-10$"),
         (np.diag([0.6, 0.6, -0.2]), "^matrix has negative eigenvalue -2.000e-01$"),
     ], ids=["hermitian", "shape", "trace", "eigenvalue"])
     def test_density_validation(self, elems, message):
         with pytest.raises(ValueError, match=message):
-            DensityMatrix(np.array(elems), Truncation(3))
+            check_density(np.array(elems))
 
     def test_projection_onto_a_block_without_weight_refused(self):
         with pytest.raises(ValueError, match="^density matrix has no weight inside the projection target$"):
@@ -504,7 +532,8 @@ class TestInvariantsAndTypes:
     def test_pure_densities_are_exactly_hermitian(self, amps):
         # a complex multiply that fuses its products rounds psi_i psi_j* and psi_j psi_i* apart
         rho = pure_density(amps)
-        assert np.array_equal(rho.elems, rho.elems.conj().T)
+        assert np.array_equal(rho, rho.conj().T)
+        assert np.array_equal(check_density(rho), rho)  # to_density skips the checks that its densities pass
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     @pytest.mark.parametrize("i, j", [(0, 1), (2, 2)])
@@ -514,14 +543,14 @@ class TestInvariantsAndTypes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # refused before eigvalsh can warn
             with pytest.raises(ValueError, match=rf"density entry \[{i}, {j}\] is not finite"):
-                DensityMatrix(elems, Truncation(3))
+                check_density(elems)
 
 
 class TestSerialization:
     def test_density_round_trip(self, rng):
         rho = random_state(Truncation(9), rng).to_density()
         back = density_from_json(json.loads(density_json_text(rho)))
-        assert np.max(np.abs(back.elems - rho.elems)) < 1e-15
+        assert np.max(np.abs(back - rho)) < 1e-15
 
     def test_schema_fields(self):
         obj = json.loads(density_json_text(fock_state(1, Truncation(3)).to_density()))
@@ -536,17 +565,22 @@ class TestSerialization:
 
     def test_density_text_awkward_floats(self):
         # -0.0, the smallest subnormal, 1e-5 (repr in exponent form), integer-valued floats and mirror pairs x, -x
-        elems = np.array([
+        rho = np.array([
             [1.0, complex(-0.0, 5e-324), 1e-5, complex(1 / 3, -1 / 3)],
             [complex(-0.0, -5e-324), 0.0, complex(2.0, -0.0), -1e300],
             [1e-5, complex(2.0, 0.0), -3.0, 1e300],
             [complex(-1 / 3, 1 / 3), 0.1, -0.1, -2.5e-310],
         ])
-        rho = unchecked_density(elems)
         assert text_mismatch(rho) is None
         text = density_json_text(rho)
         assert "-0.0," in text and "5e-324" in text and "1e-05" in text
         assert "-0.3333333333333333," in text and "-1e+300," in text and "-0.1," in text
+
+    @pytest.mark.parametrize("dim", [2.5, True])
+    def test_density_from_json_refuses_a_dim_that_is_no_integer(self, dim):
+        data = [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]  # 2.5 and True read as the 2 of these four pairs
+        with pytest.raises(ValueError, match=rf"^dim: must be an integer >= 2, got {dim}$"):
+            density_from_json({"dim": dim, "data": data})
 
     def test_density_from_json_refuses_data_of_the_wrong_shape(self):
         with pytest.raises(ValueError, match=r"^density data shape \(3, 2\) does not match dim 2$"):
@@ -558,4 +592,4 @@ class TestSerialization:
         elems[1, 2] = bad
         elems[2, 0] = np.nan
         with pytest.raises(ValueError, match=r"density entry \[1, 2\] is not finite"):
-            density_json_text(unchecked_density(elems))
+            density_json_text(elems)

@@ -21,6 +21,7 @@ from cvortho import (
     StateVector,
     Truncation,
     apply_loss,
+    check_density,
     coherent_state,
     fidelity,
     fock_state,
@@ -241,7 +242,7 @@ class TestMarginal:
         rho = random_state(Truncation(d), rng).to_density()
         xs = rng.uniform(-9.0, 9.0, n)
         herm = hermite_functions(xs, d)
-        full = np.einsum("ax,ax->x", herm, _matmul(np.real(rho.elems * _phase_matrix(phase, d)), herm))
+        full = np.einsum("ax,ax->x", herm, _matmul(np.real(rho * _phase_matrix(phase, d)), herm))
         assert marginal([rho], (phase,), xs)[0, 0].tobytes() == np.clip(full, 0.0, None).tobytes()
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
@@ -263,8 +264,6 @@ class TestMarginal:
         # integral of the displaced-parity Wigner map.  Slicing along a
         # rotated direction is the same as slicing the counter-rotated
         # state along p, which keeps the sweep on a rectangular grid.
-        from cvortho import DensityMatrix
-
         phases = [k * math.pi / 10 for k in range(10)]
         grid = PhaseGrid(-5.0, 5.0, -7.0, 7.0, 41, 141)
         xs = grid.xs()
@@ -272,7 +271,7 @@ class TestMarginal:
             rho = random_state(Truncation(10), rng, support=6).to_density()
             (density,) = marginal([rho], (phi,), xs)[0]
             rot = np.exp(-1j * phi * np.arange(10))
-            rho_rot = DensityMatrix(rot[:, None] * rho.elems * rot.conj()[None, :], rho.trunc)
+            rho_rot = check_density(rot[:, None] * rho * rot.conj()[None, :])
             sliced = np.trapezoid(wigner([rho_rot], grid)[0], grid.ps(), axis=1)
             assert np.max(np.abs(sliced - density)) < 1e-4
 
@@ -290,7 +289,7 @@ class TestStacks:
 
 class TestApplyLoss:
     def test_eta_one_is_identity(self, rng):
-        # DensityMatrix is immutable, so the lossless channel hands back its input unchanged
+        # a density is read-only, so the lossless channel hands back its input unchanged
         rho = random_state(Truncation(12), rng).to_density()
         assert apply_loss(rho, 1.0) is rho
 
@@ -300,7 +299,7 @@ class TestApplyLoss:
         expected = np.zeros((8, 8))
         expected[0, 0] = 0.63
         expected[1, 1] = 0.37
-        assert_allclose(out.elems, expected, atol=1e-14)
+        assert_allclose(out, expected, atol=1e-14)
 
     @pytest.mark.parametrize("eta", [0.25, 0.6, 0.9])
     def test_coherent_stays_coherent(self, eta):
@@ -314,15 +313,15 @@ class TestApplyLoss:
         for _ in range(5):
             rho = random_state(Truncation(15), rng).to_density()
             out = apply_loss(rho, 0.55)
-            assert abs(np.trace(out.elems).real - 1.0) < 1e-12
-            assert np.min(np.linalg.eigvalsh(out.elems)) > -1e-10
+            assert abs(np.trace(out).real - 1.0) < 1e-12
+            assert np.min(np.linalg.eigvalsh(out)) > -1e-10
 
     def test_eta_zero_maps_to_vacuum(self, rng):
         rho = random_state(Truncation(10), rng).to_density()
         out = apply_loss(rho, 0.0)
         expected = np.zeros((10, 10))
         expected[0, 0] = 1.0
-        assert_allclose(out.elems, expected, atol=1e-14)
+        assert_allclose(out, expected, atol=1e-14)
 
     def test_wigner_minimum_rises_with_loss(self):
         from conftest import qubit_operator
@@ -356,8 +355,8 @@ class TestApplyLoss:
         for k in range(n):
             m = np.arange(n - k, dtype=np.float64)
             half = 0.5 * (gammaln(m + k + 1) - gammaln(m + 1) - gammaln(k + 1)) + 0.5 * m * math.log(eta)
-            want[: n - k, : n - k] += np.exp(half[:, None] + half[None, :] + k * math.log1p(-eta)) * rho.elems[k:, k:]
-        got = apply_loss(rho, eta).elems
+            want[: n - k, : n - k] += np.exp(half[:, None] + half[None, :] + k * math.log1p(-eta)) * rho[k:, k:]
+        got = apply_loss(rho, eta)
         assert np.max(np.abs(got - (want + want.conj().T) / 2.0)) <= 1e-14 * np.max(np.abs(got))
 
     def test_eta_range_validated(self):
@@ -371,10 +370,10 @@ class TestApplyLoss:
         # exact on the truncated space: loss only moves weight to lower photon numbers
         twice = apply_loss(apply_loss(rho, eta1), eta2)
         once = apply_loss(rho, eta1 * eta2)
-        assert np.max(np.abs(twice.elems - once.elems)) <= 1e-12
+        assert np.max(np.abs(twice - once)) <= 1e-12
         for out in (twice, once):
-            assert abs(np.trace(out.elems) - 1.0) <= 1e-12
-            assert np.min(np.linalg.eigvalsh(out.elems)) >= -1e-12
+            assert abs(np.trace(out) - 1.0) <= 1e-12
+            assert np.min(np.linalg.eigvalsh(out)) >= -1e-12
 
 
 class TestFileFormats:
