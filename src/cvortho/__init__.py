@@ -44,8 +44,6 @@ from .schemes import (
     OrthogonalizerSpec,
     beta_for_addition_orthogonalizer,
     heralded_addition_model,
-    ideal_addition_operator,
-    ideal_number_operator,
     number_scheme_model,
     orthogonal_family,
     orthogonalize,

@@ -37,6 +37,7 @@ from .fock import (
     StateVector,
     Truncation,
     TruncationError,
+    _unit_scaled,
     beam_splitter_op,
     check_density,
     coherent_state,
@@ -68,8 +69,6 @@ from .schemes import (
     OrthogonalizerSpec,
     beta_for_addition_orthogonalizer,
     heralded_addition_model,
-    ideal_addition_operator,
-    ideal_number_operator,
     number_scheme_model,
     orthogonal_family,
     orthogonalize,
@@ -143,11 +142,8 @@ def _input(cfg: dict) -> StateVector:
         return fock_state(state["n"], trunc)
     padded = np.zeros(trunc.dim, dtype=complex)
     padded[: len(state["amps"])] = [_as_complex(a) for a in state["amps"]]
-    # first scaled exactly, by the power of two that brings the largest part into [0.5, 1), so that the norm neither
-    # overflows nor underflows
-    parts = padded.view(np.float64)
-    np.ldexp(parts, -np.frexp(np.max(np.abs(parts)))[1], out=parts)
-    return StateVector(padded / np.linalg.norm(padded), trunc)
+    scaled = _unit_scaled(padded)  # so that the norm neither overflows nor underflows
+    return StateVector(scaled / np.linalg.norm(scaled), trunc)
 
 
 def _phases(cfg: dict) -> tuple:
@@ -700,10 +696,11 @@ def run_battery() -> list:
     worst_fam = max(abs(inner_product(x, y)) for i, x in enumerate(members) for y in members[i + 1:])
     checks.append(("orthogonal_family", bool(worst_fam < 1e-8), f"worst overlap {worst_fam:.2e}"))
 
+    # each herald against the qubit generator at the c that it realizes, here c = <a_dag> - tan(theta) beta
     psi_in = coherent_state(0.5, big)
-    out, prob = heralded_addition_model(psi_in, 1.0, math.pi / 8)
-    ideal = StateVector(ideal_addition_operator(1.0, math.pi / 8, big) @ psi_in.amps, big).normalized()
-    f_model = fidelity(out, ideal)
+    out, _ = heralded_addition_model(psi_in, 1.0, math.pi / 8)
+    spec_in = OrthogonalizerSpec.from_state(OperatorKind.CREATION, psi_in)
+    f_model = fidelity(out, orthogonalize(psi_in, spec_in, spec_in.mean_value - math.tan(math.pi / 8) * 1.0))
     checks.append(("heralded_addition_equivalence", bool(f_model > 1 - 1e-8), f"fidelity {f_model:.10f}"))
 
     # auto beta r beta = t <a_dag> at a complex alpha: the ancilla's phase is beta's own
@@ -714,12 +711,13 @@ def run_battery() -> list:
     overlap_c = abs(inner_product(coh_c, out_c))
     checks.append(("heralded_addition_orthogonalizer", bool(overlap_c < 1e-8), f"overlap {overlap_c:.2e}"))
 
+    # and here c = <n> - r/(t e^{i phi} - r)
     out_model_n, _ = number_scheme_model(coh1, math.pi / 7, 0.4)
-    ideal_n = StateVector(ideal_number_operator(math.pi / 7, 0.4, big) @ coh1.amps, big).normalized()
-    f_number = fidelity(out_model_n, ideal_n)
+    spec_n = OrthogonalizerSpec.from_state(OperatorKind.NUMBER, coh1)
+    t_n, r_n = math.cos(math.pi / 7), math.sin(math.pi / 7)
+    f_number = fidelity(out_model_n, orthogonalize(coh1, spec_n, spec_n.mean_value - r_n / (t_n * np.exp(0.4j) - r_n)))
     checks.append(("number_scheme_equivalence", bool(f_number > 1 - 1e-8), f"fidelity {f_number:.10f}"))
 
-    spec_n = OrthogonalizerSpec.from_state(OperatorKind.NUMBER, coh1)
     theta_n = theta_for_number_orthogonalizer(float(complex(spec_n.mean_value).real))
     out_n, _ = number_scheme_model(coh1, theta_n)
     overlap_n = abs(inner_product(coh1, out_n))

@@ -95,12 +95,20 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _unit_scaled(amps: np.ndarray) -> np.ndarray:
+    """A new array of ``amps`` times the power of two that brings their largest real or imaginary part into [0.5, 1):
+    exact but for parts that it takes below the normal range, so its norm neither overflows nor underflows."""
+    parts = amps.view(np.float64)
+    return np.ldexp(parts, -math.frexp(max(parts.max(), -parts.min()))[1]).view(np.complex128)
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Pure state of one mode: complex amplitudes over the number basis.
 
-    Not necessarily normalized; conditional states carry their norm as a
-    success amplitude.  Use :meth:`normalized` before overlap comparisons.
+    Not necessarily normalized: :meth:`normalized` gives the unit form, which
+    overlaps and expectations assume.  The herald models return a unit state
+    and its herald weight apart.
     """
 
     amps: np.ndarray
@@ -124,20 +132,20 @@ class StateVector:
     @property
     def top_weight(self) -> float:
         """Probability weight at the top retained level, relative to the norm, read from the amplitudes scaled
-        exactly, by the power of two that brings their largest part into [0.5, 1), so that no square overflows."""
-        parts = self.amps.view(np.float64)
-        amps = np.ldexp(parts, -np.frexp(np.max(np.abs(parts)))[1]).view(np.complex128)
+        exactly (``_unit_scaled``), so that no square overflows."""
+        amps = _unit_scaled(self.amps)
         n2 = float(np.linalg.norm(amps)) ** 2
         return float(abs(amps[-1]) ** 2 / n2) if n2 else 0.0
 
     def normalized(self) -> "StateVector":
-        with np.errstate(over="ignore"):  # finite amplitudes whose squares sum past the float range: refused below
-            n = self.norm
-        if n < ZERO_NORM_TOL:
-            raise ValueError("cannot normalize a (numerically) zero state")
-        if n == math.inf:
-            raise ValueError("cannot normalize a state whose norm overflows")
-        return StateVector(self.amps / n, self.trunc)
+        """The unit form, divided out from the amplitudes scaled exactly (``_unit_scaled``), so that a norm past
+        the float range has one too; a state whose own norm is below 1e-12 is refused as zero."""
+        with np.errstate(over="ignore"):  # an overflow is no zero state, and is scaled away below
+            if self.norm < ZERO_NORM_TOL:
+                raise ValueError("cannot normalize a (numerically) zero state")
+        amps = _unit_scaled(self.amps)
+        amps /= np.linalg.norm(amps)
+        return StateVector(amps, self.trunc)
 
     def to_density(self) -> np.ndarray:
         """|psi><psi| of the normalized state, Hermitian bit for bit: a fused complex multiply rounds psi_i psi_j*
@@ -353,7 +361,8 @@ def inner_product(u: StateVector, v: StateVector) -> complex:
 
 
 def expectation(op: np.ndarray, state) -> complex:
-    """<O> for an (N, N) operator array on a StateVector (assumed normalized) or a density, an (N, N) array."""
+    """<O> for an (N, N) operator array on a StateVector or a density, an (N, N) array: <psi|O|psi> as it stands,
+    so the mean of a unit state only."""
     _require_operator_on(op, _dim(state))
     if isinstance(state, StateVector):
         return complex(np.vdot(state.amps, op @ state.amps))

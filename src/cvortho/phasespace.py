@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import _density, _int_rule, _require, _sector_blocks, check_density
+from .fock import _density, _int_rule, _read_only, _require, _sector_blocks, check_density
 
 __all__ = [
     "PhaseGrid",
@@ -217,12 +217,13 @@ def apply_loss(rho: np.ndarray, eta: float) -> np.ndarray:
     rho'_{mn} = sum_k sqrt(C(m+k,k) C(n+k,k)) eta^{(m+n)/2} (1-eta)^k rho_{m+k,n+k};
     trace-preserving and completely positive.  Coherent states map to
     coherent states with amplitude scaled by sqrt(eta).  Below eta = 1 the result is checked (``check_density``); at
-    eta = 1 the lossless map returns its input unchanged.
+    eta = 1 the lossless map returns its input itself where that is read-only, as a density from ``to_density`` is,
+    and else a read-only copy.
     """
     _require("eta", _ETA, eta)
     rho = _density(rho)
     if eta == 1.0:
-        return rho
+        return _read_only(rho.copy()) if rho.flags.writeable else rho
     n = len(rho)
     out = np.zeros((n, n), dtype=np.complex128)
     if eta == 0.0:

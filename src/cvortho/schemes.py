@@ -4,11 +4,13 @@ Given any operator C and its mean <C> on a known input state, the operator
 C - <C> 1 maps that input to a state orthogonal to it, and
 C + (c - <C>) 1 superposes the input with its orthogonal at a weight set by
 the coefficient c.  Two conditional beam-splitter realizations are modeled
-explicitly, each taking only the parameters it reads: a photon-addition
-branch mixed with a coherent ancilla |beta> (giving t a_dag - r beta 1 on
-the signal after heralding on |1>|0>, which reads the ancilla's |0> and |1>
-amplitudes, in closed form), and a two-branch number scheme (giving
-t e^{i phi} a_dag a - r a a_dag).
+explicitly, each taking only the parameters it reads, and each is that qubit
+generator, ``orthogonalize(psi, spec, c)``, at the c that its parameters set
+(t = cos(theta), r = sin(theta)): a photon-addition branch mixed with a
+coherent ancilla |beta> gives t a_dag - r beta 1 on the signal after
+heralding on |1>|0>, which reads the ancilla's |0> and |1> amplitudes, in
+closed form, so c = <a_dag> - tan(theta) beta; a two-branch number scheme
+gives t e^{i phi} a_dag a - r a a_dag, so c = <n> - r/(t e^{i phi} - r).
 """
 
 from __future__ import annotations
@@ -44,8 +46,6 @@ __all__ = [
     "two_operator_orthogonalizer",
     "heralded_addition_model",
     "number_scheme_model",
-    "ideal_addition_operator",
-    "ideal_number_operator",
     "beta_for_addition_orthogonalizer",
     "theta_for_number_orthogonalizer",
 ]
@@ -188,18 +188,6 @@ def two_operator_orthogonalizer(c1: np.ndarray, c2: np.ndarray, psi: StateVector
 # heralded beam-splitter realizations, with t = cos(theta) and r = sin(theta)
 
 
-def ideal_addition_operator(beta: complex, theta: float, trunc: Truncation) -> np.ndarray:
-    """t a_dag - r beta 1: the heralded addition scheme's target."""
-    _, a_dag, _ = ladder_operators(trunc)
-    return _read_only(math.cos(theta) * a_dag - math.sin(theta) * complex(beta) * np.eye(trunc.dim))
-
-
-def ideal_number_operator(theta: float, phi: float, trunc: Truncation) -> np.ndarray:
-    """t e^{i phi} a_dag a - r a a_dag: the number scheme's target."""
-    a, a_dag, n_op = ladder_operators(trunc)
-    return _read_only(math.cos(theta) * cmath.exp(1j * phi) * n_op - math.sin(theta) * (a @ a_dag))
-
-
 def beta_for_addition_orthogonalizer(mean_creation: complex, theta: float) -> complex:
     """Ancilla amplitude that tunes the addition scheme into an orthogonalizer.
 
@@ -240,7 +228,8 @@ def _herald_one_zero(theta: float, from_one_zero: np.ndarray, from_zero_one: np.
 
 
 def heralded_addition_model(psi: StateVector, beta: complex, theta: float, herald_dim: int | None = None):
-    """Physical realization of t a_dag - r beta 1 on the signal.
+    """Physical realization of t a_dag - r beta 1 on the signal: the qubit generator
+    ``orthogonalize(psi, spec, c)`` of the creation kind at c = <a_dag> - tan(theta) beta.
 
     The herald modes (idler, ancilla) carry a photon-addition branch
     |1>|beta> x a_dag|psi> and an identity branch |0>|beta> x |psi>; the
@@ -274,13 +263,14 @@ def heralded_addition_model(psi: StateVector, beta: complex, theta: float, heral
 
 
 def number_scheme_model(psi: StateVector, theta: float, phi: float = 0.0):
-    """Physical realization of t e^{i phi} a_dag a - r a a_dag on the signal.
+    """Physical realization of t e^{i phi} a_dag a - r a a_dag on the signal: the qubit generator
+    ``orthogonalize(psi, spec, c)`` of the number kind at c = <n> - r/(t e^{i phi} - r).
 
     Starts from the two-branch herald superposition
     e^{i phi} a_dag a |psi> x |1>|0> + a a_dag |psi> x |0>|1>, mixes the
-    herald modes on the beam splitter, and heralds on |1>|0>.  At phi = 0
-    the conditional operator is proportional to n - r/(t-r) 1 on the
-    commutator-valid subspace.
+    herald modes on the beam splitter, and heralds on |1>|0>.  The conditional
+    operator is (t e^{i phi} - r)(n - r/(t e^{i phi} - r) 1) where a a_dag = n + 1,
+    below the top level.  Returns the normalized conditional state and the herald weight.
     """
     # at t = r the identity weight r/(t - r) diverges
     _require("theta", ((lambda v: abs(math.cos(v) - math.sin(v)) >= _ANGLE_TOL),

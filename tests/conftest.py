@@ -79,6 +79,20 @@ def qubit_operator(spec, c: complex, trunc: Truncation) -> np.ndarray:
     return base + (complex(c) - complex(spec.mean_value)) * np.eye(trunc.dim)
 
 
+def ideal_addition_operator(beta: complex, theta: float, trunc: Truncation) -> np.ndarray:
+    """t a_dag - r beta 1 as a dense matrix (test oracle): the operator that ``heralded_addition_model`` realizes,
+    with t = cos(theta), r = sin(theta)."""
+    _, a_dag, _ = ladder_operators(trunc)
+    return math.cos(theta) * a_dag - math.sin(theta) * complex(beta) * np.eye(trunc.dim)
+
+
+def ideal_number_operator(theta: float, phi: float, trunc: Truncation) -> np.ndarray:
+    """t e^{i phi} a_dag a - r a a_dag as a dense matrix (test oracle): the operator that ``number_scheme_model``
+    realizes."""
+    a, a_dag, n_op = ladder_operators(trunc)
+    return math.cos(theta) * np.exp(1j * phi) * n_op - math.sin(theta) * (a @ a_dag)
+
+
 def unitarity_defect(u: np.ndarray) -> float:
     """sup-norm of U_dag U - 1; reports truncation-induced degradation."""
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import displacement_op, qubit_operator, random_state
+from conftest import displacement_op, ideal_addition_operator, ideal_number_operator, qubit_operator, random_state
 
 from cvortho import (
     OperatorKind,
@@ -24,8 +24,6 @@ from cvortho import (
     fidelity,
     fock_state,
     heralded_addition_model,
-    ideal_addition_operator,
-    ideal_number_operator,
     inner_product,
     maxlik_reconstruct,
     number_scheme_model,

@@ -1436,6 +1436,18 @@ class TestVerifyBattery:
         assert [check["passed"] for check in report["checks"]] == [True, False, False]
         assert not (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize("model, wrong, herald", [
+        ("heralded_addition_model", lambda real: lambda psi, beta, *rest: real(psi, -beta, *rest), "heralded_addition"),
+        ("number_scheme_model", lambda real: lambda psi, theta, phi=0.0: real(psi, theta, phi + math.pi / 2),
+         "number_scheme"),
+    ], ids=["beta_negated", "phi_shifted"])
+    def test_a_wrong_herald_fails_its_equivalence_check(self, monkeypatch, model, wrong, herald):
+        # the qubit generator at the herald's c is the reference; the same herald's orthogonalizer check fails too
+        monkeypatch.setattr(cli, model, wrong(getattr(cli, model)))
+        failed = {name for name, passed, _ in cli.run_battery() if not passed}
+        assert {name for name in failed if name.endswith("_equivalence")} == {f"{herald}_equivalence"}
+        assert failed == {f"{herald}_equivalence", f"{herald}_orthogonalizer"}
+
     def test_cli_verify_exit_code(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out

@@ -458,15 +458,19 @@ class TestInvariantsAndTypes:
         with pytest.raises(ValueError, match=r"^amplitude 2 is not finite"):
             StateVector(amps, Truncation(4))
 
-    @pytest.mark.parametrize("amps, message", [
-        ([0.0, 0.0], r"^cannot normalize a \(numerically\) zero state$"),
-        ([1e200, 1e200], "^cannot normalize a state whose norm overflows$"),
-    ], ids=["zero", "overflow"])
-    def test_normalized_refuses_a_state_without_a_unit_form(self, amps, message):
-        state = StateVector(amps, Truncation(2))
+    def test_normalized_refuses_a_state_without_a_unit_form(self):
+        state = StateVector([0.0, 0.0], Truncation(2))
         for call in (state.normalized, state.to_density):
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match=r"^cannot normalize a \(numerically\) zero state$"):
                 call()
+
+    def test_normalized_scales_a_state_whose_norm_overflows(self):
+        # |1e200|^2 overflows, so the unit form is divided out from the amplitudes scaled by a power of two
+        state = StateVector([1e200, -1e200j], Truncation(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_allclose(state.normalized().amps, [math.sqrt(0.5), -1j * math.sqrt(0.5)], rtol=1e-15)
+            assert_allclose(state.to_density(), [[0.5, 0.5j], [-0.5j, 0.5]], rtol=1e-15)
 
     def test_zero_state_has_no_top_weight(self):
         assert StateVector([0.0, 0.0, 0.0], Truncation(3)).top_weight == 0.0
@@ -506,6 +510,8 @@ class TestInvariantsAndTypes:
         ("to_density", fock_state(1, Truncation(4)).to_density()),
         ("check_density", check_density(np.eye(4) / 4)),
         ("density_from_json", density_from_json({"dim": 4, "data": [[0.25 * (i % 5 == 0), 0.0] for i in range(16)]})),
+        ("apply_loss_eta_one_frozen", apply_loss(fock_state(1, Truncation(4)).to_density(), 1.0)),
+        ("apply_loss_eta_one_writable", apply_loss(np.eye(4, dtype=np.complex128) / 4, 1.0)),
     ])
     def test_operators_and_densities_are_read_only_complex_arrays(self, name, op):
         assert op.dtype == np.complex128 and op.shape == (4, 4)

@@ -289,9 +289,12 @@ class TestStacks:
 
 class TestApplyLoss:
     def test_eta_one_is_identity(self, rng):
-        # a density is read-only, so the lossless channel hands back its input unchanged
+        # a density is read-only, so the lossless channel hands back its input unchanged; a writable input it copies
         rho = random_state(Truncation(12), rng).to_density()
         assert apply_loss(rho, 1.0) is rho
+        writable = np.array(rho)
+        out = apply_loss(writable, 1.0)
+        assert out is not writable and np.array_equal(out, rho) and writable.flags.writeable
 
     def test_single_photon_bernoulli(self):
         rho = fock_state(1, Truncation(8)).to_density()

@@ -3,7 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dense_beam_splitter, displacement_op, qubit_operator, random_state
+from conftest import (
+    dense_beam_splitter,
+    displacement_op,
+    ideal_addition_operator,
+    ideal_number_operator,
+    qubit_operator,
+    random_state,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -20,8 +27,6 @@ from cvortho import (
     fidelity,
     fock_state,
     heralded_addition_model,
-    ideal_addition_operator,
-    ideal_number_operator,
     inner_product,
     ladder_operators,
     number_scheme_model,
@@ -392,6 +397,18 @@ class TestHeraldedAdditionModel:
         out, _ = heralded_addition_model(psi, beta, theta, herald_dim=20)
         assert abs(inner_product(psi, out)) < 1e-8
 
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.floats(-1.5, 1.5), y=st.floats(-1.5, 1.5), theta=st.floats(0.1, 1.4),
+           bx=st.floats(-2.0, 2.0), by=st.floats(-2.0, 2.0))
+    def test_is_the_qubit_generator_at_the_coefficient_it_sets(self, x, y, theta, bx, by):
+        # t a_dag - r beta 1 = t (a_dag + (c - <a_dag>) 1) at c = <a_dag> - tan(theta) beta
+        alpha, beta = complex(x, y), complex(bx, by)
+        assume(abs(alpha) <= 1.5 and abs(beta) <= 2.0)
+        psi = coherent_state(alpha, Truncation(40))
+        spec = OrthogonalizerSpec.from_state(OperatorKind.CREATION, psi)
+        out, _ = heralded_addition_model(psi, beta, theta, herald_dim=20)
+        assert 1.0 - fidelity(out, orthogonalize(psi, spec, spec.mean_value - math.tan(theta) * beta)) <= 1e-12
+
 
 class TestNumberSchemeModel:
     def test_zero_reflectivity_is_number_operator(self):
@@ -446,6 +463,18 @@ class TestNumberSchemeModel:
         singular = r"^theta: must be an angle with cos\(theta\) != sin\(theta\) \(t = r is singular\)"
         with pytest.raises(ValueError, match=singular):
             number_scheme_model(coherent_state(0.5, t), math.pi / 4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(theta=st.floats(0.0, math.pi / 2), phi=st.floats(-math.pi, math.pi), seed=st.integers(0, 2**32 - 1))
+    def test_is_the_qubit_generator_at_the_coefficient_it_sets(self, theta, phi, seed):
+        # t e^{i phi} n - r (n + 1) = (t e^{i phi} - r)(n + (c - <n>) 1) at c = <n> - r/(t e^{i phi} - r)
+        t, r = math.cos(theta), math.sin(theta)
+        assume(abs(t - r) > 1e-3)
+        psi = random_state(Truncation(25), np.random.default_rng(seed), support=12)
+        spec = OrthogonalizerSpec.from_state(OperatorKind.NUMBER, psi)
+        c = spec.mean_value - r / (t * cmath.exp(1j * phi) - r)
+        out, _ = number_scheme_model(psi, theta, phi)
+        assert 1.0 - fidelity(out, orthogonalize(psi, spec, c)) <= 1e-12
 
     def test_number_scheme_equals_ideal_on_states(self, rng):
         t = Truncation(25)
