@@ -6,8 +6,9 @@ One tail guard holds on every basis: a coherent state, and any state that
 The two-mode beam splitter conserves the total photon number, so it is
 given one photon-number sector at a time; no truncation enters there.
 
-States copy their amplitudes and mark them read-only; densities and operators
-are read-only complex128 (d, d) arrays, d >= 2, so values can be shared across
+A state is the unit vector along the amplitudes it is given, normalized
+once, in its constructor, and marked read-only; densities and operators are
+read-only complex128 (d, d) arrays, d >= 2, so values can be shared across
 threads.  ``to_density`` checks nothing, as its density is valid by
 construction; ``check_density`` freezes a checked copy of any other density.
 """
@@ -104,11 +105,13 @@ def _unit_scaled(amps: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Pure state of one mode: complex amplitudes over the number basis.
+    """Pure state of one mode: the unit vector along ``amps`` over the number basis.
 
-    Not necessarily normalized: :meth:`normalized` gives the unit form, which
-    overlaps and expectations assume.  The herald models return a unit state
-    and its herald weight apart.
+    The constructor divides the norm out of the amplitudes scaled exactly
+    (``_unit_scaled``), so that a norm past the float range has a unit form
+    too, and refuses an all-zero vector.  Apply an operator as
+    ``StateVector(op @ psi.amps, psi.trunc)`` for the normalized image; the
+    herald models return a unit state and its herald weight apart.
     """
 
     amps: np.ndarray
@@ -123,35 +126,16 @@ class StateVector:
         if not np.all(np.isfinite(amps)):
             i = int(np.argmin(np.isfinite(amps)))
             raise ValueError(f"amplitude {i} is not finite: {amps[i]}")
+        if not amps.any():
+            raise ValueError("cannot normalize an all-zero vector")
+        amps = _unit_scaled(amps)
+        amps /= np.linalg.norm(amps)
         object.__setattr__(self, "amps", _read_only(amps))
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    @property
-    def top_weight(self) -> float:
-        """Probability weight at the top retained level, relative to the norm, read from the amplitudes scaled
-        exactly (``_unit_scaled``), so that no square overflows."""
-        amps = _unit_scaled(self.amps)
-        n2 = float(np.linalg.norm(amps)) ** 2
-        return float(abs(amps[-1]) ** 2 / n2) if n2 else 0.0
-
-    def normalized(self) -> "StateVector":
-        """The unit form, divided out from the amplitudes scaled exactly (``_unit_scaled``), so that a norm past
-        the float range has one too; a state whose own norm is below 1e-12 is refused as zero."""
-        with np.errstate(over="ignore"):  # an overflow is no zero state, and is scaled away below
-            if self.norm < ZERO_NORM_TOL:
-                raise ValueError("cannot normalize a (numerically) zero state")
-        amps = _unit_scaled(self.amps)
-        amps /= np.linalg.norm(amps)
-        return StateVector(amps, self.trunc)
-
     def to_density(self) -> np.ndarray:
-        """|psi><psi| of the normalized state, Hermitian bit for bit: a fused complex multiply rounds psi_i psi_j*
-        and psi_j psi_i* apart, so the upper triangle is mirrored, conjugated, and the diagonal made real."""
-        psi = self.normalized()
-        rho = np.outer(psi.amps, psi.amps.conj())
+        """|psi><psi|, Hermitian bit for bit: a fused complex multiply rounds psi_i psi_j* and psi_j psi_i* apart,
+        so the upper triangle is mirrored, conjugated, and the diagonal made real."""
+        rho = np.outer(self.amps, self.amps.conj())
         np.copyto(rho, rho.T.conj(), where=np.tri(self.trunc.dim, k=-1, dtype=bool))
         np.fill_diagonal(rho.imag, 0.0)
         # finite, Hermitian, unit-trace and positive semidefinite by construction, so frozen unchecked and uncopied
@@ -285,7 +269,7 @@ def coherent_state(alpha: complex, trunc: Truncation) -> StateVector:
     amps[0] = math.exp(-abs(alpha) ** 2 / 2.0)
     for n in range(1, trunc.dim):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    return StateVector(amps / np.linalg.norm(amps), trunc)
+    return StateVector(amps, trunc)
 
 
 def ladder_operators(trunc: Truncation):
@@ -361,8 +345,8 @@ def inner_product(u: StateVector, v: StateVector) -> complex:
 
 
 def expectation(op: np.ndarray, state) -> complex:
-    """<O> for an (N, N) operator array on a StateVector or a density, an (N, N) array: <psi|O|psi> as it stands,
-    so the mean of a unit state only."""
+    """<O> for an (N, N) operator array on a StateVector or a density, an (N, N) array: <psi|O|psi> on the unit
+    state, tr(rho O) on the density."""
     _require_operator_on(op, _dim(state))
     if isinstance(state, StateVector):
         return complex(np.vdot(state.amps, op @ state.amps))
@@ -377,8 +361,8 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
 
 
 def fidelity(x, y) -> float:
-    """Fidelity in [0, 1] of two states, each a StateVector or a density (a numpy array): |<x|y>|^2 for two pure
-    states, <x|y|x> for a pure x and a density y, in either order, and Uhlmann's for two densities."""
+    """Fidelity in [0, 1] of two states, each a StateVector (a unit state) or a density (a numpy array): |<x|y>|^2
+    for two unit states, <x|y|x> for a unit x and a density y, in either order, and Uhlmann's for two densities."""
     if not all(isinstance(s, (StateVector, np.ndarray)) for s in (x, y)):
         raise TypeError("fidelity expects StateVector or numpy array arguments")
     if isinstance(y, StateVector) and not isinstance(x, StateVector):
@@ -400,8 +384,9 @@ def fidelity(x, y) -> float:
 
 
 def check_tail(state: StateVector, context: str = "") -> None:
-    """Raise :class:`TruncationError` when the top-level weight is above the tail guard's 1e-8."""
-    if (w := state.top_weight) > _TAIL_TOL:
+    """Raise :class:`TruncationError` when the unit state's weight at the top level, |amps[-1]|^2, is above the
+    tail guard's 1e-8."""
+    if (w := float(abs(state.amps[-1]) ** 2)) > _TAIL_TOL:
         dim = state.trunc.dim
         suggested = dim + max(8, dim // 2)
         where = f" ({context})" if context else ""

@@ -66,7 +66,6 @@ class ReconstructionResult:
 
     rho_hat: np.ndarray
     log_likelihood_trace: np.ndarray
-    iterations_used: int
     stop_reason: str
     loglik_gap: float
     cell_width: float
@@ -78,6 +77,11 @@ class ReconstructionResult:
             raise ValueError("log-likelihood trace decreased beyond numerical slack")
         trace.flags.writeable = False
         object.__setattr__(self, "log_likelihood_trace", trace)
+
+    @property
+    def iterations_used(self) -> int:
+        """The sweeps run, one fewer than the trace's entries (the first is the start's log-likelihood)."""
+        return len(self.log_likelihood_trace) - 1
 
 
 def sample_quadratures(rho: np.ndarray, phases, samples_per_phase: int, seed: int) -> np.ndarray:
@@ -262,4 +266,4 @@ def maxlik_reconstruct(samples, dim: int, max_iter: int = 2000, tol: float = 1e-
             break
 
     gap = len(samples) * (float(np.linalg.eigvalsh(r_op)[-1]) - 1.0)
-    return ReconstructionResult(check_density(rho), np.asarray(trace), len(trace) - 1, stop_reason, gap, width)
+    return ReconstructionResult(check_density(rho), np.asarray(trace), stop_reason, gap, width)

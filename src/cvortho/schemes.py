@@ -52,7 +52,7 @@ __all__ = [
 
 _MEAN_MATCH_TOL = 1e-8
 _DENOMINATOR_TOL = 1e-12
-_ANGLE_TOL = 1e-12  # sin and cos of a beam-splitter angle this close to each other, or to 0, count as equal
+_ANGLE_TOL = 1e-12  # a sine or cosine of a beam-splitter angle this close to 0 counts as 0
 
 # The refusal gate on the addition scheme's coherent ancilla: a herald basis of herald_dim levels, by default
 # min(signal dim, 12), must hold it at this tail tolerance.  The |1>|0> click reads only the ancilla's |0> and |1>
@@ -117,11 +117,10 @@ def _shifted(base: np.ndarray, shift: complex, psi: StateVector, context: str | 
     """(base - shift 1)|psi>, normalized, as one vector step; with a ``context``, tail-guarded under that name."""
     scale = 2.0 ** -max(0, math.frexp(max(abs(shift.real), abs(shift.imag)))[1])  # exact; a huge shift stays finite
     raw = scale * (base @ psi.amps) - (scale * shift) * psi.amps
-    nrm = float(np.linalg.norm(raw))
-    if nrm < ZERO_NORM_TOL * scale:
+    if np.linalg.norm(raw) < ZERO_NORM_TOL * scale:
         raise ValueError(f"the input is an eigenstate of the operator with eigenvalue {shift:.6g}; "
                          "the output norm, hence the success probability, drops to zero")
-    out = StateVector(raw / nrm, psi.trunc)
+    out = StateVector(raw, psi.trunc)
     if context:
         check_tail(out, context=context)
     return out
@@ -156,20 +155,22 @@ def orthogonalize(psi: StateVector, spec: OrthogonalizerSpec, c: complex = 0.0) 
 
 
 def orthogonal_family(psi: StateVector, spec: OrthogonalizerSpec, k: int) -> list:
-    """Repeated application of the creation-operator orthogonalizer, by :func:`orthogonalize`'s guarded step.
+    """Repeated application of the creation-operator orthogonalizer O = a_dag - <a_dag> 1, <a_dag> on ``psi``.
 
-    Returns the normalized states O^m |psi> for m = 1..k, which are mutually
-    orthogonal (for coherent input they are the displaced number states).
+    Returns the normalized states O^m |psi> for m = 1..k.  The first is
+    ``orthogonalize(psi, spec)``, which checks the spec mean against ``psi``
+    and guards its tail; the others apply O again by the same tail-guarded
+    step.  The members are mutually orthogonal only for coherent input, where
+    they are the displaced number states; on other input they need not be.
     """
     if spec.kind is not OperatorKind.CREATION:
         raise ValueError("the orthogonal family requires the creation-operator scheme")
     _require("k", _int_rule(1), k)
-    check_tail(psi, context="creation-operator input")
+    family = [orthogonalize(psi, spec)]
     base = _base_operator(spec, psi.trunc)
-    family = [psi]
-    for _ in range(k):
+    for _ in range(k - 1):
         family.append(_shifted(base, complex(spec.mean_value), family[-1], "orthogonal family member"))
-    return family[1:]
+    return family
 
 
 def two_operator_orthogonalizer(c1: np.ndarray, c2: np.ndarray, psi: StateVector) -> np.ndarray:
@@ -214,17 +215,16 @@ def _herald_one_zero(theta: float, from_one_zero: np.ndarray, from_zero_one: np.
     The splitter conserves photon number, so the click reads only the
     one-photon sector: ``from_one_zero`` and ``from_zero_one`` are the
     (unnormalized) signal vectors paired with the herald inputs |1>|0> and
-    |0>|1>.  Returns the normalized conditional signal state and the herald
-    weight ||t from_one_zero - r from_zero_one||^2, the heralded signal's
-    squared norm: not a probability, as the branches enter with unit weight.
+    |0>|1>.  Returns the conditional signal state and the herald weight
+    ||t from_one_zero - r from_zero_one||^2, the heralded signal's squared
+    norm: not a probability, as the branches enter with unit weight.
     """
     row = beam_splitter_op(theta, 1)[0]
     amps = row[0] * from_one_zero + row[1] * from_zero_one
     weight = float(np.real(np.vdot(amps, amps)))
-    nrm = math.sqrt(weight)
-    if nrm < ZERO_NORM_TOL:
+    if math.sqrt(weight) < ZERO_NORM_TOL:
         raise ValueError(f"herald outcome (1, 0) has vanishing weight ({weight:.3e})")
-    return StateVector(amps / nrm, signal_trunc), weight
+    return StateVector(amps, signal_trunc), weight
 
 
 def heralded_addition_model(psi: StateVector, beta: complex, theta: float, herald_dim: int | None = None):
@@ -246,15 +246,15 @@ def heralded_addition_model(psi: StateVector, beta: complex, theta: float, heral
     """
     check_tail(psi, context="addition-scheme input")
     _, a_dag, _ = ladder_operators(psi.trunc)
-    added = StateVector(a_dag @ psi.amps, psi.trunc)
-    check_tail(added, context="photon-added branch")
+    added = a_dag @ psi.amps
+    check_tail(StateVector(added, psi.trunc), context="photon-added branch")
 
     beta = complex(beta)
     dim = herald_dim or min(psi.trunc.dim, _HERALD_DIM_CAP)
     _require("herald_dim", Truncation.DIM, dim)
     size = math.hypot(beta.real, beta.imag)  # abs() raises past the float range, and size * size gives inf there
     anc0 = math.exp(-size * size / 2.0)
-    heralded = _herald_one_zero(theta, anc0 * added.amps, anc0 * beta * psi.amps, psi.trunc)
+    heralded = _herald_one_zero(theta, anc0 * added, anc0 * beta * psi.amps, psi.trunc)
     needed = min_dim_for_coherent(beta, _HERALD_TAIL_TOL)
     if needed > dim:
         raise TruncationError(f"a coherent ancilla of |beta|={size:.4g} needs herald.dim >= {needed} "
@@ -269,12 +269,11 @@ def number_scheme_model(psi: StateVector, theta: float, phi: float = 0.0):
     Starts from the two-branch herald superposition
     e^{i phi} a_dag a |psi> x |1>|0> + a a_dag |psi> x |0>|1>, mixes the
     herald modes on the beam splitter, and heralds on |1>|0>.  The conditional
-    operator is (t e^{i phi} - r)(n - r/(t e^{i phi} - r) 1) where a a_dag = n + 1,
-    below the top level.  Returns the normalized conditional state and the herald weight.
+    operator is t e^{i phi} n - r (n + 1), as a a_dag = n + 1 below the top
+    level: (t e^{i phi} - r)(n - r/(t e^{i phi} - r) 1) wherever c is finite,
+    and -r 1, which returns the input, where t e^{i phi} = r (theta = pi/4 at
+    phi = 0).  Returns the normalized conditional state and the herald weight.
     """
-    # at t = r the identity weight r/(t - r) diverges
-    _require("theta", ((lambda v: abs(math.cos(v) - math.sin(v)) >= _ANGLE_TOL),
-                       "an angle with cos(theta) != sin(theta) (t = r is singular)"), theta)
     check_tail(psi, context="number-scheme input")
     a, a_dag, n_op = ladder_operators(psi.trunc)
     branch_n = cmath.exp(1j * phi) * (n_op @ psi.amps)

@@ -15,12 +15,12 @@ def rng():
 
 
 def random_state(trunc: Truncation, rng, support: int | None = None) -> StateVector:
-    """Random normalized state with zero weight near the top of the basis."""
+    """Random unit state with zero weight near the top of the basis."""
     if support is None:
         support = max(2, trunc.dim // 2)
     amps = np.zeros(trunc.dim, dtype=complex)
     amps[:support] = rng.normal(size=support) + 1j * rng.normal(size=support)
-    return StateVector(amps, trunc).normalized()
+    return StateVector(amps, trunc)
 
 
 def random_mixed_state(dim, rank, seed):

@@ -76,11 +76,9 @@ class TestValidate:
         problems = validate_config({"experiment": "orthogonalize", "trunc": 1})
         assert any(p.startswith("trunc") for p in problems)
 
-    def test_singular_number_scheme_named(self):
-        problems = validate_config(
-            {"experiment": "number_scheme", "herald": {"theta": math.pi / 4}}
-        )
-        assert any("singular" in p for p in problems)
+    def test_equal_splitting_number_scheme_validates(self):
+        # at t = r the number scheme's operator is finite, so the balanced splitter is a valid herald
+        assert validate_config({"experiment": "number_scheme", "herald": {"theta": math.pi / 4}}) == []
 
     def test_eta_range(self):
         problems = validate_config({"experiment": "tomography", "eta": 1.5})
@@ -693,7 +691,7 @@ def test_a_huge_qubit_coefficient_writes_its_input(tmp_path, config):
     paths = {entry["path"] for entry in run(config, tmp_path)["files"]} & {"density_00.json", "rho_true.json"}
     assert len(paths) == 1
     rho = density_from_json(json.loads((tmp_path / paths.pop()).read_text()))
-    psi = StateVector(coherent_state(1.0, Truncation(40)).amps[: len(rho)], Truncation(len(rho))).normalized()
+    psi = StateVector(coherent_state(1.0, Truncation(40)).amps[: len(rho)], Truncation(len(rho)))
     assert fidelity(psi, rho) >= 1 - 1e-12
 
 

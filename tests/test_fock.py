@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import re
@@ -67,6 +68,17 @@ amplitudes = st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False, all
                       min_size=2, max_size=40).filter(lambda amps: np.linalg.norm(amps) > 1e-6)
 
 
+@st.composite
+def scaled_amplitudes(draw):
+    """Complex amplitudes on 2 to 60 levels, some zero and the rest at magnitudes 1e-300 to 1e300: all within a
+    factor of 1e10, or spread over the whole range, about a common top magnitude."""
+    top = draw(st.integers(-300, 299))
+    low = max(-300, top - draw(st.sampled_from([0, 10, 600])))
+    entry = st.one_of(st.just(0j), st.builds(lambda m, e, phase: cmath.rect(m * 10.0**e, phase),
+                                             st.floats(1.0, 9.99), st.integers(low, top), st.floats(0.0, 2 * math.pi)))
+    return draw(st.lists(entry, min_size=2, max_size=60).filter(any))
+
+
 def pure_density(amps):
     return StateVector(amps, Truncation(len(amps))).to_density()
 
@@ -132,7 +144,7 @@ class TestCoherentState:
         # Poisson tail beyond level 24 at lam=1 is ~2e-26, so the
         # renormalization factor is indistinguishable from 1
         psi = coherent_state(1.0, Truncation(25))
-        assert abs(psi.norm - 1.0) < 1e-12
+        assert abs(np.linalg.norm(psi.amps) - 1.0) < 1e-12
 
     def test_matches_displaced_vacuum(self):
         t = Truncation(30)
@@ -217,7 +229,7 @@ class TestCoherentState:
         psi = coherent_state(28.0, Truncation(dim))
         weights = brute_poisson_weights(28.0**2, dim)
         assert_allclose(np.abs(psi.amps) ** 2, weights / weights.sum(), rtol=0, atol=1e-12)
-        assert psi.top_weight <= 1e-8
+        assert abs(psi.amps[-1]) ** 2 <= 1e-8
         with pytest.raises(TruncationError):
             coherent_state(28.0, Truncation(dim - 1))
 
@@ -237,7 +249,7 @@ class TestLadderOperators:
     def test_lowering_annihilates_vacuum(self):
         t = Truncation(10)
         a, _, _ = ladder_operators(t)
-        assert StateVector(a @ fock_state(0, t).amps, t).norm == 0.0
+        assert np.linalg.norm(a @ fock_state(0, t).amps) == 0.0
 
     def test_number_operator_is_exact_product(self):
         t = Truncation(12)
@@ -381,8 +393,8 @@ class TestScalars:
         t = Truncation(8)
         u, v = random_state(t, rng), random_state(t, rng)
         assert inner_product(u, v) == pytest.approx(np.conj(inner_product(v, u)))
-        scaled = StateVector(2j * u.amps, t)
-        assert inner_product(scaled, v) == pytest.approx(-2j * inner_product(u, v))
+        rotated = StateVector(1j * u.amps, t)
+        assert inner_product(rotated, v) == pytest.approx(-1j * inner_product(u, v))
 
     def test_fidelity_self_and_orthogonal(self):
         t = Truncation(10)
@@ -458,25 +470,28 @@ class TestInvariantsAndTypes:
         with pytest.raises(ValueError, match=r"^amplitude 2 is not finite"):
             StateVector(amps, Truncation(4))
 
-    def test_normalized_refuses_a_state_without_a_unit_form(self):
-        state = StateVector([0.0, 0.0], Truncation(2))
-        for call in (state.normalized, state.to_density):
-            with pytest.raises(ValueError, match=r"^cannot normalize a \(numerically\) zero state$"):
-                call()
+    def test_state_refuses_an_all_zero_vector(self):
+        # signed zeros are zeros too: the constructor has no unit form to give
+        with pytest.raises(ValueError, match=r"^cannot normalize an all-zero vector$"):
+            StateVector([0.0, complex(-0.0, -0.0)], Truncation(2))
 
-    def test_normalized_scales_a_state_whose_norm_overflows(self):
-        # |1e200|^2 overflows, so the unit form is divided out from the amplitudes scaled by a power of two
-        state = StateVector([1e200, -1e200j], Truncation(2))
+    @settings(max_examples=300, deadline=None)
+    @given(amps=scaled_amplitudes())
+    @example(amps=[1e200, -1e200j])  # |1e200|^2 overflows, so the norm is divided out of the scaled amplitudes
+    def test_constructor_gives_the_unit_vector_along_its_amplitudes(self, amps):
+        amps, trunc = np.array(amps, dtype=np.complex128), Truncation(len(amps))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert_allclose(state.normalized().amps, [math.sqrt(0.5), -1j * math.sqrt(0.5)], rtol=1e-15)
-            assert_allclose(state.to_density(), [[0.5, 0.5j], [-0.5j, 0.5]], rtol=1e-15)
-
-    def test_zero_state_has_no_top_weight(self):
-        assert StateVector([0.0, 0.0, 0.0], Truncation(3)).top_weight == 0.0
+            state = StateVector(amps, trunc)
+            assert abs(np.linalg.norm(state.amps) - 1.0) <= 1e-15
+            top = int(np.argmax(np.abs(amps)))
+            factor = state.amps[top] / amps[top]
+            assert np.max(np.abs(state.amps - factor * amps)) <= 1e-15 * np.max(np.abs(state.amps))
+            with pytest.raises(ValueError, match=r"^cannot normalize an all-zero vector$"):
+                StateVector(np.zeros(trunc.dim), trunc)
 
     def test_tail_guard_reads_amplitudes_whose_squares_overflow(self):
-        # |1e200|^2 overflows, so an unscaled weight is inf / inf, nan, and passes the guard
+        # |1e200|^2 overflows, so an unscaled weight would be inf / inf, nan, and pass the guard; the unit form has none
         state = StateVector([0.0, 1e200, 1e200], Truncation(3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -272,7 +272,7 @@ class TestMaxLikReconstruct:
         t = Truncation(25)
         psi = coherent_state(1.0, t)
         spec = OrthogonalizerSpec.from_state(OperatorKind.CREATION, psi)
-        state = StateVector(qubit_operator(spec, 1.0, t) @ psi.amps, psi.trunc).normalized()
+        state = StateVector(qubit_operator(spec, 1.0, t) @ psi.amps, psi.trunc)
         res = maxlik_reconstruct(sample_quadratures(state.to_density(), uniform_phases(10), 5000, 2), dim=15,
                                  max_iter=250, tol=1e-9)
         assert fidelity(res.rho_hat, project_density(state.to_density(), Truncation(15))) >= 0.98
@@ -417,12 +417,12 @@ class TestMaxLikReconstruct:
     def test_unknown_stop_reason_rejected(self):
         rho = fock_state(0, Truncation(4)).to_density()
         with pytest.raises(ValueError, match="stop_reason"):
-            ReconstructionResult(rho, np.zeros(1), 0, "gave_up", 0.0, 0.004)
+            ReconstructionResult(rho, np.zeros(1), "gave_up", 0.0, 0.004)
 
     def test_falling_trace_rejected(self):
         rho = fock_state(0, Truncation(4)).to_density()
         with pytest.raises(ValueError, match="^log-likelihood trace decreased beyond numerical slack$"):
-            ReconstructionResult(rho, np.array([-1.0, -1.1]), 1, "tol", 0.0, 0.004)
+            ReconstructionResult(rho, np.array([-1.0, -1.1]), "tol", 0.0, 0.004)
 
 
 class TestMomentKernel:

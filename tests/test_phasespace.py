@@ -149,7 +149,7 @@ class TestWigner:
         rho = psi.to_density()
         alpha = (1.0 + 0.5j) / math.sqrt(2.0)
         disp = displacement_op(alpha, trunc)
-        rho_disp = StateVector(disp @ psi.amps, psi.trunc).normalized().to_density()
+        rho_disp = StateVector(disp @ psi.amps, psi.trunc).to_density()
         grid = PhaseGrid(**DEFAULTS["grid"])
         w = wigner([rho], grid)[0]
         w_disp = wigner([rho_disp], grid)[0]
@@ -336,7 +336,7 @@ class TestApplyLoss:
         psi = coherent_state(1.0, trunc)
         spec = OrthogonalizerSpec.from_state(OperatorKind.CREATION, psi)
         states = [fock_state(1, trunc).to_density()] + [
-            StateVector(qubit_operator(spec, c, trunc) @ psi.amps, psi.trunc).normalized().to_density()
+            StateVector(qubit_operator(spec, c, trunc) @ psi.amps, psi.trunc).to_density()
             for c in (1.0, -1.0, 1j, -1j)
         ]
         for rho in states:

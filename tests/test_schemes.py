@@ -38,7 +38,7 @@ from cvortho import (
 
 
 def displaced_fock(alpha, n, trunc):
-    return StateVector(displacement_op(alpha, trunc) @ fock_state(n, trunc).amps, trunc).normalized()
+    return StateVector(displacement_op(alpha, trunc) @ fock_state(n, trunc).amps, trunc)
 
 
 def truncated_coherent(beta, dim):
@@ -80,7 +80,7 @@ class TestBuildOrthogonalizer:
         c_op = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         spec = OrthogonalizerSpec.from_state(OperatorKind.CUSTOM, psi, operator=c_op)
         out = StateVector(qubit_operator(spec, 0, t) @ psi.amps, psi.trunc)
-        assert abs(inner_product(psi, out)) / out.norm < 1e-12
+        assert abs(inner_product(psi, out)) < 1e-12
 
     def test_number_mean_must_be_real(self):
         with pytest.raises(ValueError, match="^number-operator mean must be real$"):
@@ -156,8 +156,8 @@ class TestOrthogonalize:
 
 
 def overlap_bound_holds(psi, out):
-    """|<psi|out>| <= 1e-10 ||out|| for an unnormalized ``out = C psi``."""
-    return abs(inner_product(psi, out)) <= 1e-10 * out.norm
+    """|<psi|out>| <= 1e-10 ||out|| for the unnormalized array ``out = C psi``."""
+    return abs(np.vdot(psi.amps, out)) <= 1e-10 * np.linalg.norm(out)
 
 
 class TestOrthogonalityProperty:
@@ -168,7 +168,7 @@ class TestOrthogonalityProperty:
         t = Truncation(dim)
         psi = random_state(t, np.random.default_rng(seed))
         spec = OrthogonalizerSpec.from_state(kind, psi)
-        assert overlap_bound_holds(psi, StateVector(qubit_operator(spec, 0, t) @ psi.amps, psi.trunc))
+        assert overlap_bound_holds(psi, qubit_operator(spec, 0, t) @ psi.amps)
 
     @settings(max_examples=60, deadline=None)
     @given(dim=st.integers(2, 30), seed=st.integers(0, 2**32 - 1))
@@ -182,7 +182,7 @@ class TestOrthogonalityProperty:
         except ValueError as error:
             assume("vanishes on the input" not in str(error))  # <C2> = 0: no ratio, so no operator
             raise
-        assert overlap_bound_holds(psi, StateVector(op @ psi.amps, psi.trunc))
+        assert overlap_bound_holds(psi, op @ psi.amps)
 
 
 class TestOrthogonalFamily:
@@ -210,6 +210,11 @@ class TestOrthogonalFamily:
         with pytest.raises(ValueError):
             orthogonal_family(fock_state(0, t), OrthogonalizerSpec(OperatorKind.NUMBER, 0.0), 2)
 
+    def test_refuses_a_spec_mean_that_does_not_match_the_input(self):
+        psi = coherent_state(1.0, Truncation(40))
+        with pytest.raises(ValueError, match=r"^spec mean 0\.3\+0j does not match the measured expectation 1\+0j "):
+            orthogonal_family(psi, OrthogonalizerSpec(OperatorKind.CREATION, 0.3), 2)
+
 
 class TestQubitOperator:
     def test_c_zero_reduces_to_orthogonalizer(self):
@@ -224,7 +229,7 @@ class TestQubitOperator:
         t = Truncation(40)
         psi = coherent_state(1.0, t)
         spec = OrthogonalizerSpec.from_state(OperatorKind.CREATION, psi)
-        out = StateVector(qubit_operator(spec, c, t) @ psi.amps, psi.trunc).normalized()
+        out = StateVector(qubit_operator(spec, c, t) @ psi.amps, psi.trunc)
         target_amps = (fock_state(1, t).amps + c * fock_state(0, t).amps) / math.sqrt(1 + abs(c) ** 2)
         target = StateVector(displacement_op(1.0, t) @ target_amps, t)
         assert fidelity(out, target) > 1 - 1e-8
@@ -238,14 +243,13 @@ class TestQubitOperator:
         spec = OrthogonalizerSpec.from_state(OperatorKind.CREATION, psi)
         perp = orthogonalize(psi, spec)
         for c in (1.0, 1j, 0.3 - 0.8j):
-            out = StateVector(qubit_operator(spec, c, t) @ psi.amps, psi.trunc).normalized()
+            out = StateVector(qubit_operator(spec, c, t) @ psi.amps, psi.trunc)
             w_in, w_perp = inner_product(psi, out), inner_product(perp, out)
             scale = math.sqrt(1 + abs(c) ** 2)
             assert abs(w_in) == pytest.approx(abs(c) / scale, abs=1e-10)
             assert abs(w_perp) == pytest.approx(1 / scale, abs=1e-10)
             assert abs(w_in) ** 2 + abs(w_perp) ** 2 == pytest.approx(1.0, abs=1e-10)
-            residual = StateVector(out.amps - w_in * psi.amps - w_perp * perp.amps, t)
-            assert residual.norm < 1e-10
+            assert np.linalg.norm(out.amps - w_in * psi.amps - w_perp * perp.amps) < 1e-10
 
     @settings(max_examples=80, deadline=None)
     @given(dim=st.integers(4, 40), kind=st.sampled_from(list(OperatorKind)), seed=st.integers(0, 2**32 - 1),
@@ -257,10 +261,10 @@ class TestQubitOperator:
         psi = random_state(t, rng)  # support on the lower half, so a_dag psi stays clear of the top level
         custom = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         spec = OrthogonalizerSpec.from_state(kind, psi, operator=custom if kind is OperatorKind.CUSTOM else None)
-        perp_norm = StateVector(qubit_operator(spec, 0.0, t) @ psi.amps, psi.trunc).norm
+        perp_norm = np.linalg.norm(qubit_operator(spec, 0.0, t) @ psi.amps)
         assume(perp_norm > 1e-6)  # an eigenstate of C: at c = 0 the output norm is zero
         out = orthogonalize(psi, spec, c)
-        ref = StateVector(qubit_operator(spec, c, t) @ psi.amps, psi.trunc).normalized()
+        ref = StateVector(qubit_operator(spec, c, t) @ psi.amps, psi.trunc)
         assert np.max(np.abs(out.amps - ref.amps)) <= 1e-13
         weight = abs(c) ** 2 / (abs(c) ** 2 + perp_norm**2)
         assert abs(inner_product(psi, out)) ** 2 == pytest.approx(weight, abs=1e-13)
@@ -272,7 +276,7 @@ class TestQubitOperator:
         for kind in (OperatorKind.CREATION, OperatorKind.NUMBER):
             psi = random_state(t, rng, support=12)
             spec = OrthogonalizerSpec.from_state(kind, psi)
-            out = StateVector(qubit_operator(spec, 0.4 + 0.7j, t) @ psi.amps, psi.trunc).normalized()
+            out = StateVector(qubit_operator(spec, 0.4 + 0.7j, t) @ psi.amps, psi.trunc)
             total = abs(inner_product(psi, out)) ** 2 + abs(inner_product(orthogonalize(psi, spec), out)) ** 2
             assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -301,7 +305,7 @@ class TestTwoOperatorOrthogonalizer:
             c1 = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
             c2 = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
             out = StateVector(two_operator_orthogonalizer(c1, c2, psi) @ psi.amps, psi.trunc)
-            assert abs(inner_product(psi, out)) / out.norm < 1e-10
+            assert abs(inner_product(psi, out)) < 1e-10
 
     def test_degenerate_denominator(self):
         t = Truncation(10)
@@ -317,14 +321,14 @@ class TestHeraldedAdditionModel:
         psi = coherent_state(0.8, t)
         out, _ = heralded_addition_model(psi, 1.0, 0.0)
         _, a_dag, _ = ladder_operators(t)
-        assert fidelity(out, StateVector(a_dag @ psi.amps, psi.trunc).normalized()) > 1 - 1e-10
+        assert fidelity(out, StateVector(a_dag @ psi.amps, psi.trunc)) > 1 - 1e-10
 
     def test_vacuum_ancilla_is_pure_addition(self):
         t = Truncation(30)
         psi = coherent_state(0.8, t)
         out, _ = heralded_addition_model(psi, 0.0, math.pi / 8)
         _, a_dag, _ = ladder_operators(t)
-        assert fidelity(out, StateVector(a_dag @ psi.amps, psi.trunc).normalized()) > 1 - 1e-10
+        assert fidelity(out, StateVector(a_dag @ psi.amps, psi.trunc)) > 1 - 1e-10
 
     def test_tuned_into_physical_orthogonalizer(self):
         t = Truncation(40)
@@ -346,9 +350,9 @@ class TestHeraldedAdditionModel:
         ratios = []
         for psi in (coherent_state(0.5, t), coherent_state(1.0, t), fock_state(1, t), plus2):
             out, prob = heralded_addition_model(psi, beta, theta)
-            target = StateVector(ideal @ psi.amps, psi.trunc)
-            assert fidelity(out, target.normalized()) > 1 - 1e-8
-            ratios.append(prob / target.norm ** 2)
+            raw = ideal @ psi.amps
+            assert fidelity(out, StateVector(raw, psi.trunc)) > 1 - 1e-8
+            ratios.append(prob / np.linalg.norm(raw) ** 2)
         # success probability proportional to the ideal squared norm with a
         # state-independent factor
         spread = (max(ratios) - min(ratios)) / min(ratios)
@@ -381,7 +385,7 @@ class TestHeraldedAdditionModel:
         psi = coherent_state(0.7, t)
         beta = 0.8 * cmath.exp(1j * math.pi / 5)
         out, _ = heralded_addition_model(psi, beta, math.pi / 8)
-        target = StateVector(ideal_addition_operator(beta, math.pi / 8, t) @ psi.amps, psi.trunc).normalized()
+        target = StateVector(ideal_addition_operator(beta, math.pi / 8, t) @ psi.amps, psi.trunc)
         assert fidelity(out, target) > 1 - 1e-10
 
     @settings(max_examples=100, deadline=None)
@@ -416,7 +420,7 @@ class TestNumberSchemeModel:
         psi = coherent_state(1.0, t)
         out, _ = number_scheme_model(psi, 0.0)
         _, _, n_op = ladder_operators(t)
-        assert fidelity(out, StateVector(n_op @ psi.amps, psi.trunc).normalized()) > 1 - 1e-10
+        assert fidelity(out, StateVector(n_op @ psi.amps, psi.trunc)) > 1 - 1e-10
 
     def test_tuned_into_orthogonalizer(self):
         t = Truncation(40)
@@ -458,18 +462,26 @@ class TestNumberSchemeModel:
         with pytest.raises(ValueError, match=r"^herald outcome \(1, 0\) has vanishing weight "):
             number_scheme_model(fock_state(0, Truncation(10)), 0.0)
 
-    def test_singular_configuration(self):
-        t = Truncation(10)
-        singular = r"^theta: must be an angle with cos\(theta\) != sin\(theta\) \(t = r is singular\)"
-        with pytest.raises(ValueError, match=singular):
-            number_scheme_model(coherent_state(0.5, t), math.pi / 4)
+    def test_equal_splitting_is_finite(self):
+        # at t = r the operator t e^{i phi} n - r (n + 1) is -r 1 at phi = 0, which returns the input at weight
+        # r^2 = 1/2, and elsewhere the qubit generator at c = <n> - 1/(e^{i phi} - 1)
+        t = Truncation(30)
+        psi = coherent_state(0.8 + 0.3j, t)
+        out, weight = number_scheme_model(psi, math.pi / 4)
+        assert 1.0 - fidelity(out, psi) <= 1e-12
+        assert weight == pytest.approx(0.5, rel=1e-12)
+        spec = OrthogonalizerSpec.from_state(OperatorKind.NUMBER, psi)
+        out, weight = number_scheme_model(psi, math.pi / 4, 1.0)
+        assert 1.0 - fidelity(out, orthogonalize(psi, spec, spec.mean_value - 1 / (cmath.exp(1j) - 1))) <= 1e-12
+        assert weight == pytest.approx(np.linalg.norm(ideal_number_operator(math.pi / 4, 1.0, t) @ psi.amps) ** 2,
+                                       rel=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(theta=st.floats(0.0, math.pi / 2), phi=st.floats(-math.pi, math.pi), seed=st.integers(0, 2**32 - 1))
     def test_is_the_qubit_generator_at_the_coefficient_it_sets(self, theta, phi, seed):
         # t e^{i phi} n - r (n + 1) = (t e^{i phi} - r)(n + (c - <n>) 1) at c = <n> - r/(t e^{i phi} - r)
         t, r = math.cos(theta), math.sin(theta)
-        assume(abs(t - r) > 1e-3)
+        assume(abs(t * cmath.exp(1j * phi) - r) > 1e-3)  # where c diverges
         psi = random_state(Truncation(25), np.random.default_rng(seed), support=12)
         spec = OrthogonalizerSpec.from_state(OperatorKind.NUMBER, psi)
         c = spec.mean_value - r / (t * cmath.exp(1j * phi) - r)
@@ -482,7 +494,7 @@ class TestNumberSchemeModel:
         for _ in range(5):
             psi = random_state(t, rng, support=12)
             out, _ = number_scheme_model(psi, 0.3, 0.9)
-            assert fidelity(out, StateVector(ideal @ psi.amps, psi.trunc).normalized()) > 1 - 1e-8
+            assert fidelity(out, StateVector(ideal @ psi.amps, psi.trunc)) > 1 - 1e-8
 
 
 class TestHelpers:
