@@ -1,8 +1,9 @@
 """Truncated-Fock-space linear algebra: states, operators, the beam splitter.
 
 A single bosonic mode is represented on the number basis |0>, ..., |N-1>.
-One tail guard holds on every basis: a coherent state, and any state that
-``check_tail`` admits, carries at most 1e-8 of its weight at the top level.
+One tail guard holds on every basis: a unit state carries at most 1e-8 at
+its top level.  ``check_tail`` refuses a state past it, and
+``coherent_state`` a basis below ``min_dim_for_coherent``, the same rule.
 The two-mode beam splitter conserves the total photon number, so it is
 given one photon-number sector at a time; no truncation enters there.
 
@@ -59,7 +60,7 @@ _EIGENVALUE_FLOOR = -1e-10
 class TruncationError(ValueError):
     """A state carries too much probability weight at the top basis level.
 
-    Carries ``suggested_dim``, a dimension expected to be large enough.
+    Carries ``suggested_dim``, a dimension expected to be large enough, or None from the herald gate.
     """
 
     def __init__(self, message: str, suggested_dim: int | None = None):
@@ -195,34 +196,6 @@ def fock_state(n: int, trunc: Truncation) -> StateVector:
     return StateVector(amps, trunc)
 
 
-def _log_poisson_pmf(j: int, lam: float) -> float:
-    """log P(X = j) for X Poisson of mean lam > 0; from j = 50 on by Stirling's series, since lgamma(j + 1)
-    itself rounds by up to 1.5e-11 at j = 1e4."""
-    if j < 50:
-        return j * math.log(lam) - lam - math.lgamma(j + 1)
-    return (j * math.log1p((lam - j) / j) - (lam - j) - 0.5 * math.log(2 * math.pi * j)
-            - (1 / 12 - (1 / 360 - 1 / (1260 * j * j)) / (j * j)) / j)
-
-
-def _poisson_tail(k: int, lam: float) -> float:
-    """P(X > k) for X Poisson of mean lam >= 0, at any integer k: an exact sum in term ratios outward from the mode
-    (from level k + 1 up, or 1 - P(X <= k) from level k down for k + 1 < lam), of O(sqrt(lam)) terms, as fits the
-    means up to 37.6^2 that ``min_dim_for_coherent`` passes; 0.0 from k >= max(745, e^2 lam) on, where Chernoff's
-    bound e^-lam (e lam / (k + 1))^(k + 1) is below e^-746."""
-    if k < 0 or lam == 0.0:
-        return float(k < 0)
-    if k >= max(745, math.e**2 * lam):
-        return 0.0
-    below = k + 1 < lam
-    j = k if below else k + 1
-    term, total = math.exp(_log_poisson_pmf(j, lam)), 0.0
-    while term > total * 1e-17:
-        total += term
-        j += -1 if below else 1
-        term *= (j + 1) / lam if below else lam / j
-    return 1.0 - total if below else total
-
-
 def _coherent_size(alpha: complex) -> float:
     """|alpha|, refused where exp(-|alpha|^2/2) is no normal double (|alpha| > 37.6), as no basis holds the state."""
     size = math.hypot(complex(alpha).real, complex(alpha).imag)  # past the float range abs() raises, hypot gives inf
@@ -232,25 +205,22 @@ def _coherent_size(alpha: complex) -> float:
 
 
 def min_dim_for_coherent(alpha: complex, tail_tol: float) -> int:
-    """Smallest dim such that a coherent state fits under the tail guard.
+    """Smallest dim >= 2 on which the coherent state |alpha> carries at most ``tail_tol`` at its top level.
 
-    The returned N keeps the Poisson weight at and beyond level N-1,
-    ``_poisson_tail(N-2, |alpha|^2)``, at most ``tail_tol``, so the
-    constructed state satisfies the admission invariant.  One bisection on
-    ``_poisson_tail`` finds N.  Raises ``ValueError`` when exp(-|alpha|^2/2)
-    is not a normal double (|alpha| > 37.6), in :func:`coherent_state`'s
-    words: no basis holds that state.
+    That is ``check_tail``'s quantity, the unit state's top-level weight, found by a walk up the levels on ratios
+    alone: the Poisson weights of levels n - 1 and n stand in the ratio n / |alpha|^2, so on n + 1 levels the top
+    weight is w_n = |alpha|^2 w_{n-1} / (|alpha|^2 w_{n-1} + n), from w_0 = 1.  No Poisson weight is formed, w stays
+    in [0, 1], and the walk takes O(|alpha|^2) steps at a fixed ``tail_tol``.  Raises ``ValueError`` when
+    exp(-|alpha|^2/2) is not a normal double (|alpha| > 37.6), in :func:`coherent_state`'s words.
     """
     _require("alpha", ((lambda v: cmath.isfinite(complex(v))), "a finite number"), alpha)
     _require("tail_tol", ((lambda v: v > 0.0), "a positive number"), tail_tol)
     lam = _coherent_size(alpha) ** 2
-    low, high = -1, math.ceil(lam)  # the tail beyond level low is above tail_tol; beyond high it is not
-    while _poisson_tail(high, lam) > tail_tol:
-        low, high = high, 2 * high
-    while high - low > 1:
-        mid = (low + high) // 2
-        low, high = (mid, high) if _poisson_tail(mid, lam) > tail_tol else (low, mid)
-    return high + 2
+    n, top = 1, lam / (lam + 1.0)
+    while top > tail_tol:
+        n += 1
+        top = lam * top / (lam * top + n)
+    return n + 1
 
 
 def coherent_state(alpha: complex, trunc: Truncation) -> StateVector:
@@ -258,9 +228,10 @@ def coherent_state(alpha: complex, trunc: Truncation) -> StateVector:
 
     Amplitudes follow the Poissonian closed form exp(-|a|^2/2) a^n / sqrt(n!).
     Raises ``ValueError`` when exp(-|a|^2/2) is not a normal double (|a| > 37.6),
-    and else :class:`TruncationError` when the truncation cannot hold the state.
+    and else :class:`TruncationError` below ``min_dim_for_coherent(alpha, 1e-8)``
+    levels, so that every state built here passes ``check_tail``.
     """
-    size = _coherent_size(alpha)  # an infinite alpha is refused here, as an underflow, before the search
+    size = _coherent_size(alpha)  # an infinite alpha is refused here, as an underflow, before the walk
     needed = min_dim_for_coherent(alpha, _TAIL_TOL)
     if trunc.dim < needed:
         raise TruncationError(f"coherent amplitude |alpha|={size:.4g} needs dim >= {needed} at tail_tol "

@@ -203,8 +203,7 @@ def beta_for_addition_orthogonalizer(mean_creation: complex, theta: float) -> co
 
 def theta_for_number_orthogonalizer(n_mean: float) -> float:
     """Beam-splitter angle with r/(t - r) equal to the mean photon number."""
-    if n_mean < 0:
-        raise ValueError("mean photon number must be nonnegative")
+    _require("n_mean", ((lambda v: 0.0 <= v < math.inf), "a finite number >= 0"), n_mean)
     return math.atan(n_mean / (1.0 + n_mean))
 
 
@@ -250,7 +249,7 @@ def heralded_addition_model(psi: StateVector, beta: complex, theta: float, heral
     check_tail(StateVector(added, psi.trunc), context="photon-added branch")
 
     beta = complex(beta)
-    dim = herald_dim or min(psi.trunc.dim, _HERALD_DIM_CAP)
+    dim = min(psi.trunc.dim, _HERALD_DIM_CAP) if herald_dim is None else herald_dim
     _require("herald_dim", Truncation.DIM, dim)
     size = math.hypot(beta.real, beta.imag)  # abs() raises past the float range, and size * size gives inf there
     anc0 = math.exp(-size * size / 2.0)

@@ -246,8 +246,8 @@ class TestValidate:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("alpha, trunc, refused", [
-        (1.0, 12, True), (1.0, 13, False), ([5.0, 0.0], 40, True), ([0.0, 5.0], 60, False), (37.6, 40, True),
-        ([0.0, 37.7], 2000, True), (1e200, 40, True), ([1e308, 1e308], 40, True)])
+        (1.0, 11, True), (1.0, 12, False), (1.0, 13, False), ([5.0, 0.0], 40, True), ([0.0, 5.0], 60, False),
+        (37.6, 40, True), ([0.0, 37.7], 2000, True), (1e200, 40, True), ([1e308, 1e308], 40, True)])
     def test_coherent_input_is_checked_on_alpha_by_the_library_rule(self, tmp_path, alpha, trunc, refused):
         # exp(-|alpha|^2/2) underflows from |alpha| = 37.6 on, and no basis holds the state there; plain tomography
         # applies no operator, so no tail guard refuses a state that fits
@@ -1191,9 +1191,9 @@ def test_heralded_auto_beta_at_a_degenerate_angle_is_refused(tmp_path, capsys, t
 
 
 @pytest.mark.parametrize("config, found", [
-    # auto beta = cot(pi/4) <a_dag> = 3 at alpha = 3, whose coherent ancilla needs 20 levels
+    # auto beta = cot(pi/4) <a_dag> = 3 at alpha = 3, whose coherent ancilla needs 19 levels
     ({"input_state": {"alpha": [3.0, 0.0]}}, "herald.theta: a coherent ancilla of |beta|=3 "
-     "needs herald.dim >= 20 at tail_tol 0.005, got 12"),
+     "needs herald.dim >= 19 at tail_tol 0.005, got 12"),
     # auto beta = cot(1e-6) <a_dag> is about 1e6, whose ancilla amplitudes e^{-|beta|^2/2} (1, beta) are 0, so the
     # herald is refused before any basis is sized
     ({"herald": {"theta": 1e-6}}, "herald.theta: herald outcome (1, 0) has vanishing weight (0.000e+00)"),
@@ -1226,9 +1226,9 @@ def test_every_herald_basis_that_holds_the_ancilla_writes_the_same_bytes(tmp_pat
 
 def test_explicit_herald_beta_past_the_ancilla_basis_is_refused(tmp_path, capsys):
     config = {"experiment": "orthogonalize", "route": "heralded", "herald": {"beta": [3.0, 0.0]}}
-    message = "herald.beta: a coherent ancilla of |beta|=3 needs herald.dim >= 20 at tail_tol 0.005, got 12"
+    message = "herald.beta: a coherent ancilla of |beta|=3 needs herald.dim >= 19 at tail_tol 0.005, got 12"
     assert validate_config(config) == [message]
-    assert validate_config({**config, "herald": {"beta": [3.0, 0.0], "dim": 20}}) == []
+    assert validate_config({**config, "herald": {"beta": [3.0, 0.0], "dim": 19}}) == []
     # the herald basis defaults to min(trunc, 12) levels: |beta| = 2 fits 12, not 10
     assert validate_config({**config, "herald": {"beta": 2.0}}) == []
     assert validate_config({**config, "trunc": 10, "input_state": {"alpha": 0.5}, "herald": {"beta": 2.0}}) == [

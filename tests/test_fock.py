@@ -7,11 +7,12 @@ import warnings
 import numpy as np
 import pytest
 from conftest import dense_beam_splitter, displacement_op, mixed_states, random_state, unitarity_defect
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
-from scipy.special import pdtrc
+from scipy.special import logsumexp
+from scipy.stats import poisson
 
 from cvortho import (
     OperatorKind,
@@ -38,7 +39,7 @@ from cvortho import (
     sample_quadratures,
     wigner,
 )
-from cvortho.fock import _poisson_tail, check_tail
+from cvortho.fock import check_tail
 
 
 def density_to_json(rho):
@@ -85,26 +86,7 @@ def pure_density(amps):
 
 def brute_poisson_weights(lam, count):
     # independent of the package's amplitude recurrence
-    from scipy.stats import poisson
-
     return poisson.pmf(np.arange(count), lam)
-
-
-def running_sum_min_dim(alpha, tail_tol):
-    """The search that ``min_dim_for_coherent`` made before its closed form: a running Poisson sum from exp(-|alpha|^2).
-
-    Exact while exp(-|alpha|^2) is a normal double, |alpha| < 26.6; past that its first term is subnormal, then 0.
-    """
-    lam = abs(alpha) ** 2
-    if lam == 0.0:
-        return 2
-    p = cum = math.exp(-lam)
-    m = 0
-    while 1.0 - cum > tail_tol:
-        m += 1
-        p *= lam / m
-        cum += p
-    return m + 2
 
 
 class TestFockState:
@@ -158,25 +140,51 @@ class TestCoherentState:
         coherent_state(2.0, Truncation(err.value.suggested_dim))  # hint is sufficient
 
     def test_min_dim_oracle(self):
-        # brute-force the smallest admissible dim for a few amplitudes
+        # brute-force the smallest dim whose normalized top weight is within the tolerance, for a few amplitudes
         for alpha, tol in [(0.5, 1e-8), (1.0, 1e-8), (2.0, 1e-8), (2.0, 5e-3)]:
-            lam = abs(alpha) ** 2
-            weights = brute_poisson_weights(lam, 200)
-            smallest = next(n for n in range(2, 200) if sum(weights[n - 1 :]) < tol)
+            weights = brute_poisson_weights(abs(alpha) ** 2, 200)
+            smallest = next(d for d in range(2, 200) if weights[d - 1] / math.fsum(weights[:d]) <= tol)
             assert min_dim_for_coherent(alpha, tol) == smallest
 
-    def test_min_dim_matches_the_running_sum_below_its_underflow(self):
-        for radius in np.linspace(0.0, 26.59, 400):
-            alpha = radius * complex(math.cos(radius), math.sin(radius))  # only |alpha| counts
-            for tol in (1e-8, 5e-3):
-                assert min_dim_for_coherent(alpha, tol) == running_sum_min_dim(alpha, tol), (radius, tol)
+    @pytest.mark.parametrize("alpha, tol, dim", [
+        (1.0, 1e-8, 12), (2.0, 1e-8, 21), (5.0, 1e-8, 59), (8.0, 1e-8, 114), (28.0, 1e-8, 939),
+        (1.0, 5e-3, 6), (2.0, 5e-3, 12), (3.0, 5e-3, 19)])
+    def test_min_dim_admission_boundaries(self, alpha, tol, dim):
+        # the coherent input's gate at 1e-8 and the herald ancilla's at 5e-3; the earlier rule, on the Poisson tail
+        # past the basis, asked 13, 22, 60, 116, 948, 6, 12 and 20
+        assert min_dim_for_coherent(alpha, tol) == dim
+
+    def test_min_dim_at_a_tolerance_whose_poisson_weights_underflow(self):
+        # at |alpha| = 37.6 the weight of level 0, exp(-37.6^2), is 0 as a double and that of the answer's top level
+        # is near 1e-300, so the oracle sums the weights in log space; the walk forms none, and warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dim = min_dim_for_coherent(37.6, 1e-300)
+        log_weights = poisson.logpmf(np.arange(dim), 37.6**2)
+        log_top = [log_weights[d - 1] - logsumexp(log_weights[:d]) for d in (dim - 1, dim)]
+        assert log_top[1] <= math.log(1e-300) < log_top[0]
 
     @pytest.mark.parametrize("alpha", [26.949, 26.952, 26.955, 28.0, 35.0])
     def test_min_dim_past_the_running_sum_underflow(self, alpha):
-        # the running sum gave 887, 889 and 882 at the first three, and no dim at all from |alpha| = 27.3 on
+        # a running Poisson sum from exp(-|alpha|^2) gave 887, 889 and 882 at the first three, and no dim at all from
+        # |alpha| = 27.3 on, where that first term is 0
         dim = min_dim_for_coherent(alpha, 1e-8)
-        weights = brute_poisson_weights(alpha**2, 4000)
-        assert math.fsum(weights[dim - 1:]) <= 1e-8 < math.fsum(weights[dim - 2:])
+        weights = brute_poisson_weights(alpha**2, dim)
+        top = [weights[d - 1] / math.fsum(weights[:d]) for d in (dim - 1, dim)]
+        assert top[1] <= 1e-8 < top[0]
+
+    @settings(deadline=None)
+    @given(size=st.floats(0.0, 37.6), phase=st.floats(0.0, 2 * math.pi))
+    @example(size=0.0, phase=0.0)
+    @example(size=37.6, phase=0.0)
+    def test_min_dim_is_the_least_dim_that_check_tail_admits(self, size, phase):
+        alpha = cmath.rect(size, phase)
+        dim = min_dim_for_coherent(alpha, 1e-8)
+        psi = coherent_state(alpha, Truncation(dim))
+        check_tail(psi)
+        if dim > 2:
+            with pytest.raises(TruncationError):
+                check_tail(StateVector(psi.amps[: dim - 1], Truncation(dim - 1)))
 
     def test_min_dim_is_monotone_where_the_running_sum_was_not(self):
         dims = [min_dim_for_coherent(alpha, 1e-8) for alpha in (26.949, 26.952, 26.955)]
@@ -194,26 +202,9 @@ class TestCoherentState:
 
     @pytest.mark.parametrize("tol", [-1e-3, 0.0, math.nan])
     def test_min_dim_refuses_a_tail_tolerance_that_no_dim_meets(self, tol):
-        # a Poisson tail is positive, so no dim meets these, and a search for one would not end
+        # a top-level weight is positive, so no dim meets these, and a walk to one would not end
         with pytest.raises(ValueError, match=r"^tail_tol: must be a positive number"):
             min_dim_for_coherent(1.0, tol)
-
-    @settings(max_examples=300, deadline=None)
-    @given(lam=st.floats(0.0, 1e4), spread=st.floats(-40.0, 40.0))
-    def test_poisson_tail_matches_pdtrc(self, lam, spread):
-        # pdtrc's own error grows with the tail's depth: against a 40-digit sum it reaches 1.0e-11 near 1e-250,
-        # where this sum's stays below 1e-12, and the two differ by up to 1.6e-11 there; hence the looser bound
-        k = max(0, math.floor(lam + spread * math.sqrt(lam + 1)))
-        want = pdtrc(k, lam)
-        assume(want >= 1e-250)
-        assert abs(_poisson_tail(k, lam) - want) <= (1e-11 if want >= 1e-100 else 3e-11) * want
-
-    @pytest.mark.parametrize("k", [10**17, 10**400], ids=["10**17", "10**400"])
-    @pytest.mark.parametrize("lam", [0.5, 1e4, 1e12])
-    def test_poisson_tail_far_past_the_mean_is_zero(self, k, lam):
-        # Chernoff's bound puts these tails below e^-746, which rounds to 0; 10**17 is past 2^53, where (lam - k) / k
-        # rounds to -1, and 10**400 is past the float range
-        assert _poisson_tail(k, lam) == 0.0
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(1.0, math.nan)])
     def test_non_finite_amplitude_refused_by_name(self, alpha):

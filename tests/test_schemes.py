@@ -510,8 +510,15 @@ class TestHelpers:
             assert r / (t - r) == pytest.approx(n_mean)
 
     def test_theta_tuning_refuses_a_negative_mean(self):
-        with pytest.raises(ValueError, match="^mean photon number must be nonnegative$"):
-            theta_for_number_orthogonalizer(-1)
+        # nan and inf as well, for which n_mean / (1 + n_mean) is nan
+        for n_mean, shown in ((-1, "-1"), (math.nan, "nan"), (math.inf, "inf")):
+            with pytest.raises(ValueError, match=f"^n_mean: must be a finite number >= 0, got {shown}$"):
+                theta_for_number_orthogonalizer(n_mean)
+
+    @pytest.mark.parametrize("herald_dim", [0, False, 1, 2.5], ids=["0", "False", "1", "2.5"])
+    def test_bad_herald_dim_is_refused_not_read_as_the_default(self, herald_dim):
+        with pytest.raises(ValueError, match=rf"^herald_dim: must be an integer >= 2, got {herald_dim!r}$"):
+            heralded_addition_model(fock_state(0, Truncation(12)), 0.5, 0.3, herald_dim)
 
     def test_herald_default_respects_signal(self):
         # the default ancilla basis is min(signal dim, 12), too small for beta = 2.5 either way
